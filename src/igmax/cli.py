@@ -33,6 +33,7 @@ from .errors import (
     NotASquare,
     NotEliminable,
     TransversalityViolation,
+    VerificationFailed,
 )
 from .labels import label_with_context, label_spectrum
 from .presentation import build_presentation, word_str
@@ -251,8 +252,7 @@ def cmd_replay(args, out) -> int:
     from .pipeline import DerivationLog, replay_log
 
     with open(args.log) as fh:
-        doc = json.load(fh)
-    log = DerivationLog.from_json(doc)
+        log = DerivationLog.from_json(json.load(fh))
     report = replay_log(log)
     if args.format == "json":
         _emit_json(report.to_json(), out)
@@ -370,6 +370,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BudgetExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except VerificationFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except (InvalidParameters, TransversalityViolation, NotASquare, NotEliminable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -83,6 +83,14 @@ class Subset:
     def __contains__(self, x: int) -> bool:
         return x in self._as_set
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # subsets key the hot dictionaries of presentation building and replay
+        return hash((self.n, self.elements))
+
     @cached_property
     def _as_set(self) -> frozenset[int]:
         return frozenset(self.elements)
@@ -212,6 +220,13 @@ class Partition:
 
     def __len__(self) -> int:
         return len(self.blocks)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.n, self.blocks))
 
     @cached_property
     def _block_index(self) -> dict[int, int]:

@@ -23,3 +23,10 @@ class NotEliminable(ValueError):
 
 class BudgetExhausted(RuntimeError):
     """A bounded search or enumeration hit its configured limit."""
+
+
+class VerificationFailed(RuntimeError):
+    """A check that a result rests on came out false.
+
+    Raised in place of ``assert`` where the check must survive ``python -O``.
+    """

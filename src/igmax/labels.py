@@ -84,7 +84,8 @@ def label_by_subscripts(partition: Partition, subset: Subset) -> Permutation:
     images = [0] * len(partition)
     for pos, x in enumerate(subset.elements, start=1):
         images[partition.block_index(x) - 1] = pos
-    return Permutation(tuple(images))
+    # a transversal puts exactly one position in each block
+    return Permutation._trusted(tuple(images))
 
 
 def label_spectrum(n: int, r: int) -> dict[Permutation, int]:

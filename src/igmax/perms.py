@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Hashable, Iterable, Mapping
 
 from .errors import InvalidParameters
 
@@ -26,6 +27,17 @@ class Permutation:
             raise InvalidParameters("permutation degree must be >= 1")
         if sorted(self.images) != list(range(1, r + 1)):
             raise InvalidParameters(f"not a permutation of [1,{r}]: {self.images}")
+
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap images already known to form a permutation, without re-validation.
+
+        Only for internal results such as products and inverses of valid
+        permutations; text and outside input go through the constructor.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
 
     @property
     def degree(self) -> int:
@@ -53,13 +65,10 @@ class Permutation:
         """
         if len(self.images) != len(other.images):
             raise InvalidParameters("degree mismatch in permutation product")
-        return Permutation(tuple(other.images[y - 1] for y in self.images))
+        return Permutation._trusted(compose(self.images, other.images))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for x, y in enumerate(self.images, start=1):
-            inv[y - 1] = x
-        return Permutation(tuple(inv))
+        return Permutation._trusted(invert(self.images))
 
     @cached_property
     def cycles(self) -> tuple[tuple[int, ...], ...]:
@@ -149,6 +158,47 @@ class Permutation:
 
     def to_json(self) -> list[int]:
         return list(self.images)
+
+
+Letter = tuple[Hashable, int]
+
+
+def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """Left-to-right product of two one-line image tuples: ``x -> q(p(x))``."""
+    return tuple([q[y - 1] for y in p])
+
+
+def invert(p: tuple[int, ...]) -> tuple[int, ...]:
+    """Inverse of a one-line image tuple."""
+    inv = [0] * len(p)
+    for x, y in enumerate(p, start=1):
+        inv[y - 1] = x
+    return tuple(inv)
+
+
+def letter_images(perms: Mapping[Hashable, Permutation]) -> dict[Letter, tuple[int, ...]]:
+    """Image tuples of both letters ``(g, 1)`` and ``(g, -1)`` of each generator."""
+    out: dict[Letter, tuple[int, ...]] = {}
+    for g, p in perms.items():
+        out[(g, 1)] = p.images
+        out[(g, -1)] = invert(p.images)
+    return out
+
+
+def evaluate_word(word: Iterable[Letter], images: Mapping[Letter, tuple[int, ...]], r: int) -> tuple[int, ...]:
+    """The left-to-right product in S_r of a word of ``(generator, +-1)`` letters.
+
+    ``images`` maps every letter of the word to its one-line image tuple (see
+    :func:`letter_images`); an empty word evaluates to the identity.
+
+    >>> g = "g"
+    >>> evaluate_word([(g, 1), (g, 1)], letter_images({g: Permutation((2, 3, 1))}), 3)
+    (3, 1, 2)
+    """
+    acc = tuple(range(1, r + 1))
+    for letter in word:
+        acc = compose(acc, images[letter])
+    return acc
 
 
 def descent_number(p: Permutation) -> int:

@@ -40,20 +40,23 @@ Step rules
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from .combinatorics import Partition, Subset
-from .errors import InvalidParameters
+from .errors import InvalidParameters, VerificationFailed
 from .labels import label_by_subscripts
 from .perms import (
-    Permutation,
     classify_descent_one,
     contiguous_cycle,
     descent_number,
+    evaluate_word,
+    letter_images,
     resolve_rightmost_descent,
     rightmost_descent,
 )
 from .presentation import (
+    AbstractGenerator,
     GeneratorId,
     GroupPresentation,
     GroupWord,
@@ -96,6 +99,7 @@ def _corner_pair(sq: Square, name: str) -> Pair:
     return {"PA": (p, a), "PB": (p, b), "QA": (q, a), "QB": (q, b)}[name]
 
 
+@lru_cache(maxsize=1 << 16)
 def _gid(pair: Pair) -> GeneratorId:
     return GeneratorId.of(pair[0], pair[1])
 
@@ -128,8 +132,10 @@ def _three_quarter_relation(sq: Square, zero: str) -> Relation:
 def _require_singular(sq: Square) -> None:
     if sq.is_degenerate():
         raise InvalidParameters(f"square {sq.to_json()} is degenerate")
-    assert is_singular_sq3(sq), f"square fails the label test: {sq.to_json()}"
-    assert is_singular_sq2(sq), f"square fails the pair test: {sq.to_json()}"
+    if not is_singular_sq3(sq):
+        raise VerificationFailed(f"square fails the label test: {sq.to_json()}")
+    if not is_singular_sq2(sq):
+        raise VerificationFailed(f"square fails the pair test: {sq.to_json()}")
 
 
 @dataclass(frozen=True)
@@ -167,11 +173,60 @@ def _word_json(word: GroupWord) -> list:
     return out
 
 
-def _word_from_json(doc: list, n: int) -> GroupWord:
+def _word_from_json(doc: list, n: int, parsed: dict) -> GroupWord:
+    """Parse a logged word; ``parsed`` memoises each distinct (kernel, image)
+    text, so every generator is validated once and then shared."""
     out = []
     for pt, st, e in doc:
-        out.append((GeneratorId.of(Partition.parse(pt, n), Subset.parse(st, n)), e))
+        g = parsed.get((pt, st))
+        if g is None:
+            g = parsed[(pt, st)] = GeneratorId.of(Partition.parse(pt, n), Subset.parse(st, n))
+        out.append((g, e))
     return tuple(out)
+
+
+def _snapshot_from_json(doc) -> Optional[GroupPresentation]:
+    """A stored final presentation over abstract generators, or None if malformed.
+
+    Replay compares what is parsed here with the Coxeter presentation, so a
+    snapshot that does not parse counts as a mismatch.
+    """
+    try:
+        gens: list[AbstractGenerator] = []
+        for gd in doc["generators"]:
+            if gd["kind"] != "abstract" or not isinstance(gd["name"], str):
+                return None
+            gens.append(AbstractGenerator(gd["name"]))
+
+        def word(letters) -> GroupWord:
+            out = []
+            for i, e in letters:
+                if type(i) is not int or not 0 <= i < len(gens) or e not in (1, -1):
+                    raise ValueError(f"bad letter {[i, e]}")
+                out.append((gens[i], e))
+            return tuple(out)
+
+        relations = tuple(Relation(word(rd["lhs"]), word(rd["rhs"]), rd["tag"]) for rd in doc["relations"])
+    except (KeyError, TypeError, ValueError):
+        return None
+    return GroupPresentation(tuple(gens), relations)
+
+
+def _expand(word: GroupWord, expansion: dict) -> GroupWord:
+    """Replace each letter by its word in ``expansion`` and freely reduce.
+
+    ``expansion`` maps both letters (g, 1) and (g, -1) of each resolved
+    generator; an unresolved letter raises KeyError with the letter.
+    """
+    out: list = []
+    for letter in word:
+        out.extend(expansion[letter])
+    return free_reduce(tuple(out))
+
+
+def _set_expansion(expansion: dict, g: GeneratorId, word: GroupWord) -> None:
+    expansion[(g, 1)] = word
+    expansion[(g, -1)] = inverse_word(word)
 
 
 @dataclass
@@ -208,6 +263,7 @@ class DerivationLog:
             raise InvalidParameters("not a derivation log document")
         n, r = doc["n"], doc["r"]
         steps: list[DerivationStep] = []
+        parsed: dict[tuple[str, str], GeneratorId] = {}
         for sd in doc["steps"]:
             rule = sd["rule"]
             if rule == "discharge":
@@ -216,8 +272,8 @@ class DerivationLog:
             conclusion = None
             if "conclusion" in sd:
                 conclusion = Relation(
-                    _word_from_json(sd["conclusion"]["lhs"], n),
-                    _word_from_json(sd["conclusion"]["rhs"], n),
+                    _word_from_json(sd["conclusion"]["lhs"], n, parsed),
+                    _word_from_json(sd["conclusion"]["rhs"], n, parsed),
                     "derived",
                 )
             square = None
@@ -232,9 +288,7 @@ class DerivationLog:
             )
         log = cls(n=n, r=r, steps=steps, meta=doc.get("meta", {}))
         if doc.get("final") is not None:
-            # Only the Coxeter snapshot is ever stored; rebuild it rather than
-            # parsing abstract generators out of JSON.
-            log.final = coxeter_presentation(r)
+            log.final = _snapshot_from_json(doc["final"])
         return log
 
 
@@ -542,14 +596,16 @@ def _braid_mirror_square(k: int, n: int, r: int) -> Square:
 class Derivation:
     """Fact store and step emitter over one (n, r) ground case."""
 
-    def __init__(self, n: int, r: int):
+    def __init__(self, n: int, r: int, pres: Optional[GroupPresentation] = None):
+        """``pres``, when given, must be ``build_presentation(n, r)``; it is
+        otherwise built on first use."""
         if not (1 <= r <= n - 2):
             raise InvalidParameters(f"derivations cover 1 <= r <= n-2, got r={r}, n={n}")
         self.n = n
         self.r = r
         self.sch: SchreierSystem = build_schreier(n, r)
         self.log = DerivationLog(n=n, r=r)
-        self._pres: Optional[GroupPresentation] = None
+        self._pres = pres
         self._one_memo: dict[Pair, int] = {}
         self._eq_memo: dict[Pair, int] = {}
         self._res_memo: dict[Pair, tuple[Optional[int], GroupWord]] = {}
@@ -1012,30 +1068,18 @@ class Derivation:
                 assert g in canon_gens, f"resolution of {pair} mentions non-canonical {g}"
 
     def discharge_all(self) -> None:
-        canon_gens = {_gid(p) for p in self.canonical_pairs()}
-        images = {g: g.label for g in canon_gens}
-
-        def expand(word: GroupWord) -> GroupWord:
-            out: list[tuple[GeneratorId, int]] = []
-            for g, e in word:
-                if g in canon_gens:
-                    out.append((g, e))
-                    continue
-                _, w = self._res_memo[(g.partition, g.subset)]
-                out.extend(w if e == 1 else inverse_word(w))
-            return free_reduce(tuple(out))
-
-        def evaluate(word: GroupWord) -> Permutation:
-            acc = Permutation.identity(self.r)
-            for g, e in word:
-                acc = acc * (images[g] if e == 1 else images[g].inverse())
-            return acc
-
+        """Rewrite every original relation through the resolution map and
+        check it in S_r, one discharge step per relation."""
+        images = letter_images({_gid(p): _gid(p).label for p in self.canonical_pairs()})
+        expansion: dict = {}
+        for pair, (_, word) in self._res_memo.items():
+            _set_expansion(expansion, _gid(pair), word)
+        r = self.r
         for i, rel in enumerate(self.pres.relations):
-            lhs = expand(rel.lhs)
-            rhs = expand(rel.rhs)
-            if evaluate(lhs) != evaluate(rhs):
-                raise RuntimeError(f"relation {i} failed to discharge: {rel}")
+            lhs = _expand(rel.lhs, expansion)
+            rhs = _expand(rel.rhs, expansion)
+            if evaluate_word(lhs, images, r) != evaluate_word(rhs, images, r):
+                raise VerificationFailed(f"relation {i} failed to discharge: {rel}")
             self._add("discharge", Relation(lhs, rhs, "derived"), data={"pz": i})
 
     def finish(self) -> GroupPresentation:
@@ -1132,19 +1176,23 @@ def derive_cycle_equal(P: Partition, A: Subset, engine: Optional[Derivation] = N
     return eng.log
 
 
-def run_pipeline(n: int, r: int) -> tuple[GroupPresentation, DerivationLog]:
+def run_pipeline(
+    n: int, r: int, pres: Optional[GroupPresentation] = None
+) -> tuple[GroupPresentation, DerivationLog]:
     """Reduce the full (n, r) presentation to the Coxeter presentation.
 
     Resolves every generator to a word over the r-1 canonical
     adjacent-transposition classes, derives the Coxeter relations among them,
     discharges every original relation through the resolution map, and
     returns the target presentation with the complete derivation log.
+    A caller that already holds ``build_presentation(n, r)`` passes it as
+    ``pres`` so that it is not built twice.
 
     >>> pres, log = run_pipeline(4, 2)
     >>> len(pres.generators), len(pres.relations)
     (1, 1)
     """
-    eng = Derivation(n, r)
+    eng = Derivation(n, r, pres)
     for g in eng.pres.generators:
         eng.resolve(g.partition, g.subset)
     eng.assert_survivors()
@@ -1211,8 +1259,10 @@ def replay_log(log: DerivationLog) -> ReplayReport:
     sch = build_schreier(n, r)
     canon_pairs = [canonical_cycle_pair(k, 1, n, r) for k in range(1, r)]
     canon_gens = {_gid(p) for p in canon_pairs}
-    images = {g: g.label for g in canon_gens}
-    resolution: dict[GeneratorId, GroupWord] = {}
+    images = letter_images({g: g.label for g in canon_gens})
+    expansion: dict = {}
+    for g in canon_gens:
+        _set_expansion(expansion, g, ((g, 1),))
     discharged: set[int] = set()
     failures: list[tuple[int, str]] = []
     verified: set[int] = set()
@@ -1377,28 +1427,12 @@ def replay_log(log: DerivationLog) -> ReplayReport:
             if not 0 <= pz < len(pres.relations):
                 raise _ReplayFailure(f"relation index {pz} out of range")
             rel = pres.relations[pz]
-
-            def expand(word: GroupWord) -> GroupWord:
-                out: list[tuple[GeneratorId, int]] = []
-                for g, e in word:
-                    if g in canon_gens:
-                        out.append((g, e))
-                        continue
-                    if g not in resolution:
-                        raise _ReplayFailure(f"no resolution for {g}")
-                    w = resolution[g]
-                    out.extend(w if e == 1 else inverse_word(w))
-                return free_reduce(tuple(out))
-
-            def evaluate(word: GroupWord) -> Permutation:
-                acc = Permutation.identity(r)
-                for g, e in word:
-                    acc = acc * (images[g] if e == 1 else images[g].inverse())
-                return acc
-
-            lhs = expand(rel.lhs)
-            rhs = expand(rel.rhs)
-            if evaluate(lhs) != evaluate(rhs):
+            try:
+                lhs = _expand(rel.lhs, expansion)
+                rhs = _expand(rel.rhs, expansion)
+            except KeyError as exc:
+                raise _ReplayFailure(f"no resolution for {exc.args[0][0]}") from None
+            if evaluate_word(lhs, images, r) != evaluate_word(rhs, images, r):
                 raise _ReplayFailure(f"relation {pz} does not hold under the resolution map")
             if st.conclusion is not None and (st.conclusion.lhs, st.conclusion.rhs) != (lhs, rhs):
                 raise _ReplayFailure("stored discharge conclusion disagrees with replay")
@@ -1441,9 +1475,9 @@ def replay_log(log: DerivationLog) -> ReplayReport:
         rel = st.conclusion
         if rel is not None and len(rel.lhs) == 1 and rel.lhs[0][1] == 1:
             g = rel.lhs[0][0]
-            if g not in canon_gens and g not in resolution:
+            if g not in canon_gens and (g, 1) not in expansion:
                 if all(h in canon_gens for h, _ in rel.rhs):
-                    resolution[g] = free_reduce(rel.rhs)
+                    _set_expansion(expansion, g, free_reduce(rel.rhs))
 
     final_matches = (
         match_seen

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Union
 
 from .combinatorics import Partition, Subset, require_transversal
@@ -49,7 +50,19 @@ class GeneratorId:
 
     @classmethod
     def of(cls, partition: Partition, subset: Subset) -> "GeneratorId":
-        return cls(partition, subset, label_by_subscripts(partition, subset))
+        """The generator of a pair, its label computed (and the pair checked) once."""
+        g = object.__new__(cls)
+        g.__dict__.update(
+            partition=partition, subset=subset, label=label_by_subscripts(partition, subset)
+        )
+        return g
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.partition, self.subset))
 
     def display(self) -> str:
         return f"f[{self.partition}|{self.subset}]"

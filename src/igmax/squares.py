@@ -20,6 +20,13 @@ Three equivalent characterisations are implemented:
 The constructive witness moves the A-element of each P-block to the
 B-element of the same block and fixes everything else.  It satisfies the LR
 equations whenever SQ2 holds; tests verify this exhaustively.
+
+The proper singular squares are enumerated without testing kernel pairs:
+each ordered pair (A, B) of distinct transversals of a kernel P is keyed by
+(A, B, label(P,A)^-1 label(P,B)).  Two kernels share a key exactly when the
+square they span over (A, B) passes SQ3, so every ordered pair of distinct
+kernels in one bucket is a proper singular square, and the work depends on
+the output rather than on the number of kernel pairs.
 """
 
 from __future__ import annotations
@@ -36,9 +43,9 @@ from .combinatorics import (
     enumerate_subsets,
     enumerate_transversal_pairs,
 )
-from .errors import InvalidParameters, NotASquare
+from .errors import InvalidParameters, NotASquare, VerificationFailed
 from .labels import label_by_subscripts
-from .perms import Permutation
+from .perms import Permutation, compose, invert
 from .transform import Transformation, idempotent
 
 CORNERS = ("PA", "PB", "QA", "QB")
@@ -62,6 +69,17 @@ class Square:
             for img in (a, b):
                 if not part.meets_once(img):
                     raise NotASquare(f"{img} is not a transversal of {part}")
+
+    @classmethod
+    def _trusted(cls, kernels: tuple[Partition, Partition], images: tuple[Subset, Subset]) -> "Square":
+        """A square whose corners are already known to be transversal pairs.
+
+        Skips the checks of the constructor; only for squares built from
+        enumerated transversals, never for outside input.
+        """
+        sq = object.__new__(cls)
+        sq.__dict__.update(kernels=kernels, images=images)
+        return sq
 
     @property
     def n(self) -> int:
@@ -317,16 +335,65 @@ def enumerate_squares(n: int, r: int) -> Iterator[Square]:
     return _iter_squares(n, r, proper_only=False)
 
 
+@dataclass
+class _SingularIndex:
+    """Kernels bucketed by their SQ3 signature over each ordered image pair.
+
+    ``buckets`` maps (a, b, label(P,A)^-1 label(P,B)) to the ascending indices
+    into ``parts`` of the kernels P with A, B among their transversals, where
+    a and b index A and B in ``subsets``.  ``rows[i]`` lists, for kernel i,
+    every (a, b, bucket) with a != b, so each bucket list is shared between
+    the rows of its kernels.
+    """
+
+    parts: list[Partition]
+    subsets: list[Subset]
+    transversal_ids: list[list[int]]
+    buckets: dict[tuple[int, int, tuple[int, ...]], list[int]]
+    rows: list[list[tuple[int, int, list[int]]]]
+
+
+def _singular_index(n: int, r: int) -> _SingularIndex:
+    parts = _sorted_partitions(n, r)
+    subsets = list(enumerate_subsets(n, r))
+    subset_id = {s.elements: i for i, s in enumerate(subsets)}
+    transversal_ids: list[list[int]] = []
+    buckets: dict[tuple[int, int, tuple[int, ...]], list[int]] = {}
+    rows: list[list[tuple[int, int, list[int]]]] = []
+    for pi, p in enumerate(parts):
+        trans = p.transversals()
+        ids = [subset_id[a.elements] for a in trans]
+        labels = [label_by_subscripts(p, a).images for a in trans]
+        row = []
+        for a, la in zip(ids, labels):
+            la_inv = invert(la)
+            for b, lb in zip(ids, labels):
+                if a == b:
+                    continue
+                bucket = buckets.setdefault((a, b, compose(la_inv, lb)), [])
+                bucket.append(pi)
+                row.append((a, b, bucket))
+        transversal_ids.append(ids)
+        rows.append(row)
+    return _SingularIndex(parts, subsets, transversal_ids, buckets, rows)
+
+
 def enumerate_singular_squares(n: int, r: int) -> Iterator[Square]:
     """The proper singular squares (P != Q and A != B), same order.
 
     Degenerate squares pass the singularity tests trivially and are
-    excluded here; census counts report them separately.
+    excluded here; census counts report them separately.  The squares come
+    from the SQ3 buckets of the module docstring, one kernel P at a time.
     """
     _check(n, r)
-    for sq in _iter_squares(n, r, proper_only=True):
-        if is_singular_sq3(sq):
-            yield sq
+    index = _singular_index(n, r)
+    parts, subsets = index.parts, index.subsets
+    for pi, p in enumerate(parts):
+        found = sorted(
+            (qi, a, b) for a, b, bucket in index.rows[pi] for qi in bucket if qi != pi
+        )
+        for qi, a, b in found:
+            yield Square._trusted((p, parts[qi]), (subsets[a], subsets[b]))
 
 
 @dataclass(frozen=True)
@@ -358,51 +425,42 @@ class SquareCensus:
 
 
 def square_census(n: int, r: int) -> SquareCensus:
-    """One pass over ordered squares, counting everything the CLI reports.
+    """Counts of ordered squares, read off the SQ3 buckets.
 
-    Proper singular squares come in orbits of four under swapping (P,Q) and
-    swapping (A,B); the unordered count divides by that.
+    With m(A, B) the number of kernels having both A and B as transversals
+    (m(A, A) for those having A), there are sum m(A,B)^2 ordered squares and
+    sum over A != B of m(A,B)(m(A,B)-1) proper ones; a bucket of k kernels
+    holds k(k-1) proper singular squares.  Proper singular squares come in
+    orbits of four under swapping (P,Q) and swapping (A,B); the unordered
+    count divides by that.
     """
     _check(n, r)
-    parts = _sorted_partitions(n, r)
-    trans = {p: p.transversals() for p in parts}
-    tsets = {p: frozenset(t) for p, t in trans.items()}
-    lab: dict[tuple[Partition, Subset], Permutation] = {}
-    for p in parts:
-        for a in trans[p]:
-            lab[(p, a)] = label_by_subscripts(p, a)
-    n_subsets = sum(1 for _ in enumerate_subsets(n, r))
-    squares = proper = sigma = degenerate_singular = 0
-    for p in parts:
-        for q in parts:
-            common = [a for a in trans[p] if a in tsets[q]] if p != q else trans[p]
-            c = len(common)
-            squares += c * c
-            if p == q:
-                degenerate_singular += c * c
-                continue
-            for a in common:
-                da = lab[(p, a)].inverse()
-                dqa = lab[(q, a)].inverse()
-                for b in common:
-                    if a == b:
-                        degenerate_singular += 1
-                        continue
-                    proper += 1
-                    if da * lab[(p, b)] == dqa * lab[(q, b)]:
-                        sigma += 1
-    assert sigma % 4 == 0, "proper singular squares must fall in orbits of 4"
+    index = _singular_index(n, r)
+    per_subset: dict[int, int] = {}
+    for ids in index.transversal_ids:
+        for a in ids:
+            per_subset[a] = per_subset.get(a, 0) + 1
+    per_pair: dict[tuple[int, int], int] = {}
+    sigma = 0
+    for (a, b, _), kernels in index.buckets.items():
+        k = len(kernels)
+        per_pair[(a, b)] = per_pair.get((a, b), 0) + k
+        sigma += k * (k - 1)
+    proper = sum(m * (m - 1) for m in per_pair.values())
+    squares = sum(m * m for m in per_subset.values()) + sum(m * m for m in per_pair.values())
+    if sigma % 4:
+        raise VerificationFailed(f"{sigma} proper singular squares do not fall in orbits of 4")
     return SquareCensus(
         n=n,
         r=r,
-        partitions=len(parts),
-        subsets=n_subsets,
-        transversal_pairs=sum(len(t) for t in trans.values()),
+        partitions=len(index.parts),
+        subsets=len(index.subsets),
+        transversal_pairs=sum(len(ids) for ids in index.transversal_ids),
         squares=squares,
         proper_squares=proper,
         singular_proper=sigma,
         singular_proper_unordered=sigma // 4,
-        singular_degenerate=degenerate_singular,
+        singular_degenerate=squares - proper,
     )
 
 

@@ -23,8 +23,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidParameters
-from .perms import Permutation
+from .errors import InvalidParameters, VerificationFailed
+from .perms import Permutation, evaluate_word, letter_images
 from .presentation import (
     GeneratorId,
     GroupPresentation,
@@ -177,14 +177,17 @@ class _Enumerator:
             row = self.rows[c]
             for letter in range(self.width):
                 target = row.get(letter)
-                assert target is not None, "open entry in a table reported closed"
-                assert self.rows[self.find(target)] is not None
+                if target is None:
+                    raise VerificationFailed("open entry in a table reported closed")
+                if self.rows[self.find(target)] is None:
+                    raise VerificationFailed("table entry points at a dead coset")
         for c in live:
             for word in self.relators:
                 x = c
                 for letter in word:
                     x = self.find(self.rows[x][letter])
-                assert x == c, "relator does not close on a live coset"
+                if x != c:
+                    raise VerificationFailed("relator does not close on a live coset")
 
 
 def coset_enumerate(pres: GroupPresentation, max_cosets: int = 100_000) -> CosetResult:
@@ -262,18 +265,12 @@ def label_homomorphism_check(pres: GroupPresentation) -> HomReport:
     if r is None:
         raise InvalidParameters("presentation has no generators")
 
-    def evaluate(word) -> Permutation:
-        acc = Permutation.identity(r)
-        for g, e in word:
-            p = g.label
-            acc = acc * (p if e > 0 else p.inverse())
-        return acc
-
+    images = letter_images({g: g.label for g in pres.generators})
     checked = 0
     failure = None
     for rel in pres.relations:
         checked += 1
-        if evaluate(rel.lhs) != evaluate(rel.rhs) and failure is None:
+        if evaluate_word(rel.lhs, images, r) != evaluate_word(rel.rhs, images, r) and failure is None:
             failure = str(rel)
     import math
 
@@ -365,7 +362,7 @@ def verify_theorem(n: int, r: int, budget: Optional[int] = None):
 
     pres = build_presentation(n, r)
     hom = label_homomorphism_check(pres)
-    final, log = run_pipeline(n, r)
+    final, log = run_pipeline(n, r, pres)
     pipeline_ok = presentations_match(final, coxeter_presentation(r))
 
     coset_order = None

@@ -334,6 +334,32 @@ def test_replay_tampered_log(capsys, tmp_path, log_path):
     assert "replay: FAIL" in out
 
 
+def test_replay_checks_the_stored_final_snapshot(capsys, tmp_path):
+    path = tmp_path / "log.json"
+    code, _, _ = run(capsys, "reduce", "--n", "5", "--r", "3", "--log", str(path))
+    assert code == 0
+    doc = json.loads(path.read_text())
+    doc["final"] = {"junk": True}
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "replay", "--log", str(path))
+    assert code == 4
+    assert "final snapshot: MISMATCH\n" in out
+    assert out.endswith("replay: FAIL\n")
+
+
+def test_verification_failure_exits_four(capsys, monkeypatch):
+    import igmax.cli as cli
+    from igmax.errors import VerificationFailed
+
+    def broken_census(n, r):
+        raise VerificationFailed("census check failed")
+
+    monkeypatch.setattr(cli, "square_census", broken_census)
+    code, _, err = run(capsys, "stats", "--n", "4", "--r", "2")
+    assert code == 4
+    assert "census check failed" in err
+
+
 def test_replay_rejects_foreign_document(capsys, tmp_path):
     path = tmp_path / "foreign.json"
     path.write_text(json.dumps({"format": "something-else"}))

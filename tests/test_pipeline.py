@@ -2,8 +2,14 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import igmax
 
 from igmax.combinatorics import Partition, Subset, enumerate_transversal_pairs
 from igmax.errors import InvalidParameters
@@ -322,3 +328,27 @@ def test_replay_catches_missing_discharge(log_four_two):
     assert report.failures == ()
     assert report.discharged == report.relations - 1
     assert not report.ok
+
+
+def test_require_singular_survives_optimize_flag():
+    # a proper square that is not singular, checked with asserts stripped
+    script = (
+        "from igmax.combinatorics import Partition, Subset\n"
+        "from igmax.errors import VerificationFailed\n"
+        "from igmax.pipeline import _require_singular\n"
+        "from igmax.squares import Square\n"
+        "assert False, 'asserts must be off'\n"
+        "sq = Square((Partition.parse('{{1},{2,4},{3,6},{5,7}}'), Partition.parse('{{1},{2,6,7},{3,5},{4}}')),\n"
+        "            (Subset.parse('{1,3,4,7}', 7), Subset.parse('{1,4,5,6}', 7)))\n"
+        "try:\n"
+        "    _require_singular(sq)\n"
+        "except VerificationFailed as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    src = str(Path(igmax.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("raised: square fails the label test")

@@ -1,5 +1,7 @@
 """Squares, the three singularity tests, witnesses, census, label graphs."""
 
+import itertools
+
 import pytest
 
 from igmax.combinatorics import Partition, Subset
@@ -217,6 +219,18 @@ def test_census_matches_enumeration_five_two():
     c = square_census(5, 2)
     assert c.singular_proper == 840
     assert c.singular_proper == sum(1 for _ in enumerate_singular_squares(5, 2))
+
+
+@pytest.mark.parametrize("n, r", [(n, r) for n in range(1, 8) for r in range(1, n + 1)])
+def test_bucketed_enumeration_is_the_sq3_filter(n, r):
+    reference = (
+        sq for sq in enumerate_squares(n, r) if not sq.is_degenerate() and is_singular_sq3(sq)
+    )
+    count = 0
+    for got, want in itertools.zip_longest(enumerate_singular_squares(n, r), reference):
+        assert got == want
+        count += 1
+    assert square_census(n, r).singular_proper == count
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

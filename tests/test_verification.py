@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from igmax.errors import InvalidParameters
+from igmax.errors import InvalidParameters, VerificationFailed
 from igmax.labels import label_by_subscripts
 from igmax.pipeline import replay_log
 from igmax.presentation import (
@@ -14,6 +14,7 @@ from igmax.presentation import (
     coxeter_presentation,
 )
 from igmax.verification import (
+    _Enumerator,
     coset_enumerate,
     label_homomorphism_check,
     presentations_match,
@@ -58,6 +59,15 @@ def test_coset_budget_exhaustion():
         "cosets_defined": 5,
         "live_cosets": doc["live_cosets"],
     }
+
+
+def test_coset_audit_rejects_an_open_table():
+    enum = _Enumerator(1, [(0, 0)], 100)  # one generator of order 2
+    enum.run()
+    enum.audit()
+    del enum.rows[1][0]
+    with pytest.raises(VerificationFailed):
+        enum.audit()
 
 
 def test_coset_determinism():
@@ -181,3 +191,20 @@ def test_verify_rejects_bad_rank():
         verify_theorem(4, 4)
     with pytest.raises(InvalidParameters):
         verify_theorem(4, 0)
+
+
+def test_verify_builds_the_presentation_once(monkeypatch):
+    import igmax.pipeline
+    import igmax.verification
+
+    builds = []
+
+    def counting_build(n, r):
+        builds.append((n, r))
+        return build_presentation(n, r)
+
+    monkeypatch.setattr(igmax.pipeline, "build_presentation", counting_build)
+    monkeypatch.setattr(igmax.verification, "build_presentation", counting_build)
+    report, _ = verify_theorem(5, 3)
+    assert report.verdict == "confirmed S_3"
+    assert builds == [(5, 3)]
