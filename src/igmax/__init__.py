@@ -8,7 +8,7 @@ The package is layered bottom-up:
 ``schreier``       canonical idempotent words linking [1, r] to each subset
 ``labels``         the permutation label of a (kernel, image) pair
 ``squares``        singular squares and their witnessing idempotents
-``presentation``   group presentations: construction and Tietze moves
+``presentation``   group presentations: construction, word algebra, Coxeter target
 ``pipeline``       the logged reduction from the big presentation to Coxeter
 ``verification``   coset enumeration and end-to-end theorem checks
 ``cli``            command-line front end

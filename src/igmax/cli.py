@@ -23,15 +23,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .combinatorics import Partition, Subset
 from .errors import (
-    BudgetExhausted,
     InvalidParameters,
     NotASquare,
-    NotEliminable,
     TransversalityViolation,
     VerificationFailed,
 )
@@ -65,8 +63,6 @@ class RunConfig:
     n: int
     r: int
     format: str = "text"
-    jobs: int = 1
-    seed: int = 0
     override_cap: bool = False
     allow_boundary: bool = False
 
@@ -82,8 +78,6 @@ class RunConfig:
                 f"theorem commands need r <= n-2 (got r={self.r}, n={self.n}); "
                 "pass --allow-boundary to run the boundary regime"
             )
-        if self.jobs < 1:
-            raise UsageError(f"jobs must be >= 1, got {self.jobs}")
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
@@ -91,8 +85,6 @@ class RunConfig:
             n=getattr(args, "n", 1),
             r=getattr(args, "r", 1),
             format=getattr(args, "format", "text"),
-            jobs=getattr(args, "jobs", 1),
-            seed=getattr(args, "seed", 0),
             override_cap=getattr(args, "override_cap", False),
             allow_boundary=getattr(args, "allow_boundary", False),
         )
@@ -181,27 +173,16 @@ def cmd_present(args, out) -> int:
     cfg = RunConfig.from_args(args)
     cfg.validate()
     pres = build_presentation(cfg.n, cfg.r)
-    relations = pres.relations
     if args.family != "all":
-        relations = tuple(rel for rel in relations if rel.tag == args.family)
+        pres = replace(pres, relations=tuple(rel for rel in pres.relations if rel.tag == args.family))
     if cfg.format == "json":
-        index = {g: i for i, g in enumerate(pres.generators)}
-        doc = pres.to_json()
-        doc["relations"] = [
-            {
-                "lhs": [[index[g], e] for g, e in rel.lhs],
-                "rhs": [[index[g], e] for g, e in rel.rhs],
-                "tag": rel.tag,
-            }
-            for rel in relations
-        ]
-        _emit_json(doc, out)
+        _emit_json(pres.to_json(), out)
         return EXIT_OK
     out.write(f"generators: {len(pres.generators)}\n")
     for g in pres.generators:
         out.write(g.display() + "\n")
-    out.write(f"relations: {len(relations)}\n")
-    for rel in relations:
+    out.write(f"relations: {len(pres.relations)}\n")
+    for rel in pres.relations:
         out.write(f"{word_str(rel.relator())} = 1  ## {rel.tag}\n")
     return EXIT_OK
 
@@ -252,7 +233,12 @@ def cmd_replay(args, out) -> int:
     from .pipeline import DerivationLog, replay_log
 
     with open(args.log) as fh:
-        log = DerivationLog.from_json(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # truncated or not JSON at all
+            raise VerificationFailed(f"malformed derivation log: {exc}") from None
+    log = DerivationLog.from_json(doc)
+    del doc  # drop the JSON tree before the replay, to keep peak memory down
     report = replay_log(log)
     if args.format == "json":
         _emit_json(report.to_json(), out)
@@ -313,8 +299,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--jobs", type=int, default=1, help="parallelism degree (merges are deterministic)")
-    common.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     common.add_argument("--override-cap", action="store_true", help=f"allow n > {HARD_CAP}")
 
     nr = argparse.ArgumentParser(add_help=False)
@@ -367,13 +351,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BudgetExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except VerificationFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (InvalidParameters, TransversalityViolation, NotASquare, NotEliminable) as exc:
+    except (InvalidParameters, TransversalityViolation, NotASquare) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except BrokenPipeError:

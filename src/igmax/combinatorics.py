@@ -214,10 +214,6 @@ class Partition:
     def __str__(self) -> str:
         return "{" + ",".join("{" + ",".join(str(x) for x in b) + "}" for b in self.blocks) + "}"
 
-    @property
-    def r(self) -> int:
-        return len(self.blocks)
-
     def __len__(self) -> int:
         return len(self.blocks)
 
@@ -361,10 +357,6 @@ def is_transversal(subset: Subset, partition: Partition) -> bool:
 def require_transversal(subset: Subset, partition: Partition) -> None:
     if not is_transversal(subset, partition):
         raise TransversalityViolation(f"{subset} is not a transversal of {partition}")
-
-
-def min_transversal(partition: Partition) -> Subset:
-    return partition.min_transversal()
 
 
 def count_transversal_pairs(n: int, r: int) -> int:

@@ -17,14 +17,6 @@ class NotASquare(ValueError):
     """A (kernel, kernel, image, image) quadruple missing a transversality."""
 
 
-class NotEliminable(ValueError):
-    """No usable defining relation for the generator to be eliminated."""
-
-
-class BudgetExhausted(RuntimeError):
-    """A bounded search or enumeration hit its configured limit."""
-
-
 class VerificationFailed(RuntimeError):
     """A check that a result rests on came out false.
 

@@ -68,10 +68,11 @@ from .presentation import (
     coxeter_presentation,
     free_reduce,
     inverse_word,
+    presentations_match,
     substitute,
 )
 from .schreier import IdempotentLetter, SchreierSystem, build_schreier, convex_partition_of, predecessor
-from .squares import Square, is_singular_sq2, is_singular_sq3
+from .squares import CORNERS, Square, is_singular_sq2, is_singular_sq3
 
 Pair = tuple[Partition, Subset]
 
@@ -90,15 +91,6 @@ RULES = (
     "coxeter-match",
 )
 
-_CORNERS = ("PA", "PB", "QA", "QB")
-
-
-def _corner_pair(sq: Square, name: str) -> Pair:
-    p, q = sq.kernels
-    a, b = sq.images
-    return {"PA": (p, a), "PB": (p, b), "QA": (q, a), "QB": (q, b)}[name]
-
-
 @lru_cache(maxsize=1 << 16)
 def _gid(pair: Pair) -> GeneratorId:
     return GeneratorId.of(pair[0], pair[1])
@@ -113,13 +105,13 @@ def _eq_relation(g: GeneratorId, h: GeneratorId) -> Relation:
 
 
 def _bottom_relation(sq: Square) -> Relation:
-    gpa, gpb, gqa, gqb = (_gid(_corner_pair(sq, c)) for c in _CORNERS)
+    gpa, gpb, gqa, gqb = map(_gid, sq.corner_pairs())
     return Relation(((gpa, -1), (gpb, 1)), ((gqa, -1), (gqb, 1)), "derived")
 
 
 def _three_quarter_relation(sq: Square, zero: str) -> Relation:
     """The square relation with ``zero`` erased, solved for its diagonal."""
-    gpa, gpb, gqa, gqb = (_gid(_corner_pair(sq, c)) for c in _CORNERS)
+    gpa, gpb, gqa, gqb = map(_gid, sq.corner_pairs())
     target, (x, y) = {
         "PA": (gqb, (gqa, gpb)),
         "PB": (gqa, (gqb, gpa)),
@@ -259,9 +251,19 @@ class DerivationLog:
 
     @classmethod
     def from_json(cls, doc: dict) -> "DerivationLog":
-        if doc.get("format") != "igmax-derivation-log":
+        """Parse a log document; a malformed one raises VerificationFailed."""
+        if not isinstance(doc, dict) or doc.get("format") != "igmax-derivation-log":
             raise InvalidParameters("not a derivation log document")
+        try:
+            return cls._parse(doc)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise VerificationFailed(f"malformed derivation log: {type(exc).__name__}: {exc}") from None
+
+    @classmethod
+    def _parse(cls, doc: dict) -> "DerivationLog":
         n, r = doc["n"], doc["r"]
+        if type(n) is not int or type(r) is not int:
+            raise TypeError(f"n and r must be integers, got {n!r}, {r!r}")
         steps: list[DerivationStep] = []
         parsed: dict[tuple[str, str], GeneratorId] = {}
         for sd in doc["steps"]:
@@ -1061,11 +1063,13 @@ class Derivation:
     def assert_survivors(self) -> None:
         canon = set(self.canonical_pairs())
         survivors = {pair for pair, (idx, _) in self._res_memo.items() if idx is None}
-        assert survivors == canon, f"survivors {survivors} != canonical pairs {canon}"
+        if survivors != canon:
+            raise VerificationFailed(f"survivors {survivors} != canonical pairs {canon}")
         canon_gens = {_gid(p) for p in canon}
         for pair, (_, word) in self._res_memo.items():
             for g, _e in word:
-                assert g in canon_gens, f"resolution of {pair} mentions non-canonical {g}"
+                if g not in canon_gens:
+                    raise VerificationFailed(f"resolution of {pair} mentions non-canonical {g}")
 
     def discharge_all(self) -> None:
         """Rewrite every original relation through the resolution map and
@@ -1085,7 +1089,8 @@ class Derivation:
     def finish(self) -> GroupPresentation:
         canon = self.canonical_pairs()
         for k, pair in enumerate(canon, start=1):
-            assert _gid(pair).label == contiguous_cycle(k, 1, self.r)
+            if _gid(pair).label != contiguous_cycle(k, 1, self.r):
+                raise VerificationFailed(f"canonical pair {k} does not carry the adjacent transposition")
         target = coxeter_presentation(self.r)
         rename = {_gid(pair): g for pair, g in zip(canon, coxeter_generators(self.r))}
 
@@ -1100,7 +1105,8 @@ class Derivation:
             canonical_relator_key(translate(self.log.steps[i].conclusion)) for i in self._final_steps
         )
         target_keys = sorted(canonical_relator_key(rel) for rel in target.relations)
-        assert derived_keys == target_keys, "derived relations do not match the Coxeter presentation"
+        if derived_keys != target_keys:
+            raise VerificationFailed("derived relations do not match the Coxeter presentation")
         self._add(
             "coxeter-match",
             None,
@@ -1117,63 +1123,6 @@ class Derivation:
             }
         )
         return target
-
-
-# ---------------------------------------------------------------------------
-# spec-level entry points
-# ---------------------------------------------------------------------------
-
-
-def _fresh(P: Partition, engine: Optional[Derivation]) -> Derivation:
-    return engine if engine is not None else Derivation(P.n, len(P))
-
-
-def derive_identity_one(P: Partition, a: int, engine: Optional[Derivation] = None) -> DerivationLog:
-    """Derive f[P, {1..r-1, a}] = 1 on the chain kernel {1},...,{r-1},[r,n]."""
-    eng = _fresh(P, engine)
-    r = len(P)
-    if P.minima != tuple(range(1, r + 1)) or not P.is_convex():
-        raise InvalidParameters(f"chain derivation needs the kernel {{1}},...,[{r},n], got {P}")
-    A = Subset.of(P.n, tuple(range(1, r)) + (a,))
-    eng.one(P, A)
-    return eng.log
-
-
-def derive_identity_convex(P: Partition, A: Subset, engine: Optional[Derivation] = None) -> DerivationLog:
-    """Derive f[P,A] = 1 for a convex kernel."""
-    if not P.is_convex():
-        raise InvalidParameters(f"{P} is not convex")
-    eng = _fresh(P, engine)
-    eng.one(P, A)
-    return eng.log
-
-
-def derive_identity_general(P: Partition, A: Subset, engine: Optional[Derivation] = None) -> DerivationLog:
-    """Derive f[P,A] = 1 for any identity-labeled pair."""
-    eng = _fresh(P, engine)
-    eng.one(P, A)
-    return eng.log
-
-
-def derive_same_column(P: Partition, Q: Partition, A: Subset, engine: Optional[Derivation] = None) -> DerivationLog:
-    """Derive f[P,A] = f[Q,A] when both labels agree."""
-    eng = _fresh(P, engine)
-    eng.same_column(P, Q, A)
-    return eng.log
-
-
-def derive_same_row(P: Partition, A: Subset, B: Subset, engine: Optional[Derivation] = None) -> DerivationLog:
-    """Derive f[P,A] = f[P,B] when both labels agree."""
-    eng = _fresh(P, engine)
-    eng.same_row(P, A, B)
-    return eng.log
-
-
-def derive_cycle_equal(P: Partition, A: Subset, engine: Optional[Derivation] = None) -> DerivationLog:
-    """Derive f[P,A] = f[rep] for the canonical representative of its class."""
-    eng = _fresh(P, engine)
-    eng.cycle_eq(P, A)
-    return eng.log
 
 
 def run_pipeline(
@@ -1327,7 +1276,7 @@ def replay_log(log: DerivationLog) -> ReplayReport:
             want = _bottom_relation(sq)
             if base.rule != "bottom" or (base.conclusion.lhs, base.conclusion.rhs) != (want.lhs, want.rhs):
                 raise _ReplayFailure("first premise must be the square's bottom relation")
-            corners = {c: _gid(_corner_pair(sq, c)) for c in _CORNERS}
+            corners = dict(zip(CORNERS, map(_gid, sq.corner_pairs())))
             if rule == "corner":
                 target = st.data["target"]
                 ones = set()
@@ -1482,7 +1431,7 @@ def replay_log(log: DerivationLog) -> ReplayReport:
     final_matches = (
         match_seen
         and log.final is not None
-        and _presentations_equivalent(log.final, coxeter_presentation(r))
+        and presentations_match(log.final, coxeter_presentation(r))
     )
     return ReplayReport(
         n=n,
@@ -1516,11 +1465,3 @@ def _flush_source(rest: list[Relation], sides: dict) -> object:
                 return key
         raise _ReplayFailure("flush identity premises do not cover one side")
     raise _ReplayFailure("flush steps take one equality or two identity premises")
-
-
-def _presentations_equivalent(a: GroupPresentation, b: GroupPresentation) -> bool:
-    if tuple(g.display() for g in a.generators) != tuple(g.display() for g in b.generators):
-        return False
-    return sorted(map(canonical_relator_key, a.relations)) == sorted(
-        map(canonical_relator_key, b.relations)
-    )

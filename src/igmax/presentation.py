@@ -1,5 +1,6 @@
 """Group presentations: the big generating presentation, the Coxeter target,
-and Tietze rewriting (free reduction, substitution, elimination).
+and the word operations the reduction rewrites with (free reduction,
+substitution).
 
 Generators of the big presentation are the transversal pairs themselves;
 abstract symbols appear only in the Coxeter target and after final
@@ -19,16 +20,16 @@ Words multiply left to right, like everything else in the package.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Union
 
 from .combinatorics import Partition, Subset, require_transversal
-from .errors import InvalidParameters, NotEliminable
+from .errors import InvalidParameters
 from .labels import label_by_subscripts
 from .perms import Permutation
 from .schreier import IdempotentLetter, build_schreier
-from .squares import Square, enumerate_singular_squares, _sorted_partitions
+from .squares import enumerate_singular_squares, _sorted_partitions
 
 
 @dataclass(frozen=True)
@@ -67,10 +68,6 @@ class GeneratorId:
     def display(self) -> str:
         return f"f[{self.partition}|{self.subset}]"
 
-    def sort_key(self):
-        """Image first, then kernel: the order eliminations sweep in."""
-        return (self.subset.elements, self.partition.blocks)
-
     def __str__(self) -> str:
         return self.display()
 
@@ -81,9 +78,6 @@ class AbstractGenerator:
 
     def display(self) -> str:
         return self.name
-
-    def sort_key(self):
-        return (self.name,)
 
     def __str__(self) -> str:
         return self.name
@@ -149,15 +143,6 @@ class Relation:
     def relator(self) -> GroupWord:
         return concat(self.lhs, inverse_word(self.rhs))
 
-    def is_trivial(self) -> bool:
-        return not self.relator()
-
-    def gens(self) -> set[Gen]:
-        return {g for g, _ in self.lhs} | {g for g, _ in self.rhs}
-
-    def reduced(self) -> "Relation":
-        return Relation(free_reduce(self.lhs), free_reduce(self.rhs), self.tag)
-
     def __str__(self) -> str:
         return f"{word_str(self.lhs)} = {word_str(self.rhs)}"
 
@@ -187,25 +172,11 @@ class GroupPresentation:
     relations: tuple[Relation, ...]
     meta: dict = field(default_factory=dict)
 
-    def validate(self) -> None:
-        declared = set(self.generators)
-        for rel in self.relations:
-            missing = rel.gens() - declared
-            if missing:
-                raise InvalidParameters(f"undeclared generators {missing} in relation {rel}")
-
     def counts_by_tag(self) -> dict[str, int]:
         out: dict[str, int] = {}
         for rel in self.relations:
             out[rel.tag] = out.get(rel.tag, 0) + 1
         return out
-
-    def to_text(self) -> str:
-        lines = [f"generators: {len(self.generators)}"]
-        lines += [g.display() for g in self.generators]
-        lines.append(f"relations: {len(self.relations)}")
-        lines += [f"{rel}  ## {rel.tag}" for rel in self.relations]
-        return "\n".join(lines)
 
     def to_json(self) -> dict:
         index = {g: i for i, g in enumerate(self.generators)}
@@ -231,6 +202,15 @@ class GroupPresentation:
             ],
             "meta": dict(self.meta),
         }
+
+
+def presentations_match(a: GroupPresentation, b: GroupPresentation) -> bool:
+    """Same generator sequence and same relations up to rotation/inversion."""
+    if tuple(g.display() for g in a.generators) != tuple(g.display() for g in b.generators):
+        return False
+    return sorted(map(canonical_relator_key, a.relations)) == sorted(
+        map(canonical_relator_key, b.relations)
+    )
 
 
 def build_presentation(n: int, r: int) -> GroupPresentation:
@@ -288,7 +268,7 @@ def build_presentation(n: int, r: int) -> GroupPresentation:
             )
         )
         bottom += 1
-    pres = GroupPresentation(
+    return GroupPresentation(
         tuple(generators),
         tuple(relations),
         meta={
@@ -300,8 +280,6 @@ def build_presentation(n: int, r: int) -> GroupPresentation:
             "bottom": bottom,
         },
     )
-    pres.validate()
-    return pres
 
 
 def coxeter_generators(r: int) -> tuple[AbstractGenerator, ...]:
@@ -334,108 +312,3 @@ def coxeter_presentation(r: int) -> GroupPresentation:
             a, b = gens[k], gens[l]
             rels.append(Relation(((a, 1), (b, 1)), ((b, 1), (a, 1)), "coxeter"))
     return GroupPresentation(gens, tuple(rels), meta={"r": r, "kind": "coxeter"})
-
-
-def solve_for(rel: Relation, gen: Gen) -> GroupWord | None:
-    """If the relator mentions ``gen`` exactly once, the word it equals."""
-    rho = rel.relator()
-    hits = [i for i, (g, _) in enumerate(rho) if g == gen]
-    if len(hits) != 1:
-        return None
-    i = hits[0]
-    prefix, (g, e), suffix = rho[:i], rho[i], rho[i + 1 :]
-    # prefix * gen^e * suffix = 1  =>  gen^e = prefix^-1 * suffix^-1
-    word = concat(inverse_word(prefix), inverse_word(suffix))
-    return word if e == 1 else inverse_word(word)
-
-
-def eliminate_generator(pres: GroupPresentation, gen: Gen, defining_word: GroupWord) -> GroupPresentation:
-    """Tietze elimination: remove ``gen`` using a relation that defines it.
-
-    The given defining word must actually be derivable from one of the
-    presentation's relations (single occurrence, solved form freely equal);
-    otherwise NotEliminable.
-    """
-    if gen not in pres.generators:
-        raise NotEliminable(f"{gen} is not a generator of this presentation")
-    target = free_reduce(defining_word)
-    if any(g == gen for g, _ in target):
-        raise NotEliminable("defining word mentions the generator being eliminated")
-    chosen = None
-    for idx, rel in enumerate(pres.relations):
-        if solve_for(rel, gen) == target:
-            chosen = idx
-            break
-    if chosen is None:
-        raise NotEliminable(f"no relation defines {gen} as {word_str(target)}")
-    new_rels = []
-    for idx, rel in enumerate(pres.relations):
-        if idx == chosen:
-            continue
-        new_rel = Relation(
-            substitute(rel.lhs, gen, target), substitute(rel.rhs, gen, target), rel.tag
-        )
-        new_rels.append(new_rel)
-    meta = dict(pres.meta)
-    meta.setdefault("eliminated", []).append(str(gen))
-    return GroupPresentation(
-        tuple(g for g in pres.generators if g != gen), tuple(new_rels), meta
-    )
-
-
-def _cleanup(relations: Iterable[Relation]) -> tuple[Relation, ...]:
-    seen = set()
-    out = []
-    for rel in relations:
-        red = rel.reduced()
-        if red.is_trivial():
-            continue
-        key = canonical_relator_key(red)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(red)
-    return tuple(out)
-
-
-def generic_tietze_simplify(
-    pres: GroupPresentation,
-    max_relation_length: int | None = None,
-    max_passes: int = 200,
-) -> GroupPresentation:
-    """Deterministic greedy simplification.
-
-    Each pass freely reduces, drops trivial relations, deduplicates up to
-    rotation/inversion, then eliminates the generator with the shortest
-    available defining word (ties by generator order).  An elimination is
-    skipped if it would push any relation beyond ``max_relation_length``.
-    Stops at a fixed point or after ``max_passes`` eliminations.
-    """
-    current = GroupPresentation(pres.generators, _cleanup(pres.relations), dict(pres.meta))
-    for _ in range(max_passes):
-        best: tuple[int, tuple, Gen, GroupWord] | None = None
-        for gen in current.generators:
-            for rel in current.relations:
-                word = solve_for(rel, gen)
-                if word is None:
-                    continue
-                cand = (len(word), _gen_key(gen), gen, word)
-                if best is None or cand[:2] < best[:2]:
-                    best = cand
-        if best is None:
-            break
-        _, _, gen, word = best
-        if max_relation_length is not None:
-            grew = False
-            for rel in current.relations:
-                lhs = substitute(rel.lhs, gen, word)
-                rhs = substitute(rel.rhs, gen, word)
-                if len(lhs) + len(rhs) > max_relation_length:
-                    grew = True
-                    break
-            if grew:
-                break
-        current = eliminate_generator(current, gen, word)
-        current = GroupPresentation(current.generators, _cleanup(current.relations), current.meta)
-    current.validate()
-    return current

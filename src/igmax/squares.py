@@ -303,7 +303,7 @@ def find_singular_not_rectangular(n: int, r: int) -> Square | None:
     and the band property coincide there -- so this returns None; it is kept
     as an honest search rather than an assumption.
     """
-    for sq in _iter_squares(n, r, proper_only=False):
+    for sq in _iter_squares(n, r):
         if is_singular_sq3(sq) and not is_rectangular_band(sq):
             return sq
     return None
@@ -313,26 +313,22 @@ def _sorted_partitions(n: int, r: int) -> list[Partition]:
     return sorted(enumerate_partitions(n, r), key=lambda p: p.blocks)
 
 
-def _iter_squares(n: int, r: int, proper_only: bool) -> Iterator[Square]:
+def _iter_squares(n: int, r: int) -> Iterator[Square]:
     parts = _sorted_partitions(n, r)
     trans = {p: p.transversals() for p in parts}
     tsets = {p: frozenset(t) for p, t in trans.items()}
     for p in parts:
         for q in parts:
-            if proper_only and p == q:
-                continue
             common = [a for a in trans[p] if a in tsets[q]] if p != q else trans[p]
             for a in common:
                 for b in common:
-                    if proper_only and a == b:
-                        continue
                     yield Square((p, q), (a, b))
 
 
 def enumerate_squares(n: int, r: int) -> Iterator[Square]:
     """All squares, degenerate ones included, in (P, Q, A, B) lex order."""
     _check(n, r)
-    return _iter_squares(n, r, proper_only=False)
+    return _iter_squares(n, r)
 
 
 @dataclass

@@ -1,13 +1,16 @@
 """Command-line interface: output goldens, exit codes, schemas, determinism."""
 
-import copy
 import importlib.resources
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import igmax
 from igmax.cli import main
 
 GOLDEN_P = "{{1},{2,3,5},{4,7},{6}}"
@@ -67,11 +70,6 @@ def test_stats_rejects_bad_rank(capsys):
     code, _, err = run(capsys, "stats", "--n", "3", "--r", "4")
     assert code == 2
     assert "error:" in err
-
-
-def test_stats_rejects_bad_jobs(capsys):
-    code, _, _ = run(capsys, "stats", "--n", "4", "--r", "2", "--jobs", "0")
-    assert code == 2
 
 
 def test_cap_gate(capsys):
@@ -313,15 +311,20 @@ def test_replay_json_schema(capsys, log_path):
     assert doc["ok"] is True
 
 
-def test_replay_tampered_log(capsys, tmp_path, log_path):
-    doc = json.loads(log_path.read_text())
-    bad = copy.deepcopy(doc)
+def tampered_copy(log_path: Path, tmp_path: Path) -> Path:
+    """The log with the sign of its first bottom conclusion's first letter flipped."""
+    bad = json.loads(log_path.read_text())
     for sd in bad["steps"]:
         if sd["rule"] == "bottom":
             sd["conclusion"]["lhs"][0][2] *= -1
             break
     bad_path = tmp_path / "tampered.json"
     bad_path.write_text(json.dumps(bad))
+    return bad_path
+
+
+def test_replay_tampered_log(capsys, tmp_path, log_path):
+    bad_path = tampered_copy(log_path, tmp_path)
     code, out, _ = run(capsys, "replay", "--log", str(bad_path), "--format", "json")
     assert code == 4
     report = json.loads(out)
@@ -366,6 +369,45 @@ def test_replay_rejects_foreign_document(capsys, tmp_path):
     code, _, err = run(capsys, "replay", "--log", str(path))
     assert code == 3
     assert "error:" in err
+
+
+@pytest.mark.parametrize("damage", ["missing-n", "generator-as-list", "truncated"])
+def test_replay_reports_malformed_log(capsys, tmp_path, log_path, damage):
+    text = log_path.read_text()
+    if damage == "truncated":
+        text = text[:500]
+    else:
+        doc = json.loads(text)
+        if damage == "missing-n":
+            del doc["n"]
+        else:
+            letter = next(sd for sd in doc["steps"] if "conclusion" in sd)["conclusion"]["lhs"][0]
+            letter[0] = [letter[0]]
+        text = json.dumps(doc)
+    path = tmp_path / "malformed.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "replay", "--log", str(path))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: malformed derivation log: ")
+
+
+def test_checks_survive_optimize_flag(tmp_path, log_path):
+    src = str(Path(igmax.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def igmax_o(*argv):
+        return subprocess.run(
+            [sys.executable, "-O", "-m", "igmax.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    done = igmax_o("verify", "--n", "4", "--r", "2", "--with-coset-oracle")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("verdict: confirmed S_2\n")
+    done = igmax_o("replay", "--log", str(tampered_copy(log_path, tmp_path)))
+    assert done.returncode == 4, done.stderr
+    assert done.stdout.endswith("replay: FAIL\n")
 
 
 # ---------------------------------------------------------------------------

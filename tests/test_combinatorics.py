@@ -13,7 +13,6 @@ from igmax.combinatorics import (
     enumerate_subsets,
     enumerate_transversal_pairs,
     is_transversal,
-    min_transversal,
     require_transversal,
 )
 from igmax.errors import InvalidParameters, TransversalityViolation
@@ -81,7 +80,7 @@ def test_partition_of_canonicalizes():
     assert p.blocks == ((1,), (2, 3, 5), (4,))
     assert str(p) == "{{1},{2,3,5},{4}}"
     assert p.minima == (1, 2, 4)
-    assert len(p) == 3 and p.r == 3
+    assert len(p) == 3
 
 
 def test_partition_parse_infers_ground_set():
@@ -190,7 +189,7 @@ def test_require_transversal_raises():
 
 def test_min_transversal():
     p = Partition.parse("{{1},{2,3,5},{4,7},{6}}")
-    assert str(min_transversal(p)) == "{1,2,4,6}"
+    assert str(p.min_transversal()) == "{1,2,4,6}"
 
 
 @given(st.data())
@@ -202,7 +201,7 @@ def test_min_transversal_is_transversal(data):
     for x, s in enumerate(seeds, start=1):
         blocks.setdefault(s, []).append(x)
     p = Partition.of(n, blocks.values())
-    m = min_transversal(p)
+    m = p.min_transversal()
     assert is_transversal(m, p)
     assert m.elements == p.minima
     # and every transversal produced by the partition itself checks out

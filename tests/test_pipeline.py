@@ -12,7 +12,7 @@ import pytest
 import igmax
 
 from igmax.combinatorics import Partition, Subset, enumerate_transversal_pairs
-from igmax.errors import InvalidParameters
+from igmax.errors import InvalidParameters, VerificationFailed
 from igmax.labels import label_by_subscripts
 from igmax.perms import contiguous_cycle, descent_number
 from igmax.pipeline import (
@@ -23,12 +23,6 @@ from igmax.pipeline import (
     coxeter_square_commute,
     coxeter_square_involution,
     cycle_split,
-    derive_cycle_equal,
-    derive_identity_convex,
-    derive_identity_general,
-    derive_identity_one,
-    derive_same_column,
-    derive_same_row,
     descent_reduction,
     replay_log,
     run_pipeline,
@@ -144,22 +138,20 @@ def test_coxeter_square_constructions():
 
 
 def test_derive_identity_one_chain():
+    # the chain kernel {1},...,{r-1},[r,n] walks its free element down to r
     P = Partition.parse("{{1},{2},{3,4,5,6}}")
     for a in (4, 5, 6):
-        log = derive_identity_one(P, a)
-        assert clean(replay_log(log))
-
-
-def test_derive_identity_one_needs_chain_kernel():
-    with pytest.raises(InvalidParameters):
-        derive_identity_one(Partition.parse("{{1,5},{2},{3,4}}"), 4)
+        eng = Derivation(6, 3)
+        eng.one(P, Subset.of(6, (1, 2, a)))
+        assert clean(replay_log(eng.log))
 
 
 def test_derive_identity_convex():
     P = Partition.parse("{{1,2},{3,4},{5,6}}")
     for A in P.transversals():
-        log = derive_identity_convex(P, A)
-        assert clean(replay_log(log))
+        eng = Derivation(6, 3)
+        eng.one(P, A)
+        assert clean(replay_log(eng.log))
 
 
 def test_derive_identity_general_all_identity_pairs():
@@ -168,8 +160,9 @@ def test_derive_identity_general_all_identity_pairs():
         if not label_by_subscripts(p, a).is_identity():
             continue
         count += 1
-        log = derive_identity_general(p, a)
-        assert clean(replay_log(log))
+        eng = Derivation(5, 3)
+        eng.one(p, a)
+        assert clean(replay_log(eng.log))
     assert count == 54
 
 
@@ -180,7 +173,9 @@ def test_derive_same_row():
     B = Subset.parse("{2,5,6}", 6)
     assert label_by_subscripts(P, A).cycle_form() == "(2 3)"
     assert label_by_subscripts(P, A) == label_by_subscripts(P, B)
-    assert clean(replay_log(derive_same_row(P, A, B)))
+    eng = Derivation(6, 3)
+    eng.same_row(P, A, B)
+    assert clean(replay_log(eng.log))
 
 
 def test_derive_same_column():
@@ -191,7 +186,9 @@ def test_derive_same_column():
     assert P.minima != Q.minima
     assert label_by_subscripts(P, A).cycle_form() == "(1 2)"
     assert label_by_subscripts(P, A) == label_by_subscripts(Q, A)
-    assert clean(replay_log(derive_same_column(P, Q, A)))
+    eng = Derivation(6, 3)
+    eng.same_column(P, Q, A)
+    assert clean(replay_log(eng.log))
 
 
 def test_derive_cycle_equal_every_cycle_class():
@@ -214,7 +211,7 @@ def test_derive_cycle_equal_rejects_other_labels():
     A = Subset.parse("{2,3,4}", 6)
     assert label_by_subscripts(P, A).is_identity()
     with pytest.raises(InvalidParameters):
-        derive_cycle_equal(P, A)
+        Derivation(6, 3).cycle_eq(P, A)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +246,21 @@ def test_run_pipeline_five_three():
     assert presentations_match(final, coxeter_presentation(3))
     assert log.meta == {"steps": 658, "generators": 90, "relations": 394, "survivors": 2}
     assert replay_log(log).ok
+
+
+def test_finish_needs_every_coxeter_relation():
+    eng = Derivation(5, 3)
+    eng.derive_involution(1)
+    eng.derive_involution(2)
+    eng.derive_braid(1)
+    eng._final_steps.pop()
+    with pytest.raises(VerificationFailed, match="Coxeter"):
+        eng.finish()
+
+
+def test_assert_survivors_needs_the_canonical_pairs():
+    with pytest.raises(VerificationFailed, match="survivors"):
+        Derivation(4, 2).assert_survivors()
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,20 @@
-"""Words, relations, the generating presentation, and Tietze moves."""
+"""Words, relations, the generating presentation, and the Coxeter target."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from igmax.combinatorics import Partition, Subset
-from igmax.errors import InvalidParameters, NotEliminable
+from igmax.errors import InvalidParameters
 from igmax.presentation import (
     AbstractGenerator,
     GeneratorId,
-    GroupPresentation,
     Relation,
     build_presentation,
     canonical_relator_key,
     concat,
     coxeter_presentation,
-    eliminate_generator,
     free_reduce,
-    generic_tietze_simplify,
     inverse_word,
-    solve_for,
     substitute,
     word_str,
 )
@@ -65,9 +61,7 @@ def test_word_str():
 def test_relation_relator_and_triviality():
     rel = Relation(((G, 1), (H, 1)), ((H, 1), (G, 1)), "t")
     assert rel.relator() == ((G, 1), (H, 1), (G, -1), (H, -1))
-    assert not rel.is_trivial()
-    assert Relation(((G, 1),), ((G, 1),), "t").is_trivial()
-    assert rel.gens() == {G, H}
+    assert Relation(((G, 1),), ((G, 1),), "t").relator() == ()
 
 
 @given(
@@ -133,7 +127,6 @@ def test_build_presentation_four_two():
     assert len(pres.generators) == 24
     assert pres.counts_by_tag() == {"top": 5, "middle": 7, "bottom": 48}
     assert pres.meta["top_ordered"] == 5
-    pres.validate()
 
 
 def test_build_presentation_relation_shapes():
@@ -165,15 +158,6 @@ def test_build_presentation_rejects_full_rank():
 @pytest.mark.parametrize("n,r,total", [(3, 1, 3), (4, 2, 60), (5, 3, 394)])
 def test_relation_totals(n, r, total):
     assert len(build_presentation(n, r).relations) == total
-
-
-def test_presentation_text_round():
-    pres = build_presentation(4, 2)
-    text = pres.to_text()
-    lines = text.splitlines()
-    assert lines[0] == "generators: 24"
-    assert lines[25] == "relations: 60"
-    assert lines[26].endswith("## top")
 
 
 # ---------------------------------------------------------------------------
@@ -209,48 +193,3 @@ def test_coxeter_relations_hold_in_symmetric_group():
 
     for rel in pres.relations:
         assert ev(rel.lhs) == ev(rel.rhs)
-
-
-# ---------------------------------------------------------------------------
-# Tietze moves
-# ---------------------------------------------------------------------------
-
-
-def test_solve_for():
-    rel = Relation(((G, 1), (H, 1)), ((K, 1),), "t")
-    assert solve_for(rel, G) == ((K, 1), (H, -1))
-    assert solve_for(rel, K) == ((G, 1), (H, 1))
-    double = Relation(((G, 1), (G, 1)), (), "t")
-    assert solve_for(double, G) is None  # two occurrences
-
-
-def test_eliminate_generator():
-    rels = (
-        Relation(((G, 1),), ((H, 1), (H, 1)), "t"),
-        Relation(((G, 1), (H, 1)), (), "t"),
-    )
-    pres = GroupPresentation((G, H), rels)
-    out = eliminate_generator(pres, G, ((H, 1), (H, 1)))
-    assert out.generators == (H,)
-    assert len(out.relations) == 1
-    assert out.relations[0].relator() == ((H, 1), (H, 1), (H, 1))
-
-
-def test_eliminate_generator_requires_defining_relation():
-    pres = GroupPresentation((G, H), (Relation(((G, 1), (G, 1)), (), "t"),))
-    with pytest.raises(NotEliminable):
-        eliminate_generator(pres, G, ((H, 1),))
-    with pytest.raises(NotEliminable):
-        eliminate_generator(pres, K, ())
-
-
-def test_generic_tietze_simplify_collapses_the_small_case():
-    # (4,2): the group is S_2; greedy elimination should reach one generator
-    pres = build_presentation(4, 2)
-    out = generic_tietze_simplify(pres)
-    assert len(out.generators) == 1
-    assert len(out.relations) == 1
-    # the surviving relation says the generator is an involution
-    rel = out.relations[0]
-    rho = rel.relator()
-    assert len(rho) == 2 and rho[0][0] == rho[1][0]

@@ -15,6 +15,7 @@ from igmax.presentation import (
 )
 from igmax.verification import (
     _Enumerator,
+    _boundary_survivors,
     coset_enumerate,
     label_homomorphism_check,
     presentations_match,
@@ -174,16 +175,27 @@ def test_verify_exhausted_budget_stays_one_sided():
 
 
 def test_verify_boundary_case():
-    report, log = verify_theorem(4, 3)
-    assert log is None
-    assert not report.pipeline
-    assert report.coset_order is None
-    assert report.boundary_free_consistent
-    assert report.verdict == (
-        "not confirmed: boundary r = n-1, free-type regime "
-        "(3 generators, no relations survive)"
-    )
-    assert report.to_json()["boundary_free_consistent"] is True
+    # C(n-1, 2) generators stay free at r = n-1, as greedy Tietze elimination found
+    for n in range(3, 9):
+        report, log = verify_theorem(n, n - 1)
+        assert log is None
+        assert not report.pipeline
+        assert report.coset_order is None
+        assert report.boundary_free_consistent
+        assert report.verdict == (
+            "not confirmed: boundary r = n-1, free-type regime "
+            f"({math.comb(n - 1, 2)} generators, no relations survive)"
+        )
+        assert report.to_json()["boundary_free_consistent"] is True
+
+
+def test_boundary_survivors_need_top_and_middle_shapes():
+    with pytest.warns(UserWarning):
+        pres = build_presentation(4, 3)
+    assert _boundary_survivors(pres) == 3
+    g, h = pres.generators[:2]
+    other = Relation(((g, 1), (h, 1)), (), "derived")
+    assert _boundary_survivors(GroupPresentation(pres.generators, pres.relations + (other,))) is None
 
 
 def test_verify_rejects_bad_rank():
