@@ -12,10 +12,10 @@ Commands
 ``replay``   re-check a derivation log with the independent verifier.
 ``verify``   end-to-end theorem check, optionally with the coset oracle.
 
-Exit codes: 0 success, 2 usage (including cap violations), 3 precondition
-failure, 4 verification failure, 5 budget exhausted.  Output for a fixed
-command line is byte-identical across runs; streams are newline-delimited
-JSON with sorted keys.
+Exit codes: 0 success, 2 usage (cap violations, an unreadable or unwritable
+``--log`` path), 3 precondition failure, 4 verification failure, 5 budget
+exhausted.  Output for a fixed command line is byte-identical across runs;
+streams are newline-delimited JSON with sorted keys.
 """
 
 from __future__ import annotations
@@ -359,6 +359,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_PRECONDITION
     except BrokenPipeError:
         return EXIT_OK
+    except OSError as exc:  # an unreadable or unwritable --log path
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

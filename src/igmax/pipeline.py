@@ -31,8 +31,8 @@ Step rules
 ``transitive``    equational closure of earlier identity/equality facts.
 ``rewrite``       substitute earlier facts into an earlier relation.
 ``combine``       two derivations of the same generator word equated.
-``discharge``     one original relation rewritten through the resolution map
-                  and checked in the target symmetric group.
+``discharge``     one original relation holds under the resolution map: its
+                  generators are resolved and its two sides have equal labels.
 ``coxeter-match`` the surviving generators and derived relations are matched
                   against the Coxeter presentation.
 """
@@ -67,7 +67,6 @@ from .presentation import (
     coxeter_generators,
     coxeter_presentation,
     free_reduce,
-    inverse_word,
     presentations_match,
     substitute,
 )
@@ -202,23 +201,6 @@ def _snapshot_from_json(doc) -> Optional[GroupPresentation]:
     except (KeyError, TypeError, ValueError):
         return None
     return GroupPresentation(tuple(gens), relations)
-
-
-def _expand(word: GroupWord, expansion: dict) -> GroupWord:
-    """Replace each letter by its word in ``expansion`` and freely reduce.
-
-    ``expansion`` maps both letters (g, 1) and (g, -1) of each resolved
-    generator; an unresolved letter raises KeyError with the letter.
-    """
-    out: list = []
-    for letter in word:
-        out.extend(expansion[letter])
-    return free_reduce(tuple(out))
-
-
-def _set_expansion(expansion: dict, g: GeneratorId, word: GroupWord) -> None:
-    expansion[(g, 1)] = word
-    expansion[(g, -1)] = inverse_word(word)
 
 
 @dataclass
@@ -1072,19 +1054,24 @@ class Derivation:
                     raise VerificationFailed(f"resolution of {pair} mentions non-canonical {g}")
 
     def discharge_all(self) -> None:
-        """Rewrite every original relation through the resolution map and
-        check it in S_r, one discharge step per relation."""
-        images = letter_images({_gid(p): _gid(p).label for p in self.canonical_pairs()})
-        expansion: dict = {}
-        for pair, (_, word) in self._res_memo.items():
-            _set_expansion(expansion, _gid(pair), word)
+        """Check every original relation under the resolution map ρ, one
+        discharge step per relation, through the labels: evaluation in S_r and
+        the label map are homomorphisms, so if eval(ρ(g)) = label(g) for every
+        generator g, then eval(ρ(w)) = label(w) for every word w, and u = v
+        holds under ρ exactly when label(u) = label(v)."""
         r = self.r
+        canonical = letter_images({_gid(p): _gid(p).label for p in self.canonical_pairs()})
+        for g in self.pres.generators:
+            res = self._res_memo.get((g.partition, g.subset))
+            if res is None:
+                raise VerificationFailed(f"no resolution for {g}")
+            if evaluate_word(res[1], canonical, r) != g.label.images:
+                raise VerificationFailed(f"resolution of {g} does not evaluate to its label")
+        labels = letter_images({g: g.label for g in self.pres.generators})
         for i, rel in enumerate(self.pres.relations):
-            lhs = _expand(rel.lhs, expansion)
-            rhs = _expand(rel.rhs, expansion)
-            if evaluate_word(lhs, images, r) != evaluate_word(rhs, images, r):
+            if evaluate_word(rel.lhs, labels, r) != evaluate_word(rel.rhs, labels, r):
                 raise VerificationFailed(f"relation {i} failed to discharge: {rel}")
-            self._add("discharge", Relation(lhs, rhs, "derived"), data={"pz": i})
+            self._add("discharge", None, data={"pz": i})
 
     def finish(self) -> GroupPresentation:
         canon = self.canonical_pairs()
@@ -1198,10 +1185,10 @@ def replay_log(log: DerivationLog) -> ReplayReport:
     """Re-verify every step of a log from scratch.
 
     Rebuilds the presentation and Schreier system, re-checks each witness
-    square, re-derives every conclusion from its premises, maintains its own
-    resolution map for discharges, and finally compares the surviving
-    presentation against the Coxeter target.  Nothing from the producing run
-    is trusted beyond the step records themselves.
+    square, re-derives every conclusion from its premises, discharges each
+    relation on its labels (see :meth:`Derivation.discharge_all`), and finally
+    compares the surviving presentation against the Coxeter target.  Nothing
+    from the producing run is trusted beyond the step records themselves.
     """
     n, r = log.n, log.r
     pres = build_presentation(n, r)
@@ -1209,9 +1196,8 @@ def replay_log(log: DerivationLog) -> ReplayReport:
     canon_pairs = [canonical_cycle_pair(k, 1, n, r) for k in range(1, r)]
     canon_gens = {_gid(p) for p in canon_pairs}
     images = letter_images({g: g.label for g in canon_gens})
-    expansion: dict = {}
-    for g in canon_gens:
-        _set_expansion(expansion, g, ((g, 1),))
+    labels = letter_images({g: g.label for g in pres.generators})
+    resolved = set(canon_gens)
     discharged: set[int] = set()
     failures: list[tuple[int, str]] = []
     verified: set[int] = set()
@@ -1376,15 +1362,11 @@ def replay_log(log: DerivationLog) -> ReplayReport:
             if not 0 <= pz < len(pres.relations):
                 raise _ReplayFailure(f"relation index {pz} out of range")
             rel = pres.relations[pz]
-            try:
-                lhs = _expand(rel.lhs, expansion)
-                rhs = _expand(rel.rhs, expansion)
-            except KeyError as exc:
-                raise _ReplayFailure(f"no resolution for {exc.args[0][0]}") from None
-            if evaluate_word(lhs, images, r) != evaluate_word(rhs, images, r):
+            for g, _ in rel.lhs + rel.rhs:
+                if g not in resolved:
+                    raise _ReplayFailure(f"no resolution for {g}")
+            if evaluate_word(rel.lhs, labels, r) != evaluate_word(rel.rhs, labels, r):
                 raise _ReplayFailure(f"relation {pz} does not hold under the resolution map")
-            if st.conclusion is not None and (st.conclusion.lhs, st.conclusion.rhs) != (lhs, rhs):
-                raise _ReplayFailure("stored discharge conclusion disagrees with replay")
             discharged.add(pz)
         elif rule == "coxeter-match":
             nonlocal match_seen
@@ -1411,9 +1393,22 @@ def replay_log(log: DerivationLog) -> ReplayReport:
                 raise _ReplayFailure("derived relations do not match the Coxeter presentation")
             match_seen = True
 
+    def note_resolution(rel: Optional[Relation]) -> None:
+        """g is resolved by its first fact g = word over the canonical
+        generators; a sound step's word evaluates to g's label."""
+        if rel is None or len(rel.lhs) != 1 or rel.lhs[0][1] != 1:
+            return
+        g = rel.lhs[0][0]
+        if g in resolved or not all(h in canon_gens for h, _ in rel.rhs):
+            return
+        if evaluate_word(rel.rhs, images, r) != g.label.images:
+            raise _ReplayFailure(f"the word for {g} does not evaluate to its label")
+        resolved.add(g)
+
     for idx, st in enumerate(log.steps):
         try:
             check(idx, st)
+            note_resolution(st.conclusion)
         except _ReplayFailure as exc:
             failures.append((idx, str(exc)))
             continue
@@ -1421,12 +1416,6 @@ def replay_log(log: DerivationLog) -> ReplayReport:
             failures.append((idx, f"{type(exc).__name__}: {exc}"))
             continue
         verified.add(idx)
-        rel = st.conclusion
-        if rel is not None and len(rel.lhs) == 1 and rel.lhs[0][1] == 1:
-            g = rel.lhs[0][0]
-            if g not in canon_gens and (g, 1) not in expansion:
-                if all(h in canon_gens for h, _ in rel.rhs):
-                    _set_expansion(expansion, g, free_reduce(rel.rhs))
 
     final_matches = (
         match_seen

@@ -19,6 +19,7 @@ conclusive answer is never wrong.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -236,7 +237,9 @@ class HomReport:
 
 
 def _generated_order(perms: set[Permutation], r: int) -> int:
-    """Order of the subgroup of the degree-r symmetric group they generate."""
+    """Order of the subgroup of the degree-r symmetric group they generate;
+    the search stops once it has seen all r! permutations."""
+    full = math.factorial(r)
     identity = Permutation.identity(r)
     seen = {identity}
     frontier = [identity]
@@ -248,6 +251,8 @@ def _generated_order(perms: set[Permutation], r: int) -> int:
                 q = p * g
                 if q not in seen:
                     seen.add(q)
+                    if len(seen) == full:
+                        return full
                     nxt.append(q)
         frontier = nxt
     return len(seen)
@@ -271,7 +276,6 @@ def label_homomorphism_check(pres: GroupPresentation) -> HomReport:
         checked += 1
         if evaluate_word(rel.lhs, images, r) != evaluate_word(rel.rhs, images, r) and failure is None:
             failure = str(rel)
-    import math
 
     image_order = _generated_order({g.label for g in pres.generators}, r)
     return HomReport(
@@ -349,7 +353,6 @@ def verify_theorem(n: int, r: int, budget: Optional[int] = None):
     report instead notes whether the presentation reduces to a free group
     (see :func:`_boundary_survivors`).
     """
-    import math
     import warnings
 
     if not (1 <= r <= n - 1):

@@ -410,6 +410,27 @@ def test_checks_survive_optimize_flag(tmp_path, log_path):
     assert done.stdout.endswith("replay: FAIL\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("replay", "--log", "missing.json"),
+        ("replay", "--log", "."),
+        ("reduce", "--n", "4", "--r", "2", "--log", "nodir/x.json"),
+    ],
+    ids=["replay-missing-file", "replay-directory", "reduce-missing-directory"],
+)
+def test_unusable_log_path_is_usage(tmp_path, argv):
+    src = str(Path(igmax.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "igmax.cli", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:")
+    assert "Traceback" not in done.stderr
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

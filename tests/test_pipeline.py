@@ -30,7 +30,8 @@ from igmax.pipeline import (
 from igmax.presentation import word_str
 from igmax.squares import is_singular_sq3
 from igmax.verification import presentations_match
-from igmax.presentation import coxeter_presentation
+from igmax.presentation import GeneratorId, coxeter_presentation, substitute
+from igmax.perms import evaluate_word, letter_images
 
 
 def clean(report):
@@ -263,6 +264,53 @@ def test_assert_survivors_needs_the_canonical_pairs():
         Derivation(4, 2).assert_survivors()
 
 
+def _resolved(n, r):
+    eng = Derivation(n, r)
+    for g in eng.pres.generators:
+        eng.resolve(g.partition, g.subset)
+    return eng
+
+
+@pytest.mark.parametrize("n,r", [(n, r) for n in range(3, 7) for r in range(1, n - 1)])
+def test_discharge_factors_through_the_labels(n, r):
+    # reference: rewrite each relation through the resolution map and
+    # evaluate it over the canonical generators; its labels must agree
+    eng = _resolved(n, r)
+    words = {g: eng.resolve(g.partition, g.subset)[1] for g in eng.pres.generators}
+    canon = [GeneratorId.of(*p) for p in eng.canonical_pairs()]
+    canonical = letter_images({g: g.label for g in canon})
+    labels = letter_images({g: g.label for g in eng.pres.generators})
+
+    def rewrite(word):
+        for g in {h for h, _ in word}:
+            word = substitute(word, g, words[g])
+        return word
+
+    for rel in eng.pres.relations:
+        lhs = evaluate_word(rewrite(rel.lhs), canonical, r)
+        rhs = evaluate_word(rewrite(rel.rhs), canonical, r)
+        assert lhs == rhs == evaluate_word(rel.lhs, labels, r) == evaluate_word(rel.rhs, labels, r)
+    eng.discharge_all()
+    pzs = [st.data["pz"] for st in eng.log.steps if st.rule == "discharge"]
+    assert pzs == list(range(len(eng.pres.relations)))
+
+
+def test_discharge_rejects_a_resolution_word_off_its_label():
+    eng = _resolved(5, 3)
+    pair, (idx, word) = next((p, res) for p, res in eng._res_memo.items() if res[0] is not None)
+    canonical = GeneratorId.of(*eng.canonical_pairs()[0])
+    eng._res_memo[pair] = (idx, word + ((canonical, 1),))
+    with pytest.raises(VerificationFailed, match="does not evaluate to its label"):
+        eng.discharge_all()
+
+
+def test_discharge_needs_every_resolution():
+    eng = _resolved(5, 3)
+    del eng._res_memo[next(iter(eng._res_memo))]
+    with pytest.raises(VerificationFailed, match="no resolution for"):
+        eng.discharge_all()
+
+
 # ---------------------------------------------------------------------------
 # log serialization and tamper detection
 # ---------------------------------------------------------------------------
@@ -340,6 +388,26 @@ def test_replay_catches_missing_discharge(log_four_two):
     assert report.failures == ()
     assert report.discharged == report.relations - 1
     assert not report.ok
+
+
+def test_replay_discharge_index_out_of_range(log_four_two):
+    doc = copy.deepcopy(log_four_two.to_json())
+    idx, first = next((i, sd) for i, sd in enumerate(doc["steps"]) if sd["rule"] == "discharge")
+    first["pz"] = 10**6
+    report = replay_log(DerivationLog.from_json(doc))
+    assert report.failures == ((idx, f"relation index {10**6} out of range"),)
+    assert not report.ok
+
+
+def test_replay_discharge_needs_a_verified_resolution(log_four_two):
+    # a middle step that no longer checks resolves nothing, so every
+    # relation over its generator has no resolution to discharge through
+    doc = copy.deepcopy(log_four_two.to_json())
+    middle = next(sd for sd in doc["steps"] if sd["rule"] == "middle")
+    middle["rule"] = "top"
+    report = replay_log(DerivationLog.from_json(doc))
+    assert not report.ok
+    assert any(msg.startswith("no resolution for ") for _, msg in report.failures)
 
 
 def test_require_singular_survives_optimize_flag():

@@ -13,9 +13,11 @@ from igmax.presentation import (
     build_presentation,
     coxeter_presentation,
 )
+from igmax.perms import Permutation
 from igmax.verification import (
     _Enumerator,
     _boundary_survivors,
+    _generated_order,
     coset_enumerate,
     label_homomorphism_check,
     presentations_match,
@@ -114,6 +116,14 @@ def test_homomorphism_flags_bogus_relation():
     assert rep.relations_checked == 61
     assert rep.first_failure == str(bad)
     assert rep.surjective  # the image is unchanged
+
+
+def test_generated_order_of_subgroups():
+    assert _generated_order({Permutation((2, 1, 3))}, 3) == 2
+    assert _generated_order({Permutation((2, 3, 1))}, 3) == 3
+    assert _generated_order({Permutation((2, 1, 3)), Permutation((1, 3, 2))}, 3) == 6
+    assert _generated_order({Permutation((2, 1, 4, 3))}, 4) == 2
+    assert _generated_order(set(), 4) == 1
 
 
 # ---------------------------------------------------------------------------
