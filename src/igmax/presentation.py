@@ -29,7 +29,7 @@ from .errors import InvalidParameters
 from .labels import label_by_subscripts
 from .perms import Permutation
 from .schreier import IdempotentLetter, build_schreier
-from .squares import enumerate_singular_squares, _sorted_partitions
+from .squares import _singular_index, enumerate_singular_squares
 
 
 @dataclass(frozen=True)
@@ -227,8 +227,11 @@ def build_presentation(n: int, r: int) -> GroupPresentation:
             stacklevel=2,
         )
     sch = build_schreier(n, r)
-    parts = _sorted_partitions(n, r)
-    trans = {p: p.transversals() for p in parts}
+    # the enumerator's own kernels and images, so the bottom family's
+    # gen_of lookups below hit by identity instead of comparing by value
+    index = _singular_index(n, r)
+    parts = index.parts
+    trans = {p: [index.subsets[i] for i in ids] for p, ids in zip(parts, index.transversal_ids)}
     gen_of: dict[tuple[Partition, Subset], GeneratorId] = {}
     generators: list[Gen] = []
     for p in parts:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 from .combinatorics import (
@@ -349,7 +349,11 @@ class _SingularIndex:
     rows: list[list[tuple[int, int, list[int]]]]
 
 
+@lru_cache(maxsize=1)
 def _singular_index(n: int, r: int) -> _SingularIndex:
+    """Memoised: ``build_presentation`` and ``enumerate_singular_squares`` share
+    one index, so they hand out the same kernel and image objects.  Callers
+    only read it."""
     parts = _sorted_partitions(n, r)
     subsets = list(enumerate_subsets(n, r))
     subset_id = {s.elements: i for i, s in enumerate(subsets)}

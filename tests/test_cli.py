@@ -1,6 +1,8 @@
 """Command-line interface: output goldens, exit codes, schemas, determinism."""
 
+import gc
 import importlib.resources
+import io
 import json
 import os
 import subprocess
@@ -283,11 +285,24 @@ def test_reduce_json_summary(capsys):
 
 def test_reduce_boundary_gate(capsys):
     code, _, err = run(capsys, "reduce", "--n", "4", "--r", "3")
-    assert code == 2
-    assert "--allow-boundary" in err
-    code, _, err = run(capsys, "reduce", "--n", "4", "--r", "3", "--allow-boundary")
-    assert code == 3  # the pipeline itself has no boundary mode
+    assert code == 2  # the pipeline has no boundary mode, and no flag offers one
+    assert err.startswith("error:")
     assert "r <= n-2" in err
+    assert "--allow-boundary" not in err
+    code, _, err = run(capsys, "reduce", "--n", "4", "--r", "3", "--allow-boundary")
+    assert code == 2
+    assert "unrecognized arguments: --allow-boundary" in err
+
+
+def test_reduce_log_bytes_match_the_python_encoder(tmp_path, capsys):
+    from igmax.pipeline import run_pipeline
+
+    path = tmp_path / "log.json"
+    code, _, _ = run(capsys, "reduce", "--n", "5", "--r", "3", "--log", str(path))
+    assert code == 0
+    expected = io.StringIO()
+    json.dump(run_pipeline(5, 3)[1].to_json(), expected, sort_keys=True, separators=(",", ":"))
+    assert path.read_text() == expected.getvalue() + "\n"
 
 
 def test_replay_pass(capsys, log_path):
@@ -478,6 +493,18 @@ def test_verify_budget_exhaustion(capsys):
     assert "coset order: inconclusive" in out
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_verify_rejects_a_budget_below_one(capsys, budget):
+    code, out, err = run(
+        capsys,
+        "verify", "--n", "4", "--r", "2",
+        "--with-coset-oracle", "--max-cosets", budget,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--max-cosets" in err
+
+
 def test_verify_boundary(capsys):
     code, _, err = run(capsys, "verify", "--n", "4", "--r", "3")
     assert code == 2
@@ -491,3 +518,56 @@ def test_verify_boundary(capsys):
     jsonschema.validate(doc, schema("verify-report.schema.json"))
     assert doc["boundary_free_consistent"] is True
     assert doc["verdict"].startswith("not confirmed: boundary")
+
+
+# ---------------------------------------------------------------------------
+# the cyclic garbage collector
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def gc_state(request):
+    was_enabled = gc.isenabled()
+    if request.param:
+        gc.enable()
+    else:
+        gc.disable()
+    yield request.param
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("outcome", ["ok", "usage", "tampered"])
+def test_main_restores_the_collector_state(capsys, tmp_path, log_path, gc_state, outcome):
+    argv, expected = {
+        "ok": (["stats", "--n", "4", "--r", "2"], 0),
+        "usage": (["stats", "--n", "4", "--r", "5"], 2),
+        "tampered": (["replay", "--log", str(tampered_copy(log_path, tmp_path))], 4),
+    }[outcome]
+    assert gc.isenabled() is gc_state
+    code, _, _ = run(capsys, *argv)
+    assert code == expected
+    assert gc.isenabled() is gc_state
+
+
+def test_reduce_runs_without_a_collection(capsys):
+    was_enabled = gc.isenabled()
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.enable()
+    gc.callbacks.append(hook)
+    try:
+        code = main(["reduce", "--n", "5", "--r", "3"])
+    finally:
+        gc.callbacks.remove(hook)
+        if not was_enabled:
+            gc.disable()
+    capsys.readouterr()
+    assert code == 0
+    assert starts == []

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import igmax.pipeline as pipeline
+import igmax.presentation as presentation
 import igmax.verification as verification
 
 TRACE_RUN = Path(__file__).resolve().parent.parent / "perfbench" / "trace_run.py"
@@ -46,3 +47,16 @@ def test_trace_run_wraps_discharge_all(trace_run):
     finally:
         trace_run.uninstall(undo)
     assert pipeline.Derivation.discharge_all is original
+
+
+def test_trace_run_sees_the_bottom_family_enumerator(trace_run):
+    # squares.enumerate_singular_s is the self time of the enumerator called by
+    # build_presentation; a build that bypassed the name would book it as
+    # presentation.build_s
+    tracer = trace_run.Tracer()
+    undo = trace_run.install(tracer)
+    try:
+        presentation.build_presentation(5, 3)
+    finally:
+        trace_run.uninstall(undo)
+    assert "squares.enumerate_singular_squares" in tracer.names

@@ -18,6 +18,8 @@ from igmax.presentation import (
     substitute,
     word_str,
 )
+from igmax.schreier import IdempotentLetter, build_schreier
+from igmax.squares import _sorted_partitions, enumerate_singular_squares
 
 G, H, K = (AbstractGenerator(x) for x in "ghk")
 
@@ -153,6 +155,72 @@ def test_build_presentation_boundary_warns():
 def test_build_presentation_rejects_full_rank():
     with pytest.raises(InvalidParameters):
         build_presentation(4, 4)
+
+
+def _reference_presentation(n, r):
+    """The construction before it shared the enumerator's objects: fresh
+    partitions and transversals, and generators looked up by value."""
+    sch = build_schreier(n, r)
+    parts = _sorted_partitions(n, r)
+    trans = {p: p.transversals() for p in parts}
+    gen_of = {}
+    generators = []
+    for p in parts:
+        for a in trans[p]:
+            g = GeneratorId.of(p, a)
+            gen_of[(p, a)] = g
+            generators.append(g)
+    relations = []
+    top_ordered = 0
+    top_distinct = set()
+    for p in parts:
+        for a in trans[p]:
+            word_a = sch.word_to(a)
+            for b in trans[p]:
+                if a == b:
+                    continue
+                if word_a + (IdempotentLetter(p, b),) == sch.word_to(b):
+                    top_ordered += 1
+                    key = frozenset((a, b))
+                    if key not in top_distinct:
+                        top_distinct.add(key)
+                        relations.append(
+                            Relation(((gen_of[(p, a)], 1),), ((gen_of[(p, b)], 1),), "top")
+                        )
+    for p in parts:
+        relations.append(Relation(((gen_of[(p, p.min_transversal())], 1),), (), "middle"))
+    bottom = 0
+    for sq in enumerate_singular_squares(n, r):
+        pk, qk = sq.kernels
+        ai, bi = sq.images
+        relations.append(
+            Relation(
+                ((gen_of[(pk, ai)], -1), (gen_of[(pk, bi)], 1)),
+                ((gen_of[(qk, ai)], -1), (gen_of[(qk, bi)], 1)),
+                "bottom",
+            )
+        )
+        bottom += 1
+    meta = {
+        "n": n,
+        "r": r,
+        "top_ordered": top_ordered,
+        "top_distinct": len(top_distinct),
+        "middle": len(parts),
+        "bottom": bottom,
+    }
+    return generators, relations, meta
+
+
+@pytest.mark.parametrize("n,r", [(n, r) for n in range(3, 7) for r in range(1, n - 1)])
+def test_build_presentation_matches_the_reference(n, r):
+    generators, relations, meta = _reference_presentation(n, r)
+    pres = build_presentation(n, r)
+    assert [g.display() for g in pres.generators] == [g.display() for g in generators]
+    assert [(rel.lhs, rel.rhs, rel.tag) for rel in pres.relations] == [
+        (rel.lhs, rel.rhs, rel.tag) for rel in relations
+    ]
+    assert pres.meta == meta
 
 
 @pytest.mark.parametrize("n,r,total", [(3, 1, 3), (4, 2, 60), (5, 3, 394)])
