@@ -10,7 +10,7 @@ The package is layered bottom-up:
 ``squares``        singular squares and their witnessing idempotents
 ``presentation``   group presentations: construction, word algebra, Coxeter target
 ``pipeline``       the logged reduction from the big presentation to Coxeter
-``verification``   coset enumeration and end-to-end theorem checks
+``verification``   verdicts resting on the replay, coset enumeration
 ``cli``            command-line front end
 """
 

@@ -13,7 +13,8 @@ Commands
 ``verify``   end-to-end theorem check, optionally with the coset oracle.
 
 Exit codes: 0 success, 2 usage (cap violations, ``reduce`` at r > n-2,
-``--max-cosets`` below 1, an unreadable or unwritable ``--log`` path),
+``--max-cosets`` below 1 or without ``--with-coset-oracle``, an unreadable or
+unwritable ``--log`` path),
 3 precondition failure, 4 verification failure, 5 coset budget exhausted.
 Output for a fixed command line is byte-identical across runs; streams are
 newline-delimited JSON with sorted keys.  Commands run with the cyclic
@@ -53,6 +54,7 @@ EXIT_BUDGET = 5
 
 HARD_CAP = 12
 SQUARES_WARN_ABOVE = 8
+DEFAULT_MAX_COSETS = 50_000
 
 
 class UsageError(Exception):
@@ -264,16 +266,23 @@ def cmd_verify(args, out) -> int:
 
     cfg = RunConfig.from_args(args)
     cfg.validate(theorem_command=True)
-    if args.max_cosets < 1:
-        raise UsageError(f"--max-cosets must be at least 1, got {args.max_cosets}")
-    budget = args.max_cosets if args.with_coset_oracle else None
-    report, _log = verify_theorem(cfg.n, cfg.r, budget=budget)
+    if args.max_cosets is not None and not args.with_coset_oracle:
+        raise UsageError("--max-cosets needs --with-coset-oracle")
+    budget = DEFAULT_MAX_COSETS if args.max_cosets is None else args.max_cosets
+    if budget < 1:
+        raise UsageError(f"--max-cosets must be at least 1, got {budget}")
+    report, _log = verify_theorem(cfg.n, cfg.r, budget=budget if args.with_coset_oracle else None)
     if cfg.format == "json":
         _emit_json(report.to_json(), out)
     else:
         out.write(f"n={cfg.n} r={cfg.r}\n")
         out.write(f"pipeline: {'ok' if report.pipeline else 'failed'}\n")
         out.write(f"homomorphism: {'ok' if report.homomorphism else 'failed'}\n")
+        replay = report.replay_report
+        if replay is not None and not replay.ok:
+            out.write(f"replay failures: {len(replay.failures)}\n")
+            for idx, msg in replay.failures[:20]:
+                out.write(f"  step {idx}: {msg}\n")
         if args.with_coset_oracle:
             shown = report.coset_order if report.coset_order is not None else "inconclusive"
             out.write(f"coset order: {shown}\n")
@@ -335,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common, nr], help="end-to-end theorem check")
     p.add_argument("--with-coset-oracle", action="store_true")
-    p.add_argument("--max-cosets", type=int, default=50_000)
+    p.add_argument("--max-cosets", type=int, help=f"oracle budget (default {DEFAULT_MAX_COSETS:,}), needs the oracle")
     p.add_argument("--allow-boundary", action="store_true")
     p.set_defaults(func=cmd_verify)
 

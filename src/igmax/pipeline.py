@@ -13,7 +13,10 @@ resolution map, leaving the standard presentation of the symmetric group.
 
 Every step records its rule, premises (indices of earlier steps) and, where
 relevant, the witness square, so :func:`replay_log` can re-verify a log from
-scratch without trusting the producer.
+scratch without trusting the producer.  The replay is what a verdict rests
+on (``verify`` runs it on the log it has just produced), so none of the
+producer's own checks is load-bearing: a construction that went wrong yields
+a step the replay rejects.
 
 Step rules
 ----------
@@ -52,7 +55,6 @@ from .perms import (
     descent_number,
     evaluate_word,
     letter_images,
-    resolve_rightmost_descent,
     rightmost_descent,
 )
 from .presentation import (
@@ -306,7 +308,6 @@ def canonical_cycle_pair(k: int, l: int, n: int, r: int) -> Pair:
         blocks.append((i + 1,))
     part = Partition.of(n, blocks)
     sub = Subset.of(n, [i for i in range(1, r + 2) if i != k])
-    assert label_by_subscripts(part, sub) == contiguous_cycle(k, l, r)
     return part, sub
 
 
@@ -348,11 +349,6 @@ def cycle_split(k: int, l: int, n: int, r: int) -> tuple[Square, Relation]:
     a = Subset.of(n, [i for i in range(1, r + 3) if i not in (k, k + l + 2)])
     b = Subset.of(n, [i for i in range(1, r + 3) if i not in (k, k + 2)])
     sq = Square((p, q), (a, b))
-    lpa, lpb, lqa, lqb = sq.corner_labels
-    assert lpa.is_identity()
-    assert lpb == contiguous_cycle(k + 1, l - 1, r)
-    assert lqa == contiguous_cycle(k, 1, r)
-    assert lqb == contiguous_cycle(k, l, r)
     _require_singular(sq)
     return sq, _three_quarter_relation(sq, "PA")
 
@@ -393,19 +389,11 @@ def descent_reduction(P: Partition, A: Subset) -> tuple[Partition, Subset, Relat
     rest = [x for x in range(1, n + 1) if x not in used]
     if v == 1:
         first = sorted(set(rest) - set(A.elements) | {av(lv(2))})
-        extra = [x for x in rest if x in A.elements and x != av(lv(2))]
-        assert not extra, "junk block may contain only one image element"
         blocks.append(tuple(first))
     else:
         blocks.append(tuple(rest))
     Q = Partition.of(n, blocks)
     sq = Square((P, Q), (A, B))
-    lpa, lpb, lqa, lqb = sq.corner_labels
-    assert lpa == lam
-    assert lpb == contiguous_cycle(v, w, r)
-    assert lqa == resolve_rightmost_descent(lam)
-    assert descent_number(lqa) == d - 1
-    assert lqb.is_identity()
     _require_singular(sq)
     return Q, B, _three_quarter_relation(sq, "QB")
 
@@ -438,10 +426,6 @@ def coxeter_square_involution(k: int, n: int, r: int) -> tuple[Square, Relation]
     a = Subset.of(n, [i for i in range(1, r + 3) if i not in (k, k + 3)])
     b = Subset.of(n, [i for i in range(1, r + 3) if i not in (k, k + 1)])
     sq = Square((p, q), (a, b))
-    lpa, lpb, lqa, lqb = sq.corner_labels
-    tk = contiguous_cycle(k, 1, r)
-    assert lpa == tk and lqb == tk
-    assert lpb.is_identity() and lqa.is_identity()
     _require_singular(sq)
     g = _gid(canonical_cycle_pair(k, 1, n, r))
     return sq, Relation((), ((g, 1), (g, 1)), "derived")
@@ -493,12 +477,6 @@ def coxeter_square_commute(k: int, l: int, n: int, r: int) -> tuple[tuple[Square
     c = Subset.of(n, [i for i in range(1, r + 3) if i not in (k, l + 3)])
     sq1 = Square((p, q), (a, b))
     sq2 = Square((q, rr), (b, c))
-    tk = contiguous_cycle(k, 1, r)
-    tl = contiguous_cycle(l, 1, r)
-    l1 = sq1.corner_labels
-    l2 = sq2.corner_labels
-    assert l1[0].is_identity() and l1[1] == tk and l1[2] == tl and l1[3] == tk * tl
-    assert l2[0] == tk * tl and l2[1] == tk and l2[2] == tl and l2[3].is_identity()
     _require_singular(sq1)
     _require_singular(sq2)
     gk = _gid(canonical_cycle_pair(k, 1, n, r))
@@ -537,11 +515,6 @@ def coxeter_square_braid(k: int, n: int, r: int) -> tuple[Square, Relation]:
     a = Subset.of(n, [i for i in range(1, r + 3) if i not in (k + 1, k + 4)])
     b = Subset.of(n, [i for i in range(1, r + 3) if i not in (k, k + 1)])
     sq = Square((p, q), (a, b))
-    lpa, lpb, lqa, lqb = sq.corner_labels
-    assert lpa.is_identity()
-    assert lpb == contiguous_cycle(k, 2, r)
-    assert lqa == contiguous_cycle(k + 1, 1, r)
-    assert lqb == contiguous_cycle(k, 1, r) * contiguous_cycle(k + 1, 1, r) * contiguous_cycle(k, 1, r)
     _require_singular(sq)
     gk = _gid(canonical_cycle_pair(k, 1, n, r))
     gk1 = _gid(canonical_cycle_pair(k + 1, 1, n, r))
@@ -563,11 +536,6 @@ def _braid_mirror_square(k: int, n: int, r: int) -> Square:
     qb = braid_sq.kernels[1]
     b = braid_sq.images[1]
     sq = Square((w, qb), (z, b))
-    lwz, lwb, lqz, lqb = sq.corner_labels
-    assert lwz.is_identity()
-    assert lwb == contiguous_cycle(k, 1, r)
-    assert lqz == contiguous_cycle(k, 2, r)
-    assert lqb == contiguous_cycle(k, 1, r) * contiguous_cycle(k + 1, 1, r) * contiguous_cycle(k, 1, r)
     _require_singular(sq)
     return sq
 
@@ -631,8 +599,7 @@ class Derivation:
         lhs, rhs = base.lhs, base.rhs
         for i in subs:
             fact = self.log.steps[i].conclusion
-            (g, e), = fact.lhs
-            assert e == 1, "substitution facts must have a bare generator on the left"
+            (g, _), = fact.lhs
             lhs = substitute(lhs, g, fact.rhs)
             rhs = substitute(rhs, g, fact.rhs)
         conclusion = Relation(free_reduce(lhs), free_reduce(rhs), "derived")
@@ -656,7 +623,6 @@ class Derivation:
         return self._add("middle", _one_relation(_gid((P, P.min_transversal()))))
 
     def _top(self, P: Partition, X: Subset, Y: Subset) -> int:
-        assert self.sch.word_to(X) + (IdempotentLetter(P, Y),) == self.sch.word_to(Y)
         return self._add("top", _eq_relation(_gid((P, X)), _gid((P, Y))))
 
     def _one_convex(self, P: Partition, A: Subset) -> int:
@@ -667,12 +633,10 @@ class Derivation:
             # Blocks {1},...,{r-1},[r,n]: walk the free element down to r.
             B = predecessor(A)
             s_prev = self.one(P, B)
-            assert convex_partition_of(A) == P
             s_top = self._top(P, B, A)
             return self._add("transitive", _one_relation(_gid((P, A))), (s_prev, s_top))
         m = next(i for i in range(1, r + 1) if P.block(i) != (i,))
         t = next(i for i in range(1, r + 1) if A.element_at(i) != P.minima[i - 1])
-        assert t >= m
         if t == m:
             am = A.element_at(m)
             B = A.replace(am, am - 1)
@@ -717,12 +681,10 @@ class Derivation:
         r = self.r
         m = next(i for i in range(1, r + 1) if A.element_at(i) != P.minima[i - 1])
         starts = list(P.minima[:m]) + [A.element_at(i) for i in range(m + 1, r + 1)]
-        assert starts == sorted(starts)
         B = Subset.of(self.n, starts)
         blocks = [tuple(range(starts[i], starts[i + 1])) for i in range(r - 1)]
         blocks.append(tuple(range(starts[-1], self.n + 1)))
         Q = Partition.of(self.n, blocks)
-        assert Q.is_convex()
         sq = Square((P, Q), (A, B))
         s1 = self.one(P, B)
         s2 = self.one(Q, A)
@@ -758,8 +720,6 @@ class Derivation:
             used |= blk
         blocks.append(tuple(x for x in range(1, self.n + 1) if x not in used))
         Q = Partition.of(self.n, blocks)
-        assert label_by_subscripts(Q, A).is_identity()
-        assert label_by_subscripts(Q, B).is_identity()
         sq = Square((P, Q), (A, B))
         s1 = self.one(Q, A)
         s2 = self.one(Q, B)
@@ -768,9 +728,6 @@ class Derivation:
 
     def _shared_transversal_eq(self, P: Partition, Q: Partition, A: Subset, B: Subset) -> int:
         """f[P,A] = f[Q,A] via the identity column B common to both kernels."""
-        for i, x in enumerate(B.elements, start=1):
-            assert P.block_index(x) == i and Q.block_index(x) == i
-        assert B != A
         s1 = self.one(P, B)
         s2 = self.one(Q, B)
         sq = Square((P, Q), (B, A))
@@ -803,14 +760,11 @@ class Derivation:
             s = self.same_column(Q, P, A)
             return self._add("transitive", _eq_relation(ga, gq), (s,))
         x = P.minima[u]
-        assert x not in A
         v = Q.block_index(x)
-        assert v <= u
         blocks = [list(b) for b in Q.blocks]
         blocks[v - 1].remove(x)
         blocks[u].append(x)
         R = Partition.of(self.n, blocks)
-        assert label_by_subscripts(R, A) == pi
         s1 = self.same_column(P, R, A)
         s2 = self._shared_transversal_eq(Q, R, A, Subset.of(self.n, Q.minima))
         premises = tuple(s for s in (s1, s2) if s is not None)
@@ -858,7 +812,6 @@ class Derivation:
             t = next(i for i in range(k, self.r + 1) if A.element_at(i) > i + 1)
         at = A.element_at(t)
         d = at - 1
-        assert d not in A
         pk = P.minima[k - 1]
         Q = self._cycle_scaffold(P, A, k, l)
         if d != pk:
@@ -866,21 +819,17 @@ class Derivation:
             if Q.block_index(d) == target:
                 Qp = Q
             else:
-                assert Q.block_index(d) == 1
                 blocks = [list(b) for b in Q.blocks]
                 blocks[0].remove(d)
                 blocks[target - 1].append(d)
                 Qp = Partition.of(self.n, blocks)
         else:
-            assert t == k and k >= 2
-            assert Q.block_index(k) == 1
             blocks = [list(b) for b in Q.blocks]
             blocks[0].remove(k)
             blocks[k - 1].remove(pk)
             blocks[k - 1].append(k)
             blocks[k].append(pk)
             Qp = Partition.of(self.n, blocks)
-        assert label_by_subscripts(Qp, A) == contiguous_cycle(k, l, self.r)
         A2 = A.replace(at, d)
         s1 = self.same_column(P, Qp, A)
         s2 = self.same_row(Qp, A, A2)
@@ -911,7 +860,6 @@ class Derivation:
         else:
             blocks.append(tuple(rest))
         Q = Partition.of(self.n, blocks)
-        assert label_by_subscripts(Q, A) == contiguous_cycle(k, l, self.r)
         return Q
 
     # -- resolution to canonical classes -------------------------------------
@@ -954,7 +902,6 @@ class Derivation:
             i2, w2 = self.resolve(ps, bs)
             idx = self._rewrite(s_tq, (s_eq, i1, i2))
             word = free_reduce(concat(w1, w2))
-            assert self.log.steps[idx].conclusion == Relation(((_gid(rep), 1),), word, "derived")
             return idx, word
         s_eq = self.cycle_eq(P, A)
         ri, rw = self.resolve(*rep)
@@ -978,7 +925,7 @@ class Derivation:
     # -- the three Coxeter relation families ----------------------------------
 
     def derive_involution(self, k: int) -> int:
-        sq, expected = coxeter_square_involution(k, self.n, self.r)
+        sq, _ = coxeter_square_involution(k, self.n, self.r)
         (p, q), (a, b) = sq.kernels, sq.images
         s_b = self._bottom(sq)
         s_one_qa = self.one(q, a)
@@ -987,13 +934,11 @@ class Derivation:
         i_pa, w_pa = self.resolve(p, a)
         i_qb, w_qb = self.resolve(q, b)
         idx = self._rewrite(s_tq, (s_one_pb, i_pa, i_qb))
-        got = self.log.steps[idx].conclusion
-        assert canonical_relator_key(got) == canonical_relator_key(expected)
         self._final_steps.append(idx)
         return idx
 
     def derive_commute(self, k: int, l: int) -> int:
-        (sq1, sq2), expected = coxeter_square_commute(k, l, self.n, self.r)
+        (sq1, sq2), _ = coxeter_square_commute(k, l, self.n, self.r)
         (p, q), (a, b) = sq1.kernels, sq1.images
         rr, c = sq2.kernels[1], sq2.images[1]
         s_b1 = self._bottom(sq1)
@@ -1012,13 +957,11 @@ class Derivation:
         i_qc, _ = self.resolve(q, c)
         i_rb, _ = self.resolve(rr, b)
         idx = self._rewrite(s_comb, (i_qa, i_pb, i_qc, i_rb))
-        got = self.log.steps[idx].conclusion
-        assert canonical_relator_key(got) == canonical_relator_key(expected)
         self._final_steps.append(idx)
         return idx
 
     def derive_braid(self, k: int) -> int:
-        sq, expected = coxeter_square_braid(k, self.n, self.r)
+        sq, _ = coxeter_square_braid(k, self.n, self.r)
         q, b = sq.kernels[1], sq.images[1]
         i_qb, w_qb = self.resolve(q, b)
         mirror = _braid_mirror_square(k, self.n, self.r)
@@ -1030,10 +973,7 @@ class Derivation:
         i_wb, _ = self.resolve(w, b)
         s_rw = self._rewrite(s_tq, (i_qz, i_wb))
         alt = self.log.steps[s_rw].conclusion
-        assert alt.lhs == ((_gid((q, b)), 1),)
         idx = self._add("combine", Relation(w_qb, alt.rhs, "derived"), (i_qb, s_rw))
-        got = self.log.steps[idx].conclusion
-        assert canonical_relator_key(got) == canonical_relator_key(expected)
         self._final_steps.append(idx)
         return idx
 
@@ -1054,11 +994,11 @@ class Derivation:
                     raise VerificationFailed(f"resolution of {pair} mentions non-canonical {g}")
 
     def discharge_all(self) -> None:
-        """Check every original relation under the resolution map ρ, one
-        discharge step per relation, through the labels: evaluation in S_r and
-        the label map are homomorphisms, so if eval(ρ(g)) = label(g) for every
-        generator g, then eval(ρ(w)) = label(w) for every word w, and u = v
-        holds under ρ exactly when label(u) = label(v)."""
+        """Check that the resolution map ρ sends every generator g to a word
+        with eval(ρ(g)) = label(g), then emit one discharge step per original
+        relation.  Evaluation in S_r and the label map are homomorphisms, so a
+        relation u = v then holds under ρ exactly when label(u) = label(v);
+        :func:`replay_log` checks that equation for each discharge step."""
         r = self.r
         canonical = letter_images({_gid(p): _gid(p).label for p in self.canonical_pairs()})
         for g in self.pres.generators:
@@ -1067,17 +1007,11 @@ class Derivation:
                 raise VerificationFailed(f"no resolution for {g}")
             if evaluate_word(res[1], canonical, r) != g.label.images:
                 raise VerificationFailed(f"resolution of {g} does not evaluate to its label")
-        labels = letter_images({g: g.label for g in self.pres.generators})
-        for i, rel in enumerate(self.pres.relations):
-            if evaluate_word(rel.lhs, labels, r) != evaluate_word(rel.rhs, labels, r):
-                raise VerificationFailed(f"relation {i} failed to discharge: {rel}")
+        for i in range(len(self.pres.relations)):
             self._add("discharge", None, data={"pz": i})
 
     def finish(self) -> GroupPresentation:
         canon = self.canonical_pairs()
-        for k, pair in enumerate(canon, start=1):
-            if _gid(pair).label != contiguous_cycle(k, 1, self.r):
-                raise VerificationFailed(f"canonical pair {k} does not carry the adjacent transposition")
         target = coxeter_presentation(self.r)
         rename = {_gid(pair): g for pair, g in zip(canon, coxeter_generators(self.r))}
 
@@ -1181,17 +1115,21 @@ class _ReplayFailure(Exception):
     pass
 
 
-def replay_log(log: DerivationLog) -> ReplayReport:
+def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> ReplayReport:
     """Re-verify every step of a log from scratch.
 
-    Rebuilds the presentation and Schreier system, re-checks each witness
-    square, re-derives every conclusion from its premises, discharges each
-    relation on its labels (see :meth:`Derivation.discharge_all`), and finally
-    compares the surviving presentation against the Coxeter target.  Nothing
-    from the producing run is trusted beyond the step records themselves.
+    Rebuilds the Schreier system, re-checks each witness square, re-derives
+    every conclusion from its premises, discharges each relation on its
+    labels (see :meth:`Derivation.discharge_all`), checks that the canonical
+    generators carry the adjacent transpositions, and finally compares the
+    surviving presentation against the Coxeter target.  Nothing from the
+    producing run is trusted beyond the step records themselves.  ``pres``,
+    when given, must be ``build_presentation(log.n, log.r)``; it is
+    otherwise built here.
     """
     n, r = log.n, log.r
-    pres = build_presentation(n, r)
+    if pres is None:
+        pres = build_presentation(n, r)
     sch = build_schreier(n, r)
     canon_pairs = [canonical_cycle_pair(k, 1, n, r) for k in range(1, r)]
     canon_gens = {_gid(p) for p in canon_pairs}
@@ -1375,6 +1313,9 @@ def replay_log(log: DerivationLog) -> ReplayReport:
             ]
             if stated != canon_pairs:
                 raise _ReplayFailure("stated canonical pairs are not the expected ones")
+            for k, pair in enumerate(canon_pairs, start=1):
+                if _gid(pair).label != contiguous_cycle(k, 1, r):
+                    raise _ReplayFailure(f"canonical pair {k} does not carry the adjacent transposition")
             rename = {_gid(pair): g for pair, g in zip(canon_pairs, coxeter_generators(r))}
             keys = []
             for i in st.premises:

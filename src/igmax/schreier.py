@@ -116,7 +116,6 @@ class SchreierSystem:
             if a == self.base:
                 continue
             b = predecessor(a)
-            assert b is not None and b in self._to
             p = convex_partition_of(a)
             self._to[a] = self._to[b] + (IdempotentLetter(p, a),)
             self._from[a] = (IdempotentLetter(p, b),) + self._from[b]

@@ -1,13 +1,15 @@
-"""Independent checks of the main theorem.
+"""Verdicts on the main theorem.
 
-Two one-sided oracles bracket the answer:
-
-* the label homomorphism sends each generator to its label and must
-  satisfy every relation, with the image generating the full symmetric
-  group — a lower bound on the presented group;
-* Todd–Coxeter coset enumeration over the trivial subgroup gives the
-  exact order when it closes — an upper-bound confirmation, feasible
-  only for small presentations.
+For r <= n-2 a verdict rests on one replay: :func:`verify_theorem` reduces
+the presentation and re-checks the log it produced with
+:func:`igmax.pipeline.replay_log`.  A log that replays shows |G| <= r! (every
+generator is a word over r-1 generators satisfying the Coxeter relations)
+and a homomorphism onto S_r (every relation holds on the labels, and the
+canonical labels are the adjacent transpositions).  Beside it stand
+Todd–Coxeter coset enumeration over the trivial subgroup, which gives the
+exact order when it closes and is feasible only for small presentations,
+and the label homomorphism check, used at the boundary r = n-1 where no
+reduction runs.
 
 The enumeration is plain HLT: process cosets in creation order, scan
 every relator with gap filling (lowest undefined entry first), then fill
@@ -24,8 +26,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
+from . import pipeline
 from .errors import InvalidParameters, VerificationFailed
 from .perms import Permutation, evaluate_word, letter_images
+# presentations_match stays importable from here: the tests and
+# perfbench/trace_run.py use it under this module's name
 from .presentation import (
     GeneratorId,
     GroupPresentation,
@@ -324,6 +329,7 @@ class VerifyReport:
     coset_order: Optional[int]
     verdict: str
     hom_report: Optional[HomReport] = None
+    replay_report: Optional[pipeline.ReplayReport] = None
     coset_result: Optional[CosetResult] = None
     boundary_free_consistent: Optional[bool] = None
 
@@ -338,6 +344,8 @@ class VerifyReport:
         }
         if self.hom_report is not None:
             out["homomorphism_detail"] = self.hom_report.to_json()
+        if self.replay_report is not None:
+            out["replay_detail"] = self.replay_report.to_json()
         if self.coset_result is not None:
             out["coset_detail"] = self.coset_result.to_json()
         if self.boundary_free_consistent is not None:
@@ -347,6 +355,12 @@ class VerifyReport:
 
 def verify_theorem(n: int, r: int, budget: Optional[int] = None):
     """Assemble the verdict for one (n, r).
+
+    For r <= n-2 the presentation is built once, reduced, and the log is
+    replayed in memory; ``pipeline`` is the replay's verdict and
+    ``homomorphism`` says whether it discharged every relation on labels.
+    ``budget``, when given, also runs the coset oracle, which must then find
+    r! elements if it closes.
 
     Returns (report, derivation_log); the log is None in the boundary
     regime r = n-1, where the reduction pipeline does not apply and the
@@ -379,12 +393,10 @@ def verify_theorem(n: int, r: int, budget: Optional[int] = None):
         )
         return report, None
 
-    from .pipeline import run_pipeline
-
     pres = build_presentation(n, r)
-    hom = label_homomorphism_check(pres)
-    final, log = run_pipeline(n, r, pres)
-    pipeline_ok = presentations_match(final, coxeter_presentation(r))
+    _, log = pipeline.run_pipeline(n, r, pres)
+    replay = pipeline.replay_log(log, pres)
+    homomorphism = replay.discharged == replay.relations
 
     coset_order = None
     coset_result = None
@@ -392,25 +404,21 @@ def verify_theorem(n: int, r: int, budget: Optional[int] = None):
         coset_result = coset_enumerate(pres, max_cosets=budget)
         coset_order = coset_result.order
 
-    if pipeline_ok and hom.ok:
+    if replay.ok:
         verdict = f"confirmed S_{r}"
         if coset_order is not None and coset_order != math.factorial(r):
             verdict = f"inconsistent: coset oracle returned {coset_order}"
     else:
-        missing = []
-        if not pipeline_ok:
-            missing.append("pipeline")
-        if not hom.ok:
-            missing.append("homomorphism")
-        verdict = "not confirmed: " + ", ".join(missing) + " failed"
+        failed = "pipeline" if homomorphism else "pipeline, homomorphism"
+        verdict = f"not confirmed: {failed} failed"
     report = VerifyReport(
         n=n,
         r=r,
-        pipeline=pipeline_ok,
-        homomorphism=hom.ok,
+        pipeline=replay.ok,
+        homomorphism=homomorphism,
         coset_order=coset_order,
         verdict=verdict,
-        hom_report=hom,
+        replay_report=replay,
         coset_result=coset_result,
     )
     return report, log

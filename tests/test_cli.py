@@ -505,6 +505,57 @@ def test_verify_rejects_a_budget_below_one(capsys, budget):
     assert err.startswith("error:") and "--max-cosets" in err
 
 
+def test_verify_max_cosets_needs_the_oracle(capsys):
+    code, out, err = run(capsys, "verify", "--n", "4", "--r", "2", "--max-cosets", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--with-coset-oracle" in err
+
+
+# Swaps the witness square of the first bottom step for a proper square that is
+# not singular, then runs `igmax verify` on the given arguments.
+UNSOUND_VERIFY = """
+import dataclasses, sys
+import igmax.pipeline as pipeline
+from igmax.cli import main
+from igmax.squares import enumerate_squares, is_singular_sq3
+
+bogus = next(sq for sq in enumerate_squares(4, 2) if not sq.is_degenerate() and not is_singular_sq3(sq))
+run = pipeline.run_pipeline
+
+def unsound(n, r, pres=None):
+    final, log = run(n, r, pres)
+    i = next(i for i, st in enumerate(log.steps) if st.rule == "bottom")
+    log.steps[i] = dataclasses.replace(log.steps[i], square=bogus)
+    return final, log
+
+pipeline.run_pipeline = unsound
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "flags,fmt", [((), "text"), (("-O",), "text"), ((), "json")], ids=["text", "text-O", "json"]
+)
+def test_verify_rejects_an_unsound_step(flags, fmt):
+    src = str(Path(igmax.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", UNSOUND_VERIFY, "verify", "--n", "4", "--r", "2", "--format", fmt],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 4, done.stderr
+    if fmt == "json":
+        doc = json.loads(done.stdout)
+        jsonschema.validate(doc, schema("verify-report.schema.json"))
+        assert doc["verdict"].startswith("not confirmed: pipeline")
+        assert not doc["replay_detail"]["ok"]
+        return
+    assert "pipeline: failed\n" in done.stdout
+    assert "witness square is not singular" in done.stdout
+    assert "\nverdict: not confirmed: pipeline" in done.stdout
+
+
 def test_verify_boundary(capsys):
     code, _, err = run(capsys, "verify", "--n", "4", "--r", "3")
     assert code == 2

@@ -432,3 +432,49 @@ def test_require_singular_survives_optimize_flag():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("raised: square fails the label test")
+
+
+# Swaps the first two canonical pairs for the replay, and in the log's
+# coxeter-match step.  At r = 3 the Coxeter relations are symmetric under the
+# swap, so only the check of the canonical labels can catch it.
+SWAPPED_CANONICAL = """
+import igmax.pipeline as pipeline
+_, log = pipeline.run_pipeline(5, 3)
+real = pipeline.canonical_cycle_pair
+pipeline.canonical_cycle_pair = lambda k, l, n, r: real(3 - k if l == 1 else k, l, n, r)
+match = log.steps[-1]
+match.data["canonical"].reverse()
+report = pipeline.replay_log(log)
+for idx, msg in report.failures:
+    print(idx, msg)
+print("ok" if report.ok else "FAIL")
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimized"])
+def test_replay_checks_the_canonical_labels(flags):
+    src = str(Path(igmax.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", SWAPPED_CANONICAL], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    _, log = run_pipeline(5, 3)
+    assert done.stdout == (
+        f"{len(log) - 1} canonical pair 1 does not carry the adjacent transposition\n"
+        "FAIL\n"
+    )
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert, so no check of the package may rest on one
+    import ast
+
+    root = Path(igmax.__file__).resolve().parent
+    found = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -165,7 +165,8 @@ def test_verify_four_two():
     doc = report.to_json()
     assert doc["verdict"] == "confirmed S_2"
     assert "coset_detail" not in doc
-    assert doc["homomorphism_detail"]["image_order"] == 2
+    assert "homomorphism_detail" not in doc
+    assert doc["replay_detail"]["discharged"] == doc["replay_detail"]["relations"] == 60
 
 
 def test_verify_four_two_with_coset_oracle():
@@ -230,3 +231,49 @@ def test_verify_builds_the_presentation_once(monkeypatch):
     report, _ = verify_theorem(5, 3)
     assert report.verdict == "confirmed S_3"
     assert builds == [(5, 3)]
+
+
+def test_verify_rests_on_one_replay(monkeypatch):
+    import igmax.pipeline
+    import igmax.verification
+
+    replays = []
+    replay = igmax.pipeline.replay_log
+
+    def counting_replay(log, pres=None):
+        replays.append((log.n, log.r))
+        return replay(log, pres)
+
+    def no_homomorphism_check(pres):
+        pytest.fail("verify ran the label homomorphism check below the boundary")
+
+    monkeypatch.setattr(igmax.pipeline, "replay_log", counting_replay)
+    monkeypatch.setattr(igmax.verification, "label_homomorphism_check", no_homomorphism_check)
+    report, _ = verify_theorem(5, 3)
+    assert report.verdict == "confirmed S_3"
+    assert replays == [(5, 3)]
+    assert report.replay_report.ok
+
+
+def test_verify_replays_the_log_it_produced(monkeypatch):
+    # one unsound step: the first bottom step cites a proper square that is not singular
+    import dataclasses
+
+    import igmax.pipeline
+    from igmax.squares import enumerate_squares, is_singular_sq3
+
+    bogus = next(sq for sq in enumerate_squares(4, 2) if not sq.is_degenerate() and not is_singular_sq3(sq))
+    run = igmax.pipeline.run_pipeline
+
+    def unsound(n, r, pres=None):
+        final, log = run(n, r, pres)
+        i = next(i for i, st in enumerate(log.steps) if st.rule == "bottom")
+        log.steps[i] = dataclasses.replace(log.steps[i], square=bogus)
+        return final, log
+
+    monkeypatch.setattr(igmax.pipeline, "run_pipeline", unsound)
+    report, _ = verify_theorem(4, 2, budget=1000)
+    assert not report.pipeline
+    assert report.coset_order == 2
+    assert report.verdict.startswith("not confirmed: pipeline")
+    assert "witness square is not singular" in dict(report.replay_report.failures).values()
