@@ -39,12 +39,10 @@ from .errors import (
 )
 from .labels import label_with_context, label_spectrum
 from .presentation import build_presentation, word_str
-from .squares import (
-    enumerate_squares,
-    is_singular_sq3,
-    square_census,
-    square_record,
-)
+from .squares import square_census, square_records
+
+# Not called here: perfbench/trace_run.py wraps these three names in this module.
+from .squares import enumerate_squares, is_singular_sq3, square_record  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -166,10 +164,7 @@ def cmd_squares(args, out) -> int:
             f"warning: square enumeration at n={cfg.n} is large; this may take a while",
             file=sys.stderr,
         )
-    for sq in enumerate_squares(cfg.n, cfg.r):
-        if args.only_singular and not is_singular_sq3(sq):
-            continue
-        record = square_record(sq)
+    for record in square_records(cfg.n, cfg.r, args.only_singular):
         out.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
     return EXIT_OK
 
@@ -242,6 +237,7 @@ def cmd_replay(args, out) -> int:
             raise VerificationFailed(f"malformed derivation log: {exc}") from None
     log = DerivationLog.from_json(doc)
     del doc  # drop the JSON tree before the replay, to keep peak memory down
+    RunConfig(n=log.n, r=log.r, override_cap=args.override_cap).validate()
     report = replay_log(log)
     if args.format == "json":
         _emit_json(report.to_json(), out)
@@ -309,9 +305,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument("--override-cap", action="store_true", help=f"allow n > {HARD_CAP}")
+
+    common = argparse.ArgumentParser(add_help=False, parents=[cap])
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--override-cap", action="store_true", help=f"allow n > {HARD_CAP}")
 
     nr = argparse.ArgumentParser(add_help=False)
     nr.add_argument("--n", type=int, required=True)
@@ -326,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="ground set size (default: max element of P)")
     p.set_defaults(func=cmd_label)
 
-    p = sub.add_parser("squares", parents=[common, nr], help="stream ordered squares as NDJSON")
+    p = sub.add_parser("squares", parents=[cap, nr], help="stream ordered squares as NDJSON")
     p.add_argument("--only-singular", action="store_true")
     p.set_defaults(func=cmd_squares)
 

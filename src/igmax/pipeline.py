@@ -248,6 +248,8 @@ class DerivationLog:
         n, r = doc["n"], doc["r"]
         if type(n) is not int or type(r) is not int:
             raise TypeError(f"n and r must be integers, got {n!r}, {r!r}")
+        if not 1 <= r <= n - 2:
+            raise ValueError(f"a reduction log needs 1 <= r <= n-2, got n={n}, r={r}")
         steps: list[DerivationStep] = []
         parsed: dict[tuple[str, str], GeneratorId] = {}
         for sd in doc["steps"]:

@@ -13,7 +13,11 @@ import jsonschema
 import pytest
 
 import igmax
+import igmax.pipeline as pipeline
+import igmax.squares as squares_module
 from igmax.cli import main
+from igmax.labels import label_by_subscripts
+from igmax.squares import enumerate_squares, is_singular_sq3, square_census, square_record
 
 GOLDEN_P = "{{1},{2,3,5},{4,7},{6}}"
 GOLDEN_A = "{1,4,5,6}"
@@ -175,6 +179,47 @@ def test_squares_deterministic(capsys):
     _, first, _ = run(capsys, "squares", "--n", "4", "--r", "3")
     _, second, _ = run(capsys, "squares", "--n", "4", "--r", "3")
     assert first == second
+
+
+@pytest.mark.parametrize("only_singular", [False, True], ids=["all", "only-singular"])
+@pytest.mark.parametrize("n, r", [(n, r) for n in range(1, 7) for r in range(1, n + 1)])
+def test_squares_stream_is_the_record_of_every_square(capsys, n, r, only_singular):
+    # the reference: one square_record per enumerated square, filtered by SQ3
+    expected = "".join(
+        json.dumps(square_record(sq), sort_keys=True, separators=(",", ":")) + "\n"
+        for sq in enumerate_squares(n, r)
+        if not only_singular or is_singular_sq3(sq)
+    )
+    flags = ["--only-singular"] if only_singular else []
+    code, out, err = run(capsys, "squares", "--n", str(n), "--r", str(r), *flags)
+    assert code == 0 and err == ""
+    assert out == expected
+    census = square_census(n, r)
+    singular = census.singular_proper + census.singular_degenerate
+    assert out.count("\n") == (singular if only_singular else census.squares)
+
+
+def test_squares_computes_one_label_per_pair(capsys, monkeypatch):
+    # (5,3) has 90 (kernel, transversal) pairs and 1,470 ordered squares;
+    # the index and the stream may each label every pair once
+    calls = []
+
+    def counted(p, a):
+        calls.append((p, a))
+        return label_by_subscripts(p, a)
+
+    squares_module._singular_index.cache_clear()
+    monkeypatch.setattr(squares_module, "label_by_subscripts", counted)
+    code, out, _ = run(capsys, "squares", "--n", "5", "--r", "3")
+    assert code == 0 and out.count("\n") == 1470
+    assert len(calls) <= 2 * 90
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_squares_takes_no_format(capsys, fmt):
+    code, out, err = run(capsys, "squares", "--n", "4", "--r", "2", "--format", fmt)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --format" in err
 
 
 class _Breaker:
@@ -405,6 +450,36 @@ def test_replay_reports_malformed_log(capsys, tmp_path, log_path, damage):
     assert code == 4
     assert out == ""
     assert err.startswith("error: malformed derivation log: ")
+
+
+def empty_log(tmp_path, n, r):
+    path = tmp_path / f"log-{n}-{r}.json"
+    path.write_text(json.dumps({"format": "igmax-derivation-log", "n": n, "r": r, "steps": []}))
+    return str(path)
+
+
+class _Built(Exception):
+    pass
+
+
+def test_replay_applies_the_cap(capsys, tmp_path, monkeypatch):
+    def build(n, r):
+        raise _Built(n, r)
+
+    monkeypatch.setattr(pipeline, "build_presentation", build)
+    path = empty_log(tmp_path, 13, 6)
+    code, out, err = run(capsys, "replay", "--log", path)
+    assert code == 2 and out == ""
+    assert err == "error: n=13 exceeds the cap n <= 12; pass --override-cap to proceed\n"
+    with pytest.raises(_Built):
+        main(["replay", "--log", path, "--override-cap"])
+
+
+@pytest.mark.parametrize("n, r", [(4, 7), (4, 0), (4, -1), (4, 3)])
+def test_replay_rejects_a_rank_outside_the_reduction(capsys, tmp_path, n, r):
+    code, out, err = run(capsys, "replay", "--log", empty_log(tmp_path, n, r))
+    assert code == 4 and out == ""
+    assert err == f"error: malformed derivation log: ValueError: a reduction log needs 1 <= r <= n-2, got n={n}, r={r}\n"
 
 
 def test_checks_survive_optimize_flag(tmp_path, log_path):
