@@ -72,6 +72,11 @@ class Subset:
         return cls.of(n, parts)
 
     def __str__(self) -> str:
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
+        # the log serialiser names each subset once per generator and square
         return "{" + ",".join(str(x) for x in self.elements) + "}"
 
     def __len__(self) -> int:
@@ -212,6 +217,10 @@ class Partition:
         return cls.of(size, blocks)
 
     def __str__(self) -> str:
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
         return "{" + ",".join("{" + ",".join(str(x) for x in b) + "}" for b in self.blocks) + "}"
 
     def __len__(self) -> int:

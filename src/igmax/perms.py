@@ -189,14 +189,23 @@ def evaluate_word(word: Iterable[Letter], images: Mapping[Letter, tuple[int, ...
     """The left-to-right product in S_r of a word of ``(generator, +-1)`` letters.
 
     ``images`` maps every letter of the word to its one-line image tuple (see
-    :func:`letter_images`); an empty word evaluates to the identity.
+    :func:`letter_images`); an empty word evaluates to the identity.  The
+    fold starts from the first letter's image, so a word of k letters costs
+    k - 1 compositions.
 
     >>> g = "g"
     >>> evaluate_word([(g, 1), (g, 1)], letter_images({g: Permutation((2, 3, 1))}), 3)
     (3, 1, 2)
+    >>> evaluate_word([], {}, 3)
+    (1, 2, 3)
     """
-    acc = tuple(range(1, r + 1))
-    for letter in word:
+    letters = iter(word)
+    for first in letters:
+        acc = images[first]
+        break
+    else:
+        return tuple(range(1, r + 1))
+    for letter in letters:
         acc = compose(acc, images[letter])
     return acc
 
@@ -286,23 +295,3 @@ def rightmost_descent(p: Permutation) -> DescentLocator | None:
         return None
     w = max(d for d in range(1, p.degree - v + 1) if p.images[v - 1] > p.images[v + d - 1])
     return DescentLocator(v=v, w=w)
-
-
-def resolve_rightmost_descent(p: Permutation) -> Permutation:
-    """Move the rightmost descent entry behind everything it dominates.
-
-    The entry at the descent start is displaced to just after position v+w,
-    shifting the intermediate entries one place left.  The result has descent
-    count exactly one less, which is what drives the elimination recursion.
-
-    >>> resolve_rightmost_descent(Permutation((4, 2, 3, 1))).image_form()
-    '[4,2,1,3]'
-    """
-    loc = rightmost_descent(p)
-    if loc is None:
-        raise InvalidParameters("identity permutation has no descent to resolve")
-    v, w = loc.v, loc.w
-    seq = list(p.images)
-    entry = seq.pop(v - 1)
-    seq.insert(v + w - 1, entry)
-    return Permutation(tuple(seq))

@@ -166,18 +166,6 @@ def _word_json(word: GroupWord) -> list:
     return out
 
 
-def _word_from_json(doc: list, n: int, parsed: dict) -> GroupWord:
-    """Parse a logged word; ``parsed`` memoises each distinct (kernel, image)
-    text, so every generator is validated once and then shared."""
-    out = []
-    for pt, st, e in doc:
-        g = parsed.get((pt, st))
-        if g is None:
-            g = parsed[(pt, st)] = GeneratorId.of(Partition.parse(pt, n), Subset.parse(st, n))
-        out.append((g, e))
-    return tuple(out)
-
-
 def _snapshot_from_json(doc) -> Optional[GroupPresentation]:
     """A stored final presentation over abstract generators, or None if malformed.
 
@@ -250,8 +238,34 @@ class DerivationLog:
             raise TypeError(f"n and r must be integers, got {n!r}, {r!r}")
         if not 1 <= r <= n - 2:
             raise ValueError(f"a reduction log needs 1 <= r <= n-2, got n={n}, r={r}")
+        # each distinct kernel, image and generator text is parsed and
+        # validated once; conclusions and witness squares share the objects
+        kernels: dict[str, Partition] = {}
+        images: dict[str, Subset] = {}
+        generators: dict[tuple[str, str], GeneratorId] = {}
+
+        def kernel(text: str) -> Partition:
+            p = kernels.get(text)
+            if p is None:
+                p = kernels[text] = Partition.parse(text, n)
+            return p
+
+        def image(text: str) -> Subset:
+            a = images.get(text)
+            if a is None:
+                a = images[text] = Subset.parse(text, n)
+            return a
+
+        def word(letters: list) -> GroupWord:
+            out = []
+            for pt, st, e in letters:
+                g = generators.get((pt, st))
+                if g is None:
+                    g = generators[(pt, st)] = GeneratorId.of(kernel(pt), image(st))
+                out.append((g, e))
+            return tuple(out)
+
         steps: list[DerivationStep] = []
-        parsed: dict[tuple[str, str], GeneratorId] = {}
         for sd in doc["steps"]:
             rule = sd["rule"]
             if rule == "discharge":
@@ -260,16 +274,16 @@ class DerivationLog:
             conclusion = None
             if "conclusion" in sd:
                 conclusion = Relation(
-                    _word_from_json(sd["conclusion"]["lhs"], n, parsed),
-                    _word_from_json(sd["conclusion"]["rhs"], n, parsed),
+                    word(sd["conclusion"]["lhs"]),
+                    word(sd["conclusion"]["rhs"]),
                     "derived",
                 )
             square = None
             if "square" in sd:
                 pt, qt, at, bt = sd["square"]
                 square = Square(
-                    (Partition.parse(pt, n), Partition.parse(qt, n)),
-                    (Subset.parse(at, n), Subset.parse(bt, n)),
+                    (kernel(pt), kernel(qt)),
+                    (image(at), image(bt)),
                 )
             steps.append(
                 DerivationStep(rule, conclusion, tuple(sd.get("premises", ())), square, sd.get("data"))
@@ -351,7 +365,6 @@ def cycle_split(k: int, l: int, n: int, r: int) -> tuple[Square, Relation]:
     a = Subset.of(n, [i for i in range(1, r + 3) if i not in (k, k + l + 2)])
     b = Subset.of(n, [i for i in range(1, r + 3) if i not in (k, k + 2)])
     sq = Square((p, q), (a, b))
-    _require_singular(sq)
     return sq, _three_quarter_relation(sq, "PA")
 
 
@@ -395,9 +408,7 @@ def descent_reduction(P: Partition, A: Subset) -> tuple[Partition, Subset, Relat
     else:
         blocks.append(tuple(rest))
     Q = Partition.of(n, blocks)
-    sq = Square((P, Q), (A, B))
-    _require_singular(sq)
-    return Q, B, _three_quarter_relation(sq, "QB")
+    return Q, B, _three_quarter_relation(Square((P, Q), (A, B)), "QB")
 
 
 def coxeter_square_involution(k: int, n: int, r: int) -> tuple[Square, Relation]:
@@ -428,7 +439,6 @@ def coxeter_square_involution(k: int, n: int, r: int) -> tuple[Square, Relation]
     a = Subset.of(n, [i for i in range(1, r + 3) if i not in (k, k + 3)])
     b = Subset.of(n, [i for i in range(1, r + 3) if i not in (k, k + 1)])
     sq = Square((p, q), (a, b))
-    _require_singular(sq)
     g = _gid(canonical_cycle_pair(k, 1, n, r))
     return sq, Relation((), ((g, 1), (g, 1)), "derived")
 
@@ -479,8 +489,6 @@ def coxeter_square_commute(k: int, l: int, n: int, r: int) -> tuple[tuple[Square
     c = Subset.of(n, [i for i in range(1, r + 3) if i not in (k, l + 3)])
     sq1 = Square((p, q), (a, b))
     sq2 = Square((q, rr), (b, c))
-    _require_singular(sq1)
-    _require_singular(sq2)
     gk = _gid(canonical_cycle_pair(k, 1, n, r))
     gl = _gid(canonical_cycle_pair(l, 1, n, r))
     rel = Relation(((gl, 1), (gk, 1)), ((gk, 1), (gl, 1)), "derived")
@@ -517,7 +525,6 @@ def coxeter_square_braid(k: int, n: int, r: int) -> tuple[Square, Relation]:
     a = Subset.of(n, [i for i in range(1, r + 3) if i not in (k + 1, k + 4)])
     b = Subset.of(n, [i for i in range(1, r + 3) if i not in (k, k + 1)])
     sq = Square((p, q), (a, b))
-    _require_singular(sq)
     gk = _gid(canonical_cycle_pair(k, 1, n, r))
     gk1 = _gid(canonical_cycle_pair(k + 1, 1, n, r))
     rel = Relation(((gk1, 1), (gk, 1), (gk1, 1)), ((gk, 1), (gk1, 1), (gk, 1)), "derived")
@@ -537,9 +544,7 @@ def _braid_mirror_square(k: int, n: int, r: int) -> Square:
     z = inv_sq.images[0]
     qb = braid_sq.kernels[1]
     b = braid_sq.images[1]
-    sq = Square((w, qb), (z, b))
-    _require_singular(sq)
-    return sq
+    return Square((w, qb), (z, b))
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +569,7 @@ class Derivation:
         self._eq_memo: dict[Pair, int] = {}
         self._res_memo: dict[Pair, tuple[Optional[int], GroupWord]] = {}
         self._rep_memo: dict[tuple[int, int], Pair] = {}
+        self._singular: set[Square] = set()
         self._final_steps: list[int] = []
 
     @property
@@ -583,7 +589,12 @@ class Derivation:
         return self.log.append(DerivationStep(rule, conclusion, tuple(premises), square, data))
 
     def _bottom(self, sq: Square) -> int:
-        _require_singular(sq)
+        """Emit the square relation of ``sq``.  The producer checks each
+        distinct witness square (SQ3 and SQ2) here, once; the constructions
+        that build squares do not check their own."""
+        if sq not in self._singular:
+            _require_singular(sq)
+            self._singular.add(sq)
         return self._add("bottom", _bottom_relation(sq), square=sq)
 
     def _three_quarter(self, sq: Square, zero: str, bottom_idx: int, one_idx: int) -> int:
@@ -1137,7 +1148,11 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
     canon_gens = {_gid(p) for p in canon_pairs}
     images = letter_images({g: g.label for g in canon_gens})
     labels = letter_images({g: g.label for g in pres.generators})
-    resolved = set(canon_gens)
+    relations = pres.relations
+    # ``resolved`` holds the presentation's own generator objects, so the
+    # discharge lookups of relation generators hit by identity
+    own = {g: g for g in pres.generators}
+    resolved = {own.get(g, g) for g in canon_gens}
     discharged: set[int] = set()
     failures: list[tuple[int, str]] = []
     verified: set[int] = set()
@@ -1164,6 +1179,18 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
         ):
             return rel.lhs[0][0], rel.rhs[0][0]
         return None
+
+    def discharge(st: DerivationStep) -> None:
+        pz = st.data["pz"]
+        if not 0 <= pz < len(relations):
+            raise _ReplayFailure(f"relation index {pz} out of range")
+        rel = relations[pz]
+        for g, _ in rel.lhs + rel.rhs:
+            if g not in resolved:
+                raise _ReplayFailure(f"no resolution for {g}")
+        if evaluate_word(rel.lhs, labels, r) != evaluate_word(rel.rhs, labels, r):
+            raise _ReplayFailure(f"relation {pz} does not hold under the resolution map")
+        discharged.add(pz)
 
     def check(idx: int, st: DerivationStep) -> None:
         rule = st.rule
@@ -1297,17 +1324,6 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
                 raise _ReplayFailure("combine premises must share their left side")
             if (st.conclusion.lhs, st.conclusion.rhs) != (c1.rhs, c2.rhs):
                 raise _ReplayFailure("combine conclusion must equate the two right sides")
-        elif rule == "discharge":
-            pz = st.data["pz"]
-            if not 0 <= pz < len(pres.relations):
-                raise _ReplayFailure(f"relation index {pz} out of range")
-            rel = pres.relations[pz]
-            for g, _ in rel.lhs + rel.rhs:
-                if g not in resolved:
-                    raise _ReplayFailure(f"no resolution for {g}")
-            if evaluate_word(rel.lhs, labels, r) != evaluate_word(rel.rhs, labels, r):
-                raise _ReplayFailure(f"relation {pz} does not hold under the resolution map")
-            discharged.add(pz)
         elif rule == "coxeter-match":
             nonlocal match_seen
             stated = [
@@ -1346,12 +1362,16 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
             return
         if evaluate_word(rel.rhs, images, r) != g.label.images:
             raise _ReplayFailure(f"the word for {g} does not evaluate to its label")
-        resolved.add(g)
+        resolved.add(own.get(g, g))
 
+    # discharge steps are nearly all of a log: dispatch them first
     for idx, st in enumerate(log.steps):
         try:
-            check(idx, st)
-            note_resolution(st.conclusion)
+            if st.rule == "discharge":
+                discharge(st)
+            else:
+                check(idx, st)
+                note_resolution(st.conclusion)
         except _ReplayFailure as exc:
             failures.append((idx, str(exc)))
             continue
@@ -1371,7 +1391,7 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
         steps_checked=len(log.steps),
         failures=tuple(failures),
         discharged=len(discharged),
-        relations=len(pres.relations),
+        relations=len(relations),
         final_matches=final_matches,
     )
 

@@ -1,0 +1,26 @@
+"""The ``>>>`` examples in the package's docstrings are run, every one of them."""
+
+import doctest
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import igmax
+
+MODULES = ["igmax"] + sorted(info.name for info in pkgutil.iter_modules(igmax.__path__, "igmax."))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_doctests(name):
+    module = importlib.import_module(name)
+    written = sum(
+        line.lstrip().startswith(">>>") for line in Path(module.__file__).read_text().splitlines()
+    )
+    result = doctest.testmod(module)
+    assert result.failed == 0
+    # an example doctest does not collect (in a nested function, a cached
+    # property or a string that is not a docstring) would otherwise pass
+    # unnoticed
+    assert result.attempted == written

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import igmax
+import igmax.pipeline as pipeline_module
 
 from igmax.combinatorics import Partition, Subset, enumerate_transversal_pairs
 from igmax.errors import InvalidParameters, VerificationFailed
@@ -27,11 +28,12 @@ from igmax.pipeline import (
     replay_log,
     run_pipeline,
 )
-from igmax.presentation import word_str
-from igmax.squares import is_singular_sq3
+from igmax.presentation import GroupPresentation, Relation, build_presentation, word_str
+from igmax.squares import Square, is_singular_sq2, is_singular_sq3
 from igmax.verification import presentations_match
 from igmax.presentation import GeneratorId, coxeter_presentation, substitute
-from igmax.perms import evaluate_word, letter_images
+from igmax.perms import evaluate_word, letter_images, rightmost_descent
+from perms_reference import resolve_rightmost_descent
 
 
 def clean(report):
@@ -102,13 +104,25 @@ def test_descent_reduction_golden():
 
 
 def test_descent_reduction_strictly_decreases():
-    # every label of descent >= 2 at (6,3) reduces with the promised shapes
-    for p, a in enumerate_transversal_pairs(6, 3):
+    # every label of descent >= 2 at (6,3) and (7,4) reduces across a
+    # singular square whose corners carry the label, the contiguous cycle at
+    # its rightmost descent, the label with that descent resolved, and the
+    # identity
+    for p, a in [*enumerate_transversal_pairs(6, 3), *enumerate_transversal_pairs(7, 4)]:
         lam = label_by_subscripts(p, a)
         if descent_number(lam) < 2:
             continue
+        r = len(p)
         q, b, _ = descent_reduction(p, a)
-        assert descent_number(label_by_subscripts(q, a)) == descent_number(lam) - 1
+        sq = Square((p, q), (a, b))
+        lpa, lpb, lqa, lqb = sq.corner_labels
+        loc = rightmost_descent(lam)
+        assert lpa == lam
+        assert lpb == contiguous_cycle(loc.v, loc.w, r)
+        assert lqa == resolve_rightmost_descent(lam)
+        assert lqb.is_identity()
+        assert descent_number(lqa) == descent_number(lam) - 1
+        assert is_singular_sq3(sq) and is_singular_sq2(sq)
 
 
 def test_descent_reduction_rejects_low_descent():
@@ -408,6 +422,39 @@ def test_replay_discharge_needs_a_verified_resolution(log_four_two):
     report = replay_log(DerivationLog.from_json(doc))
     assert not report.ok
     assert any(msg.startswith("no resolution for ") for _, msg in report.failures)
+
+
+def test_replay_checks_each_discharged_relation_on_its_labels():
+    # a presentation whose bottom relation has a right side of other labels:
+    # every generator is resolved, so only the label equation can fail
+    _, log = run_pipeline(5, 3)
+    pres = build_presentation(5, 3)
+    pz, rel = next((i, rel) for i, rel in enumerate(pres.relations) if rel.tag == "bottom")
+    extra = next(g for g in pres.generators if not g.label.is_identity())
+    relations = list(pres.relations)
+    relations[pz] = Relation(rel.lhs, rel.rhs + ((extra, 1),), rel.tag)
+    changed = GroupPresentation(pres.generators, tuple(relations), pres.meta)
+    idx = next(i for i, st in enumerate(log.steps) if st.rule == "discharge" and st.data["pz"] == pz)
+    report = replay_log(log, changed)
+    assert report.failures == ((idx, f"relation {pz} does not hold under the resolution map"),)
+    assert report.discharged == report.relations - 1
+    assert not report.ok
+
+
+def test_producer_checks_each_distinct_square_once(monkeypatch):
+    calls = []
+    real = pipeline_module.is_singular_sq3
+
+    def counted(sq):
+        calls.append(sq)
+        return real(sq)
+
+    pres = build_presentation(6, 3)
+    monkeypatch.setattr(pipeline_module, "is_singular_sq3", counted)
+    _, log = run_pipeline(6, 3, pres)
+    bottoms = {st.square for st in log.steps if st.rule == "bottom"}
+    assert set(calls) == bottoms
+    assert len(calls) == len(bottoms)
 
 
 def test_require_singular_survives_optimize_flag():
