@@ -13,8 +13,8 @@ Commands
 ``verify``   end-to-end theorem check, optionally with the coset oracle.
 
 Exit codes: 0 success, 2 usage (cap violations, ``reduce`` at r > n-2,
-``--max-cosets`` below 1 or without ``--with-coset-oracle``, an unreadable or
-unwritable ``--log`` path),
+``--with-coset-oracle`` at r = n-1, ``--max-cosets`` below 1 or without
+``--with-coset-oracle``, an unreadable or unwritable ``--log`` path),
 3 precondition failure, 4 verification failure, 5 coset budget exhausted.
 Output for a fixed command line is byte-identical across runs; streams are
 newline-delimited JSON with sorted keys.  Commands run with the cyclic
@@ -262,6 +262,11 @@ def cmd_verify(args, out) -> int:
 
     cfg = RunConfig.from_args(args)
     cfg.validate(theorem_command=True)
+    if args.with_coset_oracle and cfg.r == cfg.n - 1:
+        raise UsageError(
+            "--with-coset-oracle needs r <= n-2: at the boundary r = n-1 the "
+            "presentation is free and the enumeration cannot close"
+        )
     if args.max_cosets is not None and not args.with_coset_oracle:
         raise UsageError("--max-cosets needs --with-coset-oracle")
     budget = DEFAULT_MAX_COSETS if args.max_cosets is None else args.max_cosets

@@ -7,16 +7,25 @@ generator is a word over r-1 generators satisfying the Coxeter relations)
 and a homomorphism onto S_r (every relation holds on the labels, and the
 canonical labels are the adjacent transpositions).  Beside it stand
 Todd–Coxeter coset enumeration over the trivial subgroup, which gives the
-exact order when it closes and is feasible only for small presentations,
+exact order when it closes and reaches (7,4) under the default budget,
 and the label homomorphism check, used at the boundary r = n-1 where no
 reduction runs.
 
-The enumeration is plain HLT: process cosets in creation order, scan
-every relator with gap filling (lowest undefined entry first), then fill
-any remaining undefined generator entries.  Coincidences are merged
-through a union-find with a FIFO queue.  The run is deterministic, and a
-closing table is re-audited in full before an order is reported, so a
-conclusive answer is never wrong.
+The enumeration is HLT: process cosets in creation order, scan each
+relator with gap filling (lowest undefined entry first), then fill any
+remaining undefined generator entries.  Coincidences are merged through a
+union-find with a FIFO queue.  Each relator is scanned once up to
+inversion: a relator is dropped when it or its inverse came earlier in the
+presentation, because once a scan of w at a coset returns w closes there
+for good, and the table is consistent on inverses after every merge, so a
+later scan of w or w^-1 would define nothing (see :func:`_relators`).  The
+bottom relator of (P,Q,A,B) is the inverse of that of (Q,P,A,B), so this
+halves the scans.  The run is deterministic, and a closing table is
+re-audited in full before an order is reported: each letter's column must
+be a permutation of the live cosets, inverse to the column of the inverse
+letter, and every kept relator must close at every live coset, which with
+inverse columns covers the dropped inverses too.  So a conclusive answer
+is never wrong.
 """
 
 from __future__ import annotations
@@ -74,11 +83,12 @@ class _Enumerator:
         self.queue: deque[tuple[int, int]] = deque()
 
     def find(self, x: int) -> int:
+        parent = self.parent
         root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
         return root
 
     def define(self, a: int, letter: int) -> int:
@@ -93,47 +103,56 @@ class _Enumerator:
 
     def set_edge(self, a: int, letter: int, b: int) -> None:
         """Record a·letter = b, queueing a coincidence on clash."""
-        a, b = self.find(a), self.find(b)
-        row = self.rows[a]
+        rows, parent, find = self.rows, self.parent, self.find
+        if parent[a] != a:
+            a = find(a)
+        if parent[b] != b:
+            b = find(b)
+        row = rows[a]
         existing = row.get(letter)
         if existing is not None:
-            existing = self.find(existing)
+            if parent[existing] != existing:
+                existing = find(existing)
             if existing != b:
                 self.queue.append((existing, b))
             return
         row[letter] = b
-        back = self.rows[b].get(letter ^ 1)
+        back = rows[b].get(letter ^ 1)
         if back is None:
-            self.rows[b][letter ^ 1] = a
+            rows[b][letter ^ 1] = a
         else:
-            back = self.find(back)
+            if parent[back] != back:
+                back = find(back)
             if back != a:
                 self.queue.append((back, a))
 
     def drain(self) -> None:
-        while self.queue:
-            x, y = self.queue.popleft()
-            x, y = self.find(x), self.find(y)
+        rows, parent, find, queue = self.rows, self.parent, self.find, self.queue
+        while queue:
+            x, y = queue.popleft()
+            x, y = find(x), find(y)
             if x == y:
                 continue
             if y < x:
                 x, y = y, x
-            self.parent[y] = x
-            row = self.rows[y]
-            self.rows[y] = None
+            parent[y] = x
+            row = rows[y]
+            rows[y] = None
             for letter, t in row.items():
-                self.set_edge(x, letter, self.find(t))
+                self.set_edge(x, letter, t)
 
     def scan_and_fill(self, a: int, word: tuple[int, ...]) -> None:
-        a = self.find(a)
+        rows, parent, find = self.rows, self.parent, self.find
+        if parent[a] != a:
+            a = find(a)
         f, i = a, 0
         b, j = a, len(word) - 1
         while True:
             while i <= j:
-                nxt = self.rows[f].get(word[i])
+                nxt = rows[f].get(word[i])
                 if nxt is None:
                     break
-                f = self.find(nxt)
+                f = nxt if parent[nxt] == nxt else find(nxt)
                 i += 1
             if i > j:
                 if f != b:
@@ -141,10 +160,10 @@ class _Enumerator:
                     self.drain()
                 return
             while j >= i:
-                nxt = self.rows[b].get(word[j] ^ 1)
+                nxt = rows[b].get(word[j] ^ 1)
                 if nxt is None:
                     break
-                b = self.find(nxt)
+                b = nxt if parent[nxt] == nxt else find(nxt)
                 j -= 1
             if j < i:
                 self.queue.append((f, b))
@@ -161,38 +180,96 @@ class _Enumerator:
         return [c for c in range(1, len(self.rows)) if self.rows[c] is not None]
 
     def run(self) -> None:
+        rows = self.rows
         alpha = 1
-        while alpha < len(self.rows):
-            if self.rows[alpha] is not None:
+        while alpha < len(rows):
+            if rows[alpha] is not None:
                 for word in self.relators:
                     self.scan_and_fill(alpha, word)
-                    if self.rows[alpha] is None:
+                    if rows[alpha] is None:
                         break
-                if self.rows[alpha] is not None:
+                if rows[alpha] is not None:
                     for letter in range(self.width):
-                        if self.rows[alpha] is None:
+                        if rows[alpha] is None:
                             break
-                        if self.rows[alpha].get(letter) is None:
+                        if rows[alpha].get(letter) is None:
                             self.define(alpha, letter)
             alpha += 1
 
     def audit(self) -> None:
+        """Re-check a closed table on a flat copy of it.
+
+        Live cosets are numbered 0..k-1 and each letter's entries become one
+        list indexed by that number.  Each letter's column must be a
+        permutation of the live cosets, inverse to the column of ``letter ^ 1``,
+        and every relator must map each live coset to itself.  The inverse
+        check is what lets the relator check skip the inverses of relators:
+        with inverse columns, w closing at every coset means w^-1 does too.
+        """
         live = self.live()
-        for c in live:
-            row = self.rows[c]
-            for letter in range(self.width):
-                target = row.get(letter)
+        pos = [-1] * len(self.rows)
+        for k, c in enumerate(live):
+            pos[c] = k
+        cols = []
+        for letter in range(self.width):
+            col = []
+            for c in live:
+                target = self.rows[c].get(letter)
                 if target is None:
                     raise VerificationFailed("open entry in a table reported closed")
-                if self.rows[self.find(target)] is None:
+                k = pos[self.find(target)]
+                if k < 0:
                     raise VerificationFailed("table entry points at a dead coset")
-        for c in live:
-            for word in self.relators:
-                x = c
-                for letter in word:
-                    x = self.find(self.rows[x][letter])
-                if x != c:
-                    raise VerificationFailed("relator does not close on a live coset")
+                col.append(k)
+            cols.append(col)
+        identity = list(range(len(live)))
+        # a map of a finite set with a left inverse is a bijection, so one
+        # composition per generator shows both columns are inverse permutations
+        for letter in range(0, self.width, 2):
+            if list(map(cols[letter ^ 1].__getitem__, cols[letter])) != identity:
+                raise VerificationFailed("a letter's column is not inverse to its inverse's")
+        for word in self.relators:
+            images = identity
+            for letter in word:
+                images = list(map(cols[letter].__getitem__, images))
+            if images != identity:
+                raise VerificationFailed("relator does not close on a live coset")
+
+
+def _relators(pres: GroupPresentation) -> list[tuple[int, ...]]:
+    """Freely reduced int relators, one per class of a word and its inverse.
+
+    A relation lhs = rhs gives the letters of lhs followed by those of rhs
+    inverted: ``2*index + 1`` for an inverse generator, so ``letter ^ 1``
+    inverts a letter.  A relator is kept only if neither it nor its inverse
+    came earlier; the first occurrence is kept.  This changes no coset the
+    enumeration defines: once a scan of w at a coset returns, w closes there,
+    merges and definitions keep it closed, and the table after every drain
+    is consistent on inverses (a·l = b gives b·l^-1 = a).  So a later scan
+    of w, or of w^-1, at that coset defines nothing and queues nothing.
+
+    >>> _relators(coxeter_presentation(3))
+    [(0, 0), (2, 2), (0, 2, 0, 3, 1, 3)]
+    """
+    index = {g: 2 * i for i, g in enumerate(pres.generators)}
+    inverted = {1: 0, -1: 1}
+    relators = []
+    seen = set()
+    for rel in pres.relations:
+        word: list[int] = []
+        for letter in [index[g] + inverted[e] for g, e in rel.lhs] + [
+            index[g] + inverted[-e] for g, e in reversed(rel.rhs)
+        ]:
+            if word and word[-1] == letter ^ 1:
+                word.pop()
+            else:
+                word.append(letter)
+        key = tuple(word)
+        if key and key not in seen:
+            seen.add(key)
+            seen.add(tuple([letter ^ 1 for letter in reversed(word)]))
+            relators.append(key)
+    return relators
 
 
 def coset_enumerate(pres: GroupPresentation, max_cosets: int = 100_000) -> CosetResult:
@@ -201,15 +278,7 @@ def coset_enumerate(pres: GroupPresentation, max_cosets: int = 100_000) -> Coset
     >>> coset_enumerate(coxeter_presentation(4)).order
     24
     """
-    index = {g: i for i, g in enumerate(pres.generators)}
-    relators = []
-    for rel in pres.relations:
-        word = tuple(
-            2 * index[g] + (0 if e > 0 else 1) for g, e in rel.relator()
-        )
-        if word:
-            relators.append(word)
-    enum = _Enumerator(len(pres.generators), relators, max_cosets)
+    enum = _Enumerator(len(pres.generators), _relators(pres), max_cosets)
     try:
         enum.run()
     except _BudgetHit:

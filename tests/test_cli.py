@@ -646,6 +646,19 @@ def test_verify_boundary(capsys):
     assert doc["verdict"].startswith("not confirmed: boundary")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("budget", [(), ("--max-cosets", "3")], ids=["default", "max-cosets"])
+def test_verify_rejects_the_coset_oracle_at_the_boundary(capsys, fmt, budget):
+    code, out, err = run(
+        capsys, "verify", "--n", "5", "--r", "4", "--allow-boundary", "--with-coset-oracle",
+        *budget, "--format", fmt,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --with-coset-oracle needs r <= n-2")
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # the cyclic garbage collector
 # ---------------------------------------------------------------------------

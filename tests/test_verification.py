@@ -3,21 +3,27 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import coset_reference
 from igmax.errors import InvalidParameters, VerificationFailed
 from igmax.labels import label_by_subscripts
 from igmax.pipeline import replay_log
 from igmax.presentation import (
+    AbstractGenerator,
     GroupPresentation,
     Relation,
     build_presentation,
     coxeter_presentation,
+    inverse_word,
 )
 from igmax.perms import Permutation
 from igmax.verification import (
+    CosetResult,
     _Enumerator,
     _boundary_survivors,
     _generated_order,
+    _relators,
     coset_enumerate,
     label_homomorphism_check,
     presentations_match,
@@ -73,10 +79,100 @@ def test_coset_audit_rejects_an_open_table():
         enum.audit()
 
 
+def test_coset_audit_rejects_columns_that_are_not_inverse():
+    enum = _Enumerator(1, [(0, 0)], 100)
+    enum.run()
+    enum.audit()
+    enum.rows[1][1] = 1  # 1·a^-1 = 1 although 1·a = 2
+    with pytest.raises(VerificationFailed, match="not inverse"):
+        enum.audit()
+
+
+def test_relators_keep_one_word_per_inverse_pair():
+    g, h = AbstractGenerator("g"), AbstractGenerator("h")
+    gh = ((g, 1), (h, 1))
+    pres = GroupPresentation(
+        (g, h),
+        (
+            Relation(gh, (), "t"),
+            Relation((), gh, "t"),  # the inverse relator
+            Relation(((g, 1),), ((h, -1),), "t"),  # the same relator again
+            Relation(((g, 1), (g, -1)), (), "t"),  # freely trivial
+            Relation(((h, 1), (g, 1)), (), "t"),  # a rotation, which is kept
+            Relation(((h, -1), (g, -1)), (), "t"),  # the inverse of the first
+        ),
+    )
+    assert _relators(pres) == [(0, 2), (2, 0)]
+
+
 def test_coset_determinism():
     a = coset_enumerate(coxeter_presentation(4))
     b = coset_enumerate(coxeter_presentation(4))
     assert a == b
+
+
+# The enumerator skips the inverse and duplicate relators that cannot change
+# its table, so it must define the very cosets the plain HLT enumerator of
+# coset_reference.py defines: same closure, order and counts at every budget.
+
+
+REFERENCE_CASES = [(build_presentation, (n, r)) for n in range(3, 7) for r in range(1, n - 1)] + [
+    (coxeter_presentation, (r,)) for r in range(1, 6)
+]
+
+
+@pytest.mark.parametrize(
+    "build,args", REFERENCE_CASES, ids=[f"{build.__name__}{args}" for build, args in REFERENCE_CASES]
+)
+def test_coset_counts_match_the_reference(build, args):
+    pres = build(*args)
+    for budget in (5, 50, 500, 5_000, 50_000):
+        assert coset_enumerate(pres, budget) == coset_reference.coset_enumerate(pres, budget)
+
+
+def test_coset_counts_match_the_reference_at_seven_five():
+    pres = build_presentation(7, 5)
+    res = coset_enumerate(pres, 50_000)
+    assert res == coset_reference.coset_enumerate(pres, 50_000)
+    assert res == CosetResult(True, 120, 32040, 120)
+
+
+def test_coset_oracle_reaches_seven_four():
+    res = coset_enumerate(build_presentation(7, 4), max_cosets=50_000)
+    assert res == CosetResult(True, 24, 9953, 24)
+
+
+GENS = tuple(AbstractGenerator(name) for name in "abc")
+
+
+@st.composite
+def small_presentations(draw):
+    """1-3 generators and short relations, with duplicates and inverses of
+    earlier relations mixed in, sometimes with the sides swapped."""
+    gens = GENS[: draw(st.integers(1, 3))]
+    letters = st.tuples(st.sampled_from(gens), st.sampled_from((1, -1)))
+    words = st.lists(letters, max_size=5).map(tuple)
+    relations = []
+    for _ in range(draw(st.integers(0, 6))):
+        earlier = draw(st.sampled_from(range(len(relations)))) if relations else None
+        kind = draw(st.sampled_from(("new", "duplicate", "inverse", "swapped")))
+        if earlier is None or kind == "new":
+            relations.append(Relation(draw(words), draw(st.lists(letters, max_size=2).map(tuple)), "t"))
+            continue
+        rel = relations[earlier]
+        if kind == "duplicate":
+            relations.append(rel)
+        elif kind == "inverse":
+            relations.append(Relation(inverse_word(rel.relator()), (), "t"))
+        else:
+            relations.append(Relation(rel.rhs, rel.lhs, "t"))
+    return GroupPresentation(gens, tuple(relations))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_presentations())
+def test_coset_counts_match_the_reference_on_random_presentations(pres):
+    assert coset_enumerate(pres, 2_000) == coset_reference.coset_enumerate(pres, 2_000)
 
 
 # ---------------------------------------------------------------------------
