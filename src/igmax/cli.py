@@ -52,7 +52,6 @@ EXIT_BUDGET = 5
 
 HARD_CAP = 12
 SQUARES_WARN_ABOVE = 8
-DEFAULT_MAX_COSETS = 50_000
 
 
 class UsageError(Exception):
@@ -258,7 +257,8 @@ def cmd_replay(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    from .verification import verify_theorem
+    # imported here: verification and pipeline would add their compile time to every command
+    from .verification import DEFAULT_MAX_COSETS, verify_theorem
 
     cfg = RunConfig.from_args(args)
     cfg.validate(theorem_command=True)
@@ -347,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common, nr], help="end-to-end theorem check")
     p.add_argument("--with-coset-oracle", action="store_true")
-    p.add_argument("--max-cosets", type=int, help=f"oracle budget (default {DEFAULT_MAX_COSETS:,}), needs the oracle")
+    p.add_argument("--max-cosets", type=int, help="oracle budget in cosets (default igmax.verification.DEFAULT_MAX_COSETS), needs the oracle")
     p.add_argument("--allow-boundary", action="store_true")
     p.set_defaults(func=cmd_verify)
 

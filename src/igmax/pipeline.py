@@ -18,6 +18,12 @@ on (``verify`` runs it on the log it has just produced), so none of the
 producer's own checks is load-bearing: a construction that went wrong yields
 a step the replay rejects.
 
+Each check has one copy.  Every rule reads a fact's shape (g = word, g = 1,
+g = h) with the same readers, exponents included, and compares conclusions
+whole; :meth:`Derivation.finish` and the ``coxeter-match`` step share one
+Coxeter match.  The ``final`` snapshot must equal the Coxeter presentation's
+JSON document, so any edit to it is a mismatch.
+
 Step rules
 ----------
 
@@ -58,7 +64,6 @@ from .perms import (
     rightmost_descent,
 )
 from .presentation import (
-    AbstractGenerator,
     GeneratorId,
     GroupPresentation,
     GroupWord,
@@ -69,7 +74,6 @@ from .presentation import (
     coxeter_generators,
     coxeter_presentation,
     free_reduce,
-    presentations_match,
     substitute,
 )
 from .schreier import IdempotentLetter, SchreierSystem, build_schreier, convex_partition_of, predecessor
@@ -97,6 +101,26 @@ def _gid(pair: Pair) -> GeneratorId:
     return GeneratorId.of(pair[0], pair[1])
 
 
+def _subject(rel: Relation) -> Optional[GeneratorId]:
+    """g when ``rel`` reads g = word with g a bare generator (exponent 1)."""
+    if len(rel.lhs) == 1 and rel.lhs[0][1] == 1:
+        return rel.lhs[0][0]
+    return None
+
+
+def _one_fact(rel: Relation) -> Optional[GeneratorId]:
+    """g when ``rel`` reads g = 1."""
+    return _subject(rel) if rel.rhs == () else None
+
+
+def _eq_fact(rel: Relation) -> Optional[tuple[GeneratorId, GeneratorId]]:
+    """(g, h) when ``rel`` reads g = h, both bare generators."""
+    g = _subject(rel)
+    if g is None or len(rel.rhs) != 1 or rel.rhs[0][1] != 1:
+        return None
+    return g, rel.rhs[0][0]
+
+
 def _one_relation(g: GeneratorId) -> Relation:
     return Relation(((g, 1),), (), "derived")
 
@@ -120,6 +144,24 @@ def _three_quarter_relation(sq: Square, zero: str) -> Relation:
         "QB": (gpa, (gpb, gqa)),
     }[zero]
     return Relation(((target, 1),), ((x, 1), (y, 1)), "derived")
+
+
+def _coxeter_mismatch(relations: Iterable[Relation], canon: list[Pair], r: int) -> Optional[str]:
+    """Why ``relations`` over the canonical pairs, renamed in order to the
+    Coxeter generators, are not the Coxeter relations up to rotation,
+    inversion and side swap; None when they are."""
+    rename = {_gid(pair): g for pair, g in zip(canon, coxeter_generators(r))}
+    try:
+        renamed = [
+            Relation(*(tuple((rename[g], e) for g, e in word) for word in (rel.lhs, rel.rhs)), "derived")
+            for rel in relations
+        ]
+    except KeyError:
+        return "final relations must mention only canonical generators"
+    target = coxeter_presentation(r).relations
+    if sorted(map(canonical_relator_key, renamed)) != sorted(map(canonical_relator_key, target)):
+        return "derived relations do not match the Coxeter presentation"
+    return None
 
 
 def _require_singular(sq: Square) -> None:
@@ -166,41 +208,15 @@ def _word_json(word: GroupWord) -> list:
     return out
 
 
-def _snapshot_from_json(doc) -> Optional[GroupPresentation]:
-    """A stored final presentation over abstract generators, or None if malformed.
-
-    Replay compares what is parsed here with the Coxeter presentation, so a
-    snapshot that does not parse counts as a mismatch.
-    """
-    try:
-        gens: list[AbstractGenerator] = []
-        for gd in doc["generators"]:
-            if gd["kind"] != "abstract" or not isinstance(gd["name"], str):
-                return None
-            gens.append(AbstractGenerator(gd["name"]))
-
-        def word(letters) -> GroupWord:
-            out = []
-            for i, e in letters:
-                if type(i) is not int or not 0 <= i < len(gens) or e not in (1, -1):
-                    raise ValueError(f"bad letter {[i, e]}")
-                out.append((gens[i], e))
-            return tuple(out)
-
-        relations = tuple(Relation(word(rd["lhs"]), word(rd["rhs"]), rd["tag"]) for rd in doc["relations"])
-    except (KeyError, TypeError, ValueError):
-        return None
-    return GroupPresentation(tuple(gens), relations)
-
-
 @dataclass
 class DerivationLog:
-    """Ordered derivation steps plus the final presentation snapshot."""
+    """Ordered derivation steps plus the final presentation snapshot, kept as
+    the JSON document of the Coxeter presentation."""
 
     n: int
     r: int
     steps: list[DerivationStep] = field(default_factory=list)
-    final: Optional[GroupPresentation] = None
+    final: Optional[dict] = None
     meta: dict = field(default_factory=dict)
 
     def append(self, step: DerivationStep) -> int:
@@ -217,7 +233,7 @@ class DerivationLog:
             "n": self.n,
             "r": self.r,
             "steps": [s.to_json() for s in self.steps],
-            "final": None if self.final is None else self.final.to_json(),
+            "final": self.final,
             "meta": dict(self.meta),
         }
 
@@ -288,10 +304,7 @@ class DerivationLog:
             steps.append(
                 DerivationStep(rule, conclusion, tuple(sd.get("premises", ())), square, sd.get("data"))
             )
-        log = cls(n=n, r=r, steps=steps, meta=doc.get("meta", {}))
-        if doc.get("final") is not None:
-            log.final = _snapshot_from_json(doc["final"])
-        return log
+        return cls(n=n, r=r, steps=steps, final=doc.get("final"), meta=doc.get("meta", {}))
 
 
 # ---------------------------------------------------------------------------
@@ -1025,29 +1038,17 @@ class Derivation:
 
     def finish(self) -> GroupPresentation:
         canon = self.canonical_pairs()
-        target = coxeter_presentation(self.r)
-        rename = {_gid(pair): g for pair, g in zip(canon, coxeter_generators(self.r))}
-
-        def translate(rel: Relation) -> Relation:
-            return Relation(
-                tuple((rename[g], e) for g, e in rel.lhs),
-                tuple((rename[g], e) for g, e in rel.rhs),
-                "derived",
-            )
-
-        derived_keys = sorted(
-            canonical_relator_key(translate(self.log.steps[i].conclusion)) for i in self._final_steps
-        )
-        target_keys = sorted(canonical_relator_key(rel) for rel in target.relations)
-        if derived_keys != target_keys:
-            raise VerificationFailed("derived relations do not match the Coxeter presentation")
+        mismatch = _coxeter_mismatch((self.log.steps[i].conclusion for i in self._final_steps), canon, self.r)
+        if mismatch is not None:
+            raise VerificationFailed(mismatch)
         self._add(
             "coxeter-match",
             None,
             tuple(self._final_steps),
             data={"canonical": [[str(p), str(a)] for p, a in canon]},
         )
-        self.log.final = target
+        target = coxeter_presentation(self.r)
+        self.log.final = target.to_json()
         self.log.meta.update(
             {
                 "steps": len(self.log),
@@ -1165,21 +1166,6 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
             raise _ReplayFailure(f"premise {i} was not verified")
         return log.steps[i]
 
-    def is_one(rel: Relation) -> Optional[GeneratorId]:
-        if len(rel.lhs) == 1 and rel.lhs[0][1] == 1 and rel.rhs == ():
-            return rel.lhs[0][0]
-        return None
-
-    def is_eq(rel: Relation) -> Optional[tuple[GeneratorId, GeneratorId]]:
-        if (
-            len(rel.lhs) == 1
-            and rel.lhs[0][1] == 1
-            and len(rel.rhs) == 1
-            and rel.rhs[0][1] == 1
-        ):
-            return rel.lhs[0][0], rel.rhs[0][0]
-        return None
-
     def discharge(st: DerivationStep) -> None:
         pz = st.data["pz"]
         if not 0 <= pz < len(relations):
@@ -1197,11 +1183,11 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
         if rule not in RULES:
             raise _ReplayFailure(f"unknown rule {rule!r}")
         if rule == "middle":
-            g = is_one(st.conclusion)
+            g = _one_fact(st.conclusion)
             if g is None or g.subset != g.partition.min_transversal():
                 raise _ReplayFailure("middle step must conclude f[P, minima(P)] = 1")
         elif rule == "top":
-            pair = is_eq(st.conclusion)
+            pair = _eq_fact(st.conclusion)
             if pair is None:
                 raise _ReplayFailure("top step must conclude an equality of two generators")
             g1, g2 = pair
@@ -1219,7 +1205,7 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
             if not (is_singular_sq2(sq) and is_singular_sq3(sq)):
                 raise _ReplayFailure("witness square is not singular")
             want = _bottom_relation(sq)
-            if (st.conclusion.lhs, st.conclusion.rhs) != (want.lhs, want.rhs):
+            if st.conclusion != want:
                 raise _ReplayFailure("bottom conclusion is not the square relation")
         elif rule in ("corner", "flush-row", "flush-column", "three-quarter"):
             sq = st.square
@@ -1227,14 +1213,14 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
                 raise _ReplayFailure(f"{rule} step needs its witness square")
             base = premise(idx, st.premises[0])
             want = _bottom_relation(sq)
-            if base.rule != "bottom" or (base.conclusion.lhs, base.conclusion.rhs) != (want.lhs, want.rhs):
+            if base.rule != "bottom" or base.conclusion != want:
                 raise _ReplayFailure("first premise must be the square's bottom relation")
             corners = dict(zip(CORNERS, map(_gid, sq.corner_pairs())))
             if rule == "corner":
                 target = st.data["target"]
                 ones = set()
                 for i in st.premises[1:]:
-                    g = is_one(premise(idx, i).conclusion)
+                    g = _one_fact(premise(idx, i).conclusion)
                     if g is None:
                         raise _ReplayFailure("corner premises must be identity facts")
                     ones.add(g)
@@ -1242,31 +1228,27 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
                 if ones != others:
                     raise _ReplayFailure("corner premises must cover the three other corners")
                 want_c = _one_relation(corners[target])
-                if (st.conclusion.lhs, st.conclusion.rhs) != (want_c.lhs, want_c.rhs):
+                if st.conclusion != want_c:
                     raise _ReplayFailure("corner conclusion must zero the target corner")
             elif rule == "three-quarter":
                 zero = st.data["zero"]
-                g = is_one(premise(idx, st.premises[1]).conclusion)
+                g = _one_fact(premise(idx, st.premises[1]).conclusion)
                 if g != corners[zero]:
                     raise _ReplayFailure("second premise must zero the stated corner")
                 want_c = _three_quarter_relation(sq, zero)
-                if (st.conclusion.lhs, st.conclusion.rhs) != (want_c.lhs, want_c.rhs):
+                if st.conclusion != want_c:
                     raise _ReplayFailure("three-quarter conclusion has the wrong solved form")
             else:
                 p, q = sq.kernels
                 a, b = sq.images
                 rest = [premise(idx, i).conclusion for i in st.premises[1:]]
                 if rule == "flush-row":
-                    rows = {p: (corners["PA"], corners["PB"]), q: (corners["QA"], corners["QB"])}
-                    got = _flush_source(rest, rows)
-                    other = q if got == p else p
-                    want_c = _eq_relation(*rows[other])
+                    sides = {p: (corners["PA"], corners["PB"]), q: (corners["QA"], corners["QB"])}
                 else:
-                    cols = {a: (corners["PA"], corners["QA"]), b: (corners["PB"], corners["QB"])}
-                    got = _flush_source(rest, cols)
-                    other = b if got == a else a
-                    want_c = _eq_relation(*cols[other])
-                if (st.conclusion.lhs, st.conclusion.rhs) != (want_c.lhs, want_c.rhs):
+                    sides = {a: (corners["PA"], corners["QA"]), b: (corners["PB"], corners["QB"])}
+                got = _flush_source(rest, sides)
+                want_c = _eq_relation(*next(gens for key, gens in sides.items() if key != got))
+                if st.conclusion != want_c:
                     raise _ReplayFailure(f"{rule} conclusion does not transfer to the other side")
         elif rule == "transitive":
             parent: dict[object, object] = {}
@@ -1278,37 +1260,31 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
                     x = parent[x]
                 return x
 
-            def union(x, y):
-                parent[find(x)] = find(y)
+            def link(rel: Relation) -> Optional[tuple]:
+                """(g, 1) for g = 1, (g, h) for g = h, None for any other shape."""
+                g = _one_fact(rel)
+                return (g, 1) if g is not None else _eq_fact(rel)
 
             for i in st.premises:
-                rel = premise(idx, i).conclusion
-                g = is_one(rel)
-                if g is not None:
-                    union(g, 1)
-                    continue
-                pair = is_eq(rel)
+                pair = link(premise(idx, i).conclusion)
                 if pair is None:
                     raise _ReplayFailure("transitive premises must be identity or equality facts")
-                union(*pair)
-            g = is_one(st.conclusion)
-            if g is not None:
-                if find(g) != find(1):
+                parent[find(pair[0])] = find(pair[1])
+            pair = link(st.conclusion)
+            if pair is None:
+                raise _ReplayFailure("transitive conclusion must be an identity or equality fact")
+            if find(pair[0]) != find(pair[1]):
+                if pair[1] == 1:
                     raise _ReplayFailure("identity conclusion is not connected to 1")
-            else:
-                pair = is_eq(st.conclusion)
-                if pair is None:
-                    raise _ReplayFailure("transitive conclusion must be an identity or equality fact")
-                if find(pair[0]) != find(pair[1]):
-                    raise _ReplayFailure("equality conclusion is not connected")
+                raise _ReplayFailure("equality conclusion is not connected")
         elif rule == "rewrite":
             base = premise(idx, st.premises[0]).conclusion
             lhs, rhs = base.lhs, base.rhs
             for i in st.premises[1:]:
                 fact = premise(idx, i).conclusion
-                if len(fact.lhs) != 1 or fact.lhs[0][1] != 1:
+                g = _subject(fact)
+                if g is None:
                     raise _ReplayFailure("substitution premises need a bare generator on the left")
-                g = fact.lhs[0][0]
                 if any(h == g for h, _ in fact.rhs):
                     raise _ReplayFailure("substitution must eliminate its generator")
                 lhs = substitute(lhs, g, fact.rhs)
@@ -1334,31 +1310,16 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
             for k, pair in enumerate(canon_pairs, start=1):
                 if _gid(pair).label != contiguous_cycle(k, 1, r):
                     raise _ReplayFailure(f"canonical pair {k} does not carry the adjacent transposition")
-            rename = {_gid(pair): g for pair, g in zip(canon_pairs, coxeter_generators(r))}
-            keys = []
-            for i in st.premises:
-                rel = premise(idx, i).conclusion
-                try:
-                    translated = Relation(
-                        tuple((rename[g], e) for g, e in rel.lhs),
-                        tuple((rename[g], e) for g, e in rel.rhs),
-                        "derived",
-                    )
-                except KeyError:
-                    raise _ReplayFailure("final relations must mention only canonical generators")
-                keys.append(canonical_relator_key(translated))
-            target = coxeter_presentation(r)
-            if sorted(keys) != sorted(canonical_relator_key(rel) for rel in target.relations):
-                raise _ReplayFailure("derived relations do not match the Coxeter presentation")
+            mismatch = _coxeter_mismatch([premise(idx, i).conclusion for i in st.premises], canon_pairs, r)
+            if mismatch is not None:
+                raise _ReplayFailure(mismatch)
             match_seen = True
 
     def note_resolution(rel: Optional[Relation]) -> None:
         """g is resolved by its first fact g = word over the canonical
         generators; a sound step's word evaluates to g's label."""
-        if rel is None or len(rel.lhs) != 1 or rel.lhs[0][1] != 1:
-            return
-        g = rel.lhs[0][0]
-        if g in resolved or not all(h in canon_gens for h, _ in rel.rhs):
+        g = None if rel is None else _subject(rel)
+        if g is None or g in resolved or not all(h in canon_gens for h, _ in rel.rhs):
             return
         if evaluate_word(rel.rhs, images, r) != g.label.images:
             raise _ReplayFailure(f"the word for {g} does not evaluate to its label")
@@ -1380,11 +1341,7 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
             continue
         verified.add(idx)
 
-    final_matches = (
-        match_seen
-        and log.final is not None
-        and presentations_match(log.final, coxeter_presentation(r))
-    )
+    final_matches = match_seen and log.final == coxeter_presentation(r).to_json()
     return ReplayReport(
         n=n,
         r=r,
@@ -1399,9 +1356,7 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
 def _flush_source(rest: list[Relation], sides: dict) -> object:
     """Which kernel/image the flush premises certify; raises on mismatch."""
     if len(rest) == 1:
-        pair = None
-        if len(rest[0].lhs) == 1 and len(rest[0].rhs) == 1:
-            pair = (rest[0].lhs[0][0], rest[0].rhs[0][0])
+        pair = _eq_fact(rest[0])
         for key, gens in sides.items():
             if pair == gens:
                 return key
@@ -1409,9 +1364,10 @@ def _flush_source(rest: list[Relation], sides: dict) -> object:
     if len(rest) == 2:
         got = set()
         for rel in rest:
-            if len(rel.lhs) != 1 or rel.lhs[0][1] != 1 or rel.rhs != ():
+            g = _one_fact(rel)
+            if g is None:
                 raise _ReplayFailure("flush premises must be identity facts")
-            got.add(rel.lhs[0][0])
+            got.add(g)
         for key, gens in sides.items():
             if got == set(gens):
                 return key

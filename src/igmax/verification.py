@@ -48,6 +48,9 @@ from .presentation import (
     presentations_match,
 )
 
+# the coset budget of coset_enumerate and of ``igmax verify --with-coset-oracle``
+DEFAULT_MAX_COSETS = 50_000
+
 
 @dataclass(frozen=True)
 class CosetResult:
@@ -272,7 +275,7 @@ def _relators(pres: GroupPresentation) -> list[tuple[int, ...]]:
     return relators
 
 
-def coset_enumerate(pres: GroupPresentation, max_cosets: int = 100_000) -> CosetResult:
+def coset_enumerate(pres: GroupPresentation, max_cosets: int = DEFAULT_MAX_COSETS) -> CosetResult:
     """Order of the presented group, or inconclusive under the bound.
 
     >>> coset_enumerate(coxeter_presentation(4)).order

@@ -398,16 +398,29 @@ def test_replay_tampered_log(capsys, tmp_path, log_path):
 
 
 def test_replay_checks_the_stored_final_snapshot(capsys, tmp_path):
+    # the snapshot must equal the Coxeter presentation's JSON document, so
+    # even a reordering of its relations is a mismatch
     path = tmp_path / "log.json"
     code, _, _ = run(capsys, "reduce", "--n", "5", "--r", "3", "--log", str(path))
     assert code == 0
-    doc = json.loads(path.read_text())
-    doc["final"] = {"junk": True}
-    path.write_text(json.dumps(doc))
-    code, out, _ = run(capsys, "replay", "--log", str(path))
-    assert code == 4
-    assert "final snapshot: MISMATCH\n" in out
-    assert out.endswith("replay: FAIL\n")
+    genuine = path.read_text()
+
+    def junk(final):
+        return {"junk": True}
+
+    def reversed_relations(final):
+        final["relations"].reverse()
+        return final
+
+    for edit in (junk, reversed_relations):
+        doc = json.loads(genuine)
+        doc["final"] = edit(doc["final"])
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "replay", "--log", str(path))
+        assert code == 4, edit.__name__
+        assert "failures: 0\n" in out
+        assert "final snapshot: MISMATCH\n" in out
+        assert out.endswith("replay: FAIL\n")
 
 
 def test_verification_failure_exits_four(capsys, monkeypatch):
@@ -578,6 +591,25 @@ def test_verify_rejects_a_budget_below_one(capsys, budget):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "--max-cosets" in err
+
+
+def test_verify_oracle_runs_under_the_library_default_budget(capsys, monkeypatch):
+    import inspect
+
+    import igmax.verification as verification
+
+    budgets = []
+    real = verification.coset_enumerate
+
+    def recorded(pres, max_cosets):
+        budgets.append(max_cosets)
+        return real(pres, max_cosets)
+
+    monkeypatch.setattr(verification, "coset_enumerate", recorded)
+    code, _, _ = run(capsys, "verify", "--n", "4", "--r", "2", "--with-coset-oracle")
+    assert code == 0
+    default = inspect.signature(real).parameters["max_cosets"].default
+    assert budgets == [default] == [verification.DEFAULT_MAX_COSETS]
 
 
 def test_verify_max_cosets_needs_the_oracle(capsys):
