@@ -27,7 +27,7 @@ import argparse
 import gc
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .combinatorics import Partition, Subset
@@ -38,7 +38,6 @@ from .errors import (
     VerificationFailed,
 )
 from .labels import label_with_context, label_spectrum
-from .presentation import build_presentation, word_str
 from .squares import square_census, square_records
 
 # Not called here: perfbench/trace_run.py wraps these three names in this module.
@@ -169,11 +168,17 @@ def cmd_squares(args, out) -> int:
 
 
 def cmd_present(args, out) -> int:
+    # imported here, as in cmd_reduce and cmd_verify: only these commands compile
+    # the presentation layer (and the Schreier words it imports)
+    from .presentation import GroupPresentation, build_presentation, word_str
+
     cfg = RunConfig.from_args(args)
     cfg.validate()
     pres = build_presentation(cfg.n, cfg.r)
     if args.family != "all":
-        pres = replace(pres, relations=tuple(rel for rel in pres.relations if rel.tag == args.family))
+        pres = GroupPresentation(
+            pres.generators, [rel for rel in pres.relations if rel.tag == args.family], pres.meta
+        )
     if cfg.format == "json":
         _emit_json(pres.to_json(), out)
         return EXIT_OK

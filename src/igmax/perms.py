@@ -210,6 +210,51 @@ def evaluate_word(word: Iterable[Letter], images: Mapping[Letter, tuple[int, ...
     return acc
 
 
+class ProductTable:
+    """Permutations of one degree numbered as they are met, with their
+    products filled in on demand.
+
+    Equal permutations get equal ids, so comparing two products is comparing
+    two ints.  :meth:`evaluate` gives the left-to-right product of a word,
+    as :func:`evaluate_word` does, over letters that ``ids`` maps to ids.
+
+    >>> t = ProductTable(3)
+    >>> ids = {"c": t.intern((2, 3, 1))}
+    >>> t.images[t.evaluate("cc", ids)], t.evaluate("ccc", ids) == t.identity
+    ((3, 1, 2), True)
+    >>> t.evaluate("", ids) == t.identity
+    True
+    """
+
+    def __init__(self, r: int):
+        self.images: list[tuple[int, ...]] = []
+        self._ids: dict[tuple[int, ...], int] = {}
+        self._products: list[dict[int, int]] = []
+        self.identity = self.intern(tuple(range(1, r + 1)))
+
+    def intern(self, images: tuple[int, ...]) -> int:
+        """The id of the permutation with these one-line images."""
+        i = self._ids.get(images)
+        if i is None:
+            i = self._ids[images] = len(self.images)
+            self.images.append(images)
+            self._products.append({})
+        return i
+
+    def evaluate(self, word: Iterable[Hashable], ids: Mapping[Hashable, int]) -> int:
+        """The id of the product of ``ids[letter]`` over the word's letters."""
+        acc = self.identity
+        products = self._products
+        for letter in word:
+            i = ids[letter]
+            row = products[acc]
+            nxt = row.get(i)
+            if nxt is None:
+                nxt = row[i] = self.intern(compose(self.images[acc], self.images[i]))
+            acc = nxt
+        return acc
+
+
 def descent_number(p: Permutation) -> int:
     """Number of positions k whose entry exceeds some later entry.
 

@@ -18,6 +18,16 @@ on (``verify`` runs it on the log it has just produced), so none of the
 producer's own checks is load-bearing: a construction that went wrong yields
 a step the replay rejects.
 
+The presentation is held as int letters (see
+:class:`~igmax.presentation.GroupPresentation`).  The producer only counts
+its relations: it emits one discharge step per relation index and never
+enumerates the bottom family.  The replay reads each discharged relation's
+letters, looks up its generators' resolution in a table indexed by generator
+number, and compares the label ids of its two sides in a product table over
+S_r (:class:`~igmax.perms.ProductTable`).  So the bottom family is
+enumerated once per replay, as ints, and no :class:`Relation` of the
+presentation is made on the way.
+
 Each check has one copy.  Every rule reads a fact's shape (g = word, g = 1,
 g = h) with the same readers, exponents included, and compares conclusions
 whole; :meth:`Derivation.finish` and the ``coxeter-match`` step share one
@@ -56,6 +66,7 @@ from .combinatorics import Partition, Subset
 from .errors import InvalidParameters, VerificationFailed
 from .labels import label_by_subscripts
 from .perms import (
+    ProductTable,
     classify_descent_one,
     contiguous_cycle,
     descent_number,
@@ -74,6 +85,7 @@ from .presentation import (
     coxeter_generators,
     coxeter_presentation,
     free_reduce,
+    letter_label_ids,
     substitute,
 )
 from .schreier import IdempotentLetter, SchreierSystem, build_schreier, convex_partition_of, predecessor
@@ -173,8 +185,12 @@ def _require_singular(sq: Square) -> None:
         raise VerificationFailed(f"square fails the pair test: {sq.to_json()}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DerivationStep:
+    """One logged step.  Not frozen: a log holds one discharge step per
+    relation, and a frozen dataclass's constructor, which sets each field
+    through ``object.__setattr__``, takes three times as long."""
+
     rule: str
     conclusion: Optional[Relation]
     premises: tuple[int, ...] = ()
@@ -249,16 +265,21 @@ class DerivationLog:
 
     @classmethod
     def _parse(cls, doc: dict) -> "DerivationLog":
+        # a document without a version is read as the one version there is
+        version = doc.get("version", 1)
+        if type(version) is not int or version != 1:
+            raise ValueError(f"unsupported log version {version!r}, this replayer reads version 1")
         n, r = doc["n"], doc["r"]
         if type(n) is not int or type(r) is not int:
             raise TypeError(f"n and r must be integers, got {n!r}, {r!r}")
         if not 1 <= r <= n - 2:
             raise ValueError(f"a reduction log needs 1 <= r <= n-2, got n={n}, r={r}")
-        # each distinct kernel, image and generator text is parsed and
+        # each distinct kernel, image, generator and square text is parsed and
         # validated once; conclusions and witness squares share the objects
         kernels: dict[str, Partition] = {}
         images: dict[str, Subset] = {}
         generators: dict[tuple[str, str], GeneratorId] = {}
+        squares: dict[tuple[str, str, str, str], Square] = {}
 
         def kernel(text: str) -> Partition:
             p = kernels.get(text)
@@ -296,11 +317,10 @@ class DerivationLog:
                 )
             square = None
             if "square" in sd:
-                pt, qt, at, bt = sd["square"]
-                square = Square(
-                    (kernel(pt), kernel(qt)),
-                    (image(at), image(bt)),
-                )
+                pt, qt, at, bt = key = tuple(sd["square"])
+                square = squares.get(key)
+                if square is None:
+                    square = squares[key] = Square((kernel(pt), kernel(qt)), (image(at), image(bt)))
             steps.append(
                 DerivationStep(rule, conclusion, tuple(sd.get("premises", ())), square, sd.get("data"))
             )
@@ -730,10 +750,10 @@ class Derivation:
         """A step concluding f[P,A] = f[P,B] for equal labels; None if A == B."""
         if A == B:
             return None
-        pi = label_by_subscripts(P, A)
-        if pi != label_by_subscripts(P, B):
-            raise InvalidParameters("same-row identification needs equal labels")
         ga, gb = _gid((P, A)), _gid((P, B))
+        pi = ga.label
+        if pi != gb.label:
+            raise InvalidParameters("same-row identification needs equal labels")
         if pi.is_identity():
             s1 = self.one(P, A)
             s2 = self.one(P, B)
@@ -769,10 +789,10 @@ class Derivation:
         """A step concluding f[P,A] = f[Q,A] for equal labels; None if P == Q."""
         if P == Q:
             return None
-        pi = label_by_subscripts(P, A)
-        if pi != label_by_subscripts(Q, A):
-            raise InvalidParameters("same-column identification needs equal labels")
         ga, gq = _gid((P, A)), _gid((Q, A))
+        pi = ga.label
+        if pi != gq.label:
+            raise InvalidParameters("same-column identification needs equal labels")
         if pi.is_identity():
             s1 = self.one(P, A)
             s2 = self.one(Q, A)
@@ -805,7 +825,7 @@ class Derivation:
 
     def cycle_eq(self, P: Partition, A: Subset) -> Optional[int]:
         """Chain f[P,A] to its class representative; None when already there."""
-        kl = classify_descent_one(label_by_subscripts(P, A))
+        kl = classify_descent_one(_gid((P, A)).label)
         if kl is None:
             raise InvalidParameters(f"label of ({P}, {A}) is not a contiguous cycle")
         k, l = kl
@@ -1024,7 +1044,8 @@ class Derivation:
         with eval(ρ(g)) = label(g), then emit one discharge step per original
         relation.  Evaluation in S_r and the label map are homomorphisms, so a
         relation u = v then holds under ρ exactly when label(u) = label(v);
-        :func:`replay_log` checks that equation for each discharge step."""
+        :func:`replay_log` checks that equation for each discharge step.  The
+        steps need only the relation count, so no relation is read here."""
         r = self.r
         canonical = letter_images({_gid(p): _gid(p).label for p in self.canonical_pairs()})
         for g in self.pres.generators:
@@ -1033,8 +1054,9 @@ class Derivation:
                 raise VerificationFailed(f"no resolution for {g}")
             if evaluate_word(res[1], canonical, r) != g.label.images:
                 raise VerificationFailed(f"resolution of {g} does not evaluate to its label")
-        for i in range(len(self.pres.relations)):
-            self._add("discharge", None, data={"pz": i})
+        self.log.steps += [
+            DerivationStep("discharge", None, (), None, {"pz": i}) for i in range(self.pres.relation_count)
+        ]
 
     def finish(self) -> GroupPresentation:
         canon = self.canonical_pairs()
@@ -1053,7 +1075,7 @@ class Derivation:
             {
                 "steps": len(self.log),
                 "generators": len(self.pres.generators),
-                "relations": len(self.pres.relations),
+                "relations": self.pres.relation_count,
                 "survivors": self.r - 1,
             }
         )
@@ -1148,35 +1170,50 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
     canon_pairs = [canonical_cycle_pair(k, 1, n, r) for k in range(1, r)]
     canon_gens = {_gid(p) for p in canon_pairs}
     images = letter_images({g: g.label for g in canon_gens})
-    labels = letter_images({g: g.label for g in pres.generators})
-    relations = pres.relations
-    # ``resolved`` holds the presentation's own generator objects, so the
-    # discharge lookups of relation generators hit by identity
-    own = {g: g for g in pres.generators}
-    resolved = {own.get(g, g) for g in canon_gens}
-    discharged: set[int] = set()
+    generators = pres.generators
+    relations = pres.relation_count
+    # discharge works on the presentation's int letters: letter 2*i (2*i+1)
+    # carries the id of generator i's label (its inverse), ``resolved[i]``
+    # says whether generator i is resolved
+    table = ProductTable(r)
+    label_ids = letter_label_ids(generators, table)
+    number = {g: i for i, g in enumerate(generators)}
+    resolved = bytearray(len(generators))
+    discharged = bytearray(relations)
+    singular: dict[Square, bool] = {}
     failures: list[tuple[int, str]] = []
-    verified: set[int] = set()
+    verified = bytearray(len(log.steps))
     match_seen = False
+
+    def resolve(g: GeneratorId) -> None:
+        i = number.get(g)
+        if i is None:  # not a generator of the presentation: in no relation
+            i = number[g] = len(resolved)
+            resolved.append(0)
+        resolved[i] = 1
+
+    for g in canon_gens:
+        resolve(g)
 
     def premise(idx: int, i: int) -> DerivationStep:
         if not 0 <= i < idx:
             raise _ReplayFailure(f"premise {i} out of range")
-        if i not in verified:
+        if not verified[i]:
             raise _ReplayFailure(f"premise {i} was not verified")
         return log.steps[i]
 
     def discharge(st: DerivationStep) -> None:
         pz = st.data["pz"]
-        if not 0 <= pz < len(relations):
+        if type(pz) is not int or not 0 <= pz < relations:
             raise _ReplayFailure(f"relation index {pz} out of range")
-        rel = relations[pz]
-        for g, _ in rel.lhs + rel.rhs:
-            if g not in resolved:
+        lhs, rhs = pres.letters(pz)
+        for letter in lhs + rhs:
+            if not resolved[letter >> 1]:
+                g = generators[letter >> 1]
                 raise _ReplayFailure(f"no resolution for {g}")
-        if evaluate_word(rel.lhs, labels, r) != evaluate_word(rel.rhs, labels, r):
+        if table.evaluate(lhs, label_ids) != table.evaluate(rhs, label_ids):
             raise _ReplayFailure(f"relation {pz} does not hold under the resolution map")
-        discharged.add(pz)
+        discharged[pz] = 1
 
     def check(idx: int, st: DerivationStep) -> None:
         rule = st.rule
@@ -1202,7 +1239,11 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
                 raise _ReplayFailure("bottom step needs its witness square")
             if sq.is_degenerate():
                 raise _ReplayFailure("witness square is degenerate")
-            if not (is_singular_sq2(sq) and is_singular_sq3(sq)):
+            # each distinct square is tested once; every step citing it reports
+            ok = singular.get(sq)
+            if ok is None:
+                ok = singular[sq] = is_singular_sq2(sq) and is_singular_sq3(sq)
+            if not ok:
                 raise _ReplayFailure("witness square is not singular")
             want = _bottom_relation(sq)
             if st.conclusion != want:
@@ -1319,11 +1360,11 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
         """g is resolved by its first fact g = word over the canonical
         generators; a sound step's word evaluates to g's label."""
         g = None if rel is None else _subject(rel)
-        if g is None or g in resolved or not all(h in canon_gens for h, _ in rel.rhs):
+        if g is None or g in number and resolved[number[g]] or not all(h in canon_gens for h, _ in rel.rhs):
             return
         if evaluate_word(rel.rhs, images, r) != g.label.images:
             raise _ReplayFailure(f"the word for {g} does not evaluate to its label")
-        resolved.add(own.get(g, g))
+        resolve(g)
 
     # discharge steps are nearly all of a log: dispatch them first
     for idx, st in enumerate(log.steps):
@@ -1339,7 +1380,7 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
         except Exception as exc:  # malformed step data
             failures.append((idx, f"{type(exc).__name__}: {exc}"))
             continue
-        verified.add(idx)
+        verified[idx] = 1
 
     final_matches = match_seen and log.final == coxeter_presentation(r).to_json()
     return ReplayReport(
@@ -1347,8 +1388,8 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
         r=r,
         steps_checked=len(log.steps),
         failures=tuple(failures),
-        discharged=len(discharged),
-        relations=len(relations),
+        discharged=discharged.count(1),
+        relations=relations,
         final_matches=final_matches,
     )
 

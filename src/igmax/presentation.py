@@ -4,8 +4,8 @@ substitution).
 
 Generators of the big presentation are the transversal pairs themselves;
 abstract symbols appear only in the Coxeter target and after final
-renaming.  Relations are stored as equations (pairs of words), not
-relators, and carry a provenance tag:
+renaming.  Relations are equations (pairs of words), not relators, and
+carry a provenance tag:
 
 ``top``     pairs of generators sharing a kernel whose canonical words
             differ by exactly the appended letter;
@@ -15,19 +15,30 @@ relators, and carry a provenance tag:
 ``coxeter`` the target relations.
 
 Words multiply left to right, like everything else in the package.
+
+A :class:`GroupPresentation` holds its relations as int letter words:
+generator i is the letter ``2*i`` and its inverse ``2*i + 1``, the encoding
+the coset enumerator works in.  :class:`Relation` objects, with
+:class:`GeneratorId` letters, are made only when ``relations`` is read (by
+``igmax present``, the boundary checks and the tests).  The bottom family of
+:func:`build_presentation` is lazy: it is counted off the SQ3 buckets and
+its squares are enumerated only when a bottom relation is first asked for,
+so ``reduce`` never enumerates it and ``replay`` and the coset oracle read
+it once, as ints.
 """
 
 from __future__ import annotations
 
 import warnings
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Union
+from typing import Callable, Optional, Union
 
 from .combinatorics import Partition, Subset, require_transversal
-from .errors import InvalidParameters
+from .errors import InvalidParameters, VerificationFailed
 from .labels import label_by_subscripts
-from .perms import Permutation
+from .perms import Permutation, ProductTable, invert
 from .schreier import IdempotentLetter, build_schreier
 from .squares import _singular_index, enumerate_singular_squares
 
@@ -166,16 +177,103 @@ def _gen_key(gen: Gen):
     return (1, gen.subset.elements, gen.partition.blocks)
 
 
-@dataclass
 class GroupPresentation:
-    generators: tuple[Gen, ...]
-    relations: tuple[Relation, ...]
-    meta: dict = field(default_factory=dict)
+    """Generators, relations over them, and a ``meta`` dict.
+
+    Relations are held as int letter words: letter ``2*i`` is generator i of
+    ``generators`` and ``2*i + 1`` its inverse, so ``letter ^ 1`` inverts a
+    letter and ``letter >> 1`` names its generator.  :meth:`letters` gives
+    one relation's two sides that way and ``relation_count`` their number;
+    ``relations`` gives them as :class:`Relation` objects, made on first
+    read.  A presentation made by hand from Relation objects derives its
+    letters on first use; :func:`build_presentation` writes letters and reads
+    its bottom family only when a relation of it is asked for.
+    """
+
+    def __init__(self, generators, relations, meta: Optional[dict] = None):
+        self.generators: tuple[Gen, ...] = tuple(generators)
+        self.meta: dict = {} if meta is None else meta
+        self._relations: Optional[tuple[Relation, ...]] = tuple(relations)
+        self._words: Optional[list[tuple[tuple[int, ...], tuple[int, ...]]]] = None
+        self._tags: list[str] = []
+        # the relations after ``_words``: all tagged bottom, four letters each
+        # in ``_corners`` once ``_read_bottom`` has filled it
+        self._bottom = 0
+        self._corners: Optional[array] = None
+        self._read_bottom: Optional[Callable[[], array]] = None
+
+    @classmethod
+    def _of_letters(
+        cls,
+        generators: tuple[Gen, ...],
+        words: list[tuple[tuple[int, ...], tuple[int, ...]]],
+        tags: list[str],
+        bottom: int,
+        read_bottom: Callable[[], array],
+        meta: dict,
+    ) -> "GroupPresentation":
+        """``words`` tagged ``tags``, then ``bottom`` relations p^-1 q = s^-1 t
+        whose letters ``read_bottom()`` returns flat, four per relation."""
+        pres = cls(generators, (), meta)
+        pres._relations = None
+        pres._words, pres._tags = words, tags
+        pres._bottom, pres._read_bottom = bottom, read_bottom
+        return pres
+
+    def _explicit(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        if self._words is None:
+            number = {g: i for i, g in enumerate(self.generators)}
+
+            def letters(word: GroupWord) -> tuple[int, ...]:
+                return tuple(2 * number[g] + (e < 0) for g, e in word)
+
+            self._words = [(letters(rel.lhs), letters(rel.rhs)) for rel in self._relations]
+            self._tags = [rel.tag for rel in self._relations]
+        return self._words
+
+    @property
+    def relation_count(self) -> int:
+        return len(self._explicit()) + self._bottom
+
+    def letters(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The int letters of relation ``i``'s two sides."""
+        words = self._words if self._words is not None else self._explicit()
+        if i < len(words):
+            return words[i]
+        c = self._corners
+        if c is None:
+            c = self._read_bottom()
+            if len(c) != 4 * self._bottom:
+                raise VerificationFailed(
+                    f"the bottom family holds {len(c) // 4} relations, not the {self._bottom} counted"
+                )
+            self._corners = c
+        k = 4 * (i - len(words))
+        return (c[k], c[k + 1]), (c[k + 2], c[k + 3])
+
+    def tag(self, i: int) -> str:
+        words = self._explicit()
+        return self._tags[i] if i < len(words) else "bottom"
+
+    @property
+    def relations(self) -> tuple[Relation, ...]:
+        if self._relations is None:
+            gens = self.generators
+
+            def word(letters: tuple[int, ...]) -> GroupWord:
+                return tuple((gens[x >> 1], -1 if x & 1 else 1) for x in letters)
+
+            self._relations = tuple(
+                Relation(word(lhs), word(rhs), self.tag(i))
+                for i, (lhs, rhs) in enumerate(map(self.letters, range(self.relation_count)))
+            )
+        return self._relations
 
     def counts_by_tag(self) -> dict[str, int]:
         out: dict[str, int] = {}
-        for rel in self.relations:
-            out[rel.tag] = out.get(rel.tag, 0) + 1
+        for i in range(self.relation_count):
+            tag = self.tag(i)
+            out[tag] = out.get(tag, 0) + 1
         return out
 
     def to_json(self) -> dict:
@@ -204,6 +302,17 @@ class GroupPresentation:
         }
 
 
+def letter_label_ids(generators: tuple[GeneratorId, ...], table: ProductTable) -> list[int]:
+    """The id in ``table`` of each int letter's label: generator i's label at
+    ``2*i``, its inverse at ``2*i + 1``.  A relation then holds on the labels
+    when ``table.evaluate`` gives its two sides the same id."""
+    ids: list[int] = []
+    for g in generators:
+        ids.append(table.intern(g.label.images))
+        ids.append(table.intern(invert(g.label.images)))
+    return ids
+
+
 def presentations_match(a: GroupPresentation, b: GroupPresentation) -> bool:
     """Same generator sequence and same relations up to rotation/inversion."""
     if tuple(g.display() for g in a.generators) != tuple(g.display() for g in b.generators):
@@ -216,6 +325,16 @@ def presentations_match(a: GroupPresentation, b: GroupPresentation) -> bool:
 def build_presentation(n: int, r: int) -> GroupPresentation:
     """The full presentation on all (kernel, image) generators.
 
+    Generators are numbered kernel by kernel in the order of
+    ``squares._singular_index``, each kernel's transversals in its order.
+    The top and middle families, O(generators) relations, are written as
+    letters here.  The bottom family, one relation per proper singular
+    square and nearly all of the relations, is counted off the SQ3 buckets
+    (a bucket of k kernels holds k(k-1) squares, as in
+    :func:`~igmax.squares.square_census`) and read from
+    ``enumerate_singular_squares`` only when a bottom relation is first
+    asked for; :func:`igmax.pipeline.run_pipeline` only counts it.
+
     Only r <= n-2 is in the theorem's scope; r = n-1 is allowed with a
     warning (its bottom family is empty).
     """
@@ -227,54 +346,59 @@ def build_presentation(n: int, r: int) -> GroupPresentation:
             stacklevel=2,
         )
     sch = build_schreier(n, r)
-    # the enumerator's own kernels and images, so the bottom family's
-    # gen_of lookups below hit by identity instead of comparing by value
     index = _singular_index(n, r)
-    parts = index.parts
-    trans = {p: [index.subsets[i] for i in ids] for p, ids in zip(parts, index.transversal_ids)}
-    gen_of: dict[tuple[Partition, Subset], GeneratorId] = {}
+    parts, subsets = index.parts, index.subsets
     generators: list[Gen] = []
-    for p in parts:
-        for a in trans[p]:
-            g = GeneratorId.of(p, a)
-            gen_of[(p, a)] = g
-            generators.append(g)
+    # letter[i][a]: the letter of the generator of kernel i over image a
+    letter: list[dict[int, int]] = []
+    for p, ids in zip(parts, index.transversal_ids):
+        row = {}
+        for a in ids:
+            row[a] = 2 * len(generators)
+            generators.append(GeneratorId.of(p, subsets[a]))
+        letter.append(row)
 
-    relations: list[Relation] = []
+    words: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    tags: list[str] = []
     top_ordered = 0
     top_distinct: set[frozenset] = set()
-    for p in parts:
-        for a in trans[p]:
-            word_a = sch.word_to(a)
-            for b in trans[p]:
+    for i, (p, ids) in enumerate(zip(parts, index.transversal_ids)):
+        for a in ids:
+            word_a = sch.word_to(subsets[a])
+            for b in ids:
                 if a == b:
                     continue
-                if word_a + (IdempotentLetter(p, b),) == sch.word_to(b):
+                if word_a + (IdempotentLetter(p, subsets[b]),) == sch.word_to(subsets[b]):
                     top_ordered += 1
                     key = frozenset((a, b))
                     if key not in top_distinct:
                         top_distinct.add(key)
-                        relations.append(
-                            Relation(((gen_of[(p, a)], 1),), ((gen_of[(p, b)], 1),), "top")
-                        )
-    for p in parts:
-        relations.append(Relation(((gen_of[(p, p.min_transversal())], 1),), (), "middle"))
-    bottom = 0
-    for sq in enumerate_singular_squares(n, r):
-        pk, qk = sq.kernels
-        ai, bi = sq.images
-        relations.append(
-            Relation(
-                ((gen_of[(pk, ai)], -1), (gen_of[(pk, bi)], 1)),
-                ((gen_of[(qk, ai)], -1), (gen_of[(qk, bi)], 1)),
-                "bottom",
-            )
-        )
-        bottom += 1
-    return GroupPresentation(
+                        words.append(((letter[i][a],), (letter[i][b],)))
+                        tags.append("top")
+    subset_id = {s: a for a, s in enumerate(subsets)}
+    for i, p in enumerate(parts):
+        words.append(((letter[i][subset_id[p.min_transversal()]],), ()))
+        tags.append("middle")
+    bottom = sum(k * (k - 1) for k in map(len, index.buckets.values()))
+    # a generator object: no square is made before the family is read
+    squares = enumerate_singular_squares(n, r)
+
+    def read_bottom() -> array:
+        rows = {p: {subsets[a]: x for a, x in row.items()} for p, row in zip(parts, letter)}
+        corners: list[int] = []
+        for sq in squares:
+            (p, q), (a, b) = sq.kernels, sq.images
+            rp, rq = rows[p], rows[q]
+            corners += (rp[a] + 1, rp[b], rq[a] + 1, rq[b])
+        return array("i", corners)
+
+    return GroupPresentation._of_letters(
         tuple(generators),
-        tuple(relations),
-        meta={
+        words,
+        tags,
+        bottom,
+        read_bottom,
+        {
             "n": n,
             "r": r,
             "top_ordered": top_ordered,

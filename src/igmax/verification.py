@@ -37,7 +37,7 @@ from typing import Optional
 
 from . import pipeline
 from .errors import InvalidParameters, VerificationFailed
-from .perms import Permutation, evaluate_word, letter_images
+from .perms import Permutation, ProductTable
 # presentations_match stays importable from here: the tests and
 # perfbench/trace_run.py use it under this module's name
 from .presentation import (
@@ -45,6 +45,7 @@ from .presentation import (
     GroupPresentation,
     build_presentation,
     coxeter_presentation,
+    letter_label_ids,
     presentations_match,
 )
 
@@ -251,18 +252,18 @@ def _relators(pres: GroupPresentation) -> list[tuple[int, ...]]:
     is consistent on inverses (a·l = b gives b·l^-1 = a).  So a later scan
     of w, or of w^-1, at that coset defines nothing and queues nothing.
 
+    These are the presentation's own letters (see
+    :class:`~igmax.presentation.GroupPresentation`).
+
     >>> _relators(coxeter_presentation(3))
     [(0, 0), (2, 2), (0, 2, 0, 3, 1, 3)]
     """
-    index = {g: 2 * i for i, g in enumerate(pres.generators)}
-    inverted = {1: 0, -1: 1}
     relators = []
     seen = set()
-    for rel in pres.relations:
+    for i in range(pres.relation_count):
+        lhs, rhs = pres.letters(i)
         word: list[int] = []
-        for letter in [index[g] + inverted[e] for g, e in rel.lhs] + [
-            index[g] + inverted[-e] for g, e in reversed(rel.rhs)
-        ]:
+        for letter in lhs + tuple([x ^ 1 for x in reversed(rhs)]):
             if word and word[-1] == letter ^ 1:
                 word.pop()
             else:
@@ -346,13 +347,15 @@ def label_homomorphism_check(pres: GroupPresentation) -> HomReport:
     if r is None:
         raise InvalidParameters("presentation has no generators")
 
-    images = letter_images({g: g.label for g in pres.generators})
+    table = ProductTable(r)
+    label_ids = letter_label_ids(pres.generators, table)
     checked = 0
     failure = None
-    for rel in pres.relations:
+    for i in range(pres.relation_count):
         checked += 1
-        if evaluate_word(rel.lhs, images, r) != evaluate_word(rel.rhs, images, r) and failure is None:
-            failure = str(rel)
+        lhs, rhs = pres.letters(i)
+        if failure is None and table.evaluate(lhs, label_ids) != table.evaluate(rhs, label_ids):
+            failure = str(pres.relations[i])
 
     image_order = _generated_order({g.label for g in pres.generators}, r)
     return HomReport(
@@ -373,8 +376,7 @@ def _boundary_survivors(pres: GroupPresentation) -> Optional[int]:
     other class keeps one generator, and no relation survives.  Returns
     None when some relation has another shape.
     """
-    index = {g: i for i, g in enumerate(pres.generators)}
-    one = len(index)
+    one = len(pres.generators)
     parent = list(range(one + 1))
 
     def find(x: int) -> int:
@@ -383,11 +385,12 @@ def _boundary_survivors(pres: GroupPresentation) -> Optional[int]:
             x = parent[x]
         return x
 
-    for rel in pres.relations:
-        if len(rel.lhs) != 1 or len(rel.rhs) > 1 or any(e != 1 for _, e in rel.lhs + rel.rhs):
+    for i in range(pres.relation_count):
+        lhs, rhs = pres.letters(i)
+        if len(lhs) != 1 or len(rhs) > 1 or any(x & 1 for x in lhs + rhs):
             return None
-        a = find(index[rel.lhs[0][0]])
-        b = find(index[rel.rhs[0][0]]) if rel.rhs else find(one)
+        a = find(lhs[0] >> 1)
+        b = find(rhs[0] >> 1) if rhs else find(one)
         parent[a] = b
     return len({find(i) for i in range(one)} - {find(one)})
 

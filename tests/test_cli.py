@@ -444,7 +444,9 @@ def test_replay_rejects_foreign_document(capsys, tmp_path):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("damage", ["missing-n", "generator-as-list", "truncated"])
+@pytest.mark.parametrize(
+    "damage", ["missing-n", "generator-as-list", "truncated", "version-7", "version-as-string"]
+)
 def test_replay_reports_malformed_log(capsys, tmp_path, log_path, damage):
     text = log_path.read_text()
     if damage == "truncated":
@@ -453,6 +455,10 @@ def test_replay_reports_malformed_log(capsys, tmp_path, log_path, damage):
         doc = json.loads(text)
         if damage == "missing-n":
             del doc["n"]
+        elif damage == "version-7":
+            doc["version"] = 7
+        elif damage == "version-as-string":
+            doc["version"] = "1"
         else:
             letter = next(sd for sd in doc["steps"] if "conclusion" in sd)["conclusion"]["lhs"][0]
             letter[0] = [letter[0]]

@@ -413,6 +413,62 @@ def test_replay_discharge_index_out_of_range(log_four_two):
     assert not report.ok
 
 
+@pytest.mark.parametrize("pz", [True, False, 1.0, "1", None])
+def test_replay_discharge_index_must_be_an_int(log_four_two, pz):
+    # True == 1 and False == 0 as Python ints: a bool must not discharge them
+    doc = copy.deepcopy(log_four_two.to_json())
+    idx, first = next((i, sd) for i, sd in enumerate(doc["steps"]) if sd["rule"] == "discharge")
+    first["pz"] = pz
+    report = replay_log(DerivationLog.from_json(json.loads(json.dumps(doc))))
+    assert report.failures == ((idx, f"relation index {pz} out of range"),)
+    assert report.discharged == report.relations - 1
+    assert not report.ok
+
+
+def test_log_parser_shares_one_square_per_witness_text():
+    _, log = run_pipeline(6, 3)
+    back = DerivationLog.from_json(json.loads(json.dumps(log.to_json())))
+    cited = [st.square for st in back.steps if st.square is not None]
+    assert len({id(sq) for sq in cited}) == len(set(cited))
+
+
+def test_replay_checks_each_distinct_square_once(monkeypatch):
+    # (6,3) cites 454 distinct squares in 666 bottom steps
+    _, log = run_pipeline(6, 3)
+    back = DerivationLog.from_json(json.loads(json.dumps(log.to_json())))
+    bottoms = [st.square for st in back.steps if st.rule == "bottom"]
+    assert (len(bottoms), len(set(bottoms))) == (666, 454)
+    calls = []
+    real = pipeline_module.is_singular_sq3
+
+    def counted(sq):
+        calls.append(sq)
+        return real(sq)
+
+    monkeypatch.setattr(pipeline_module, "is_singular_sq3", counted)
+    assert replay_log(back).ok
+    assert len(calls) == 454
+
+
+def test_replay_reports_every_step_citing_a_bad_square():
+    from igmax.squares import enumerate_squares
+
+    _, log = run_pipeline(6, 3)
+    doc = log.to_json()
+    cited: dict = {}
+    for i, sd in enumerate(doc["steps"]):
+        if sd["rule"] == "bottom":
+            cited.setdefault(tuple(sd["square"]), []).append(i)
+    text, steps = next((t, idxs) for t, idxs in cited.items() if len(idxs) >= 2)
+    bogus = next(sq for sq in enumerate_squares(6, 3) if not sq.is_degenerate() and not is_singular_sq3(sq))
+    for i in steps:
+        doc["steps"][i]["square"] = [str(x) for x in bogus.kernels + bogus.images]
+    report = replay_log(DerivationLog.from_json(json.loads(json.dumps(doc))))
+    for i in steps:
+        assert (i, "witness square is not singular") in report.failures
+    assert not report.ok
+
+
 def test_replay_discharge_needs_a_verified_resolution(log_four_two):
     # a middle step that no longer checks resolves nothing, so every
     # relation over its generator has no resolution to discharge through
