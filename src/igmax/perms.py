@@ -185,38 +185,14 @@ def letter_images(perms: Mapping[Hashable, Permutation]) -> dict[Letter, tuple[i
     return out
 
 
-def evaluate_word(word: Iterable[Letter], images: Mapping[Letter, tuple[int, ...]], r: int) -> tuple[int, ...]:
-    """The left-to-right product in S_r of a word of ``(generator, +-1)`` letters.
-
-    ``images`` maps every letter of the word to its one-line image tuple (see
-    :func:`letter_images`); an empty word evaluates to the identity.  The
-    fold starts from the first letter's image, so a word of k letters costs
-    k - 1 compositions.
-
-    >>> g = "g"
-    >>> evaluate_word([(g, 1), (g, 1)], letter_images({g: Permutation((2, 3, 1))}), 3)
-    (3, 1, 2)
-    >>> evaluate_word([], {}, 3)
-    (1, 2, 3)
-    """
-    letters = iter(word)
-    for first in letters:
-        acc = images[first]
-        break
-    else:
-        return tuple(range(1, r + 1))
-    for letter in letters:
-        acc = compose(acc, images[letter])
-    return acc
-
-
 class ProductTable:
     """Permutations of one degree numbered as they are met, with their
     products filled in on demand.
 
-    Equal permutations get equal ids, so comparing two products is comparing
-    two ints.  :meth:`evaluate` gives the left-to-right product of a word,
-    as :func:`evaluate_word` does, over letters that ``ids`` maps to ids.
+    This is where words are evaluated in S_r.  Equal permutations get equal
+    ids, so comparing two products is comparing two ints, and a product of
+    two ids is composed once per table.  :meth:`evaluate` gives the
+    left-to-right product of a word over letters that ``ids`` maps to ids.
 
     >>> t = ProductTable(3)
     >>> ids = {"c": t.intern((2, 3, 1))}
@@ -253,6 +229,25 @@ class ProductTable:
                 nxt = row[i] = self.intern(compose(self.images[acc], self.images[i]))
             acc = nxt
         return acc
+
+
+def evaluate_word(word: Iterable[Letter], images: Mapping[Letter, tuple[int, ...]], r: int) -> tuple[int, ...]:
+    """The left-to-right product in S_r of a word of ``(generator, +-1)`` letters.
+
+    ``images`` maps every letter of the word to its one-line image tuple (see
+    :func:`letter_images`); an empty word evaluates to the identity.  The
+    word is evaluated on a :class:`ProductTable` of its own; code that
+    evaluates many words over the same letters keeps one table instead.
+
+    >>> g = "g"
+    >>> evaluate_word([(g, 1), (g, 1)], letter_images({g: Permutation((2, 3, 1))}), 3)
+    (3, 1, 2)
+    >>> evaluate_word([], {}, 3)
+    (1, 2, 3)
+    """
+    word = tuple(word)
+    table = ProductTable(r)
+    return table.images[table.evaluate(word, {x: table.intern(images[x]) for x in word})]
 
 
 def descent_number(p: Permutation) -> int:

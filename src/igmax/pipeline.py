@@ -24,9 +24,10 @@ its relations: it emits one discharge step per relation index and never
 enumerates the bottom family.  The replay reads each discharged relation's
 letters, looks up its generators' resolution in a table indexed by generator
 number, and compares the label ids of its two sides in a product table over
-S_r (:class:`~igmax.perms.ProductTable`).  So the bottom family is
-enumerated once per replay, as ints, and no :class:`Relation` of the
-presentation is made on the way.
+S_r (:class:`~igmax.perms.ProductTable`), the table that also evaluates
+each generator's resolution word.  So the bottom family is enumerated once
+per replay, as ints, and no :class:`Relation` of the presentation is made
+on the way.
 
 Each check has one copy.  Every rule reads a fact's shape (g = word, g = 1,
 g = h) with the same readers, exponents included, and compares conclusions
@@ -70,7 +71,6 @@ from .perms import (
     classify_descent_one,
     contiguous_cycle,
     descent_number,
-    evaluate_word,
     letter_images,
     rightmost_descent,
 )
@@ -1046,13 +1046,14 @@ class Derivation:
         relation u = v then holds under ρ exactly when label(u) = label(v);
         :func:`replay_log` checks that equation for each discharge step.  The
         steps need only the relation count, so no relation is read here."""
-        r = self.r
-        canonical = letter_images({_gid(p): _gid(p).label for p in self.canonical_pairs()})
+        table = ProductTable(self.r)
+        images = letter_images({_gid(p): _gid(p).label for p in self.canonical_pairs()})
+        canonical = {x: table.intern(image) for x, image in images.items()}
         for g in self.pres.generators:
             res = self._res_memo.get((g.partition, g.subset))
             if res is None:
                 raise VerificationFailed(f"no resolution for {g}")
-            if evaluate_word(res[1], canonical, r) != g.label.images:
+            if table.evaluate(res[1], canonical) != table.intern(g.label.images):
                 raise VerificationFailed(f"resolution of {g} does not evaluate to its label")
         self.log.steps += [
             DerivationStep("discharge", None, (), None, {"pz": i}) for i in range(self.pres.relation_count)
@@ -1169,13 +1170,15 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
     sch = build_schreier(n, r)
     canon_pairs = [canonical_cycle_pair(k, 1, n, r) for k in range(1, r)]
     canon_gens = {_gid(p) for p in canon_pairs}
-    images = letter_images({g: g.label for g in canon_gens})
     generators = pres.generators
     relations = pres.relation_count
-    # discharge works on the presentation's int letters: letter 2*i (2*i+1)
-    # carries the id of generator i's label (its inverse), ``resolved[i]``
-    # says whether generator i is resolved
+    # words are evaluated on one product table: a canonical letter and each
+    # of the presentation's int letters (2*i for generator i, 2*i+1 for its
+    # inverse) carry the id of their label; ``resolved[i]`` says whether
+    # generator i is resolved
     table = ProductTable(r)
+    images = letter_images({g: g.label for g in canon_gens})
+    canonical = {x: table.intern(image) for x, image in images.items()}
     label_ids = letter_label_ids(generators, table)
     number = {g: i for i, g in enumerate(generators)}
     resolved = bytearray(len(generators))
@@ -1362,7 +1365,7 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
         g = None if rel is None else _subject(rel)
         if g is None or g in number and resolved[number[g]] or not all(h in canon_gens for h, _ in rel.rhs):
             return
-        if evaluate_word(rel.rhs, images, r) != g.label.images:
+        if table.evaluate(rel.rhs, canonical) != table.intern(g.label.images):
             raise _ReplayFailure(f"the word for {g} does not evaluate to its label")
         resolve(g)
 

@@ -185,17 +185,22 @@ class GroupPresentation:
     letter and ``letter >> 1`` names its generator.  :meth:`letters` gives
     one relation's two sides that way and ``relation_count`` their number;
     ``relations`` gives them as :class:`Relation` objects, made on first
-    read.  A presentation made by hand from Relation objects derives its
-    letters on first use; :func:`build_presentation` writes letters and reads
-    its bottom family only when a relation of it is asked for.
+    read.  A presentation made by hand from Relation objects converts them
+    to letters when it is made; :func:`build_presentation` writes letters
+    and reads its bottom family only when a relation of it is asked for.
     """
 
     def __init__(self, generators, relations, meta: Optional[dict] = None):
         self.generators: tuple[Gen, ...] = tuple(generators)
         self.meta: dict = {} if meta is None else meta
         self._relations: Optional[tuple[Relation, ...]] = tuple(relations)
-        self._words: Optional[list[tuple[tuple[int, ...], tuple[int, ...]]]] = None
-        self._tags: list[str] = []
+        number = {g: i for i, g in enumerate(self.generators)}
+
+        def letters(word: GroupWord) -> tuple[int, ...]:
+            return tuple(2 * number[g] + (e < 0) for g, e in word)
+
+        self._words = [(letters(rel.lhs), letters(rel.rhs)) for rel in self._relations]
+        self._tags = [rel.tag for rel in self._relations]
         # the relations after ``_words``: all tagged bottom, four letters each
         # in ``_corners`` once ``_read_bottom`` has filled it
         self._bottom = 0
@@ -214,30 +219,19 @@ class GroupPresentation:
     ) -> "GroupPresentation":
         """``words`` tagged ``tags``, then ``bottom`` relations p^-1 q = s^-1 t
         whose letters ``read_bottom()`` returns flat, four per relation."""
-        pres = cls(generators, (), meta)
-        pres._relations = None
+        pres = cls.__new__(cls)
+        pres.generators, pres.meta, pres._relations = generators, meta, None
         pres._words, pres._tags = words, tags
-        pres._bottom, pres._read_bottom = bottom, read_bottom
+        pres._bottom, pres._corners, pres._read_bottom = bottom, None, read_bottom
         return pres
-
-    def _explicit(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        if self._words is None:
-            number = {g: i for i, g in enumerate(self.generators)}
-
-            def letters(word: GroupWord) -> tuple[int, ...]:
-                return tuple(2 * number[g] + (e < 0) for g, e in word)
-
-            self._words = [(letters(rel.lhs), letters(rel.rhs)) for rel in self._relations]
-            self._tags = [rel.tag for rel in self._relations]
-        return self._words
 
     @property
     def relation_count(self) -> int:
-        return len(self._explicit()) + self._bottom
+        return len(self._words) + self._bottom
 
     def letters(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The int letters of relation ``i``'s two sides."""
-        words = self._words if self._words is not None else self._explicit()
+        words = self._words
         if i < len(words):
             return words[i]
         c = self._corners
@@ -252,8 +246,7 @@ class GroupPresentation:
         return (c[k], c[k + 1]), (c[k + 2], c[k + 3])
 
     def tag(self, i: int) -> str:
-        words = self._explicit()
-        return self._tags[i] if i < len(words) else "bottom"
+        return self._tags[i] if i < len(self._words) else "bottom"
 
     @property
     def relations(self) -> tuple[Relation, ...]:

@@ -471,6 +471,20 @@ def test_replay_reports_malformed_log(capsys, tmp_path, log_path, damage):
     assert err.startswith("error: malformed derivation log: ")
 
 
+def test_replay_reads_a_log_without_a_version_as_version_1(capsys, tmp_path, log_path):
+    # version 1 is the only version there is; the hand-written logs of the
+    # cap and rank tests below carry none
+    doc = json.loads(log_path.read_text())
+    assert doc["version"] == 1
+    del doc["version"]
+    path = tmp_path / "unversioned.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "replay", "--log", str(path))
+    assert code == 0 and err == ""
+    assert out == run(capsys, "replay", "--log", str(log_path))[1]
+    assert out.endswith("replay: PASS\n")
+
+
 def empty_log(tmp_path, n, r):
     path = tmp_path / f"log-{n}-{r}.json"
     path.write_text(json.dumps({"format": "igmax-derivation-log", "n": n, "r": r, "steps": []}))

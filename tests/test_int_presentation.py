@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 import igmax.presentation as presentation
 from igmax.cli import main
 from igmax.errors import VerificationFailed
-from igmax.perms import Permutation, ProductTable, evaluate_word, letter_images
+from igmax.perms import Permutation, ProductTable, compose, letter_images
 from igmax.pipeline import run_pipeline
 from igmax.presentation import GroupPresentation, Relation, build_presentation
 
@@ -96,9 +96,19 @@ def test_the_trust_path_makes_no_relation_of_the_presentation(monkeypatch, tmp_p
 PERMS = [Permutation(p) for p in itertools.permutations(range(1, 5))]
 
 
-@given(st.lists(st.tuples(st.integers(0, len(PERMS) - 1), st.sampled_from([1, -1])), max_size=8))
-def test_product_table_is_evaluate_word(word):
+LETTERS = st.tuples(st.integers(0, len(PERMS) - 1), st.sampled_from([1, -1]))
+
+
+@given(st.lists(st.lists(LETTERS, max_size=8), max_size=6))
+def test_one_product_table_evaluates_many_words(words):
+    # products filled in for one word must serve the next: each word on the
+    # shared table is its left fold from the identity
     table = ProductTable(4)
     images = letter_images(dict(enumerate(PERMS)))
     ids = {letter: table.intern(perm) for letter, perm in images.items()}
-    assert table.images[table.evaluate(word, ids)] == evaluate_word(word, images, 4)
+    for word in words:
+        want = (1, 2, 3, 4)
+        for letter in word:
+            want = compose(want, images[letter])
+        assert table.images[table.evaluate(word, ids)] == want
+        assert table.evaluate(word, ids) == table.intern(want)
