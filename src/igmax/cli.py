@@ -360,19 +360,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EXIT_OK
     # A command's objects (squares, relations, log steps) form no reference
     # cycles, so reference counting frees them.  With the cyclic collector
     # on, a reduce -> replay loop at (7,4) ran 4,303 collections that freed
-    # 31 objects in all and cost about a third of its time.  The caller's
-    # collector state is restored on the way out.
+    # 31 objects in all and cost about a third of its time.  The collector
+    # goes off before the parser is built (about 580 container objects),
+    # so whether a collection runs does not depend on what the caller
+    # allocated before.  The caller's collector state is restored on the
+    # way out.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code) if exc.code is not None else EXIT_OK
         return args.func(args, sys.stdout)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -41,7 +41,6 @@ from igmax.squares import (
 from igmax.verification import verify_theorem
 
 THEOREM_PAIRS = [(3, 1), (4, 2), (5, 2), (5, 3), (6, 3), (6, 4), (7, 4), (7, 5)]
-COSET_PAIRS = {(3, 1), (4, 2), (5, 2), (5, 3)}
 
 
 @pytest.fixture(scope="module")
@@ -50,8 +49,7 @@ def theorem_runs():
     runs = {}
     start = time.perf_counter()
     for n, r in THEOREM_PAIRS:
-        budget = 50_000 if (n, r) in COSET_PAIRS else None
-        runs[(n, r)] = verify_theorem(n, r, budget=budget)
+        runs[(n, r)] = verify_theorem(n, r, budget=50_000)
     return runs, time.perf_counter() - start
 
 
@@ -234,10 +232,7 @@ def test_criterion_12_theorem_desk_scale(theorem_runs):
         assert report.pipeline, (n, r)
         assert report.homomorphism, (n, r)
         assert report.verdict == f"confirmed S_{r}", (n, r)
-        if (n, r) in COSET_PAIRS:
-            assert report.coset_order == math.factorial(r), (n, r)
-        else:
-            assert report.coset_order is None
+        assert report.coset_order == math.factorial(r), (n, r)
     assert elapsed < 1800.0
 
 

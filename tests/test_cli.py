@@ -578,6 +578,14 @@ def test_verify_with_coset_oracle(capsys):
     assert "coset order: 2\n" in out
 
 
+def test_verify_coset_oracle_reaches_eight_six(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--n", "8", "--r", "6", "--with-coset-oracle"
+    )
+    assert code == 0
+    assert "coset order: 720\n" in out
+
+
 def test_verify_json_schema(capsys):
     code, out, _ = run(
         capsys,

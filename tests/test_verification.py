@@ -20,6 +20,7 @@ from igmax.presentation import (
 from igmax.perms import Permutation
 from igmax.verification import (
     CosetResult,
+    _BudgetHit,
     _Enumerator,
     _boundary_survivors,
     _generated_order,
@@ -111,9 +112,24 @@ def test_coset_determinism():
     assert a == b
 
 
-# The enumerator skips the inverse and duplicate relators that cannot change
-# its table, so it must define the very cosets the plain HLT enumerator of
-# coset_reference.py defines: same closure, order and counts at every budget.
+# The HLT core skips the inverse and duplicate relators that cannot change
+# its table, so on a presentation's own relators it must define the very
+# cosets the plain HLT enumerator of coset_reference.py defines: same closure,
+# order and counts at every budget.  coset_enumerate runs that core on the
+# Tietze-reduced presentation, which defines fewer cosets, so against the
+# reference it must give the same order.
+
+
+def unreduced_enumerate(pres, budget):
+    """The HLT core on ``_relators(pres)``, with no Tietze pass."""
+    enum = _Enumerator(len(pres.generators), _relators(pres), budget)
+    try:
+        enum.run()
+    except _BudgetHit:
+        return CosetResult(False, None, enum.defined, len(enum.live()))
+    enum.audit()
+    live = len(enum.live())
+    return CosetResult(True, live, enum.defined, live)
 
 
 REFERENCE_CASES = [(build_presentation, (n, r)) for n in range(3, 7) for r in range(1, n - 1)] + [
@@ -127,19 +143,60 @@ REFERENCE_CASES = [(build_presentation, (n, r)) for n in range(3, 7) for r in ra
 def test_coset_counts_match_the_reference(build, args):
     pres = build(*args)
     for budget in (5, 50, 500, 5_000, 50_000):
-        assert coset_enumerate(pres, budget) == coset_reference.coset_enumerate(pres, budget)
+        expected = coset_reference.coset_enumerate(pres, budget)
+        assert unreduced_enumerate(pres, budget) == expected
+    # expected is now the reference under 50,000
+    res = coset_enumerate(pres, 50_000)
+    assert res.closed and expected.closed
+    assert res.order == res.live_cosets == expected.order
 
 
 def test_coset_counts_match_the_reference_at_seven_five():
     pres = build_presentation(7, 5)
-    res = coset_enumerate(pres, 50_000)
+    res = unreduced_enumerate(pres, 50_000)
     assert res == coset_reference.coset_enumerate(pres, 50_000)
     assert res == CosetResult(True, 120, 32040, 120)
+    reduced = coset_enumerate(pres, 50_000)
+    assert reduced.closed and reduced.order == 120
 
 
 def test_coset_oracle_reaches_seven_four():
-    res = coset_enumerate(build_presentation(7, 4), max_cosets=50_000)
-    assert res == CosetResult(True, 24, 9953, 24)
+    # and (8,6), which the enumeration of the unreduced presentation does not
+    # close under the default budget
+    for (n, r), order in (((7, 4), 24), ((8, 6), 720)):
+        res = coset_enumerate(build_presentation(n, r))
+        assert res.closed, (n, r)
+        assert res.order == res.live_cosets == order
+
+
+@pytest.mark.parametrize("budget", [0, -3, True, 2.5, "5", None])
+def test_coset_budget_must_be_a_positive_int(budget):
+    with pytest.raises(InvalidParameters):
+        coset_enumerate(coxeter_presentation(1), budget)
+
+
+def test_coset_audit_catches_a_wrong_elimination(monkeypatch):
+    # g -> 1 recorded for a generator the relators set equal to a nontrivial
+    # one: the reduced table is sound, but its extension to the input's
+    # generators breaks an input relator, so no order may come out
+    import igmax.verification as verification
+
+    pres = build_presentation(5, 3)
+    tietze = verification._tietze
+
+    def wrong(n_gens, relators):
+        survivors, reduced, eliminated = tietze(n_gens, relators)
+        i = next(
+            i
+            for i, (g, word) in enumerate(eliminated)
+            if len(word) == 1 and not pres.generators[g].label.is_identity()
+        )
+        eliminated[i] = (eliminated[i][0], ())
+        return survivors, reduced, eliminated
+
+    monkeypatch.setattr(verification, "_tietze", wrong)
+    with pytest.raises(VerificationFailed, match="relator does not close on a live coset"):
+        coset_enumerate(pres)
 
 
 GENS = tuple(AbstractGenerator(name) for name in "abc")
@@ -172,7 +229,11 @@ def small_presentations(draw):
 @settings(max_examples=150, deadline=None)
 @given(small_presentations())
 def test_coset_counts_match_the_reference_on_random_presentations(pres):
-    assert coset_enumerate(pres, 2_000) == coset_reference.coset_enumerate(pres, 2_000)
+    expected = coset_reference.coset_enumerate(pres, 2_000)
+    assert unreduced_enumerate(pres, 2_000) == expected
+    res = coset_enumerate(pres, 2_000)
+    if res.closed and expected.closed:
+        assert res.order == expected.order
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +336,7 @@ def test_verify_four_two_with_coset_oracle():
 
 def test_verify_exhausted_budget_stays_one_sided():
     # an inconclusive enumeration must not contradict the derivation
-    report, _ = verify_theorem(5, 3, budget=10)
+    report, _ = verify_theorem(5, 3, budget=5)
     assert report.coset_order is None
     assert not report.coset_result.closed
     assert report.verdict == "confirmed S_3"
@@ -303,6 +364,11 @@ def test_boundary_survivors_need_top_and_middle_shapes():
     g, h = pres.generators[:2]
     other = Relation(((g, 1), (h, 1)), (), "derived")
     assert _boundary_survivors(GroupPresentation(pres.generators, pres.relations + (other,))) is None
+
+
+def test_verify_rejects_a_coset_budget_below_one():
+    with pytest.raises(InvalidParameters):
+        verify_theorem(4, 2, budget=0)
 
 
 def test_verify_rejects_bad_rank():
