@@ -201,8 +201,7 @@ def cmd_reduce(args, out) -> int:
     final, log = run_pipeline(cfg.n, cfg.r)
     if args.log:
         with open(args.log, "w") as fh:
-            # json.dump to a file always takes the pure-Python encoder; dumps uses the C one
-            fh.write(json.dumps(log.to_json(), sort_keys=True, separators=(",", ":")) + "\n")
+            log.write(fh)
     summary = {
         "n": cfg.n,
         "r": cfg.r,
@@ -232,15 +231,18 @@ def cmd_reduce(args, out) -> int:
 
 
 def cmd_replay(args, out) -> int:
-    from .pipeline import DerivationLog, replay_log
+    from .pipeline import DerivationLog, DischargeHook, replay_log
 
     with open(args.log) as fh:
         try:
-            doc = json.load(fh)
+            # the hook reads each discharge step as an int, not a dict
+            doc = json.load(fh, object_hook=DischargeHook())
         except ValueError as exc:  # truncated or not JSON at all
             raise VerificationFailed(f"malformed derivation log: {exc}") from None
     log = DerivationLog.from_json(doc)
-    del doc  # drop the JSON tree before the replay, to keep peak memory down
+    # drop the other steps' dicts before the replay, to keep peak memory
+    # down; the discharge steps are the log's own
+    del doc
     RunConfig(n=log.n, r=log.r, override_cap=args.override_cap).validate()
     report = replay_log(log)
     if args.format == "json":

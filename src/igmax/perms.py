@@ -217,17 +217,22 @@ class ProductTable:
             self._products.append({})
         return i
 
+    def product(self, i: int, j: int) -> int:
+        """The id of the product of permutations ``i`` and ``j``."""
+        row = self._products[i]
+        k = row.get(j)
+        if k is None:
+            k = row[j] = self.intern(compose(self.images[i], self.images[j]))
+        return k
+
     def evaluate(self, word: Iterable[Hashable], ids: Mapping[Hashable, int]) -> int:
         """The id of the product of ``ids[letter]`` over the word's letters."""
         acc = self.identity
         products = self._products
         for letter in word:
             i = ids[letter]
-            row = products[acc]
-            nxt = row.get(i)
-            if nxt is None:
-                nxt = row[i] = self.intern(compose(self.images[acc], self.images[i]))
-            acc = nxt
+            nxt = products[acc].get(i)
+            acc = self.product(acc, i) if nxt is None else nxt
         return acc
 
 

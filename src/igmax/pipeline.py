@@ -21,13 +21,19 @@ a step the replay rejects.
 The presentation is held as int letters (see
 :class:`~igmax.presentation.GroupPresentation`).  The producer only counts
 its relations: it emits one discharge step per relation index and never
-enumerates the bottom family.  The replay reads each discharged relation's
-letters, looks up its generators' resolution in a table indexed by generator
-number, and compares the label ids of its two sides in a product table over
-S_r (:class:`~igmax.perms.ProductTable`), the table that also evaluates
-each generator's resolution word.  So the bottom family is enumerated once
-per replay, as ints, and no :class:`Relation` of the presentation is made
-on the way.
+enumerates the bottom family.  A discharge step is a :class:`DischargeStep`,
+an int holding that index, so the steps that are nearly all of a log cost
+no object of their own beyond the int; :meth:`DerivationLog.write` streams
+them as text and :class:`DischargeHook` reads them back as ints.  The
+replay checks that each discharged relation's generators are resolved
+(looked up in a table indexed by generator number) and reads whether its
+two sides have equal labels from a bitmap that
+:meth:`~igmax.presentation.GroupPresentation.label_equations` fills in one
+pass over the relations, on a product table over S_r
+(:class:`~igmax.perms.ProductTable`), the table that also evaluates each
+generator's resolution word.  So the bottom family is enumerated once per
+replay, as ints, and no :class:`Relation` of the presentation is made on
+the way.
 
 Each check has one copy.  Every rule reads a fact's shape (g = word, g = 1,
 g = h) with the same readers, exponents included, and compares conclusions
@@ -59,9 +65,12 @@ Step rules
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Optional
+from itertools import groupby, islice
+from operator import countOf
+from typing import Iterable, Optional, TextIO
 
 from .combinatorics import Partition, Subset
 from .errors import InvalidParameters, VerificationFailed
@@ -187,9 +196,11 @@ def _require_singular(sq: Square) -> None:
 
 @dataclass(slots=True)
 class DerivationStep:
-    """One logged step.  Not frozen: a log holds one discharge step per
-    relation, and a frozen dataclass's constructor, which sets each field
-    through ``object.__setattr__``, takes three times as long."""
+    """One logged step of any rule but ``discharge`` (see
+    :class:`DischargeStep`).  Not frozen: a frozen dataclass's constructor,
+    which sets each field through ``object.__setattr__``, takes three times
+    as long.  A discharge step parsed from a dict of another shape than the
+    writer's is held as one of these, with its index in ``data["pz"]``."""
 
     rule: str
     conclusion: Optional[Relation]
@@ -215,6 +226,93 @@ class DerivationStep:
         return doc
 
 
+class DischargeStep(int):
+    """A discharge step, held as the index of the relation it discharges.
+
+    A log holds one per relation, nearly all of its steps, so a discharge
+    step is an int (48 bytes, the collector's header included) and not a
+    :class:`DerivationStep` (about 260 with its ``data`` dict).  It answers
+    ``rule``, ``conclusion``, ``premises``, ``square``, ``data`` and
+    ``to_json()`` as ``DerivationStep("discharge", None, (), None,
+    {"pz": i})`` does, and prints as its index.
+
+    >>> st = DischargeStep(7)
+    >>> st.rule, st.data, st.to_json(), f"{st}", st
+    ('discharge', {'pz': 7}, {'rule': 'discharge', 'pz': 7}, '7', DischargeStep(7))
+    """
+
+    __slots__ = ()
+    rule = "discharge"
+    conclusion = None
+    premises = ()
+    square = None
+
+    @property
+    def data(self) -> dict:
+        return {"pz": int(self)}
+
+    def to_json(self) -> dict:
+        return {"rule": "discharge", "pz": int(self)}
+
+    def __repr__(self) -> str:
+        return f"DischargeStep({int(self)})"
+
+    __str__ = int.__repr__
+
+
+# the log text of a discharge step, as json.dumps with sorted keys writes it
+_DISCHARGE_TEXT = '{"pz":%d,"rule":"discharge"}'
+# DerivationLog.write encodes at most this many steps to one string
+WRITE_CHUNK = 1024
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+class DischargeHook:
+    """``object_hook`` for ``json.load`` of a derivation log: reads each
+    ``{"pz": i, "rule": "discharge"}`` as ``DischargeStep(i)``, so a replay
+    holds no dict per discharge step.
+
+    Only that object is read so: two keys in the writer's order, ``pz`` an
+    int and not a bool.  Any other shape stays a dict, and the parser takes
+    it down its general path.  The hook cannot tell where an object sits.
+    So when it reaches a log document and has made more DischargeSteps than
+    the document's ``steps`` list holds, it turns every one that is not an
+    entry of that list back into the dict it was read from.
+    """
+
+    def __init__(self) -> None:
+        self.made = 0
+
+    def __call__(self, obj: dict) -> object:
+        if len(obj) == 2 and obj.get("rule") == "discharge":
+            pz = obj.get("pz")
+            if type(pz) is int and next(iter(obj)) == "pz":
+                self.made += 1
+                return DischargeStep(pz)
+        if obj.get("format") == "igmax-derivation-log":
+            steps = obj.get("steps")
+            held = countOf(map(type, steps), DischargeStep) if type(steps) is list else 0
+            if held != self.made:
+                return {
+                    key: [st if type(st) is DischargeStep else _as_dicts(st) for st in value]
+                    if key == "steps" and type(value) is list
+                    else _as_dicts(value)
+                    for key, value in obj.items()
+                }
+        return obj
+
+
+def _as_dicts(value: object) -> object:
+    """``value`` with each DischargeStep in it read back as its dict."""
+    if type(value) is DischargeStep:
+        return {"pz": int(value), "rule": "discharge"}
+    if type(value) is dict:
+        return {key: _as_dicts(v) for key, v in value.items()}
+    if type(value) is list:
+        return [_as_dicts(v) for v in value]
+    return value
+
+
 def _word_json(word: GroupWord) -> list:
     out = []
     for g, e in word:
@@ -231,7 +329,7 @@ class DerivationLog:
 
     n: int
     r: int
-    steps: list[DerivationStep] = field(default_factory=list)
+    steps: list[DerivationStep | DischargeStep] = field(default_factory=list)
     final: Optional[dict] = None
     meta: dict = field(default_factory=dict)
 
@@ -242,16 +340,48 @@ class DerivationLog:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def to_json(self) -> dict:
+    def _head(self) -> dict:
+        """The log document without its steps."""
         return {
             "format": "igmax-derivation-log",
             "version": 1,
             "n": self.n,
             "r": self.r,
-            "steps": [s.to_json() for s in self.steps],
             "final": self.final,
             "meta": dict(self.meta),
         }
+
+    def to_json(self) -> dict:
+        return {**self._head(), "steps": [s.to_json() for s in self.steps]}
+
+    def write(self, fh: TextIO) -> None:
+        """Write ``json.dumps(self.to_json(), sort_keys=True,
+        separators=(",", ":")) + "\\n"`` to ``fh``, byte for byte, without
+        making that document or that string: the steps are encoded
+        ``WRITE_CHUNK`` at a time, and a run of discharge steps is
+        formatted as text without a dict per step."""
+        head = self._head()
+        fh.write("{")
+        for i, key in enumerate(sorted([*head, "steps"])):
+            fh.write(("," if i else "") + _encode(key) + ":")
+            if key == "steps":
+                self._write_steps(fh)
+            else:
+                fh.write(_encode(head[key]))
+        fh.write("}\n")
+
+    def _write_steps(self, fh: TextIO) -> None:
+        fh.write("[")
+        sep = ""
+        for kind, run in groupby(self.steps, type):
+            while chunk := list(islice(run, WRITE_CHUNK)):
+                if kind is DischargeStep:
+                    text = ",".join(map(_DISCHARGE_TEXT.__mod__, chunk))
+                else:
+                    text = _encode([st.to_json() for st in chunk])[1:-1]
+                fh.write(sep + text)
+                sep = ","
+        fh.write("]")
 
     @classmethod
     def from_json(cls, doc: dict) -> "DerivationLog":
@@ -302,8 +432,11 @@ class DerivationLog:
                 out.append((g, e))
             return tuple(out)
 
-        steps: list[DerivationStep] = []
+        steps: list[DerivationStep | DischargeStep] = []
         for sd in doc["steps"]:
+            if type(sd) is DischargeStep:  # read so by DischargeHook
+                steps.append(sd)
+                continue
             rule = sd["rule"]
             if rule == "discharge":
                 steps.append(DerivationStep("discharge", None, (), None, {"pz": sd["pz"]}))
@@ -1055,9 +1188,7 @@ class Derivation:
                 raise VerificationFailed(f"no resolution for {g}")
             if table.evaluate(res[1], canonical) != table.intern(g.label.images):
                 raise VerificationFailed(f"resolution of {g} does not evaluate to its label")
-        self.log.steps += [
-            DerivationStep("discharge", None, (), None, {"pz": i}) for i in range(self.pres.relation_count)
-        ]
+        self.log.steps += map(DischargeStep, range(self.pres.relation_count))
 
     def finish(self) -> GroupPresentation:
         canon = self.canonical_pairs()
@@ -1163,6 +1294,14 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
     producing run is trusted beyond the step records themselves.  ``pres``,
     when given, must be ``build_presentation(log.n, log.r)``; it is
     otherwise built here.
+
+    A discharge step, a :class:`DischargeStep` or a DerivationStep of rule
+    ``discharge``, is checked before any other rule: its index must name a
+    relation; while some generator of the presentation is unresolved, each
+    of the relation's generators must be resolved; and its two sides must
+    have equal labels, a bit read from the bitmap that
+    :meth:`~igmax.presentation.GroupPresentation.label_equations` fills on
+    the first discharge.
     """
     n, r = log.n, log.r
     if pres is None:
@@ -1182,6 +1321,8 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
     label_ids = letter_label_ids(generators, table)
     number = {g: i for i, g in enumerate(generators)}
     resolved = bytearray(len(generators))
+    unresolved = len(generators)  # generators of the presentation not yet resolved
+    holds: Optional[bytearray] = None  # holds[i]: relation i holds on labels
     discharged = bytearray(relations)
     singular: dict[Square, bool] = {}
     failures: list[tuple[int, str]] = []
@@ -1189,10 +1330,13 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
     match_seen = False
 
     def resolve(g: GeneratorId) -> None:
+        nonlocal unresolved
         i = number.get(g)
         if i is None:  # not a generator of the presentation: in no relation
             i = number[g] = len(resolved)
             resolved.append(0)
+        elif i < len(generators) and not resolved[i]:
+            unresolved -= 1
         resolved[i] = 1
 
     for g in canon_gens:
@@ -1205,16 +1349,21 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
             raise _ReplayFailure(f"premise {i} was not verified")
         return log.steps[i]
 
-    def discharge(st: DerivationStep) -> None:
-        pz = st.data["pz"]
-        if type(pz) is not int or not 0 <= pz < relations:
+    def discharge(pz: object) -> None:
+        """Discharge relation ``pz``: a DischargeStep, or the ``pz`` of a
+        discharge step read as a DerivationStep."""
+        nonlocal holds
+        if type(pz) not in (int, DischargeStep) or not 0 <= pz < relations:
             raise _ReplayFailure(f"relation index {pz} out of range")
-        lhs, rhs = pres.letters(pz)
-        for letter in lhs + rhs:
-            if not resolved[letter >> 1]:
-                g = generators[letter >> 1]
-                raise _ReplayFailure(f"no resolution for {g}")
-        if table.evaluate(lhs, label_ids) != table.evaluate(rhs, label_ids):
+        if unresolved:
+            lhs, rhs = pres.letters(pz)
+            for letter in lhs + rhs:
+                if not resolved[letter >> 1]:
+                    g = generators[letter >> 1]
+                    raise _ReplayFailure(f"no resolution for {g}")
+        if holds is None:
+            holds = pres.label_equations(table, label_ids)
+        if not holds[pz]:
             raise _ReplayFailure(f"relation {pz} does not hold under the resolution map")
         discharged[pz] = 1
 
@@ -1372,8 +1521,10 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
     # discharge steps are nearly all of a log: dispatch them first
     for idx, st in enumerate(log.steps):
         try:
-            if st.rule == "discharge":
+            if type(st) is DischargeStep:
                 discharge(st)
+            elif st.rule == "discharge":
+                discharge(st.data["pz"])
             else:
                 check(idx, st)
                 note_resolution(st.conclusion)

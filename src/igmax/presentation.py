@@ -234,6 +234,12 @@ class GroupPresentation:
         words = self._words
         if i < len(words):
             return words[i]
+        c = self._bottom_letters()
+        k = 4 * (i - len(words))
+        return (c[k], c[k + 1]), (c[k + 2], c[k + 3])
+
+    def _bottom_letters(self) -> array:
+        """The bottom family's letters, four per relation, read on first use."""
         c = self._corners
         if c is None:
             c = self._read_bottom()
@@ -242,8 +248,22 @@ class GroupPresentation:
                     f"the bottom family holds {len(c) // 4} relations, not the {self._bottom} counted"
                 )
             self._corners = c
-        k = 4 * (i - len(words))
-        return (c[k], c[k + 1]), (c[k + 2], c[k + 3])
+        return c
+
+    def label_equations(self, table: ProductTable, label_ids: list[int]) -> bytearray:
+        """Byte i is 1 when relation i's two sides have equal labels in
+        ``table``, its letters read as ``label_ids`` (see
+        :func:`letter_label_ids`).  One pass: each word is evaluated, and
+        each bottom relation p^-1 q = s^-1 t takes two products."""
+        evaluate, product = table.evaluate, table.product
+        out = bytearray(self.relation_count)
+        for i, (lhs, rhs) in enumerate(self._words):
+            out[i] = evaluate(lhs, label_ids) == evaluate(rhs, label_ids)
+        if self._bottom:
+            c = iter(self._bottom_letters())
+            for i, (p, q, s, t) in enumerate(zip(c, c, c, c), start=len(self._words)):
+                out[i] = product(label_ids[p], label_ids[q]) == product(label_ids[s], label_ids[t])
+        return out
 
     def tag(self, i: int) -> str:
         return self._tags[i] if i < len(self._words) else "bottom"
@@ -378,12 +398,12 @@ def build_presentation(n: int, r: int) -> GroupPresentation:
 
     def read_bottom() -> array:
         rows = {p: {subsets[a]: x for a, x in row.items()} for p, row in zip(parts, letter)}
-        corners: list[int] = []
+        corners = array("i")
         for sq in squares:
             (p, q), (a, b) = sq.kernels, sq.images
             rp, rq = rows[p], rows[q]
-            corners += (rp[a] + 1, rp[b], rq[a] + 1, rq[b])
-        return array("i", corners)
+            corners.extend((rp[a] + 1, rp[b], rq[a] + 1, rq[b]))
+        return corners
 
     return GroupPresentation._of_letters(
         tuple(generators),

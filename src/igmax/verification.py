@@ -463,6 +463,11 @@ def _tietze(
     return survivors, [tuple([number[x] for x in rel]) for rel in relators], eliminated
 
 
+def _require_budget(max_cosets: object) -> None:
+    if isinstance(max_cosets, bool) or not isinstance(max_cosets, int) or max_cosets < 1:
+        raise InvalidParameters(f"the coset budget must be an int of at least 1, got {max_cosets!r}")
+
+
 def coset_enumerate(pres: GroupPresentation, max_cosets: int = DEFAULT_MAX_COSETS) -> CosetResult:
     """Order of the presented group, or inconclusive under the bound.
 
@@ -475,8 +480,7 @@ def coset_enumerate(pres: GroupPresentation, max_cosets: int = DEFAULT_MAX_COSET
     >>> coset_enumerate(coxeter_presentation(4)).order
     24
     """
-    if isinstance(max_cosets, bool) or not isinstance(max_cosets, int) or max_cosets < 1:
-        raise InvalidParameters(f"the coset budget must be an int of at least 1, got {max_cosets!r}")
+    _require_budget(max_cosets)
     relators = _relators(pres)
     survivors, reduced, eliminated = _tietze(len(pres.generators), relators)
     enum = _Enumerator(len(survivors), reduced, max_cosets)
@@ -552,18 +556,12 @@ def label_homomorphism_check(pres: GroupPresentation) -> HomReport:
         raise InvalidParameters("presentation has no generators")
 
     table = ProductTable(r)
-    label_ids = letter_label_ids(pres.generators, table)
-    checked = 0
-    failure = None
-    for i in range(pres.relation_count):
-        checked += 1
-        lhs, rhs = pres.letters(i)
-        if failure is None and table.evaluate(lhs, label_ids) != table.evaluate(rhs, label_ids):
-            failure = str(pres.relations[i])
+    first = pres.label_equations(table, letter_label_ids(pres.generators, table)).find(0)
+    failure = None if first < 0 else str(pres.relations[first])
 
     image_order = _generated_order({g.label for g in pres.generators}, r)
     return HomReport(
-        relations_checked=checked,
+        relations_checked=pres.relation_count,
         relations_satisfied=failure is None,
         image_order=image_order,
         surjective=image_order == math.factorial(r),
@@ -639,7 +637,8 @@ def verify_theorem(n: int, r: int, budget: Optional[int] = None):
     replayed in memory; ``pipeline`` is the replay's verdict and
     ``homomorphism`` says whether it discharged every relation on labels.
     ``budget``, when given, also runs the coset oracle, which must then find
-    r! elements if it closes.
+    r! elements if it closes; a budget that is not an int of at least 1
+    raises InvalidParameters before anything is built.
 
     Returns (report, derivation_log); the log is None in the boundary
     regime r = n-1, where the reduction pipeline does not apply and the
@@ -650,6 +649,8 @@ def verify_theorem(n: int, r: int, budget: Optional[int] = None):
 
     if not (1 <= r <= n - 1):
         raise InvalidParameters(f"need 1 <= r <= n-1, got r={r}, n={n}")
+    if budget is not None:
+        _require_budget(budget)
     if r == n - 1:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

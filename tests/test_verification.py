@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import coset_reference
+import igmax.verification as verification
 from igmax.errors import InvalidParameters, VerificationFailed
 from igmax.labels import label_by_subscripts
 from igmax.pipeline import replay_log
@@ -369,6 +370,16 @@ def test_boundary_survivors_need_top_and_middle_shapes():
 def test_verify_rejects_a_coset_budget_below_one():
     with pytest.raises(InvalidParameters):
         verify_theorem(4, 2, budget=0)
+
+
+@pytest.mark.parametrize("budget", [0, -5, True, 2.5])
+def test_verify_rejects_a_bad_budget_before_it_builds(monkeypatch, budget):
+    def unbuilt(n, r):
+        raise AssertionError("built a presentation for a budget that was never valid")
+
+    monkeypatch.setattr(verification, "build_presentation", unbuilt)
+    with pytest.raises(InvalidParameters, match="the coset budget must be an int of at least 1"):
+        verify_theorem(7, 4, budget=budget)
 
 
 def test_verify_rejects_bad_rank():
