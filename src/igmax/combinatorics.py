@@ -294,12 +294,6 @@ class Partition:
         subsets.sort(key=lambda s: s.elements)
         return subsets
 
-    def transversal_count(self) -> int:
-        out = 1
-        for b in self.blocks:
-            out *= len(b)
-        return out
-
     def to_json(self) -> list[list[int]]:
         return [list(b) for b in self.blocks]
 
@@ -366,15 +360,6 @@ def is_transversal(subset: Subset, partition: Partition) -> bool:
 def require_transversal(subset: Subset, partition: Partition) -> None:
     if not is_transversal(subset, partition):
         raise TransversalityViolation(f"{subset} is not a transversal of {partition}")
-
-
-def count_transversal_pairs(n: int, r: int) -> int:
-    """Number of (partition, transversal) pairs; the generator count later on.
-
-    Equals the sum over all r-block partitions of the product of block sizes.
-    """
-    _check_sizes(n, r)
-    return sum(p.transversal_count() for p in enumerate_partitions(n, r))
 
 
 def enumerate_transversal_pairs(n: int, r: int) -> Iterator[tuple[Partition, Subset]]:

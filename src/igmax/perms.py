@@ -236,25 +236,6 @@ class ProductTable:
         return acc
 
 
-def evaluate_word(word: Iterable[Letter], images: Mapping[Letter, tuple[int, ...]], r: int) -> tuple[int, ...]:
-    """The left-to-right product in S_r of a word of ``(generator, +-1)`` letters.
-
-    ``images`` maps every letter of the word to its one-line image tuple (see
-    :func:`letter_images`); an empty word evaluates to the identity.  The
-    word is evaluated on a :class:`ProductTable` of its own; code that
-    evaluates many words over the same letters keeps one table instead.
-
-    >>> g = "g"
-    >>> evaluate_word([(g, 1), (g, 1)], letter_images({g: Permutation((2, 3, 1))}), 3)
-    (3, 1, 2)
-    >>> evaluate_word([], {}, 3)
-    (1, 2, 3)
-    """
-    word = tuple(word)
-    table = ProductTable(r)
-    return table.images[table.evaluate(word, {x: table.intern(images[x]) for x in word})]
-
-
 def descent_number(p: Permutation) -> int:
     """Number of positions k whose entry exceeds some later entry.
 

@@ -97,7 +97,7 @@ from .presentation import (
     letter_label_ids,
     substitute,
 )
-from .schreier import IdempotentLetter, SchreierSystem, build_schreier, convex_partition_of, predecessor
+from .schreier import IdempotentLetter, build_schreier, convex_partition_of, predecessor
 from .squares import CORNERS, Square, is_singular_sq2, is_singular_sq3
 
 Pair = tuple[Partition, Subset]
@@ -728,7 +728,6 @@ class Derivation:
             raise InvalidParameters(f"derivations cover 1 <= r <= n-2, got r={r}, n={n}")
         self.n = n
         self.r = r
-        self.sch: SchreierSystem = build_schreier(n, r)
         self.log = DerivationLog(n=n, r=r)
         self._pres = pres
         self._one_memo: dict[Pair, int] = {}
@@ -1343,7 +1342,8 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
         resolve(g)
 
     def premise(idx: int, i: int) -> DerivationStep:
-        if not 0 <= i < idx:
+        # bool and float indices compare equal to ints: hold them to int
+        if type(i) is not int or not 0 <= i < idx:
             raise _ReplayFailure(f"premise {i} out of range")
         if not verified[i]:
             raise _ReplayFailure(f"premise {i} was not verified")
@@ -1371,6 +1371,10 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
         rule = st.rule
         if rule not in RULES:
             raise _ReplayFailure(f"unknown rule {rule!r}")
+        # every later check compares exponents with ==, which true and 1.0 pass
+        c = st.conclusion
+        if c is not None and any(type(e) is not int for _, e in c.lhs + c.rhs):
+            raise _ReplayFailure("conclusion exponents must be ints")
         if rule == "middle":
             g = _one_fact(st.conclusion)
             if g is None or g.subset != g.partition.min_transversal():

@@ -39,8 +39,11 @@ from .combinatorics import Partition, Subset, require_transversal
 from .errors import InvalidParameters, VerificationFailed
 from .labels import label_by_subscripts
 from .perms import Permutation, ProductTable, invert
-from .schreier import IdempotentLetter, build_schreier
+from .schreier import convex_partition_of, predecessor
 from .squares import _singular_index, enumerate_singular_squares
+
+# Not called here: perfbench/trace_run.py wraps this name in this module.
+from .schreier import build_schreier  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -358,7 +361,6 @@ def build_presentation(n: int, r: int) -> GroupPresentation:
             f"r = n-1 = {r}: no proper singular squares exist, the bottom family is empty",
             stacklevel=2,
         )
-    sch = build_schreier(n, r)
     index = _singular_index(n, r)
     parts, subsets = index.parts, index.subsets
     generators: list[Gen] = []
@@ -371,24 +373,20 @@ def build_presentation(n: int, r: int) -> GroupPresentation:
             generators.append(GeneratorId.of(p, subsets[a]))
         letter.append(row)
 
-    words: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    tags: list[str] = []
-    top_ordered = 0
-    top_distinct: set[frozenset] = set()
-    for i, (p, ids) in enumerate(zip(parts, index.transversal_ids)):
-        for a in ids:
-            word_a = sch.word_to(subsets[a])
-            for b in ids:
-                if a == b:
-                    continue
-                if word_a + (IdempotentLetter(p, subsets[b]),) == sch.word_to(subsets[b]):
-                    top_ordered += 1
-                    key = frozenset((a, b))
-                    if key not in top_distinct:
-                        top_distinct.add(key)
-                        words.append(((letter[i][a],), (letter[i][b],)))
-                        tags.append("top")
+    # word_to(X) extended by the letter (P, Y) is word_to(Y) exactly when X
+    # is Y's predecessor and P its convex partition (see igmax.schreier):
+    # one top relation per subset Y but the base, in generator order
     subset_id = {s: a for a, s in enumerate(subsets)}
+    part_id = {p: i for i, p in enumerate(parts)}
+    words: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    for y, b in subset_id.items():
+        x = predecessor(y)
+        if x is not None:
+            row = letter[part_id[convex_partition_of(y)]]
+            words.append(((row[subset_id[x]],), (row[b],)))
+    words.sort()
+    top = len(words)
+    tags = ["top"] * top
     for i, p in enumerate(parts):
         words.append(((letter[i][subset_id[p.min_transversal()]],), ()))
         tags.append("middle")
@@ -414,8 +412,8 @@ def build_presentation(n: int, r: int) -> GroupPresentation:
         {
             "n": n,
             "r": r,
-            "top_ordered": top_ordered,
-            "top_distinct": len(top_distinct),
+            "top_ordered": top,
+            "top_distinct": top,
             "middle": len(parts),
             "bottom": bottom,
         },

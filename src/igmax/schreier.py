@@ -2,28 +2,28 @@
 
 A letter is an (idempotent) generator named by a kernel partition together
 with a transversal image subset.  Words multiply left to right in the full
-transformation monoid.  For every r-subset A we keep two words:
+transformation monoid.  For every r-subset A we keep ``word_to(A)``, from
+the base subset [1, r] out to A.
 
-* ``word_to(A)``   — from the base subset [1, r] out to A;
-* ``word_from(A)`` — from A back to the base subset.
-
-They are built by a single recursion on A: take the least position m where
-A differs from [1, r], lower that element by one to get the predecessor B,
-and extend B's words by one letter whose kernel is the convex partition cut
-at the elements of A.  The two words evaluate to mutually inverse
-order-preserving bijections between [1, r] and A, and the construction is
-prefix-closed: every intermediate subset on the path has its own words as
-prefixes/suffixes.
+The words are built by a single recursion on A: take the least position m
+where A differs from [1, r], lower that element by one to get the
+predecessor B, and extend B's word by one letter whose kernel is the convex
+partition cut at the elements of A.  The word evaluates to the
+order-preserving bijection from [1, r] onto A, and the construction is
+prefix-closed: every intermediate subset on the path has its own word as a
+prefix.  So ``word_to(B)`` followed by the letter (P, A) is ``word_to(A)``
+exactly when B is the predecessor of A and P is A's convex partition; the
+top relations of :func:`igmax.presentation.build_presentation` are those
+pairs.  The tests evaluate the words, and the words back from A to [1, r],
+in ``tests/schreier_reference.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .combinatorics import Partition, Subset, enumerate_subsets
 from .errors import InvalidParameters
-from .transform import Transformation, idempotent
 
 
 @dataclass(frozen=True)
@@ -33,29 +33,11 @@ class IdempotentLetter:
     partition: Partition
     subset: Subset
 
-    def transformation(self) -> Transformation:
-        return _letter_transformation(self)
-
     def __str__(self) -> str:
         return f"e[{self.partition}|{self.subset}]"
 
 
-@lru_cache(maxsize=None)
-def _letter_transformation(letter: IdempotentLetter) -> Transformation:
-    return idempotent(letter.partition, letter.subset)
-
-
 EWord = tuple[IdempotentLetter, ...]
-
-
-def eval_word(word: EWord, n: int) -> Transformation:
-    """Multiply the letters left to right; the empty word is the identity."""
-    out = Transformation.identity(n)
-    for letter in word:
-        if letter.partition.n != n:
-            raise InvalidParameters(f"letter on [1,{letter.partition.n}] in a degree-{n} word")
-        out = out * letter.transformation()
-    return out
 
 
 def convex_partition_of(subset: Subset) -> Partition:
@@ -99,8 +81,8 @@ class SchreierSystem:
     >>> a = Subset.parse("{3,5}", 5)
     >>> len(sch.word_to(a))
     5
-    >>> eval_word(sch.word_to(a), 5).images[:2]
-    (3, 5)
+    >>> [str(letter.subset) for letter in sch.word_to(a)[-2:]]
+    ['{2,5}', '{3,5}']
     """
 
     def __init__(self, n: int, r: int):
@@ -110,15 +92,11 @@ class SchreierSystem:
         self.r = r
         self.base = Subset(n, tuple(range(1, r + 1)))
         self._to: dict[Subset, EWord] = {self.base: ()}
-        self._from: dict[Subset, EWord] = {self.base: ()}
         # lex order guarantees each predecessor is ready before it is needed
         for a in enumerate_subsets(n, r):
             if a == self.base:
                 continue
-            b = predecessor(a)
-            p = convex_partition_of(a)
-            self._to[a] = self._to[b] + (IdempotentLetter(p, a),)
-            self._from[a] = (IdempotentLetter(p, b),) + self._from[b]
+            self._to[a] = self._to[predecessor(a)] + (IdempotentLetter(convex_partition_of(a), a),)
 
     def subsets(self) -> list[Subset]:
         return sorted(self._to, key=lambda s: s.elements)
@@ -126,17 +104,6 @@ class SchreierSystem:
     def word_to(self, subset: Subset) -> EWord:
         self._check(subset)
         return self._to[subset]
-
-    def word_from(self, subset: Subset) -> EWord:
-        self._check(subset)
-        return self._from[subset]
-
-    def into_map(self, subset: Subset) -> Transformation:
-        """Evaluation of ``word_to``; order-preserving [1, r] -> A on [1, r]."""
-        return eval_word(self._to[subset], self.n)
-
-    def back_map(self, subset: Subset) -> Transformation:
-        return eval_word(self._from[subset], self.n)
 
     def _check(self, subset: Subset) -> None:
         if subset not in self._to:

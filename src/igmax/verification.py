@@ -569,34 +569,6 @@ def label_homomorphism_check(pres: GroupPresentation) -> HomReport:
     )
 
 
-def _boundary_survivors(pres: GroupPresentation) -> Optional[int]:
-    """Generators left free by the relations of a boundary presentation.
-
-    At r = n-1 the bottom family is empty, so every relation should be a top
-    relation g = h or a middle relation g = 1.  Union-find over them is then
-    the whole Tietze reduction: each class joined to 1 is eliminated, every
-    other class keeps one generator, and no relation survives.  Returns
-    None when some relation has another shape.
-    """
-    one = len(pres.generators)
-    parent = list(range(one + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(pres.relation_count):
-        lhs, rhs = pres.letters(i)
-        if len(lhs) != 1 or len(rhs) > 1 or any(x & 1 for x in lhs + rhs):
-            return None
-        a = find(lhs[0] >> 1)
-        b = find(rhs[0] >> 1) if rhs else find(one)
-        parent[a] = b
-    return len({find(i) for i in range(one)} - {find(one)})
-
-
 @dataclass
 class VerifyReport:
     n: int
@@ -642,8 +614,10 @@ def verify_theorem(n: int, r: int, budget: Optional[int] = None):
 
     Returns (report, derivation_log); the log is None in the boundary
     regime r = n-1, where the reduction pipeline does not apply and the
-    report instead notes whether the presentation reduces to a free group
-    (see :func:`_boundary_survivors`).
+    report instead notes whether the presentation reduces to a free group.
+    There the bottom family is empty, so every relation should be a top
+    relation g = h or a middle relation g = 1, which the union-find round
+    of :func:`_tietze` solves: the group is free when no relator is left.
     """
     import warnings
 
@@ -656,8 +630,8 @@ def verify_theorem(n: int, r: int, budget: Optional[int] = None):
             warnings.simplefilter("ignore")
             pres = build_presentation(n, r)
             hom = label_homomorphism_check(pres)
-        survivors = _boundary_survivors(pres)
-        free_ok = survivors is not None
+        survivors, left, _ = _tietze(len(pres.generators), _relators(pres))
+        free_ok = not left
         report = VerifyReport(
             n=n,
             r=r,
@@ -665,7 +639,7 @@ def verify_theorem(n: int, r: int, budget: Optional[int] = None):
             homomorphism=hom.ok,
             coset_order=None,
             verdict=f"not confirmed: boundary r = n-1, free-type regime "
-            f"({survivors} generators, no relations survive)"
+            f"({len(survivors)} generators, no relations survive)"
             if free_ok
             else "not confirmed: boundary r = n-1, simplification left relations",
             hom_report=hom,

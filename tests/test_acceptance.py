@@ -27,18 +27,16 @@ from igmax.pipeline import (
 )
 from igmax.presentation import word_str
 from igmax.schreier import build_schreier, predecessor
-from igmax.squares import (
-    Square,
-    enumerate_squares,
+from igmax.squares import Square, enumerate_squares, is_singular_sq2, is_singular_sq3, square_census
+from igmax.verification import verify_theorem
+
+from schreier_reference import back_map, into_map
+from squares_reference import (
     find_singularizing_idempotent,
     is_rectangular_band,
-    is_singular_sq2,
-    is_singular_sq3,
     label_graph,
     singular_vertex_labels,
-    square_census,
 )
-from igmax.verification import verify_theorem
 
 THEOREM_PAIRS = [(3, 1), (4, 2), (5, 2), (5, 3), (6, 3), (6, 4), (7, 4), (7, 5)]
 
@@ -122,7 +120,7 @@ def test_criterion_06_schreier_invariants():
             known = {sch.word_to(a): a for a in sch.subsets()}
             base = list(range(1, r + 1))
             for a in sch.subsets():
-                rho, back = sch.into_map(a), sch.back_map(a)
+                rho, back = into_map(sch, a), back_map(sch, a)
                 assert [rho(i) for i in base] == list(a.elements)
                 assert [back(x) for x in a.elements] == base
                 word = sch.word_to(a)

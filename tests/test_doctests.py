@@ -1,4 +1,5 @@
-"""The ``>>>`` examples in the package's docstrings are run, every one of them."""
+"""The ``>>>`` examples in the docstrings of the package and of the tests'
+reference modules are run, every one of them."""
 
 import doctest
 import importlib
@@ -9,7 +10,12 @@ import pytest
 
 import igmax
 
-MODULES = ["igmax"] + sorted(info.name for info in pkgutil.iter_modules(igmax.__path__, "igmax."))
+MODULES = (
+    ["igmax"]
+    + sorted(info.name for info in pkgutil.iter_modules(igmax.__path__, "igmax."))
+    # the oracles that moved out of the package keep their examples running
+    + sorted(path.stem for path in Path(__file__).parent.glob("*_reference.py"))
+)
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -3,18 +3,14 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
 
 from igmax.errors import InvalidParameters
 from igmax.perms import (
     DescentLocator,
     Permutation,
     classify_descent_one,
-    compose,
     contiguous_cycle,
     descent_number,
-    evaluate_word,
-    letter_images,
     rightmost_descent,
 )
 from perms_reference import resolve_rightmost_descent
@@ -144,24 +140,3 @@ def test_resolution_factor_is_a_contiguous_cycle():
         factor = p * q.inverse()
         assert classify_descent_one(factor) == (loc.v, loc.w)
         assert factor * q == p
-
-
-@st.composite
-def words_over_permutations(draw):
-    """A degree r, a few random permutations of S_r, and a word of 0-8
-    letters of either sign over them."""
-    r = draw(st.integers(1, 6))
-    gens = draw(st.lists(st.permutations(range(1, r + 1)), min_size=1, max_size=3))
-    perms = {i: Permutation(tuple(p)) for i, p in enumerate(gens)}
-    word = draw(st.lists(st.tuples(st.sampled_from(sorted(perms)), st.sampled_from((1, -1))), max_size=8))
-    return r, perms, word
-
-
-@given(words_over_permutations())
-def test_evaluate_word_is_the_left_fold_from_the_identity(case):
-    r, perms, word = case
-    images = letter_images(perms)
-    acc = tuple(range(1, r + 1))
-    for letter in word:
-        acc = compose(acc, images[letter])
-    assert evaluate_word(word, images, r) == acc

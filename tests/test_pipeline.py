@@ -32,7 +32,7 @@ from igmax.presentation import GroupPresentation, Relation, build_presentation, 
 from igmax.squares import Square, is_singular_sq2, is_singular_sq3
 from igmax.verification import presentations_match
 from igmax.presentation import GeneratorId, coxeter_presentation, substitute
-from igmax.perms import evaluate_word, letter_images, rightmost_descent
+from igmax.perms import ProductTable, letter_images, rightmost_descent
 from perms_reference import resolve_rightmost_descent
 
 
@@ -292,8 +292,9 @@ def test_discharge_factors_through_the_labels(n, r):
     eng = _resolved(n, r)
     words = {g: eng.resolve(g.partition, g.subset)[1] for g in eng.pres.generators}
     canon = [GeneratorId.of(*p) for p in eng.canonical_pairs()]
-    canonical = letter_images({g: g.label for g in canon})
-    labels = letter_images({g: g.label for g in eng.pres.generators})
+    table = ProductTable(r)
+    canonical = {x: table.intern(p) for x, p in letter_images({g: g.label for g in canon}).items()}
+    labels = {x: table.intern(p) for x, p in letter_images({g: g.label for g in eng.pres.generators}).items()}
 
     def rewrite(word):
         for g in {h for h, _ in word}:
@@ -301,9 +302,9 @@ def test_discharge_factors_through_the_labels(n, r):
         return word
 
     for rel in eng.pres.relations:
-        lhs = evaluate_word(rewrite(rel.lhs), canonical, r)
-        rhs = evaluate_word(rewrite(rel.rhs), canonical, r)
-        assert lhs == rhs == evaluate_word(rel.lhs, labels, r) == evaluate_word(rel.rhs, labels, r)
+        lhs = table.evaluate(rewrite(rel.lhs), canonical)
+        rhs = table.evaluate(rewrite(rel.rhs), canonical)
+        assert lhs == rhs == table.evaluate(rel.lhs, labels) == table.evaluate(rel.rhs, labels)
     eng.discharge_all()
     pzs = [st.data["pz"] for st in eng.log.steps if st.rule == "discharge"]
     assert pzs == list(range(len(eng.pres.relations)))
@@ -581,3 +582,28 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_module_of_the_package_is_reached_from_the_cli():
+    # src/ holds product code only: each module must be imported, at module
+    # or function level, on some path from igmax.cli; oracles that only the
+    # tests run live in tests/*_reference.py
+    import ast
+
+    root = Path(igmax.__file__).resolve().parent
+    modules = {".".join(path.relative_to(root).with_suffix("").parts) for path in root.rglob("*.py")}
+    reached, todo = {"__init__"}, ["cli"]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in ast.walk(ast.parse((root / (name.replace(".", "/") + ".py")).read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                # from .x import y, or from . import x
+                todo.extend([node.module] if node.module else [alias.name for alias in node.names])
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("igmax."):
+                todo.append(node.module.removeprefix("igmax."))
+            elif isinstance(node, ast.Import):
+                todo.extend(a.name.removeprefix("igmax.") for a in node.names if a.name.startswith("igmax."))
+    assert modules - reached == set()

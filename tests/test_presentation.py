@@ -212,7 +212,7 @@ def _reference_presentation(n, r):
     return generators, relations, meta
 
 
-@pytest.mark.parametrize("n,r", [(n, r) for n in range(3, 7) for r in range(1, n - 1)])
+@pytest.mark.parametrize("n,r", [(n, r) for n in range(3, 7) for r in range(1, n - 1)] + [(7, 4)])
 def test_build_presentation_matches_the_reference(n, r):
     generators, relations, meta = _reference_presentation(n, r)
     pres = build_presentation(n, r)

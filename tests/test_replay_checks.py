@@ -361,6 +361,12 @@ def flush_arity(doc, mp):
     return i, "flush steps take one equality or two identity premises"
 
 
+def exponent_true(doc, mp):
+    i = first(doc, "top")
+    doc["steps"][i]["conclusion"]["lhs"][0][2] = True
+    return i, "conclusion exponents must be ints"
+
+
 def parse_letter(letter):
     return Partition.parse(letter[0], 5), Subset.parse(letter[1], 5)
 
@@ -408,6 +414,7 @@ ROWS = {
     "flush premises must be identity facts": flush_identity_shape,
     "flush identity premises do not cover one side": flush_identity_cover,
     "flush steps take one equality or two identity premises": flush_arity,
+    "conclusion exponents must be ints": exponent_true,
 }
 
 
@@ -448,6 +455,44 @@ def test_every_replay_failure_message_has_a_row():
         n.value.value for n in ast.walk(match) if isinstance(n, ast.Return) and isinstance(n.value, ast.Constant)
     } - {None}
     assert literal | returned == set(ROWS)
+
+
+# ---------------------------------------------------------------------------
+# true and 1.0 equal 1 under ==, so a log that writes them where an int
+# belongs must fail, not replay as the log it imitates
+# ---------------------------------------------------------------------------
+
+
+def exponent_float(doc, mp):
+    i = first(doc, "top")
+    doc["steps"][i]["conclusion"]["lhs"][0][2] = 1.0
+    return i, "conclusion exponents must be ints"
+
+
+def premise_true(doc, mp):
+    i = first(doc, "transitive", 2)
+    assert doc["steps"][i]["premises"][1] == 1
+    doc["steps"][i]["premises"][1] = True
+    return i, "premise True out of range"
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [exponent_true, exponent_float, premise_true],
+    ids=["exponent-true", "exponent-float", "premise-true"],
+)
+def test_replay_cli_rejects_a_non_int_where_an_int_belongs(tamper, genuine, tmp_path, capsys):
+    from igmax.cli import main
+
+    doc = copy.deepcopy(genuine)
+    idx, message = tamper(doc, None)
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(doc))
+    assert main(["replay", "--log", str(path)]) == 4
+    out = capsys.readouterr().out
+    assert "failures: 0\n" not in out
+    assert f"  step {idx}: {message}\n" in out
+    assert out.endswith("replay: FAIL\n")
 
 
 # ---------------------------------------------------------------------------

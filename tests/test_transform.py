@@ -1,4 +1,4 @@
-"""Transformations, idempotents, and the subset action."""
+"""Transformations and idempotents."""
 
 import itertools
 
@@ -6,7 +6,8 @@ import pytest
 
 from igmax.combinatorics import Partition, Subset, enumerate_transversal_pairs
 from igmax.errors import InvalidParameters, TransversalityViolation
-from igmax.transform import ZERO, Transformation, act, compose, idempotent
+
+from transform_reference import Transformation, compose, idempotent
 
 
 def test_parse_and_call():
@@ -81,24 +82,6 @@ def test_idempotent_kernel_image_roundtrip(n, r):
         assert e.kernel() == p and e.image() == a
         # fixes its image pointwise
         assert all(e(x) == x for x in a)
-
-
-def test_act_keeps_or_absorbs():
-    a = Subset.parse("{1,3}", 4)
-    keep = Transformation.parse("[2,2,4,4]")
-    assert str(act(a, keep)) == "{2,4}"
-    merge = Transformation.parse("[2,2,2,4]")
-    assert act(a, merge) is ZERO
-
-
-def test_act_degree_mismatch():
-    with pytest.raises(InvalidParameters):
-        act(Subset.parse("{1}", 2), Transformation.identity(3))
-
-
-def test_zero_is_singleton():
-    assert act(Subset.parse("{1,2}", 3), Transformation.parse("[1,1,1]")) is ZERO
-    assert repr(ZERO) == "Zero"
 
 
 def test_compose_degree_mismatch():

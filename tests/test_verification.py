@@ -23,9 +23,9 @@ from igmax.verification import (
     CosetResult,
     _BudgetHit,
     _Enumerator,
-    _boundary_survivors,
     _generated_order,
     _relators,
+    _tietze,
     coset_enumerate,
     label_homomorphism_check,
     presentations_match,
@@ -358,13 +358,21 @@ def test_verify_boundary_case():
         assert report.to_json()["boundary_free_consistent"] is True
 
 
-def test_boundary_survivors_need_top_and_middle_shapes():
+def test_boundary_tietze_leaves_survivors_and_no_relator(monkeypatch):
     with pytest.warns(UserWarning):
         pres = build_presentation(4, 3)
-    assert _boundary_survivors(pres) == 3
-    g, h = pres.generators[:2]
-    other = Relation(((g, 1), (h, 1)), (), "derived")
-    assert _boundary_survivors(GroupPresentation(pres.generators, pres.relations + (other,))) is None
+    survivors, left, _ = _tietze(len(pres.generators), _relators(pres))
+    assert len(survivors) == 3 and left == []
+    # g g = 1 on a surviving generator is neither g = h nor g = 1, and no
+    # Tietze move removes it
+    g = pres.generators[survivors[0]]
+    square = Relation(((g, 1), (g, 1)), (), "derived")
+    tampered = GroupPresentation(pres.generators, pres.relations + (square,))
+    assert _tietze(len(pres.generators), _relators(tampered))[1] != []
+    monkeypatch.setattr(verification, "build_presentation", lambda n, r: tampered)
+    report, _ = verify_theorem(4, 3)
+    assert report.verdict == "not confirmed: boundary r = n-1, simplification left relations"
+    assert report.boundary_free_consistent is False
 
 
 def test_verify_rejects_a_coset_budget_below_one():

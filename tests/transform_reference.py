@@ -1,19 +1,19 @@
 """Total maps on {1, ..., n} under left-to-right composition.
 
-Throughout the package a word ``s t`` acts as "apply s, then t":
-``x (s t) = (x s) t``.  Keeping one convention everywhere (here, in the
-permutation layer, and in group words) is what makes the label calculus
-consistent, so do not flip it locally.
+The package no longer multiplies transformations: it works with labels in
+S_r.  The tests keep these maps to state the paper's definitions verbatim,
+as the idempotents the witness search and the Schreier words multiply.
+A word ``s t`` acts as "apply s, then t": ``x (s t) = (x s) t``, the
+package's convention for permutations and group words too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
 
-from .combinatorics import Partition, Subset, require_transversal
-from .errors import InvalidParameters
+from igmax.combinatorics import Partition, Subset, require_transversal
+from igmax.errors import InvalidParameters
 
 
 @dataclass(frozen=True)
@@ -126,36 +126,3 @@ def idempotent(partition: Partition, subset: Subset) -> Transformation:
         rep[partition.block_index(x)] = x
     images = tuple(rep[partition.block_index(x)] for x in range(1, partition.n + 1))
     return Transformation(partition.n, images)
-
-
-class _Zero:
-    """Absorbing sentinel for a rank-dropping action result."""
-
-    _instance: "_Zero | None" = None
-
-    def __new__(cls) -> "_Zero":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Zero"
-
-
-ZERO = _Zero()
-
-ActionResult = Union[Subset, _Zero]
-
-
-def act(subset: Subset, t: Transformation) -> ActionResult:
-    """Image of a subset under a transformation, or ``ZERO`` on rank collapse.
-
-    The result is the honest set image when it keeps full size; if two
-    elements merge, the action is declared absorbed.
-    """
-    if subset.n != t.n:
-        raise InvalidParameters(f"degree mismatch: subset on [1,{subset.n}], map on [1,{t.n}]")
-    out = {t.images[x - 1] for x in subset.elements}
-    if len(out) != len(subset):
-        return ZERO
-    return Subset.of(subset.n, out)
