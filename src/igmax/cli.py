@@ -38,7 +38,7 @@ from .errors import (
     VerificationFailed,
 )
 from .labels import label_with_context, label_spectrum
-from .squares import square_census, square_records
+from .squares import square_census, square_lines
 
 # Not called here: perfbench/trace_run.py wraps these three names in this module.
 from .squares import enumerate_squares, is_singular_sq3, square_record  # noqa: F401
@@ -162,8 +162,8 @@ def cmd_squares(args, out) -> int:
             f"warning: square enumeration at n={cfg.n} is large; this may take a while",
             file=sys.stderr,
         )
-    for record in square_records(cfg.n, cfg.r, args.only_singular):
-        out.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+    for line in square_lines(cfg.n, cfg.r, args.only_singular):
+        out.write(line)
     return EXIT_OK
 
 

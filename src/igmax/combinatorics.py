@@ -258,12 +258,6 @@ class Partition:
             raise InvalidParameters(f"block index {i} out of range for {self}")
         return self.blocks[i - 1]
 
-    def block_containing(self, x: int) -> tuple[int, ...]:
-        return self.blocks[self.block_index(x) - 1]
-
-    def same_block(self, x: int, y: int) -> bool:
-        return self.block_index(x) == self.block_index(y)
-
     @cached_property
     def minima(self) -> tuple[int, ...]:
         return tuple(b[0] for b in self.blocks)

@@ -29,11 +29,12 @@ replay checks that each discharged relation's generators are resolved
 (looked up in a table indexed by generator number) and reads whether its
 two sides have equal labels from a bitmap that
 :meth:`~igmax.presentation.GroupPresentation.label_equations` fills in one
-pass over the relations, on a product table over S_r
-(:class:`~igmax.perms.ProductTable`), the table that also evaluates each
-generator's resolution word.  So the bottom family is enumerated once per
-replay, as ints, and no :class:`Relation` of the presentation is made on
-the way.
+pass over the top and middle relations and the SQ3 buckets of the bottom
+family, on a product table over S_r (:class:`~igmax.perms.ProductTable`),
+the table that also evaluates each generator's resolution word.  The bottom
+family holds when each bucket's members agree, so a passing replay never
+enumerates it, and no :class:`Relation` of the presentation is made on the
+way.
 
 Each check has one copy.  Every rule reads a fact's shape (g = word, g = 1,
 g = h) with the same readers, exponents included, and compares conclusions
@@ -1300,7 +1301,10 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
     of the relation's generators must be resolved; and its two sides must
     have equal labels, a bit read from the bitmap that
     :meth:`~igmax.presentation.GroupPresentation.label_equations` fills on
-    the first discharge.
+    the first discharge.  That bitmap checks the bottom family per SQ3
+    bucket and does not read it unless a bucket disagrees; once every
+    generator is resolved, a discharge reads no relation's letters, so a
+    passing replay never enumerates the bottom family.
     """
     n, r = log.n, log.r
     if pres is None:

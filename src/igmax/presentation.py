@@ -22,9 +22,11 @@ the coset enumerator works in.  :class:`Relation` objects, with
 :class:`GeneratorId` letters, are made only when ``relations`` is read (by
 ``igmax present``, the boundary checks and the tests).  The bottom family of
 :func:`build_presentation` is lazy: it is counted off the SQ3 buckets and
-its squares are enumerated only when a bottom relation is first asked for,
-so ``reduce`` never enumerates it and ``replay`` and the coset oracle read
-it once, as ints.
+its squares are enumerated only when a bottom relation is first asked for.
+Whether it holds on labels is read off the buckets, one product per
+member (:meth:`GroupPresentation.label_equations`), so ``reduce``,
+``replay`` and ``verify``'s replay never enumerate it on a passing run, and
+the coset oracle reads it once, as ints.
 """
 
 from __future__ import annotations
@@ -190,7 +192,8 @@ class GroupPresentation:
     ``relations`` gives them as :class:`Relation` objects, made on first
     read.  A presentation made by hand from Relation objects converts them
     to letters when it is made; :func:`build_presentation` writes letters
-    and reads its bottom family only when a relation of it is asked for.
+    and reads its bottom family only when a relation of it is asked for,
+    which :meth:`label_equations` does only when a bucket disagrees.
     """
 
     def __init__(self, generators, relations, meta: Optional[dict] = None):
@@ -209,6 +212,7 @@ class GroupPresentation:
         self._bottom = 0
         self._corners: Optional[array] = None
         self._read_bottom: Optional[Callable[[], array]] = None
+        self._bucket_letters, self._bucket_ends = array("i"), array("i")
 
     @classmethod
     def _of_letters(
@@ -218,14 +222,24 @@ class GroupPresentation:
         tags: list[str],
         bottom: int,
         read_bottom: Callable[[], array],
+        bucket_letters: array,
+        bucket_ends: array,
         meta: dict,
     ) -> "GroupPresentation":
         """``words`` tagged ``tags``, then ``bottom`` relations p^-1 q = s^-1 t
-        whose letters ``read_bottom()`` returns flat, four per relation."""
+        whose letters ``read_bottom()`` returns flat, four per relation.
+
+        The bottom relations fall into buckets: in each, the relations are
+        x_P = x_Q for every ordered pair P != Q of the bucket's members,
+        where x_P = p^-1 q.  ``bucket_letters`` holds the letters p^-1 and q
+        of each member's x_P, two per member, bucket after bucket, and
+        ``bucket_ends`` the offset in it where each bucket ends.
+        """
         pres = cls.__new__(cls)
         pres.generators, pres.meta, pres._relations = generators, meta, None
         pres._words, pres._tags = words, tags
         pres._bottom, pres._corners, pres._read_bottom = bottom, None, read_bottom
+        pres._bucket_letters, pres._bucket_ends = bucket_letters, bucket_ends
         return pres
 
     @property
@@ -256,17 +270,38 @@ class GroupPresentation:
     def label_equations(self, table: ProductTable, label_ids: list[int]) -> bytearray:
         """Byte i is 1 when relation i's two sides have equal labels in
         ``table``, its letters read as ``label_ids`` (see
-        :func:`letter_label_ids`).  One pass: each word is evaluated, and
-        each bottom relation p^-1 q = s^-1 t takes two products."""
+        :func:`letter_label_ids`).  Each word is evaluated.  The bottom
+        family is checked per bucket (see :meth:`_of_letters`): all its
+        relations x_P = x_Q hold exactly when every member P of every bucket
+        gives x_P the same label, one product per member, and then the
+        family is not read.  Otherwise each bottom relation p^-1 q = s^-1 t
+        takes two products, so the bytes that are 0 name the relations that
+        fail."""
         evaluate, product = table.evaluate, table.product
         out = bytearray(self.relation_count)
+        words = len(self._words)
         for i, (lhs, rhs) in enumerate(self._words):
             out[i] = evaluate(lhs, label_ids) == evaluate(rhs, label_ids)
-        if self._bottom:
-            c = iter(self._bottom_letters())
-            for i, (p, q, s, t) in enumerate(zip(c, c, c, c), start=len(self._words)):
-                out[i] = product(label_ids[p], label_ids[q]) == product(label_ids[s], label_ids[t])
+        if not self._bottom:
+            return out
+        if self._buckets_agree(product, label_ids):
+            out[words:] = b"\x01" * self._bottom
+            return out
+        c = iter(self._bottom_letters())
+        for i, (p, q, s, t) in enumerate(zip(c, c, c, c), start=words):
+            out[i] = product(label_ids[p], label_ids[q]) == product(label_ids[s], label_ids[t])
         return out
+
+    def _buckets_agree(self, product: Callable[[int, int], int], label_ids: list[int]) -> bool:
+        """Whether each bucket's members give x_P one label."""
+        c, start = self._bucket_letters, 0
+        for end in self._bucket_ends:
+            x = product(label_ids[c[start]], label_ids[c[start + 1]])
+            for k in range(start + 2, end, 2):
+                if product(label_ids[c[k]], label_ids[c[k + 1]]) != x:
+                    return False
+            start = end
+        return True
 
     def tag(self, i: int) -> str:
         return self._tags[i] if i < len(self._words) else "bottom"
@@ -284,13 +319,6 @@ class GroupPresentation:
                 for i, (lhs, rhs) in enumerate(map(self.letters, range(self.relation_count)))
             )
         return self._relations
-
-    def counts_by_tag(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for i in range(self.relation_count):
-            tag = self.tag(i)
-            out[tag] = out.get(tag, 0) + 1
-        return out
 
     def to_json(self) -> dict:
         index = {g: i for i, g in enumerate(self.generators)}
@@ -349,7 +377,10 @@ def build_presentation(n: int, r: int) -> GroupPresentation:
     (a bucket of k kernels holds k(k-1) squares, as in
     :func:`~igmax.squares.square_census`) and read from
     ``enumerate_singular_squares`` only when a bottom relation is first
-    asked for; :func:`igmax.pipeline.run_pipeline` only counts it.
+    asked for; :func:`igmax.pipeline.run_pipeline` only counts it.  The
+    buckets' letters, two per member, go to the presentation as well, so
+    :meth:`GroupPresentation.label_equations` checks the family per bucket
+    without reading it.
 
     Only r <= n-2 is in the theorem's scope; r = n-1 is allowed with a
     warning (its bottom family is empty).
@@ -390,7 +421,17 @@ def build_presentation(n: int, r: int) -> GroupPresentation:
     for i, p in enumerate(parts):
         words.append(((letter[i][subset_id[p.min_transversal()]],), ()))
         tags.append("middle")
-    bottom = sum(k * (k - 1) for k in map(len, index.buckets.values()))
+    # the bottom family is the square relations x_P = x_Q of every bucket of
+    # at least two kernels, x_P = f[P,A]^-1 f[P,B]
+    bottom = 0
+    bucket_letters, bucket_ends = array("i"), array("i")
+    for (a, b, _), kernels in index.buckets.items():
+        k = len(kernels)
+        if k > 1:
+            bottom += k * (k - 1)
+            for i in kernels:
+                bucket_letters.extend((letter[i][a] + 1, letter[i][b]))
+            bucket_ends.append(len(bucket_letters))
     # a generator object: no square is made before the family is read
     squares = enumerate_singular_squares(n, r)
 
@@ -409,6 +450,8 @@ def build_presentation(n: int, r: int) -> GroupPresentation:
         tags,
         bottom,
         read_bottom,
+        bucket_letters,
+        bucket_ends,
         {
             "n": n,
             "r": r,

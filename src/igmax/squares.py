@@ -30,6 +30,7 @@ the output rather than on the number of kernel pairs.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator
@@ -291,24 +292,35 @@ def square_record(sq: Square) -> dict:
     return record
 
 
-def square_records(n: int, r: int, only_singular: bool) -> Iterator[dict]:
-    """The records of the ``squares`` stream, read off the SQ3 index.
+# ``square_record`` encoded with sorted keys and no spaces, its values filled in
+_LINE = (
+    '{"A":%s,"B":%s,"P":%s,"Q":%s,"evidence_kind":null,'
+    '"labels":{"PA":%s,"PB":%s,"QA":%s,"QB":%s},"singular":%s}\n'
+)
+
+
+def square_lines(n: int, r: int, only_singular: bool) -> Iterator[str]:
+    """The lines of the ``squares`` stream, read off the SQ3 index.
 
     Equal to ``square_record`` over ``enumerate_squares``, filtered by
     ``is_singular_sq3`` when ``only_singular``, in the same (P, Q, A, B)
-    order; but each kernel's and image's JSON and each (kernel, transversal)
-    label are computed once, not once per square.  A proper square is
-    singular exactly when the rows of its two kernels share the bucket for
-    (A, B), whose key is label(P,A)^-1 label(P,B): that is the SQ3 test.
+    order, each encoded by ``json.dumps(record, sort_keys=True,
+    separators=(",", ":"))`` and ended by a newline.  Each kernel's and
+    image's JSON and each (kernel, transversal) label's cycle form are
+    encoded once, not once per square, and a line fills the record's
+    template with them.  A proper square is singular exactly when the rows
+    of its two kernels share the bucket for (A, B), whose key is
+    label(P,A)^-1 label(P,B): that is the SQ3 test.
     """
     _check(n, r)
     index = _singular_index(n, r)
-    subset_json = [s.to_json() for s in index.subsets]
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    subset_json = [encode(s.to_json()) for s in index.subsets]
     kernels = []
     for p, ids, row in zip(index.parts, index.transversal_ids, index.rows):
-        labels = {a: label_by_subscripts(p, index.subsets[a]).cycle_form() for a in ids}
+        labels = {a: encode(label_by_subscripts(p, index.subsets[a]).cycle_form()) for a in ids}
         buckets = {(a, b): bucket for a, b, bucket in row}
-        kernels.append((p.to_json(), ids, labels, buckets))
+        kernels.append((encode(p.to_json()), ids, labels, buckets))
     for pi, (p_json, p_ids, p_labels, p_buckets) in enumerate(kernels):
         for qi, (q_json, _, q_labels, q_buckets) in enumerate(kernels):
             common = p_ids if qi == pi else [a for a in p_ids if a in q_labels]
@@ -317,20 +329,17 @@ def square_records(n: int, r: int, only_singular: bool) -> Iterator[dict]:
                     singular = pi == qi or a == b or p_buckets[a, b] is q_buckets[a, b]
                     if only_singular and not singular:
                         continue
-                    yield {
-                        "P": p_json,
-                        "Q": q_json,
-                        "A": subset_json[a],
-                        "B": subset_json[b],
-                        "labels": {
-                            "PA": p_labels[a],
-                            "PB": p_labels[b],
-                            "QA": q_labels[a],
-                            "QB": q_labels[b],
-                        },
-                        "singular": singular,
-                        "evidence_kind": None,
-                    }
+                    yield _LINE % (
+                        subset_json[a],
+                        subset_json[b],
+                        p_json,
+                        q_json,
+                        p_labels[a],
+                        p_labels[b],
+                        q_labels[a],
+                        q_labels[b],
+                        "true" if singular else "false",
+                    )
 
 
 def _check(n: int, r: int) -> None:

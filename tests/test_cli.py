@@ -181,8 +181,17 @@ def test_squares_deterministic(capsys):
     assert first == second
 
 
-@pytest.mark.parametrize("only_singular", [False, True], ids=["all", "only-singular"])
-@pytest.mark.parametrize("n, r", [(n, r) for n in range(1, 7) for r in range(1, n + 1)])
+@pytest.mark.parametrize(
+    "n, r, only_singular",
+    [
+        pytest.param(n, r, only, id=f"{n}-{r}-{'only-singular' if only else 'all'}")
+        for n in range(1, 7)
+        for r in range(1, n + 1)
+        for only in (False, True)
+    ]
+    # the benchmark's (7,5) stream
+    + [pytest.param(7, 5, True, id="7-5-only-singular")],
+)
 def test_squares_stream_is_the_record_of_every_square(capsys, n, r, only_singular):
     # the reference: one square_record per enumerated square, filtered by SQ3
     expected = "".join(

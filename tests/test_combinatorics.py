@@ -88,8 +88,8 @@ def test_partition_parse_infers_ground_set():
     p = Partition.parse("{{1},{2,3,5},{4,7},{6}}")
     assert p.n == 7
     assert p.block_index(7) == 3
-    assert p.block_containing(3) == (2, 3, 5)
-    assert p.same_block(2, 5) and not p.same_block(1, 2)
+    assert p.block(p.block_index(3)) == (2, 3, 5)
+    assert p.block_index(2) == p.block_index(5) and p.block_index(1) != p.block_index(2)
 
 
 @pytest.mark.parametrize(

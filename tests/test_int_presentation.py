@@ -2,6 +2,8 @@
 path that makes no Relation object of the presentation."""
 
 import itertools
+import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +13,7 @@ from igmax.cli import main
 from igmax.errors import VerificationFailed
 from igmax.perms import Permutation, ProductTable, compose, letter_images
 from igmax.pipeline import run_pipeline
-from igmax.presentation import GroupPresentation, Relation, build_presentation
+from igmax.presentation import GroupPresentation, Relation, build_presentation, letter_label_ids
 
 CASES = [(n, r) for n in range(3, 7) for r in range(1, n - 1)]
 
@@ -31,7 +33,7 @@ def test_letters_are_the_relations(n, r):
     ]
     assert letters_of(pres) == want
     assert pres.relation_count == len(pres.relations)
-    assert pres.meta["bottom"] == pres.counts_by_tag().get("bottom", 0)
+    assert pres.meta["bottom"] == Counter(map(pres.tag, range(pres.relation_count)))["bottom"]
     # a presentation made by hand from those relations derives the same letters
     by_hand = GroupPresentation(pres.generators, pres.relations, pres.meta)
     assert letters_of(by_hand) == want
@@ -51,6 +53,46 @@ def test_reduce_never_enumerates_the_bottom_family(monkeypatch, n, r):
         mp.setattr(presentation, "enumerate_singular_squares", _unread)
         _, log = run_pipeline(n, r)
     assert log.meta["relations"] == len(build_presentation(n, r).relations)
+
+
+@pytest.mark.parametrize("n,r", [(6, 3), (6, 4)])
+def test_replay_checks_the_bottom_family_without_reading_it(monkeypatch, tmp_path, capsys, n, r):
+    # the bottom family holds on labels when each SQ3 bucket's members agree,
+    # so neither replay nor verify's in-memory replay enumerates it
+    log = str(tmp_path / "log.json")
+    size = ["--n", str(n), "--r", str(r)]
+    monkeypatch.setattr(presentation, "enumerate_singular_squares", _unread)
+    assert main(["reduce", *size, "--log", log]) == 0
+    capsys.readouterr()
+    assert main(["replay", "--log", log, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert main(["verify", *size]) == 0
+    assert "confirmed S_" in capsys.readouterr().out
+
+
+def _label_equations_per_relation(pres, table, label_ids):
+    out = bytearray()
+    for i in range(pres.relation_count):
+        lhs, rhs = pres.letters(i)
+        out.append(table.evaluate(lhs, label_ids) == table.evaluate(rhs, label_ids))
+    return out
+
+
+@pytest.mark.parametrize("n,r", [(5, 3), (6, 4)])
+def test_a_disagreeing_bucket_names_the_relations_that_fail(n, r):
+    pres = build_presentation(n, r)
+    table = ProductTable(r)
+    label_ids = letter_label_ids(pres.generators, table)
+    assert pres.label_equations(table, label_ids) == bytearray([1]) * pres.relation_count
+    # the letter p of the first bottom relation p^-1 q = s^-1 t is given
+    # another label, so the buckets that hold that p disagree
+    first = pres.relation_count - pres.meta["bottom"]
+    (p, _), _ = pres.letters(first)
+    swap = table.intern((2, 1) + tuple(range(3, r + 1)))
+    label_ids[p] = table.product(label_ids[p], swap)
+    want = _label_equations_per_relation(pres, table, label_ids)
+    assert want[first] == 0 and want.count(1) > first
+    assert pres.label_equations(table, label_ids) == want
 
 
 def test_a_short_bottom_family_is_reported(monkeypatch):
