@@ -233,15 +233,18 @@ def cmd_reduce(args, out) -> int:
 def cmd_replay(args, out) -> int:
     from .pipeline import DerivationLog, DischargeHook, replay_log
 
-    with open(args.log) as fh:
-        try:
-            # the hook reads each discharge step as an int, not a dict
-            doc = json.load(fh, object_hook=DischargeHook())
-        except ValueError as exc:  # truncated or not JSON at all
-            raise VerificationFailed(f"malformed derivation log: {exc}") from None
-    log = DerivationLog.from_json(doc)
-    # drop the other steps' dicts before the replay, to keep peak memory
-    # down; the discharge steps are the log's own
+    try:
+        with open(args.log) as fh:
+            try:
+                # the hook reads each discharge step as an int, not a dict,
+                # and keeps one string per rule, kernel or image text
+                doc = json.load(fh, object_hook=DischargeHook())
+            except ValueError as exc:  # truncated or not JSON at all
+                raise VerificationFailed(f"malformed derivation log: {exc}") from None
+        # empties doc["steps"] as it makes the log's steps, so the two do not peak together
+        log = DerivationLog.from_json(doc)
+    except RecursionError as exc:  # nested deeper than the parser recurses
+        raise VerificationFailed(f"malformed derivation log: {exc}") from None
     del doc
     RunConfig(n=log.n, r=log.r, override_cap=args.override_cap).validate()
     report = replay_log(log)

@@ -36,6 +36,18 @@ family holds when each bucket's members agree, so a passing replay never
 enumerates it, and no :class:`Relation` of the presentation is made on the
 way.
 
+Each kernel, image, generator and square is built and checked once per
+(n, r).  The producer takes its kernels and images from the lookups of
+``squares._singular_index(n, r)``, its generators from the presentation by
+pair, and makes one Square per distinct quadruple; the replay keeps one
+generator per pair and one bottom relation per witness square.  On the way
+in, :class:`DischargeHook` keeps one ``str`` per distinct rule, kernel and
+image text (the decoder makes a new one for each occurrence of a value), so
+the parsed document holds each text once, and
+:meth:`DerivationLog.from_json` empties the document's step list as it
+makes the log's steps.  The parser still reads and validates every distinct
+text, and the replay builds its own presentation.
+
 Each check has one copy.  Every rule reads a fact's shape (g = word, g = 1,
 g = h) with the same readers, exponents included, and compares conclusions
 whole; :meth:`Derivation.finish` and the ``coxeter-match`` step share one
@@ -68,15 +80,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import groupby, islice
 from operator import countOf
-from typing import Iterable, Optional, TextIO
+from typing import Callable, Iterable, Optional, TextIO
 
 from .combinatorics import Partition, Subset
 from .errors import InvalidParameters, VerificationFailed
 from .labels import label_by_subscripts
 from .perms import (
+    Permutation,
     ProductTable,
     classify_descent_one,
     contiguous_cycle,
@@ -99,7 +111,7 @@ from .presentation import (
     substitute,
 )
 from .schreier import IdempotentLetter, build_schreier, convex_partition_of, predecessor
-from .squares import CORNERS, Square, is_singular_sq2, is_singular_sq3
+from .squares import CORNERS, Square, _singular_index, _SingularIndex, is_singular_sq2, is_singular_sq3
 
 Pair = tuple[Partition, Subset]
 
@@ -118,8 +130,9 @@ RULES = (
     "coxeter-match",
 )
 
-@lru_cache(maxsize=1 << 16)
 def _gid(pair: Pair) -> GeneratorId:
+    """A new generator of ``pair``, its label computed.  The derivation and
+    the replay take theirs from a presentation instead, one per pair."""
     return GeneratorId.of(pair[0], pair[1])
 
 
@@ -151,14 +164,15 @@ def _eq_relation(g: GeneratorId, h: GeneratorId) -> Relation:
     return Relation(((g, 1),), ((h, 1),), "derived")
 
 
-def _bottom_relation(sq: Square) -> Relation:
-    gpa, gpb, gqa, gqb = map(_gid, sq.corner_pairs())
+def _bottom_relation(sq: Square, gen: Callable[[Pair], GeneratorId] = _gid) -> Relation:
+    """The square relation of ``sq``, its corners named by ``gen``."""
+    gpa, gpb, gqa, gqb = map(gen, sq.corner_pairs())
     return Relation(((gpa, -1), (gpb, 1)), ((gqa, -1), (gqb, 1)), "derived")
 
 
-def _three_quarter_relation(sq: Square, zero: str) -> Relation:
+def _three_quarter_relation(sq: Square, zero: str, gen: Callable[[Pair], GeneratorId] = _gid) -> Relation:
     """The square relation with ``zero`` erased, solved for its diagonal."""
-    gpa, gpb, gqa, gqb = map(_gid, sq.corner_pairs())
+    gpa, gpb, gqa, gqb = map(gen, sq.corner_pairs())
     target, (x, y) = {
         "PA": (gqb, (gqa, gpb)),
         "PB": (gqa, (gqb, gpa)),
@@ -168,11 +182,11 @@ def _three_quarter_relation(sq: Square, zero: str) -> Relation:
     return Relation(((target, 1),), ((x, 1), (y, 1)), "derived")
 
 
-def _coxeter_mismatch(relations: Iterable[Relation], canon: list[Pair], r: int) -> Optional[str]:
-    """Why ``relations`` over the canonical pairs, renamed in order to the
-    Coxeter generators, are not the Coxeter relations up to rotation,
+def _coxeter_mismatch(relations: Iterable[Relation], canon: list[GeneratorId], r: int) -> Optional[str]:
+    """Why ``relations`` over the canonical generators, renamed in order to
+    the Coxeter generators, are not the Coxeter relations up to rotation,
     inversion and side swap; None when they are."""
-    rename = {_gid(pair): g for pair, g in zip(canon, coxeter_generators(r))}
+    rename = dict(zip(canon, coxeter_generators(r)))
     try:
         renamed = [
             Relation(*(tuple((rename[g], e) for g, e in word) for word in (rel.lhs, rel.rhs)), "derived")
@@ -263,6 +277,10 @@ class DischargeStep(int):
 
 # the log text of a discharge step, as json.dumps with sorted keys writes it
 _DISCHARGE_TEXT = '{"pz":%d,"rule":"discharge"}'
+# the same for a step of any other rule: its "conclusion" and "data" entries,
+# each ended by a comma, its premises, its rule, and its "square" entry led by
+# a comma; an entry the step does not have is left empty
+_STEP_TEXT = '{%s"premises":%s,"rule":%s%s}'
 # DerivationLog.write encodes at most this many steps to one string
 WRITE_CHUNK = 1024
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -279,17 +297,45 @@ class DischargeHook:
     So when it reaches a log document and has made more DischargeSteps than
     the document's ``steps`` list holds, it turns every one that is not an
     entry of that list back into the dict it was read from.
+
+    The decoder makes a new ``str`` for every string it reads but a key, so
+    the hook keeps one per distinct text (in ``texts``) for the strings of
+    each object with a string ``rule``: the rule, the kernel and image
+    texts of its witness ``square`` and those of the letters of its
+    ``conclusion``.  An equal string takes the place of each, so no value
+    of the document changes.
     """
 
     def __init__(self) -> None:
         self.made = 0
+        self.texts: dict[str, str] = {}
 
     def __call__(self, obj: dict) -> object:
-        if len(obj) == 2 and obj.get("rule") == "discharge":
+        rule = obj.get("rule")
+        if rule == "discharge" and len(obj) == 2:
             pz = obj.get("pz")
             if type(pz) is int and next(iter(obj)) == "pz":
                 self.made += 1
                 return DischargeStep(pz)
+        if type(rule) is str:  # a step, or shaped like one
+            share = self.texts.setdefault
+            obj["rule"] = share(rule, rule)
+            square = obj.get("square")
+            if type(square) is list:
+                for i, x in enumerate(square):
+                    if type(x) is str:
+                        square[i] = share(x, x)
+            conclusion = obj.get("conclusion")
+            if type(conclusion) is dict:
+                for side in (conclusion.get("lhs"), conclusion.get("rhs")):
+                    if type(side) is list:
+                        for letter in side:
+                            if type(letter) is list and len(letter) == 3:
+                                p, a, _ = letter
+                                if type(p) is str:
+                                    letter[0] = share(p, p)
+                                if type(a) is str:
+                                    letter[1] = share(a, a)
         if obj.get("format") == "igmax-derivation-log":
             steps = obj.get("steps")
             held = countOf(map(type, steps), DischargeStep) if type(steps) is list else 0
@@ -314,13 +360,14 @@ def _as_dicts(value: object) -> object:
     return value
 
 
+def _generator_json(g: object) -> list[str]:
+    if not isinstance(g, GeneratorId):
+        raise InvalidParameters("only concrete generators appear in logged words")
+    return [str(g.partition), str(g.subset)]
+
+
 def _word_json(word: GroupWord) -> list:
-    out = []
-    for g, e in word:
-        if not isinstance(g, GeneratorId):
-            raise InvalidParameters("only concrete generators appear in logged words")
-        out.append([str(g.partition), str(g.subset), e])
-    return out
+    return [[*_generator_json(g), e] for g, e in word]
 
 
 @dataclass
@@ -359,8 +406,9 @@ class DerivationLog:
         """Write ``json.dumps(self.to_json(), sort_keys=True,
         separators=(",", ":")) + "\\n"`` to ``fh``, byte for byte, without
         making that document or that string: the steps are encoded
-        ``WRITE_CHUNK`` at a time, and a run of discharge steps is
-        formatted as text without a dict per step."""
+        ``WRITE_CHUNK`` at a time, each as text without a dict.  A step
+        fills a sorted-key template, ``_DISCHARGE_TEXT`` or ``_STEP_TEXT``,
+        and each generator's letter head is encoded once."""
         head = self._head()
         fh.write("{")
         for i, key in enumerate(sorted([*head, "steps"])):
@@ -372,6 +420,28 @@ class DerivationLog:
         fh.write("}\n")
 
     def _write_steps(self, fh: TextIO) -> None:
+        # each generator's letter head '["P","A",' is encoded once
+        heads: dict[GeneratorId, str] = {}
+
+        def word_text(word: GroupWord) -> str:
+            letters = []
+            for g, e in word:
+                head = heads.get(g)
+                if head is None:
+                    head = heads[g] = _encode(_generator_json(g))[:-1] + ","
+                letters.append(head + (str(e) if type(e) is int else _encode(e)) + "]")
+            return "[" + ",".join(letters) + "]"
+
+        def step_text(st: DerivationStep) -> str:
+            if st.rule == "discharge":
+                return _encode(st.to_json())
+            c, sq = st.conclusion, st.square
+            head = "" if c is None else '"conclusion":{"lhs":%s,"rhs":%s},' % (word_text(c.lhs), word_text(c.rhs))
+            if st.data:
+                head += '"data":%s,' % _encode(dict(st.data))
+            tail = "" if sq is None else ',"square":' + _encode([str(x) for x in (*sq.kernels, *sq.images)])
+            return _STEP_TEXT % (head, _encode(list(st.premises)), _encode(st.rule), tail)
+
         fh.write("[")
         sep = ""
         for kind, run in groupby(self.steps, type):
@@ -379,14 +449,19 @@ class DerivationLog:
                 if kind is DischargeStep:
                     text = ",".join(map(_DISCHARGE_TEXT.__mod__, chunk))
                 else:
-                    text = _encode([st.to_json() for st in chunk])[1:-1]
+                    text = ",".join(map(step_text, chunk))
                 fh.write(sep + text)
                 sep = ","
         fh.write("]")
 
     @classmethod
     def from_json(cls, doc: dict) -> "DerivationLog":
-        """Parse a log document; a malformed one raises VerificationFailed."""
+        """Parse a log document; a malformed one raises VerificationFailed.
+
+        Consumes the document's steps: ``doc["steps"]``, when a list, is
+        emptied as the log's steps are made, so the document's step dicts
+        are freed one by one and the two are not held in full together.  A
+        caller that reads ``doc`` again passes a copy."""
         if not isinstance(doc, dict) or doc.get("format") != "igmax-derivation-log":
             raise InvalidParameters("not a derivation log document")
         try:
@@ -434,7 +509,7 @@ class DerivationLog:
             return tuple(out)
 
         steps: list[DerivationStep | DischargeStep] = []
-        for sd in doc["steps"]:
+        for sd in _consumed(doc["steps"]):
             if type(sd) is DischargeStep:  # read so by DischargeHook
                 steps.append(sd)
                 continue
@@ -461,9 +536,24 @@ class DerivationLog:
         return cls(n=n, r=r, steps=steps, final=doc.get("final"), meta=doc.get("meta", {}))
 
 
+def _consumed(items: object) -> Iterable:
+    """The entries of ``items`` in order; a list is emptied as they are taken."""
+    if type(items) is not list:
+        yield from items
+        return
+    items.reverse()
+    while items:
+        yield items.pop()
+
+
 # ---------------------------------------------------------------------------
 # pure constructions
 # ---------------------------------------------------------------------------
+#
+# Each construction computes the blocks and elements it needs and takes the
+# kernels and images with them from ``squares._singular_index(n, r)``, so the
+# derivation's kernels and images are the index's own objects.  A lookup
+# miss raises InvalidParameters.
 
 
 def canonical_cycle_pair(k: int, l: int, n: int, r: int) -> Pair:
@@ -489,9 +579,8 @@ def canonical_cycle_pair(k: int, l: int, n: int, r: int) -> Pair:
         blocks.append((i,))
     for i in range(k + l + 1, r + 1):
         blocks.append((i + 1,))
-    part = Partition.of(n, blocks)
-    sub = Subset.of(n, [i for i in range(1, r + 2) if i != k])
-    return part, sub
+    index = _singular_index(n, r)
+    return index.kernel(blocks), index.image([i for i in range(1, r + 2) if i != k])
 
 
 def cycle_split(k: int, l: int, n: int, r: int) -> tuple[Square, Relation]:
@@ -527,10 +616,10 @@ def cycle_split(k: int, l: int, n: int, r: int) -> tuple[Square, Relation]:
     for i in range(k + l + 1, r + 1):
         pblocks.append((i + 2,))
         qblocks.append((i + 2,))
-    p = Partition.of(n, pblocks)
-    q = Partition.of(n, qblocks)
-    a = Subset.of(n, [i for i in range(1, r + 3) if i not in (k, k + l + 2)])
-    b = Subset.of(n, [i for i in range(1, r + 3) if i not in (k, k + 2)])
+    index = _singular_index(n, r)
+    p, q = index.kernel(pblocks), index.kernel(qblocks)
+    a = index.image([i for i in range(1, r + 3) if i not in (k, k + l + 2)])
+    b = index.image([i for i in range(1, r + 3) if i not in (k, k + 2)])
     sq = Square((p, q), (a, b))
     return sq, _three_quarter_relation(sq, "PA")
 
@@ -543,6 +632,14 @@ def descent_reduction(P: Partition, A: Subset) -> tuple[Partition, Subset, Relat
     label has descent number exactly one less.
     """
     lam = label_by_subscripts(P, A)
+    Q, B = _descent_partner(P, A, lam, _singular_index(P.n, len(P)))
+    return Q, B, _three_quarter_relation(Square((P, Q), (A, B)), "QB")
+
+
+def _descent_partner(
+    P: Partition, A: Subset, lam: Permutation, index: _SingularIndex
+) -> tuple[Partition, Subset]:
+    """The (Q, B) of :func:`descent_reduction`, ``lam`` the label of (P, A)."""
     d = descent_number(lam)
     if d < 2:
         raise InvalidParameters(f"descent reduction needs descent >= 2, got {d}")
@@ -557,7 +654,7 @@ def descent_reduction(P: Partition, A: Subset) -> tuple[Partition, Subset, Relat
         + [av(lv(v))]
         + [av(lv(i)) for i in range(v + w + 1, r + 1)]
     )
-    B = Subset.of(n, belems)
+    B = index.image(belems)
     blocks: list[tuple[int, ...]] = []
     singles_from = 2 if v == 1 else v
     for i in range(2, v):
@@ -574,8 +671,7 @@ def descent_reduction(P: Partition, A: Subset) -> tuple[Partition, Subset, Relat
         blocks.append(tuple(first))
     else:
         blocks.append(tuple(rest))
-    Q = Partition.of(n, blocks)
-    return Q, B, _three_quarter_relation(Square((P, Q), (A, B)), "QB")
+    return index.kernel(blocks), B
 
 
 def coxeter_square_involution(k: int, n: int, r: int) -> tuple[Square, Relation]:
@@ -601,10 +697,10 @@ def coxeter_square_involution(k: int, n: int, r: int) -> tuple[Square, Relation]
     for i in range(k + 2, r + 1):
         pblocks.append((i + 2,))
         qblocks.append((i + 2,))
-    p = Partition.of(n, pblocks)
-    q = Partition.of(n, qblocks)
-    a = Subset.of(n, [i for i in range(1, r + 3) if i not in (k, k + 3)])
-    b = Subset.of(n, [i for i in range(1, r + 3) if i not in (k, k + 1)])
+    index = _singular_index(n, r)
+    p, q = index.kernel(pblocks), index.kernel(qblocks)
+    a = index.image([i for i in range(1, r + 3) if i not in (k, k + 3)])
+    b = index.image([i for i in range(1, r + 3) if i not in (k, k + 1)])
     sq = Square((p, q), (a, b))
     g = _gid(canonical_cycle_pair(k, 1, n, r))
     return sq, Relation((), ((g, 1), (g, 1)), "derived")
@@ -648,12 +744,11 @@ def coxeter_square_commute(k: int, l: int, n: int, r: int) -> tuple[tuple[Square
     for i in range(l + 2, r + 1):
         qblocks.append((i + 2,))
         rblocks.append((i + 2,))
-    p = Partition.of(n, pblocks)
-    q = Partition.of(n, qblocks)
-    rr = Partition.of(n, rblocks)
-    a = Subset.of(n, [i for i in range(1, r + 3) if i not in (k + 2, l + 1)])
-    b = Subset.of(n, [i for i in range(1, r + 3) if i not in (k, l + 1)])
-    c = Subset.of(n, [i for i in range(1, r + 3) if i not in (k, l + 3)])
+    index = _singular_index(n, r)
+    p, q, rr = index.kernel(pblocks), index.kernel(qblocks), index.kernel(rblocks)
+    a = index.image([i for i in range(1, r + 3) if i not in (k + 2, l + 1)])
+    b = index.image([i for i in range(1, r + 3) if i not in (k, l + 1)])
+    c = index.image([i for i in range(1, r + 3) if i not in (k, l + 3)])
     sq1 = Square((p, q), (a, b))
     sq2 = Square((q, rr), (b, c))
     gk = _gid(canonical_cycle_pair(k, 1, n, r))
@@ -687,10 +782,10 @@ def coxeter_square_braid(k: int, n: int, r: int) -> tuple[Square, Relation]:
     for i in range(k + 3, r + 1):
         pblocks.append((i + 2,))
         qblocks.append((i + 2,))
-    p = Partition.of(n, pblocks)
-    q = Partition.of(n, qblocks)
-    a = Subset.of(n, [i for i in range(1, r + 3) if i not in (k + 1, k + 4)])
-    b = Subset.of(n, [i for i in range(1, r + 3) if i not in (k, k + 1)])
+    index = _singular_index(n, r)
+    p, q = index.kernel(pblocks), index.kernel(qblocks)
+    a = index.image([i for i in range(1, r + 3) if i not in (k + 1, k + 4)])
+    b = index.image([i for i in range(1, r + 3) if i not in (k, k + 1)])
     sq = Square((p, q), (a, b))
     gk = _gid(canonical_cycle_pair(k, 1, n, r))
     gk1 = _gid(canonical_cycle_pair(k + 1, 1, n, r))
@@ -720,7 +815,14 @@ def _braid_mirror_square(k: int, n: int, r: int) -> Square:
 
 
 class Derivation:
-    """Fact store and step emitter over one (n, r) ground case."""
+    """Fact store and step emitter over one (n, r) ground case.
+
+    Its kernels and images are the objects of ``squares._singular_index(n,
+    r)``, looked up by blocks and by elements; its generators are the
+    presentation's own, looked up by pair; and it makes one
+    :class:`~igmax.squares.Square` per distinct quadruple, checked singular
+    when it is made.  So each is built and checked once per run.
+    """
 
     def __init__(self, n: int, r: int, pres: Optional[GroupPresentation] = None):
         """``pres``, when given, must be ``build_presentation(n, r)``; it is
@@ -730,12 +832,14 @@ class Derivation:
         self.n = n
         self.r = r
         self.log = DerivationLog(n=n, r=r)
+        self.index = _singular_index(n, r)
         self._pres = pres
-        self._one_memo: dict[Pair, int] = {}
-        self._eq_memo: dict[Pair, int] = {}
-        self._res_memo: dict[Pair, tuple[Optional[int], GroupWord]] = {}
+        self._gens: Optional[dict[Pair, GeneratorId]] = None
+        self._one_memo: dict[GeneratorId, int] = {}
+        self._eq_memo: dict[GeneratorId, int] = {}
+        self._res_memo: dict[GeneratorId, tuple[Optional[int], GroupWord]] = {}
         self._rep_memo: dict[tuple[int, int], Pair] = {}
-        self._singular: set[Square] = set()
+        self._squares: dict[tuple[Partition, Partition, Subset, Subset], Square] = {}
         self._final_steps: list[int] = []
 
     @property
@@ -743,6 +847,39 @@ class Derivation:
         if self._pres is None:
             self._pres = build_presentation(self.n, self.r)
         return self._pres
+
+    def _gen(self, pair: Pair) -> GeneratorId:
+        """The presentation's generator of ``pair``."""
+        gens = self._gens
+        if gens is None:
+            gens = self._gens = {(g.partition, g.subset): g for g in self.pres.generators}
+        g = gens.get(pair)
+        if g is None:
+            raise InvalidParameters(f"({pair[0]}, {pair[1]}) is not a generator of the presentation")
+        return g
+
+    def _swap(self, A: Subset, old: int, new: int) -> Subset:
+        """The image ``A`` with its element ``old`` swapped for ``new``."""
+        return self.index.image([new if x == old else x for x in A.elements])
+
+    def _square(self, p: Partition, q: Partition, a: Subset, b: Subset) -> Square:
+        """The one square over (p, q, a, b).  The producer checks each
+        distinct witness square (SQ3 and SQ2) here, once, on its corner
+        generators' labels; the constructions that build squares do not
+        check their own.  Each square made here is the witness of a bottom
+        step."""
+        key = (p, q, a, b)
+        sq = self._squares.get(key)
+        if sq is None:
+            corners = ((p, a), (p, b), (q, a), (q, b))
+            sq = Square._trusted((p, q), (a, b), tuple(self._gen(pair).label for pair in corners))
+            _require_singular(sq)
+            self._squares[key] = sq
+        return sq
+
+    def _made(self, sq: Square) -> Square:
+        """The derivation's own square for a square a construction built."""
+        return self._square(*sq.kernels, *sq.images)
 
     def _add(
         self,
@@ -755,18 +892,13 @@ class Derivation:
         return self.log.append(DerivationStep(rule, conclusion, tuple(premises), square, data))
 
     def _bottom(self, sq: Square) -> int:
-        """Emit the square relation of ``sq``.  The producer checks each
-        distinct witness square (SQ3 and SQ2) here, once; the constructions
-        that build squares do not check their own."""
-        if sq not in self._singular:
-            _require_singular(sq)
-            self._singular.add(sq)
-        return self._add("bottom", _bottom_relation(sq), square=sq)
+        """Emit the square relation of ``sq``, a square of :meth:`_square`."""
+        return self._add("bottom", _bottom_relation(sq, self._gen), square=sq)
 
     def _three_quarter(self, sq: Square, zero: str, bottom_idx: int, one_idx: int) -> int:
         return self._add(
             "three-quarter",
-            _three_quarter_relation(sq, zero),
+            _three_quarter_relation(sq, zero, self._gen),
             (bottom_idx, one_idx),
             square=sq,
             data={"zero": zero},
@@ -788,90 +920,90 @@ class Derivation:
 
     def one(self, P: Partition, A: Subset) -> int:
         """A step concluding f[P,A] = 1; the label must be the identity."""
-        key = (P, A)
-        if key in self._one_memo:
-            return self._one_memo[key]
-        g = _gid(key)
+        g = self._gen((P, A))
+        idx = self._one_memo.get(g)
+        if idx is not None:
+            return idx
         if not g.label.is_identity():
             raise InvalidParameters(f"{g} has label {g.label.cycle_form()}, not the identity")
-        idx = self._one_convex(P, A) if P.is_convex() else self._one_general(P, A)
-        self._one_memo[key] = idx
+        idx = self._one_convex(P, A, g) if P.is_convex() else self._one_general(P, A, g)
+        self._one_memo[g] = idx
         return idx
 
-    def _middle(self, P: Partition) -> int:
-        return self._add("middle", _one_relation(_gid((P, P.min_transversal()))))
+    def _middle(self, P: Partition, AP: Subset) -> int:
+        return self._add("middle", _one_relation(self._gen((P, AP))))
 
     def _top(self, P: Partition, X: Subset, Y: Subset) -> int:
-        return self._add("top", _eq_relation(_gid((P, X)), _gid((P, Y))))
+        return self._add("top", _eq_relation(self._gen((P, X)), self._gen((P, Y))))
 
-    def _one_convex(self, P: Partition, A: Subset) -> int:
-        if A == P.min_transversal():
-            return self._middle(P)
+    def _one_convex(self, P: Partition, A: Subset, g: GeneratorId) -> int:
+        AP = self.index.image(P.minima)
+        if A == AP:
+            return self._middle(P, AP)
         r = self.r
         if P.minima == tuple(range(1, r + 1)):
             # Blocks {1},...,{r-1},[r,n]: walk the free element down to r.
-            B = predecessor(A)
+            B = self.index.image(predecessor(A).elements)
             s_prev = self.one(P, B)
             s_top = self._top(P, B, A)
-            return self._add("transitive", _one_relation(_gid((P, A))), (s_prev, s_top))
+            return self._add("transitive", _one_relation(g), (s_prev, s_top))
         m = next(i for i in range(1, r + 1) if P.block(i) != (i,))
         t = next(i for i in range(1, r + 1) if A.element_at(i) != P.minima[i - 1])
         if t == m:
             am = A.element_at(m)
-            B = A.replace(am, am - 1)
-            Q = convex_partition_of(A)
+            B = self._swap(A, am, am - 1)
+            Q = self.index.kernel(convex_partition_of(A).blocks)
             s_top = self._top(Q, B, A)
             s_one_b = self.one(P, B)
             if P == Q:
-                return self._add("transitive", _one_relation(_gid((P, A))), (s_one_b, s_top))
-            sq = Square((Q, P), (B, A))
+                return self._add("transitive", _one_relation(g), (s_one_b, s_top))
+            sq = self._square(Q, P, B, A)
             s_b = self._bottom(sq)
             s_fl = self._add(
                 "flush-row",
-                _eq_relation(_gid((P, B)), _gid((P, A))),
+                _eq_relation(self._gen((P, B)), g),
                 (s_b, s_top),
                 square=sq,
             )
-            return self._add("transitive", _one_relation(_gid((P, A))), (s_one_b, s_fl))
+            return self._add("transitive", _one_relation(g), (s_one_b, s_fl))
         # t > m: shrink block m by one and recurse on the lex-smaller minima.
         x = P.minima[m] - 1
         blocks = [list(b) for b in P.blocks]
         blocks[m - 1].remove(x)
         blocks[m].insert(0, x)
-        Q = Partition.of(self.n, blocks)
-        AP = P.min_transversal()
-        sq = Square((P, Q), (A, AP))
+        Q = self.index.kernel(blocks)
+        sq = self._square(P, Q, A, AP)
         s1 = self.one(Q, A)
         s2 = self.one(Q, AP)
         s3 = self.one(P, AP)
         s_b = self._bottom(sq)
         return self._add(
             "corner",
-            _one_relation(_gid((P, A))),
+            _one_relation(g),
             (s_b, s1, s2, s3),
             square=sq,
             data={"target": "PA"},
         )
 
-    def _one_general(self, P: Partition, A: Subset) -> int:
-        AP = P.min_transversal()
+    def _one_general(self, P: Partition, A: Subset, g: GeneratorId) -> int:
+        AP = self.index.image(P.minima)
         if A == AP:
-            return self._middle(P)
+            return self._middle(P, AP)
         r = self.r
         m = next(i for i in range(1, r + 1) if A.element_at(i) != P.minima[i - 1])
         starts = list(P.minima[:m]) + [A.element_at(i) for i in range(m + 1, r + 1)]
-        B = Subset.of(self.n, starts)
+        B = self.index.image(starts)
         blocks = [tuple(range(starts[i], starts[i + 1])) for i in range(r - 1)]
         blocks.append(tuple(range(starts[-1], self.n + 1)))
-        Q = Partition.of(self.n, blocks)
-        sq = Square((P, Q), (A, B))
+        Q = self.index.kernel(blocks)
+        sq = self._square(P, Q, A, B)
         s1 = self.one(P, B)
         s2 = self.one(Q, A)
         s3 = self.one(Q, B)
         s_b = self._bottom(sq)
         return self._add(
             "corner",
-            _one_relation(_gid((P, A))),
+            _one_relation(g),
             (s_b, s1, s2, s3),
             square=sq,
             data={"target": "PA"},
@@ -883,7 +1015,7 @@ class Derivation:
         """A step concluding f[P,A] = f[P,B] for equal labels; None if A == B."""
         if A == B:
             return None
-        ga, gb = _gid((P, A)), _gid((P, B))
+        ga, gb = self._gen((P, A)), self._gen((P, B))
         pi = ga.label
         if pi != gb.label:
             raise InvalidParameters("same-row identification needs equal labels")
@@ -898,8 +1030,8 @@ class Derivation:
             blocks.append(tuple(sorted(blk)))
             used |= blk
         blocks.append(tuple(x for x in range(1, self.n + 1) if x not in used))
-        Q = Partition.of(self.n, blocks)
-        sq = Square((P, Q), (A, B))
+        Q = self.index.kernel(blocks)
+        sq = self._square(P, Q, A, B)
         s1 = self.one(Q, A)
         s2 = self.one(Q, B)
         s_b = self._bottom(sq)
@@ -909,11 +1041,11 @@ class Derivation:
         """f[P,A] = f[Q,A] via the identity column B common to both kernels."""
         s1 = self.one(P, B)
         s2 = self.one(Q, B)
-        sq = Square((P, Q), (B, A))
+        sq = self._square(P, Q, B, A)
         s_b = self._bottom(sq)
         return self._add(
             "flush-column",
-            _eq_relation(_gid((P, A)), _gid((Q, A))),
+            _eq_relation(self._gen((P, A)), self._gen((Q, A))),
             (s_b, s1, s2),
             square=sq,
         )
@@ -922,7 +1054,7 @@ class Derivation:
         """A step concluding f[P,A] = f[Q,A] for equal labels; None if P == Q."""
         if P == Q:
             return None
-        ga, gq = _gid((P, A)), _gid((Q, A))
+        ga, gq = self._gen((P, A)), self._gen((Q, A))
         pi = ga.label
         if pi != gq.label:
             raise InvalidParameters("same-column identification needs equal labels")
@@ -931,7 +1063,7 @@ class Derivation:
             s2 = self.one(Q, A)
             return self._add("transitive", _eq_relation(ga, gq), (s1, s2))
         if P.minima == Q.minima:
-            return self._shared_transversal_eq(P, Q, A, Subset.of(self.n, P.minima))
+            return self._shared_transversal_eq(P, Q, A, self.index.image(P.minima))
         u = 0
         while P.minima[u] == Q.minima[u]:
             u += 1
@@ -943,9 +1075,9 @@ class Derivation:
         blocks = [list(b) for b in Q.blocks]
         blocks[v - 1].remove(x)
         blocks[u].append(x)
-        R = Partition.of(self.n, blocks)
+        R = self.index.kernel(blocks)
         s1 = self.same_column(P, R, A)
-        s2 = self._shared_transversal_eq(Q, R, A, Subset.of(self.n, Q.minima))
+        s2 = self._shared_transversal_eq(Q, R, A, self.index.image(Q.minima))
         premises = tuple(s for s in (s1, s2) if s is not None)
         return self._add("transitive", _eq_relation(ga, gq), premises)
 
@@ -958,33 +1090,31 @@ class Derivation:
 
     def cycle_eq(self, P: Partition, A: Subset) -> Optional[int]:
         """Chain f[P,A] to its class representative; None when already there."""
-        kl = classify_descent_one(_gid((P, A)).label)
+        ga = self._gen((P, A))
+        kl = classify_descent_one(ga.label)
         if kl is None:
             raise InvalidParameters(f"label of ({P}, {A}) is not a contiguous cycle")
         k, l = kl
         rep = self.rep_pair(k, l)
         if (P, A) == rep:
             return None
-        key = (P, A)
-        if key in self._eq_memo:
-            return self._eq_memo[key]
-        ga = _gid(key)
-        grep = _gid(rep)
-        conclusion = _eq_relation(ga, grep)
+        if ga in self._eq_memo:
+            return self._eq_memo[ga]
+        conclusion = _eq_relation(ga, self._gen(rep))
         if A == rep[1]:
             s = self.same_column(P, rep[0], A)
             idx = self._add("transitive", conclusion, (s,))
-            self._eq_memo[key] = idx
+            self._eq_memo[ga] = idx
             return idx
         case_i = next(
             (i for i in range(1, k) if A.element_at(i) != P.minima[i - 1]), None
         )
         if case_i is not None:
-            A2 = A.replace(A.element_at(case_i), P.minima[case_i - 1])
+            A2 = self._swap(A, A.element_at(case_i), P.minima[case_i - 1])
             s1 = self.same_row(P, A, A2)
             s2 = self.cycle_eq(P, A2)
             idx = self._add("transitive", conclusion, tuple(s for s in (s1, s2) if s is not None))
-            self._eq_memo[key] = idx
+            self._eq_memo[ga] = idx
             return idx
         t = next((i for i in range(1, k) if A.element_at(i) > i), None)
         if t is None:
@@ -1001,22 +1131,22 @@ class Derivation:
                 blocks = [list(b) for b in Q.blocks]
                 blocks[0].remove(d)
                 blocks[target - 1].append(d)
-                Qp = Partition.of(self.n, blocks)
+                Qp = self.index.kernel(blocks)
         else:
             blocks = [list(b) for b in Q.blocks]
             blocks[0].remove(k)
             blocks[k - 1].remove(pk)
             blocks[k - 1].append(k)
             blocks[k].append(pk)
-            Qp = Partition.of(self.n, blocks)
-        A2 = A.replace(at, d)
+            Qp = self.index.kernel(blocks)
+        A2 = self._swap(A, at, d)
         s1 = self.same_column(P, Qp, A)
         s2 = self.same_row(Qp, A, A2)
         s3 = self.cycle_eq(Qp, A2)
         idx = self._add(
             "transitive", conclusion, tuple(s for s in (s1, s2, s3) if s is not None)
         )
-        self._eq_memo[key] = idx
+        self._eq_memo[ga] = idx
         return idx
 
     def _cycle_scaffold(self, P: Partition, A: Subset, k: int, l: int) -> Partition:
@@ -1038,8 +1168,7 @@ class Derivation:
             blocks.append(tuple(sorted(set(rest))))
         else:
             blocks.append(tuple(rest))
-        Q = Partition.of(self.n, blocks)
-        return Q
+        return self.index.kernel(blocks)
 
     # -- resolution to canonical classes -------------------------------------
 
@@ -1049,29 +1178,28 @@ class Derivation:
         Returns (step index, word); the index is None exactly for the
         canonical adjacent-transposition pairs themselves.
         """
-        key = (P, A)
-        if key in self._res_memo:
-            return self._res_memo[key]
-        g = _gid(key)
+        g = self._gen((P, A))
+        out = self._res_memo.get(g)
+        if out is not None:
+            return out
         lam = g.label
         if lam.is_identity():
-            idx = self.one(P, A)
-            out: tuple[Optional[int], GroupWord] = (idx, ())
+            out = (self.one(P, A), ())
         else:
             kl = classify_descent_one(lam)
             if kl is not None:
                 out = self._resolve_cycle(P, A, *kl)
             else:
-                out = self._resolve_descent(P, A)
-        self._res_memo[key] = out
+                out = self._resolve_descent(P, A, lam)
+        self._res_memo[g] = out
         return out
 
     def _resolve_cycle(self, P: Partition, A: Subset, k: int, l: int) -> tuple[Optional[int], GroupWord]:
         rep = self.rep_pair(k, l)
         if (P, A) == rep:
             if l == 1:
-                return None, ((_gid(rep), 1),)
-            sq, _ = cycle_split(k, l, self.n, self.r)
+                return None, ((self._gen(rep), 1),)
+            sq = self._made(cycle_split(k, l, self.n, self.r)[0])
             (ps, qs), (as_, bs) = sq.kernels, sq.images
             s_b = self._bottom(sq)
             s_one = self.one(ps, as_)
@@ -1089,9 +1217,9 @@ class Derivation:
         idx = self._rewrite(s_eq, (ri,))
         return idx, rw
 
-    def _resolve_descent(self, P: Partition, A: Subset) -> tuple[int, GroupWord]:
-        Q, B, _ = descent_reduction(P, A)
-        sq = Square((P, Q), (A, B))
+    def _resolve_descent(self, P: Partition, A: Subset, lam: Permutation) -> tuple[int, GroupWord]:
+        Q, B = _descent_partner(P, A, lam, self.index)
+        sq = self._square(P, Q, A, B)
         s_b = self._bottom(sq)
         s_one = self.one(Q, B)
         s_tq = self._three_quarter(sq, "QB", s_b, s_one)
@@ -1104,7 +1232,7 @@ class Derivation:
     # -- the three Coxeter relation families ----------------------------------
 
     def derive_involution(self, k: int) -> int:
-        sq, _ = coxeter_square_involution(k, self.n, self.r)
+        sq = self._made(coxeter_square_involution(k, self.n, self.r)[0])
         (p, q), (a, b) = sq.kernels, sq.images
         s_b = self._bottom(sq)
         s_one_qa = self.one(q, a)
@@ -1117,7 +1245,7 @@ class Derivation:
         return idx
 
     def derive_commute(self, k: int, l: int) -> int:
-        (sq1, sq2), _ = coxeter_square_commute(k, l, self.n, self.r)
+        sq1, sq2 = map(self._made, coxeter_square_commute(k, l, self.n, self.r)[0])
         (p, q), (a, b) = sq1.kernels, sq1.images
         rr, c = sq2.kernels[1], sq2.images[1]
         s_b1 = self._bottom(sq1)
@@ -1143,7 +1271,7 @@ class Derivation:
         sq, _ = coxeter_square_braid(k, self.n, self.r)
         q, b = sq.kernels[1], sq.images[1]
         i_qb, w_qb = self.resolve(q, b)
-        mirror = _braid_mirror_square(k, self.n, self.r)
+        mirror = self._made(_braid_mirror_square(k, self.n, self.r))
         w, z = mirror.kernels[0], mirror.images[0]
         s_b = self._bottom(mirror)
         s_one = self.one(w, z)
@@ -1161,16 +1289,20 @@ class Derivation:
     def canonical_pairs(self) -> list[Pair]:
         return [self.rep_pair(k, 1) for k in range(1, self.r)]
 
+    def canonical_generators(self) -> list[GeneratorId]:
+        return [self._gen(pair) for pair in self.canonical_pairs()]
+
     def assert_survivors(self) -> None:
-        canon = set(self.canonical_pairs())
-        survivors = {pair for pair, (idx, _) in self._res_memo.items() if idx is None}
+        canon = set(self.canonical_generators())
+        survivors = {g for g, (idx, _) in self._res_memo.items() if idx is None}
         if survivors != canon:
-            raise VerificationFailed(f"survivors {survivors} != canonical pairs {canon}")
-        canon_gens = {_gid(p) for p in canon}
-        for pair, (_, word) in self._res_memo.items():
-            for g, _e in word:
-                if g not in canon_gens:
-                    raise VerificationFailed(f"resolution of {pair} mentions non-canonical {g}")
+            raise VerificationFailed(
+                f"survivors {sorted(map(str, survivors))} != canonical generators {sorted(map(str, canon))}"
+            )
+        for g, (_, word) in self._res_memo.items():
+            for h, _e in word:
+                if h not in canon:
+                    raise VerificationFailed(f"resolution of {g} mentions non-canonical {h}")
 
     def discharge_all(self) -> None:
         """Check that the resolution map ρ sends every generator g to a word
@@ -1180,10 +1312,10 @@ class Derivation:
         :func:`replay_log` checks that equation for each discharge step.  The
         steps need only the relation count, so no relation is read here."""
         table = ProductTable(self.r)
-        images = letter_images({_gid(p): _gid(p).label for p in self.canonical_pairs()})
+        images = letter_images({g: g.label for g in self.canonical_generators()})
         canonical = {x: table.intern(image) for x, image in images.items()}
         for g in self.pres.generators:
-            res = self._res_memo.get((g.partition, g.subset))
+            res = self._res_memo.get(g)
             if res is None:
                 raise VerificationFailed(f"no resolution for {g}")
             if table.evaluate(res[1], canonical) != table.intern(g.label.images):
@@ -1192,7 +1324,9 @@ class Derivation:
 
     def finish(self) -> GroupPresentation:
         canon = self.canonical_pairs()
-        mismatch = _coxeter_mismatch((self.log.steps[i].conclusion for i in self._final_steps), canon, self.r)
+        mismatch = _coxeter_mismatch(
+            (self.log.steps[i].conclusion for i in self._final_steps), self.canonical_generators(), self.r
+        )
         if mismatch is not None:
             raise VerificationFailed(mismatch)
         self._add(
@@ -1310,10 +1444,28 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
     if pres is None:
         pres = build_presentation(n, r)
     sch = build_schreier(n, r)
-    canon_pairs = [canonical_cycle_pair(k, 1, n, r) for k in range(1, r)]
-    canon_gens = {_gid(p) for p in canon_pairs}
     generators = pres.generators
     relations = pres.relation_count
+    # one generator per pair: the presentation's, or for a pair it lacks one
+    # made on first use; one bottom relation per witness square
+    gens: dict[Pair, GeneratorId] = {(g.partition, g.subset): g for g in generators}
+    bottoms: dict[Square, Relation] = {}
+
+    def gen(pair: Pair) -> GeneratorId:
+        g = gens.get(pair)
+        if g is None:
+            g = gens[pair] = _gid(pair)
+        return g
+
+    def bottom_relation(sq: Square) -> Relation:
+        rel = bottoms.get(sq)
+        if rel is None:
+            rel = bottoms[sq] = _bottom_relation(sq, gen)
+        return rel
+
+    canon_pairs = [canonical_cycle_pair(k, 1, n, r) for k in range(1, r)]
+    canon_list = [gen(p) for p in canon_pairs]
+    canon_gens = set(canon_list)
     # words are evaluated on one product table: a canonical letter and each
     # of the presentation's int letters (2*i for generator i, 2*i+1 for its
     # inverse) carry the id of their label; ``resolved[i]`` says whether
@@ -1381,7 +1533,7 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
             raise _ReplayFailure("conclusion exponents must be ints")
         if rule == "middle":
             g = _one_fact(st.conclusion)
-            if g is None or g.subset != g.partition.min_transversal():
+            if g is None or g.subset.elements != g.partition.minima:
                 raise _ReplayFailure("middle step must conclude f[P, minima(P)] = 1")
         elif rule == "top":
             pair = _eq_fact(st.conclusion)
@@ -1405,18 +1557,19 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
                 ok = singular[sq] = is_singular_sq2(sq) and is_singular_sq3(sq)
             if not ok:
                 raise _ReplayFailure("witness square is not singular")
-            want = _bottom_relation(sq)
-            if st.conclusion != want:
+            if st.conclusion != bottom_relation(sq):
                 raise _ReplayFailure("bottom conclusion is not the square relation")
         elif rule in ("corner", "flush-row", "flush-column", "three-quarter"):
             sq = st.square
             if sq is None:
                 raise _ReplayFailure(f"{rule} step needs its witness square")
             base = premise(idx, st.premises[0])
-            want = _bottom_relation(sq)
+            want = bottom_relation(sq)
             if base.rule != "bottom" or base.conclusion != want:
                 raise _ReplayFailure("first premise must be the square's bottom relation")
-            corners = dict(zip(CORNERS, map(_gid, sq.corner_pairs())))
+            (gpa, _), (gpb, _) = want.lhs
+            (gqa, _), (gqb, _) = want.rhs
+            corners = dict(zip(CORNERS, (gpa, gpb, gqa, gqb)))
             if rule == "corner":
                 target = st.data["target"]
                 ones = set()
@@ -1436,7 +1589,7 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
                 g = _one_fact(premise(idx, st.premises[1]).conclusion)
                 if g != corners[zero]:
                     raise _ReplayFailure("second premise must zero the stated corner")
-                want_c = _three_quarter_relation(sq, zero)
+                want_c = _three_quarter_relation(sq, zero, gen)
                 if st.conclusion != want_c:
                     raise _ReplayFailure("three-quarter conclusion has the wrong solved form")
             else:
@@ -1508,10 +1661,10 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
             ]
             if stated != canon_pairs:
                 raise _ReplayFailure("stated canonical pairs are not the expected ones")
-            for k, pair in enumerate(canon_pairs, start=1):
-                if _gid(pair).label != contiguous_cycle(k, 1, r):
+            for k, g in enumerate(canon_list, start=1):
+                if g.label != contiguous_cycle(k, 1, r):
                     raise _ReplayFailure(f"canonical pair {k} does not carry the adjacent transposition")
-            mismatch = _coxeter_mismatch([premise(idx, i).conclusion for i in st.premises], canon_pairs, r)
+            mismatch = _coxeter_mismatch([premise(idx, i).conclusion for i in st.premises], canon_list, r)
             if mismatch is not None:
                 raise _ReplayFailure(mismatch)
             match_seen = True
@@ -1526,8 +1679,15 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
             raise _ReplayFailure(f"the word for {g} does not evaluate to its label")
         resolve(g)
 
-    # discharge steps are nearly all of a log: dispatch them first
+    # discharge steps are nearly all of a log: dispatch them first.  Once
+    # every generator is resolved and the bitmap is filled, a DischargeStep
+    # is checked inline, a range check and one bit; any other outcome goes
+    # through discharge(), which names the failure
     for idx, st in enumerate(log.steps):
+        if type(st) is DischargeStep and holds is not None and not unresolved and 0 <= st < relations and holds[st]:
+            discharged[st] = 1
+            verified[idx] = 1
+            continue
         try:
             if type(st) is DischargeStep:
                 discharge(st)

@@ -150,7 +150,7 @@ def word_str(word: GroupWord) -> str:
     return " * ".join(g.display() + ("^-1" if e < 0 else "") for g, e in word)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Relation:
     lhs: GroupWord
     rhs: GroupWord

@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .combinatorics import Partition, Subset, enumerate_partitions, enumerate_subsets
 from .errors import InvalidParameters, NotASquare, VerificationFailed
@@ -63,14 +63,23 @@ class Square:
                     raise NotASquare(f"{img} is not a transversal of {part}")
 
     @classmethod
-    def _trusted(cls, kernels: tuple[Partition, Partition], images: tuple[Subset, Subset]) -> "Square":
+    def _trusted(
+        cls,
+        kernels: tuple[Partition, Partition],
+        images: tuple[Subset, Subset],
+        corner_labels: Optional[tuple[Permutation, ...]] = None,
+    ) -> "Square":
         """A square whose corners are already known to be transversal pairs.
 
         Skips the checks of the constructor; only for squares built from
-        enumerated transversals, never for outside input.
+        enumerated transversals, never for outside input.  ``corner_labels``,
+        when given, are the labels of the corners in ``CORNERS`` order, as
+        the generators of those pairs carry them.
         """
         sq = object.__new__(cls)
         sq.__dict__.update(kernels=kernels, images=images)
+        if corner_labels is not None:
+            sq.__dict__["corner_labels"] = corner_labels
         return sq
 
     @property
@@ -165,12 +174,44 @@ class _SingularIndex:
     buckets: dict[tuple[int, int, tuple[int, ...]], list[int]]
     rows: list[list[tuple[int, int, list[int]]]]
 
+    @cached_property
+    def _kernel_of(self) -> dict[tuple[tuple[int, ...], ...], Partition]:
+        return {p.blocks: p for p in self.parts}
+
+    @cached_property
+    def _image_of(self) -> dict[tuple[int, ...], Subset]:
+        return {s.elements: s for s in self.subsets}
+
+    def kernel(self, blocks) -> Partition:
+        """The index's kernel with these blocks, given in any order.
+
+        A lookup, not a construction: the blocks name one of ``parts`` or
+        InvalidParameters is raised, which is what building the partition
+        and checking it against (n, r) would find.  The table is built on
+        first use, so ``stats`` and ``squares`` never build it.
+        """
+        key = tuple(sorted(tuple(sorted(b)) for b in blocks))
+        p = self._kernel_of.get(key)
+        if p is None:
+            raise InvalidParameters(f"{key} is not one of the {len(self.parts)} kernels of this index")
+        return p
+
+    def image(self, elements) -> Subset:
+        """The index's image with these elements, given in any order; a
+        lookup, as :meth:`kernel` is."""
+        key = tuple(sorted(elements))
+        a = self._image_of.get(key)
+        if a is None:
+            raise InvalidParameters(f"{key} is not one of the {len(self.subsets)} images of this index")
+        return a
+
 
 @lru_cache(maxsize=1)
 def _singular_index(n: int, r: int) -> _SingularIndex:
-    """Memoised: ``build_presentation`` and ``enumerate_singular_squares`` share
-    one index, so they hand out the same kernel and image objects.  Callers
-    only read it."""
+    """Memoised: ``build_presentation``, ``enumerate_singular_squares`` and the
+    reduction pipeline share one index, so they hand out the same kernel and
+    image objects, and it goes when another (n, r) is indexed.  Callers only
+    read it."""
     parts = _sorted_partitions(n, r)
     subsets = list(enumerate_subsets(n, r))
     subset_id = {s.elements: i for i, s in enumerate(subsets)}

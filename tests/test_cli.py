@@ -224,6 +224,16 @@ def test_squares_computes_one_label_per_pair(capsys, monkeypatch):
     assert len(calls) <= 2 * 90
 
 
+@pytest.mark.parametrize("command", ["stats", "squares"])
+def test_stats_and_squares_build_no_lookup_table(capsys, command):
+    # the index's lookups by blocks and by elements serve the trust path only
+    squares_module._singular_index.cache_clear()
+    code, _, _ = run(capsys, command, "--n", "5", "--r", "3")
+    assert code == 0
+    built = vars(squares_module._singular_index(5, 3))
+    assert "_kernel_of" not in built and "_image_of" not in built
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_squares_takes_no_format(capsys, fmt):
     code, out, err = run(capsys, "squares", "--n", "4", "--r", "2", "--format", fmt)
@@ -478,6 +488,17 @@ def test_replay_reports_malformed_log(capsys, tmp_path, log_path, damage):
     assert code == 4
     assert out == ""
     assert err.startswith("error: malformed derivation log: ")
+
+
+@pytest.mark.parametrize("text", ["[" * 200_000, '{"a":' * 200_000], ids=["arrays", "objects"])
+def test_replay_reports_a_log_nested_too_deep(capsys, tmp_path, text):
+    # the decoder recurses once per level, up to the interpreter's limit
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "replay", "--log", str(path))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: malformed derivation log: maximum recursion depth exceeded")
 
 
 def test_replay_reads_a_log_without_a_version_as_version_1(capsys, tmp_path, log_path):

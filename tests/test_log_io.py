@@ -15,6 +15,7 @@ import tracemalloc
 import pytest
 
 import igmax.pipeline as pipeline_module
+import igmax.squares as squares_module
 from igmax.cli import main
 from igmax.errors import VerificationFailed
 from igmax.pipeline import (
@@ -222,12 +223,23 @@ for value in (True, False, 1.0, "1", None):
     )
 
 
+def as_plain(doc):
+    """A hooked parse with its DischargeSteps read back as the plain parser's dicts."""
+    if type(doc) is dict and type(doc.get("steps")) is list:
+        return {**doc, "steps": [st.to_json() if type(st) is DischargeStep else st for st in doc["steps"]]}
+    return doc
+
+
 @pytest.mark.parametrize("tamper", list(TAMPERS))
 def test_the_hook_reads_a_log_as_the_plain_parser_does(five_three, tamper):
-    # keys stay in the order the writer put them, tampered ones in theirs
+    # keys stay in the order the writer put them, tampered ones in theirs;
+    # the hook only swaps equal strings for one another and gives back every
+    # dict it read as a step anywhere but in the steps, so the documents are
+    # equal too
     doc = json.loads(written(five_three))
     TAMPERS[tamper](doc)
     text = json.dumps(doc)
+    assert as_plain(json.loads(text, object_hook=DischargeHook())) == json.loads(text)
     assert read_hooked(text) == read_plain(text)
 
 
@@ -250,6 +262,88 @@ def test_the_hook_gives_back_the_dicts_it_made_elsewhere(five_three):
     ]
     assert type(back["meta"]["extra"]) is dict
     assert type(steps[first_index(doc, "corner")]["data"]) is dict
+
+
+def shared_texts(doc):
+    """Every rule string and every string of a witness square or a letter,
+    discharge steps aside."""
+    out = []
+    for sd in doc["steps"]:
+        if type(sd) is DischargeStep or sd["rule"] == "discharge":
+            continue
+        out.append(sd["rule"])
+        out.extend(sd.get("square", ()))
+        for side in ("lhs", "rhs"):
+            for letter in sd.get("conclusion", {}).get(side, ()):
+                out.extend(letter[:2])
+    return out
+
+
+def test_the_hook_keeps_one_string_per_text(five_three):
+    hook = DischargeHook()
+    texts = shared_texts(json.loads(written(five_three), object_hook=hook))
+    assert len(texts) > 3 * len(set(texts))
+    assert len({id(t) for t in texts}) == len(set(texts))
+    assert set(hook.texts) == set(texts)
+    # the plain parser makes one string per occurrence
+    assert len({id(t) for t in shared_texts(json.loads(written(five_three)))}) == len(texts)
+
+
+@pytest.mark.parametrize("hooked", [False, True])
+def test_from_json_consumes_the_steps(five_three, hooked):
+    doc = json.loads(written(five_three), object_hook=DischargeHook() if hooked else None)
+    count = len(doc["steps"])
+    back = DerivationLog.from_json(doc)
+    assert doc["steps"] == []
+    assert len(back) == count == len(five_three)
+    assert written(back) == written(five_three)
+
+
+def retexted(five_three, index, new):
+    """The written log with the kernel (``index`` 0) or the image (1) of the
+    first letter of the last bottom conclusion replaced by ``new``, or, when
+    ``new`` is None, by the text of another letter of the log that keeps
+    the pair a generator.  The old text occurs elsewhere in the log too."""
+    doc = json.loads(written(five_three))
+    letters = [
+        letter for sd in doc["steps"] if "conclusion" in sd
+        for letter in sd["conclusion"]["lhs"] + sd["conclusion"]["rhs"]
+    ]
+    letter = next(sd for sd in reversed(doc["steps"]) if sd["rule"] == "bottom")["conclusion"]["lhs"][0]
+    old = letter[index]
+    assert sum(other[index] == old for other in letters) > 1
+    if new is None:
+        # the other text of a letter that shares this letter's other half
+        new = next(
+            other[index] for other in letters
+            if other[1 - index] == letter[1 - index] and other[index] != old
+        )
+    letter[index] = new
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize(
+    "index, new",
+    [
+        (0, "{{1},{2}}"),  # does not cover [1, 5]
+        (0, "{{1,2},{2,3,4,5}}"),  # 2 in two blocks
+        (1, "{1,1,2}"),  # a repeated element
+        (1, "{1,2,9}"),  # 9 outside [1, 5]
+        (0, None),  # a kernel of the log, in the wrong letter
+        (1, None),  # an image of the log, in the wrong letter
+    ],
+)
+def test_replay_cli_rejects_a_tampered_kernel_or_image_text(five_three, tmp_path, capsys, index, new):
+    path = tmp_path / "log.json"
+    path.write_text(retexted(five_three, index, new))
+    assert main(["replay", "--log", str(path)]) == 4
+    captured = capsys.readouterr()
+    if new is not None:
+        assert captured.out == ""
+        assert captured.err.startswith("error: malformed derivation log: ")
+    else:
+        assert captured.err == ""
+        assert "replay: FAIL" in captured.out
 
 
 @pytest.mark.parametrize("entry", ["5", "[5]", '"discharge"'])
@@ -308,3 +402,34 @@ def test_discharge_steps_cost_under_64_bytes_a_relation():
         tracemalloc.stop()
     assert relations > 10_000
     assert (after - before) / relations < 64
+
+
+# ---------------------------------------------------------------------------
+# memory guards at (6,3)
+# ---------------------------------------------------------------------------
+
+
+def traced_peak(fn):
+    """The peak of memory traced while ``fn()`` runs, in bytes; its result is dropped."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_reading_a_log_peaks_under_3_25_mb():
+    # one string per kernel or image text and the steps consumed as they
+    # are read: 2.70 MB, against 5.19 MB with neither
+    text = written(run_pipeline(6, 3)[1])
+    peak = traced_peak(lambda: DerivationLog.from_json(json.loads(text, object_hook=DischargeHook())))
+    assert peak < 3.25 * 2**20
+
+
+def test_run_pipeline_peaks_under_3_5_mb():
+    # the index built cold, every kernel, image, generator and square made
+    # once: 2.88 MB, against 4.46 MB when each use built its own
+    squares_module._singular_index.cache_clear()
+    peak = traced_peak(lambda: run_pipeline(6, 3))
+    assert peak < 3.5 * 2**20

@@ -1,12 +1,16 @@
 """The benchmark's trace tool must still find every igmax name it wraps."""
 
+import gc
 import importlib.util
+import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import igmax.pipeline as pipeline
 import igmax.presentation as presentation
+import igmax.squares as squares
 import igmax.verification as verification
 
 TRACE_RUN = Path(__file__).resolve().parent.parent / "perfbench" / "trace_run.py"
@@ -60,3 +64,53 @@ def test_trace_run_sees_the_bottom_family_enumerator(trace_run):
     finally:
         trace_run.uninstall(undo)
     assert "squares.enumerate_singular_squares" in tracer.names
+
+
+# ---------------------------------------------------------------------------
+# the lookup tables are scoped to one (n, r)
+# ---------------------------------------------------------------------------
+
+
+def six_three_objects():
+    """Weak references to the (6,3) index and to the generators of a (6,3) run."""
+    _, log = pipeline.run_pipeline(6, 3)
+    refs = [weakref.ref(squares._singular_index(6, 3))]
+    refs += [weakref.ref(g) for st in log.steps if st.conclusion for g, _ in st.conclusion.lhs]
+    return refs
+
+
+def test_no_table_outlives_its_case():
+    refs = six_three_objects()
+    pipeline.run_pipeline(5, 3)
+    gc.collect()
+    assert [ref for ref in refs if ref() is not None] == []
+
+
+def test_clear_caches_empties_the_tables(trace_run):
+    refs = six_three_objects()
+    trace_run.clear_caches()
+    assert [ref for ref in refs if ref() is not None] == []
+
+
+def module_containers() -> dict:
+    """The size of each dict, list and set bound at module level in igmax."""
+    return {
+        (name, attr): len(value)
+        for name, module in list(sys.modules.items())
+        if name.startswith("igmax")
+        for attr, value in vars(module).items()
+        if not attr.startswith("__") and type(value) in (dict, list, set)
+    }
+
+
+def test_no_module_level_container_escapes_clear_caches(trace_run, tmp_path):
+    import igmax.cli as cli
+
+    trace_run.clear_caches()
+    before = module_containers()
+    path = str(tmp_path / "log.json")
+    assert cli.main(["reduce", "--n", "6", "--r", "3", "--log", path]) == 0
+    assert cli.main(["replay", "--log", path]) == 0
+    assert cli.main(["verify", "--n", "5", "--r", "3", "--with-coset-oracle"]) == 0
+    trace_run.clear_caches()
+    assert module_containers() == before

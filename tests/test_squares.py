@@ -9,6 +9,7 @@ from igmax.errors import InvalidParameters, NotASquare
 from igmax.perms import Permutation, contiguous_cycle
 from igmax.squares import (
     Square,
+    _singular_index,
     enumerate_singular_squares,
     enumerate_squares,
     is_singular_sq2,
@@ -233,6 +234,20 @@ def test_bucketed_enumeration_is_the_sq3_filter(n, r):
         assert got == want
         count += 1
     assert square_census(n, r).singular_proper == count
+
+
+def test_index_looks_up_its_own_kernels_and_images():
+    index = _singular_index(5, 3)
+    p = index.kernel([[5, 2], [1], [4, 3]])
+    assert str(p) == "{{1},{2,5},{3,4}}" and any(p is q for q in index.parts)
+    a = index.image([4, 1, 2])
+    assert str(a) == "{1,2,4}" and any(a is b for b in index.subsets)
+    for blocks in ([[1], [2, 3, 4, 5]], [[1, 2], [2, 3], [4, 5]], [[1], [2], [3, 4, 5, 6]], [[], [1, 2], [3, 4, 5]]):
+        with pytest.raises(InvalidParameters):
+            index.kernel(blocks)
+    for elements in ([1, 2], [1, 1, 2], [1, 2, 6], [0, 1, 2]):
+        with pytest.raises(InvalidParameters):
+            index.image(elements)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
