@@ -241,12 +241,14 @@ def cmd_replay(args, out) -> int:
                 doc = json.load(fh, object_hook=DischargeHook())
             except ValueError as exc:  # truncated or not JSON at all
                 raise VerificationFailed(f"malformed derivation log: {exc}") from None
+        # the parser builds the (n, r) index, so n is held to the cap first
+        n, r = DerivationLog.case_of(doc)
+        RunConfig(n=n, r=r, override_cap=args.override_cap).validate()
         # empties doc["steps"] as it makes the log's steps, so the two do not peak together
         log = DerivationLog.from_json(doc)
     except RecursionError as exc:  # nested deeper than the parser recurses
         raise VerificationFailed(f"malformed derivation log: {exc}") from None
     del doc
-    RunConfig(n=log.n, r=log.r, override_cap=args.override_cap).validate()
     report = replay_log(log)
     if args.format == "json":
         _emit_json(report.to_json(), out)

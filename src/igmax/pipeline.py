@@ -37,16 +37,22 @@ enumerates it, and no :class:`Relation` of the presentation is made on the
 way.
 
 Each kernel, image, generator and square is built and checked once per
-(n, r).  The producer takes its kernels and images from the lookups of
-``squares._singular_index(n, r)``, its generators from the presentation by
-pair, and makes one Square per distinct quadruple; the replay keeps one
-generator per pair and one bottom relation per witness square.  On the way
-in, :class:`DischargeHook` keeps one ``str`` per distinct rule, kernel and
-image text (the decoder makes a new one for each occurrence of a value), so
-the parsed document holds each text once, and
-:meth:`DerivationLog.from_json` empties the document's step list as it
-makes the log's steps.  The parser still reads and validates every distinct
-text, and the replay builds its own presentation.
+(n, r), and the trust path holds them as the ids of
+``squares._singular_index(n, r)``: a generator is the number of its
+(kernel, image) pair, which is its number in the presentation; a step's
+conclusion is a word of (generator id, exponent) letters, one tuple per
+distinct letter (:class:`_Letters`); a witness square is the ids of its
+two kernels and two images, tested by
+:func:`~igmax.squares.is_singular_ids`.  Labels and their ids in a
+product table are read off the index.  The producer computes with the
+index's kernel and image objects and records ids; :meth:`DerivationLog.write`
+turns the ids back into the v1 texts.  On the way in,
+:class:`DischargeHook` keeps one ``str`` per distinct rule, kernel and image
+text (the decoder makes a new one for each occurrence of a value), and
+:meth:`DerivationLog.from_json` parses and validates each distinct text
+once, maps it to its id, and empties the document's step list as it makes
+the log's steps.  The replay keeps one bottom relation per witness square
+and builds its own presentation.
 
 Each check has one copy.  Every rule reads a fact's shape (g = word, g = 1,
 g = h) with the same readers, exponents included, and compares conclusions
@@ -82,14 +88,13 @@ import json
 from dataclasses import dataclass, field
 from itertools import groupby, islice
 from operator import countOf
-from typing import Callable, Iterable, Optional, TextIO
+from typing import Iterable, Optional, TextIO
 
-from .combinatorics import Partition, Subset
+from .combinatorics import Partition, Subset, require_transversal
 from .errors import InvalidParameters, VerificationFailed
 from .labels import label_by_subscripts
 from .perms import (
     Permutation,
-    ProductTable,
     classify_descent_one,
     contiguous_cycle,
     descent_number,
@@ -107,13 +112,14 @@ from .presentation import (
     coxeter_generators,
     coxeter_presentation,
     free_reduce,
-    letter_label_ids,
     substitute,
 )
 from .schreier import IdempotentLetter, build_schreier, convex_partition_of, predecessor
-from .squares import CORNERS, Square, _singular_index, _SingularIndex, is_singular_sq2, is_singular_sq3
+from .squares import CORNERS, Square, _singular_index, _SingularIndex, is_singular_ids
 
 Pair = tuple[Partition, Subset]
+# a witness square as the ids of its kernels P, Q and images A, B in the index
+SquareIds = tuple[int, int, int, int]
 
 RULES = (
     "middle",
@@ -132,23 +138,35 @@ RULES = (
 
 def _gid(pair: Pair) -> GeneratorId:
     """A new generator of ``pair``, its label computed.  The derivation and
-    the replay take theirs from a presentation instead, one per pair."""
+    the replay name generators by their ids in the index instead."""
     return GeneratorId.of(pair[0], pair[1])
 
 
-def _subject(rel: Relation) -> Optional[GeneratorId]:
+class _Letters(dict):
+    """``letters[g, e]``: the one tuple (g, e) kept for that letter, made on
+    first use, so that the words of a log share their letters.  Only for
+    int exponents: (g, True) is equal to (g, 1) and would be read as it."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: tuple) -> tuple:
+        self[key] = key
+        return key
+
+
+def _subject(rel: Relation) -> Optional[object]:
     """g when ``rel`` reads g = word with g a bare generator (exponent 1)."""
     if len(rel.lhs) == 1 and rel.lhs[0][1] == 1:
         return rel.lhs[0][0]
     return None
 
 
-def _one_fact(rel: Relation) -> Optional[GeneratorId]:
+def _one_fact(rel: Relation) -> Optional[object]:
     """g when ``rel`` reads g = 1."""
     return _subject(rel) if rel.rhs == () else None
 
 
-def _eq_fact(rel: Relation) -> Optional[tuple[GeneratorId, GeneratorId]]:
+def _eq_fact(rel: Relation) -> Optional[tuple[object, object]]:
     """(g, h) when ``rel`` reads g = h, both bare generators."""
     g = _subject(rel)
     if g is None or len(rel.rhs) != 1 or rel.rhs[0][1] != 1:
@@ -156,33 +174,49 @@ def _eq_fact(rel: Relation) -> Optional[tuple[GeneratorId, GeneratorId]]:
     return g, rel.rhs[0][0]
 
 
-def _one_relation(g: GeneratorId) -> Relation:
-    return Relation(((g, 1),), (), "derived")
+def _one_relation(g: object, letters: _Letters) -> Relation:
+    """g = 1."""
+    return Relation((letters[g, 1],), (), "derived")
 
 
-def _eq_relation(g: GeneratorId, h: GeneratorId) -> Relation:
-    return Relation(((g, 1),), ((h, 1),), "derived")
+def _eq_relation(g: object, h: object, letters: _Letters) -> Relation:
+    """g = h."""
+    return Relation((letters[g, 1],), (letters[h, 1],), "derived")
 
 
-def _bottom_relation(sq: Square, gen: Callable[[Pair], GeneratorId] = _gid) -> Relation:
-    """The square relation of ``sq``, its corners named by ``gen``."""
-    gpa, gpb, gqa, gqb = map(gen, sq.corner_pairs())
-    return Relation(((gpa, -1), (gpb, 1)), ((gqa, -1), (gqb, 1)), "derived")
+def _corners(index: _SingularIndex, sq: SquareIds) -> tuple[int, int, int, int]:
+    """The generator ids of the corners PA, PB, QA, QB of a witness square."""
+    p, q, a, b = sq
+    gen_p, gen_q = index.generator_of[p], index.generator_of[q]
+    return gen_p[a], gen_p[b], gen_q[a], gen_q[b]
 
 
-def _three_quarter_relation(sq: Square, zero: str, gen: Callable[[Pair], GeneratorId] = _gid) -> Relation:
-    """The square relation with ``zero`` erased, solved for its diagonal."""
-    gpa, gpb, gqa, gqb = map(gen, sq.corner_pairs())
+def _bottom_relation(corners: tuple, letters: _Letters) -> Relation:
+    """The square relation PA^-1 PB = QA^-1 QB of the corner generators."""
+    gpa, gpb, gqa, gqb = corners
+    return Relation((letters[gpa, -1], letters[gpb, 1]), (letters[gqa, -1], letters[gqb, 1]), "derived")
+
+
+def _three_quarter_relation(corners: tuple, zero: str, letters: _Letters) -> Relation:
+    """The square relation of the corner generators with ``zero`` erased,
+    solved for its diagonal."""
+    gpa, gpb, gqa, gqb = corners
     target, (x, y) = {
         "PA": (gqb, (gqa, gpb)),
         "PB": (gqa, (gqb, gpa)),
         "QA": (gpb, (gpa, gqb)),
         "QB": (gpa, (gpb, gqa)),
     }[zero]
-    return Relation(((target, 1),), ((x, 1), (y, 1)), "derived")
+    return Relation((letters[target, 1],), (letters[x, 1], letters[y, 1]), "derived")
 
 
-def _coxeter_mismatch(relations: Iterable[Relation], canon: list[GeneratorId], r: int) -> Optional[str]:
+def _square_relation(sq: Square, zero: str) -> Relation:
+    """:func:`_three_quarter_relation` of a square of the constructions,
+    over new generators of its corners."""
+    return _three_quarter_relation(tuple(map(_gid, sq.corner_pairs())), zero, _Letters())
+
+
+def _coxeter_mismatch(relations: Iterable[Relation], canon: list[int], r: int) -> Optional[str]:
     """Why ``relations`` over the canonical generators, renamed in order to
     the Coxeter generators, are not the Coxeter relations up to rotation,
     inversion and side swap; None when they are."""
@@ -200,13 +234,18 @@ def _coxeter_mismatch(relations: Iterable[Relation], canon: list[GeneratorId], r
     return None
 
 
-def _require_singular(sq: Square) -> None:
-    if sq.is_degenerate():
-        raise InvalidParameters(f"square {sq.to_json()} is degenerate")
-    if not is_singular_sq3(sq):
-        raise VerificationFailed(f"square fails the label test: {sq.to_json()}")
-    if not is_singular_sq2(sq):
-        raise VerificationFailed(f"square fails the pair test: {sq.to_json()}")
+def _require_singular(index: _SingularIndex, sq: SquareIds) -> None:
+    p, q, a, b = sq
+    if p == q or a == b:
+        raise InvalidParameters(f"square {_square_texts(index, sq)} is degenerate")
+    if not is_singular_ids(index, p, q, a, b):
+        raise VerificationFailed(f"square fails the singularity tests: {_square_texts(index, sq)}")
+
+
+def _square_texts(index: _SingularIndex, sq: SquareIds) -> list[str]:
+    """The texts of a witness square's kernels and images, as a log writes them."""
+    p, q, a, b = sq
+    return [str(index.parts[p]), str(index.parts[q]), str(index.subsets[a]), str(index.subsets[b])]
 
 
 @dataclass(slots=True)
@@ -215,27 +254,30 @@ class DerivationStep:
     :class:`DischargeStep`).  Not frozen: a frozen dataclass's constructor,
     which sets each field through ``object.__setattr__``, takes three times
     as long.  A discharge step parsed from a dict of another shape than the
-    writer's is held as one of these, with its index in ``data["pz"]``."""
+    writer's is held as one of these, with its index in ``data["pz"]``.
+
+    The conclusion's letters are (generator id, exponent) pairs and the
+    witness square is the ids of its kernels and images, both numbered by
+    ``squares._singular_index(n, r)``; ``to_json`` takes that index to name
+    them as text (a discharge step needs none)."""
 
     rule: str
     conclusion: Optional[Relation]
     premises: tuple[int, ...] = ()
-    square: Optional[Square] = None
+    square: Optional[SquareIds] = None
     data: Optional[dict] = None
 
-    def to_json(self) -> dict:
+    def to_json(self, index: Optional[_SingularIndex] = None) -> dict:
         if self.rule == "discharge":
             return {"rule": "discharge", "pz": self.data["pz"]}
         doc: dict = {"rule": self.rule, "premises": list(self.premises)}
         if self.conclusion is not None:
             doc["conclusion"] = {
-                "lhs": _word_json(self.conclusion.lhs),
-                "rhs": _word_json(self.conclusion.rhs),
+                "lhs": _word_json(self.conclusion.lhs, index),
+                "rhs": _word_json(self.conclusion.rhs, index),
             }
         if self.square is not None:
-            p, q = self.square.kernels
-            a, b = self.square.images
-            doc["square"] = [str(p), str(q), str(a), str(b)]
+            doc["square"] = _square_texts(index, self.square)
         if self.data:
             doc["data"] = dict(self.data)
         return doc
@@ -266,7 +308,7 @@ class DischargeStep(int):
     def data(self) -> dict:
         return {"pz": int(self)}
 
-    def to_json(self) -> dict:
+    def to_json(self, index: object = None) -> dict:
         return {"rule": "discharge", "pz": int(self)}
 
     def __repr__(self) -> str:
@@ -277,6 +319,9 @@ class DischargeStep(int):
 
 # the log text of a discharge step, as json.dumps with sorted keys writes it
 _DISCHARGE_TEXT = '{"pz":%d,"rule":"discharge"}'
+# a run of them: the indices joined by the text between two of them
+_DISCHARGE_HEAD, _DISCHARGE_TAIL = _DISCHARGE_TEXT.split("%d")
+_DISCHARGE_JOIN = _DISCHARGE_TAIL + "," + _DISCHARGE_HEAD
 # the same for a step of any other rule: its "conclusion" and "data" entries,
 # each ended by a comma, its premises, its rule, and its "square" entry led by
 # a comma; an entry the step does not have is left empty
@@ -360,14 +405,16 @@ def _as_dicts(value: object) -> object:
     return value
 
 
-def _generator_json(g: object) -> list[str]:
-    if not isinstance(g, GeneratorId):
+def _generator_json(index: _SingularIndex, g: object) -> list[str]:
+    """The kernel and image texts of generator id ``g``."""
+    if type(g) is not int:
         raise InvalidParameters("only concrete generators appear in logged words")
-    return [str(g.partition), str(g.subset)]
+    k, a = index.pairs[g]
+    return [str(index.parts[k]), str(index.subsets[a])]
 
 
-def _word_json(word: GroupWord) -> list:
-    return [[*_generator_json(g), e] for g, e in word]
+def _word_json(word: GroupWord, index: _SingularIndex) -> list:
+    return [[*_generator_json(index, g), e] for g, e in word]
 
 
 @dataclass
@@ -400,15 +447,19 @@ class DerivationLog:
         }
 
     def to_json(self) -> dict:
-        return {**self._head(), "steps": [s.to_json() for s in self.steps]}
+        index = _singular_index(self.n, self.r)
+        return {**self._head(), "steps": [s.to_json(index) for s in self.steps]}
 
     def write(self, fh: TextIO) -> None:
         """Write ``json.dumps(self.to_json(), sort_keys=True,
         separators=(",", ":")) + "\\n"`` to ``fh``, byte for byte, without
         making that document or that string: the steps are encoded
         ``WRITE_CHUNK`` at a time, each as text without a dict.  A step
-        fills a sorted-key template, ``_DISCHARGE_TEXT`` or ``_STEP_TEXT``,
-        and each generator's letter head is encoded once."""
+        fills a sorted-key template, ``_DISCHARGE_TEXT`` (a run of discharge
+        steps is one join of their indices) or ``_STEP_TEXT``; each letter,
+        each witness square and each rule is encoded once, its ids turned
+        back into the kernel and image texts of
+        ``squares._singular_index(n, r)``."""
         head = self._head()
         fh.write("{")
         for i, key in enumerate(sorted([*head, "steps"])):
@@ -420,93 +471,154 @@ class DerivationLog:
         fh.write("}\n")
 
     def _write_steps(self, fh: TextIO) -> None:
-        # each generator's letter head '["P","A",' is encoded once
-        heads: dict[GeneratorId, str] = {}
+        index = _singular_index(self.n, self.r)
+        # each letter with an int exponent, each square's entry and each
+        # rule's text is encoded once
+        letters: dict[tuple, str] = {}
+        squares: dict[SquareIds, str] = {}
+        rules: dict[str, str] = {}
+
+        def letter_text(g: object, e: object) -> str:
+            return _encode([*_generator_json(index, g), e])
 
         def word_text(word: GroupWord) -> str:
-            letters = []
-            for g, e in word:
-                head = heads.get(g)
-                if head is None:
-                    head = heads[g] = _encode(_generator_json(g))[:-1] + ","
-                letters.append(head + (str(e) if type(e) is int else _encode(e)) + "]")
-            return "[" + ",".join(letters) + "]"
+            out = []
+            for letter in word:
+                if type(letter[1]) is int:
+                    text = letters.get(letter)
+                    if text is None:
+                        text = letters[letter] = letter_text(*letter)
+                else:  # (g, True) would find the text of (g, 1)
+                    text = letter_text(*letter)
+                out.append(text)
+            return "[" + ",".join(out) + "]"
 
         def step_text(st: DerivationStep) -> str:
             if st.rule == "discharge":
                 return _encode(st.to_json())
-            c, sq = st.conclusion, st.square
+            c, sq, premises = st.conclusion, st.square, st.premises
             head = "" if c is None else '"conclusion":{"lhs":%s,"rhs":%s},' % (word_text(c.lhs), word_text(c.rhs))
             if st.data:
                 head += '"data":%s,' % _encode(dict(st.data))
-            tail = "" if sq is None else ',"square":' + _encode([str(x) for x in (*sq.kernels, *sq.images)])
-            return _STEP_TEXT % (head, _encode(list(st.premises)), _encode(st.rule), tail)
+            tail = ""
+            if sq is not None:
+                tail = squares.get(sq)
+                if tail is None:
+                    tail = squares[sq] = ',"square":' + _encode(_square_texts(index, sq))
+            rule = rules.get(st.rule) if type(st.rule) is str else _encode(st.rule)
+            if rule is None:
+                rule = rules[st.rule] = _encode(st.rule)
+            if all(type(i) is int for i in premises):
+                premises_text = "[" + ",".join(map(str, premises)) + "]"
+            else:
+                premises_text = _encode(list(premises))
+            return _STEP_TEXT % (head, premises_text, rule, tail)
 
         fh.write("[")
         sep = ""
         for kind, run in groupby(self.steps, type):
             while chunk := list(islice(run, WRITE_CHUNK)):
                 if kind is DischargeStep:
-                    text = ",".join(map(_DISCHARGE_TEXT.__mod__, chunk))
+                    text = _DISCHARGE_HEAD + _DISCHARGE_JOIN.join(map(int.__repr__, chunk)) + _DISCHARGE_TAIL
                 else:
                     text = ",".join(map(step_text, chunk))
                 fh.write(sep + text)
                 sep = ","
         fh.write("]")
 
+    @staticmethod
+    def case_of(doc: object) -> tuple[int, int]:
+        """The (n, r) of a log document, checked as :meth:`from_json` checks
+        it: ``doc`` must be a log document (else InvalidParameters) of
+        version 1 with integers 1 <= r <= n-2 (else VerificationFailed).
+        Nothing is built for (n, r), so a caller can hold n to a cap first."""
+        if not isinstance(doc, dict) or doc.get("format") != "igmax-derivation-log":
+            raise InvalidParameters("not a derivation log document")
+        try:
+            # a document without a version is read as the one version there is
+            version = doc.get("version", 1)
+            if type(version) is not int or version != 1:
+                raise ValueError(f"unsupported log version {version!r}, this replayer reads version 1")
+            n, r = doc["n"], doc["r"]
+            if type(n) is not int or type(r) is not int:
+                raise TypeError(f"n and r must be integers, got {n!r}, {r!r}")
+            if not 1 <= r <= n - 2:
+                raise ValueError(f"a reduction log needs 1 <= r <= n-2, got n={n}, r={r}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise VerificationFailed(f"malformed derivation log: {type(exc).__name__}: {exc}") from None
+        return n, r
+
     @classmethod
     def from_json(cls, doc: dict) -> "DerivationLog":
         """Parse a log document; a malformed one raises VerificationFailed.
+
+        The steps come out as the producer holds them: each distinct kernel
+        and image text is parsed and validated once, then mapped to its id
+        in ``squares._singular_index(n, r)``, and each (kernel, image) text
+        pair to its generator id; a conclusion's letters are (generator id,
+        exponent) pairs, one tuple per distinct pair, and a witness square
+        is four ids.  A text that names no kernel or image of (n, r), and a
+        pair or square that is not transversal, is malformed.  The index is
+        built only after :meth:`case_of` has passed.
 
         Consumes the document's steps: ``doc["steps"]``, when a list, is
         emptied as the log's steps are made, so the document's step dicts
         are freed one by one and the two are not held in full together.  A
         caller that reads ``doc`` again passes a copy."""
-        if not isinstance(doc, dict) or doc.get("format") != "igmax-derivation-log":
-            raise InvalidParameters("not a derivation log document")
+        n, r = cls.case_of(doc)
         try:
-            return cls._parse(doc)
+            return cls._parse(doc, _singular_index(n, r))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise VerificationFailed(f"malformed derivation log: {type(exc).__name__}: {exc}") from None
 
     @classmethod
-    def _parse(cls, doc: dict) -> "DerivationLog":
-        # a document without a version is read as the one version there is
-        version = doc.get("version", 1)
-        if type(version) is not int or version != 1:
-            raise ValueError(f"unsupported log version {version!r}, this replayer reads version 1")
-        n, r = doc["n"], doc["r"]
-        if type(n) is not int or type(r) is not int:
-            raise TypeError(f"n and r must be integers, got {n!r}, {r!r}")
-        if not 1 <= r <= n - 2:
-            raise ValueError(f"a reduction log needs 1 <= r <= n-2, got n={n}, r={r}")
-        # each distinct kernel, image, generator and square text is parsed and
-        # validated once; conclusions and witness squares share the objects
-        kernels: dict[str, Partition] = {}
-        images: dict[str, Subset] = {}
-        generators: dict[tuple[str, str], GeneratorId] = {}
-        squares: dict[tuple[str, str, str, str], Square] = {}
+    def _parse(cls, doc: dict, index: _SingularIndex) -> "DerivationLog":
+        n = index.n
+        kernels: dict[str, tuple[Partition, Optional[int]]] = {}
+        images: dict[str, tuple[Subset, Optional[int]]] = {}
+        generators: dict[tuple[str, str], int] = {}
+        squares: dict[tuple[str, str, str, str], SquareIds] = {}
+        letters = _Letters()
 
-        def kernel(text: str) -> Partition:
-            p = kernels.get(text)
-            if p is None:
-                p = kernels[text] = Partition.parse(text, n)
-            return p
+        def kernel(text: str) -> tuple[Partition, Optional[int]]:
+            k = kernels.get(text)
+            if k is None:
+                p = Partition.parse(text, n)
+                k = kernels[text] = (p, index.kernel_ids.get(p.blocks))
+            return k
 
-        def image(text: str) -> Subset:
+        def image(text: str) -> tuple[Subset, Optional[int]]:
             a = images.get(text)
             if a is None:
-                a = images[text] = Subset.parse(text, n)
+                s = Subset.parse(text, n)
+                a = images[text] = (s, index.image_ids.get(s.elements))
             return a
 
-        def word(letters: list) -> GroupWord:
+        def generator(pt: str, at: str) -> int:
+            (p, k), (a, i) = kernel(pt), image(at)
+            g = None if k is None or i is None else index.generator_of[k].get(i)
+            if g is None:
+                require_transversal(a, p)  # a pair that is not transversal says so
+                raise InvalidParameters(f"({p}, {a}) is not a generator of the presentation")
+            return g
+
+        def word(side: list) -> GroupWord:
             out = []
-            for pt, st, e in letters:
-                g = generators.get((pt, st))
+            for pt, at, e in side:
+                g = generators.get((pt, at))
                 if g is None:
-                    g = generators[(pt, st)] = GeneratorId.of(kernel(pt), image(st))
-                out.append((g, e))
+                    g = generators[(pt, at)] = generator(pt, at)
+                out.append(letters[g, e] if type(e) is int else (g, e))
             return tuple(out)
+
+        def square(texts: tuple) -> SquareIds:
+            pt, qt, at, bt = texts
+            (p, kp), (q, kq), (a, ia), (b, ib) = kernel(pt), kernel(qt), image(at), image(bt)
+            sq = (kp, kq, ia, ib)
+            if None in sq or None in (index.generator_of[k].get(i) for k in (kp, kq) for i in (ia, ib)):
+                Square((p, q), (a, b))  # a quadruple that is not a square says so
+                raise InvalidParameters(f"{list(texts)} is not a square of the presentation")
+            return sq
 
         steps: list[DerivationStep | DischargeStep] = []
         for sd in _consumed(doc["steps"]):
@@ -524,16 +636,14 @@ class DerivationLog:
                     word(sd["conclusion"]["rhs"]),
                     "derived",
                 )
-            square = None
+            sq = None
             if "square" in sd:
-                pt, qt, at, bt = key = tuple(sd["square"])
-                square = squares.get(key)
-                if square is None:
-                    square = squares[key] = Square((kernel(pt), kernel(qt)), (image(at), image(bt)))
-            steps.append(
-                DerivationStep(rule, conclusion, tuple(sd.get("premises", ())), square, sd.get("data"))
-            )
-        return cls(n=n, r=r, steps=steps, final=doc.get("final"), meta=doc.get("meta", {}))
+                key = tuple(sd["square"])
+                sq = squares.get(key)
+                if sq is None:
+                    sq = squares[key] = square(key)
+            steps.append(DerivationStep(rule, conclusion, tuple(sd.get("premises", ())), sq, sd.get("data")))
+        return cls(n=n, r=index.r, steps=steps, final=doc.get("final"), meta=doc.get("meta", {}))
 
 
 def _consumed(items: object) -> Iterable:
@@ -621,7 +731,7 @@ def cycle_split(k: int, l: int, n: int, r: int) -> tuple[Square, Relation]:
     a = index.image([i for i in range(1, r + 3) if i not in (k, k + l + 2)])
     b = index.image([i for i in range(1, r + 3) if i not in (k, k + 2)])
     sq = Square((p, q), (a, b))
-    return sq, _three_quarter_relation(sq, "PA")
+    return sq, _square_relation(sq, "PA")
 
 
 def descent_reduction(P: Partition, A: Subset) -> tuple[Partition, Subset, Relation]:
@@ -633,7 +743,7 @@ def descent_reduction(P: Partition, A: Subset) -> tuple[Partition, Subset, Relat
     """
     lam = label_by_subscripts(P, A)
     Q, B = _descent_partner(P, A, lam, _singular_index(P.n, len(P)))
-    return Q, B, _three_quarter_relation(Square((P, Q), (A, B)), "QB")
+    return Q, B, _square_relation(Square((P, Q), (A, B)), "QB")
 
 
 def _descent_partner(
@@ -817,11 +927,15 @@ def _braid_mirror_square(k: int, n: int, r: int) -> Square:
 class Derivation:
     """Fact store and step emitter over one (n, r) ground case.
 
-    Its kernels and images are the objects of ``squares._singular_index(n,
-    r)``, looked up by blocks and by elements; its generators are the
-    presentation's own, looked up by pair; and it makes one
-    :class:`~igmax.squares.Square` per distinct quadruple, checked singular
-    when it is made.  So each is built and checked once per run.
+    Its constructions compute with the kernel and image objects of
+    ``squares._singular_index(n, r)``, looked up by blocks and by elements,
+    and everything it records is held as the index's ids: a generator is
+    its pair's id (the presentation's generator of that number), a
+    conclusion's letters are (generator id, exponent) pairs, one tuple per
+    distinct pair (:class:`_Letters`), and a witness square is the ids of
+    its two kernels and two images, checked singular on ids
+    (:func:`~igmax.squares.is_singular_ids`) once, when it is first made.
+    The memos are keyed by generator id, and labels are read off the index.
     """
 
     def __init__(self, n: int, r: int, pres: Optional[GroupPresentation] = None):
@@ -833,13 +947,16 @@ class Derivation:
         self.r = r
         self.log = DerivationLog(n=n, r=r)
         self.index = _singular_index(n, r)
+        # _gen(P, A): the generator id of the pair (P, A)
+        self._gen = self.index.generator
+        self.labels = self.index.labels
+        self.letters = _Letters()
         self._pres = pres
-        self._gens: Optional[dict[Pair, GeneratorId]] = None
-        self._one_memo: dict[GeneratorId, int] = {}
-        self._eq_memo: dict[GeneratorId, int] = {}
-        self._res_memo: dict[GeneratorId, tuple[Optional[int], GroupWord]] = {}
+        self._one_memo: dict[int, int] = {}
+        self._eq_memo: dict[int, int] = {}
+        self._res_memo: dict[int, tuple[Optional[int], GroupWord]] = {}
         self._rep_memo: dict[tuple[int, int], Pair] = {}
-        self._squares: dict[tuple[Partition, Partition, Subset, Subset], Square] = {}
+        self._squares: dict[SquareIds, SquareIds] = {}
         self._final_steps: list[int] = []
 
     @property
@@ -848,36 +965,24 @@ class Derivation:
             self._pres = build_presentation(self.n, self.r)
         return self._pres
 
-    def _gen(self, pair: Pair) -> GeneratorId:
-        """The presentation's generator of ``pair``."""
-        gens = self._gens
-        if gens is None:
-            gens = self._gens = {(g.partition, g.subset): g for g in self.pres.generators}
-        g = gens.get(pair)
-        if g is None:
-            raise InvalidParameters(f"({pair[0]}, {pair[1]}) is not a generator of the presentation")
-        return g
-
     def _swap(self, A: Subset, old: int, new: int) -> Subset:
         """The image ``A`` with its element ``old`` swapped for ``new``."""
         return self.index.image([new if x == old else x for x in A.elements])
 
-    def _square(self, p: Partition, q: Partition, a: Subset, b: Subset) -> Square:
-        """The one square over (p, q, a, b).  The producer checks each
-        distinct witness square (SQ3 and SQ2) here, once, on its corner
-        generators' labels; the constructions that build squares do not
-        check their own.  Each square made here is the witness of a bottom
-        step."""
-        key = (p, q, a, b)
+    def _square(self, p: Partition, q: Partition, a: Subset, b: Subset) -> SquareIds:
+        """The ids of the square over (p, q, a, b), one tuple per distinct
+        square.  The producer checks each distinct witness square (SQ3 and
+        SQ2, on ids) here, once; the constructions that build squares do
+        not check their own.  Each square made here is the witness of a
+        bottom step."""
+        key = self.index.square(p, q, a, b)
         sq = self._squares.get(key)
         if sq is None:
-            corners = ((p, a), (p, b), (q, a), (q, b))
-            sq = Square._trusted((p, q), (a, b), tuple(self._gen(pair).label for pair in corners))
-            _require_singular(sq)
-            self._squares[key] = sq
+            _require_singular(self.index, key)
+            sq = self._squares[key] = key
         return sq
 
-    def _made(self, sq: Square) -> Square:
+    def _made(self, sq: Square) -> SquareIds:
         """The derivation's own square for a square a construction built."""
         return self._square(*sq.kernels, *sq.images)
 
@@ -891,14 +996,14 @@ class Derivation:
     ) -> int:
         return self.log.append(DerivationStep(rule, conclusion, tuple(premises), square, data))
 
-    def _bottom(self, sq: Square) -> int:
+    def _bottom(self, sq: SquareIds) -> int:
         """Emit the square relation of ``sq``, a square of :meth:`_square`."""
-        return self._add("bottom", _bottom_relation(sq, self._gen), square=sq)
+        return self._add("bottom", _bottom_relation(_corners(self.index, sq), self.letters), square=sq)
 
-    def _three_quarter(self, sq: Square, zero: str, bottom_idx: int, one_idx: int) -> int:
+    def _three_quarter(self, sq: SquareIds, zero: str, bottom_idx: int, one_idx: int) -> int:
         return self._add(
             "three-quarter",
-            _three_quarter_relation(sq, zero, self._gen),
+            _three_quarter_relation(_corners(self.index, sq), zero, self.letters),
             (bottom_idx, one_idx),
             square=sq,
             data={"zero": zero},
@@ -911,8 +1016,8 @@ class Derivation:
         for i in subs:
             fact = self.log.steps[i].conclusion
             (g, _), = fact.lhs
-            lhs = substitute(lhs, g, fact.rhs)
-            rhs = substitute(rhs, g, fact.rhs)
+            lhs = substitute(lhs, g, fact.rhs, self.letters)
+            rhs = substitute(rhs, g, fact.rhs, self.letters)
         conclusion = Relation(free_reduce(lhs), free_reduce(rhs), "derived")
         return self._add("rewrite", conclusion, (base_idx, *subs))
 
@@ -920,23 +1025,25 @@ class Derivation:
 
     def one(self, P: Partition, A: Subset) -> int:
         """A step concluding f[P,A] = 1; the label must be the identity."""
-        g = self._gen((P, A))
+        g = self._gen(P, A)
         idx = self._one_memo.get(g)
         if idx is not None:
             return idx
-        if not g.label.is_identity():
-            raise InvalidParameters(f"{g} has label {g.label.cycle_form()}, not the identity")
+        if not self.labels[g].is_identity():
+            raise InvalidParameters(
+                f"{self.index.name(g)} has label {self.labels[g].cycle_form()}, not the identity"
+            )
         idx = self._one_convex(P, A, g) if P.is_convex() else self._one_general(P, A, g)
         self._one_memo[g] = idx
         return idx
 
     def _middle(self, P: Partition, AP: Subset) -> int:
-        return self._add("middle", _one_relation(self._gen((P, AP))))
+        return self._add("middle", _one_relation(self._gen(P, AP), self.letters))
 
     def _top(self, P: Partition, X: Subset, Y: Subset) -> int:
-        return self._add("top", _eq_relation(self._gen((P, X)), self._gen((P, Y))))
+        return self._add("top", _eq_relation(self._gen(P, X), self._gen(P, Y), self.letters))
 
-    def _one_convex(self, P: Partition, A: Subset, g: GeneratorId) -> int:
+    def _one_convex(self, P: Partition, A: Subset, g: int) -> int:
         AP = self.index.image(P.minima)
         if A == AP:
             return self._middle(P, AP)
@@ -946,7 +1053,7 @@ class Derivation:
             B = self.index.image(predecessor(A).elements)
             s_prev = self.one(P, B)
             s_top = self._top(P, B, A)
-            return self._add("transitive", _one_relation(g), (s_prev, s_top))
+            return self._add("transitive", _one_relation(g, self.letters), (s_prev, s_top))
         m = next(i for i in range(1, r + 1) if P.block(i) != (i,))
         t = next(i for i in range(1, r + 1) if A.element_at(i) != P.minima[i - 1])
         if t == m:
@@ -956,16 +1063,16 @@ class Derivation:
             s_top = self._top(Q, B, A)
             s_one_b = self.one(P, B)
             if P == Q:
-                return self._add("transitive", _one_relation(g), (s_one_b, s_top))
+                return self._add("transitive", _one_relation(g, self.letters), (s_one_b, s_top))
             sq = self._square(Q, P, B, A)
             s_b = self._bottom(sq)
             s_fl = self._add(
                 "flush-row",
-                _eq_relation(self._gen((P, B)), g),
+                _eq_relation(self._gen(P, B), g, self.letters),
                 (s_b, s_top),
                 square=sq,
             )
-            return self._add("transitive", _one_relation(g), (s_one_b, s_fl))
+            return self._add("transitive", _one_relation(g, self.letters), (s_one_b, s_fl))
         # t > m: shrink block m by one and recurse on the lex-smaller minima.
         x = P.minima[m] - 1
         blocks = [list(b) for b in P.blocks]
@@ -979,13 +1086,13 @@ class Derivation:
         s_b = self._bottom(sq)
         return self._add(
             "corner",
-            _one_relation(g),
+            _one_relation(g, self.letters),
             (s_b, s1, s2, s3),
             square=sq,
             data={"target": "PA"},
         )
 
-    def _one_general(self, P: Partition, A: Subset, g: GeneratorId) -> int:
+    def _one_general(self, P: Partition, A: Subset, g: int) -> int:
         AP = self.index.image(P.minima)
         if A == AP:
             return self._middle(P, AP)
@@ -1003,7 +1110,7 @@ class Derivation:
         s_b = self._bottom(sq)
         return self._add(
             "corner",
-            _one_relation(g),
+            _one_relation(g, self.letters),
             (s_b, s1, s2, s3),
             square=sq,
             data={"target": "PA"},
@@ -1015,14 +1122,14 @@ class Derivation:
         """A step concluding f[P,A] = f[P,B] for equal labels; None if A == B."""
         if A == B:
             return None
-        ga, gb = self._gen((P, A)), self._gen((P, B))
-        pi = ga.label
-        if pi != gb.label:
+        ga, gb = self._gen(P, A), self._gen(P, B)
+        pi = self.labels[ga]
+        if pi != self.labels[gb]:
             raise InvalidParameters("same-row identification needs equal labels")
         if pi.is_identity():
             s1 = self.one(P, A)
             s2 = self.one(P, B)
-            return self._add("transitive", _eq_relation(ga, gb), (s1, s2))
+            return self._add("transitive", _eq_relation(ga, gb, self.letters), (s1, s2))
         blocks: list[tuple[int, ...]] = []
         used: set[int] = set()
         for i in range(2, self.r + 1):
@@ -1035,7 +1142,7 @@ class Derivation:
         s1 = self.one(Q, A)
         s2 = self.one(Q, B)
         s_b = self._bottom(sq)
-        return self._add("flush-row", _eq_relation(ga, gb), (s_b, s1, s2), square=sq)
+        return self._add("flush-row", _eq_relation(ga, gb, self.letters), (s_b, s1, s2), square=sq)
 
     def _shared_transversal_eq(self, P: Partition, Q: Partition, A: Subset, B: Subset) -> int:
         """f[P,A] = f[Q,A] via the identity column B common to both kernels."""
@@ -1045,7 +1152,7 @@ class Derivation:
         s_b = self._bottom(sq)
         return self._add(
             "flush-column",
-            _eq_relation(self._gen((P, A)), self._gen((Q, A))),
+            _eq_relation(self._gen(P, A), self._gen(Q, A), self.letters),
             (s_b, s1, s2),
             square=sq,
         )
@@ -1054,14 +1161,14 @@ class Derivation:
         """A step concluding f[P,A] = f[Q,A] for equal labels; None if P == Q."""
         if P == Q:
             return None
-        ga, gq = self._gen((P, A)), self._gen((Q, A))
-        pi = ga.label
-        if pi != gq.label:
+        ga, gq = self._gen(P, A), self._gen(Q, A)
+        pi = self.labels[ga]
+        if pi != self.labels[gq]:
             raise InvalidParameters("same-column identification needs equal labels")
         if pi.is_identity():
             s1 = self.one(P, A)
             s2 = self.one(Q, A)
-            return self._add("transitive", _eq_relation(ga, gq), (s1, s2))
+            return self._add("transitive", _eq_relation(ga, gq, self.letters), (s1, s2))
         if P.minima == Q.minima:
             return self._shared_transversal_eq(P, Q, A, self.index.image(P.minima))
         u = 0
@@ -1069,7 +1176,7 @@ class Derivation:
             u += 1
         if P.minima[u] > Q.minima[u]:
             s = self.same_column(Q, P, A)
-            return self._add("transitive", _eq_relation(ga, gq), (s,))
+            return self._add("transitive", _eq_relation(ga, gq, self.letters), (s,))
         x = P.minima[u]
         v = Q.block_index(x)
         blocks = [list(b) for b in Q.blocks]
@@ -1079,7 +1186,7 @@ class Derivation:
         s1 = self.same_column(P, R, A)
         s2 = self._shared_transversal_eq(Q, R, A, self.index.image(Q.minima))
         premises = tuple(s for s in (s1, s2) if s is not None)
-        return self._add("transitive", _eq_relation(ga, gq), premises)
+        return self._add("transitive", _eq_relation(ga, gq, self.letters), premises)
 
     # -- contiguous-cycle classes --------------------------------------------
 
@@ -1090,8 +1197,8 @@ class Derivation:
 
     def cycle_eq(self, P: Partition, A: Subset) -> Optional[int]:
         """Chain f[P,A] to its class representative; None when already there."""
-        ga = self._gen((P, A))
-        kl = classify_descent_one(ga.label)
+        ga = self._gen(P, A)
+        kl = classify_descent_one(self.labels[ga])
         if kl is None:
             raise InvalidParameters(f"label of ({P}, {A}) is not a contiguous cycle")
         k, l = kl
@@ -1100,7 +1207,7 @@ class Derivation:
             return None
         if ga in self._eq_memo:
             return self._eq_memo[ga]
-        conclusion = _eq_relation(ga, self._gen(rep))
+        conclusion = _eq_relation(ga, self._gen(*rep), self.letters)
         if A == rep[1]:
             s = self.same_column(P, rep[0], A)
             idx = self._add("transitive", conclusion, (s,))
@@ -1178,11 +1285,11 @@ class Derivation:
         Returns (step index, word); the index is None exactly for the
         canonical adjacent-transposition pairs themselves.
         """
-        g = self._gen((P, A))
+        g = self._gen(P, A)
         out = self._res_memo.get(g)
         if out is not None:
             return out
-        lam = g.label
+        lam = self.labels[g]
         if lam.is_identity():
             out = (self.one(P, A), ())
         else:
@@ -1198,9 +1305,10 @@ class Derivation:
         rep = self.rep_pair(k, l)
         if (P, A) == rep:
             if l == 1:
-                return None, ((self._gen(rep), 1),)
-            sq = self._made(cycle_split(k, l, self.n, self.r)[0])
-            (ps, qs), (as_, bs) = sq.kernels, sq.images
+                return None, (self.letters[self._gen(*rep), 1],)
+            split = cycle_split(k, l, self.n, self.r)[0]
+            sq = self._made(split)
+            (ps, qs), (as_, bs) = split.kernels, split.images
             s_b = self._bottom(sq)
             s_one = self.one(ps, as_)
             s_tq = self._three_quarter(sq, "PA", s_b, s_one)
@@ -1232,8 +1340,9 @@ class Derivation:
     # -- the three Coxeter relation families ----------------------------------
 
     def derive_involution(self, k: int) -> int:
-        sq = self._made(coxeter_square_involution(k, self.n, self.r)[0])
-        (p, q), (a, b) = sq.kernels, sq.images
+        made = coxeter_square_involution(k, self.n, self.r)[0]
+        sq = self._made(made)
+        (p, q), (a, b) = made.kernels, made.images
         s_b = self._bottom(sq)
         s_one_qa = self.one(q, a)
         s_tq = self._three_quarter(sq, "QA", s_b, s_one_qa)
@@ -1245,9 +1354,10 @@ class Derivation:
         return idx
 
     def derive_commute(self, k: int, l: int) -> int:
-        sq1, sq2 = map(self._made, coxeter_square_commute(k, l, self.n, self.r)[0])
-        (p, q), (a, b) = sq1.kernels, sq1.images
-        rr, c = sq2.kernels[1], sq2.images[1]
+        made1, made2 = coxeter_square_commute(k, l, self.n, self.r)[0]
+        sq1, sq2 = self._made(made1), self._made(made2)
+        (p, q), (a, b) = made1.kernels, made1.images
+        rr, c = made2.kernels[1], made2.images[1]
         s_b1 = self._bottom(sq1)
         s_one_pa = self.one(p, a)
         s_tq1 = self._three_quarter(sq1, "PA", s_b1, s_one_pa)
@@ -1271,8 +1381,9 @@ class Derivation:
         sq, _ = coxeter_square_braid(k, self.n, self.r)
         q, b = sq.kernels[1], sq.images[1]
         i_qb, w_qb = self.resolve(q, b)
-        mirror = self._made(_braid_mirror_square(k, self.n, self.r))
-        w, z = mirror.kernels[0], mirror.images[0]
+        made = _braid_mirror_square(k, self.n, self.r)
+        mirror = self._made(made)
+        w, z = made.kernels[0], made.images[0]
         s_b = self._bottom(mirror)
         s_one = self.one(w, z)
         s_tq = self._three_quarter(mirror, "PA", s_b, s_one)
@@ -1289,20 +1400,21 @@ class Derivation:
     def canonical_pairs(self) -> list[Pair]:
         return [self.rep_pair(k, 1) for k in range(1, self.r)]
 
-    def canonical_generators(self) -> list[GeneratorId]:
-        return [self._gen(pair) for pair in self.canonical_pairs()]
+    def canonical_generators(self) -> list[int]:
+        return [self._gen(*pair) for pair in self.canonical_pairs()]
 
     def assert_survivors(self) -> None:
         canon = set(self.canonical_generators())
         survivors = {g for g, (idx, _) in self._res_memo.items() if idx is None}
+        name = self.index.name
         if survivors != canon:
             raise VerificationFailed(
-                f"survivors {sorted(map(str, survivors))} != canonical generators {sorted(map(str, canon))}"
+                f"survivors {sorted(map(name, survivors))} != canonical generators {sorted(map(name, canon))}"
             )
         for g, (_, word) in self._res_memo.items():
             for h, _e in word:
                 if h not in canon:
-                    raise VerificationFailed(f"resolution of {g} mentions non-canonical {h}")
+                    raise VerificationFailed(f"resolution of {name(g)} mentions non-canonical {name(h)}")
 
     def discharge_all(self) -> None:
         """Check that the resolution map ρ sends every generator g to a word
@@ -1311,15 +1423,15 @@ class Derivation:
         relation u = v then holds under ρ exactly when label(u) = label(v);
         :func:`replay_log` checks that equation for each discharge step.  The
         steps need only the relation count, so no relation is read here."""
-        table = ProductTable(self.r)
-        images = letter_images({g: g.label for g in self.canonical_generators()})
+        table, label_ids, name = self.index.product_table, self.index.letter_label_ids, self.index.name
+        images = letter_images({g: self.labels[g] for g in self.canonical_generators()})
         canonical = {x: table.intern(image) for x, image in images.items()}
-        for g in self.pres.generators:
+        for g in range(len(self.pres.generators)):
             res = self._res_memo.get(g)
             if res is None:
-                raise VerificationFailed(f"no resolution for {g}")
-            if table.evaluate(res[1], canonical) != table.intern(g.label.images):
-                raise VerificationFailed(f"resolution of {g} does not evaluate to its label")
+                raise VerificationFailed(f"no resolution for {name(g)}")
+            if table.evaluate(res[1], canonical) != label_ids[2 * g]:
+                raise VerificationFailed(f"resolution of {name(g)} does not evaluate to its label")
         self.log.steps += map(DischargeStep, range(self.pres.relation_count))
 
     def finish(self) -> GroupPresentation:
@@ -1429,6 +1541,16 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
     when given, must be ``build_presentation(log.n, log.r)``; it is
     otherwise built here.
 
+    The steps hold ids of ``squares._singular_index(n, r)``, as
+    :meth:`DerivationLog.from_json` and :class:`Derivation` make them, and
+    every check works on them: each distinct witness square is tested once
+    by :func:`~igmax.squares.is_singular_ids`, the transitive rule joins
+    generator ids (-1 stands for the identity) in a union-find, the rewrite
+    rule substitutes id words, a generator's resolution is a byte of a
+    table indexed by generator id, words are evaluated on the index's
+    product table, and the Coxeter match renames the canonical ids.  A
+    failure names a generator as the log does, ``f[P|A]``.
+
     A discharge step, a :class:`DischargeStep` or a DerivationStep of rule
     ``discharge``, is checked before any other rule: its index must name a
     relation; while some generator of the presentation is unresolved, each
@@ -1444,55 +1566,44 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
     if pres is None:
         pres = build_presentation(n, r)
     sch = build_schreier(n, r)
+    index = _singular_index(n, r)
+    parts, subsets, pairs, labels, name = index.parts, index.subsets, index.pairs, index.labels, index.name
     generators = pres.generators
     relations = pres.relation_count
-    # one generator per pair: the presentation's, or for a pair it lacks one
-    # made on first use; one bottom relation per witness square
-    gens: dict[Pair, GeneratorId] = {(g.partition, g.subset): g for g in generators}
-    bottoms: dict[Square, Relation] = {}
+    # one bottom relation per witness square
+    letters = _Letters()
+    bottoms: dict[SquareIds, Relation] = {}
 
-    def gen(pair: Pair) -> GeneratorId:
-        g = gens.get(pair)
-        if g is None:
-            g = gens[pair] = _gid(pair)
-        return g
-
-    def bottom_relation(sq: Square) -> Relation:
+    def bottom_relation(sq: SquareIds) -> Relation:
         rel = bottoms.get(sq)
         if rel is None:
-            rel = bottoms[sq] = _bottom_relation(sq, gen)
+            rel = bottoms[sq] = _bottom_relation(_corners(index, sq), letters)
         return rel
 
     canon_pairs = [canonical_cycle_pair(k, 1, n, r) for k in range(1, r)]
-    canon_list = [gen(p) for p in canon_pairs]
+    canon_list = [index.generator(p, a) for p, a in canon_pairs]
     canon_gens = set(canon_list)
-    # words are evaluated on one product table: a canonical letter and each
-    # of the presentation's int letters (2*i for generator i, 2*i+1 for its
-    # inverse) carry the id of their label; ``resolved[i]`` says whether
-    # generator i is resolved
-    table = ProductTable(r)
-    images = letter_images({g: g.label for g in canon_gens})
+    # words are evaluated on the index's product table: a canonical letter
+    # and each int letter (2*i for generator i, 2*i+1 for its inverse) carry
+    # the id of their label; ``resolved[i]`` says whether generator i is
+    # resolved.  Generator i of the presentation is pair i of the index.
+    table, label_ids = index.product_table, index.letter_label_ids
+    images = letter_images({g: labels[g] for g in canon_gens})
     canonical = {x: table.intern(image) for x, image in images.items()}
-    label_ids = letter_label_ids(generators, table)
-    number = {g: i for i, g in enumerate(generators)}
     resolved = bytearray(len(generators))
-    unresolved = len(generators)  # generators of the presentation not yet resolved
+    unresolved = len(generators)  # generators not yet resolved
     holds: Optional[bytearray] = None  # holds[i]: relation i holds on labels
     discharged = bytearray(relations)
-    singular: dict[Square, bool] = {}
+    singular: dict[SquareIds, bool] = {}
     failures: list[tuple[int, str]] = []
     verified = bytearray(len(log.steps))
     match_seen = False
 
-    def resolve(g: GeneratorId) -> None:
+    def resolve(g: int) -> None:
         nonlocal unresolved
-        i = number.get(g)
-        if i is None:  # not a generator of the presentation: in no relation
-            i = number[g] = len(resolved)
-            resolved.append(0)
-        elif i < len(generators) and not resolved[i]:
+        if not resolved[g]:
+            resolved[g] = 1
             unresolved -= 1
-        resolved[i] = 1
 
     for g in canon_gens:
         resolve(g)
@@ -1533,28 +1644,29 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
             raise _ReplayFailure("conclusion exponents must be ints")
         if rule == "middle":
             g = _one_fact(st.conclusion)
-            if g is None or g.subset.elements != g.partition.minima:
+            if g is None or subsets[pairs[g][1]].elements != parts[pairs[g][0]].minima:
                 raise _ReplayFailure("middle step must conclude f[P, minima(P)] = 1")
         elif rule == "top":
             pair = _eq_fact(st.conclusion)
             if pair is None:
                 raise _ReplayFailure("top step must conclude an equality of two generators")
-            g1, g2 = pair
-            if g1.partition != g2.partition:
+            (k1, a1), (k2, a2) = pairs[pair[0]], pairs[pair[1]]
+            if k1 != k2:
                 raise _ReplayFailure("top step generators must share a kernel")
-            word = sch.word_to(g1.subset) + (IdempotentLetter(g1.partition, g2.subset),)
-            if word != sch.word_to(g2.subset):
+            word = sch.word_to(subsets[a1]) + (IdempotentLetter(parts[k1], subsets[a2]),)
+            if word != sch.word_to(subsets[a2]):
                 raise _ReplayFailure("Schreier words do not certify the top citation")
         elif rule == "bottom":
             sq = st.square
             if sq is None:
                 raise _ReplayFailure("bottom step needs its witness square")
-            if sq.is_degenerate():
+            p, q, a, b = sq
+            if p == q or a == b:
                 raise _ReplayFailure("witness square is degenerate")
             # each distinct square is tested once; every step citing it reports
             ok = singular.get(sq)
             if ok is None:
-                ok = singular[sq] = is_singular_sq2(sq) and is_singular_sq3(sq)
+                ok = singular[sq] = is_singular_ids(index, p, q, a, b)
             if not ok:
                 raise _ReplayFailure("witness square is not singular")
             if st.conclusion != bottom_relation(sq):
@@ -1581,7 +1693,7 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
                 others = {g for c, g in corners.items() if c != target}
                 if ones != others:
                     raise _ReplayFailure("corner premises must cover the three other corners")
-                want_c = _one_relation(corners[target])
+                want_c = _one_relation(corners[target], letters)
                 if st.conclusion != want_c:
                     raise _ReplayFailure("corner conclusion must zero the target corner")
             elif rule == "three-quarter":
@@ -1589,23 +1701,23 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
                 g = _one_fact(premise(idx, st.premises[1]).conclusion)
                 if g != corners[zero]:
                     raise _ReplayFailure("second premise must zero the stated corner")
-                want_c = _three_quarter_relation(sq, zero, gen)
+                want_c = _three_quarter_relation(tuple(corners.values()), zero, letters)
                 if st.conclusion != want_c:
                     raise _ReplayFailure("three-quarter conclusion has the wrong solved form")
             else:
-                p, q = sq.kernels
-                a, b = sq.images
+                p, q, a, b = sq
                 rest = [premise(idx, i).conclusion for i in st.premises[1:]]
                 if rule == "flush-row":
                     sides = {p: (corners["PA"], corners["PB"]), q: (corners["QA"], corners["QB"])}
                 else:
                     sides = {a: (corners["PA"], corners["QA"]), b: (corners["PB"], corners["QB"])}
                 got = _flush_source(rest, sides)
-                want_c = _eq_relation(*next(gens for key, gens in sides.items() if key != got))
+                want_c = _eq_relation(*next(gens for key, gens in sides.items() if key != got), letters)
                 if st.conclusion != want_c:
                     raise _ReplayFailure(f"{rule} conclusion does not transfer to the other side")
         elif rule == "transitive":
-            parent: dict[object, object] = {}
+            # generator ids, and -1 for the identity
+            parent: dict[int, int] = {}
 
             def find(x):
                 parent.setdefault(x, x)
@@ -1615,9 +1727,9 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
                 return x
 
             def link(rel: Relation) -> Optional[tuple]:
-                """(g, 1) for g = 1, (g, h) for g = h, None for any other shape."""
+                """(g, -1) for g = 1, (g, h) for g = h, None for any other shape."""
                 g = _one_fact(rel)
-                return (g, 1) if g is not None else _eq_fact(rel)
+                return (g, -1) if g is not None else _eq_fact(rel)
 
             for i in st.premises:
                 pair = link(premise(idx, i).conclusion)
@@ -1628,7 +1740,7 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
             if pair is None:
                 raise _ReplayFailure("transitive conclusion must be an identity or equality fact")
             if find(pair[0]) != find(pair[1]):
-                if pair[1] == 1:
+                if pair[1] == -1:
                     raise _ReplayFailure("identity conclusion is not connected to 1")
                 raise _ReplayFailure("equality conclusion is not connected")
         elif rule == "rewrite":
@@ -1662,7 +1774,7 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
             if stated != canon_pairs:
                 raise _ReplayFailure("stated canonical pairs are not the expected ones")
             for k, g in enumerate(canon_list, start=1):
-                if g.label != contiguous_cycle(k, 1, r):
+                if labels[g] != contiguous_cycle(k, 1, r):
                     raise _ReplayFailure(f"canonical pair {k} does not carry the adjacent transposition")
             mismatch = _coxeter_mismatch([premise(idx, i).conclusion for i in st.premises], canon_list, r)
             if mismatch is not None:
@@ -1673,9 +1785,10 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
         """g is resolved by its first fact g = word over the canonical
         generators; a sound step's word evaluates to g's label."""
         g = None if rel is None else _subject(rel)
-        if g is None or g in number and resolved[number[g]] or not all(h in canon_gens for h, _ in rel.rhs):
+        if g is None or resolved[g] or not all(h in canon_gens for h, _ in rel.rhs):
             return
-        if table.evaluate(rel.rhs, canonical) != table.intern(g.label.images):
+        if table.evaluate(rel.rhs, canonical) != label_ids[2 * g]:
+            g = name(g)  # as the log names it
             raise _ReplayFailure(f"the word for {g} does not evaluate to its label")
         resolve(g)
 

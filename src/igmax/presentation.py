@@ -66,11 +66,15 @@ class GeneratorId:
             raise InvalidParameters(f"stored label does not match recomputation for {self}")
 
     @classmethod
-    def of(cls, partition: Partition, subset: Subset) -> "GeneratorId":
-        """The generator of a pair, its label computed (and the pair checked) once."""
+    def of(cls, partition: Partition, subset: Subset, label: Optional[Permutation] = None) -> "GeneratorId":
+        """The generator of a pair, its label computed (and the pair checked)
+        once; or, when ``label`` is given, taken as the label of a pair
+        already known to be transversal."""
         g = object.__new__(cls)
         g.__dict__.update(
-            partition=partition, subset=subset, label=label_by_subscripts(partition, subset)
+            partition=partition,
+            subset=subset,
+            label=label_by_subscripts(partition, subset) if label is None else label,
         )
         return g
 
@@ -111,13 +115,14 @@ def free_reduce(word: GroupWord) -> GroupWord:
     ((AbstractGenerator(name='h'), 1),)
     """
     out: list[tuple[Gen, int]] = []
-    for gen, exp in word:
+    for letter in word:
+        gen, exp = letter
         if exp not in (1, -1):
             raise InvalidParameters(f"exponent must be +-1, got {exp}")
         if out and out[-1][0] == gen and out[-1][1] == -exp:
             out.pop()
         else:
-            out.append((gen, exp))
+            out.append(letter)
     return tuple(out)
 
 
@@ -132,15 +137,24 @@ def concat(*words: GroupWord) -> GroupWord:
     return free_reduce(tuple(joined))
 
 
-def substitute(word: GroupWord, gen: Gen, replacement: GroupWord) -> GroupWord:
-    """Replace every occurrence of ``gen`` (either sign) and freely reduce."""
-    rep_inv = inverse_word(replacement)
+def substitute(word: GroupWord, gen: Gen, replacement: GroupWord, letters=None) -> GroupWord:
+    """Replace every occurrence of ``gen`` (either sign) and freely reduce.
+
+    The result reuses the letters of ``word`` and ``replacement``.  The
+    inverse's letters are new tuples, or ``letters[g, e]`` when a mapping
+    ``letters`` is given, so that a caller keeping one tuple per letter
+    gets its own.
+    """
+    if letters is None:
+        rep_inv = inverse_word(replacement)
+    else:
+        rep_inv = tuple(letters[g, -e] for g, e in reversed(replacement))
     out: list[tuple[Gen, int]] = []
-    for g, e in word:
-        if g == gen:
-            out.extend(replacement if e == 1 else rep_inv)
+    for letter in word:
+        if letter[0] == gen:
+            out.extend(replacement if letter[1] == 1 else rep_inv)
         else:
-            out.append((g, e))
+            out.append(letter)
     return free_reduce(tuple(out))
 
 
@@ -369,10 +383,10 @@ def presentations_match(a: GroupPresentation, b: GroupPresentation) -> bool:
 def build_presentation(n: int, r: int) -> GroupPresentation:
     """The full presentation on all (kernel, image) generators.
 
-    Generators are numbered kernel by kernel in the order of
-    ``squares._singular_index``, each kernel's transversals in its order.
-    The top and middle families, O(generators) relations, are written as
-    letters here.  The bottom family, one relation per proper singular
+    Generator i is pair i of ``squares._singular_index``: kernel by kernel
+    in its order, each kernel's transversals in its order, each labelled
+    with the label the index computed.  The top and middle families,
+    O(generators) relations, are written as letters here.  The bottom family, one relation per proper singular
     square and nearly all of the relations, is counted off the SQ3 buckets
     (a bucket of k kernels holds k(k-1) squares, as in
     :func:`~igmax.squares.square_census`) and read from
@@ -394,15 +408,12 @@ def build_presentation(n: int, r: int) -> GroupPresentation:
         )
     index = _singular_index(n, r)
     parts, subsets = index.parts, index.subsets
-    generators: list[Gen] = []
+    # the index numbers the pairs in this order and holds their labels
+    generators = tuple(
+        GeneratorId.of(parts[k], subsets[a], lam) for (k, a), lam in zip(index.pairs, index.labels)
+    )
     # letter[i][a]: the letter of the generator of kernel i over image a
-    letter: list[dict[int, int]] = []
-    for p, ids in zip(parts, index.transversal_ids):
-        row = {}
-        for a in ids:
-            row[a] = 2 * len(generators)
-            generators.append(GeneratorId.of(p, subsets[a]))
-        letter.append(row)
+    letter = [{a: 2 * g for a, g in row.items()} for row in index.generator_of]
 
     # word_to(X) extended by the letter (P, Y) is word_to(Y) exactly when X
     # is Y's predecessor and P its convex partition (see igmax.schreier):
@@ -445,7 +456,7 @@ def build_presentation(n: int, r: int) -> GroupPresentation:
         return corners
 
     return GroupPresentation._of_letters(
-        tuple(generators),
+        generators,
         words,
         tags,
         bottom,

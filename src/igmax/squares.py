@@ -16,6 +16,9 @@ Two equivalent characterisations are implemented:
 * SQ3 — the label quotient identity
   label(P,A)^-1 label(P,B) == label(Q,A)^-1 label(Q,B).
 
+Both take :class:`Square` objects; :func:`is_singular_ids` runs both on the
+ids of the SQ3 index below, for the trust path.
+
 The tests hold both to the definition itself: a search for an idempotent
 witness, in ``tests/squares_reference.py``, agrees with them on every
 square up to n = 6.
@@ -33,12 +36,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .combinatorics import Partition, Subset, enumerate_partitions, enumerate_subsets
 from .errors import InvalidParameters, NotASquare, VerificationFailed
 from .labels import label_by_subscripts
-from .perms import Permutation, compose, invert
+from .perms import Permutation, ProductTable, compose, invert
 
 CORNERS = ("PA", "PB", "QA", "QB")
 
@@ -63,23 +66,14 @@ class Square:
                     raise NotASquare(f"{img} is not a transversal of {part}")
 
     @classmethod
-    def _trusted(
-        cls,
-        kernels: tuple[Partition, Partition],
-        images: tuple[Subset, Subset],
-        corner_labels: Optional[tuple[Permutation, ...]] = None,
-    ) -> "Square":
+    def _trusted(cls, kernels: tuple[Partition, Partition], images: tuple[Subset, Subset]) -> "Square":
         """A square whose corners are already known to be transversal pairs.
 
         Skips the checks of the constructor; only for squares built from
-        enumerated transversals, never for outside input.  ``corner_labels``,
-        when given, are the labels of the corners in ``CORNERS`` order, as
-        the generators of those pairs carry them.
+        enumerated transversals, never for outside input.
         """
         sq = object.__new__(cls)
         sq.__dict__.update(kernels=kernels, images=images)
-        if corner_labels is not None:
-            sq.__dict__["corner_labels"] = corner_labels
         return sq
 
     @property
@@ -135,6 +129,33 @@ def is_singular_sq3(sq: Square) -> bool:
     return la.inverse() * lb == lc.inverse() * ld
 
 
+def is_singular_ids(index: _SingularIndex, p: int, q: int, a: int, b: int) -> bool:
+    """SQ3 and then SQ2 on the square (P, Q, A, B) of ``index``, given as
+    the ids of its kernels P, Q in ``index.parts`` and of its images A, B in
+    ``index.subsets``; A and B must be transversals of both kernels.
+
+    SQ3 compares two products of label ids in ``index.product_table``.
+    SQ2 compares, for each element x of A, the element of B in x's block of
+    P with the element of B in x's block of Q: the per-block pair families
+    agree exactly when these agree, A and B being transversals of both.
+    The tests hold this to :func:`is_singular_sq2` and
+    :func:`is_singular_sq3` on every square up to (6,3).
+    """
+    gen_p, gen_q = index.generator_of[p], index.generator_of[q]
+    ids, product = index.letter_label_ids, index.product_table.product
+    if product(ids[2 * gen_p[a] + 1], ids[2 * gen_p[b]]) != product(ids[2 * gen_q[a] + 1], ids[2 * gen_q[b]]):
+        return False
+    block_p, block_q = index.block_of[p], index.block_of[q]
+    in_p, in_q = [0] * index.r, [0] * index.r
+    for y in index.subsets[b].elements:
+        in_p[block_p[y]] = y
+        in_q[block_q[y]] = y
+    for x in index.subsets[a].elements:
+        if in_p[block_p[x]] != in_q[block_q[x]]:
+            return False
+    return True
+
+
 def _sorted_partitions(n: int, r: int) -> list[Partition]:
     return sorted(enumerate_partitions(n, r), key=lambda p: p.blocks)
 
@@ -166,62 +187,139 @@ class _SingularIndex:
     a and b index A and B in ``subsets``.  ``rows[i]`` lists, for kernel i,
     every (a, b, bucket) with a != b, so each bucket list is shared between
     the rows of its kernels.
+
+    The (kernel, image) pairs are numbered kernel by kernel in ``parts``
+    order, each kernel's transversals in ``transversal_ids`` order: the
+    generator order of :func:`~igmax.presentation.build_presentation`.
+    ``labels[g]`` is the label of pair g.  The trust path holds kernels,
+    images and generators as these ids; the tables that map between ids and
+    objects, and the ones the id singularity test reads, are built on first
+    use, so ``stats`` and ``squares`` never build them.
     """
 
+    n: int
+    r: int
     parts: list[Partition]
     subsets: list[Subset]
     transversal_ids: list[list[int]]
+    labels: list[Permutation]
     buckets: dict[tuple[int, int, tuple[int, ...]], list[int]]
     rows: list[list[tuple[int, int, list[int]]]]
 
     @cached_property
-    def _kernel_of(self) -> dict[tuple[tuple[int, ...], ...], Partition]:
-        return {p.blocks: p for p in self.parts}
+    def kernel_ids(self) -> dict[tuple[tuple[int, ...], ...], int]:
+        """The id of each kernel, keyed by its blocks."""
+        return {p.blocks: i for i, p in enumerate(self.parts)}
 
     @cached_property
-    def _image_of(self) -> dict[tuple[int, ...], Subset]:
-        return {s.elements: s for s in self.subsets}
+    def image_ids(self) -> dict[tuple[int, ...], int]:
+        """The id of each image, keyed by its elements."""
+        return {s.elements: i for i, s in enumerate(self.subsets)}
+
+    @cached_property
+    def generator_of(self) -> list[dict[int, int]]:
+        """``generator_of[k][a]``: the id of the pair (kernel k, image a)."""
+        out, g = [], 0
+        for ids in self.transversal_ids:
+            out.append(dict(zip(ids, range(g, g + len(ids)))))
+            g += len(ids)
+        return out
+
+    @cached_property
+    def pairs(self) -> list[tuple[int, int]]:
+        """``pairs[g]``: the (kernel id, image id) of pair g."""
+        return [(k, a) for k, ids in enumerate(self.transversal_ids) for a in ids]
+
+    @cached_property
+    def product_table(self) -> ProductTable:
+        """The table of the labels' products in S_r."""
+        return ProductTable(self.r)
+
+    @cached_property
+    def letter_label_ids(self) -> list[int]:
+        """The id in ``product_table`` of pair g's label at ``2*g`` and of its
+        inverse at ``2*g + 1``, the int letters of a presentation."""
+        intern = self.product_table.intern
+        ids: list[int] = []
+        for lam in self.labels:
+            ids.append(intern(lam.images))
+            ids.append(intern(invert(lam.images)))
+        return ids
+
+    @cached_property
+    def block_of(self) -> list[bytes]:
+        """``block_of[k][x]``: the 0-based block of kernel k holding x."""
+        out = []
+        for p in self.parts:
+            blocks = bytearray(self.n + 1)
+            for i, block in enumerate(p.blocks):
+                for x in block:
+                    blocks[x] = i
+            out.append(bytes(blocks))
+        return out
 
     def kernel(self, blocks) -> Partition:
         """The index's kernel with these blocks, given in any order.
 
         A lookup, not a construction: the blocks name one of ``parts`` or
         InvalidParameters is raised, which is what building the partition
-        and checking it against (n, r) would find.  The table is built on
-        first use, so ``stats`` and ``squares`` never build it.
+        and checking it against (n, r) would find.
         """
         key = tuple(sorted(tuple(sorted(b)) for b in blocks))
-        p = self._kernel_of.get(key)
-        if p is None:
+        k = self.kernel_ids.get(key)
+        if k is None:
             raise InvalidParameters(f"{key} is not one of the {len(self.parts)} kernels of this index")
-        return p
+        return self.parts[k]
 
     def image(self, elements) -> Subset:
         """The index's image with these elements, given in any order; a
         lookup, as :meth:`kernel` is."""
         key = tuple(sorted(elements))
-        a = self._image_of.get(key)
+        a = self.image_ids.get(key)
         if a is None:
             raise InvalidParameters(f"{key} is not one of the {len(self.subsets)} images of this index")
-        return a
+        return self.subsets[a]
+
+    def generator(self, p: Partition, a: Subset) -> int:
+        """The id of the pair (p, a); InvalidParameters when p and a are
+        not a kernel and a transversal image of this index."""
+        k, i = self.kernel_ids.get(p.blocks), self.image_ids.get(a.elements)
+        g = None if k is None or i is None else self.generator_of[k].get(i)
+        if g is None:
+            raise InvalidParameters(f"({p}, {a}) is not a generator of the presentation")
+        return g
+
+    def square(self, p: Partition, q: Partition, a: Subset, b: Subset) -> tuple[int, int, int, int]:
+        """The ids of the square (p, q, a, b), each a kernel or an image of
+        this index; a kernel or image it lacks raises KeyError."""
+        kernel_ids, image_ids = self.kernel_ids, self.image_ids
+        return kernel_ids[p.blocks], kernel_ids[q.blocks], image_ids[a.elements], image_ids[b.elements]
+
+    def name(self, g: int) -> str:
+        """The text ``f[P|A]`` of pair g, as GeneratorId displays it."""
+        k, a = self.pairs[g]
+        return f"f[{self.parts[k]}|{self.subsets[a]}]"
 
 
 @lru_cache(maxsize=1)
 def _singular_index(n: int, r: int) -> _SingularIndex:
     """Memoised: ``build_presentation``, ``enumerate_singular_squares`` and the
     reduction pipeline share one index, so they hand out the same kernel and
-    image objects, and it goes when another (n, r) is indexed.  Callers only
-    read it."""
+    image objects and number them alike, and it goes when another (n, r) is
+    indexed.  Callers only read it (its product table fills on demand)."""
     parts = _sorted_partitions(n, r)
     subsets = list(enumerate_subsets(n, r))
     subset_id = {s.elements: i for i, s in enumerate(subsets)}
     transversal_ids: list[list[int]] = []
+    all_labels: list[Permutation] = []
     buckets: dict[tuple[int, int, tuple[int, ...]], list[int]] = {}
     rows: list[list[tuple[int, int, list[int]]]] = []
     for pi, p in enumerate(parts):
         trans = p.transversals()
         ids = [subset_id[a.elements] for a in trans]
-        labels = [label_by_subscripts(p, a).images for a in trans]
+        perms = [label_by_subscripts(p, a) for a in trans]
+        all_labels += perms
+        labels = [lam.images for lam in perms]
         row = []
         for a, la in zip(ids, labels):
             la_inv = invert(la)
@@ -233,7 +331,7 @@ def _singular_index(n: int, r: int) -> _SingularIndex:
                 row.append((a, b, bucket))
         transversal_ids.append(ids)
         rows.append(row)
-    return _SingularIndex(parts, subsets, transversal_ids, buckets, rows)
+    return _SingularIndex(n, r, parts, subsets, transversal_ids, all_labels, buckets, rows)
 
 
 def enumerate_singular_squares(n: int, r: int) -> Iterator[Square]:

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import jsonschema
@@ -226,12 +227,16 @@ def test_squares_computes_one_label_per_pair(capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", ["stats", "squares"])
 def test_stats_and_squares_build_no_lookup_table(capsys, command):
-    # the index's lookups by blocks and by elements serve the trust path only
+    # the index's lookups and numbering tables serve the trust path only
     squares_module._singular_index.cache_clear()
     code, _, _ = run(capsys, command, "--n", "5", "--r", "3")
     assert code == 0
     built = vars(squares_module._singular_index(5, 3))
-    assert "_kernel_of" not in built and "_image_of" not in built
+    tables = {
+        name for name, value in vars(squares_module._SingularIndex).items() if isinstance(value, cached_property)
+    }
+    assert tables >= {"kernel_ids", "image_ids", "generator_of", "pairs", "product_table", "letter_label_ids", "block_of"}
+    assert tables.isdisjoint(built)
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
@@ -526,16 +531,24 @@ class _Built(Exception):
 
 
 def test_replay_applies_the_cap(capsys, tmp_path, monkeypatch):
+    # the parser numbers a log's texts on the (n, r) index, so the cap must
+    # be checked before the index is built: a log with steps at n = 13
+    doc = pipeline.run_pipeline(5, 3)[1].to_json()
+    doc["n"], doc["r"] = 13, 6
+    with_steps = tmp_path / "log-13-6-steps.json"
+    with_steps.write_text(json.dumps(doc))
+
     def build(n, r):
         raise _Built(n, r)
 
     monkeypatch.setattr(pipeline, "build_presentation", build)
-    path = empty_log(tmp_path, 13, 6)
-    code, out, err = run(capsys, "replay", "--log", path)
-    assert code == 2 and out == ""
-    assert err == "error: n=13 exceeds the cap n <= 12; pass --override-cap to proceed\n"
-    with pytest.raises(_Built):
-        main(["replay", "--log", path, "--override-cap"])
+    monkeypatch.setattr(pipeline, "_singular_index", build)
+    for path in (empty_log(tmp_path, 13, 6), str(with_steps)):
+        code, out, err = run(capsys, "replay", "--log", path)
+        assert code == 2 and out == ""
+        assert err == "error: n=13 exceeds the cap n <= 12; pass --override-cap to proceed\n"
+        with pytest.raises(_Built):
+            main(["replay", "--log", path, "--override-cap"])
 
 
 @pytest.mark.parametrize("n, r", [(4, 7), (4, 0), (4, -1), (4, 3)])
@@ -683,7 +696,7 @@ UNSOUND_VERIFY = """
 import dataclasses, sys
 import igmax.pipeline as pipeline
 from igmax.cli import main
-from igmax.squares import enumerate_squares, is_singular_sq3
+from igmax.squares import _singular_index, enumerate_squares, is_singular_sq3
 
 bogus = next(sq for sq in enumerate_squares(4, 2) if not sq.is_degenerate() and not is_singular_sq3(sq))
 run = pipeline.run_pipeline
@@ -691,7 +704,9 @@ run = pipeline.run_pipeline
 def unsound(n, r, pres=None):
     final, log = run(n, r, pres)
     i = next(i for i, st in enumerate(log.steps) if st.rule == "bottom")
-    log.steps[i] = dataclasses.replace(log.steps[i], square=bogus)
+    # a step holds its witness square as the ids of its kernels and images
+    square = _singular_index(n, r).square(*bogus.kernels, *bogus.images)
+    log.steps[i] = dataclasses.replace(log.steps[i], square=square)
     return final, log
 
 pipeline.run_pipeline = unsound

@@ -2,8 +2,10 @@
 
 import gc
 import importlib.util
+import json
 import sys
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -66,16 +68,49 @@ def test_trace_run_sees_the_bottom_family_enumerator(trace_run):
     assert "squares.enumerate_singular_squares" in tracer.names
 
 
+def test_trace_spans_every_replayed_step(trace_run, tmp_path, capsys):
+    # the per-rule step counts and per-step spans of a traced reduce -> replay
+    # at (5,3): a replay that stopped iterating log.steps would zero them
+    import igmax.cli as cli
+
+    path = tmp_path / "log.json"
+    tracer = trace_run.Tracer()
+    undo = trace_run.install(tracer)
+    try:
+        assert cli.main(["reduce", "--n", "5", "--r", "3", "--log", str(path)]) == 0
+        assert cli.main(["replay", "--log", str(path)]) == 0
+    finally:
+        trace_run.uninstall(undo)
+    capsys.readouterr()
+    logged = Counter(sd["rule"] for sd in json.loads(path.read_text())["steps"])
+    assert len(logged) > 5
+    spans = Counter(
+        name.removeprefix(trace_run.STEP_SPAN) for name in tracer.names if name.startswith(trace_run.STEP_SPAN)
+    )
+    assert spans == logged
+    metrics, _ = trace_run.layer_metrics(tracer, 2, 0, 0.0)
+    assert {rule: metrics[f"pipeline.steps.{rule}"] for rule in trace_run.RULES} == {
+        rule: logged[rule] for rule in trace_run.RULES
+    }
+    assert metrics["pipeline.steps"] == sum(logged.values())
+
+
 # ---------------------------------------------------------------------------
 # the lookup tables are scoped to one (n, r)
 # ---------------------------------------------------------------------------
 
 
 def six_three_objects():
-    """Weak references to the (6,3) index and to the generators of a (6,3) run."""
+    """Weak references to the (6,3) index, its product table, and the kernels
+    and images of the witness squares of a (6,3) run (its steps hold their ids)."""
     _, log = pipeline.run_pipeline(6, 3)
-    refs = [weakref.ref(squares._singular_index(6, 3))]
-    refs += [weakref.ref(g) for st in log.steps if st.conclusion for g, _ in st.conclusion.lhs]
+    index = squares._singular_index(6, 3)
+    refs = [weakref.ref(index), weakref.ref(index.product_table)]
+    for st in log.steps:
+        if st.square is not None:
+            p, q, a, b = st.square
+            refs += [weakref.ref(index.parts[p]), weakref.ref(index.parts[q])]
+            refs += [weakref.ref(index.subsets[a]), weakref.ref(index.subsets[b])]
     return refs
 
 

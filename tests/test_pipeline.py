@@ -290,7 +290,9 @@ def test_discharge_factors_through_the_labels(n, r):
     # reference: rewrite each relation through the resolution map and
     # evaluate it over the canonical generators; its labels must agree
     eng = _resolved(n, r)
-    words = {g: eng.resolve(g.partition, g.subset)[1] for g in eng.pres.generators}
+    gens = eng.pres.generators
+    # the derivation names generators by id: generator i is gens[i]
+    words = {g: tuple((gens[h], e) for h, e in eng.resolve(g.partition, g.subset)[1]) for g in gens}
     canon = [GeneratorId.of(*p) for p in eng.canonical_pairs()]
     table = ProductTable(r)
     canonical = {x: table.intern(p) for x, p in letter_images({g: g.label for g in canon}).items()}
@@ -312,9 +314,9 @@ def test_discharge_factors_through_the_labels(n, r):
 
 def test_discharge_rejects_a_resolution_word_off_its_label():
     eng = _resolved(5, 3)
-    pair, (idx, word) = next((p, res) for p, res in eng._res_memo.items() if res[0] is not None)
-    canonical = GeneratorId.of(*eng.canonical_pairs()[0])
-    eng._res_memo[pair] = (idx, word + ((canonical, 1),))
+    g, (idx, word) = next((g, res) for g, res in eng._res_memo.items() if res[0] is not None)
+    canonical = eng.canonical_generators()[0]
+    eng._res_memo[g] = (idx, word + ((canonical, 1),))
     with pytest.raises(VerificationFailed, match="does not evaluate to its label"):
         eng.discharge_all()
 
@@ -440,13 +442,13 @@ def test_replay_checks_each_distinct_square_once(monkeypatch):
     bottoms = [st.square for st in back.steps if st.rule == "bottom"]
     assert (len(bottoms), len(set(bottoms))) == (666, 454)
     calls = []
-    real = pipeline_module.is_singular_sq3
+    real = pipeline_module.is_singular_ids
 
-    def counted(sq):
+    def counted(index, *sq):
         calls.append(sq)
-        return real(sq)
+        return real(index, *sq)
 
-    monkeypatch.setattr(pipeline_module, "is_singular_sq3", counted)
+    monkeypatch.setattr(pipeline_module, "is_singular_ids", counted)
     assert replay_log(back).ok
     assert len(calls) == 454
 
@@ -500,18 +502,47 @@ def test_replay_checks_each_discharged_relation_on_its_labels():
 
 def test_producer_checks_each_distinct_square_once(monkeypatch):
     calls = []
-    real = pipeline_module.is_singular_sq3
+    real = pipeline_module.is_singular_ids
 
-    def counted(sq):
+    def counted(index, *sq):
         calls.append(sq)
-        return real(sq)
+        return real(index, *sq)
 
     pres = build_presentation(6, 3)
-    monkeypatch.setattr(pipeline_module, "is_singular_sq3", counted)
+    monkeypatch.setattr(pipeline_module, "is_singular_ids", counted)
     _, log = run_pipeline(6, 3, pres)
     bottoms = {st.square for st in log.steps if st.rule == "bottom"}
     assert set(calls) == bottoms
     assert len(calls) == len(bottoms)
+
+
+def test_reduce_and_replay_label_each_pair_once(monkeypatch, tmp_path, capsys):
+    # the index labels each (kernel, image) pair once and everything else
+    # reads its labels: reduce adds only the square constructions' own few,
+    # and a replay from a cold index none
+    import igmax.presentation as presentation_module
+    import igmax.squares as squares_module
+    from igmax.cli import main
+
+    calls = []
+
+    def counted(p, a):
+        calls.append((p, a))
+        return label_by_subscripts(p, a)
+
+    for module in (squares_module, presentation_module, pipeline_module):
+        monkeypatch.setattr(module, "label_by_subscripts", counted)
+    path = str(tmp_path / "log.json")
+    squares_module._singular_index.cache_clear()
+    assert main(["reduce", "--n", "6", "--r", "3", "--log", path]) == 0
+    generators = len(build_presentation(6, 3).generators)
+    reduce_calls = len(calls)
+    calls.clear()
+    squares_module._singular_index.cache_clear()
+    assert main(["replay", "--log", path]) == 0
+    capsys.readouterr()
+    assert generators <= reduce_calls <= generators + 20
+    assert len(calls) == generators
 
 
 def test_require_singular_survives_optimize_flag():
@@ -520,12 +551,13 @@ def test_require_singular_survives_optimize_flag():
         "from igmax.combinatorics import Partition, Subset\n"
         "from igmax.errors import VerificationFailed\n"
         "from igmax.pipeline import _require_singular\n"
-        "from igmax.squares import Square\n"
+        "from igmax.squares import _singular_index\n"
         "assert False, 'asserts must be off'\n"
-        "sq = Square((Partition.parse('{{1},{2,4},{3,6},{5,7}}'), Partition.parse('{{1},{2,6,7},{3,5},{4}}')),\n"
-        "            (Subset.parse('{1,3,4,7}', 7), Subset.parse('{1,4,5,6}', 7)))\n"
+        "index = _singular_index(7, 4)\n"
+        "sq = index.square(Partition.parse('{{1},{2,4},{3,6},{5,7}}'), Partition.parse('{{1},{2,6,7},{3,5},{4}}'),\n"
+        "                  Subset.parse('{1,3,4,7}', 7), Subset.parse('{1,4,5,6}', 7))\n"
         "try:\n"
-        "    _require_singular(sq)\n"
+        "    _require_singular(index, sq)\n"
         "except VerificationFailed as exc:\n"
         "    print('raised:', exc)\n"
     )
@@ -535,7 +567,7 @@ def test_require_singular_survives_optimize_flag():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("raised: square fails the label test")
+    assert done.stdout.startswith("raised: square fails the singularity tests")
 
 
 # Swaps the first two canonical pairs for the replay, and in the log's

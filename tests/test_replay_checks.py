@@ -30,7 +30,7 @@ from igmax.pipeline import (
     run_pipeline,
 )
 from igmax.presentation import AbstractGenerator, GroupPresentation, Relation, build_presentation
-from igmax.squares import Square, enumerate_squares, is_singular_sq3
+from igmax.squares import enumerate_squares, is_singular_sq3
 
 
 @pytest.fixture(scope="module")
@@ -514,18 +514,20 @@ def forged_six_three():
     Q = Partition.parse("{{1,4},{2,5},{3,6}}", 6)
     K = Partition.parse("{{1,2,5},{3},{4,6}}", 6)
     a345, a456, a234 = (Subset.parse(t, 6) for t in ("{3,4,5}", "{4,5,6}", "{2,3,4}"))
-    s1 = eng._bottom(Square((P, Q), (a345, a456)))
+    s1 = eng._bottom(eng._square(P, Q, a345, a456))
     s2 = eng._add(
         "transitive",
-        _eq_relation(_gid((P, a456)), _gid((K, a345))),
+        _eq_relation(eng._gen(P, a456), eng._gen(K, a345), eng.letters),
         (eng.cycle_eq(P, a456), eng.cycle_eq(K, a345)),
     )
     s3 = eng._rewrite(s1, (eng.one(P, a345), eng.one(Q, a456)))
     s4 = eng._add("combine", Relation(log.steps[s2].conclusion.rhs, log.steps[s3].conclusion.rhs, "derived"), (s2, s3))
-    sq = Square((K, Q), (a345, a234))
+    sq = eng._square(K, Q, a345, a234)
     s5 = eng._bottom(sq)
-    s6 = eng._add("flush-column", _eq_relation(_gid((K, a234)), _gid((Q, a234))), (s5, s4), square=sq)
-    assert str(log.steps[s4].conclusion) == (
+    s6 = eng._add("flush-column", _eq_relation(eng._gen(K, a234), eng._gen(Q, a234), eng.letters), (s5, s4), square=sq)
+    gens = eng.pres.generators
+    named = [tuple((gens[g], e) for g, e in side) for side in (log.steps[s4].conclusion.lhs, log.steps[s4].conclusion.rhs)]
+    assert str(Relation(*named, "derived")) == (
         "f[{{1,2,5},{3},{4,6}}|{3,4,5}] = f[{{1,4},{2,5},{3,6}}|{3,4,5}]^-1"
     )
     assert (_gid((K, a234)).label.cycle_form(), _gid((Q, a234)).label.cycle_form()) == ("()", "(1 3 2)")

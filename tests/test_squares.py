@@ -6,12 +6,14 @@ import pytest
 
 from igmax.combinatorics import Partition, Subset
 from igmax.errors import InvalidParameters, NotASquare
+from igmax.labels import label_by_subscripts
 from igmax.perms import Permutation, contiguous_cycle
 from igmax.squares import (
     Square,
     _singular_index,
     enumerate_singular_squares,
     enumerate_squares,
+    is_singular_ids,
     is_singular_sq2,
     is_singular_sq3,
     square_census,
@@ -248,6 +250,31 @@ def test_index_looks_up_its_own_kernels_and_images():
     for elements in ([1, 2], [1, 1, 2], [1, 2, 6], [0, 1, 2]):
         with pytest.raises(InvalidParameters):
             index.image(elements)
+
+
+@pytest.mark.parametrize("n, r", [(4, 2), (5, 3), (6, 3)])
+def test_id_singularity_test_agrees_with_sq2_and_sq3(n, r):
+    # every ordered square, degenerate ones included, through the index's ids
+    index = _singular_index(n, r)
+    verdicts = set()
+    for sq in enumerate_squares(n, r):
+        got = is_singular_ids(index, *index.square(*sq.kernels, *sq.images))
+        assert got == is_singular_sq2(sq), sq.to_json()
+        assert got == is_singular_sq3(sq), sq.to_json()
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_index_numbers_the_pairs_in_generator_order():
+    index = _singular_index(5, 3)
+    pairs = [(p, a) for p in index.parts for a in p.transversals()]
+    assert [(index.parts[k], index.subsets[a]) for k, a in index.pairs] == pairs
+    for g, (p, a) in enumerate(pairs):
+        assert index.generator(p, a) == g
+        assert index.labels[g] == label_by_subscripts(p, a)
+        assert index.name(g) == f"f[{p}|{a}]"
+    with pytest.raises(InvalidParameters):
+        index.generator(Partition.parse("{{1,2},{3,4},{5}}", 5), Subset.parse("{1,2,5}", 5))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -441,7 +441,7 @@ def test_verify_replays_the_log_it_produced(monkeypatch):
     import dataclasses
 
     import igmax.pipeline
-    from igmax.squares import enumerate_squares, is_singular_sq3
+    from igmax.squares import _singular_index, enumerate_squares, is_singular_sq3
 
     bogus = next(sq for sq in enumerate_squares(4, 2) if not sq.is_degenerate() and not is_singular_sq3(sq))
     run = igmax.pipeline.run_pipeline
@@ -449,7 +449,9 @@ def test_verify_replays_the_log_it_produced(monkeypatch):
     def unsound(n, r, pres=None):
         final, log = run(n, r, pres)
         i = next(i for i, st in enumerate(log.steps) if st.rule == "bottom")
-        log.steps[i] = dataclasses.replace(log.steps[i], square=bogus)
+        # a step holds its witness square as the ids of its kernels and images
+        square = _singular_index(n, r).square(*bogus.kernels, *bogus.images)
+        log.steps[i] = dataclasses.replace(log.steps[i], square=square)
         return final, log
 
     monkeypatch.setattr(igmax.pipeline, "run_pipeline", unsound)
