@@ -27,6 +27,7 @@ import argparse
 import gc
 import json
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,8 +38,8 @@ from .errors import (
     TransversalityViolation,
     VerificationFailed,
 )
-from .labels import label_with_context, label_spectrum
-from .squares import square_census, square_lines
+from .labels import label_with_context
+from .squares import label_spectrum, square_census, square_lines
 
 # Not called here: perfbench/trace_run.py wraps these three names in this module.
 from .squares import enumerate_squares, is_singular_sq3, square_record  # noqa: F401
@@ -174,7 +175,11 @@ def cmd_present(args, out) -> int:
 
     cfg = RunConfig.from_args(args)
     cfg.validate()
-    pres = build_presentation(cfg.n, cfg.r)
+    with warnings.catch_warnings(record=True) as caught:  # it warns at r = n-1
+        warnings.simplefilter("always", UserWarning)
+        pres = build_presentation(cfg.n, cfg.r)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     if args.family != "all":
         pres = GroupPresentation(
             pres.generators, [rel for rel in pres.relations if rel.tag == args.family], pres.meta

@@ -22,8 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .combinatorics import Partition, Subset, enumerate_transversal_pairs, require_transversal
+from .combinatorics import Partition, Subset, require_transversal
 from .perms import Permutation
+
+# Not called here: perfbench/trace_run.py wraps this name in this module.
+from .combinatorics import enumerate_transversal_pairs  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -87,11 +90,3 @@ def label_by_subscripts(partition: Partition, subset: Subset) -> Permutation:
     # a transversal puts exactly one position in each block
     return Permutation._trusted(tuple(images))
 
-
-def label_spectrum(n: int, r: int) -> dict[Permutation, int]:
-    """How many (kernel, image) pairs carry each permutation as label."""
-    out: dict[Permutation, int] = {}
-    for p, a in enumerate_transversal_pairs(n, r):
-        lam = label_by_subscripts(p, a)
-        out[lam] = out.get(lam, 0) + 1
-    return out

@@ -280,14 +280,15 @@ def classify_descent_one(p: Permutation) -> tuple[int, int] | None:
     A permutation has descent count one iff it is such a cycle, so this also
     serves as the descent-one detector.
     """
-    first_moved = next((i for i, y in enumerate(p.images, start=1) if y != i), None)
-    if first_moved is None:
+    images = p.images
+    k = next((i for i, y in enumerate(images, start=1) if y != i), None)
+    if k is None:
         return None
-    k = first_moved
-    l = p.images[k - 1] - k
-    if l < 1 or k + l > p.degree:
+    l = images[k - 1] - k
+    if l < 1 or k + l > len(images):
         return None
-    if p == contiguous_cycle(k, l, p.degree):
+    # contiguous_cycle(k, l, r) read in place: k+1..k+l go one down, the rest stay
+    if all(images[i] == i for i in range(k, k + l)) and all(images[i] == i + 1 for i in range(k + l, len(images))):
         return (k, l)
     return None
 

@@ -18,16 +18,16 @@ on (``verify`` runs it on the log it has just produced), so none of the
 producer's own checks is load-bearing: a construction that went wrong yields
 a step the replay rejects.
 
-The presentation is held as int letters (see
-:class:`~igmax.presentation.GroupPresentation`).  The producer only counts
-its relations: it emits one discharge step per relation index and never
-enumerates the bottom family.  A discharge step is a :class:`DischargeStep`,
-an int holding that index, so the steps that are nearly all of a log cost
-no object of their own beyond the int; :meth:`DerivationLog.write` streams
-them as text and :class:`DischargeHook` reads them back as ints.  The
-replay checks that each discharged relation's generators are resolved
-(looked up in a table indexed by generator number) and reads whether its
-two sides have equal labels from a bitmap that
+The producer builds no presentation: it counts the relations off the SQ3
+index and emits one discharge step per relation index.  The replay's
+presentation is held as int letters (see
+:class:`~igmax.presentation.GroupPresentation`).  A discharge step is a
+:class:`DischargeStep`, an int holding that index, so the steps that are
+nearly all of a log cost no object of their own beyond the int;
+:meth:`DerivationLog.write` streams them as text and :class:`DischargeHook`
+reads them back as ints.  The replay checks that each discharged relation's
+generators are resolved (looked up in a table indexed by generator number)
+and reads whether its two sides have equal labels from a bitmap that
 :meth:`~igmax.presentation.GroupPresentation.label_equations` fills in one
 pass over the top and middle relations and the SQ3 buckets of the bottom
 family, on a product table over S_r (:class:`~igmax.perms.ProductTable`),
@@ -935,12 +935,12 @@ class Derivation:
     distinct pair (:class:`_Letters`), and a witness square is the ids of
     its two kernels and two images, checked singular on ids
     (:func:`~igmax.squares.is_singular_ids`) once, when it is first made.
-    The memos are keyed by generator id, and labels are read off the index.
+    The memos are keyed by generator id.  Labels, and the relation count
+    (:meth:`~igmax.squares._SingularIndex.family_sizes`), are read off the
+    index: no presentation is built.
     """
 
-    def __init__(self, n: int, r: int, pres: Optional[GroupPresentation] = None):
-        """``pres``, when given, must be ``build_presentation(n, r)``; it is
-        otherwise built on first use."""
+    def __init__(self, n: int, r: int):
         if not (1 <= r <= n - 2):
             raise InvalidParameters(f"derivations cover 1 <= r <= n-2, got r={r}, n={n}")
         self.n = n
@@ -951,19 +951,12 @@ class Derivation:
         self._gen = self.index.generator
         self.labels = self.index.labels
         self.letters = _Letters()
-        self._pres = pres
         self._one_memo: dict[int, int] = {}
         self._eq_memo: dict[int, int] = {}
         self._res_memo: dict[int, tuple[Optional[int], GroupWord]] = {}
         self._rep_memo: dict[tuple[int, int], Pair] = {}
         self._squares: dict[SquareIds, SquareIds] = {}
         self._final_steps: list[int] = []
-
-    @property
-    def pres(self) -> GroupPresentation:
-        if self._pres is None:
-            self._pres = build_presentation(self.n, self.r)
-        return self._pres
 
     def _swap(self, A: Subset, old: int, new: int) -> Subset:
         """The image ``A`` with its element ``old`` swapped for ``new``."""
@@ -1210,8 +1203,7 @@ class Derivation:
         conclusion = _eq_relation(ga, self._gen(*rep), self.letters)
         if A == rep[1]:
             s = self.same_column(P, rep[0], A)
-            idx = self._add("transitive", conclusion, (s,))
-            self._eq_memo[ga] = idx
+            self._eq_memo[ga] = idx = self._add("transitive", conclusion, (s,))
             return idx
         case_i = next(
             (i for i in range(1, k) if A.element_at(i) != P.minima[i - 1]), None
@@ -1220,8 +1212,7 @@ class Derivation:
             A2 = self._swap(A, A.element_at(case_i), P.minima[case_i - 1])
             s1 = self.same_row(P, A, A2)
             s2 = self.cycle_eq(P, A2)
-            idx = self._add("transitive", conclusion, tuple(s for s in (s1, s2) if s is not None))
-            self._eq_memo[ga] = idx
+            self._eq_memo[ga] = idx = self._add("transitive", conclusion, tuple(s for s in (s1, s2) if s is not None))
             return idx
         t = next((i for i in range(1, k) if A.element_at(i) > i), None)
         if t is None:
@@ -1250,16 +1241,13 @@ class Derivation:
         s1 = self.same_column(P, Qp, A)
         s2 = self.same_row(Qp, A, A2)
         s3 = self.cycle_eq(Qp, A2)
-        idx = self._add(
-            "transitive", conclusion, tuple(s for s in (s1, s2, s3) if s is not None)
-        )
-        self._eq_memo[ga] = idx
+        premises = tuple(s for s in (s1, s2, s3) if s is not None)
+        self._eq_memo[ga] = idx = self._add("transitive", conclusion, premises)
         return idx
 
     def _cycle_scaffold(self, P: Partition, A: Subset, k: int, l: int) -> Partition:
         """The comparison kernel from the cycle-class chaining argument."""
         blocks: list[tuple[int, ...]] = []
-        used: set[int] = set()
         for i in range(2, k):
             blocks.append((A.element_at(i),))
         if k != 1:
@@ -1426,13 +1414,13 @@ class Derivation:
         table, label_ids, name = self.index.product_table, self.index.letter_label_ids, self.index.name
         images = letter_images({g: self.labels[g] for g in self.canonical_generators()})
         canonical = {x: table.intern(image) for x, image in images.items()}
-        for g in range(len(self.pres.generators)):
+        for g in range(len(self.index.pairs)):
             res = self._res_memo.get(g)
             if res is None:
                 raise VerificationFailed(f"no resolution for {name(g)}")
             if table.evaluate(res[1], canonical) != label_ids[2 * g]:
                 raise VerificationFailed(f"resolution of {name(g)} does not evaluate to its label")
-        self.log.steps += map(DischargeStep, range(self.pres.relation_count))
+        self.log.steps += map(DischargeStep, range(sum(self.index.family_sizes())))
 
     def finish(self) -> GroupPresentation:
         canon = self.canonical_pairs()
@@ -1452,33 +1440,33 @@ class Derivation:
         self.log.meta.update(
             {
                 "steps": len(self.log),
-                "generators": len(self.pres.generators),
-                "relations": self.pres.relation_count,
+                "generators": len(self.index.pairs),
+                "relations": sum(self.index.family_sizes()),
                 "survivors": self.r - 1,
             }
         )
         return target
 
 
-def run_pipeline(
-    n: int, r: int, pres: Optional[GroupPresentation] = None
-) -> tuple[GroupPresentation, DerivationLog]:
+def run_pipeline(n: int, r: int) -> tuple[GroupPresentation, DerivationLog]:
     """Reduce the full (n, r) presentation to the Coxeter presentation.
 
     Resolves every generator to a word over the r-1 canonical
     adjacent-transposition classes, derives the Coxeter relations among them,
     discharges every original relation through the resolution map, and
     returns the target presentation with the complete derivation log.
-    A caller that already holds ``build_presentation(n, r)`` passes it as
-    ``pres`` so that it is not built twice.
+    The generators are the pairs of ``squares._singular_index(n, r)``,
+    resolved in their order (generator i is pair i), and the relations
+    only counted, so no presentation is built.
 
-    >>> pres, log = run_pipeline(4, 2)
-    >>> len(pres.generators), len(pres.relations)
+    >>> final, log = run_pipeline(4, 2)
+    >>> len(final.generators), len(final.relations)
     (1, 1)
     """
-    eng = Derivation(n, r, pres)
-    for g in eng.pres.generators:
-        eng.resolve(g.partition, g.subset)
+    eng = Derivation(n, r)
+    parts, subsets = eng.index.parts, eng.index.subsets
+    for k, a in eng.index.pairs:
+        eng.resolve(parts[k], subsets[a])
     eng.assert_survivors()
     if r >= 2:
         for k in range(1, r):
@@ -1568,7 +1556,6 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
     sch = build_schreier(n, r)
     index = _singular_index(n, r)
     parts, subsets, pairs, labels, name = index.parts, index.subsets, index.pairs, index.labels, index.name
-    generators = pres.generators
     relations = pres.relation_count
     # one bottom relation per witness square
     letters = _Letters()
@@ -1590,8 +1577,8 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
     table, label_ids = index.product_table, index.letter_label_ids
     images = letter_images({g: labels[g] for g in canon_gens})
     canonical = {x: table.intern(image) for x, image in images.items()}
-    resolved = bytearray(len(generators))
-    unresolved = len(generators)  # generators not yet resolved
+    resolved = bytearray(len(pairs))
+    unresolved = len(pairs)  # generators not yet resolved
     holds: Optional[bytearray] = None  # holds[i]: relation i holds on labels
     discharged = bytearray(relations)
     singular: dict[SquareIds, bool] = {}
@@ -1626,7 +1613,7 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
             lhs, rhs = pres.letters(pz)
             for letter in lhs + rhs:
                 if not resolved[letter >> 1]:
-                    g = generators[letter >> 1]
+                    g = name(letter >> 1)
                     raise _ReplayFailure(f"no resolution for {g}")
         if holds is None:
             holds = pres.label_equations(table, label_ids)

@@ -386,13 +386,14 @@ def build_presentation(n: int, r: int) -> GroupPresentation:
     Generator i is pair i of ``squares._singular_index``: kernel by kernel
     in its order, each kernel's transversals in its order, each labelled
     with the label the index computed.  The top and middle families,
-    O(generators) relations, are written as letters here.  The bottom family, one relation per proper singular
-    square and nearly all of the relations, is counted off the SQ3 buckets
-    (a bucket of k kernels holds k(k-1) squares, as in
-    :func:`~igmax.squares.square_census`) and read from
-    ``enumerate_singular_squares`` only when a bottom relation is first
-    asked for; :func:`igmax.pipeline.run_pipeline` only counts it.  The
-    buckets' letters, two per member, go to the presentation as well, so
+    O(generators) relations, are written as letters here, on the index's
+    ids.  The bottom family, one relation per proper singular square and
+    nearly all of the relations, is read from ``enumerate_singular_squares``
+    only when a bottom relation is first asked for.  The family sizes in
+    ``meta`` are the index's :meth:`~igmax.squares._SingularIndex.family_sizes`,
+    which :func:`igmax.pipeline.run_pipeline` and
+    :func:`~igmax.squares.square_census` read too.  The buckets' letters,
+    two per member, go to the presentation as well, so
     :meth:`GroupPresentation.label_equations` checks the family per bucket
     without reading it.
 
@@ -418,28 +419,23 @@ def build_presentation(n: int, r: int) -> GroupPresentation:
     # word_to(X) extended by the letter (P, Y) is word_to(Y) exactly when X
     # is Y's predecessor and P its convex partition (see igmax.schreier):
     # one top relation per subset Y but the base, in generator order
-    subset_id = {s: a for a, s in enumerate(subsets)}
-    part_id = {p: i for i, p in enumerate(parts)}
     words: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for y, b in subset_id.items():
+    for b, y in enumerate(subsets):
         x = predecessor(y)
         if x is not None:
-            row = letter[part_id[convex_partition_of(y)]]
-            words.append(((row[subset_id[x]],), (row[b],)))
+            row = letter[index.kernel_ids[convex_partition_of(y).blocks]]
+            words.append(((row[index.image_ids[x.elements]],), (row[b],)))
     words.sort()
-    top = len(words)
-    tags = ["top"] * top
+    tags = ["top"] * len(words)
     for i, p in enumerate(parts):
-        words.append(((letter[i][subset_id[p.min_transversal()]],), ()))
+        words.append(((letter[i][index.image_ids[p.minima]],), ()))
         tags.append("middle")
     # the bottom family is the square relations x_P = x_Q of every bucket of
     # at least two kernels, x_P = f[P,A]^-1 f[P,B]
-    bottom = 0
+    top, middle, bottom = index.family_sizes()
     bucket_letters, bucket_ends = array("i"), array("i")
     for (a, b, _), kernels in index.buckets.items():
-        k = len(kernels)
-        if k > 1:
-            bottom += k * (k - 1)
+        if len(kernels) > 1:
             for i in kernels:
                 bucket_letters.extend((letter[i][a] + 1, letter[i][b]))
             bucket_ends.append(len(bucket_letters))
@@ -468,7 +464,7 @@ def build_presentation(n: int, r: int) -> GroupPresentation:
             "r": r,
             "top_ordered": top,
             "top_distinct": top,
-            "middle": len(parts),
+            "middle": middle,
             "bottom": bottom,
         },
     )

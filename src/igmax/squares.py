@@ -34,6 +34,7 @@ the output rather than on the number of kernel pairs.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator
@@ -300,6 +301,12 @@ class _SingularIndex:
         k, a = self.pairs[g]
         return f"f[{self.parts[k]}|{self.subsets[a]}]"
 
+    def family_sizes(self) -> tuple[int, int, int]:
+        """The presentation's top, middle and bottom family sizes: C(n, r) - 1,
+        the kernels, and k(k-1) proper singular squares per bucket of k."""
+        bottom = sum(k * (k - 1) for k in map(len, self.buckets.values()))
+        return len(self.subsets) - 1, len(self.parts), bottom
+
 
 @lru_cache(maxsize=1)
 def _singular_index(n: int, r: int) -> _SingularIndex:
@@ -386,22 +393,18 @@ def square_census(n: int, r: int) -> SquareCensus:
     With m(A, B) the number of kernels having both A and B as transversals
     (m(A, A) for those having A), there are sum m(A,B)^2 ordered squares and
     sum over A != B of m(A,B)(m(A,B)-1) proper ones; a bucket of k kernels
-    holds k(k-1) proper singular squares.  Proper singular squares come in
+    holds k(k-1) proper singular squares, the presentation's bottom family
+    (:meth:`_SingularIndex.family_sizes`).  Proper singular squares come in
     orbits of four under swapping (P,Q) and swapping (A,B); the unordered
     count divides by that.
     """
     _check(n, r)
     index = _singular_index(n, r)
-    per_subset: dict[int, int] = {}
-    for ids in index.transversal_ids:
-        for a in ids:
-            per_subset[a] = per_subset.get(a, 0) + 1
+    per_subset = Counter(a for ids in index.transversal_ids for a in ids)
     per_pair: dict[tuple[int, int], int] = {}
-    sigma = 0
     for (a, b, _), kernels in index.buckets.items():
-        k = len(kernels)
-        per_pair[(a, b)] = per_pair.get((a, b), 0) + k
-        sigma += k * (k - 1)
+        per_pair[(a, b)] = per_pair.get((a, b), 0) + len(kernels)
+    sigma = index.family_sizes()[2]
     proper = sum(m * (m - 1) for m in per_pair.values())
     squares = sum(m * m for m in per_subset.values()) + sum(m * m for m in per_pair.values())
     if sigma % 4:
@@ -411,13 +414,19 @@ def square_census(n: int, r: int) -> SquareCensus:
         r=r,
         partitions=len(index.parts),
         subsets=len(index.subsets),
-        transversal_pairs=sum(len(ids) for ids in index.transversal_ids),
+        transversal_pairs=len(index.labels),
         squares=squares,
         proper_squares=proper,
         singular_proper=sigma,
         singular_proper_unordered=sigma // 4,
         singular_degenerate=squares - proper,
     )
+
+
+def label_spectrum(n: int, r: int) -> dict[Permutation, int]:
+    """How many (kernel, image) pairs carry each permutation as label."""
+    _check(n, r)
+    return Counter(_singular_index(n, r).labels)
 
 
 def square_record(sq: Square) -> dict:
@@ -455,9 +464,9 @@ def square_lines(n: int, r: int, only_singular: bool) -> Iterator[str]:
     index = _singular_index(n, r)
     encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     subset_json = [encode(s.to_json()) for s in index.subsets]
-    kernels = []
+    kernels, lams = [], iter(index.labels)  # the pairs' labels, in pair order
     for p, ids, row in zip(index.parts, index.transversal_ids, index.rows):
-        labels = {a: encode(label_by_subscripts(p, index.subsets[a]).cycle_form()) for a in ids}
+        labels = {a: encode(next(lams).cycle_form()) for a in ids}
         buckets = {(a, b): bucket for a, b, bucket in row}
         kernels.append((encode(p.to_json()), ids, labels, buckets))
     for pi, (p_json, p_ids, p_labels, p_buckets) in enumerate(kernels):

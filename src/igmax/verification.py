@@ -605,8 +605,9 @@ class VerifyReport:
 def verify_theorem(n: int, r: int, budget: Optional[int] = None):
     """Assemble the verdict for one (n, r).
 
-    For r <= n-2 the presentation is built once, reduced, and the log is
-    replayed in memory; ``pipeline`` is the replay's verdict and
+    For r <= n-2 the pipeline reduces off the SQ3 index, and its log is
+    replayed in memory on the presentation, built here once for the replay
+    and the coset oracle; ``pipeline`` is the replay's verdict and
     ``homomorphism`` says whether it discharged every relation on labels.
     ``budget``, when given, also runs the coset oracle, which must then find
     r! elements if it closes; a budget that is not an int of at least 1
@@ -647,8 +648,8 @@ def verify_theorem(n: int, r: int, budget: Optional[int] = None):
         )
         return report, None
 
+    _, log = pipeline.run_pipeline(n, r)
     pres = build_presentation(n, r)
-    _, log = pipeline.run_pipeline(n, r, pres)
     replay = pipeline.replay_log(log, pres)
     homomorphism = replay.discharged == replay.relations
 

@@ -225,6 +225,48 @@ def test_squares_computes_one_label_per_pair(capsys, monkeypatch):
     assert len(calls) <= 2 * 90
 
 
+def counted_calls(monkeypatch, name, modules):
+    """Wrap ``name`` where each of ``modules`` binds it; the list of the
+    calls' arguments grows as they are made."""
+    calls = []
+    for module in modules:
+        real = getattr(module, name)
+
+        def counted(*args, real=real, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv,pairs",
+    [(["stats", "--n", "7", "--r", "4"], 2240), (["squares", "--n", "7", "--r", "5", "--only-singular"], 525)],
+    ids=["stats", "squares"],
+)
+def test_stats_and_squares_label_each_pair_once(capsys, monkeypatch, argv, pairs):
+    # the index labels every pair; the spectrum and the stream read its labels
+    import igmax.labels as labels_module
+    import igmax.presentation as presentation_module
+
+    modules = (labels_module, squares_module, presentation_module, pipeline)
+    calls = counted_calls(monkeypatch, "label_by_subscripts", modules)
+    squares_module._singular_index.cache_clear()
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == len(set(calls)) == pairs
+
+
+def test_reduce_builds_no_presentation(capsys, monkeypatch):
+    import igmax.verification as verification_module
+
+    calls = counted_calls(monkeypatch, "build_presentation", (pipeline, verification_module))
+    code, out, _ = run(capsys, "reduce", "--n", "6", "--r", "3")
+    assert code == 0 and "generators: 540\n" in out
+    assert calls == []
+
+
 @pytest.mark.parametrize("command", ["stats", "squares"])
 def test_stats_and_squares_build_no_lookup_table(capsys, command):
     # the index's lookups and numbering tables serve the trust path only
@@ -310,6 +352,14 @@ def test_present_json_schema(capsys):
     jsonschema.validate(doc, schema("presentation.schema.json"))
     assert len(doc["generators"]) == 24
     assert len(doc["relations"]) == 60
+
+
+def test_present_at_the_boundary_prints_one_warning_line(capsys):
+    # each run says it once, in the CLI's own format, with no source location
+    for _ in range(2):
+        code, out, err = run(capsys, "present", "--n", "4", "--r", "3")
+        assert code == 0 and out.startswith("generators: 12\n")
+        assert err == "warning: r = n-1 = 3: no proper singular squares exist, the bottom family is empty\n"
 
 
 # ---------------------------------------------------------------------------
@@ -701,8 +751,8 @@ from igmax.squares import _singular_index, enumerate_squares, is_singular_sq3
 bogus = next(sq for sq in enumerate_squares(4, 2) if not sq.is_degenerate() and not is_singular_sq3(sq))
 run = pipeline.run_pipeline
 
-def unsound(n, r, pres=None):
-    final, log = run(n, r, pres)
+def unsound(n, r):
+    final, log = run(n, r)
     i = next(i for i, st in enumerate(log.steps) if st.rule == "bottom")
     # a step holds its witness square as the ids of its kernels and images
     square = _singular_index(n, r).square(*bogus.kernels, *bogus.images)

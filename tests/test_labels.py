@@ -7,10 +7,11 @@ from igmax.errors import TransversalityViolation
 from igmax.labels import (
     label,
     label_by_subscripts,
-    label_spectrum,
     label_with_context,
 )
 from igmax.perms import Permutation
+from igmax.squares import label_spectrum
+import labels_reference
 
 
 GOLDEN_P = Partition.parse("{{1},{2,3,5},{4,7},{6}}")
@@ -51,6 +52,7 @@ def test_two_definitions_agree(n, r):
 
 def test_spectrum_four_two():
     spec = label_spectrum(4, 2)
+    assert spec == labels_reference.label_spectrum(4, 2)
     as_str = {k.cycle_form(): v for k, v in spec.items()}
     assert as_str == {"()": 18, "(1 2)": 6}
     assert sum(spec.values()) == 24
@@ -58,6 +60,7 @@ def test_spectrum_four_two():
 
 def test_spectrum_seven_five_has_the_double_transposition():
     spec = label_spectrum(7, 5)
+    assert spec == labels_reference.label_spectrum(7, 5)
     target = Permutation.parse("(2 3)(4 5)", 5)
     assert spec[target] == 2
     assert sum(spec.values()) == 525
@@ -66,6 +69,7 @@ def test_spectrum_seven_five_has_the_double_transposition():
 def test_degenerate_full_rank_labels():
     # at n = r the only partition is discrete and every label is trivial
     spec = label_spectrum(4, 4)
+    assert spec == labels_reference.label_spectrum(4, 4)
     assert {k.cycle_form(): v for k, v in spec.items()} == {"()": 1}
 
 
@@ -78,3 +82,8 @@ def test_label_composes_with_row_change():
     assert la.cycle_form() == "(2 4 3)"
     assert lb.cycle_form() == "(2 3 4)"
     assert (la.inverse() * lb).cycle_form() == "(2 4 3)"
+
+
+@pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 7) for r in range(1, n + 1)])
+def test_spectrum_counts_the_index_labels_as_enumeration_does(n, r):
+    assert label_spectrum(n, r) == labels_reference.label_spectrum(n, r)

@@ -28,6 +28,7 @@ from igmax.pipeline import (
     replay_log,
     run_pipeline,
 )
+from igmax.presentation import build_presentation
 
 LADDER = [(n, r) for n in range(3, 7) for r in range(1, n - 1)]
 
@@ -390,9 +391,10 @@ def test_every_step_answers_the_trace_tool(five_three):
 
 def test_discharge_steps_cost_under_64_bytes_a_relation():
     eng = Derivation(6, 3)
-    for g in eng.pres.generators:
+    pres = build_presentation(6, 3)
+    for g in pres.generators:
         eng.resolve(g.partition, g.subset)
-    relations = eng.pres.relation_count
+    relations = pres.relation_count
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

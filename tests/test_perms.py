@@ -140,3 +140,19 @@ def test_resolution_factor_is_a_contiguous_cycle():
         factor = p * q.inverse()
         assert classify_descent_one(factor) == (loc.v, loc.w)
         assert factor * q == p
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_classify_descent_one_is_contiguous_cycle_equality(r):
+    cycles = {contiguous_cycle(k, l, r): (k, l) for k in range(1, r) for l in range(1, r - k + 1)}
+    for p in all_perms(r):
+        assert classify_descent_one(p) == cycles.get(p)
+
+
+def test_classify_descent_one_builds_no_permutation(monkeypatch):
+    perms = all_perms(5)
+    made = []
+    monkeypatch.setattr(Permutation, "__post_init__", made.append)
+    # the ten contiguous cycles of degree 5
+    assert sum(classify_descent_one(p) is not None for p in perms) == 10
+    assert made == []

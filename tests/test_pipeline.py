@@ -280,7 +280,7 @@ def test_assert_survivors_needs_the_canonical_pairs():
 
 def _resolved(n, r):
     eng = Derivation(n, r)
-    for g in eng.pres.generators:
+    for g in build_presentation(n, r).generators:
         eng.resolve(g.partition, g.subset)
     return eng
 
@@ -290,26 +290,27 @@ def test_discharge_factors_through_the_labels(n, r):
     # reference: rewrite each relation through the resolution map and
     # evaluate it over the canonical generators; its labels must agree
     eng = _resolved(n, r)
-    gens = eng.pres.generators
+    pres = build_presentation(n, r)
+    gens = pres.generators
     # the derivation names generators by id: generator i is gens[i]
     words = {g: tuple((gens[h], e) for h, e in eng.resolve(g.partition, g.subset)[1]) for g in gens}
     canon = [GeneratorId.of(*p) for p in eng.canonical_pairs()]
     table = ProductTable(r)
     canonical = {x: table.intern(p) for x, p in letter_images({g: g.label for g in canon}).items()}
-    labels = {x: table.intern(p) for x, p in letter_images({g: g.label for g in eng.pres.generators}).items()}
+    labels = {x: table.intern(p) for x, p in letter_images({g: g.label for g in gens}).items()}
 
     def rewrite(word):
         for g in {h for h, _ in word}:
             word = substitute(word, g, words[g])
         return word
 
-    for rel in eng.pres.relations:
+    for rel in pres.relations:
         lhs = table.evaluate(rewrite(rel.lhs), canonical)
         rhs = table.evaluate(rewrite(rel.rhs), canonical)
         assert lhs == rhs == table.evaluate(rel.lhs, labels) == table.evaluate(rel.rhs, labels)
     eng.discharge_all()
     pzs = [st.data["pz"] for st in eng.log.steps if st.rule == "discharge"]
-    assert pzs == list(range(len(eng.pres.relations)))
+    assert pzs == list(range(len(pres.relations)))
 
 
 def test_discharge_rejects_a_resolution_word_off_its_label():
@@ -508,9 +509,8 @@ def test_producer_checks_each_distinct_square_once(monkeypatch):
         calls.append(sq)
         return real(index, *sq)
 
-    pres = build_presentation(6, 3)
     monkeypatch.setattr(pipeline_module, "is_singular_ids", counted)
-    _, log = run_pipeline(6, 3, pres)
+    _, log = run_pipeline(6, 3)
     bottoms = {st.square for st in log.steps if st.rule == "bottom"}
     assert set(calls) == bottoms
     assert len(calls) == len(bottoms)

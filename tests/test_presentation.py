@@ -1,5 +1,6 @@
 """Words, relations, the generating presentation, and the Coxeter target."""
 
+import warnings
 from collections import Counter
 
 import pytest
@@ -21,7 +22,7 @@ from igmax.presentation import (
     word_str,
 )
 from igmax.schreier import IdempotentLetter, build_schreier
-from igmax.squares import _sorted_partitions, enumerate_singular_squares
+from igmax.squares import _singular_index, _sorted_partitions, enumerate_singular_squares
 
 G, H, K = (AbstractGenerator(x) for x in "ghk")
 
@@ -152,6 +153,20 @@ def test_build_presentation_boundary_warns():
     with pytest.warns(UserWarning):
         pres = build_presentation(4, 3)
     assert Counter(map(pres.tag, range(pres.relation_count)))["bottom"] == 0
+
+
+@pytest.mark.parametrize("n,r", [(n, r) for n in range(2, 8) for r in range(1, n)])
+def test_family_sizes_are_the_tag_counts(n, r):
+    # the one count of each family that the pipeline, the census and the
+    # presentation's meta read; the bottom family enumerated, not counted
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        pres = build_presentation(n, r)
+    top, middle, bottom = _singular_index(n, r).family_sizes()
+    tags = Counter(map(pres.tag, range(pres.relation_count)))
+    assert (tags["top"], tags["middle"], tags["bottom"]) == (top, middle, bottom)
+    assert sum(1 for _ in enumerate_singular_squares(n, r)) == bottom
+    assert (pres.meta["top_ordered"], pres.meta["middle"], pres.meta["bottom"]) == (top, middle, bottom)
 
 
 def test_build_presentation_rejects_full_rank():

@@ -525,7 +525,7 @@ def forged_six_three():
     sq = eng._square(K, Q, a345, a234)
     s5 = eng._bottom(sq)
     s6 = eng._add("flush-column", _eq_relation(eng._gen(K, a234), eng._gen(Q, a234), eng.letters), (s5, s4), square=sq)
-    gens = eng.pres.generators
+    gens = build_presentation(6, 3).generators
     named = [tuple((gens[g], e) for g, e in side) for side in (log.steps[s4].conclusion.lhs, log.steps[s4].conclusion.rhs)]
     assert str(Relation(*named, "derived")) == (
         "f[{{1,2,5},{3},{4,6}}|{3,4,5}] = f[{{1,4},{2,5},{3,6}}|{3,4,5}]^-1"

@@ -446,8 +446,8 @@ def test_verify_replays_the_log_it_produced(monkeypatch):
     bogus = next(sq for sq in enumerate_squares(4, 2) if not sq.is_degenerate() and not is_singular_sq3(sq))
     run = igmax.pipeline.run_pipeline
 
-    def unsound(n, r, pres=None):
-        final, log = run(n, r, pres)
+    def unsound(n, r):
+        final, log = run(n, r)
         i = next(i for i, st in enumerate(log.steps) if st.rule == "bottom")
         # a step holds its witness square as the ids of its kernels and images
         square = _singular_index(n, r).square(*bogus.kernels, *bogus.images)
