@@ -236,22 +236,21 @@ def cmd_reduce(args, out) -> int:
 
 
 def cmd_replay(args, out) -> int:
-    from .pipeline import DerivationLog, DischargeHook, replay_log
+    """Replay the log at ``args.log``.  :func:`~igmax.logreader.read_log`
+    reads the members before its steps, and each step as ``from_json``
+    takes it, so the file stays open until the steps are parsed and neither
+    its text nor its document is held whole; n is held to the cap first."""
+    from .logreader import read_log
+    from .pipeline import DerivationLog, replay_log
 
     try:
         with open(args.log) as fh:
-            try:
-                # the hook reads each discharge step as an int, not a dict,
-                # and keeps one string per rule, kernel or image text
-                doc = json.load(fh, object_hook=DischargeHook())
-            except ValueError as exc:  # truncated or not JSON at all
-                raise VerificationFailed(f"malformed derivation log: {exc}") from None
-        # the parser builds the (n, r) index, so n is held to the cap first
-        n, r = DerivationLog.case_of(doc)
-        RunConfig(n=n, r=r, override_cap=args.override_cap).validate()
-        # empties doc["steps"] as it makes the log's steps, so the two do not peak together
-        log = DerivationLog.from_json(doc)
-    except RecursionError as exc:  # nested deeper than the parser recurses
+            doc = read_log(fh)
+            # the parser builds the (n, r) index, so n is held to the cap first
+            n, r = DerivationLog.case_of(doc)
+            RunConfig(n=n, r=r, override_cap=args.override_cap).validate()
+            log = DerivationLog.from_json(doc)
+    except (RecursionError, UnicodeDecodeError) as exc:  # nested deeper than the parser recurses, or not UTF-8
         raise VerificationFailed(f"malformed derivation log: {exc}") from None
     del doc
     report = replay_log(log)

@@ -22,19 +22,19 @@ The producer builds no presentation: it counts the relations off the SQ3
 index and emits one discharge step per relation index.  The replay's
 presentation is held as int letters (see
 :class:`~igmax.presentation.GroupPresentation`).  A discharge step is a
-:class:`DischargeStep`, an int holding that index, so the steps that are
-nearly all of a log cost no object of their own beyond the int;
-:meth:`DerivationLog.write` streams them as text and :class:`DischargeHook`
-reads them back as ints.  The replay checks that each discharged relation's
-generators are resolved (looked up in a table indexed by generator number)
-and reads whether its two sides have equal labels from a bitmap that
-:meth:`~igmax.presentation.GroupPresentation.label_equations` fills in one
-pass over the top and middle relations and the SQ3 buckets of the bottom
-family, on a product table over S_r (:class:`~igmax.perms.ProductTable`),
-the table that also evaluates each generator's resolution word.  The bottom
-family holds when each bucket's members agree, so a passing replay never
-enumerates it, and no :class:`Relation` of the presentation is made on the
-way.
+:class:`DischargeStep`, an int holding that index, and a log's
+:class:`StepList` holds each run of them, nearly all of a log, as one
+``range``, so the producer, the writer, the reader
+(:func:`igmax.logreader.read_log`) and the replay hold a run in constant
+memory.  The replay checks that each discharged relation's generators are
+resolved (looked up in a table indexed by generator number) and reads
+whether its two sides have equal labels from a bitmap that :meth:`~igmax.presentation.GroupPresentation.label_equations`
+fills in one pass over the top and middle relations and the SQ3 buckets of
+the bottom family, on a product table over S_r
+(:class:`~igmax.perms.ProductTable`), the table that also evaluates each
+generator's resolution word.  The bottom family holds when each bucket's
+members agree, so a passing replay never enumerates it, and no
+:class:`Relation` of the presentation is made on the way.
 
 Each kernel, image, generator and square is built and checked once per
 (n, r), and the trust path holds them as the ids of
@@ -46,13 +46,11 @@ two kernels and two images, tested by
 :func:`~igmax.squares.is_singular_ids`.  Labels and their ids in a
 product table are read off the index.  The producer computes with the
 index's kernel and image objects and records ids; :meth:`DerivationLog.write`
-turns the ids back into the v1 texts.  On the way in,
-:class:`DischargeHook` keeps one ``str`` per distinct rule, kernel and image
-text (the decoder makes a new one for each occurrence of a value), and
-:meth:`DerivationLog.from_json` parses and validates each distinct text
-once, maps it to its id, and empties the document's step list as it makes
-the log's steps.  The replay keeps one bottom relation per witness square
-and builds its own presentation.
+turns the ids back into the v1 texts.  On the way in, ``read_log``
+decodes each step when :meth:`DerivationLog.from_json` takes it, which
+parses and validates each distinct text once and maps it to its id.  The
+replay keeps one bottom relation per witness square and builds its own
+presentation.
 
 Each check has one copy.  Every rule reads a fact's shape (g = word, g = 1,
 g = h) with the same readers, exponents included, and compares conclusions
@@ -85,10 +83,10 @@ Step rules
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import groupby, islice
-from operator import countOf
-from typing import Iterable, Optional, TextIO
+from itertools import chain
+from typing import Iterable, Iterator, Optional, TextIO
 
 from .combinatorics import Partition, Subset, require_transversal
 from .errors import InvalidParameters, VerificationFailed
@@ -253,8 +251,9 @@ class DerivationStep:
     """One logged step of any rule but ``discharge`` (see
     :class:`DischargeStep`).  Not frozen: a frozen dataclass's constructor,
     which sets each field through ``object.__setattr__``, takes three times
-    as long.  A discharge step parsed from a dict of another shape than the
-    writer's is held as one of these, with its index in ``data["pz"]``.
+    as long.  A discharge step parsed from another object than
+    ``{"pz": i, "rule": "discharge"}`` with an int ``i`` is held as one of
+    these, with its index in ``data["pz"]``.
 
     The conclusion's letters are (generator id, exponent) pairs and the
     witness square is the ids of its kernels and images, both numbered by
@@ -286,9 +285,10 @@ class DerivationStep:
 class DischargeStep(int):
     """A discharge step, held as the index of the relation it discharges.
 
-    A log holds one per relation, nearly all of its steps, so a discharge
-    step is an int (48 bytes, the collector's header included) and not a
-    :class:`DerivationStep` (about 260 with its ``data`` dict).  It answers
+    A log holds one per relation, nearly all of its steps, in runs of
+    consecutive indices that its :class:`StepList` holds as ranges; a
+    DischargeStep is made when a step of a run is read, and is an int, not a
+    :class:`DerivationStep` with a ``data`` dict.  It answers
     ``rule``, ``conclusion``, ``premises``, ``square``, ``data`` and
     ``to_json()`` as ``DerivationStep("discharge", None, (), None,
     {"pz": i})`` does, and prints as its index.
@@ -331,78 +331,65 @@ WRITE_CHUNK = 1024
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-class DischargeHook:
-    """``object_hook`` for ``json.load`` of a derivation log: reads each
-    ``{"pz": i, "rule": "discharge"}`` as ``DischargeStep(i)``, so a replay
-    holds no dict per discharge step.
+class StepList:
+    """A log's steps in order, each run of discharge steps of consecutive
+    relation indices held as one ``range`` whose DischargeSteps are made
+    when they are read, so a run's memory does not grow with its length.
+    ``parts`` holds the runs and, between them, lists of the other steps.
 
-    Only that object is read so: two keys in the writer's order, ``pz`` an
-    int and not a bool.  Any other shape stays a dict, and the parser takes
-    it down its general path.  The hook cannot tell where an object sits.
-    So when it reaches a log document and has made more DischargeSteps than
-    the document's ``steps`` list holds, it turns every one that is not an
-    entry of that list back into the dict it was read from.
-
-    The decoder makes a new ``str`` for every string it reads but a key, so
-    the hook keeps one per distinct text (in ``texts``) for the strings of
-    each object with a string ``rule``: the rule, the kernel and image
-    texts of its witness ``square`` and those of the letters of its
-    ``conclusion``.  An equal string takes the place of each, so no value
-    of the document changes.
+    >>> steps = StepList([DischargeStep(3), DerivationStep("middle", None)])
+    >>> steps.add_run(range(4, 9))
+    >>> len(steps), steps[2], steps[-1], [type(part).__name__ for part in steps.parts]
+    (7, DischargeStep(4), DischargeStep(8), ['range', 'list', 'range'])
     """
 
-    def __init__(self) -> None:
-        self.made = 0
-        self.texts: dict[str, str] = {}
+    def __init__(self, steps: Iterable = ()) -> None:
+        self.parts: list = []
+        self._starts: list[int] = []  # the index of each part's first step
+        self._len = 0
+        for st in steps:
+            self.append(st)
 
-    def __call__(self, obj: dict) -> object:
-        rule = obj.get("rule")
-        if rule == "discharge" and len(obj) == 2:
-            pz = obj.get("pz")
-            if type(pz) is int and next(iter(obj)) == "pz":
-                self.made += 1
-                return DischargeStep(pz)
-        if type(rule) is str:  # a step, or shaped like one
-            share = self.texts.setdefault
-            obj["rule"] = share(rule, rule)
-            square = obj.get("square")
-            if type(square) is list:
-                for i, x in enumerate(square):
-                    if type(x) is str:
-                        square[i] = share(x, x)
-            conclusion = obj.get("conclusion")
-            if type(conclusion) is dict:
-                for side in (conclusion.get("lhs"), conclusion.get("rhs")):
-                    if type(side) is list:
-                        for letter in side:
-                            if type(letter) is list and len(letter) == 3:
-                                p, a, _ = letter
-                                if type(p) is str:
-                                    letter[0] = share(p, p)
-                                if type(a) is str:
-                                    letter[1] = share(a, a)
-        if obj.get("format") == "igmax-derivation-log":
-            steps = obj.get("steps")
-            held = countOf(map(type, steps), DischargeStep) if type(steps) is list else 0
-            if held != self.made:
-                return {
-                    key: [st if type(st) is DischargeStep else _as_dicts(st) for st in value]
-                    if key == "steps" and type(value) is list
-                    else _as_dicts(value)
-                    for key, value in obj.items()
-                }
-        return obj
+    def append(self, step: object) -> int:
+        """Append ``step``; return its index."""
+        if type(step) is DischargeStep:
+            self.add_run(range(step, step + 1))
+        else:
+            if not self.parts or type(self.parts[-1]) is range:
+                self._starts.append(self._len)
+                self.parts.append([])
+            self.parts[-1].append(step)
+            self._len += 1
+        return self._len - 1
 
+    def add_run(self, run: range) -> None:
+        """Append a discharge step for each index of ``run``, a range of step 1."""
+        if self.parts and type(self.parts[-1]) is range and self.parts[-1].stop == run.start:
+            self.parts[-1] = range(self.parts[-1].start, run.stop)
+        elif run:
+            self._starts.append(self._len)
+            self.parts.append(run)
+        self._len += len(run)
 
-def _as_dicts(value: object) -> object:
-    """``value`` with each DischargeStep in it read back as its dict."""
-    if type(value) is DischargeStep:
-        return {"pz": int(value), "rule": "discharge"}
-    if type(value) is dict:
-        return {key: _as_dicts(v) for key, v in value.items()}
-    if type(value) is list:
-        return [_as_dicts(v) for v in value]
-    return value
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int) -> object:
+        if not -self._len <= i < self._len:
+            raise IndexError("step index out of range")
+        i %= self._len
+        k = bisect_right(self._starts, i) - 1
+        st = self.parts[k][i - self._starts[k]]
+        return DischargeStep(st) if type(self.parts[k]) is range else st
+
+    def __setitem__(self, i: int, step: object) -> None:
+        steps = list(self)
+        steps[i] = step
+        StepList.__init__(self, steps)
+
+    def __iter__(self) -> Iterator:
+        return chain.from_iterable(map(DischargeStep, p) if type(p) is range else p for p in self.parts)
+
 
 
 def _generator_json(index: _SingularIndex, g: object) -> list[str]:
@@ -417,20 +404,24 @@ def _word_json(word: GroupWord, index: _SingularIndex) -> list:
     return [[*_generator_json(index, g), e] for g, e in word]
 
 
-@dataclass
+@dataclass(eq=False)
 class DerivationLog:
-    """Ordered derivation steps plus the final presentation snapshot, kept as
-    the JSON document of the Coxeter presentation."""
+    """Ordered derivation steps (a :class:`StepList`, made of any sequence
+    given) plus the final presentation snapshot, kept as the JSON document
+    of the Coxeter presentation."""
 
     n: int
     r: int
-    steps: list[DerivationStep | DischargeStep] = field(default_factory=list)
+    steps: StepList = field(default_factory=StepList)
     final: Optional[dict] = None
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if type(self.steps) is not StepList:
+            self.steps = StepList(self.steps)
+
     def append(self, step: DerivationStep) -> int:
-        self.steps.append(step)
-        return len(self.steps) - 1
+        return self.steps.append(step)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -516,9 +507,10 @@ class DerivationLog:
 
         fh.write("[")
         sep = ""
-        for kind, run in groupby(self.steps, type):
-            while chunk := list(islice(run, WRITE_CHUNK)):
-                if kind is DischargeStep:
+        for part in self.steps.parts:
+            for i in range(0, len(part), WRITE_CHUNK):
+                chunk = part[i : i + WRITE_CHUNK]
+                if type(part) is range:
                     text = _DISCHARGE_HEAD + _DISCHARGE_JOIN.join(map(int.__repr__, chunk)) + _DISCHARGE_TAIL
                 else:
                     text = ",".join(map(step_text, chunk))
@@ -550,7 +542,9 @@ class DerivationLog:
 
     @classmethod
     def from_json(cls, doc: dict) -> "DerivationLog":
-        """Parse a log document; a malformed one raises VerificationFailed.
+        """Parse a log document, as json.loads or
+        :func:`igmax.logreader.read_log` gives it;
+        a malformed one raises VerificationFailed.
 
         The steps come out as the producer holds them: each distinct kernel
         and image text is parsed and validated once, then mapped to its id
@@ -561,23 +555,26 @@ class DerivationLog:
         pair or square that is not transversal, is malformed.  The index is
         built only after :meth:`case_of` has passed.
 
-        Consumes the document's steps: ``doc["steps"]``, when a list, is
-        emptied as the log's steps are made, so the document's step dicts
-        are freed one by one and the two are not held in full together.  A
-        caller that reads ``doc`` again passes a copy."""
+        Consumes the document's steps: a list is emptied as the log's steps
+        are made, and read_log's iterator decodes each as it is taken, so
+        the two are not held in full together.  A caller that reads ``doc``
+        again passes a copy.  A ``range`` (read_log's run of discharge
+        steps) and a discharge object of two keys with an int index are
+        read as DischargeSteps; keys after the steps are checked last."""
         n, r = cls.case_of(doc)
         try:
-            return cls._parse(doc, _singular_index(n, r))
+            log = cls._parse(doc, _singular_index(n, r))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise VerificationFailed(f"malformed derivation log: {type(exc).__name__}: {exc}") from None
+        cls.case_of(doc)
+        return log
 
     @classmethod
     def _parse(cls, doc: dict, index: _SingularIndex) -> "DerivationLog":
         n = index.n
         kernels: dict[str, tuple[Partition, Optional[int]]] = {}
         images: dict[str, tuple[Subset, Optional[int]]] = {}
-        generators: dict[tuple[str, str], int] = {}
-        squares: dict[tuple[str, str, str, str], SquareIds] = {}
+        squares: dict[SquareIds, SquareIds] = {}
         letters = _Letters()
 
         def kernel(text: str) -> tuple[Partition, Optional[int]]:
@@ -605,29 +602,32 @@ class DerivationLog:
         def word(side: list) -> GroupWord:
             out = []
             for pt, at, e in side:
-                g = generators.get((pt, at))
-                if g is None:
-                    g = generators[(pt, at)] = generator(pt, at)
+                g = generator(pt, at)
                 out.append(letters[g, e] if type(e) is int else (g, e))
             return tuple(out)
 
-        def square(texts: tuple) -> SquareIds:
+        def square(texts: list) -> SquareIds:
             pt, qt, at, bt = texts
             (p, kp), (q, kq), (a, ia), (b, ib) = kernel(pt), kernel(qt), image(at), image(bt)
-            sq = (kp, kq, ia, ib)
-            if None in sq or None in (index.generator_of[k].get(i) for k in (kp, kq) for i in (ia, ib)):
-                Square((p, q), (a, b))  # a quadruple that is not a square says so
-                raise InvalidParameters(f"{list(texts)} is not a square of the presentation")
+            key = (kp, kq, ia, ib)
+            sq = squares.get(key)
+            if sq is None:
+                if None in key or None in (index.generator_of[k].get(i) for k in (kp, kq) for i in (ia, ib)):
+                    Square((p, q), (a, b))  # a quadruple that is not a square says so
+                    raise InvalidParameters(f"{list(texts)} is not a square of the presentation")
+                sq = squares[key] = key
             return sq
 
-        steps: list[DerivationStep | DischargeStep] = []
+        steps = StepList()
         for sd in _consumed(doc["steps"]):
-            if type(sd) is DischargeStep:  # read so by DischargeHook
-                steps.append(sd)
+            if type(sd) is range:
+                steps.add_run(sd)
                 continue
             rule = sd["rule"]
             if rule == "discharge":
-                steps.append(DerivationStep("discharge", None, (), None, {"pz": sd["pz"]}))
+                pz = sd["pz"]
+                exact = len(sd) == 2 and type(pz) is int
+                steps.append(DischargeStep(pz) if exact else DerivationStep("discharge", None, (), None, {"pz": pz}))
                 continue
             conclusion = None
             if "conclusion" in sd:
@@ -636,12 +636,7 @@ class DerivationLog:
                     word(sd["conclusion"]["rhs"]),
                     "derived",
                 )
-            sq = None
-            if "square" in sd:
-                key = tuple(sd["square"])
-                sq = squares.get(key)
-                if sq is None:
-                    sq = squares[key] = square(key)
+            sq = square(sd["square"]) if "square" in sd else None
             steps.append(DerivationStep(rule, conclusion, tuple(sd.get("premises", ())), sq, sd.get("data")))
         return cls(n=n, r=index.r, steps=steps, final=doc.get("final"), meta=doc.get("meta", {}))
 
@@ -1410,7 +1405,8 @@ class Derivation:
         relation.  Evaluation in S_r and the label map are homomorphisms, so a
         relation u = v then holds under ρ exactly when label(u) = label(v);
         :func:`replay_log` checks that equation for each discharge step.  The
-        steps need only the relation count, so no relation is read here."""
+        steps need only the relation count, so no relation is read here,
+        and are one run, held as one range."""
         table, label_ids, name = self.index.product_table, self.index.letter_label_ids, self.index.name
         images = letter_images({g: self.labels[g] for g in self.canonical_generators()})
         canonical = {x: table.intern(image) for x, image in images.items()}
@@ -1420,7 +1416,7 @@ class Derivation:
                 raise VerificationFailed(f"no resolution for {name(g)}")
             if table.evaluate(res[1], canonical) != label_ids[2 * g]:
                 raise VerificationFailed(f"resolution of {name(g)} does not evaluate to its label")
-        self.log.steps += map(DischargeStep, range(sum(self.index.family_sizes())))
+        self.log.steps.add_run(range(sum(self.index.family_sizes())))
 
     def finish(self) -> GroupPresentation:
         canon = self.canonical_pairs()
@@ -1549,6 +1545,8 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
     bucket and does not read it unless a bucket disagrees; once every
     generator is resolved, a discharge reads no relation's letters, so a
     passing replay never enumerates the bottom family.
+    The steps are read in order, premises by index, from any sequence; the
+    runs of a :class:`StepList` are read as their indices.
     """
     n, r = log.n, log.r
     if pres is None:
@@ -1779,17 +1777,19 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
             raise _ReplayFailure(f"the word for {g} does not evaluate to its label")
         resolve(g)
 
-    # discharge steps are nearly all of a log: dispatch them first.  Once
-    # every generator is resolved and the bitmap is filled, a DischargeStep
-    # is checked inline, a range check and one bit; any other outcome goes
-    # through discharge(), which names the failure
-    for idx, st in enumerate(log.steps):
-        if type(st) is DischargeStep and holds is not None and not unresolved and 0 <= st < relations and holds[st]:
+    # discharge steps are nearly all of a log: dispatch them first, those of
+    # a StepList's runs as their ints.  Once every generator is resolved and
+    # the bitmap is filled, one is checked inline, a range check and one bit;
+    # any other outcome goes through discharge(), which names the failure
+    steps = chain.from_iterable(log.steps.parts) if type(log.steps) is StepList else log.steps
+    for idx, st in enumerate(steps):
+        discharge_step = type(st) is int or type(st) is DischargeStep
+        if discharge_step and holds is not None and not unresolved and 0 <= st < relations and holds[st]:
             discharged[st] = 1
             verified[idx] = 1
             continue
         try:
-            if type(st) is DischargeStep:
+            if discharge_step:
                 discharge(st)
             elif st.rule == "discharge":
                 discharge(st.data["pz"])

@@ -1,5 +1,6 @@
 """Command-line interface: output goldens, exit codes, schemas, determinism."""
 
+import ast
 import gc
 import importlib.resources
 import io
@@ -624,6 +625,18 @@ def test_checks_survive_optimize_flag(tmp_path, log_path):
     done = igmax_o("replay", "--log", str(tampered_copy(log_path, tmp_path)))
     assert done.returncode == 4, done.stderr
     assert done.stdout.endswith("replay: FAIL\n")
+
+
+def test_no_assert_statement_in_the_package():
+    # python -O strips assert statements, so no check a verdict rests on may be one
+    package = Path(igmax.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 @pytest.mark.parametrize(

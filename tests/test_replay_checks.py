@@ -554,6 +554,23 @@ def test_replay_cli_rejects_the_forged_log(tmp_path, capsys):
     assert out.endswith("replay: FAIL\n")
 
 
+def test_replay_rejects_a_square_step_whose_first_premise_is_not_a_bottom_step():
+    # a rewrite step without substitutions is sound and concludes the
+    # square's relation, but only a bottom step checks that its square is
+    # singular: a corner step citing the rewrite must still be refused
+    _, log = run_pipeline(5, 3)
+    eng = Derivation(5, 3)
+    eng.log = log
+    corner = next(st for st in log.steps if st.rule == "corner")
+    rewrite = eng._rewrite(corner.premises[0], ())
+    assert log.steps[rewrite].conclusion == log.steps[corner.premises[0]].conclusion
+    forged = eng._add(
+        "corner", corner.conclusion, (rewrite, *corner.premises[1:]), square=corner.square, data=corner.data
+    )
+    report = replay_log(DerivationLog.from_json(json.loads(json.dumps(log.to_json()))))
+    assert report.failures == ((forged, "first premise must be the square's bottom relation"),)
+
+
 G, H, X, Y = (AbstractGenerator(name) for name in "ghxy")
 SIDES = {"left": (G, H), "right": (X, Y)}
 
