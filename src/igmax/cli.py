@@ -171,7 +171,7 @@ def cmd_squares(args, out) -> int:
 def cmd_present(args, out) -> int:
     # imported here, as in cmd_reduce and cmd_verify: only these commands compile
     # the presentation layer (and the Schreier words it imports)
-    from .presentation import GroupPresentation, build_presentation, word_str
+    from .presentation import build_presentation, word_str
 
     cfg = RunConfig.from_args(args)
     cfg.validate()
@@ -181,9 +181,7 @@ def cmd_present(args, out) -> int:
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
     if args.family != "all":
-        pres = GroupPresentation(
-            pres.generators, [rel for rel in pres.relations if rel.tag == args.family], pres.meta
-        )
+        pres = pres.family(args.family)
     if cfg.format == "json":
         _emit_json(pres.to_json(), out)
         return EXIT_OK

@@ -45,12 +45,13 @@ distinct letter (:class:`_Letters`); a witness square is the ids of its
 two kernels and two images, tested by
 :func:`~igmax.squares.is_singular_ids`.  Labels and their ids in a
 product table are read off the index.  The producer computes with the
-index's kernel and image objects and records ids; :meth:`DerivationLog.write`
-turns the ids back into the v1 texts.  On the way in, ``read_log``
-decodes each step when :meth:`DerivationLog.from_json` takes it, which
-parses and validates each distinct text once and maps it to its id.  The
-replay keeps one bottom relation per witness square and builds its own
-presentation.
+index's kernel and image objects, which its square constructions return
+as a square's corners (P, Q, A, B), and records ids;
+:meth:`DerivationLog.write` turns the ids back into the v1 texts.  On the
+way in, ``read_log`` decodes each step when :meth:`DerivationLog.from_json`
+takes it, which parses and validates each distinct text once and maps it
+to its id.  The replay keeps one bottom relation per witness square and
+builds its own presentation.
 
 Each check has one copy.  Every rule reads a fact's shape (g = word, g = 1,
 g = h) with the same readers, exponents included, and compares conclusions
@@ -90,7 +91,6 @@ from typing import Iterable, Iterator, Optional, TextIO
 
 from .combinatorics import Partition, Subset, require_transversal
 from .errors import InvalidParameters, VerificationFailed
-from .labels import label_by_subscripts
 from .perms import (
     Permutation,
     classify_descent_one,
@@ -100,7 +100,6 @@ from .perms import (
     rightmost_descent,
 )
 from .presentation import (
-    GeneratorId,
     GroupPresentation,
     GroupWord,
     Relation,
@@ -116,6 +115,8 @@ from .schreier import IdempotentLetter, build_schreier, convex_partition_of, pre
 from .squares import CORNERS, Square, _singular_index, _SingularIndex, is_singular_ids
 
 Pair = tuple[Partition, Subset]
+# a square as its kernels P, Q and images A, B, the index's own objects
+Corners = tuple[Partition, Partition, Subset, Subset]
 # a witness square as the ids of its kernels P, Q and images A, B in the index
 SquareIds = tuple[int, int, int, int]
 
@@ -133,12 +134,6 @@ RULES = (
     "discharge",
     "coxeter-match",
 )
-
-def _gid(pair: Pair) -> GeneratorId:
-    """A new generator of ``pair``, its label computed.  The derivation and
-    the replay name generators by their ids in the index instead."""
-    return GeneratorId.of(pair[0], pair[1])
-
 
 class _Letters(dict):
     """``letters[g, e]``: the one tuple (g, e) kept for that letter, made on
@@ -206,12 +201,6 @@ def _three_quarter_relation(corners: tuple, zero: str, letters: _Letters) -> Rel
         "QB": (gpa, (gpb, gqa)),
     }[zero]
     return Relation((letters[target, 1],), (letters[x, 1], letters[y, 1]), "derived")
-
-
-def _square_relation(sq: Square, zero: str) -> Relation:
-    """:func:`_three_quarter_relation` of a square of the constructions,
-    over new generators of its corners."""
-    return _three_quarter_relation(tuple(map(_gid, sq.corner_pairs())), zero, _Letters())
 
 
 def _coxeter_mismatch(relations: Iterable[Relation], canon: list[int], r: int) -> Optional[str]:
@@ -658,7 +647,9 @@ def _consumed(items: object) -> Iterable:
 # Each construction computes the blocks and elements it needs and takes the
 # kernels and images with them from ``squares._singular_index(n, r)``, so the
 # derivation's kernels and images are the index's own objects.  A lookup
-# miss raises InvalidParameters.
+# miss raises InvalidParameters.  A square is returned as its corners
+# (P, Q, A, B), unchecked: ``Derivation._square`` checks each witness once,
+# and the tests sweep every construction's squares.
 
 
 def canonical_cycle_pair(k: int, l: int, n: int, r: int) -> Pair:
@@ -688,12 +679,12 @@ def canonical_cycle_pair(k: int, l: int, n: int, r: int) -> Pair:
     return index.kernel(blocks), index.image([i for i in range(1, r + 2) if i != k])
 
 
-def cycle_split(k: int, l: int, n: int, r: int) -> tuple[Square, Relation]:
-    """A singular square splitting the (k,l)-cycle class, l >= 2.
+def cycle_split(k: int, l: int, n: int, r: int) -> Corners:
+    """The corners (P, Q, A, B) of a square splitting the (k,l)-cycle, l >= 2.
 
-    The returned relation solves the square for its (Q,B) corner, whose label
-    is the (k,l)-cycle; the two factors carry the adjacent transposition at k
-    and the (k+1, l-1)-cycle.
+    PA's label is the identity, so the square solves QB, whose label is the
+    (k,l)-cycle, as QA * PB: the adjacent transposition at k and the
+    (k+1, l-1)-cycle.
     """
     if l < 2:
         raise InvalidParameters(f"cycle splitting needs l >= 2, got l={l}")
@@ -725,30 +716,22 @@ def cycle_split(k: int, l: int, n: int, r: int) -> tuple[Square, Relation]:
     p, q = index.kernel(pblocks), index.kernel(qblocks)
     a = index.image([i for i in range(1, r + 3) if i not in (k, k + l + 2)])
     b = index.image([i for i in range(1, r + 3) if i not in (k, k + 2)])
-    sq = Square((p, q), (a, b))
-    return sq, _square_relation(sq, "PA")
+    return p, q, a, b
 
 
-def descent_reduction(P: Partition, A: Subset) -> tuple[Partition, Subset, Relation]:
-    """Split f[P,A] (label descent >= 2) across a singular square.
+def descent_reduction(P: Partition, A: Subset, lam: Permutation) -> tuple[Partition, Subset]:
+    """The corners (Q, B) that split f[P,A], whose label ``lam`` has
+    descent >= 2, across the singular square (P, Q, A, B).
 
-    Returns (Q, B, relation) with the relation solving the square for f[P,A]:
-    the first factor's label is a contiguous cycle and the second factor's
-    label has descent number exactly one less.
+    QB's label is the identity, so the square solves PA as PB * QA: PB's
+    label is the contiguous cycle at ``lam``'s rightmost descent and QA's
+    has descent number exactly one less.
     """
-    lam = label_by_subscripts(P, A)
-    Q, B = _descent_partner(P, A, lam, _singular_index(P.n, len(P)))
-    return Q, B, _square_relation(Square((P, Q), (A, B)), "QB")
-
-
-def _descent_partner(
-    P: Partition, A: Subset, lam: Permutation, index: _SingularIndex
-) -> tuple[Partition, Subset]:
-    """The (Q, B) of :func:`descent_reduction`, ``lam`` the label of (P, A)."""
     d = descent_number(lam)
     if d < 2:
         raise InvalidParameters(f"descent reduction needs descent >= 2, got {d}")
     n, r = P.n, len(P)
+    index = _singular_index(n, r)
     loc = rightmost_descent(lam)
     v, w = loc.v, loc.w
     lv = lambda i: lam.images[i - 1]  # noqa: E731  - 1-based label entry
@@ -779,8 +762,10 @@ def _descent_partner(
     return index.kernel(blocks), B
 
 
-def coxeter_square_involution(k: int, n: int, r: int) -> tuple[Square, Relation]:
-    """The square forcing the square of the k-th surviving class to be 1."""
+def coxeter_square_involution(k: int, n: int, r: int) -> Corners:
+    """The corners (P, Q, A, B) of the square forcing the square of the k-th
+    surviving class to be 1: PA and QB carry the adjacent transposition at
+    k, PB and QA the identity."""
     if not (1 <= k <= r - 1 and r <= n - 2):
         raise InvalidParameters(f"involution square needs 1 <= k <= r-1 <= n-3, got k={k}, n={n}, r={r}")
     junk = list(range(r + 3, n + 1))
@@ -806,13 +791,12 @@ def coxeter_square_involution(k: int, n: int, r: int) -> tuple[Square, Relation]
     p, q = index.kernel(pblocks), index.kernel(qblocks)
     a = index.image([i for i in range(1, r + 3) if i not in (k, k + 3)])
     b = index.image([i for i in range(1, r + 3) if i not in (k, k + 1)])
-    sq = Square((p, q), (a, b))
-    g = _gid(canonical_cycle_pair(k, 1, n, r))
-    return sq, Relation((), ((g, 1), (g, 1)), "derived")
+    return p, q, a, b
 
 
-def coxeter_square_commute(k: int, l: int, n: int, r: int) -> tuple[tuple[Square, Square], Relation]:
-    """Two chained squares forcing distant surviving classes to commute."""
+def coxeter_square_commute(k: int, l: int, n: int, r: int) -> tuple[Corners, Corners]:
+    """The corners (P, Q, A, B) and (Q, R, B, C) of two chained squares
+    forcing distant surviving classes to commute; they share the corner QB."""
     if not (1 <= k and k + 1 < l and l + 1 <= r and r <= n - 2):
         raise InvalidParameters(f"commute squares need k+1 < l <= r-1 <= n-3, got k={k}, l={l}, n={n}, r={r}")
     junk = list(range(r + 3, n + 1))
@@ -854,16 +838,12 @@ def coxeter_square_commute(k: int, l: int, n: int, r: int) -> tuple[tuple[Square
     a = index.image([i for i in range(1, r + 3) if i not in (k + 2, l + 1)])
     b = index.image([i for i in range(1, r + 3) if i not in (k, l + 1)])
     c = index.image([i for i in range(1, r + 3) if i not in (k, l + 3)])
-    sq1 = Square((p, q), (a, b))
-    sq2 = Square((q, rr), (b, c))
-    gk = _gid(canonical_cycle_pair(k, 1, n, r))
-    gl = _gid(canonical_cycle_pair(l, 1, n, r))
-    rel = Relation(((gl, 1), (gk, 1)), ((gk, 1), (gl, 1)), "derived")
-    return (sq1, sq2), rel
+    return (p, q, a, b), (q, rr, b, c)
 
 
-def coxeter_square_braid(k: int, n: int, r: int) -> tuple[Square, Relation]:
-    """The square behind the braid relation for adjacent surviving classes."""
+def coxeter_square_braid(k: int, n: int, r: int) -> Corners:
+    """The corners (P, Q, A, B) of the square behind the braid relation for
+    adjacent surviving classes."""
     if not (1 <= k <= r - 2 and r <= n - 2):
         raise InvalidParameters(f"braid square needs 1 <= k <= r-2 <= n-4, got k={k}, n={n}, r={r}")
     junk = list(range(r + 3, n + 1))
@@ -891,27 +871,18 @@ def coxeter_square_braid(k: int, n: int, r: int) -> tuple[Square, Relation]:
     p, q = index.kernel(pblocks), index.kernel(qblocks)
     a = index.image([i for i in range(1, r + 3) if i not in (k + 1, k + 4)])
     b = index.image([i for i in range(1, r + 3) if i not in (k, k + 1)])
-    sq = Square((p, q), (a, b))
-    gk = _gid(canonical_cycle_pair(k, 1, n, r))
-    gk1 = _gid(canonical_cycle_pair(k + 1, 1, n, r))
-    rel = Relation(((gk1, 1), (gk, 1), (gk1, 1)), ((gk, 1), (gk1, 1), (gk, 1)), "derived")
-    return sq, rel
+    return p, q, a, b
 
 
-def _braid_mirror_square(k: int, n: int, r: int) -> Square:
-    """Companion square giving the second factorisation used for the braid.
-
-    Its kernels are the involution square's second kernel and the braid
-    square's second kernel, over the involution image and the shared image B.
-    Both label quotients equal the adjacent transposition at k.
+def _braid_mirror_square(k: int, n: int, r: int) -> Corners:
+    """The corners (W, Q, Z, B) of the companion square giving the second
+    factorisation used for the braid: W and Z are the involution square's Q
+    and A, Q and B the braid square's.  Both label quotients equal the
+    adjacent transposition at k.
     """
-    inv_sq, _ = coxeter_square_involution(k, n, r)
-    braid_sq, _ = coxeter_square_braid(k, n, r)
-    w = inv_sq.kernels[1]
-    z = inv_sq.images[0]
-    qb = braid_sq.kernels[1]
-    b = braid_sq.images[1]
-    return Square((w, qb), (z, b))
+    _, w, z, _ = coxeter_square_involution(k, n, r)
+    _, q, _, b = coxeter_square_braid(k, n, r)
+    return w, q, z, b
 
 
 # ---------------------------------------------------------------------------
@@ -970,16 +941,12 @@ class Derivation:
             sq = self._squares[key] = key
         return sq
 
-    def _made(self, sq: Square) -> SquareIds:
-        """The derivation's own square for a square a construction built."""
-        return self._square(*sq.kernels, *sq.images)
-
     def _add(
         self,
         rule: str,
         conclusion: Optional[Relation],
         premises: Iterable[int] = (),
-        square: Optional[Square] = None,
+        square: Optional[SquareIds] = None,
         data: Optional[dict] = None,
     ) -> int:
         return self.log.append(DerivationStep(rule, conclusion, tuple(premises), square, data))
@@ -1289,15 +1256,14 @@ class Derivation:
         if (P, A) == rep:
             if l == 1:
                 return None, (self.letters[self._gen(*rep), 1],)
-            split = cycle_split(k, l, self.n, self.r)[0]
-            sq = self._made(split)
-            (ps, qs), (as_, bs) = split.kernels, split.images
+            p, q, a, b = cycle_split(k, l, self.n, self.r)
+            sq = self._square(p, q, a, b)
             s_b = self._bottom(sq)
-            s_one = self.one(ps, as_)
+            s_one = self.one(p, a)
             s_tq = self._three_quarter(sq, "PA", s_b, s_one)
-            s_eq = self.cycle_eq(qs, bs)
-            i1, w1 = self.resolve(qs, as_)
-            i2, w2 = self.resolve(ps, bs)
+            s_eq = self.cycle_eq(q, b)
+            i1, w1 = self.resolve(q, a)
+            i2, w2 = self.resolve(p, b)
             idx = self._rewrite(s_tq, (s_eq, i1, i2))
             word = free_reduce(concat(w1, w2))
             return idx, word
@@ -1309,7 +1275,7 @@ class Derivation:
         return idx, rw
 
     def _resolve_descent(self, P: Partition, A: Subset, lam: Permutation) -> tuple[int, GroupWord]:
-        Q, B = _descent_partner(P, A, lam, self.index)
+        Q, B = descent_reduction(P, A, lam)
         sq = self._square(P, Q, A, B)
         s_b = self._bottom(sq)
         s_one = self.one(Q, B)
@@ -1323,9 +1289,8 @@ class Derivation:
     # -- the three Coxeter relation families ----------------------------------
 
     def derive_involution(self, k: int) -> int:
-        made = coxeter_square_involution(k, self.n, self.r)[0]
-        sq = self._made(made)
-        (p, q), (a, b) = made.kernels, made.images
+        p, q, a, b = coxeter_square_involution(k, self.n, self.r)
+        sq = self._square(p, q, a, b)
         s_b = self._bottom(sq)
         s_one_qa = self.one(q, a)
         s_tq = self._three_quarter(sq, "QA", s_b, s_one_qa)
@@ -1337,10 +1302,8 @@ class Derivation:
         return idx
 
     def derive_commute(self, k: int, l: int) -> int:
-        made1, made2 = coxeter_square_commute(k, l, self.n, self.r)[0]
-        sq1, sq2 = self._made(made1), self._made(made2)
-        (p, q), (a, b) = made1.kernels, made1.images
-        rr, c = made2.kernels[1], made2.images[1]
+        (p, q, a, b), (_, rr, _, c) = coxeter_square_commute(k, l, self.n, self.r)
+        sq1, sq2 = self._square(p, q, a, b), self._square(q, rr, b, c)
         s_b1 = self._bottom(sq1)
         s_one_pa = self.one(p, a)
         s_tq1 = self._three_quarter(sq1, "PA", s_b1, s_one_pa)
@@ -1361,12 +1324,9 @@ class Derivation:
         return idx
 
     def derive_braid(self, k: int) -> int:
-        sq, _ = coxeter_square_braid(k, self.n, self.r)
-        q, b = sq.kernels[1], sq.images[1]
+        w, q, z, b = _braid_mirror_square(k, self.n, self.r)
         i_qb, w_qb = self.resolve(q, b)
-        made = _braid_mirror_square(k, self.n, self.r)
-        mirror = self._made(made)
-        w, z = made.kernels[0], made.images[0]
+        mirror = self._square(w, q, z, b)
         s_b = self._bottom(mirror)
         s_one = self.one(w, z)
         s_tq = self._three_quarter(mirror, "PA", s_b, s_one)

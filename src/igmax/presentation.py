@@ -320,6 +320,17 @@ class GroupPresentation:
     def tag(self, i: int) -> str:
         return self._tags[i] if i < len(self._words) else "bottom"
 
+    def family(self, tag: str) -> "GroupPresentation":
+        """The presentation over the same generators with only the relations
+        tagged ``tag``, in order; only ``family("bottom")`` reads the bottom
+        relations, through this presentation's own read."""
+        keep = [i for i, t in enumerate(self._tags) if t == tag]
+        bottom = self._bottom if tag == "bottom" else 0
+        return GroupPresentation._of_letters(
+            self.generators, [self._words[i] for i in keep], [tag] * len(keep), bottom, self._bottom_letters,
+            self._bucket_letters, self._bucket_ends, self.meta,
+        )
+
     @property
     def relations(self) -> tuple[Relation, ...]:
         if self._relations is None:

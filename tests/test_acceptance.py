@@ -19,15 +19,17 @@ from igmax.combinatorics import (
 from igmax.labels import label, label_by_subscripts
 from igmax.perms import Permutation, contiguous_cycle
 from igmax.pipeline import (
+    _corners,
+    _Letters,
+    _three_quarter_relation,
     coxeter_square_braid,
     coxeter_square_commute,
     coxeter_square_involution,
     descent_reduction,
     replay_log,
 )
-from igmax.presentation import word_str
 from igmax.schreier import build_schreier, predecessor
-from igmax.squares import Square, enumerate_squares, is_singular_sq2, is_singular_sq3, square_census
+from igmax.squares import Square, _singular_index, enumerate_squares, is_singular_sq2, is_singular_sq3, square_census
 from igmax.verification import verify_theorem
 
 from schreier_reference import back_map, into_map
@@ -189,26 +191,36 @@ def test_criterion_09_no_in_place_elimination():
 def test_criterion_10_descent_reduction_golden():
     p = Partition.parse("{{1,7},{2,5},{3,6},{4}}")
     a = Subset.parse("{4,5,6,7}", 7)
-    q, b, rel = descent_reduction(p, a)
+    q, b = descent_reduction(p, a, label_by_subscripts(p, a))
+    Square((p, q), (a, b))  # the corners make a square
     assert str(q) == "{{1,3,7},{2,5},{4},{6}}"
     assert str(b) == "{1,2,4,6}"
     assert label_by_subscripts(p, b).cycle_form() == "(3 4)"
     assert label_by_subscripts(q, a).image_form() == "[4,2,1,3]"
     assert label_by_subscripts(q, b).is_identity()
-    assert word_str(rel.lhs) == "f[{{1,7},{2,5},{3,6},{4}}|{4,5,6,7}]"
-    assert word_str(rel.rhs) == (
+    # the square solved for f[P,A], its generators named through the index
+    index = _singular_index(7, 4)
+    rel = _three_quarter_relation(_corners(index, index.square(p, q, a, b)), "QB", _Letters())
+
+    def named(word):
+        return " * ".join(index.name(g) + ("^-1" if e < 0 else "") for g, e in word)
+
+    assert named(rel.lhs) == "f[{{1,7},{2,5},{3,6},{4}}|{4,5,6,7}]"
+    assert named(rel.rhs) == (
         "f[{{1,7},{2,5},{3,6},{4}}|{1,2,4,6}] * f[{{1,3,7},{2,5},{4},{6}}|{4,5,6,7}]"
     )
 
 
 def test_criterion_11_coxeter_squares():
-    sq, _ = coxeter_square_involution(2, 7, 4)
+    p, q, a, b = coxeter_square_involution(2, 7, 4)
+    sq = Square((p, q), (a, b))
     assert [str(k) for k in sq.kernels] == ["{{1,7},{2,4},{3,5},{6}}", "{{1,2,7},{3,5},{4},{6}}"]
     assert [str(a) for a in sq.images] == ["{1,3,4,6}", "{1,4,5,6}"]
     assert is_singular_sq3(sq)
     assert [l.cycle_form() for l in sq.corner_labels] == ["(2 3)", "()", "()", "(2 3)"]
 
-    (s1, s2), _ = coxeter_square_commute(1, 3, 7, 4)
+    (p, q, a, b), (q2, rr, b2, c) = coxeter_square_commute(1, 3, 7, 4)
+    s1, s2 = Square((p, q), (a, b)), Square((q2, rr), (b2, c))
     assert [str(k) for k in s1.kernels] == ["{{1,3,4,7},{2},{5},{6}}", "{{1,3,7},{2},{4,6},{5}}"]
     assert [str(a) for a in s1.images] == ["{1,2,5,6}", "{2,3,5,6}"]
     assert [str(k) for k in s2.kernels] == ["{{1,3,7},{2},{4,6},{5}}", "{{1,2,7},{3},{4,6},{5}}"]
@@ -217,7 +229,8 @@ def test_criterion_11_coxeter_squares():
     assert [l.cycle_form() for l in s1.corner_labels] == ["()", "(1 2)", "(3 4)", "(1 2)(3 4)"]
     assert [l.cycle_form() for l in s2.corner_labels] == ["(1 2)(3 4)", "(1 2)", "(3 4)", "()"]
 
-    sq, _ = coxeter_square_braid(2, 7, 4)
+    p, q, a, b = coxeter_square_braid(2, 7, 4)
+    sq = Square((p, q), (a, b))
     assert [str(k) for k in sq.kernels] == ["{{1,7},{2,3,6},{4},{5}}", "{{1,7},{2,6},{3,5},{4}}"]
     assert [str(a) for a in sq.images] == ["{1,2,4,5}", "{1,4,5,6}"]
     assert is_singular_sq3(sq)

@@ -251,7 +251,7 @@ def test_stats_and_squares_label_each_pair_once(capsys, monkeypatch, argv, pairs
     import igmax.labels as labels_module
     import igmax.presentation as presentation_module
 
-    modules = (labels_module, squares_module, presentation_module, pipeline)
+    modules = (labels_module, squares_module, presentation_module)
     calls = counted_calls(monkeypatch, "label_by_subscripts", modules)
     squares_module._singular_index.cache_clear()
     code, _, _ = run(capsys, *argv)
@@ -342,6 +342,31 @@ def test_present_family_filter(capsys):
         lines = out.splitlines()
         assert lines[25] == f"relations: {count}"
         assert sum(1 for l in lines if l.endswith(f"## {family}")) == count
+
+
+@pytest.mark.parametrize("family", ["top", "middle"])
+def test_present_top_and_middle_read_no_bottom_relation(capsys, monkeypatch, family):
+    # each prints the bytes of the full presentation filtered to its family,
+    # and reading the bottom family fails the run
+    import igmax.presentation as presentation_module
+
+    _, text, _ = run(capsys, "present", "--n", "6", "--r", "3")
+    _, doc, _ = run(capsys, "present", "--n", "6", "--r", "3", "--format", "json")
+    head, _, rels = text.partition("relations: ")
+    kept = [line for line in rels.splitlines()[1:] if line.endswith(f"## {family}")]
+    want_text = head + f"relations: {len(kept)}\n" + "".join(line + "\n" for line in kept)
+    want_doc = json.loads(doc)
+    want_doc["relations"] = [rel for rel in want_doc["relations"] if rel["tag"] == family]
+
+    def unread(n, r):
+        raise AssertionError("the bottom family was read")
+        yield
+
+    monkeypatch.setattr(presentation_module, "enumerate_singular_squares", unread)
+    for fmt, want in [("text", want_text), ("json", json.dumps(want_doc, indent=2, sort_keys=True) + "\n")]:
+        code, out, _ = run(capsys, "present", "--n", "6", "--r", "3", "--family", family, "--format", fmt)
+        assert code == 0
+        assert out == want
 
 
 def test_present_json_schema(capsys):

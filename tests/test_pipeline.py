@@ -15,10 +15,14 @@ import igmax.pipeline as pipeline_module
 from igmax.combinatorics import Partition, Subset, enumerate_transversal_pairs
 from igmax.errors import InvalidParameters, VerificationFailed
 from igmax.labels import label_by_subscripts
-from igmax.perms import contiguous_cycle, descent_number
+from igmax.perms import Permutation, contiguous_cycle, descent_number
 from igmax.pipeline import (
     Derivation,
     DerivationLog,
+    _braid_mirror_square,
+    _corners,
+    _Letters,
+    _three_quarter_relation,
     canonical_cycle_pair,
     coxeter_square_braid,
     coxeter_square_commute,
@@ -28,8 +32,8 @@ from igmax.pipeline import (
     replay_log,
     run_pipeline,
 )
-from igmax.presentation import GroupPresentation, Relation, build_presentation, word_str
-from igmax.squares import Square, is_singular_sq2, is_singular_sq3
+from igmax.presentation import GroupPresentation, Relation, build_presentation
+from igmax.squares import Square, _singular_index, is_singular_sq2, is_singular_sq3
 from igmax.verification import presentations_match
 from igmax.presentation import GeneratorId, coxeter_presentation, substitute
 from igmax.perms import ProductTable, letter_images, rightmost_descent
@@ -67,19 +71,27 @@ def test_canonical_cycle_pair_rejects():
         canonical_cycle_pair(3, 1, 6, 3)  # k + l > r
 
 
+def named(index, word):
+    """A word of generator ids as text, each generator named through ``index``."""
+    return " * ".join(index.name(g) + ("^-1" if e < 0 else "") for g, e in word)
+
+
 def test_cycle_split_structure():
     for (k, l, n, r) in [(1, 2, 5, 3), (1, 2, 6, 4), (2, 2, 6, 4), (1, 3, 6, 4)]:
-        sq, rel = cycle_split(k, l, n, r)
+        p, q, a, b = cycle_split(k, l, n, r)
+        sq = Square((p, q), (a, b))
         assert is_singular_sq3(sq)
         # solved for the (Q,B) corner: lhs is that single generator
+        index = _singular_index(n, r)
+        rel = _three_quarter_relation(_corners(index, index.square(p, q, a, b)), "PA", _Letters())
         assert len(rel.lhs) == 1
         g = rel.lhs[0][0]
-        assert g.partition == sq.kernels[1] and g.subset == sq.images[1]
-        assert g.label == contiguous_cycle(k, l, r)
+        assert index.pairs[g] == (index.kernel_ids[q.blocks], index.image_ids[b.elements])
+        assert index.labels[g] == contiguous_cycle(k, l, r)
         # two factors: transposition at k, then the shorter cycle
         (g1, _), (g2, _) = rel.rhs
-        assert g1.label == contiguous_cycle(k, 1, r)
-        assert g2.label == contiguous_cycle(k + 1, l - 1, r)
+        assert index.labels[g1] == contiguous_cycle(k, 1, r)
+        assert index.labels[g2] == contiguous_cycle(k + 1, l - 1, r)
 
 
 def test_cycle_split_rejects_short_cycle():
@@ -91,14 +103,17 @@ def test_descent_reduction_golden():
     P = Partition.parse("{{1,7},{2,5},{3,6},{4}}")
     A = Subset.parse("{4,5,6,7}", 7)
     assert label_by_subscripts(P, A).image_form() == "[4,2,3,1]"
-    Q, B, rel = descent_reduction(P, A)
+    Q, B = descent_reduction(P, A, label_by_subscripts(P, A))
+    Square((P, Q), (A, B))  # the corners make a square
     assert str(Q) == "{{1,3,7},{2,5},{4},{6}}"
     assert str(B) == "{1,2,4,6}"
     assert label_by_subscripts(P, B).cycle_form() == "(3 4)"
     assert label_by_subscripts(Q, A).image_form() == "[4,2,1,3]"
     assert label_by_subscripts(Q, B).is_identity()
-    assert word_str(rel.lhs) == "f[{{1,7},{2,5},{3,6},{4}}|{4,5,6,7}]"
-    assert word_str(rel.rhs) == (
+    index = _singular_index(7, 4)
+    rel = _three_quarter_relation(_corners(index, index.square(P, Q, A, B)), "QB", _Letters())
+    assert named(index, rel.lhs) == "f[{{1,7},{2,5},{3,6},{4}}|{4,5,6,7}]"
+    assert named(index, rel.rhs) == (
         "f[{{1,7},{2,5},{3,6},{4}}|{1,2,4,6}] * f[{{1,3,7},{2,5},{4},{6}}|{4,5,6,7}]"
     )
 
@@ -113,7 +128,7 @@ def test_descent_reduction_strictly_decreases():
         if descent_number(lam) < 2:
             continue
         r = len(p)
-        q, b, _ = descent_reduction(p, a)
+        q, b = descent_reduction(p, a, lam)
         sq = Square((p, q), (a, b))
         lpa, lpb, lqa, lqb = sq.corner_labels
         loc = rightmost_descent(lam)
@@ -128,23 +143,56 @@ def test_descent_reduction_strictly_decreases():
 def test_descent_reduction_rejects_low_descent():
     P = Partition.parse("{{1},{2},{3,4,5}}")
     with pytest.raises(InvalidParameters):
-        descent_reduction(P, P.min_transversal())
+        descent_reduction(P, P.min_transversal(), label_by_subscripts(P, P.min_transversal()))
 
 
 def test_coxeter_square_constructions():
-    sq, rel = coxeter_square_involution(2, 7, 4)
+    p, q, a, b = coxeter_square_involution(2, 7, 4)
+    sq = Square((p, q), (a, b))
     assert is_singular_sq3(sq)
     assert [l.cycle_form() for l in sq.corner_labels] == ["(2 3)", "()", "()", "(2 3)"]
 
-    (sq1, sq2), rel = coxeter_square_commute(1, 3, 7, 4)
+    (p, q, a, b), (q2, rr, b2, c) = coxeter_square_commute(1, 3, 7, 4)
+    sq1, sq2 = Square((p, q), (a, b)), Square((q2, rr), (b2, c))
     assert is_singular_sq3(sq1) and is_singular_sq3(sq2)
     # the shared corner pair carries the product label
     assert sq1.corner_labels[3].cycle_form() == "(1 2)(3 4)"
     assert (sq1.kernels[1], sq1.images[1]) == (sq2.kernels[0], sq2.images[0])
 
-    sq, rel = coxeter_square_braid(2, 7, 4)
+    p, q, a, b = coxeter_square_braid(2, 7, 4)
+    sq = Square((p, q), (a, b))
     assert is_singular_sq3(sq)
     assert [l.cycle_form() for l in sq.corner_labels] == ["()", "(2 4 3)", "(3 4)", "(2 4)"]
+
+
+SWEEP = [(n, r) for n in range(4, 8) for r in range(1, n - 1)]
+
+
+@pytest.mark.parametrize("n,r", SWEEP, ids=[f"{n}-{r}" for n, r in SWEEP])
+def test_every_construction_gives_the_square_the_derivation_relies_on(n, r):
+    # the constructions check none of their squares; for every k (and l)
+    # each one's corners make a proper singular square whose corner labels
+    # (PA, PB, QA, QB) are the ones the derivation solves it with
+    e, t = Permutation.identity(r), lambda k: contiguous_cycle(k, 1, r)
+    made = []  # (construction, corners, corner labels or None, PA^-1 PB or None)
+    for k in range(1, r):
+        for l in range(2, r - k + 1):
+            labels = (e, contiguous_cycle(k + 1, l - 1, r), t(k), contiguous_cycle(k, l, r))
+            made.append((f"cycle_split({k}, {l})", cycle_split(k, l, n, r), labels, None))
+        made.append((f"involution({k})", coxeter_square_involution(k, n, r), (t(k), e, e, t(k)), None))
+        if k <= r - 2:
+            made.append((f"braid({k})", coxeter_square_braid(k, n, r), None, None))
+            made.append((f"mirror({k})", _braid_mirror_square(k, n, r), None, t(k)))
+        for l in range(k + 2, r):
+            for i, corners in enumerate(coxeter_square_commute(k, l, n, r)):
+                made.append((f"commute({k}, {l}) square {i + 1}", corners, None, None))
+    for what, (p, q, a, b), labels, quotient in made:
+        sq = Square((p, q), (a, b))
+        assert not sq.is_degenerate() and is_singular_sq2(sq) and is_singular_sq3(sq), what
+        if labels is not None:
+            assert sq.corner_labels == labels, what
+        if quotient is not None:
+            assert sq.corner_labels[0].inverse() * sq.corner_labels[1] == quotient, what
 
 
 # ---------------------------------------------------------------------------
@@ -517,9 +565,8 @@ def test_producer_checks_each_distinct_square_once(monkeypatch):
 
 
 def test_reduce_and_replay_label_each_pair_once(monkeypatch, tmp_path, capsys):
-    # the index labels each (kernel, image) pair once and everything else
-    # reads its labels: reduce adds only the square constructions' own few,
-    # and a replay from a cold index none
+    # the index labels each (kernel, image) pair once and everything else,
+    # the square constructions included, reads its labels
     import igmax.presentation as presentation_module
     import igmax.squares as squares_module
     from igmax.cli import main
@@ -530,7 +577,7 @@ def test_reduce_and_replay_label_each_pair_once(monkeypatch, tmp_path, capsys):
         calls.append((p, a))
         return label_by_subscripts(p, a)
 
-    for module in (squares_module, presentation_module, pipeline_module):
+    for module in (squares_module, presentation_module):
         monkeypatch.setattr(module, "label_by_subscripts", counted)
     path = str(tmp_path / "log.json")
     squares_module._singular_index.cache_clear()
@@ -541,7 +588,7 @@ def test_reduce_and_replay_label_each_pair_once(monkeypatch, tmp_path, capsys):
     squares_module._singular_index.cache_clear()
     assert main(["replay", "--log", path]) == 0
     capsys.readouterr()
-    assert generators <= reduce_calls <= generators + 20
+    assert reduce_calls == generators
     assert len(calls) == generators
 
 

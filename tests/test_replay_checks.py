@@ -23,13 +23,12 @@ from igmax.pipeline import (
     DerivationLog,
     _eq_relation,
     _flush_source,
-    _gid,
     _ReplayFailure,
     canonical_cycle_pair,
     replay_log,
     run_pipeline,
 )
-from igmax.presentation import AbstractGenerator, GroupPresentation, Relation, build_presentation
+from igmax.presentation import AbstractGenerator, GeneratorId, GroupPresentation, Relation, build_presentation
 from igmax.squares import enumerate_squares, is_singular_sq3
 
 
@@ -82,7 +81,7 @@ def discharge_unresolved(doc, mp):
     # the first middle step is the only fact resolving its generator
     i = first(doc, "middle")
     doc["steps"][i]["rule"] = "top"
-    g = _gid(parse_letter(doc["steps"][i]["conclusion"]["lhs"][0]))
+    g = GeneratorId.of(*parse_letter(doc["steps"][i]["conclusion"]["lhs"][0]))
     pz = build_presentation(5, 3).relations.index(Relation(((g, 1),), (), "middle"))
     j = next(j for j, sd in enumerate(doc["steps"]) if sd["rule"] == "discharge" and sd["pz"] == pz)
     return j, f"no resolution for {g}"
@@ -324,12 +323,12 @@ def resolution_word(doc, mp):
         return real(perms)
 
     mp.setattr(pipeline_module, "letter_images", swapped)
-    canon = {_gid(canonical_cycle_pair(k, 1, 5, 3)) for k in (1, 2)}
+    canon = {GeneratorId.of(*canonical_cycle_pair(k, 1, 5, 3)) for k in (1, 2)}
     for i, sd in enumerate(doc["steps"]):
         concl = sd.get("conclusion")
         if concl and len(concl["lhs"]) == 1 and concl["lhs"][0][2] == 1 and concl["rhs"]:
-            g = _gid(parse_letter(concl["lhs"][0]))
-            if g not in canon and all(_gid(parse_letter(x)) in canon for x in concl["rhs"]):
+            g = GeneratorId.of(*parse_letter(concl["lhs"][0]))
+            if g not in canon and all(GeneratorId.of(*parse_letter(x)) in canon for x in concl["rhs"]):
                 return i, f"the word for {g} does not evaluate to its label"
     raise AssertionError("the log holds no word over the canonical generators")
 
@@ -530,7 +529,7 @@ def forged_six_three():
     assert str(Relation(*named, "derived")) == (
         "f[{{1,2,5},{3},{4,6}}|{3,4,5}] = f[{{1,4},{2,5},{3,6}}|{3,4,5}]^-1"
     )
-    assert (_gid((K, a234)).label.cycle_form(), _gid((Q, a234)).label.cycle_form()) == ("()", "(1 3 2)")
+    assert (GeneratorId.of(K, a234).label.cycle_form(), GeneratorId.of(Q, a234).label.cycle_form()) == ("()", "(1 3 2)")
     return log, s6
 
 
