@@ -901,7 +901,9 @@ class Derivation:
     distinct pair (:class:`_Letters`), and a witness square is the ids of
     its two kernels and two images, checked singular on ids
     (:func:`~igmax.squares.is_singular_ids`) once, when it is first made.
-    The memos are keyed by generator id.  Labels, and the relation count
+    Each fact is concluded once: one ``bottom`` step per witness square,
+    and one step per other conclusion.  The memos are keyed by generator
+    id.  Labels, and the relation count
     (:meth:`~igmax.squares._SingularIndex.family_sizes`), are read off the
     index: no presentation is built.
     """
@@ -921,25 +923,30 @@ class Derivation:
         self._eq_memo: dict[int, int] = {}
         self._res_memo: dict[int, tuple[Optional[int], GroupWord]] = {}
         self._rep_memo: dict[tuple[int, int], Pair] = {}
-        self._squares: dict[SquareIds, SquareIds] = {}
+        # each fact once: the step of each conclusion but a square's bottom
+        # relation (see _square), and of each row and column equation g = h
+        self._facts: dict[Optional[Relation], int] = {}
+        self._pair_memo: dict[tuple[int, int], int] = {}
+        self._squares: dict[SquareIds, tuple[SquareIds, int]] = {}
         self._final_steps: list[int] = []
 
     def _swap(self, A: Subset, old: int, new: int) -> Subset:
         """The image ``A`` with its element ``old`` swapped for ``new``."""
         return self.index.image([new if x == old else x for x in A.elements])
 
-    def _square(self, p: Partition, q: Partition, a: Subset, b: Subset) -> SquareIds:
+    def _square(self, p: Partition, q: Partition, a: Subset, b: Subset) -> tuple[SquareIds, int]:
         """The ids of the square over (p, q, a, b), one tuple per distinct
-        square.  The producer checks each distinct witness square (SQ3 and
-        SQ2, on ids) here, once; the constructions that build squares do
-        not check their own.  Each square made here is the witness of a
-        bottom step."""
+        square, and the step of its bottom relation, which a square step
+        cites first.  The producer checks each distinct witness square (SQ3
+        and SQ2, on ids) here, once, and emits its one bottom step; the
+        constructions that build squares do not check their own."""
         key = self.index.square(p, q, a, b)
-        sq = self._squares.get(key)
-        if sq is None:
+        out = self._squares.get(key)
+        if out is None:
             _require_singular(self.index, key)
-            sq = self._squares[key] = key
-        return sq
+            rel = _bottom_relation(_corners(self.index, key), self.letters)
+            out = self._squares[key] = (key, self.log.append(DerivationStep("bottom", rel, (), key)))
+        return out
 
     def _add(
         self,
@@ -949,11 +956,13 @@ class Derivation:
         square: Optional[SquareIds] = None,
         data: Optional[dict] = None,
     ) -> int:
-        return self.log.append(DerivationStep(rule, conclusion, tuple(premises), square, data))
-
-    def _bottom(self, sq: SquareIds) -> int:
-        """Emit the square relation of ``sq``, a square of :meth:`_square`."""
-        return self._add("bottom", _bottom_relation(_corners(self.index, sq), self.letters), square=sq)
+        """Append a step, or return the earlier one with its conclusion
+        (the one step without, coxeter-match, is made once)."""
+        idx = self._facts.get(conclusion)
+        if idx is None:
+            step = DerivationStep(rule, conclusion, tuple(premises), square, data)
+            idx = self._facts[conclusion] = self.log.append(step)
+        return idx
 
     def _three_quarter(self, sq: SquareIds, zero: str, bottom_idx: int, one_idx: int) -> int:
         return self._add(
@@ -1019,8 +1028,7 @@ class Derivation:
             s_one_b = self.one(P, B)
             if P == Q:
                 return self._add("transitive", _one_relation(g, self.letters), (s_one_b, s_top))
-            sq = self._square(Q, P, B, A)
-            s_b = self._bottom(sq)
+            sq, s_b = self._square(Q, P, B, A)
             s_fl = self._add(
                 "flush-row",
                 _eq_relation(self._gen(P, B), g, self.letters),
@@ -1034,11 +1042,10 @@ class Derivation:
         blocks[m - 1].remove(x)
         blocks[m].insert(0, x)
         Q = self.index.kernel(blocks)
-        sq = self._square(P, Q, A, AP)
+        sq, s_b = self._square(P, Q, A, AP)
         s1 = self.one(Q, A)
         s2 = self.one(Q, AP)
         s3 = self.one(P, AP)
-        s_b = self._bottom(sq)
         return self._add(
             "corner",
             _one_relation(g, self.letters),
@@ -1058,11 +1065,10 @@ class Derivation:
         blocks = [tuple(range(starts[i], starts[i + 1])) for i in range(r - 1)]
         blocks.append(tuple(range(starts[-1], self.n + 1)))
         Q = self.index.kernel(blocks)
-        sq = self._square(P, Q, A, B)
+        sq, s_b = self._square(P, Q, A, B)
         s1 = self.one(P, B)
         s2 = self.one(Q, A)
         s3 = self.one(Q, B)
-        s_b = self._bottom(sq)
         return self._add(
             "corner",
             _one_relation(g, self.letters),
@@ -1078,6 +1084,11 @@ class Derivation:
         if A == B:
             return None
         ga, gb = self._gen(P, A), self._gen(P, B)
+        if (ga, gb) not in self._pair_memo:
+            self._pair_memo[ga, gb] = self._same_row(P, A, B, ga, gb)
+        return self._pair_memo[ga, gb]
+
+    def _same_row(self, P: Partition, A: Subset, B: Subset, ga: int, gb: int) -> int:
         pi = self.labels[ga]
         if pi != self.labels[gb]:
             raise InvalidParameters("same-row identification needs equal labels")
@@ -1093,18 +1104,22 @@ class Derivation:
             used |= blk
         blocks.append(tuple(x for x in range(1, self.n + 1) if x not in used))
         Q = self.index.kernel(blocks)
-        sq = self._square(P, Q, A, B)
+        sq, s_b = self._square(P, Q, A, B)
         s1 = self.one(Q, A)
         s2 = self.one(Q, B)
-        s_b = self._bottom(sq)
         return self._add("flush-row", _eq_relation(ga, gb, self.letters), (s_b, s1, s2), square=sq)
 
     def _shared_transversal_eq(self, P: Partition, Q: Partition, A: Subset, B: Subset) -> int:
         """f[P,A] = f[Q,A] via the identity column B common to both kernels."""
+        key = (self._gen(P, A), self._gen(Q, A))
+        if key not in self._pair_memo:
+            self._pair_memo[key] = self._flush_column(P, Q, A, B)
+        return self._pair_memo[key]
+
+    def _flush_column(self, P: Partition, Q: Partition, A: Subset, B: Subset) -> int:
         s1 = self.one(P, B)
         s2 = self.one(Q, B)
-        sq = self._square(P, Q, B, A)
-        s_b = self._bottom(sq)
+        sq, s_b = self._square(P, Q, B, A)
         return self._add(
             "flush-column",
             _eq_relation(self._gen(P, A), self._gen(Q, A), self.letters),
@@ -1130,8 +1145,8 @@ class Derivation:
         while P.minima[u] == Q.minima[u]:
             u += 1
         if P.minima[u] > Q.minima[u]:
-            s = self.same_column(Q, P, A)
-            return self._add("transitive", _eq_relation(ga, gq, self.letters), (s,))
+            # f[Q,A] = f[P,A]: every consumer is a transitive step
+            return self.same_column(Q, P, A)
         x = P.minima[u]
         v = Q.block_index(x)
         blocks = [list(b) for b in Q.blocks]
@@ -1140,8 +1155,9 @@ class Derivation:
         R = self.index.kernel(blocks)
         s1 = self.same_column(P, R, A)
         s2 = self._shared_transversal_eq(Q, R, A, self.index.image(Q.minima))
-        premises = tuple(s for s in (s1, s2) if s is not None)
-        return self._add("transitive", _eq_relation(ga, gq, self.letters), premises)
+        if s1 is None:  # R is P: s2 is the fact, reversed
+            return s2
+        return self._add("transitive", _eq_relation(ga, gq, self.letters), (s1, s2))
 
     # -- contiguous-cycle classes --------------------------------------------
 
@@ -1257,8 +1273,7 @@ class Derivation:
             if l == 1:
                 return None, (self.letters[self._gen(*rep), 1],)
             p, q, a, b = cycle_split(k, l, self.n, self.r)
-            sq = self._square(p, q, a, b)
-            s_b = self._bottom(sq)
+            sq, s_b = self._square(p, q, a, b)
             s_one = self.one(p, a)
             s_tq = self._three_quarter(sq, "PA", s_b, s_one)
             s_eq = self.cycle_eq(q, b)
@@ -1276,8 +1291,7 @@ class Derivation:
 
     def _resolve_descent(self, P: Partition, A: Subset, lam: Permutation) -> tuple[int, GroupWord]:
         Q, B = descent_reduction(P, A, lam)
-        sq = self._square(P, Q, A, B)
-        s_b = self._bottom(sq)
+        sq, s_b = self._square(P, Q, A, B)
         s_one = self.one(Q, B)
         s_tq = self._three_quarter(sq, "QB", s_b, s_one)
         i1, w1 = self.resolve(P, B)
@@ -1290,8 +1304,7 @@ class Derivation:
 
     def derive_involution(self, k: int) -> int:
         p, q, a, b = coxeter_square_involution(k, self.n, self.r)
-        sq = self._square(p, q, a, b)
-        s_b = self._bottom(sq)
+        sq, s_b = self._square(p, q, a, b)
         s_one_qa = self.one(q, a)
         s_tq = self._three_quarter(sq, "QA", s_b, s_one_qa)
         s_one_pb = self.one(p, b)
@@ -1303,11 +1316,9 @@ class Derivation:
 
     def derive_commute(self, k: int, l: int) -> int:
         (p, q, a, b), (_, rr, _, c) = coxeter_square_commute(k, l, self.n, self.r)
-        sq1, sq2 = self._square(p, q, a, b), self._square(q, rr, b, c)
-        s_b1 = self._bottom(sq1)
+        (sq1, s_b1), (sq2, s_b2) = self._square(p, q, a, b), self._square(q, rr, b, c)
         s_one_pa = self.one(p, a)
         s_tq1 = self._three_quarter(sq1, "PA", s_b1, s_one_pa)
-        s_b2 = self._bottom(sq2)
         s_one_rc = self.one(rr, c)
         s_tq2 = self._three_quarter(sq2, "QB", s_b2, s_one_rc)
         s_comb = self._add(
@@ -1326,8 +1337,7 @@ class Derivation:
     def derive_braid(self, k: int) -> int:
         w, q, z, b = _braid_mirror_square(k, self.n, self.r)
         i_qb, w_qb = self.resolve(q, b)
-        mirror = self._square(w, q, z, b)
-        s_b = self._bottom(mirror)
+        mirror, s_b = self._square(w, q, z, b)
         s_one = self.one(w, z)
         s_tq = self._three_quarter(mirror, "PA", s_b, s_one)
         i_qz, _ = self.resolve(q, z)
@@ -1505,8 +1515,10 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
     bucket and does not read it unless a bucket disagrees; once every
     generator is resolved, a discharge reads no relation's letters, so a
     passing replay never enumerates the bottom family.
-    The steps are read in order, premises by index, from any sequence; the
-    runs of a :class:`StepList` are read as their indices.
+    The steps are read in order, premises by index, from any sequence.  A
+    run of a :class:`StepList` reached once every generator is resolved is
+    checked as one, by a search for a 0 in its slice of the bitmap; any
+    other run is read as its indices, so a failure names its step.
     """
     n, r = log.n, log.r
     if pres is None:
@@ -1737,32 +1749,41 @@ def replay_log(log: DerivationLog, pres: Optional[GroupPresentation] = None) -> 
             raise _ReplayFailure(f"the word for {g} does not evaluate to its label")
         resolve(g)
 
-    # discharge steps are nearly all of a log: dispatch them first, those of
-    # a StepList's runs as their ints.  Once every generator is resolved and
-    # the bitmap is filled, one is checked inline, a range check and one bit;
-    # any other outcome goes through discharge(), which names the failure
-    steps = chain.from_iterable(log.steps.parts) if type(log.steps) is StepList else log.steps
-    for idx, st in enumerate(steps):
-        discharge_step = type(st) is int or type(st) is DischargeStep
-        if discharge_step and holds is not None and not unresolved and 0 <= st < relations and holds[st]:
-            discharged[st] = 1
-            verified[idx] = 1
-            continue
-        try:
-            if discharge_step:
-                discharge(st)
-            elif st.rule == "discharge":
-                discharge(st.data["pz"])
-            else:
-                check(idx, st)
-                note_resolution(st.conclusion)
-        except _ReplayFailure as exc:
-            failures.append((idx, str(exc)))
-            continue
-        except Exception as exc:  # malformed step data
-            failures.append((idx, f"{type(exc).__name__}: {exc}"))
-            continue
-        verified[idx] = 1
+    def run_holds(run: range) -> bool:
+        """Whether a run of discharge steps passes as one: every generator
+        is resolved and each of its relations holds on labels."""
+        nonlocal holds
+        if unresolved or not 0 <= run.start <= run.stop <= relations:
+            return False
+        if holds is None:
+            holds = pres.label_equations(table, label_ids)
+        return holds.find(0, run.start, run.stop) < 0
+
+    # discharge steps are nearly all of a log: a StepList's run of them that
+    # passes as one is marked by slice; any other run is read as its ints,
+    # step by step, so that discharge() names each failing step
+    start = 0
+    for part in log.steps.parts if type(log.steps) is StepList else [log.steps]:
+        if type(part) is range and run_holds(part):
+            discharged[part.start : part.stop] = verified[start : start + len(part)] = b"\x01" * len(part)
+        else:
+            for idx, st in enumerate(part, start):
+                try:
+                    if type(st) is int or type(st) is DischargeStep:
+                        discharge(st)
+                    elif st.rule == "discharge":
+                        discharge(st.data["pz"])
+                    else:
+                        check(idx, st)
+                        note_resolution(st.conclusion)
+                except _ReplayFailure as exc:
+                    failures.append((idx, str(exc)))
+                    continue
+                except Exception as exc:  # malformed step data
+                    failures.append((idx, f"{type(exc).__name__}: {exc}"))
+                    continue
+                verified[idx] = 1
+        start += len(part)
 
     final_matches = match_seen and log.final == coxeter_presentation(r).to_json()
     return ReplayReport(

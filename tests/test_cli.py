@@ -404,7 +404,7 @@ def log_path(tmp_path, capsys):
         "n=4 r=2\n"
         "generators: 24\n"
         "relations: 60\n"
-        "derivation steps: 116\n"
+        "derivation steps: 107\n"
         "surviving generators: 1\n"
         "final presentation: 1 generators, 1 relations\n"
         f"log written: {path}\n"
@@ -416,14 +416,14 @@ def test_reduce_log_schema(log_path):
     doc = json.loads(log_path.read_text())
     jsonschema.validate(doc, schema("derivation-log.schema.json"))
     assert doc["format"] == "igmax-derivation-log"
-    assert len(doc["steps"]) == 116
+    assert len(doc["steps"]) == 107
 
 
 def test_reduce_json_summary(capsys):
     code, out, _ = run(capsys, "reduce", "--n", "4", "--r", "2", "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["steps"] == 116
+    assert doc["steps"] == 107
     assert doc["survivors"] == 1
     assert doc["log_written"] is None
 
@@ -455,7 +455,7 @@ def test_replay_pass(capsys, log_path):
     assert code == 0
     assert out == (
         "log: n=4 r=2\n"
-        "steps checked: 116\n"
+        "steps checked: 107\n"
         "failures: 0\n"
         "relations discharged: 60 / 60\n"
         "final snapshot: matches the Coxeter presentation\n"

@@ -449,10 +449,11 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_reading_a_log_peaks_under_0_83_mb(tmp_path):
+def test_reading_a_log_peaks_under_0_63_mb(tmp_path):
     # read_log and from_json, each step decoded as it is parsed: 0.75 MB
     # for a text of 0.87 MB, against 2.69 MB for json.loads with an
-    # object_hook; the bound is that plus 10%
+    # object_hook; with each fact concluded once, 0.57 MB for a text of
+    # 0.75 MB, and the bound is that plus 10%
     text = written(run_pipeline(6, 3)[1])
     path = tmp_path / "log.json"
     path.write_text(text)
@@ -463,14 +464,15 @@ def test_reading_a_log_peaks_under_0_83_mb(tmp_path):
 
     peak = traced_peak(read)
     assert peak < len(text)  # the text is never held whole
-    assert peak < 0.83 * 2**20
+    assert peak < 0.63 * 2**20
 
 
-def test_run_pipeline_peaks_under_2_7_mb():
+def test_run_pipeline_peaks_under_1_11_mb():
     # the index built cold, every kernel, image, generator and square made
     # once: 2.81 MB, against 4.46 MB when each use built its own; labels
-    # kept on the index and steps of ids: 2.45 MB, and the bound is that
-    # plus 10%
+    # kept on the index and steps of ids: 2.45 MB; measured again with
+    # each fact concluded once, 1.01 MB (1.08 MB with the repeats), and
+    # the bound is that plus 10%
     squares_module._singular_index.cache_clear()
     peak = traced_peak(lambda: run_pipeline(6, 3))
-    assert peak < 2.7 * 2**20
+    assert peak < 1.11 * 2**20

@@ -287,11 +287,11 @@ def test_run_pipeline_four_two():
     assert len(final.generators) == 1
     assert len(final.relations) == 1
     assert presentations_match(final, coxeter_presentation(2))
-    assert log.meta == {"steps": 116, "generators": 24, "relations": 60, "survivors": 1}
+    assert log.meta == {"steps": 107, "generators": 24, "relations": 60, "survivors": 1}
 
     report = replay_log(log)
     assert report.ok
-    assert report.steps_checked == 116
+    assert report.steps_checked == 107
     assert report.discharged == report.relations == 60
     assert report.final_matches
 
@@ -307,7 +307,7 @@ def test_run_pipeline_trivial_group():
 def test_run_pipeline_five_three():
     final, log = run_pipeline(5, 3)
     assert presentations_match(final, coxeter_presentation(3))
-    assert log.meta == {"steps": 658, "generators": 90, "relations": 394, "survivors": 2}
+    assert log.meta == {"steps": 597, "generators": 90, "relations": 394, "survivors": 2}
     assert replay_log(log).ok
 
 
@@ -484,12 +484,29 @@ def test_log_parser_shares_one_square_per_witness_text():
     assert len({id(sq) for sq in cited}) == len(set(cited))
 
 
+def _with_copies(doc, copied):
+    """``doc`` with a copy of each step whose index is in ``copied`` right
+    after it, and every premise renumbered to match."""
+    renumber, steps = [], []
+    for i, sd in enumerate(doc["steps"]):
+        renumber.append(len(steps))
+        steps += [sd, copy.deepcopy(sd)] if i in copied else [sd]
+    for sd in steps:
+        if "premises" in sd:
+            sd["premises"] = [renumber[i] for i in sd["premises"]]
+    return {**doc, "steps": steps}
+
+
 def test_replay_checks_each_distinct_square_once(monkeypatch):
-    # (6,3) cites 454 distinct squares in 666 bottom steps
+    # the producer cites each of the 454 distinct squares of (6,3) in one
+    # bottom step; the format admits more, so every bottom step is repeated
     _, log = run_pipeline(6, 3)
-    back = DerivationLog.from_json(json.loads(json.dumps(log.to_json())))
-    bottoms = [st.square for st in back.steps if st.rule == "bottom"]
-    assert (len(bottoms), len(set(bottoms))) == (666, 454)
+    doc = log.to_json()
+    bottoms = [i for i, sd in enumerate(doc["steps"]) if sd["rule"] == "bottom"]
+    assert len(bottoms) == len({tuple(doc["steps"][i]["square"]) for i in bottoms}) == 454
+    back = DerivationLog.from_json(json.loads(json.dumps(_with_copies(doc, set(bottoms)))))
+    cited = [st.square for st in back.steps if st.rule == "bottom"]
+    assert (len(cited), len(set(cited))) == (908, 454)
     calls = []
     real = pipeline_module.is_singular_ids
 
@@ -506,12 +523,9 @@ def test_replay_reports_every_step_citing_a_bad_square():
     from igmax.squares import enumerate_squares
 
     _, log = run_pipeline(6, 3)
-    doc = log.to_json()
-    cited: dict = {}
-    for i, sd in enumerate(doc["steps"]):
-        if sd["rule"] == "bottom":
-            cited.setdefault(tuple(sd["square"]), []).append(i)
-    text, steps = next((t, idxs) for t, idxs in cited.items() if len(idxs) >= 2)
+    first = next(i for i, st in enumerate(log.steps) if st.rule == "bottom")
+    doc = _with_copies(log.to_json(), {first})
+    steps = [first, first + 1]  # one square, cited by two bottom steps
     bogus = next(sq for sq in enumerate_squares(6, 3) if not sq.is_degenerate() and not is_singular_sq3(sq))
     for i in steps:
         doc["steps"][i]["square"] = [str(x) for x in bogus.kernels + bogus.images]
@@ -519,6 +533,90 @@ def test_replay_reports_every_step_citing_a_bad_square():
     for i in steps:
         assert (i, "witness square is not singular") in report.failures
     assert not report.ok
+
+
+@pytest.mark.parametrize("n,r", [(n, r) for n in range(4, 7) for r in range(1, n - 1)] + [(7, 4)])
+def test_the_producer_concludes_each_fact_once(n, r):
+    _, log = run_pipeline(n, r)
+    steps = [st for part in log.steps.parts if type(part) is list for st in part]
+    bottoms = [st.square for st in steps if st.rule == "bottom"]
+    cited = {st.square for st in steps if st.square is not None}
+    assert sorted(bottoms) == sorted(cited)  # one bottom step per witness square
+    facts = [st.conclusion for st in steps if st.rule != "bottom" and st.conclusion is not None]
+    assert len(facts) == len(set(facts))
+    for st in steps:
+        if st.rule == "transitive" and len(st.premises) == 1:
+            assert log.steps[st.premises[0]].conclusion != st.conclusion
+    if (n, r) == (7, 4):
+        assert (len(bottoms), len(steps)) == (1974, 6592)
+
+
+def test_the_log_format_admits_repeated_facts():
+    # a log may conclude a fact twice: the producer does not, the replayer
+    # takes it, and the format (version 1) is the same either way
+    _, log = run_pipeline(5, 3)
+    doc = log.to_json()
+    rules = [sd["rule"] for sd in doc["steps"]]
+    copied = {rules.index("bottom"), rules.index("flush-row")}
+    doc = _with_copies(doc, copied)
+    assert doc["version"] == 1 and len(doc["steps"]) == len(log) + 2
+    report = replay_log(DerivationLog.from_json(json.loads(json.dumps(doc))))
+    assert report.ok and report.discharged == report.relations
+    assert report.steps_checked == len(log) + 2
+
+
+def _step_by_step(log):
+    """``log`` with its steps as a plain list, which replay_log reads one
+    step at a time."""
+    out = DerivationLog(log.n, log.r, final=log.final, meta=log.meta)
+    out.steps = list(log.steps)
+    return out
+
+
+@pytest.mark.parametrize("where", [0, 1, 2], ids=["first", "middle", "last"])
+def test_a_discharge_run_with_a_failing_relation_names_its_step(monkeypatch, where):
+    _, log = run_pipeline(5, 3)
+    pz = (log.meta["relations"] - 1) * where // 2
+    idx = next(i for i, st in enumerate(log.steps) if st.rule == "discharge" and st.data["pz"] == pz)
+    real = GroupPresentation.label_equations
+
+    def cleared(self, *args):
+        holds = real(self, *args)
+        holds[pz] = 0
+        return holds
+
+    monkeypatch.setattr(GroupPresentation, "label_equations", cleared)
+    want = ((idx, f"relation {pz} does not hold under the resolution map"),)
+    for replayed in (log, _step_by_step(log)):
+        report = replay_log(replayed)
+        assert report.failures == want
+        assert report.discharged == report.relations - 1
+
+
+def test_a_step_citing_a_discharge_step_of_a_run_fails_as_step_by_step():
+    # a discharge step of a run that passes as one is verified, as each
+    # step of a run read step by step is, but concludes nothing
+    doc = run_pipeline(5, 3)[1].to_json()
+    first = next(i for i, sd in enumerate(doc["steps"]) if sd["rule"] == "discharge")
+    doc["steps"][-1]["premises"][0] = first
+    log = DerivationLog.from_json(doc)
+    report = replay_log(log)
+    assert [i for i, _ in report.failures] == [len(log) - 1]
+    assert replay_log(_step_by_step(log)).failures == report.failures
+
+
+def test_a_discharge_run_reached_while_a_generator_is_unresolved_names_each_step():
+    # a middle step that no longer checks leaves its generator unresolved,
+    # so the run is read step by step and each relation over it fails
+    doc = run_pipeline(5, 3)[1].to_json()
+    middle = next(sd for sd in doc["steps"] if sd["rule"] == "middle")
+    middle["rule"] = "top"
+    log = DerivationLog.from_json(doc)
+    report = replay_log(log)
+    unresolved = [(i, msg) for i, msg in report.failures if msg.startswith("no resolution for ")]
+    assert unresolved and report.discharged == report.relations - len(unresolved)
+    assert all(log.steps[i].rule == "discharge" for i, _ in unresolved)
+    assert replay_log(_step_by_step(log)).failures == report.failures
 
 
 def test_replay_discharge_needs_a_verified_resolution(log_four_two):

@@ -513,7 +513,7 @@ def forged_six_three():
     Q = Partition.parse("{{1,4},{2,5},{3,6}}", 6)
     K = Partition.parse("{{1,2,5},{3},{4,6}}", 6)
     a345, a456, a234 = (Subset.parse(t, 6) for t in ("{3,4,5}", "{4,5,6}", "{2,3,4}"))
-    s1 = eng._bottom(eng._square(P, Q, a345, a456))
+    s1 = eng._square(P, Q, a345, a456)[1]
     s2 = eng._add(
         "transitive",
         _eq_relation(eng._gen(P, a456), eng._gen(K, a345), eng.letters),
@@ -521,8 +521,7 @@ def forged_six_three():
     )
     s3 = eng._rewrite(s1, (eng.one(P, a345), eng.one(Q, a456)))
     s4 = eng._add("combine", Relation(log.steps[s2].conclusion.rhs, log.steps[s3].conclusion.rhs, "derived"), (s2, s3))
-    sq = eng._square(K, Q, a345, a234)
-    s5 = eng._bottom(sq)
+    sq, s5 = eng._square(K, Q, a345, a234)
     s6 = eng._add("flush-column", _eq_relation(eng._gen(K, a234), eng._gen(Q, a234), eng.letters), (s5, s4), square=sq)
     gens = build_presentation(6, 3).generators
     named = [tuple((gens[g], e) for g, e in side) for side in (log.steps[s4].conclusion.lhs, log.steps[s4].conclusion.rhs)]
