@@ -8,6 +8,7 @@ The package is layered bottom-up:
 ``labels``         the permutation label of a (kernel, image) pair
 ``squares``        squares, the SQ2 and SQ3 singularity tests, the SQ3-keyed enumerator
 ``presentation``   group presentations: construction, word algebra, Coxeter target
+``replay``         the derivation log's format and its checker, the trusted base
 ``pipeline``       the logged reduction from the big presentation to Coxeter
 ``verification``   verdicts resting on the replay, coset enumeration
 ``cli``            command-line front end

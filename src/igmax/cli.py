@@ -234,12 +234,12 @@ def cmd_reduce(args, out) -> int:
 
 
 def cmd_replay(args, out) -> int:
-    """Replay the log at ``args.log``.  :func:`~igmax.logreader.read_log`
+    """Replay the log at ``args.log``.  :func:`~igmax.replay.read_log`
     reads the members before its steps, and each step as ``from_json``
     takes it, so the file stays open until the steps are parsed and neither
-    its text nor its document is held whole; n is held to the cap first."""
-    from .logreader import read_log
-    from .pipeline import DerivationLog, replay_log
+    its text nor its document is held whole; n is held to the cap first.
+    Only the checker's module is imported, not the producer's."""
+    from .replay import DerivationLog, read_log, replay_log
 
     try:
         with open(args.log) as fh:

@@ -16,17 +16,18 @@ carry a provenance tag:
 
 Words multiply left to right, like everything else in the package.
 
-A :class:`GroupPresentation` holds its relations as int letter words:
+Relations are held as int letter words (:class:`RelationFamilies`):
 generator i is the letter ``2*i`` and its inverse ``2*i + 1``, the encoding
-the coset enumerator works in.  :class:`Relation` objects, with
-:class:`GeneratorId` letters, are made only when ``relations`` is read (by
-``igmax present``, the boundary checks and the tests).  The bottom family of
-:func:`build_presentation` is lazy: it is counted off the SQ3 buckets and
-its squares are enumerated only when a bottom relation is first asked for.
-Whether it holds on labels is read off the buckets, one product per
-member (:meth:`GroupPresentation.label_equations`), so ``reduce``,
-``replay`` and ``verify``'s replay never enumerate it on a passing run, and
-the coset oracle reads it once, as ints.
+the coset enumerator works in.  :func:`relation_families` writes the
+(n, r) relations that way off the SQ3 index, with no generator object;
+:class:`Relation` objects, with :class:`GeneratorId` letters, are made only
+when a :class:`GroupPresentation`'s ``relations`` is read (by ``igmax
+present``, the boundary checks and the tests).  The bottom family is lazy:
+it is counted off the SQ3 buckets and read off the index's rows only when a
+bottom relation is first asked for.  Whether it holds on labels is read off
+the buckets, one product per member
+(:meth:`RelationFamilies.label_equations`), so ``replay`` and ``verify``'s
+replay never read it on a passing run, and the coset oracle reads it once.
 """
 
 from __future__ import annotations
@@ -42,10 +43,11 @@ from .errors import InvalidParameters, VerificationFailed
 from .labels import label_by_subscripts
 from .perms import Permutation, ProductTable, invert
 from .schreier import convex_partition_of, predecessor
-from .squares import _singular_index, enumerate_singular_squares
+from .squares import _singular_index, _SingularIndex
 
-# Not called here: perfbench/trace_run.py wraps this name in this module.
+# Not called here: perfbench/trace_run.py wraps these two names in this module.
 from .schreier import build_schreier  # noqa: F401
+from .squares import enumerate_singular_squares  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -196,73 +198,32 @@ def _gen_key(gen: Gen):
     return (1, gen.subset.elements, gen.partition.blocks)
 
 
-class GroupPresentation:
-    """Generators, relations over them, and a ``meta`` dict.
+class RelationFamilies:
+    """Relations as int letter words: letter ``2*i`` is generator i and
+    ``2*i + 1`` its inverse, so ``letter ^ 1`` inverts a letter and
+    ``letter >> 1`` names its generator.
 
-    Relations are held as int letter words: letter ``2*i`` is generator i of
-    ``generators`` and ``2*i + 1`` its inverse, so ``letter ^ 1`` inverts a
-    letter and ``letter >> 1`` names its generator.  :meth:`letters` gives
-    one relation's two sides that way and ``relation_count`` their number;
-    ``relations`` gives them as :class:`Relation` objects, made on first
-    read.  A presentation made by hand from Relation objects converts them
-    to letters when it is made; :func:`build_presentation` writes letters
-    and reads its bottom family only when a relation of it is asked for,
-    which :meth:`label_equations` does only when a bucket disagrees.
+    ``words`` holds the first relations' two sides, tagged ``tags``.  After
+    them come ``bottom`` relations p^-1 q = s^-1 t, tagged bottom, whose
+    letters ``read_bottom()`` returns flat, four per relation, when one of
+    them is first asked for.  They fall into buckets: in each, the relations
+    are x_P = x_Q for every ordered pair P != Q of the bucket's members,
+    where x_P = p^-1 q.  ``bucket_letters`` holds the letters p^-1 and q of
+    each member's x_P, two per member, bucket after bucket, and
+    ``bucket_ends`` the offset in it where each bucket ends.
     """
 
-    def __init__(self, generators, relations, meta: Optional[dict] = None):
-        self.generators: tuple[Gen, ...] = tuple(generators)
-        self.meta: dict = {} if meta is None else meta
-        self._relations: Optional[tuple[Relation, ...]] = tuple(relations)
-        number = {g: i for i, g in enumerate(self.generators)}
-
-        def letters(word: GroupWord) -> tuple[int, ...]:
-            return tuple(2 * number[g] + (e < 0) for g, e in word)
-
-        self._words = [(letters(rel.lhs), letters(rel.rhs)) for rel in self._relations]
-        self._tags = [rel.tag for rel in self._relations]
-        # the relations after ``_words``: all tagged bottom, four letters each
-        # in ``_corners`` once ``_read_bottom`` has filled it
-        self._bottom = 0
-        self._corners: Optional[array] = None
-        self._read_bottom: Optional[Callable[[], array]] = None
-        self._bucket_letters, self._bucket_ends = array("i"), array("i")
-
-    @classmethod
-    def _of_letters(
-        cls,
-        generators: tuple[Gen, ...],
-        words: list[tuple[tuple[int, ...], tuple[int, ...]]],
-        tags: list[str],
-        bottom: int,
-        read_bottom: Callable[[], array],
-        bucket_letters: array,
-        bucket_ends: array,
-        meta: dict,
-    ) -> "GroupPresentation":
-        """``words`` tagged ``tags``, then ``bottom`` relations p^-1 q = s^-1 t
-        whose letters ``read_bottom()`` returns flat, four per relation.
-
-        The bottom relations fall into buckets: in each, the relations are
-        x_P = x_Q for every ordered pair P != Q of the bucket's members,
-        where x_P = p^-1 q.  ``bucket_letters`` holds the letters p^-1 and q
-        of each member's x_P, two per member, bucket after bucket, and
-        ``bucket_ends`` the offset in it where each bucket ends.
-        """
-        pres = cls.__new__(cls)
-        pres.generators, pres.meta, pres._relations = generators, meta, None
-        pres._words, pres._tags = words, tags
-        pres._bottom, pres._corners, pres._read_bottom = bottom, None, read_bottom
-        pres._bucket_letters, pres._bucket_ends = bucket_letters, bucket_ends
-        return pres
+    def __init__(self, words, tags, bottom=0, read_bottom=None, bucket_letters=(), bucket_ends=()):
+        self.words, self.tags, self.bottom, self._read_bottom = words, tags, bottom, read_bottom
+        self.bucket_letters, self.bucket_ends, self._corners = bucket_letters, bucket_ends, None
 
     @property
     def relation_count(self) -> int:
-        return len(self._words) + self._bottom
+        return len(self.words) + self.bottom
 
     def letters(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The int letters of relation ``i``'s two sides."""
-        words = self._words
+        words = self.words
         if i < len(words):
             return words[i]
         c = self._bottom_letters()
@@ -274,9 +235,9 @@ class GroupPresentation:
         c = self._corners
         if c is None:
             c = self._read_bottom()
-            if len(c) != 4 * self._bottom:
+            if len(c) != 4 * self.bottom:
                 raise VerificationFailed(
-                    f"the bottom family holds {len(c) // 4} relations, not the {self._bottom} counted"
+                    f"the bottom family holds {len(c) // 4} relations, not the {self.bottom} counted"
                 )
             self._corners = c
         return c
@@ -285,21 +246,20 @@ class GroupPresentation:
         """Byte i is 1 when relation i's two sides have equal labels in
         ``table``, its letters read as ``label_ids`` (see
         :func:`letter_label_ids`).  Each word is evaluated.  The bottom
-        family is checked per bucket (see :meth:`_of_letters`): all its
-        relations x_P = x_Q hold exactly when every member P of every bucket
-        gives x_P the same label, one product per member, and then the
-        family is not read.  Otherwise each bottom relation p^-1 q = s^-1 t
-        takes two products, so the bytes that are 0 name the relations that
-        fail."""
+        family is checked per bucket: all its relations x_P = x_Q hold
+        exactly when every member P of every bucket gives x_P the same
+        label, one product per member, and then the family is not read.
+        Otherwise each bottom relation p^-1 q = s^-1 t takes two products,
+        so the bytes that are 0 name the relations that fail."""
         evaluate, product = table.evaluate, table.product
         out = bytearray(self.relation_count)
-        words = len(self._words)
-        for i, (lhs, rhs) in enumerate(self._words):
+        words = len(self.words)
+        for i, (lhs, rhs) in enumerate(self.words):
             out[i] = evaluate(lhs, label_ids) == evaluate(rhs, label_ids)
-        if not self._bottom:
+        if not self.bottom:
             return out
         if self._buckets_agree(product, label_ids):
-            out[words:] = b"\x01" * self._bottom
+            out[words:] = b"\x01" * self.bottom
             return out
         c = iter(self._bottom_letters())
         for i, (p, q, s, t) in enumerate(zip(c, c, c, c), start=words):
@@ -308,8 +268,8 @@ class GroupPresentation:
 
     def _buckets_agree(self, product: Callable[[int, int], int], label_ids: list[int]) -> bool:
         """Whether each bucket's members give x_P one label."""
-        c, start = self._bucket_letters, 0
-        for end in self._bucket_ends:
+        c, start = self.bucket_letters, 0
+        for end in self.bucket_ends:
             x = product(label_ids[c[start]], label_ids[c[start + 1]])
             for k in range(start + 2, end, 2):
                 if product(label_ids[c[k]], label_ids[c[k + 1]]) != x:
@@ -318,18 +278,62 @@ class GroupPresentation:
         return True
 
     def tag(self, i: int) -> str:
-        return self._tags[i] if i < len(self._words) else "bottom"
+        return self.tags[i] if i < len(self.words) else "bottom"
+
+    def family(self, tag: str) -> "RelationFamilies":
+        """The relations tagged ``tag``, in order; only ``family("bottom")``
+        reads the bottom relations, through this one's own read."""
+        keep = [word for word, t in zip(self.words, self.tags) if t == tag]
+        bottom = self.bottom if tag == "bottom" else 0
+        return RelationFamilies(
+            keep, [tag] * len(keep), bottom, self._bottom_letters, self.bucket_letters, self.bucket_ends
+        )
+
+
+class GroupPresentation:
+    """Generators, their relations (a :class:`RelationFamilies`,
+    ``families``) and a ``meta`` dict.
+
+    :meth:`letters` gives one relation's two sides as int letters and
+    ``relation_count`` their number; ``relations`` gives them as
+    :class:`Relation` objects, made on first read.  A presentation made by
+    hand from Relation objects converts them to letters when it is made;
+    :func:`build_presentation` takes the letters of :func:`relation_families`.
+    """
+
+    def __init__(self, generators, relations, meta: Optional[dict] = None):
+        self.generators: tuple[Gen, ...] = tuple(generators)
+        self.meta: dict = {} if meta is None else meta
+        self._relations: Optional[tuple[Relation, ...]] = tuple(relations)
+        number = {g: i for i, g in enumerate(self.generators)}
+
+        def letters(word: GroupWord) -> tuple[int, ...]:
+            return tuple(2 * number[g] + (e < 0) for g, e in word)
+
+        self.families = RelationFamilies(
+            [(letters(rel.lhs), letters(rel.rhs)) for rel in self._relations], [rel.tag for rel in self._relations]
+        )
+
+    @classmethod
+    def _of_families(cls, generators: tuple[Gen, ...], families: RelationFamilies, meta: dict) -> "GroupPresentation":
+        pres = cls.__new__(cls)
+        pres.generators, pres.families, pres.meta, pres._relations = generators, families, meta, None
+        return pres
+
+    @property
+    def relation_count(self) -> int:
+        return self.families.relation_count
+
+    def letters(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return self.families.letters(i)
+
+    def tag(self, i: int) -> str:
+        return self.families.tag(i)
 
     def family(self, tag: str) -> "GroupPresentation":
         """The presentation over the same generators with only the relations
-        tagged ``tag``, in order; only ``family("bottom")`` reads the bottom
-        relations, through this presentation's own read."""
-        keep = [i for i, t in enumerate(self._tags) if t == tag]
-        bottom = self._bottom if tag == "bottom" else 0
-        return GroupPresentation._of_letters(
-            self.generators, [self._words[i] for i in keep], [tag] * len(keep), bottom, self._bottom_letters,
-            self._bucket_letters, self._bucket_ends, self.meta,
-        )
+        tagged ``tag`` (see :meth:`RelationFamilies.family`)."""
+        return GroupPresentation._of_families(self.generators, self.families.family(tag), self.meta)
 
     @property
     def relations(self) -> tuple[Relation, ...]:
@@ -391,39 +395,16 @@ def presentations_match(a: GroupPresentation, b: GroupPresentation) -> bool:
     )
 
 
-def build_presentation(n: int, r: int) -> GroupPresentation:
-    """The full presentation on all (kernel, image) generators.
-
-    Generator i is pair i of ``squares._singular_index``: kernel by kernel
-    in its order, each kernel's transversals in its order, each labelled
-    with the label the index computed.  The top and middle families,
-    O(generators) relations, are written as letters here, on the index's
-    ids.  The bottom family, one relation per proper singular square and
-    nearly all of the relations, is read from ``enumerate_singular_squares``
-    only when a bottom relation is first asked for.  The family sizes in
-    ``meta`` are the index's :meth:`~igmax.squares._SingularIndex.family_sizes`,
-    which :func:`igmax.pipeline.run_pipeline` and
-    :func:`~igmax.squares.square_census` read too.  The buckets' letters,
-    two per member, go to the presentation as well, so
-    :meth:`GroupPresentation.label_equations` checks the family per bucket
-    without reading it.
-
-    Only r <= n-2 is in the theorem's scope; r = n-1 is allowed with a
-    warning (its bottom family is empty).
+def relation_families(n: int, r: int) -> RelationFamilies:
+    """The relations of the (n, r) presentation, their letters numbered by
+    the pairs of ``squares._singular_index(n, r)``: the top and the middle
+    family, written here, then the bottom family, one relation per proper
+    singular square, counted off the SQ3 buckets and read by
+    :func:`read_bottom` only when one of them is first asked for.  The
+    buckets' letters, two per member, go along (see :class:`RelationFamilies`).
     """
-    if not (isinstance(n, int) and isinstance(r, int) and 1 <= r < n):
-        raise InvalidParameters(f"need 1 <= r <= n-1, got r={r}, n={n}")
-    if r == n - 1:
-        warnings.warn(
-            f"r = n-1 = {r}: no proper singular squares exist, the bottom family is empty",
-            stacklevel=2,
-        )
     index = _singular_index(n, r)
     parts, subsets = index.parts, index.subsets
-    # the index numbers the pairs in this order and holds their labels
-    generators = tuple(
-        GeneratorId.of(parts[k], subsets[a], lam) for (k, a), lam in zip(index.pairs, index.labels)
-    )
     # letter[i][a]: the letter of the generator of kernel i over image a
     letter = [{a: 2 * g for a, g in row.items()} for row in index.generator_of]
 
@@ -443,42 +424,60 @@ def build_presentation(n: int, r: int) -> GroupPresentation:
         tags.append("middle")
     # the bottom family is the square relations x_P = x_Q of every bucket of
     # at least two kernels, x_P = f[P,A]^-1 f[P,B]
-    top, middle, bottom = index.family_sizes()
     bucket_letters, bucket_ends = array("i"), array("i")
     for (a, b, _), kernels in index.buckets.items():
         if len(kernels) > 1:
             for i in kernels:
                 bucket_letters.extend((letter[i][a] + 1, letter[i][b]))
             bucket_ends.append(len(bucket_letters))
-    # a generator object: no square is made before the family is read
-    squares = enumerate_singular_squares(n, r)
+    bottom = index.family_sizes()[2]
+    return RelationFamilies(words, tags, bottom, lambda: read_bottom(index), bucket_letters, bucket_ends)
 
-    def read_bottom() -> array:
-        rows = {p: {subsets[a]: x for a, x in row.items()} for p, row in zip(parts, letter)}
-        corners = array("i")
-        for sq in squares:
-            (p, q), (a, b) = sq.kernels, sq.images
-            rp, rq = rows[p], rows[q]
-            corners.extend((rp[a] + 1, rp[b], rq[a] + 1, rq[b]))
-        return corners
 
-    return GroupPresentation._of_letters(
-        generators,
-        words,
-        tags,
-        bottom,
-        read_bottom,
-        bucket_letters,
-        bucket_ends,
-        {
-            "n": n,
-            "r": r,
-            "top_ordered": top,
-            "top_distinct": top,
-            "middle": middle,
-            "bottom": bottom,
-        },
+def read_bottom(index: _SingularIndex) -> array:
+    """The letters p^-1, q, s^-1, t of the bottom family, four per relation
+    p^-1 q = s^-1 t, read off the index's rows on ids: the squares
+    (P, Q, A, B) of :func:`~igmax.squares.enumerate_singular_squares`, in
+    its order, kernel P by kernel P, each kernel's (Q, A, B) sorted."""
+    gen = index.generator_of
+    corners = array("i")
+    for pi, row in enumerate(index.rows):
+        gp = gen[pi]
+        for qi, a, b in sorted([(qi, a, b) for a, b, bucket in row for qi in bucket if qi != pi]):
+            gq = gen[qi]
+            corners.extend((2 * gp[a] + 1, 2 * gp[b], 2 * gq[a] + 1, 2 * gq[b]))
+    return corners
+
+
+def build_presentation(n: int, r: int) -> GroupPresentation:
+    """The full presentation on all (kernel, image) generators.
+
+    Generator i is pair i of ``squares._singular_index``: kernel by kernel
+    in its order, each kernel's transversals in its order, each labelled
+    with the label the index computed.  The relations are
+    :func:`relation_families`.  The family sizes in ``meta`` are the
+    index's :meth:`~igmax.squares._SingularIndex.family_sizes`, which the
+    reduction and :func:`~igmax.squares.square_census` read too.
+
+    Only r <= n-2 is in the theorem's scope; r = n-1 is allowed with a
+    warning (its bottom family is empty).
+    """
+    if not (isinstance(n, int) and isinstance(r, int) and 1 <= r < n):
+        raise InvalidParameters(f"need 1 <= r <= n-1, got r={r}, n={n}")
+    if r == n - 1:
+        warnings.warn(
+            f"r = n-1 = {r}: no proper singular squares exist, the bottom family is empty",
+            stacklevel=2,
+        )
+    index = _singular_index(n, r)
+    parts, subsets = index.parts, index.subsets
+    # the index numbers the pairs in this order and holds their labels
+    generators = tuple(
+        GeneratorId.of(parts[k], subsets[a], lam) for (k, a), lam in zip(index.pairs, index.labels)
     )
+    top, middle, bottom = index.family_sizes()
+    meta = {"n": n, "r": r, "top_ordered": top, "top_distinct": top, "middle": middle, "bottom": bottom}
+    return GroupPresentation._of_families(generators, relation_families(n, r), meta)
 
 
 def coxeter_generators(r: int) -> tuple[AbstractGenerator, ...]:

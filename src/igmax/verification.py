@@ -2,7 +2,7 @@
 
 For r <= n-2 a verdict rests on one replay: :func:`verify_theorem` reduces
 the presentation and re-checks the log it produced with
-:func:`igmax.pipeline.replay_log`.  A log that replays shows |G| <= r! (every
+:func:`igmax.replay.replay_log`.  A log that replays shows |G| <= r! (every
 generator is a word over r-1 generators satisfying the Coxeter relations)
 and a homomorphism onto S_r (every relation holds on the labels, and the
 canonical labels are the adjacent transpositions).  Beside it stand
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
 
-from . import pipeline
+from . import pipeline, replay
 from .errors import InvalidParameters, VerificationFailed
 from .perms import Permutation, ProductTable
 # presentations_match stays importable from here: the tests and
@@ -556,7 +556,7 @@ def label_homomorphism_check(pres: GroupPresentation) -> HomReport:
         raise InvalidParameters("presentation has no generators")
 
     table = ProductTable(r)
-    first = pres.label_equations(table, letter_label_ids(pres.generators, table)).find(0)
+    first = pres.families.label_equations(table, letter_label_ids(pres.generators, table)).find(0)
     failure = None if first < 0 else str(pres.relations[first])
 
     image_order = _generated_order({g.label for g in pres.generators}, r)
@@ -578,7 +578,7 @@ class VerifyReport:
     coset_order: Optional[int]
     verdict: str
     hom_report: Optional[HomReport] = None
-    replay_report: Optional[pipeline.ReplayReport] = None
+    replay_report: Optional[replay.ReplayReport] = None
     coset_result: Optional[CosetResult] = None
     boundary_free_consistent: Optional[bool] = None
 
@@ -606,12 +606,12 @@ def verify_theorem(n: int, r: int, budget: Optional[int] = None):
     """Assemble the verdict for one (n, r).
 
     For r <= n-2 the pipeline reduces off the SQ3 index, and its log is
-    replayed in memory on the presentation, built here once for the replay
-    and the coset oracle; ``pipeline`` is the replay's verdict and
-    ``homomorphism`` says whether it discharged every relation on labels.
-    ``budget``, when given, also runs the coset oracle, which must then find
-    r! elements if it closes; a budget that is not an int of at least 1
-    raises InvalidParameters before anything is built.
+    replayed in memory, off the same index; ``pipeline`` is the replay's
+    verdict and ``homomorphism`` says whether it discharged every relation
+    on labels.  ``budget``, when given, also runs the coset oracle on the
+    presentation, built for it alone, which must then find r! elements if
+    it closes; a budget that is not an int of at least 1 raises
+    InvalidParameters before anything is built.
 
     Returns (report, derivation_log); the log is None in the boundary
     regime r = n-1, where the reduction pipeline does not apply and the
@@ -649,17 +649,16 @@ def verify_theorem(n: int, r: int, budget: Optional[int] = None):
         return report, None
 
     _, log = pipeline.run_pipeline(n, r)
-    pres = build_presentation(n, r)
-    replay = pipeline.replay_log(log, pres)
-    homomorphism = replay.discharged == replay.relations
+    replayed = replay.replay_log(log)
+    homomorphism = replayed.discharged == replayed.relations
 
     coset_order = None
     coset_result = None
     if budget is not None:
-        coset_result = coset_enumerate(pres, max_cosets=budget)
+        coset_result = coset_enumerate(build_presentation(n, r), max_cosets=budget)
         coset_order = coset_result.order
 
-    if replay.ok:
+    if replayed.ok:
         verdict = f"confirmed S_{r}"
         if coset_order is not None and coset_order != math.factorial(r):
             verdict = f"inconsistent: coset oracle returned {coset_order}"
@@ -669,11 +668,11 @@ def verify_theorem(n: int, r: int, budget: Optional[int] = None):
     report = VerifyReport(
         n=n,
         r=r,
-        pipeline=replay.ok,
+        pipeline=replayed.ok,
         homomorphism=homomorphism,
         coset_order=coset_order,
         verdict=verdict,
-        replay_report=replay,
+        replay_report=replayed,
         coset_result=coset_result,
     )
     return report, log

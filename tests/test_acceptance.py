@@ -19,15 +19,12 @@ from igmax.combinatorics import (
 from igmax.labels import label, label_by_subscripts
 from igmax.perms import Permutation, contiguous_cycle
 from igmax.pipeline import (
-    _corners,
-    _Letters,
-    _three_quarter_relation,
     coxeter_square_braid,
     coxeter_square_commute,
     coxeter_square_involution,
     descent_reduction,
-    replay_log,
 )
+from igmax.replay import _corners, _Letters, _three_quarter_relation, replay_log
 from igmax.schreier import build_schreier, predecessor
 from igmax.squares import Square, _singular_index, enumerate_squares, is_singular_sq2, is_singular_sq3, square_census
 from igmax.verification import verify_theorem

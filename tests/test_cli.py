@@ -358,11 +358,10 @@ def test_present_top_and_middle_read_no_bottom_relation(capsys, monkeypatch, fam
     want_doc = json.loads(doc)
     want_doc["relations"] = [rel for rel in want_doc["relations"] if rel["tag"] == family]
 
-    def unread(n, r):
+    def unread(index):
         raise AssertionError("the bottom family was read")
-        yield
 
-    monkeypatch.setattr(presentation_module, "enumerate_singular_squares", unread)
+    monkeypatch.setattr(presentation_module, "read_bottom", unread)
     for fmt, want in [("text", want_text), ("json", json.dumps(want_doc, indent=2, sort_keys=True) + "\n")]:
         code, out, _ = run(capsys, "present", "--n", "6", "--r", "3", "--family", family, "--format", fmt)
         assert code == 0
@@ -609,6 +608,8 @@ class _Built(Exception):
 def test_replay_applies_the_cap(capsys, tmp_path, monkeypatch):
     # the parser numbers a log's texts on the (n, r) index, so the cap must
     # be checked before the index is built: a log with steps at n = 13
+    import igmax.replay as replay_module
+
     doc = pipeline.run_pipeline(5, 3)[1].to_json()
     doc["n"], doc["r"] = 13, 6
     with_steps = tmp_path / "log-13-6-steps.json"
@@ -617,8 +618,8 @@ def test_replay_applies_the_cap(capsys, tmp_path, monkeypatch):
     def build(n, r):
         raise _Built(n, r)
 
-    monkeypatch.setattr(pipeline, "build_presentation", build)
-    monkeypatch.setattr(pipeline, "_singular_index", build)
+    monkeypatch.setattr(replay_module, "relation_families", build)
+    monkeypatch.setattr(replay_module, "_singular_index", build)
     for path in (empty_log(tmp_path, 13, 6), str(with_steps)):
         code, out, err = run(capsys, "replay", "--log", path)
         assert code == 2 and out == ""

@@ -40,17 +40,16 @@ def test_letters_are_the_relations(n, r):
     assert [by_hand.tag(i) for i in range(len(want))] == [rel.tag for rel in pres.relations]
 
 
-def _unread(n, r):
-    raise AssertionError(f"the bottom family of ({n},{r}) was enumerated")
-    yield  # a generator function, like the enumerator it stands in for
+def _unread(index):
+    raise AssertionError(f"the bottom family of ({index.n},{index.r}) was read")
 
 
 @pytest.mark.parametrize("n,r", [(5, 3), (6, 3), (6, 4)])
 def test_reduce_never_enumerates_the_bottom_family(monkeypatch, n, r):
-    # build_presentation makes the enumerator's generator object, so the
-    # stand-in raises only when the family is iterated
+    # the families read the bottom relations only when one is asked for,
+    # so the stand-in raises only then
     with monkeypatch.context() as mp:
-        mp.setattr(presentation, "enumerate_singular_squares", _unread)
+        mp.setattr(presentation, "read_bottom", _unread)
         _, log = run_pipeline(n, r)
     assert log.meta["relations"] == len(build_presentation(n, r).relations)
 
@@ -61,7 +60,7 @@ def test_replay_checks_the_bottom_family_without_reading_it(monkeypatch, tmp_pat
     # so neither replay nor verify's in-memory replay enumerates it
     log = str(tmp_path / "log.json")
     size = ["--n", str(n), "--r", str(r)]
-    monkeypatch.setattr(presentation, "enumerate_singular_squares", _unread)
+    monkeypatch.setattr(presentation, "read_bottom", _unread)
     assert main(["reduce", *size, "--log", log]) == 0
     capsys.readouterr()
     assert main(["replay", "--log", log, "--format", "json"]) == 0
@@ -83,7 +82,7 @@ def test_a_disagreeing_bucket_names_the_relations_that_fail(n, r):
     pres = build_presentation(n, r)
     table = ProductTable(r)
     label_ids = letter_label_ids(pres.generators, table)
-    assert pres.label_equations(table, label_ids) == bytearray([1]) * pres.relation_count
+    assert pres.families.label_equations(table, label_ids) == bytearray([1]) * pres.relation_count
     # the letter p of the first bottom relation p^-1 q = s^-1 t is given
     # another label, so the buckets that hold that p disagree
     first = pres.relation_count - pres.meta["bottom"]
@@ -92,23 +91,21 @@ def test_a_disagreeing_bucket_names_the_relations_that_fail(n, r):
     label_ids[p] = table.product(label_ids[p], swap)
     want = _label_equations_per_relation(pres, table, label_ids)
     assert want[first] == 0 and want.count(1) > first
-    assert pres.label_equations(table, label_ids) == want
+    assert pres.families.label_equations(table, label_ids) == want
 
 
 def test_a_short_bottom_family_is_reported(monkeypatch):
-    real = presentation.enumerate_singular_squares
+    real = presentation.read_bottom
 
-    def one_short(n, r):
-        squares = real(n, r)
-        next(squares)
-        yield from squares
+    def one_short(index):
+        return real(index)[4:]
 
-    monkeypatch.setattr(presentation, "enumerate_singular_squares", one_short)
+    monkeypatch.setattr(presentation, "read_bottom", one_short)
     pres = build_presentation(5, 3)
     with pytest.raises(VerificationFailed, match="the bottom family holds 359 relations, not the 360 counted"):
         pres.letters(pres.relation_count - 1)
     # and again on the next read: a short family is never served
-    with pytest.raises(VerificationFailed, match="the bottom family holds 0 relations"):
+    with pytest.raises(VerificationFailed, match="the bottom family holds 359 relations"):
         pres.letters(pres.relation_count - 2)
 
 

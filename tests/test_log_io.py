@@ -15,20 +15,18 @@ import tracemalloc
 
 import pytest
 
-import igmax.logreader as logreader_module
-import igmax.pipeline as pipeline_module
+import igmax.replay as replay_module
 import igmax.squares as squares_module
 from igmax.cli import main
 from igmax.errors import VerificationFailed
-from igmax.logreader import read_log
-from igmax.pipeline import (
+from igmax.pipeline import Derivation, run_pipeline
+from igmax.replay import (
     RULES,
-    Derivation,
     DerivationLog,
     DerivationStep,
     DischargeStep,
+    read_log,
     replay_log,
-    run_pipeline,
 )
 from igmax.presentation import build_presentation
 
@@ -89,13 +87,13 @@ def hand_made_logs(log):
 def test_writer_gives_the_encoder_bytes_on_hand_made_logs(five_three, monkeypatch, chunk):
     # a chunk of 1 or 3 steps splits every run of discharge steps (and of
     # other steps) into many writes
-    monkeypatch.setattr(pipeline_module, "WRITE_CHUNK", chunk)
+    monkeypatch.setattr(replay_module, "WRITE_CHUNK", chunk)
     for what, log in hand_made_logs(five_three).items():
         assert written(log) == reference_text(log), what
 
 
 def test_writer_splits_a_long_run_into_chunks(five_three, monkeypatch):
-    monkeypatch.setattr(pipeline_module, "WRITE_CHUNK", 7)
+    monkeypatch.setattr(replay_module, "WRITE_CHUNK", 7)
     run = sum(type(st) is DischargeStep for st in five_three.steps)
     assert run > 7
     writes = []
@@ -264,7 +262,7 @@ LAYOUTS = {
 def test_read_log_gives_the_log_json_loads_gives(five_three, monkeypatch, layout, chunk):
     # reads of 1 and 7 characters split every step, number and run of
     # discharge text; reads of 4096 split runs of the writer's discharge text
-    monkeypatch.setattr(logreader_module, "READ_CHUNK", chunk)
+    monkeypatch.setattr(replay_module, "READ_CHUNK", chunk)
     text = LAYOUTS[layout](five_three)
     assert read_streamed(text) == read_plain(text) == (written(five_three), list(five_three.steps))
 
@@ -272,7 +270,7 @@ def test_read_log_gives_the_log_json_loads_gives(five_three, monkeypatch, layout
 def test_read_log_reads_the_writer_s_discharge_run_as_one_range(five_three, monkeypatch):
     # the run's 394 steps are split across reads of 1024 characters, read a
     # regex match at a time, and joined again
-    monkeypatch.setattr(logreader_module, "READ_CHUNK", 1024)
+    monkeypatch.setattr(replay_module, "READ_CHUNK", 1024)
     text = written(five_three)
     runs = [sd for sd in read_log(io.StringIO(text))["steps"] if type(sd) is range]
     assert len(runs) > 3
@@ -299,7 +297,7 @@ def test_read_log_hands_on_the_steps_after_format_n_and_r(five_three):
 
 @pytest.mark.parametrize("chunk", [7, 4096])
 def test_read_log_reports_a_cut_text_as_json_loads_does(monkeypatch, chunk):
-    monkeypatch.setattr(logreader_module, "READ_CHUNK", chunk)
+    monkeypatch.setattr(replay_module, "READ_CHUNK", chunk)
     text = json.dumps(run_pipeline(4, 2)[1].to_json(), indent=1, sort_keys=True)
     cuts = [*range(0, len(text), 17), *range(len(text) - 40, len(text))]
     for cut in cuts:

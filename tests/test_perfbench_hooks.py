@@ -12,6 +12,7 @@ import pytest
 
 import igmax.pipeline as pipeline
 import igmax.presentation as presentation
+import igmax.replay as replay
 import igmax.squares as squares
 import igmax.verification as verification
 
@@ -41,7 +42,7 @@ def trace_run():
 
 def test_trace_run_counts_every_pipeline_rule(trace_run):
     # pipeline.steps.<rule> reads 0 for a rule the trace tool does not know
-    assert trace_run.RULES == pipeline.RULES
+    assert trace_run.RULES == replay.RULES
 
 
 def test_trace_run_wraps_discharge_all(trace_run):
@@ -55,17 +56,17 @@ def test_trace_run_wraps_discharge_all(trace_run):
     assert pipeline.Derivation.discharge_all is original
 
 
-def test_trace_run_sees_the_bottom_family_enumerator(trace_run):
-    # squares.enumerate_singular_s is the self time of the enumerator called by
-    # build_presentation; a build that bypassed the name would book it as
-    # presentation.build_s
+def test_the_bottom_family_is_read_without_the_enumerator(trace_run):
+    # the bottom family is read off the index's rows on ids, so the span
+    # squares.enumerate_singular_squares no longer fires when it is read
     tracer = trace_run.Tracer()
     undo = trace_run.install(tracer)
     try:
-        presentation.build_presentation(5, 3)
+        pres = presentation.build_presentation(5, 3)
+        assert pres.letters(pres.relation_count - 1)
     finally:
         trace_run.uninstall(undo)
-    assert "squares.enumerate_singular_squares" in tracer.names
+    assert "squares.enumerate_singular_squares" not in tracer.names
 
 
 def test_trace_spans_every_replayed_step(trace_run, tmp_path, capsys):

@@ -11,28 +11,30 @@ import pytest
 
 import igmax
 import igmax.pipeline as pipeline_module
-
+import igmax.replay as replay_module
 from igmax.combinatorics import Partition, Subset, enumerate_transversal_pairs
 from igmax.errors import InvalidParameters, VerificationFailed
 from igmax.labels import label_by_subscripts
 from igmax.perms import Permutation, contiguous_cycle, descent_number
 from igmax.pipeline import (
     Derivation,
-    DerivationLog,
     _braid_mirror_square,
-    _corners,
-    _Letters,
-    _three_quarter_relation,
-    canonical_cycle_pair,
     coxeter_square_braid,
     coxeter_square_commute,
     coxeter_square_involution,
     cycle_split,
     descent_reduction,
-    replay_log,
     run_pipeline,
 )
-from igmax.presentation import GroupPresentation, Relation, build_presentation
+from igmax.presentation import RelationFamilies, build_presentation, relation_families
+from igmax.replay import (
+    DerivationLog,
+    _corners,
+    _Letters,
+    _three_quarter_relation,
+    canonical_cycle_pair,
+    replay_log,
+)
 from igmax.squares import Square, _singular_index, is_singular_sq2, is_singular_sq3
 from igmax.verification import presentations_match
 from igmax.presentation import GeneratorId, coxeter_presentation, substitute
@@ -508,13 +510,13 @@ def test_replay_checks_each_distinct_square_once(monkeypatch):
     cited = [st.square for st in back.steps if st.rule == "bottom"]
     assert (len(cited), len(set(cited))) == (908, 454)
     calls = []
-    real = pipeline_module.is_singular_ids
+    real = replay_module.is_singular_ids
 
     def counted(index, *sq):
         calls.append(sq)
         return real(index, *sq)
 
-    monkeypatch.setattr(pipeline_module, "is_singular_ids", counted)
+    monkeypatch.setattr(replay_module, "is_singular_ids", counted)
     assert replay_log(back).ok
     assert len(calls) == 454
 
@@ -578,14 +580,14 @@ def test_a_discharge_run_with_a_failing_relation_names_its_step(monkeypatch, whe
     _, log = run_pipeline(5, 3)
     pz = (log.meta["relations"] - 1) * where // 2
     idx = next(i for i, st in enumerate(log.steps) if st.rule == "discharge" and st.data["pz"] == pz)
-    real = GroupPresentation.label_equations
+    real = RelationFamilies.label_equations
 
     def cleared(self, *args):
         holds = real(self, *args)
         holds[pz] = 0
         return holds
 
-    monkeypatch.setattr(GroupPresentation, "label_equations", cleared)
+    monkeypatch.setattr(RelationFamilies, "label_equations", cleared)
     want = ((idx, f"relation {pz} does not hold under the resolution map"),)
     for replayed in (log, _step_by_step(log)):
         report = replay_log(replayed)
@@ -630,18 +632,19 @@ def test_replay_discharge_needs_a_verified_resolution(log_four_two):
     assert any(msg.startswith("no resolution for ") for _, msg in report.failures)
 
 
-def test_replay_checks_each_discharged_relation_on_its_labels():
-    # a presentation whose bottom relation has a right side of other labels:
+def test_replay_checks_each_discharged_relation_on_its_labels(monkeypatch):
+    # relations whose first bottom relation has a right side of other labels:
     # every generator is resolved, so only the label equation can fail
     _, log = run_pipeline(5, 3)
-    pres = build_presentation(5, 3)
-    pz, rel = next((i, rel) for i, rel in enumerate(pres.relations) if rel.tag == "bottom")
-    extra = next(g for g in pres.generators if not g.label.is_identity())
-    relations = list(pres.relations)
-    relations[pz] = Relation(rel.lhs, rel.rhs + ((extra, 1),), rel.tag)
-    changed = GroupPresentation(pres.generators, tuple(relations), pres.meta)
+    real = relation_families(5, 3)
+    words = [real.letters(i) for i in range(real.relation_count)]
+    tags = [real.tag(i) for i in range(real.relation_count)]
+    pz = tags.index("bottom")
+    extra = next(2 * g for g, lam in enumerate(_singular_index(5, 3).labels) if not lam.is_identity())
+    words[pz] = (words[pz][0], words[pz][1] + (extra,))
+    monkeypatch.setattr(replay_module, "relation_families", lambda n, r: RelationFamilies(words, tags))
     idx = next(i for i, st in enumerate(log.steps) if st.rule == "discharge" and st.data["pz"] == pz)
-    report = replay_log(log, changed)
+    report = replay_log(log)
     assert report.failures == ((idx, f"relation {pz} does not hold under the resolution map"),)
     assert report.discharged == report.relations - 1
     assert not report.ok
@@ -720,12 +723,13 @@ def test_require_singular_survives_optimize_flag():
 # swap, so only the check of the canonical labels can catch it.
 SWAPPED_CANONICAL = """
 import igmax.pipeline as pipeline
+import igmax.replay as replay
 _, log = pipeline.run_pipeline(5, 3)
-real = pipeline.canonical_cycle_pair
-pipeline.canonical_cycle_pair = lambda k, l, n, r: real(3 - k if l == 1 else k, l, n, r)
+real = replay.canonical_cycle_pair
+replay.canonical_cycle_pair = lambda k, l, n, r: real(3 - k if l == 1 else k, l, n, r)
 match = log.steps[-1]
 match.data["canonical"].reverse()
-report = pipeline.replay_log(log)
+report = replay.replay_log(log)
 for idx, msg in report.failures:
     print(idx, msg)
 print("ok" if report.ok else "FAIL")

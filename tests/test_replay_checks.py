@@ -2,7 +2,7 @@
 
 Each row of ``ROWS`` tampers one step of the (5,3) log (or, for a check no
 log edit can reach, the replay's inputs) and names the failure it expects.
-``test_every_replay_failure_message_has_a_row`` reads pipeline.py and
+``test_every_replay_failure_message_has_a_row`` reads replay.py and
 requires one row per message the replay can raise.  The forged (6,3) log
 and the ``_flush_source`` cases pin the reading of exponents in flush
 premises.
@@ -15,21 +15,27 @@ from pathlib import Path
 
 import pytest
 
-import igmax.pipeline as pipeline_module
+import igmax.replay as replay_module
 from igmax.combinatorics import Partition, Subset
 from igmax.errors import VerificationFailed
-from igmax.pipeline import (
-    Derivation,
+from igmax.pipeline import Derivation, run_pipeline
+from igmax.presentation import (
+    AbstractGenerator,
+    GeneratorId,
+    Relation,
+    RelationFamilies,
+    build_presentation,
+    relation_families,
+)
+from igmax.replay import (
     DerivationLog,
     _eq_relation,
     _flush_source,
     _ReplayFailure,
     canonical_cycle_pair,
     replay_log,
-    run_pipeline,
 )
-from igmax.presentation import AbstractGenerator, GeneratorId, GroupPresentation, Relation, build_presentation
-from igmax.squares import enumerate_squares, is_singular_sq3
+from igmax.squares import _singular_index, enumerate_squares, is_singular_sq3
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +61,7 @@ def gen_text(letter):
     return f"f[{letter[0]}|{letter[1]}]"
 
 
-# -- rows: tamper(doc, monkeypatch) -> (step index or None, message[, presentation]) --
+# -- rows: tamper(doc, monkeypatch) -> (step index, message) --
 
 
 def premise_out_of_range(doc, mp):
@@ -87,18 +93,26 @@ def discharge_unresolved(doc, mp):
     return j, f"no resolution for {g}"
 
 
+def off_labels(mp):
+    """Hand the replay the (5,3) relations with the first bottom relation's
+    right side lengthened by a letter of another label; return its index."""
+    real = relation_families(5, 3)
+    words = [real.letters(i) for i in range(real.relation_count)]
+    tags = [real.tag(i) for i in range(real.relation_count)]
+    pz = tags.index("bottom")
+    extra = next(2 * g for g, lam in enumerate(_singular_index(5, 3).labels) if not lam.is_identity())
+    lhs, rhs = words[pz]
+    words[pz] = (lhs, rhs + (extra,))
+    mp.setattr(replay_module, "relation_families", lambda n, r: RelationFamilies(words, tags))
+    return pz
+
+
 def discharge_off_labels(doc, mp):
     # a bottom relation whose right side has other labels: every generator is
     # resolved, so only the label equation can fail
-    pres = build_presentation(5, 3)
-    pz, rel = next((i, rel) for i, rel in enumerate(pres.relations) if rel.tag == "bottom")
-    extra = next(g for g in pres.generators if not g.label.is_identity())
-    relations = list(pres.relations)
-    relations[pz] = Relation(rel.lhs, rel.rhs + ((extra, 1),), rel.tag)
+    pz = off_labels(mp)
     j = next(j for j, sd in enumerate(doc["steps"]) if sd["rule"] == "discharge" and sd["pz"] == pz)
-    return j, f"relation {pz} does not hold under the resolution map", GroupPresentation(
-        pres.generators, tuple(relations), pres.meta
-    )
+    return j, f"relation {pz} does not hold under the resolution map"
 
 
 def unknown_rule(doc, mp):
@@ -292,8 +306,8 @@ def stated_canonical(doc, mp):
 def canonical_labels(doc, mp):
     # at r = 3 the Coxeter relations are symmetric under swapping the two
     # canonical pairs, so only the check of their labels sees the swap
-    real = pipeline_module.canonical_cycle_pair
-    mp.setattr(pipeline_module, "canonical_cycle_pair", lambda k, l, n, r: real(3 - k if l == 1 else k, l, n, r))
+    real = replay_module.canonical_cycle_pair
+    mp.setattr(replay_module, "canonical_cycle_pair", lambda k, l, n, r: real(3 - k if l == 1 else k, l, n, r))
     return stated_canonical(doc, mp)[0], "canonical pair 1 does not carry the adjacent transposition"
 
 
@@ -312,7 +326,7 @@ def coxeter_relations(doc, mp):
 def resolution_word(doc, mp):
     # no sound step concludes g = word with the word off g's label, so the
     # canonical images are swapped instead: the first word over them fails
-    real = pipeline_module.letter_images
+    real = replay_module.letter_images
     calls = []
 
     def swapped(perms):
@@ -322,7 +336,7 @@ def resolution_word(doc, mp):
             perms = dict(zip(keys, reversed([perms[k] for k in keys])))
         return real(perms)
 
-    mp.setattr(pipeline_module, "letter_images", swapped)
+    mp.setattr(replay_module, "letter_images", swapped)
     canon = {GeneratorId.of(*canonical_cycle_pair(k, 1, 5, 3)) for k in (1, 2)}
     for i, sd in enumerate(doc["steps"]):
         concl = sd.get("conclusion")
@@ -370,7 +384,7 @@ def parse_letter(letter):
     return Partition.parse(letter[0], 5), Subset.parse(letter[1], 5)
 
 
-# message template, as written in pipeline.py -> row
+# message template, as written in replay.py -> row
 ROWS = {
     "premise {i} out of range": premise_out_of_range,
     "premise {i} was not verified": premise_not_verified,
@@ -420,8 +434,8 @@ ROWS = {
 @pytest.mark.parametrize("template", list(ROWS))
 def test_replay_reports_each_tampered_check(template, genuine, monkeypatch):
     doc = copy.deepcopy(genuine)
-    idx, message, *pres = ROWS[template](doc, monkeypatch)
-    report = replay_log(DerivationLog.from_json(json.loads(json.dumps(doc))), *pres)
+    idx, message = ROWS[template](doc, monkeypatch)
+    report = replay_log(DerivationLog.from_json(json.loads(json.dumps(doc))))
     assert (idx, message) in report.failures
     assert not report.ok
 
@@ -438,7 +452,7 @@ def _template(node: ast.expr) -> str:
 
 
 def test_every_replay_failure_message_has_a_row():
-    tree = ast.parse(Path(pipeline_module.__file__).read_text())
+    tree = ast.parse(Path(replay_module.__file__).read_text())
     literal, passed_on = set(), []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_ReplayFailure":

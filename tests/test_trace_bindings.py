@@ -24,7 +24,11 @@ TRACE_ONLY = {
     ("cli", "is_singular_sq3"): "squares.is_singular_sq3",
     ("cli", "square_record"): "squares.square_record",
     ("labels", "enumerate_transversal_pairs"): "combinatorics.enumerate_transversal_pairs",
+    ("pipeline", "build_presentation"): "presentation.build_presentation[pipeline]",
+    ("pipeline", "build_schreier"): "schreier.build_schreier",
+    ("pipeline", "replay_log"): "pipeline.replay_log",
     ("presentation", "build_schreier"): "schreier.build_schreier",
+    ("presentation", "enumerate_singular_squares"): "squares.enumerate_singular_squares",
     ("verification", "presentations_match"): "verification.presentations_match",
 }
 

@@ -1,0 +1,114 @@
+"""The checker stands apart from the producer.
+
+``igmax.replay`` holds the log format and the checker a verdict rests on.
+It imports nothing from the producer (``igmax.pipeline``) or from the
+verdict assembly, ``replay`` does not load the producer at all, and neither
+``replay`` nor ``verify`` without the coset oracle builds a presentation or
+makes a generator or square object.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import igmax
+import igmax.pipeline as pipeline
+import igmax.presentation as presentation
+import igmax.replay as replay
+import igmax.verification as verification
+from igmax.cli import main
+from igmax.presentation import GeneratorId
+from igmax.squares import Square
+
+FORBIDDEN_MODULES = {"pipeline", "verification"}
+FORBIDDEN_NAMES = {"build_presentation", "Derivation"}
+
+
+def _outside_the_checker(source: str) -> list[str]:
+    """Each import of the producer or the verdict assembly in ``source``,
+    and each use of a producer name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("igmax.")
+            names = {alias.name for alias in node.names}
+            if module in FORBIDDEN_MODULES or (module in ("", "igmax") and names & FORBIDDEN_MODULES):
+                found.append(f"line {node.lineno}: from {'.' * node.level}{node.module or ''} import ...")
+            found += [f"line {node.lineno}: imports {name}" for name in names & FORBIDDEN_NAMES]
+        elif isinstance(node, ast.Import):
+            found += [
+                f"line {node.lineno}: import {alias.name}"
+                for alias in node.names
+                if alias.name.removeprefix("igmax.") in FORBIDDEN_MODULES
+            ]
+        elif isinstance(node, ast.Name) and node.id in FORBIDDEN_NAMES:
+            found.append(f"line {node.lineno}: {node.id}")
+        elif isinstance(node, ast.Attribute) and node.attr in FORBIDDEN_NAMES:
+            found.append(f"line {node.lineno}: .{node.attr}")
+    return found
+
+
+def test_the_checker_imports_nothing_from_the_producer():
+    assert _outside_the_checker(Path(replay.__file__).read_text()) == []
+
+
+def test_the_import_walk_sees_each_way_in():
+    for source in (
+        "from .pipeline import run_pipeline",
+        "from . import verification",
+        "from igmax import pipeline",
+        "import igmax.pipeline",
+        "from igmax.verification import verify_theorem",
+        "from .presentation import build_presentation",
+        "x = Derivation(5, 3)",
+        "x = presentation.build_presentation(5, 3)",
+    ):
+        assert _outside_the_checker(source) != [], source
+    assert _outside_the_checker("from .presentation import relation_families\nDerivationLog(5, 3)") == []
+
+
+def test_replay_from_the_command_line_loads_no_producer(tmp_path):
+    path = tmp_path / "log.json"
+    assert main(["reduce", "--n", "5", "--r", "3", "--log", str(path)]) == 0
+    src = str(Path(igmax.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # -X importtime lists on stderr every module the process imports
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "igmax.cli", "replay", "--log", str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("replay: PASS\n")
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines() if "|" in line}
+    assert "igmax.replay" in loaded
+    assert "igmax.pipeline" not in loaded
+
+
+def test_replay_and_verify_build_no_presentation(monkeypatch, tmp_path, capsys):
+    path = str(tmp_path / "log.json")
+    assert main(["reduce", "--n", "5", "--r", "3", "--log", path]) == 0
+    made = []
+
+    def counted(what, real):
+        def wrapper(*args, **kwargs):
+            made.append(what)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    build = counted("build_presentation", presentation.build_presentation)
+    for module in (presentation, pipeline, verification):
+        monkeypatch.setattr(module, "build_presentation", build)
+    monkeypatch.setattr(GeneratorId, "of", classmethod(counted("GeneratorId", GeneratorId.of.__func__)))
+    monkeypatch.setattr(GeneratorId, "__post_init__", counted("GeneratorId", GeneratorId.__post_init__))
+    monkeypatch.setattr(Square, "_trusted", classmethod(counted("Square", Square._trusted.__func__)))
+    monkeypatch.setattr(Square, "__post_init__", counted("Square", Square.__post_init__))
+    assert main(["replay", "--log", path]) == 0
+    assert main(["verify", "--n", "5", "--r", "3"]) == 0
+    assert made == []
+    # the stand-ins count: with the coset oracle, verify builds one presentation
+    assert main(["verify", "--n", "5", "--r", "3", "--with-coset-oracle"]) == 0
+    capsys.readouterr()
+    assert made.count("build_presentation") == 1 and "GeneratorId" in made

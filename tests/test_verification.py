@@ -9,7 +9,7 @@ import coset_reference
 import igmax.verification as verification
 from igmax.errors import InvalidParameters, VerificationFailed
 from igmax.labels import label_by_subscripts
-from igmax.pipeline import replay_log
+from igmax.replay import replay_log
 from igmax.presentation import (
     AbstractGenerator,
     GroupPresentation,
@@ -398,6 +398,8 @@ def test_verify_rejects_bad_rank():
 
 
 def test_verify_builds_the_presentation_once(monkeypatch):
+    # the replay reads the relation families off the index; only the coset
+    # oracle needs the presentation, and it is built once for it
     import igmax.pipeline
     import igmax.verification
 
@@ -409,26 +411,28 @@ def test_verify_builds_the_presentation_once(monkeypatch):
 
     monkeypatch.setattr(igmax.pipeline, "build_presentation", counting_build)
     monkeypatch.setattr(igmax.verification, "build_presentation", counting_build)
-    report, _ = verify_theorem(5, 3)
-    assert report.verdict == "confirmed S_3"
-    assert builds == [(5, 3)]
+    for budget, built in [(None, []), (1000, [(5, 3)])]:
+        builds.clear()
+        report, _ = verify_theorem(5, 3, budget=budget)
+        assert report.verdict == "confirmed S_3"
+        assert builds == built
 
 
 def test_verify_rests_on_one_replay(monkeypatch):
-    import igmax.pipeline
+    import igmax.replay
     import igmax.verification
 
     replays = []
-    replay = igmax.pipeline.replay_log
+    replay = igmax.replay.replay_log
 
-    def counting_replay(log, pres=None):
+    def counting_replay(log):
         replays.append((log.n, log.r))
-        return replay(log, pres)
+        return replay(log)
 
     def no_homomorphism_check(pres):
         pytest.fail("verify ran the label homomorphism check below the boundary")
 
-    monkeypatch.setattr(igmax.pipeline, "replay_log", counting_replay)
+    monkeypatch.setattr(igmax.replay, "replay_log", counting_replay)
     monkeypatch.setattr(igmax.verification, "label_homomorphism_check", no_homomorphism_check)
     report, _ = verify_theorem(5, 3)
     assert report.verdict == "confirmed S_3"
