@@ -27,7 +27,10 @@ it is counted off the SQ3 buckets and read off the index's rows only when a
 bottom relation is first asked for.  Whether it holds on labels is read off
 the buckets, one product per member
 (:meth:`RelationFamilies.label_equations`), so ``replay`` and ``verify``'s
-replay never read it on a passing run, and the coset oracle reads it once.
+replay never read it on a passing run.  The coset oracle reads none of it:
+it enumerates on a spanning subfamily made off the buckets
+(:meth:`RelationFamilies.spanning_bottom`) and checks the whole family on
+its closed table per bucket.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 import warnings
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Union
 
 from .combinatorics import Partition, Subset, require_transversal
@@ -203,7 +206,8 @@ class RelationFamilies:
     ``2*i + 1`` its inverse, so ``letter ^ 1`` inverts a letter and
     ``letter >> 1`` names its generator.
 
-    ``words`` holds the first relations' two sides, tagged ``tags``.  After
+    ``words`` holds the first relations' two sides, tagged ``tags``, over
+    generators numbered 0 to ``generator_count - 1``.  After
     them come ``bottom`` relations p^-1 q = s^-1 t, tagged bottom, whose
     letters ``read_bottom()`` returns flat, four per relation, when one of
     them is first asked for.  They fall into buckets: in each, the relations
@@ -213,9 +217,12 @@ class RelationFamilies:
     ``bucket_ends`` the offset in it where each bucket ends.
     """
 
-    def __init__(self, words, tags, bottom=0, read_bottom=None, bucket_letters=(), bucket_ends=()):
+    def __init__(
+        self, words, tags, bottom=0, read_bottom=None, bucket_letters=(), bucket_ends=(), generator_count=0
+    ):
         self.words, self.tags, self.bottom, self._read_bottom = words, tags, bottom, read_bottom
         self.bucket_letters, self.bucket_ends, self._corners = bucket_letters, bucket_ends, None
+        self.generator_count = generator_count
 
     @property
     def relation_count(self) -> int:
@@ -258,7 +265,7 @@ class RelationFamilies:
             out[i] = evaluate(lhs, label_ids) == evaluate(rhs, label_ids)
         if not self.bottom:
             return out
-        if self._buckets_agree(product, label_ids):
+        if self.buckets_agree(product, label_ids):
             out[words:] = b"\x01" * self.bottom
             return out
         c = iter(self._bottom_letters())
@@ -266,16 +273,40 @@ class RelationFamilies:
             out[i] = product(label_ids[p], label_ids[q]) == product(label_ids[s], label_ids[t])
         return out
 
-    def _buckets_agree(self, product: Callable[[int, int], int], label_ids: list[int]) -> bool:
-        """Whether each bucket's members give x_P one label."""
+    def buckets_agree(self, product: Callable[[int, int], int], ids: list[int]) -> bool:
+        """Whether each bucket's members give x_P one value, the letters read
+        as ``ids`` and multiplied by ``product``: labels in ``replay``, the
+        columns of a closed coset table in the coset oracle.  Each member's
+        two letters are read once, in both orientations of every bucket."""
         c, start = self.bucket_letters, 0
         for end in self.bucket_ends:
-            x = product(label_ids[c[start]], label_ids[c[start + 1]])
+            x = product(ids[c[start]], ids[c[start + 1]])
             for k in range(start + 2, end, 2):
-                if product(label_ids[c[k]], label_ids[c[k + 1]]) != x:
+                if product(ids[c[k]], ids[c[k + 1]]) != x:
                     return False
             start = end
         return True
+
+    def spanning_bottom(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+        """A spanning subfamily of the bottom family: a star per bucket.
+
+        For each bucket (A, B, key) with A before B and members P1 < ... < Pk,
+        the k-1 relations x_{P1} = x_{Pi}, i = 2 ... k.  Each relator
+        x_P x_Q^-1 of the bucket is (x_{P1} x_P^-1)^-1 (x_{P1} x_Q^-1), a
+        product of star relators and their inverses, and the bucket
+        (B, A, key^-1) has the same members and the inverse relations, so the
+        normal closure is the whole family's: a Tietze move.  A bucket runs
+        from A to B with A before B exactly when its first member's
+        x_P = p^-1 q has p before q, since a kernel's generators are numbered
+        in the order of their images.
+        """
+        c, start, out = self.bucket_letters, 0, []
+        for end in self.bucket_ends:
+            first = (c[start], c[start + 1])
+            if first[0] >> 1 < first[1] >> 1:
+                out += [(first, (c[k], c[k + 1])) for k in range(start + 2, end, 2)]
+            start = end
+        return out
 
     def tag(self, i: int) -> str:
         return self.tags[i] if i < len(self.words) else "bottom"
@@ -286,7 +317,13 @@ class RelationFamilies:
         keep = [word for word, t in zip(self.words, self.tags) if t == tag]
         bottom = self.bottom if tag == "bottom" else 0
         return RelationFamilies(
-            keep, [tag] * len(keep), bottom, self._bottom_letters, self.bucket_letters, self.bucket_ends
+            keep,
+            [tag] * len(keep),
+            bottom,
+            self._bottom_letters,
+            self.bucket_letters,
+            self.bucket_ends,
+            self.generator_count,
         )
 
 
@@ -311,7 +348,9 @@ class GroupPresentation:
             return tuple(2 * number[g] + (e < 0) for g, e in word)
 
         self.families = RelationFamilies(
-            [(letters(rel.lhs), letters(rel.rhs)) for rel in self._relations], [rel.tag for rel in self._relations]
+            [(letters(rel.lhs), letters(rel.rhs)) for rel in self._relations],
+            [rel.tag for rel in self._relations],
+            generator_count=len(self.generators),
         )
 
     @classmethod
@@ -395,6 +434,7 @@ def presentations_match(a: GroupPresentation, b: GroupPresentation) -> bool:
     )
 
 
+@lru_cache(maxsize=1)
 def relation_families(n: int, r: int) -> RelationFamilies:
     """The relations of the (n, r) presentation, their letters numbered by
     the pairs of ``squares._singular_index(n, r)``: the top and the middle
@@ -402,6 +442,11 @@ def relation_families(n: int, r: int) -> RelationFamilies:
     singular square, counted off the SQ3 buckets and read by
     :func:`read_bottom` only when one of them is first asked for.  The
     buckets' letters, two per member, go along (see :class:`RelationFamilies`).
+
+    Memoised like the index: the replay, the coset oracle and
+    :func:`build_presentation` share one, and it goes when another (n, r)
+    is asked for.  It holds ints only, numbered alike by every index of
+    (n, r), and callers only read it.
     """
     index = _singular_index(n, r)
     parts, subsets = index.parts, index.subsets
@@ -431,7 +476,16 @@ def relation_families(n: int, r: int) -> RelationFamilies:
                 bucket_letters.extend((letter[i][a] + 1, letter[i][b]))
             bucket_ends.append(len(bucket_letters))
     bottom = index.family_sizes()[2]
-    return RelationFamilies(words, tags, bottom, lambda: read_bottom(index), bucket_letters, bucket_ends)
+    # the read looks the index up when it runs, so that the memo holds no index
+    return RelationFamilies(
+        words,
+        tags,
+        bottom,
+        lambda: read_bottom(_singular_index(n, r)),
+        bucket_letters,
+        bucket_ends,
+        len(index.labels),
+    )
 
 
 def read_bottom(index: _SingularIndex) -> array:

@@ -7,19 +7,26 @@ generator is a word over r-1 generators satisfying the Coxeter relations)
 and a homomorphism onto S_r (every relation holds on the labels, and the
 canonical labels are the adjacent transpositions).  Beside it stand
 Todd–Coxeter coset enumeration over the trivial subgroup, which gives the
-exact order when it closes and reaches (8,6) under the default budget,
-and the label homomorphism check, used at the boundary r = n-1 where no
-reduction runs.  The oracle reads only the presentation: no labels and no
-derivation.
+exact order when it closes and reaches every (8, r) under the default
+budget, and the label homomorphism check, used at the boundary r = n-1
+where no reduction runs.  The oracle reads only the relations: no labels
+and no derivation.
 
-:func:`coset_enumerate` runs in three steps.
+:func:`coset_enumerate` runs in four steps.
 
-1. Reduce.  Nearly all of the paper's generators are redundant, so
+1. Span.  The paper's bottom family has k(k-1) relations x_P = x_Q for
+   each SQ3 bucket of k kernels.  The enumeration reads only a spanning
+   subfamily with the same normal closure, a star of k-1 relations
+   x_{P1} = x_{Pi} per bucket and one bucket of each pair of mutually
+   inverse ones (:meth:`~igmax.presentation.RelationFamilies.spanning_bottom`),
+   beside the top and middle relations.  At (8,3) the enumeration reads
+   91,741 relations of the presentation's 8,044,861.
+2. Reduce.  Nearly all of the paper's generators are redundant, so
    :func:`_tietze` eliminates them by Tietze moves first: a union-find pass
    over the relations that say g = 1 or g = h^±1, then rounds that solve
    relators of at most three letters for a generator that occurs in them
-   once.  At (7,5) this leaves 6 of 525 generators.
-2. Enumerate.  HLT on the reduced presentation: process cosets in
+   once.  At (7,5) this leaves 4 of 525 generators.
+3. Enumerate.  HLT on the reduced presentation: process cosets in
    creation order, scan each relator with gap filling (lowest undefined
    entry first), then fill any remaining undefined generator entries.
    Coincidences are merged through a union-find with a FIFO queue.  The
@@ -31,17 +38,22 @@ derivation.
    of w at a coset returns, w closes there for good, and the table is
    consistent on inverses after every merge, so a later scan of w or w^-1
    would define nothing.
-3. Audit twice.  The closed table is re-checked in full: each letter's
-   column must be a permutation of the live cosets, inverse to the column
-   of the inverse letter, and every reduced relator must close at every
-   live coset, which with inverse columns covers the dropped inverses too.
+4. Audit.  The closed table is re-checked in full: each letter's column
+   must be a permutation of the live cosets, inverse to the column of the
+   inverse letter, and every reduced relator must close at every live
+   coset, which with inverse columns covers the dropped inverses too.
    Then each eliminated generator gets the column of the word it was
-   replaced by, in reverse order of elimination, and every relator of the
-   input must close at every live coset.  That second audit covers every
-   generator and every relation of the input: the columns are shown to be
-   an action of the presented group itself, not only of the reduced one,
-   and an elimination whose word contradicts an input relation stops the
-   run before an order is reported.
+   replaced by, in reverse order of elimination; every top and middle
+   relation must close at every live coset, and every member P of every
+   bucket, in both orientations, must give x_P one permutation of the
+   cosets, which is exactly that the whole bottom family closes, the
+   relations the enumeration never read included
+   (:meth:`~igmax.presentation.RelationFamilies.buckets_agree`, one
+   product per member).  That audit covers every generator and every
+   relation of the paper's presentation: the columns are shown to be an
+   action of the presented group itself, not only of the reduced one, and
+   an elimination whose word contradicts a relation stops the run before
+   an order is reported.
 """
 
 from __future__ import annotations
@@ -60,10 +72,12 @@ from .perms import Permutation, ProductTable
 from .presentation import (
     GeneratorId,
     GroupPresentation,
+    RelationFamilies,
     build_presentation,
     coxeter_presentation,
     letter_label_ids,
     presentations_match,
+    relation_families,
 )
 
 # the coset budget of coset_enumerate and of ``igmax verify --with-coset-oracle``
@@ -269,7 +283,21 @@ def _inverse(word: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _relators(pres: GroupPresentation) -> list[tuple[int, ...]]:
-    """Freely reduced int relators, one per class of a word and its inverse.
+    """Freely reduced int relators of every relation, one per class of a
+    word and its inverse (see :func:`_reduced`).
+
+    These are the presentation's own letters (see
+    :class:`~igmax.presentation.GroupPresentation`).
+
+    >>> _relators(coxeter_presentation(3))
+    [(0, 0), (2, 2), (0, 2, 0, 3, 1, 3)]
+    """
+    return _reduced(map(pres.letters, range(pres.relation_count)))
+
+
+def _reduced(relations) -> list[tuple[int, ...]]:
+    """Freely reduced int relators of ``(lhs, rhs)`` letter pairs, one per
+    class of a word and its inverse.
 
     A relation lhs = rhs gives the letters of lhs followed by those of rhs
     inverted: ``2*index + 1`` for an inverse generator, so ``letter ^ 1``
@@ -279,17 +307,10 @@ def _relators(pres: GroupPresentation) -> list[tuple[int, ...]]:
     merges and definitions keep it closed, and the table after every drain
     is consistent on inverses (a·l = b gives b·l^-1 = a).  So a later scan
     of w, or of w^-1, at that coset defines nothing and queues nothing.
-
-    These are the presentation's own letters (see
-    :class:`~igmax.presentation.GroupPresentation`).
-
-    >>> _relators(coxeter_presentation(3))
-    [(0, 0), (2, 2), (0, 2, 0, 3, 1, 3)]
     """
     relators = []
     seen = set()
-    for i in range(pres.relation_count):
-        lhs, rhs = pres.letters(i)
+    for lhs, rhs in relations:
         word: list[int] = []
         for letter in lhs + _inverse(rhs):
             if word and word[-1] == letter ^ 1:
@@ -468,36 +489,58 @@ def _require_budget(max_cosets: object) -> None:
         raise InvalidParameters(f"the coset budget must be an int of at least 1, got {max_cosets!r}")
 
 
-def coset_enumerate(pres: GroupPresentation, max_cosets: int = DEFAULT_MAX_COSETS) -> CosetResult:
+def coset_enumerate(
+    pres: GroupPresentation | RelationFamilies, max_cosets: int = DEFAULT_MAX_COSETS
+) -> CosetResult:
     """Order of the presented group, or inconclusive under the bound.
 
-    The enumeration runs on the presentation :func:`_tietze` reduces, so
-    ``max_cosets`` counts cosets of that.  A closed table passes the
-    enumerator's audit, and then, with a column made for each eliminated
-    generator from its word, every relator of the input must close at
-    every live coset.
+    ``pres`` is a presentation or its :class:`RelationFamilies`, such as
+    :func:`~igmax.presentation.relation_families` ``(n, r)``.  The
+    enumeration reads the top, middle and hand-made relations and a
+    spanning subfamily of the bottom family, and runs on the presentation
+    :func:`_tietze` reduces that to, so ``max_cosets`` counts cosets of
+    that.  A closed table passes the enumerator's audit, and then, with a
+    column made for each eliminated generator from its word, every relation
+    must close at every live coset, the whole bottom family included.
 
     >>> coset_enumerate(coxeter_presentation(4)).order
     24
     """
     _require_budget(max_cosets)
-    relators = _relators(pres)
-    survivors, reduced, eliminated = _tietze(len(pres.generators), relators)
+    families = pres.families if isinstance(pres, GroupPresentation) else pres
+    words = _reduced(families.words)
+    relators = words + _reduced(families.spanning_bottom()) if families.bottom else words
+    survivors, reduced, eliminated = _tietze(families.generator_count, relators)
     enum = _Enumerator(len(survivors), reduced, max_cosets)
     try:
         enum.run()
     except _BudgetHit:
         return CosetResult(False, None, enum.defined, len(enum.live()))
     table, reduced_ids = enum.audit()
-    # each eliminated generator, and its inverse, is the product of its word
-    ids = [table.identity] * (2 * len(pres.generators))
+    ids = _columns(table, reduced_ids, families.generator_count, survivors, eliminated)
+    _require_closed(table, ids, words)
+    if families.bottom and not families.buckets_agree(table.product, ids):
+        raise VerificationFailed("a bottom relator does not close on a live coset: a bucket's x_P disagree")
+    live = len(enum.live())
+    return CosetResult(True, live, enum.defined, live)
+
+
+def _columns(
+    table: ProductTable,
+    reduced_ids: list[int],
+    n_gens: int,
+    survivors: list[int],
+    eliminated: list[tuple[int, tuple[int, ...]]],
+) -> list[int]:
+    """The id in ``table`` of each input letter's column: a survivor's from
+    the reduced table, an eliminated generator's, and its inverse's, the
+    product of its word, in reverse order of elimination."""
+    ids = [table.identity] * (2 * n_gens)
     for k, g in enumerate(survivors):
         ids[2 * g], ids[2 * g + 1] = reduced_ids[2 * k], reduced_ids[2 * k + 1]
     for g, word in reversed(eliminated):
         ids[2 * g], ids[2 * g + 1] = table.evaluate(word, ids), table.evaluate(_inverse(word), ids)
-    _require_closed(table, ids, relators)
-    live = len(enum.live())
-    return CosetResult(True, live, enum.defined, live)
+    return ids
 
 
 @dataclass(frozen=True)
@@ -609,9 +652,10 @@ def verify_theorem(n: int, r: int, budget: Optional[int] = None):
     replayed in memory, off the same index; ``pipeline`` is the replay's
     verdict and ``homomorphism`` says whether it discharged every relation
     on labels.  ``budget``, when given, also runs the coset oracle on the
-    presentation, built for it alone, which must then find r! elements if
+    relation families the replay read, which must then find r! elements if
     it closes; a budget that is not an int of at least 1 raises
-    InvalidParameters before anything is built.
+    InvalidParameters before anything is built.  Below the boundary no
+    presentation is built.
 
     Returns (report, derivation_log); the log is None in the boundary
     regime r = n-1, where the reduction pipeline does not apply and the
@@ -655,7 +699,7 @@ def verify_theorem(n: int, r: int, budget: Optional[int] = None):
     coset_order = None
     coset_result = None
     if budget is not None:
-        coset_result = coset_enumerate(build_presentation(n, r), max_cosets=budget)
+        coset_result = coset_enumerate(relation_families(n, r), max_cosets=budget)
         coset_order = coset_result.order
 
     if replayed.ok:

@@ -772,6 +772,17 @@ def test_verify_oracle_runs_under_the_library_default_budget(capsys, monkeypatch
     assert budgets == [default] == [verification.DEFAULT_MAX_COSETS]
 
 
+def test_verify_makes_the_relation_letters_once(capsys):
+    # the replay and the coset oracle share one RelationFamilies
+    from igmax.presentation import relation_families
+
+    relation_families.cache_clear()
+    code, _, _ = run(capsys, "verify", "--n", "6", "--r", "3", "--with-coset-oracle")
+    assert code == 0
+    info = relation_families.cache_info()
+    assert info.misses == 1 and info.hits >= 1
+
+
 def test_verify_max_cosets_needs_the_oracle(capsys):
     code, out, err = run(capsys, "verify", "--n", "4", "--r", "2", "--max-cosets", "1")
     assert code == 2

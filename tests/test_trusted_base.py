@@ -107,8 +107,10 @@ def test_replay_and_verify_build_no_presentation(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(Square, "__post_init__", counted("Square", Square.__post_init__))
     assert main(["replay", "--log", path]) == 0
     assert main(["verify", "--n", "5", "--r", "3"]) == 0
-    assert made == []
-    # the stand-ins count: with the coset oracle, verify builds one presentation
+    # the coset oracle reads the relation families the replay read
     assert main(["verify", "--n", "5", "--r", "3", "--with-coset-oracle"]) == 0
+    assert made == []
+    # the stand-ins count: present builds one presentation
+    assert main(["present", "--n", "5", "--r", "3"]) == 0
     capsys.readouterr()
     assert made.count("build_presentation") == 1 and "GeneratorId" in made

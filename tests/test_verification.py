@@ -17,6 +17,7 @@ from igmax.presentation import (
     build_presentation,
     coxeter_presentation,
     inverse_word,
+    relation_families,
 )
 from igmax.perms import Permutation
 from igmax.verification import (
@@ -117,8 +118,10 @@ def test_coset_determinism():
 # its table, so on a presentation's own relators it must define the very
 # cosets the plain HLT enumerator of coset_reference.py defines: same closure,
 # order and counts at every budget.  coset_enumerate runs that core on the
-# Tietze-reduced presentation, which defines fewer cosets, so against the
-# reference it must give the same order.
+# Tietze-reduced presentation, which defines fewer cosets, and on the (n, r)
+# relation families it reads a star of k-1 relations per SQ3 bucket instead
+# of the k(k-1) of the bottom family, which has the same normal closure; so
+# against the reference on the full presentation it must give the same order.
 
 
 def unreduced_enumerate(pres, budget):
@@ -147,7 +150,7 @@ def test_coset_counts_match_the_reference(build, args):
         expected = coset_reference.coset_enumerate(pres, budget)
         assert unreduced_enumerate(pres, budget) == expected
     # expected is now the reference under 50,000
-    res = coset_enumerate(pres, 50_000)
+    res = coset_enumerate(pres.families, 50_000)
     assert res.closed and expected.closed
     assert res.order == res.live_cosets == expected.order
 
@@ -157,7 +160,7 @@ def test_coset_counts_match_the_reference_at_seven_five():
     res = unreduced_enumerate(pres, 50_000)
     assert res == coset_reference.coset_enumerate(pres, 50_000)
     assert res == CosetResult(True, 120, 32040, 120)
-    reduced = coset_enumerate(pres, 50_000)
+    reduced = coset_enumerate(relation_families(7, 5), 50_000)
     assert reduced.closed and reduced.order == 120
 
 
@@ -168,6 +171,60 @@ def test_coset_oracle_reaches_seven_four():
         res = coset_enumerate(build_presentation(n, r))
         assert res.closed, (n, r)
         assert res.order == res.live_cosets == order
+
+
+def test_the_star_family_defines_no_more_cosets_than_the_full_one():
+    # the cosets the oracle defined on the full bottom family; a chain
+    # x_{P1} = x_{P2}, x_{P2} = x_{P3}, ... per bucket defines 1,579 and 17,258
+    for (n, r), full in (((7, 5), 216), ((8, 6), 1_795)):
+        res = coset_enumerate(relation_families(n, r))
+        assert res.closed and res.order == math.factorial(r)
+        assert res.cosets_defined <= full, (n, r)
+
+
+def test_the_star_family_spans_each_bucket_pair_once():
+    families = relation_families(5, 3)
+    star = families.spanning_bottom()
+    buckets = len(families.bucket_ends)
+    sizes = [(end - start) // 2 for start, end in zip((0, *families.bucket_ends), families.bucket_ends)]
+    # the buckets come in mutually inverse pairs with the same members
+    assert buckets % 2 == 0 and families.bottom == sum(k * (k - 1) for k in sizes)
+    assert 2 * len(star) == sum(k - 1 for k in sizes)
+    for (p, q), (s, t) in star:
+        assert p & 1 and s & 1 and not q & 1 and not t & 1
+        assert p >> 1 < q >> 1 and s >> 1 < t >> 1
+
+
+def test_coset_audit_checks_the_whole_bottom_family(monkeypatch):
+    # After the enumeration, two generators that no top or middle relation
+    # names swap columns, so that a bucket's members give x_P two
+    # permutations.  The star relators the enumeration read may not cover
+    # the broken relation; the audit of every bucket must catch it.
+    families = relation_families(5, 3)
+    bottom = range(len(families.words), families.relation_count)
+    named = {x >> 1 for lhs, rhs in families.words for x in lhs + rhs}
+    columns = verification._columns
+    swapped = []
+
+    def swap(table, reduced_ids, n_gens, survivors, eliminated):
+        ids = columns(table, reduced_ids, n_gens, survivors, eliminated)
+        free = [g for g in range(n_gens) if g not in named]
+        for i, g in enumerate(free):
+            for h in free[i + 1 :]:
+                if ids[2 * g] == ids[2 * h]:
+                    continue
+                trial = list(ids)
+                trial[2 * g : 2 * g + 2], trial[2 * h : 2 * h + 2] = ids[2 * h : 2 * h + 2], ids[2 * g : 2 * g + 2]
+                for lhs, rhs in map(families.letters, bottom):
+                    if table.evaluate(lhs, trial) != table.evaluate(rhs, trial):
+                        swapped.append((g, h))
+                        return trial
+        raise AssertionError("no two free generators break a bottom relation")
+
+    monkeypatch.setattr(verification, "_columns", swap)
+    with pytest.raises(VerificationFailed, match="a bucket's x_P disagree"):
+        coset_enumerate(families)
+    assert len(swapped) == 1
 
 
 @pytest.mark.parametrize("budget", [0, -3, True, 2.5, "5", None])
@@ -397,9 +454,9 @@ def test_verify_rejects_bad_rank():
         verify_theorem(4, 0)
 
 
-def test_verify_builds_the_presentation_once(monkeypatch):
-    # the replay reads the relation families off the index; only the coset
-    # oracle needs the presentation, and it is built once for it
+def test_verify_builds_no_presentation_below_the_boundary(monkeypatch):
+    # the replay and the coset oracle both read the relation families off
+    # the index, so no presentation is built, with the oracle or without
     import igmax.pipeline
     import igmax.verification
 
@@ -411,11 +468,13 @@ def test_verify_builds_the_presentation_once(monkeypatch):
 
     monkeypatch.setattr(igmax.pipeline, "build_presentation", counting_build)
     monkeypatch.setattr(igmax.verification, "build_presentation", counting_build)
-    for budget, built in [(None, []), (1000, [(5, 3)])]:
-        builds.clear()
+    for budget in (None, 1000):
         report, _ = verify_theorem(5, 3, budget=budget)
         assert report.verdict == "confirmed S_3"
-        assert builds == built
+        assert builds == []
+    # the stand-in counts: the boundary builds one
+    verify_theorem(4, 3)
+    assert builds == [(4, 3)]
 
 
 def test_verify_rests_on_one_replay(monkeypatch):
