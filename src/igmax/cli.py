@@ -302,11 +302,7 @@ def cmd_verify(args, out) -> int:
             shown = report.coset_order if report.coset_order is not None else "inconclusive"
             out.write(f"coset order: {shown}\n")
         out.write(f"verdict: {report.verdict}\n")
-    if (
-        args.with_coset_oracle
-        and report.coset_result is not None
-        and not report.coset_result.closed
-    ):
+    if report.verdict == "inconclusive":  # the oracle's budget ran out
         return EXIT_BUDGET
     return EXIT_OK if report.verdict.startswith("confirmed") else EXIT_VERIFY
 

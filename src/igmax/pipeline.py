@@ -46,7 +46,6 @@ from .replay import (
     _eq_relation,
     _Letters,
     _one_relation,
-    _square_texts,
     _three_quarter_relation,
     canonical_cycle_pair,
 )
@@ -60,6 +59,12 @@ from .schreier import build_schreier  # noqa: F401
 
 # a square as its kernels P, Q and images A, B, the index's own objects
 Corners = tuple[Partition, Partition, Subset, Subset]
+
+
+def _square_texts(index: _SingularIndex, sq: SquareIds) -> list[str]:
+    """The texts of a square's kernels and images, for a message."""
+    p, q, a, b = sq
+    return [str(index.parts[p]), str(index.parts[q]), str(index.subsets[a]), str(index.subsets[b])]
 
 
 def _require_singular(index: _SingularIndex, sq: SquareIds) -> None:
@@ -792,18 +797,11 @@ class Derivation:
         self.log.steps.add_run(range(sum(self.index.family_sizes())))
 
     def finish(self) -> GroupPresentation:
-        canon = self.canonical_pairs()
-        mismatch = _coxeter_mismatch(
-            (self.log.steps[i].conclusion for i in self._final_steps), self.canonical_generators(), self.r
-        )
+        canon = self.canonical_generators()
+        mismatch = _coxeter_mismatch((self.log.steps[i].conclusion for i in self._final_steps), canon, self.r)
         if mismatch is not None:
             raise VerificationFailed(mismatch)
-        self._add(
-            "coxeter-match",
-            None,
-            tuple(self._final_steps),
-            data={"canonical": [[str(p), str(a)] for p, a in canon]},
-        )
+        self._add("coxeter-match", None, tuple(self._final_steps), data={"canonical": canon})
         target = coxeter_presentation(self.r)
         self.log.final = target.to_json()
         self.log.meta.update(

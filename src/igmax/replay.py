@@ -1,4 +1,4 @@
-"""The derivation log (format version 1), its writer and reader, and the
+"""The derivation log (format version 2), its writer and reader, and the
 checker that a verdict rests on: the trusted base.
 
 :func:`replay_log` re-verifies a log from scratch and trusts nothing of the
@@ -11,11 +11,16 @@ the relation count, the top and middle words, the bottom family's bucket
 letters and, on a failing run only, one relation's letters.
 
 A step records its rule, its premises (indices of earlier steps) and, where
-relevant, its witness square, all as ids of the index: a generator is the
-number of its (kernel, image) pair; a conclusion is a word of (generator
-id, exponent) letters, one tuple per distinct letter (:class:`_Letters`); a
-witness square is the ids of its kernels and images.  Only the writer and
-the parser of :class:`DerivationLog` see texts.  A discharge step is a
+relevant, its witness square, all as ids of the index, in the log as in
+memory: a generator is the number of its (kernel, image) pair in
+``index.pairs``; a conclusion is a word of ``[generator id, exponent]``
+letters (in memory one tuple per distinct letter, :class:`_Letters`); a
+witness square is ``[p, q, a, b]``, the ids of its kernels in
+``index.parts`` and of its images in ``index.subsets``; ``coxeter-match``
+lists the canonical generators' ids.  The parser range-checks these ints
+(an int that is not a bool, inside the index, a square's four corners
+generators) and parses no kernel or image text.  ``LOG_FORMAT.md`` states
+the numbering and every rule.  A discharge step is a
 :class:`DischargeStep`, an int holding a relation index; a
 :class:`StepList` holds each run of them as one ``range``, and
 :func:`read_log` reads a log a piece at a time, so a run is written, read
@@ -55,7 +60,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Iterator, Optional, TextIO
 
-from .combinatorics import Partition, Subset, require_transversal
+from .combinatorics import Partition, Subset
 from .errors import InvalidParameters, VerificationFailed
 from .perms import contiguous_cycle, letter_images
 from .presentation import (
@@ -69,12 +74,15 @@ from .presentation import (
     substitute,
 )
 from .schreier import IdempotentLetter, build_schreier
-from .squares import CORNERS, Square, _singular_index, _SingularIndex, is_singular_ids
+from .squares import CORNERS, _singular_index, _SingularIndex, is_singular_ids
 
 # a (kernel, image) pair, the index's own objects
 Pair = tuple[Partition, Subset]
 # a witness square as the ids of its kernels P, Q and images A, B in the index
 SquareIds = tuple[int, int, int, int]
+
+# the log format this module writes and reads
+LOG_VERSION = 2
 
 RULES = (
     "middle",
@@ -177,13 +185,6 @@ def _coxeter_mismatch(relations: Iterable[Relation], canon: list[int], r: int) -
     return None
 
 
-
-def _square_texts(index: _SingularIndex, sq: SquareIds) -> list[str]:
-    """The texts of a witness square's kernels and images, as a log writes them."""
-    p, q, a, b = sq
-    return [str(index.parts[p]), str(index.parts[q]), str(index.subsets[a]), str(index.subsets[b])]
-
-
 @dataclass(slots=True)
 class DerivationStep:
     """One logged step of any rule but ``discharge`` (see
@@ -195,8 +196,8 @@ class DerivationStep:
 
     The conclusion's letters are (generator id, exponent) pairs and the
     witness square is the ids of its kernels and images, both numbered by
-    ``squares._singular_index(n, r)``; ``to_json`` takes that index to name
-    them as text (a discharge step needs none)."""
+    ``squares._singular_index(n, r)``, and ``to_json`` writes them as they
+    are."""
 
     rule: str
     conclusion: Optional[Relation]
@@ -204,17 +205,15 @@ class DerivationStep:
     square: Optional[SquareIds] = None
     data: Optional[dict] = None
 
-    def to_json(self, index: Optional[_SingularIndex] = None) -> dict:
+    def to_json(self) -> dict:
         if self.rule == "discharge":
             return {"rule": "discharge", "pz": self.data["pz"]}
         doc: dict = {"rule": self.rule, "premises": list(self.premises)}
         if self.conclusion is not None:
-            doc["conclusion"] = {
-                "lhs": _word_json(self.conclusion.lhs, index),
-                "rhs": _word_json(self.conclusion.rhs, index),
-            }
+            lhs, rhs = self.conclusion.lhs, self.conclusion.rhs
+            doc["conclusion"] = {"lhs": list(map(list, lhs)), "rhs": list(map(list, rhs))}
         if self.square is not None:
-            doc["square"] = _square_texts(index, self.square)
+            doc["square"] = list(self.square)
         if self.data:
             doc["data"] = dict(self.data)
         return doc
@@ -246,7 +245,7 @@ class DischargeStep(int):
     def data(self) -> dict:
         return {"pz": int(self)}
 
-    def to_json(self, index: object = None) -> dict:
+    def to_json(self) -> dict:
         return {"rule": "discharge", "pz": int(self)}
 
     def __repr__(self) -> str:
@@ -329,18 +328,6 @@ class StepList:
         return chain.from_iterable(map(DischargeStep, p) if type(p) is range else p for p in self.parts)
 
 
-def _generator_json(index: _SingularIndex, g: object) -> list[str]:
-    """The kernel and image texts of generator id ``g``."""
-    if type(g) is not int:
-        raise InvalidParameters("only concrete generators appear in logged words")
-    k, a = index.pairs[g]
-    return [str(index.parts[k]), str(index.subsets[a])]
-
-
-def _word_json(word: GroupWord, index: _SingularIndex) -> list:
-    return [[*_generator_json(index, g), e] for g, e in word]
-
-
 @dataclass(eq=False)
 class DerivationLog:
     """Ordered derivation steps (a :class:`StepList`, made of any sequence
@@ -367,7 +354,7 @@ class DerivationLog:
         """The log document without its steps."""
         return {
             "format": "igmax-derivation-log",
-            "version": 1,
+            "version": LOG_VERSION,
             "n": self.n,
             "r": self.r,
             "final": self.final,
@@ -375,8 +362,7 @@ class DerivationLog:
         }
 
     def to_json(self) -> dict:
-        index = _singular_index(self.n, self.r)
-        return {**self._head(), "steps": [s.to_json(index) for s in self.steps]}
+        return {**self._head(), "steps": [s.to_json() for s in self.steps]}
 
     def write(self, fh: TextIO) -> None:
         """Write ``json.dumps(self.to_json(), sort_keys=True,
@@ -385,9 +371,7 @@ class DerivationLog:
         ``WRITE_CHUNK`` at a time, each as text without a dict.  A step
         fills a sorted-key template, ``_DISCHARGE_TEXT`` (a run of discharge
         steps is one join of their indices) or ``_STEP_TEXT``; each letter,
-        each witness square and each rule is encoded once, its ids turned
-        back into the kernel and image texts of
-        ``squares._singular_index(n, r)``."""
+        each witness square and each rule is encoded once."""
         head = self._head()
         fh.write("{")
         for i, key in enumerate(sorted([*head, "steps"])):
@@ -399,15 +383,11 @@ class DerivationLog:
         fh.write("}\n")
 
     def _write_steps(self, fh: TextIO) -> None:
-        index = _singular_index(self.n, self.r)
         # each letter with an int exponent, each square's entry and each
         # rule's text is encoded once
         letters: dict[tuple, str] = {}
         squares: dict[SquareIds, str] = {}
         rules: dict[str, str] = {}
-
-        def letter_text(g: object, e: object) -> str:
-            return _encode([*_generator_json(index, g), e])
 
         def word_text(word: GroupWord) -> str:
             out = []
@@ -415,9 +395,9 @@ class DerivationLog:
                 if type(letter[1]) is int:
                     text = letters.get(letter)
                     if text is None:
-                        text = letters[letter] = letter_text(*letter)
+                        text = letters[letter] = _encode(letter)
                 else:  # (g, True) would find the text of (g, 1)
-                    text = letter_text(*letter)
+                    text = _encode(letter)
                 out.append(text)
             return "[" + ",".join(out) + "]"
 
@@ -432,7 +412,7 @@ class DerivationLog:
             if sq is not None:
                 tail = squares.get(sq)
                 if tail is None:
-                    tail = squares[sq] = ',"square":' + _encode(_square_texts(index, sq))
+                    tail = squares[sq] = ',"square":' + _encode(sq)
             rule = rules.get(st.rule) if type(st.rule) is str else _encode(st.rule)
             if rule is None:
                 rule = rules[st.rule] = _encode(st.rule)
@@ -456,18 +436,20 @@ class DerivationLog:
         fh.write("]")
 
     @staticmethod
-    def case_of(doc: object) -> tuple[int, int]:
+    def case_of(doc: object, steps_read: bool = False) -> tuple[int, int]:
         """The (n, r) of a log document, checked as :meth:`from_json` checks
         it: ``doc`` must be a log document (else InvalidParameters) of
-        version 1 with integers 1 <= r <= n-2 (else VerificationFailed).
-        Nothing is built for (n, r), so a caller can hold n to a cap first."""
+        version 2 with integers 1 <= r <= n-2 (else VerificationFailed).
+        A document without a version passes only while its steps are
+        :func:`read_log`'s iterator and not ``steps_read``: the iterator
+        reads the version after the steps, and :meth:`from_json` checks
+        again once they are read.  Nothing is built for (n, r), so a caller
+        can hold n to a cap first."""
         if not isinstance(doc, dict) or doc.get("format") != "igmax-derivation-log":
             raise InvalidParameters("not a derivation log document")
         try:
-            # a document without a version is read as the one version there is
-            version = doc.get("version", 1)
-            if type(version) is not int or version != 1:
-                raise ValueError(f"unsupported log version {version!r}, this replayer reads version 1")
+            if steps_read or "version" in doc or not isinstance(doc.get("steps"), Iterator):
+                _require_version(doc)
             n, r = doc["n"], doc["r"]
             if type(n) is not int or type(r) is not int:
                 raise TypeError(f"n and r must be integers, got {n!r}, {r!r}")
@@ -482,80 +464,74 @@ class DerivationLog:
         """Parse a log document, as json.loads or :func:`read_log` gives
         it; a malformed one raises VerificationFailed.
 
-        The steps come out as ids: each distinct kernel
-        and image text is parsed and validated once, then mapped to its id
-        in ``squares._singular_index(n, r)``, and each (kernel, image) text
-        pair to its generator id; a conclusion's letters are (generator id,
-        exponent) pairs, one tuple per distinct pair, and a witness square
-        is four ids.  A text that names no kernel or image of (n, r), and a
-        pair or square that is not transversal, is malformed.  The index is
-        built only after :meth:`case_of` has passed.
+        The steps are ids of ``squares._singular_index(n, r)`` in the log as
+        in memory, and each is range-checked: a letter's generator id and a
+        square's kernel and image ids must be ints (not bools) inside the
+        index, and a square's four corners must be generators.  A
+        conclusion's letters are (generator id, exponent) pairs, one tuple
+        per distinct pair, and a witness square is one tuple per distinct
+        square.  The index is built only after :meth:`case_of` has passed.
 
         Consumes the document's steps: a list is emptied as the log's steps
         are made, and read_log's iterator decodes each as it is taken, so
         the two are not held in full together.  A caller that reads ``doc``
         again passes a copy.  A ``range`` (read_log's run of discharge
         steps) and a discharge object of two keys with an int index are
-        read as DischargeSteps; keys after the steps are checked last."""
+        read as DischargeSteps.  Keys after the steps are checked last; when
+        a step is malformed, read_log's iterator is read to its end first,
+        so that a log of another version says so, whatever its steps."""
         n, r = cls.case_of(doc)
         try:
             log = cls._parse(doc, _singular_index(n, r))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise VerificationFailed(f"malformed derivation log: {type(exc).__name__}: {exc}") from None
-        cls.case_of(doc)
+            problem = f"malformed derivation log: {type(exc).__name__}: {exc}"
+            steps = doc.get("steps")
+            if isinstance(steps, Iterator):
+                for _ in steps:
+                    pass
+            cls.case_of(doc, steps_read=True)
+            raise VerificationFailed(problem) from None
+        cls.case_of(doc, steps_read=True)
         return log
 
     @classmethod
     def _parse(cls, doc: dict, index: _SingularIndex) -> "DerivationLog":
-        n = index.n
-        kernels: dict[str, tuple[Partition, Optional[int]]] = {}
-        images: dict[str, tuple[Subset, Optional[int]]] = {}
+        pairs, parts, subsets = len(index.pairs), len(index.parts), len(index.subsets)
+        generator_of = index.generator_of
         squares: dict[SquareIds, SquareIds] = {}
         letters = _Letters()
 
-        def kernel(text: str) -> tuple[Partition, Optional[int]]:
-            k = kernels.get(text)
-            if k is None:
-                p = Partition.parse(text, n)
-                k = kernels[text] = (p, index.kernel_ids.get(p.blocks))
-            return k
-
-        def image(text: str) -> tuple[Subset, Optional[int]]:
-            a = images.get(text)
-            if a is None:
-                s = Subset.parse(text, n)
-                a = images[text] = (s, index.image_ids.get(s.elements))
-            return a
-
-        def generator(pt: str, at: str) -> int:
-            (p, k), (a, i) = kernel(pt), image(at)
-            g = None if k is None or i is None else index.generator_of[k].get(i)
-            if g is None:
-                require_transversal(a, p)  # a pair that is not transversal says so
-                raise InvalidParameters(f"({p}, {a}) is not a generator of the presentation")
-            return g
-
         def word(side: list) -> GroupWord:
             out = []
-            for pt, at, e in side:
-                g = generator(pt, at)
+            for g, e in side:
+                if type(g) is not int or not 0 <= g < pairs:
+                    raise InvalidParameters(f"{g!r} is not a generator id: the ids run from 0 to {pairs - 1}")
                 out.append(letters[g, e] if type(e) is int else (g, e))
             return tuple(out)
 
-        def square(texts: list) -> SquareIds:
-            pt, qt, at, bt = texts
-            (p, kp), (q, kq), (a, ia), (b, ib) = kernel(pt), kernel(qt), image(at), image(bt)
-            key = (kp, kq, ia, ib)
+        def square(ids: list) -> SquareIds:
+            key = p, q, a, b = tuple(ids)
+            # True and 1.0 would find the square of 1
+            if type(p) is not int or type(q) is not int or type(a) is not int or type(b) is not int:
+                raise InvalidParameters(f"square {ids!r} must be four int ids")
             sq = squares.get(key)
             if sq is None:
-                if None in key or None in (index.generator_of[k].get(i) for k in (kp, kq) for i in (ia, ib)):
-                    Square((p, q), (a, b))  # a quadruple that is not a square says so
-                    raise InvalidParameters(f"{list(texts)} is not a square of the presentation")
+                if not (0 <= p < parts and 0 <= q < parts and 0 <= a < subsets and 0 <= b < subsets):
+                    raise InvalidParameters(
+                        f"square {ids!r} needs kernel ids from 0 to {parts - 1} and image ids from 0 to {subsets - 1}"
+                    )
+                for k, i in ((p, a), (p, b), (q, a), (q, b)):
+                    if i not in generator_of[k]:
+                        raise InvalidParameters(
+                            f"square {ids!r}: image {i} {index.subsets[i]} is not a transversal"
+                            f" of kernel {k} {index.parts[k]}"
+                        )
                 sq = squares[key] = key
             return sq
 
-        steps = StepList()
-        for sd in _consumed(doc["steps"]):
+        steps, items = StepList(), doc["steps"]
+        # read_log's iterator is read itself, so that a caller can read on
+        for sd in (_popped(items) if type(items) is list else items):
             if type(sd) is range:
                 steps.add_run(sd)
                 continue
@@ -574,14 +550,21 @@ class DerivationLog:
                 )
             sq = square(sd["square"]) if "square" in sd else None
             steps.append(DerivationStep(rule, conclusion, tuple(sd.get("premises", ())), sq, sd.get("data")))
-        return cls(n=n, r=index.r, steps=steps, final=doc.get("final"), meta=doc.get("meta", {}))
+        return cls(n=index.n, r=index.r, steps=steps, final=doc.get("final"), meta=doc.get("meta", {}))
 
 
-def _consumed(items: object) -> Iterable:
-    """The entries of ``items`` in order; a list is emptied as they are taken."""
-    if type(items) is not list:
-        yield from items
-        return
+def _require_version(doc: dict) -> None:
+    """A log of another version than this module's is malformed; so is a
+    log without one."""
+    if "version" not in doc:
+        raise ValueError(f"the log has no version, this replayer reads version {LOG_VERSION}")
+    version = doc["version"]
+    if type(version) is not int or version != LOG_VERSION:
+        raise ValueError(f"unsupported log version {version!r}, this replayer reads version {LOG_VERSION}")
+
+
+def _popped(items: list) -> Iterator:
+    """The entries of ``items`` in order, the list emptied as they are taken."""
     items.reverse()
     while items:
         yield items.pop()
@@ -798,7 +781,7 @@ def replay_log(log: DerivationLog) -> ReplayReport:
     rule substitutes id words, a generator's resolution is a byte of a
     table indexed by generator id, words are evaluated on the index's
     product table, and the Coxeter match renames the canonical ids.  A
-    failure names a generator as the log does, ``f[P|A]``.
+    failure names a generator by its kernel and image, ``f[P|A]``.
 
     A generator is resolved by its first verified fact g = word over the
     canonical generators, whose word must evaluate to g's label; evaluation
@@ -832,8 +815,7 @@ def replay_log(log: DerivationLog) -> ReplayReport:
             rel = bottoms[sq] = _bottom_relation(_corners(index, sq), letters)
         return rel
 
-    canon_pairs = [canonical_cycle_pair(k, 1, n, r) for k in range(1, r)]
-    canon_list = [index.generator(p, a) for p, a in canon_pairs]
+    canon_list = [index.generator(*canonical_cycle_pair(k, 1, n, r)) for k in range(1, r)]
     canon_gens = set(canon_list)
     # words are evaluated on the index's product table: a canonical letter
     # and each int letter (2*i for generator i, 2*i+1 for its inverse) carry
@@ -1020,10 +1002,9 @@ def replay_log(log: DerivationLog) -> ReplayReport:
                 raise _ReplayFailure("combine conclusion must equate the two right sides")
         elif rule == "coxeter-match":
             nonlocal match_seen
-            stated = [
-                (Partition.parse(pt, n), Subset.parse(at, n)) for pt, at in st.data["canonical"]
-            ]
-            if stated != canon_pairs:
+            stated = st.data["canonical"]
+            # True would equal the id 1
+            if type(stated) is not list or any(type(g) is not int for g in stated) or stated != canon_list:
                 raise _ReplayFailure("stated canonical pairs are not the expected ones")
             for k, g in enumerate(canon_list, start=1):
                 if labels[g] != contiguous_cycle(k, 1, r):
@@ -1040,7 +1021,7 @@ def replay_log(log: DerivationLog) -> ReplayReport:
         if g is None or resolved[g] or not all(h in canon_gens for h, _ in rel.rhs):
             return
         if table.evaluate(rel.rhs, canonical) != label_ids[2 * g]:
-            g = name(g)  # as the log names it
+            g = name(g)
             raise _ReplayFailure(f"the word for {g} does not evaluate to its label")
         resolve(g)
 

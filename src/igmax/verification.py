@@ -653,7 +653,8 @@ def verify_theorem(n: int, r: int, budget: Optional[int] = None):
     verdict and ``homomorphism`` says whether it discharged every relation
     on labels.  ``budget``, when given, also runs the coset oracle on the
     relation families the replay read, which must then find r! elements if
-    it closes; a budget that is not an int of at least 1 raises
+    it closes; if it does not close, a passing replay's verdict is
+    "inconclusive", not "confirmed".  A budget that is not an int of at least 1 raises
     InvalidParameters before anything is built.  Below the boundary no
     presentation is built.
 
@@ -704,7 +705,9 @@ def verify_theorem(n: int, r: int, budget: Optional[int] = None):
 
     if replayed.ok:
         verdict = f"confirmed S_{r}"
-        if coset_order is not None and coset_order != math.factorial(r):
+        if coset_result is not None and not coset_result.closed:
+            verdict = "inconclusive"
+        elif coset_order is not None and coset_order != math.factorial(r):
             verdict = f"inconsistent: coset oracle returned {coset_order}"
     else:
         failed = "pipeline" if homomorphism else "pipeline, homomorphism"

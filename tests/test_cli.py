@@ -19,7 +19,7 @@ import igmax.pipeline as pipeline
 import igmax.squares as squares_module
 from igmax.cli import main
 from igmax.labels import label_by_subscripts
-from igmax.squares import enumerate_squares, is_singular_sq3, square_census, square_record
+from igmax.squares import _singular_index, enumerate_squares, is_singular_sq3, square_census, square_record
 
 GOLDEN_P = "{{1},{2,3,5},{4,7},{6}}"
 GOLDEN_A = "{1,4,5,6}"
@@ -475,7 +475,7 @@ def tampered_copy(log_path: Path, tmp_path: Path) -> Path:
     bad = json.loads(log_path.read_text())
     for sd in bad["steps"]:
         if sd["rule"] == "bottom":
-            sd["conclusion"]["lhs"][0][2] *= -1
+            sd["conclusion"]["lhs"][0][1] *= -1
             break
     bad_path = tmp_path / "tampered.json"
     bad_path.write_text(json.dumps(bad))
@@ -557,7 +557,7 @@ def test_replay_reports_malformed_log(capsys, tmp_path, log_path, damage):
         elif damage == "version-7":
             doc["version"] = 7
         elif damage == "version-as-string":
-            doc["version"] = "1"
+            doc["version"] = "2"
         else:
             letter = next(sd for sd in doc["steps"] if "conclusion" in sd)["conclusion"]["lhs"][0]
             letter[0] = [letter[0]]
@@ -581,23 +581,64 @@ def test_replay_reports_a_log_nested_too_deep(capsys, tmp_path, text):
     assert err.startswith("error: malformed derivation log: maximum recursion depth exceeded")
 
 
-def test_replay_reads_a_log_without_a_version_as_version_1(capsys, tmp_path, log_path):
-    # version 1 is the only version there is; the hand-written logs of the
-    # cap and rank tests below carry none
+def as_version_1(doc):
+    """``doc`` as format version 1 wrote it: each letter and square by the
+    texts of its kernels and images, the canonical generators as pairs."""
+    index = _singular_index(doc["n"], doc["r"])
+
+    def pair(g):
+        k, a = index.pairs[g]
+        return [str(index.parts[k]), str(index.subsets[a])]
+
+    for sd in doc["steps"]:
+        for side in sd.get("conclusion", {}).values():
+            side[:] = [[*pair(g), e] for g, e in side]
+        if "square" in sd:
+            p, q, a, b = sd["square"]
+            sd["square"] = [str(index.parts[p]), str(index.parts[q]), str(index.subsets[a]), str(index.subsets[b])]
+        if sd["rule"] == "coxeter-match":
+            sd["data"]["canonical"] = [pair(g) for g in sd["data"]["canonical"]]
+    doc["version"] = 1
+    return doc
+
+
+@pytest.mark.parametrize(
+    "damage, found",
+    [
+        ("version 1", "unsupported log version 1"),
+        ("no version", "the log has no version"),
+        ("version '2'", "unsupported log version '2'"),
+        ("version 2.0", "unsupported log version 2.0"),
+        ("version true", "unsupported log version True"),
+        ("version null", "unsupported log version None"),
+    ],
+    ids=["version-1", "no-version", "version-as-string", "version-as-float", "version-as-bool", "version-null"],
+)
+def test_replay_reads_only_version_2(capsys, tmp_path, log_path, damage, found):
+    # the writer puts the version after the steps, so a log of another
+    # version is refused for its version, not for the first step that
+    # version 2 cannot read
     doc = json.loads(log_path.read_text())
-    assert doc["version"] == 1
-    del doc["version"]
-    path = tmp_path / "unversioned.json"
-    path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "replay", "--log", str(path))
-    assert code == 0 and err == ""
-    assert out == run(capsys, "replay", "--log", str(log_path))[1]
-    assert out.endswith("replay: PASS\n")
+    assert doc["version"] == 2
+    if damage == "version 1":
+        doc = as_version_1(doc)
+    elif damage == "no version":
+        del doc["version"]
+    else:
+        doc["version"] = json.loads(damage.split(" ", 1)[1].replace("'", '"'))
+    path = tmp_path / "other-version.json"
+    # the version read before the steps, and after them
+    head = {key: doc[key] for key in ("format", "version", "n", "r") if key in doc}
+    for text in (json.dumps({**head, **doc}), json.dumps(doc, sort_keys=True, separators=(",", ":"))):
+        path.write_text(text)
+        code, out, err = run(capsys, "replay", "--log", str(path))
+        assert (code, out) == (4, "")
+        assert err == f"error: malformed derivation log: ValueError: {found}, this replayer reads version 2\n"
 
 
 def empty_log(tmp_path, n, r):
     path = tmp_path / f"log-{n}-{r}.json"
-    path.write_text(json.dumps({"format": "igmax-derivation-log", "n": n, "r": r, "steps": []}))
+    path.write_text(json.dumps({"format": "igmax-derivation-log", "version": 2, "n": n, "r": r, "steps": []}))
     return str(path)
 
 
@@ -739,6 +780,31 @@ def test_verify_budget_exhaustion(capsys):
     )
     assert code == 5
     assert "coset order: inconclusive" in out
+
+
+def test_verify_budget_exhaustion_verdict_text(capsys):
+    # the verdict line and the exit code agree: the oracle ran out, so
+    # nothing is confirmed, though the replay passed
+    code, out, _ = run(capsys, "verify", "--n", "5", "--r", "3", "--with-coset-oracle", "--max-cosets", "2")
+    assert code == 5
+    assert out == (
+        "n=5 r=3\n"
+        "pipeline: ok\n"
+        "homomorphism: ok\n"
+        "coset order: inconclusive\n"
+        "verdict: inconclusive\n"
+    )
+
+
+def test_verify_budget_exhaustion_verdict_json(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--n", "5", "--r", "3", "--with-coset-oracle", "--max-cosets", "2", "--format", "json"
+    )
+    assert code == 5
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema("verify-report.schema.json"))
+    assert (doc["verdict"], doc["coset_order"], doc["coset_detail"]["closed"]) == ("inconclusive", None, False)
+    assert doc["pipeline"] is True and doc["homomorphism"] is True and doc["replay_detail"]["ok"] is True
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])

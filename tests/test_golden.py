@@ -66,8 +66,8 @@ COMMANDS = [
 
 # the logs the reduce commands leave, by file name
 LOGS = {
-    "log-5-3.json": "e45b2bd4d11304a5b623f1e9c0b7a210b1f859ca93316bb1f3063d7600737db6",
-    "log-6-3.json": "4ac0e59a20e445add75ca860d16fe73bc3588d48ba0b14fdbb8e4b7f03fa88f6",
+    "log-5-3.json": "b159d3727ab3dd1f59a689c671999715f521072e51f92262ce323d1643827980",
+    "log-6-3.json": "0d5ac6b01b9510beb349df24e826a5e8ffcf3b92f2c4448087ca30e9aaee5ee5",
 }
 
 

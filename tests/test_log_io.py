@@ -11,10 +11,15 @@ layout and however its text is split into reads.
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import igmax
 import igmax.replay as replay_module
 import igmax.squares as squares_module
 from igmax.cli import main
@@ -183,7 +188,7 @@ def in_data(doc):
 
 def as_exponent(doc):
     # an exponent of 1 turned into a dict that an int subclass would equal
-    doc["steps"][first_index(doc, "middle")]["conclusion"]["lhs"][0][2] = dict(DISCHARGE)
+    doc["steps"][first_index(doc, "middle")]["conclusion"]["lhs"][0][1] = dict(DISCHARGE)
 
 
 def as_premise(doc):
@@ -287,7 +292,7 @@ def test_read_log_hands_on_the_steps_after_format_n_and_r(five_three):
     # steps before n are read whole, then the rest
     steps_first = json.dumps({"steps": doc["steps"], **{k: v for k, v in doc.items() if k != "steps"}})
     eager = read_log(io.StringIO(steps_first))
-    assert isinstance(eager["steps"], list) and eager["version"] == 1
+    assert isinstance(eager["steps"], list) and eager["version"] == 2
     assert read_streamed(steps_first) == read_plain(steps_first)
     # json.loads keeps the last value of a key that repeats; read_log refuses it
     text = written(five_three)
@@ -316,26 +321,31 @@ def test_from_json_consumes_the_steps(five_three, streamed):
     assert written(back) == written(five_three)
 
 
-def retexted(five_three, index, new):
-    """The written log with the kernel (``index`` 0) or the image (1) of the
-    first letter of the last bottom conclusion replaced by ``new``, or, when
-    ``new`` is None, by the text of another letter of the log that keeps
-    the pair a generator.  The old text occurs elsewhere in the log too."""
+def retexted(five_three, slot, new):
+    """The written log with the first kernel id (``slot`` 0) or the first
+    image id (1) of the last bottom step's square replaced by ``new``, a
+    kernel or image text as format version 1 wrote it, or, when ``new`` is
+    None, by another id of the log that keeps the square's corners
+    generators.  The old id occurs in other squares of the log too."""
     doc = json.loads(written(five_three))
-    letters = [
-        letter for sd in doc["steps"] if "conclusion" in sd
-        for letter in sd["conclusion"]["lhs"] + sd["conclusion"]["rhs"]
-    ]
-    letter = next(sd for sd in reversed(doc["steps"]) if sd["rule"] == "bottom")["conclusion"]["lhs"][0]
-    old = letter[index]
-    assert sum(other[index] == old for other in letters) > 1
+    index = squares_module._singular_index(five_three.n, five_three.r)
+    squares = [sd["square"] for sd in doc["steps"] if "square" in sd]
+    square = next(sd for sd in reversed(doc["steps"]) if sd["rule"] == "bottom")["square"]
+    at = 2 * slot
+    old = square[at]
+    assert sum(other[at] == old for other in squares) > 1
     if new is None:
-        # the other text of a letter that shares this letter's other half
+        # an id from another square of the log under which all four corners
+        # stay generators
+        def corners_are_generators(sq):
+            p, q, a, b = sq
+            return all(i in index.generator_of[k] for k in (p, q) for i in (a, b))
+
         new = next(
-            other[index] for other in letters
-            if other[1 - index] == letter[1 - index] and other[index] != old
+            other[at] for other in squares
+            if other[at] != old and corners_are_generators(square[:at] + [other[at]] + square[at + 1:])
         )
-    letter[index] = new
+    square[at] = new
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
@@ -346,21 +356,113 @@ def retexted(five_three, index, new):
         (0, "{{1,2},{2,3,4,5}}"),  # 2 in two blocks
         (1, "{1,1,2}"),  # a repeated element
         (1, "{1,2,9}"),  # 9 outside [1, 5]
-        (0, None),  # a kernel of the log, in the wrong letter
-        (1, None),  # an image of the log, in the wrong letter
+        (0, None),  # a kernel of the log, in the wrong square
+        (1, None),  # an image of the log, in the wrong square
     ],
 )
 def test_replay_cli_rejects_a_tampered_kernel_or_image_text(five_three, tmp_path, capsys, index, new):
+    # version 2 cites kernels and images by id: a text where an id belongs
+    # is malformed, and another id of the log fails the replay
     path = tmp_path / "log.json"
     path.write_text(retexted(five_three, index, new))
     assert main(["replay", "--log", str(path)]) == 4
     captured = capsys.readouterr()
     if new is not None:
         assert captured.out == ""
-        assert captured.err.startswith("error: malformed derivation log: ")
+        assert captured.err.startswith("error: malformed derivation log: InvalidParameters: square [")
+        assert "must be four int ids" in captured.err
     else:
         assert captured.err == ""
         assert "replay: FAIL" in captured.out
+
+
+def last_bottom(doc):
+    return next(sd for sd in reversed(doc["steps"]) if sd["rule"] == "bottom")
+
+
+def with_generator_id(g):
+    def tamper(doc, index):
+        last_bottom(doc)["conclusion"]["lhs"][0][0] = g(index)
+        return "err", "is not a generator id: the ids run from 0 to 89"
+
+    return tamper
+
+
+def with_square_entry(at, value, found):
+    def tamper(doc, index):
+        square = last_bottom(doc)["square"]
+        square[at] = value(index, square)
+        return "err", found
+
+    return tamper
+
+
+def not_transversal(index, square):
+    # an image of (5,3) that is not a transversal of the square's first kernel
+    return next(a for a in range(len(index.subsets)) if a not in index.generator_of[square[0]])
+
+
+def degenerate(doc, index):
+    i = next(i for i, sd in enumerate(doc["steps"]) if sd["rule"] == "bottom")
+    square = doc["steps"][i]["square"]
+    square[3] = square[2]
+    return "out", f"step {i}: witness square is degenerate"
+
+
+def with_canonical(value):
+    def tamper(doc, index):
+        i = len(doc["steps"]) - 1
+        data = doc["steps"][i]["data"]
+        assert doc["steps"][i]["rule"] == "coxeter-match" and len(data["canonical"]) == 2
+        data["canonical"] = value(data["canonical"])
+        return "out", f"step {i}: stated canonical pairs are not the expected ones"
+
+    return tamper
+
+
+ID_TAMPERS = {
+    "generator id out of range": with_generator_id(lambda index: len(index.pairs)),
+    "generator id negative": with_generator_id(lambda index: -1),
+    "generator id a bool": with_generator_id(lambda index: True),
+    "generator id a float": with_generator_id(lambda index: 1.0),
+    "kernel id out of range": with_square_entry(
+        0, lambda index, sq: len(index.parts), "needs kernel ids from 0 to 24 and image ids from 0 to 9"
+    ),
+    "image id negative": with_square_entry(
+        3, lambda index, sq: -1, "needs kernel ids from 0 to 24 and image ids from 0 to 9"
+    ),
+    "kernel id a bool": with_square_entry(1, lambda index, sq: True, "must be four int ids"),
+    "image id a float": with_square_entry(2, lambda index, sq: float(sq[2]), "must be four int ids"),
+    "a pair that is not transversal": with_square_entry(2, not_transversal, "is not a transversal of kernel"),
+    "a degenerate square": degenerate,
+    "canonical ids reversed": with_canonical(lambda ids: ids[::-1]),
+    "canonical ids as floats": with_canonical(lambda ids: [float(g) for g in ids]),
+    "canonical ids out of range": with_canonical(lambda ids: [g + 90 for g in ids]),
+    "canonical ids as pairs of texts": with_canonical(
+        lambda ids: [["{{1,3,4},{2},{5}}", "{1,2,5}"], ["{{1},{2,3,4},{5}}", "{1,2,5}"]]
+    ),
+}
+
+
+@pytest.mark.parametrize("tamper", list(ID_TAMPERS))
+def test_replay_cli_rejects_a_tampered_id(five_three, tmp_path, capsys, tamper):
+    # a letter's generator id and a square's kernel and image ids are ints
+    # inside the (5,3) index (90 generators, 25 kernels, 10 images) whose
+    # corners are generators, else the log is malformed; a degenerate square
+    # or other canonical ids fail the replay
+    doc = json.loads(written(five_three))
+    stream, found = ID_TAMPERS[tamper](doc, squares_module._singular_index(5, 3))
+    path = tmp_path / "log.json"
+    path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    assert main(["replay", "--log", str(path)]) == 4
+    captured = capsys.readouterr()
+    if stream == "err":
+        assert captured.out == ""
+        assert captured.err.startswith("error: malformed derivation log: InvalidParameters: ")
+        assert found in captured.err
+    else:
+        assert captured.err == ""
+        assert f"  {found}\n" in captured.out and captured.out.endswith("replay: FAIL\n")
 
 
 @pytest.mark.parametrize("entry", ["5", "[5]", '"discharge"'])
@@ -437,40 +539,81 @@ def test_discharge_steps_cost_under_64_bytes_a_relation():
 # ---------------------------------------------------------------------------
 
 
-def traced_peak(fn):
-    """The peak of memory traced while ``fn()`` runs, in bytes; its result is dropped."""
+# Each guard measures in a new interpreter, so that it reads the same alone
+# as in the suite.  It measures twice there: cold, and then again warm.  A
+# warm run peaks lower because it builds its tuples out of the free lists
+# that the cold run filled, which tracemalloc does not see as allocations:
+# filling those lists by hand before a cold run_pipeline(6, 3) takes its
+# peak from 1.32 to 1.03 MB.  The cold peak counts every allocation.  Each
+# bound is the peak measured plus 10%.
+
+
+def fresh_peaks(script, tmp_path):
+    """The lines ``script`` prints, each split into ints, run by a new
+    interpreter in ``tmp_path``."""
+    src = str(Path(igmax.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return [list(map(int, line.split())) for line in done.stdout.splitlines()]
+
+
+READ = """
+import tracemalloc
+from igmax.replay import DerivationLog, read_log
+from igmax.squares import _singular_index
+
+index = _singular_index(6, 3)
+index.pairs, index.generator_of
+for _ in range(2):
+    log = None
     tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with open("log.json") as fh:
+        log = DerivationLog.from_json(read_log(fh))
+    print(*tracemalloc.get_traced_memory())
+    tracemalloc.stop()
+"""
 
 
 def test_reading_a_log_peaks_under_0_63_mb(tmp_path):
     # read_log and from_json, each step decoded as it is parsed: 0.75 MB
     # for a text of 0.87 MB, against 2.69 MB for json.loads with an
     # object_hook; with each fact concluded once, 0.57 MB for a text of
-    # 0.75 MB, and the bound is that plus 10%
-    text = written(run_pipeline(6, 3)[1])
-    path = tmp_path / "log.json"
-    path.write_text(text)
+    # 0.75 MB.  With ids in the log (version 2) the text is 0.60 MB: cold,
+    # 0.80 MB, of which 0.63 MB is the log it makes, and warm 0.55 MB (0.84
+    # and 0.58 MB for the version 1 text).  The text is never held whole:
+    # beyond the log that is kept, the read holds less than the text.
+    (path := tmp_path / "log.json").write_text(written(run_pipeline(6, 3)[1]))
+    text = len(path.read_text())
+    (cold_kept, cold), (_, warm) = fresh_peaks(READ, tmp_path)
+    assert cold - cold_kept < text
+    assert warm < text
+    assert cold < 0.88 * 2**20
+    assert warm < 0.63 * 2**20
 
-    def read():
-        with open(path) as fh:
-            DerivationLog.from_json(read_log(fh))
 
-    peak = traced_peak(read)
-    assert peak < len(text)  # the text is never held whole
-    assert peak < 0.63 * 2**20
+PIPELINE = """
+import tracemalloc
+import igmax.squares as squares_module
+from igmax.pipeline import run_pipeline
+
+for _ in range(2):
+    squares_module._singular_index.cache_clear()
+    tracemalloc.start()
+    run_pipeline(6, 3)
+    print(tracemalloc.get_traced_memory()[1])
+    tracemalloc.stop()
+"""
 
 
-def test_run_pipeline_peaks_under_1_11_mb():
+def test_run_pipeline_peaks_under_1_11_mb(tmp_path):
     # the index built cold, every kernel, image, generator and square made
     # once: 2.81 MB, against 4.46 MB when each use built its own; labels
     # kept on the index and steps of ids: 2.45 MB; measured again with
-    # each fact concluded once, 1.01 MB (1.08 MB with the repeats), and
-    # the bound is that plus 10%
-    squares_module._singular_index.cache_clear()
-    peak = traced_peak(lambda: run_pipeline(6, 3))
-    assert peak < 1.11 * 2**20
+    # each fact concluded once, 1.01 MB (1.08 MB with the repeats).  In a
+    # new interpreter: 1.32 MB cold, 1.02 MB warm
+    (cold,), (warm,) = fresh_peaks(PIPELINE, tmp_path)
+    assert cold < 1.46 * 2**20
+    assert warm < 1.11 * 2**20

@@ -71,6 +71,11 @@ def letters(doc):
     ]
 
 
+def squares(doc):
+    """(step, position) of every kernel and image id of every witness square."""
+    return [(i, k) for i, sd in enumerate(doc["steps"]) if "square" in sd for k in range(4)]
+
+
 def link(conclusion):
     """A fact as the transitive rule reads it: the set of its two sides."""
     return frozenset(json.dumps(side) for side in (conclusion["lhs"], conclusion["rhs"]))
@@ -118,15 +123,12 @@ def test_an_edited_conclusion_letter_fails(genuine, log_path, data):
     letter = doc["steps"][i]["conclusion"][side][k]
     edit = data.draw(st.sampled_from(["generator", "sign", "type"]))
     if edit == "generator":
-        index = _singular_index(5, 3)
-        named = f"f[{letter[0]}|{letter[1]}]"
-        g = data.draw(st.integers(0, len(index.pairs) - 1).filter(lambda g: index.name(g) != named))
-        kernel, image = index.pairs[g]
-        letter[:2] = [str(index.parts[kernel]), str(index.subsets[image])]
+        generators = len(_singular_index(5, 3).pairs)
+        letter[0] = data.draw(st.integers(0, generators - 1).filter(lambda g: g != letter[0]))
     elif edit == "sign":
-        letter[2] = -letter[2]
+        letter[1] = -letter[1]
     else:
-        letter[2] = data.draw(st.sampled_from([True, float(letter[2]), str(letter[2]), [letter[2]]]))
+        letter[1] = data.draw(st.sampled_from([True, float(letter[1]), str(letter[1]), [letter[1]]]))
     rejects(json.dumps(doc), log_path)
 
 
@@ -135,13 +137,15 @@ def test_an_edited_conclusion_letter_fails(genuine, log_path, data):
 def test_a_swapped_witness_square_fails(genuine, log_path, data):
     doc = json.loads(genuine)
     i = data.draw(st.sampled_from([i for i, sd in enumerate(doc["steps"]) if "square" in sd]))
+    index = _singular_index(5, 3)
     if data.draw(st.booleans()):
-        squares = [sq for sq in enumerate_squares(5, 3) if not sq.is_degenerate() and not is_singular_sq3(sq)]
-        sq = data.draw(st.sampled_from(squares))
-        doc["steps"][i]["square"] = [str(x) for x in sq.kernels + sq.images]
+        bogus = [sq for sq in enumerate_squares(5, 3) if not sq.is_degenerate() and not is_singular_sq3(sq)]
+        sq = data.draw(st.sampled_from(bogus))
+        doc["steps"][i]["square"] = list(index.square(*sq.kernels, *sq.images))
     else:  # another image, most often not a transversal of the kernels
         square = doc["steps"][i]["square"]
-        square[data.draw(st.integers(2, 3))] = data.draw(st.sampled_from(["{1,2,3}", "{2,3,4}"]))
+        image = data.draw(st.sampled_from([(1, 2, 3), (2, 3, 4)]))
+        square[data.draw(st.integers(2, 3))] = index.image_ids[image]
         if square == json.loads(genuine)["steps"][i]["square"]:
             square[3] = square[2]  # unchanged: make it degenerate instead
     rejects(json.dumps(doc), log_path)
@@ -150,17 +154,42 @@ def test_a_swapped_witness_square_fails(genuine, log_path, data):
 @SETTINGS
 @given(data=st.data())
 def test_a_changed_kernel_or_image_text_fails(genuine, log_path, data):
-    # the text of another kernel or image, or a cut one
+    # a letter or a square entry written as format version 1 wrote it: the
+    # text of a kernel or an image, whole or cut
     doc = json.loads(genuine)
-    i, side, k = data.draw(st.sampled_from(letters(doc)))
-    letter = doc["steps"][i]["conclusion"][side][k]
-    which = data.draw(st.integers(0, 1))
     index = _singular_index(5, 3)
-    others = [str(x) for x in (index.parts if which == 0 else index.subsets) if str(x) != letter[which]]
     if data.draw(st.booleans()):
-        letter[which] = data.draw(st.sampled_from(others))
+        i, side, k = data.draw(st.sampled_from(letters(doc)))
+        entry, at = doc["steps"][i]["conclusion"][side][k], 0
+        kernel, image = index.pairs[entry[0]]
+        text = str(index.parts[kernel]) if data.draw(st.booleans()) else str(index.subsets[image])
     else:
-        letter[which] = letter[which][: data.draw(st.integers(0, len(letter[which]) - 1))]
+        i, at = data.draw(st.sampled_from(squares(doc)))
+        entry = doc["steps"][i]["square"]
+        text = str(index.parts[entry[at]] if at < 2 else index.subsets[entry[at]])
+    if data.draw(st.booleans()):
+        text = text[: data.draw(st.integers(0, len(text) - 1))]
+    entry[at] = text
+    rejects(json.dumps(doc), log_path)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_a_changed_kernel_or_image_id_fails(genuine, log_path, data):
+    # another kernel or image id of (5,3), one outside it, or an id that is
+    # not an int
+    doc = json.loads(genuine)
+    index = _singular_index(5, 3)
+    i, at = data.draw(st.sampled_from(squares(doc)))
+    square = doc["steps"][i]["square"]
+    count = len(index.parts if at < 2 else index.subsets)
+    old = square[at]
+    square[at] = data.draw(
+        st.one_of(
+            st.integers(0, count - 1).filter(lambda x: x != old),
+            st.sampled_from([-1, count, True, False, float(old), str(old), [old], None]),
+        )
+    )
     rejects(json.dumps(doc), log_path)
 
 

@@ -408,7 +408,7 @@ def test_replay_catches_tampered_conclusion(log_four_two):
     # flip the sign on the first bottom step's conclusion
     for sd in doc["steps"]:
         if sd["rule"] == "bottom":
-            sd["conclusion"]["lhs"][0][2] *= -1
+            sd["conclusion"]["lhs"][0][1] *= -1
             break
     report = replay_log(DerivationLog.from_json(doc))
     assert not report.ok
@@ -437,9 +437,7 @@ def test_replay_catches_swapped_square(log_four_two):
     doc = copy.deepcopy(log_four_two.to_json())
     for sd in doc["steps"]:
         if sd["rule"] == "bottom":
-            p, q = bogus.kernels
-            a, b = bogus.images
-            sd["square"] = [str(p), str(q), str(a), str(b)]
+            sd["square"] = list(_singular_index(4, 2).square(*bogus.kernels, *bogus.images))
             break
     report = replay_log(DerivationLog.from_json(doc))
     assert not report.ok
@@ -530,7 +528,7 @@ def test_replay_reports_every_step_citing_a_bad_square():
     steps = [first, first + 1]  # one square, cited by two bottom steps
     bogus = next(sq for sq in enumerate_squares(6, 3) if not sq.is_degenerate() and not is_singular_sq3(sq))
     for i in steps:
-        doc["steps"][i]["square"] = [str(x) for x in bogus.kernels + bogus.images]
+        doc["steps"][i]["square"] = list(_singular_index(6, 3).square(*bogus.kernels, *bogus.images))
     report = replay_log(DerivationLog.from_json(json.loads(json.dumps(doc))))
     for i in steps:
         assert (i, "witness square is not singular") in report.failures
@@ -555,13 +553,13 @@ def test_the_producer_concludes_each_fact_once(n, r):
 
 def test_the_log_format_admits_repeated_facts():
     # a log may conclude a fact twice: the producer does not, the replayer
-    # takes it, and the format (version 1) is the same either way
+    # takes it, and the format (version 2) is the same either way
     _, log = run_pipeline(5, 3)
     doc = log.to_json()
     rules = [sd["rule"] for sd in doc["steps"]]
     copied = {rules.index("bottom"), rules.index("flush-row")}
     doc = _with_copies(doc, copied)
-    assert doc["version"] == 1 and len(doc["steps"]) == len(log) + 2
+    assert doc["version"] == 2 and len(doc["steps"]) == len(log) + 2
     report = replay_log(DerivationLog.from_json(json.loads(json.dumps(doc))))
     assert report.ok and report.discharged == report.relations
     assert report.steps_checked == len(log) + 2

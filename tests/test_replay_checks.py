@@ -57,8 +57,12 @@ def first(doc, rule, premises=None):
     return steps_of(doc, rule, premises)[0]
 
 
-def gen_text(letter):
-    return f"f[{letter[0]}|{letter[1]}]"
+INDEX = _singular_index(5, 3)
+
+
+def square_ids(sq):
+    """A square's ids in the (5,3) index, as a log cites it."""
+    return list(INDEX.square(*sq.kernels, *sq.images))
 
 
 # -- rows: tamper(doc, monkeypatch) -> (step index, message) --
@@ -87,7 +91,7 @@ def discharge_unresolved(doc, mp):
     # the first middle step is the only fact resolving its generator
     i = first(doc, "middle")
     doc["steps"][i]["rule"] = "top"
-    g = GeneratorId.of(*parse_letter(doc["steps"][i]["conclusion"]["lhs"][0]))
+    g = build_presentation(5, 3).generators[doc["steps"][i]["conclusion"]["lhs"][0][0]]
     pz = build_presentation(5, 3).relations.index(Relation(((g, 1),), (), "middle"))
     j = next(j for j, sd in enumerate(doc["steps"]) if sd["rule"] == "discharge" and sd["pz"] == pz)
     return j, f"no resolution for {g}"
@@ -123,23 +127,24 @@ def unknown_rule(doc, mp):
 
 def middle_shape(doc, mp):
     i = first(doc, "middle")
-    doc["steps"][i]["conclusion"]["lhs"][0][2] = -1
+    doc["steps"][i]["conclusion"]["lhs"][0][1] = -1
     return i, "middle step must conclude f[P, minima(P)] = 1"
 
 
 def top_shape(doc, mp):
     i = first(doc, "top")
-    doc["steps"][i]["conclusion"]["rhs"][0][2] = -1
+    doc["steps"][i]["conclusion"]["rhs"][0][1] = -1
     return i, "top step must conclude an equality of two generators"
 
 
 def top_kernels(doc, mp):
     i = first(doc, "top")
     concl = doc["steps"][i]["conclusion"]
+    kernel = INDEX.pairs[concl["lhs"][0][0]][0]
     other = next(
         doc["steps"][j]["conclusion"]
         for j in steps_of(doc, "top")
-        if doc["steps"][j]["conclusion"]["rhs"][0][0] != concl["lhs"][0][0]
+        if INDEX.pairs[doc["steps"][j]["conclusion"]["rhs"][0][0]][0] != kernel
     )
     concl["rhs"] = copy.deepcopy(other["rhs"])
     return i, "top step generators must share a kernel"
@@ -168,13 +173,13 @@ def bottom_degenerate(doc, mp):
 def bottom_not_singular(doc, mp):
     bogus = next(sq for sq in enumerate_squares(5, 3) if not sq.is_degenerate() and not is_singular_sq3(sq))
     i = first(doc, "bottom")
-    doc["steps"][i]["square"] = [str(x) for x in bogus.kernels + bogus.images]
+    doc["steps"][i]["square"] = square_ids(bogus)
     return i, "witness square is not singular"
 
 
 def bottom_conclusion(doc, mp):
     i = first(doc, "bottom")
-    doc["steps"][i]["conclusion"]["lhs"][0][2] *= -1
+    doc["steps"][i]["conclusion"]["lhs"][0][1] *= -1
     return i, "bottom conclusion is not the square relation"
 
 
@@ -207,7 +212,7 @@ def corner_cover(doc, mp):
 
 def corner_conclusion(doc, mp):
     i = first(doc, "corner")
-    doc["steps"][i]["conclusion"]["lhs"][0][2] = -1
+    doc["steps"][i]["conclusion"]["lhs"][0][1] = -1
     return i, "corner conclusion must zero the target corner"
 
 
@@ -220,7 +225,7 @@ def three_quarter_premise(doc, mp):
 
 def three_quarter_conclusion(doc, mp):
     i = first(doc, "three-quarter")
-    doc["steps"][i]["conclusion"]["rhs"][0][2] = -1
+    doc["steps"][i]["conclusion"]["rhs"][0][1] = -1
     return i, "three-quarter conclusion has the wrong solved form"
 
 
@@ -246,7 +251,7 @@ def transitive_one_unconnected(doc, mp):
 
 def transitive_conclusion_shape(doc, mp):
     i = first(doc, "transitive")
-    doc["steps"][i]["conclusion"]["lhs"][0][2] = -1
+    doc["steps"][i]["conclusion"]["lhs"][0][1] = -1
     return i, "transitive conclusion must be an identity or equality fact"
 
 
@@ -274,7 +279,7 @@ def rewrite_eliminate(doc, mp):
 def rewrite_conclusion(doc, mp):
     i = first(doc, "rewrite")
     concl = doc["steps"][i]["conclusion"]
-    (concl["lhs"] or concl["rhs"])[0][2] *= -1
+    (concl["lhs"] or concl["rhs"])[0][1] *= -1
     return i, "rewrite conclusion does not follow from the substitutions"
 
 
@@ -337,13 +342,13 @@ def resolution_word(doc, mp):
         return real(perms)
 
     mp.setattr(replay_module, "letter_images", swapped)
-    canon = {GeneratorId.of(*canonical_cycle_pair(k, 1, 5, 3)) for k in (1, 2)}
+    canon = {INDEX.generator(*canonical_cycle_pair(k, 1, 5, 3)) for k in (1, 2)}
     for i, sd in enumerate(doc["steps"]):
         concl = sd.get("conclusion")
-        if concl and len(concl["lhs"]) == 1 and concl["lhs"][0][2] == 1 and concl["rhs"]:
-            g = GeneratorId.of(*parse_letter(concl["lhs"][0]))
-            if g not in canon and all(GeneratorId.of(*parse_letter(x)) in canon for x in concl["rhs"]):
-                return i, f"the word for {g} does not evaluate to its label"
+        if concl and len(concl["lhs"]) == 1 and concl["lhs"][0][1] == 1 and concl["rhs"]:
+            g = concl["lhs"][0][0]
+            if g not in canon and all(x[0] in canon for x in concl["rhs"]):
+                return i, f"the word for {INDEX.name(g)} does not evaluate to its label"
     raise AssertionError("the log holds no word over the canonical generators")
 
 
@@ -376,12 +381,8 @@ def flush_arity(doc, mp):
 
 def exponent_true(doc, mp):
     i = first(doc, "top")
-    doc["steps"][i]["conclusion"]["lhs"][0][2] = True
+    doc["steps"][i]["conclusion"]["lhs"][0][1] = True
     return i, "conclusion exponents must be ints"
-
-
-def parse_letter(letter):
-    return Partition.parse(letter[0], 5), Subset.parse(letter[1], 5)
 
 
 # message template, as written in replay.py -> row
@@ -478,7 +479,7 @@ def test_every_replay_failure_message_has_a_row():
 
 def exponent_float(doc, mp):
     i = first(doc, "top")
-    doc["steps"][i]["conclusion"]["lhs"][0][2] = 1.0
+    doc["steps"][i]["conclusion"]["lhs"][0][1] = 1.0
     return i, "conclusion exponents must be ints"
 
 

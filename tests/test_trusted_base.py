@@ -4,7 +4,8 @@
 It imports nothing from the producer (``igmax.pipeline``) or from the
 verdict assembly, ``replay`` does not load the producer at all, and neither
 ``replay`` nor ``verify`` without the coset oracle builds a presentation or
-makes a generator or square object.
+makes a generator or square object.  A log cites generators, kernels and
+images by id, so reading one parses no kernel or image text.
 """
 
 import ast
@@ -19,6 +20,7 @@ import igmax.presentation as presentation
 import igmax.replay as replay
 import igmax.verification as verification
 from igmax.cli import main
+from igmax.combinatorics import Partition, Subset
 from igmax.presentation import GeneratorId
 from igmax.squares import Square
 
@@ -114,3 +116,30 @@ def test_replay_and_verify_build_no_presentation(monkeypatch, tmp_path, capsys):
     assert main(["present", "--n", "5", "--r", "3"]) == 0
     capsys.readouterr()
     assert made.count("build_presentation") == 1 and "GeneratorId" in made
+
+
+def test_reading_and_replaying_a_log_parses_no_text(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "log.json"
+    assert main(["reduce", "--n", "5", "--r", "3", "--log", str(path)]) == 0
+    parsed = []
+
+    def counted(cls, real):
+        def parse(*args, **kwargs):
+            parsed.append(cls.__name__)
+            return real(*args, **kwargs)
+
+        return parse
+
+    for cls in (Partition, Subset):
+        monkeypatch.setattr(cls, "parse", counted(cls, cls.parse))
+    assert main(["replay", "--log", str(path)]) == 0
+    # a tampered log too: a square of another kernel, which the replay refuses
+    text = path.read_text()
+    head, tail = text.split('"square":[', 1)
+    first, rest = tail.split(",", 1)
+    path.write_text(head + '"square":[' + str((int(first) + 1) % 25) + "," + rest)
+    assert main(["replay", "--log", str(path)]) == 4
+    capsys.readouterr()
+    assert parsed == []
+    # the stand-ins count
+    assert Partition.parse("{{1},{2,3}}") and Subset.parse("{1,2}", 3) and parsed == ["Partition", "Subset"]

@@ -393,11 +393,13 @@ def test_verify_four_two_with_coset_oracle():
 
 
 def test_verify_exhausted_budget_stays_one_sided():
-    # an inconclusive enumeration must not contradict the derivation
+    # an inconclusive enumeration must not contradict the derivation, and
+    # the verdict must not claim more than the two routes found
     report, _ = verify_theorem(5, 3, budget=5)
     assert report.coset_order is None
     assert not report.coset_result.closed
-    assert report.verdict == "confirmed S_3"
+    assert report.pipeline and report.homomorphism
+    assert report.verdict == "inconclusive"
 
 
 def test_verify_boundary_case():
