@@ -171,7 +171,7 @@ def cmd_squares(args, out) -> int:
 def cmd_present(args, out) -> int:
     # imported here, as in cmd_reduce and cmd_verify: only these commands compile
     # the presentation layer (and the Schreier words it imports)
-    from .presentation import build_presentation, word_str
+    from .presentation import build_presentation, relator
 
     cfg = RunConfig.from_args(args)
     cfg.validate()
@@ -185,12 +185,15 @@ def cmd_present(args, out) -> int:
     if cfg.format == "json":
         _emit_json(pres.to_json(), out)
         return EXIT_OK
-    out.write(f"generators: {len(pres.generators)}\n")
-    for g in pres.generators:
-        out.write(g.display() + "\n")
-    out.write(f"relations: {len(pres.relations)}\n")
-    for rel in pres.relations:
-        out.write(f"{word_str(rel.relator())} = 1  ## {rel.tag}\n")
+    names = [g.display() for g in pres.generators]
+    out.write(f"generators: {len(names)}\n")
+    for name in names:
+        out.write(name + "\n")
+    out.write(f"relations: {pres.relation_count}\n")
+    for i in range(pres.relation_count):
+        word = relator(*pres.letters(i))
+        text = " * ".join(names[x >> 1] + ("^-1" if x & 1 else "") for x in word) or "1"
+        out.write(f"{text} = 1  ## {pres.tag(i)}\n")
     return EXIT_OK
 
 
@@ -213,7 +216,7 @@ def cmd_reduce(args, out) -> int:
         "relations": log.meta["relations"],
         "survivors": log.meta["survivors"],
         "final_generators": len(final.generators),
-        "final_relations": len(final.relations),
+        "final_relations": final.relation_count,
         "log_written": args.log,
     }
     if cfg.format == "json":

@@ -160,9 +160,6 @@ class Permutation:
         return list(self.images)
 
 
-Letter = tuple[Hashable, int]
-
-
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """Left-to-right product of two one-line image tuples: ``x -> q(p(x))``."""
     return tuple([q[y - 1] for y in p])
@@ -174,15 +171,6 @@ def invert(p: tuple[int, ...]) -> tuple[int, ...]:
     for x, y in enumerate(p, start=1):
         inv[y - 1] = x
     return tuple(inv)
-
-
-def letter_images(perms: Mapping[Hashable, Permutation]) -> dict[Letter, tuple[int, ...]]:
-    """Image tuples of both letters ``(g, 1)`` and ``(g, -1)`` of each generator."""
-    out: dict[Letter, tuple[int, ...]] = {}
-    for g, p in perms.items():
-        out[(g, 1)] = p.images
-        out[(g, -1)] = invert(p.images)
-    return out
 
 
 class ProductTable:

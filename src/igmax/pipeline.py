@@ -25,26 +25,18 @@ from typing import Iterable, Optional
 
 from .combinatorics import Partition, Subset
 from .errors import InvalidParameters, VerificationFailed
-from .perms import Permutation, classify_descent_one, descent_number, letter_images, rightmost_descent
-from .presentation import (
-    GroupPresentation,
-    GroupWord,
-    Relation,
-    concat,
-    coxeter_presentation,
-    free_reduce,
-    substitute,
-)
+from .perms import Permutation, classify_descent_one, descent_number, rightmost_descent
+from .presentation import GroupPresentation, Word, coxeter_presentation, free_reduce, substitute
 from .replay import (
     DerivationLog,
     DerivationStep,
+    Equation,
     Pair,
     SquareIds,
     _bottom_relation,
     _corners,
     _coxeter_mismatch,
     _eq_relation,
-    _Letters,
     _one_relation,
     _three_quarter_relation,
     canonical_cycle_pair,
@@ -305,9 +297,9 @@ class Derivation:
     ``squares._singular_index(n, r)``, looked up by blocks and by elements,
     and everything it records is held as the index's ids: a generator is
     its pair's id (the presentation's generator of that number), a
-    conclusion's letters are (generator id, exponent) pairs, one tuple per
-    distinct pair (:class:`_Letters`), and a witness square is the ids of
-    its two kernels and two images, checked singular on ids
+    conclusion is an :class:`~igmax.replay.Equation` of int letters, each
+    taken from the index's one list ``letters``, and a witness square is
+    the ids of its two kernels and two images, checked singular on ids
     (:func:`~igmax.squares.is_singular_ids`) once, when it is first made.
     Each fact is concluded once: one ``bottom`` step per witness square,
     and one step per other conclusion.  The memos are keyed by generator
@@ -326,14 +318,14 @@ class Derivation:
         # _gen(P, A): the generator id of the pair (P, A)
         self._gen = self.index.generator
         self.labels = self.index.labels
-        self.letters = _Letters()
+        self.letters = self.index.letters
         self._one_memo: dict[int, int] = {}
         self._eq_memo: dict[int, int] = {}
-        self._res_memo: dict[int, tuple[Optional[int], GroupWord]] = {}
+        self._res_memo: dict[int, tuple[Optional[int], Word]] = {}
         self._rep_memo: dict[tuple[int, int], Pair] = {}
         # each fact once: the step of each conclusion but a square's bottom
         # relation (see _square), and of each row and column equation g = h
-        self._facts: dict[Optional[Relation], int] = {}
+        self._facts: dict[Optional[Equation], int] = {}
         self._pair_memo: dict[tuple[int, int], int] = {}
         self._squares: dict[SquareIds, tuple[SquareIds, int]] = {}
         self._final_steps: list[int] = []
@@ -359,7 +351,7 @@ class Derivation:
     def _add(
         self,
         rule: str,
-        conclusion: Optional[Relation],
+        conclusion: Optional[Equation],
         premises: Iterable[int] = (),
         square: Optional[SquareIds] = None,
         data: Optional[dict] = None,
@@ -387,10 +379,10 @@ class Derivation:
         lhs, rhs = base.lhs, base.rhs
         for i in subs:
             fact = self.log.steps[i].conclusion
-            (g, _), = fact.lhs
-            lhs = substitute(lhs, g, fact.rhs, self.letters)
-            rhs = substitute(rhs, g, fact.rhs, self.letters)
-        conclusion = Relation(free_reduce(lhs), free_reduce(rhs), "derived")
+            (x,) = fact.lhs
+            lhs = substitute(lhs, x >> 1, fact.rhs, self.letters)
+            rhs = substitute(rhs, x >> 1, fact.rhs, self.letters)
+        conclusion = Equation(free_reduce(lhs), free_reduce(rhs))
         return self._add("rewrite", conclusion, (base_idx, *subs))
 
     # -- identity-label facts ------------------------------------------------
@@ -653,7 +645,7 @@ class Derivation:
 
     # -- resolution to canonical classes -------------------------------------
 
-    def resolve(self, P: Partition, A: Subset) -> tuple[Optional[int], GroupWord]:
+    def resolve(self, P: Partition, A: Subset) -> tuple[Optional[int], Word]:
         """Express f[P,A] as a word over the r-1 canonical class generators.
 
         Returns (step index, word); the index is None exactly for the
@@ -675,11 +667,11 @@ class Derivation:
         self._res_memo[g] = out
         return out
 
-    def _resolve_cycle(self, P: Partition, A: Subset, k: int, l: int) -> tuple[Optional[int], GroupWord]:
+    def _resolve_cycle(self, P: Partition, A: Subset, k: int, l: int) -> tuple[Optional[int], Word]:
         rep = self.rep_pair(k, l)
         if (P, A) == rep:
             if l == 1:
-                return None, (self.letters[self._gen(*rep), 1],)
+                return None, (self.letters[2 * self._gen(*rep)],)
             p, q, a, b = cycle_split(k, l, self.n, self.r)
             sq, s_b = self._square(p, q, a, b)
             s_one = self.one(p, a)
@@ -688,8 +680,7 @@ class Derivation:
             i1, w1 = self.resolve(q, a)
             i2, w2 = self.resolve(p, b)
             idx = self._rewrite(s_tq, (s_eq, i1, i2))
-            word = free_reduce(concat(w1, w2))
-            return idx, word
+            return idx, free_reduce(w1 + w2)
         s_eq = self.cycle_eq(P, A)
         ri, rw = self.resolve(*rep)
         if ri is None:
@@ -697,7 +688,7 @@ class Derivation:
         idx = self._rewrite(s_eq, (ri,))
         return idx, rw
 
-    def _resolve_descent(self, P: Partition, A: Subset, lam: Permutation) -> tuple[int, GroupWord]:
+    def _resolve_descent(self, P: Partition, A: Subset, lam: Permutation) -> tuple[int, Word]:
         Q, B = descent_reduction(P, A, lam)
         sq, s_b = self._square(P, Q, A, B)
         s_one = self.one(Q, B)
@@ -705,8 +696,7 @@ class Derivation:
         i1, w1 = self.resolve(P, B)
         i2, w2 = self.resolve(Q, A)
         idx = self._rewrite(s_tq, (i1, i2))
-        word = free_reduce(concat(w1, w2))
-        return idx, word
+        return idx, free_reduce(w1 + w2)
 
     # -- the three Coxeter relation families ----------------------------------
 
@@ -731,7 +721,7 @@ class Derivation:
         s_tq2 = self._three_quarter(sq2, "QB", s_b2, s_one_rc)
         s_comb = self._add(
             "combine",
-            Relation(self.log.steps[s_tq1].conclusion.rhs, self.log.steps[s_tq2].conclusion.rhs, "derived"),
+            Equation(self.log.steps[s_tq1].conclusion.rhs, self.log.steps[s_tq2].conclusion.rhs),
             (s_tq1, s_tq2),
         )
         i_qa, _ = self.resolve(q, a)
@@ -752,7 +742,7 @@ class Derivation:
         i_wb, _ = self.resolve(w, b)
         s_rw = self._rewrite(s_tq, (i_qz, i_wb))
         alt = self.log.steps[s_rw].conclusion
-        idx = self._add("combine", Relation(w_qb, alt.rhs, "derived"), (i_qb, s_rw))
+        idx = self._add("combine", Equation(w_qb, alt.rhs), (i_qb, s_rw))
         self._final_steps.append(idx)
         return idx
 
@@ -773,9 +763,9 @@ class Derivation:
                 f"survivors {sorted(map(name, survivors))} != canonical generators {sorted(map(name, canon))}"
             )
         for g, (_, word) in self._res_memo.items():
-            for h, _e in word:
-                if h not in canon:
-                    raise VerificationFailed(f"resolution of {name(g)} mentions non-canonical {name(h)}")
+            for x in word:
+                if x >> 1 not in canon:
+                    raise VerificationFailed(f"resolution of {name(g)} mentions non-canonical {name(x >> 1)}")
 
     def discharge_all(self) -> None:
         """Check that the resolution map ρ sends every generator g to a word
@@ -786,13 +776,11 @@ class Derivation:
         discharge step.  The steps need only the relation count, so no
         relation is read here, and are one run, held as one range."""
         table, label_ids, name = self.index.product_table, self.index.letter_label_ids, self.index.name
-        images = letter_images({g: self.labels[g] for g in self.canonical_generators()})
-        canonical = {x: table.intern(image) for x, image in images.items()}
         for g in range(len(self.index.pairs)):
             res = self._res_memo.get(g)
             if res is None:
                 raise VerificationFailed(f"no resolution for {name(g)}")
-            if table.evaluate(res[1], canonical) != label_ids[2 * g]:
+            if table.evaluate(res[1], label_ids) != label_ids[2 * g]:
                 raise VerificationFailed(f"resolution of {name(g)} does not evaluate to its label")
         self.log.steps.add_run(range(sum(self.index.family_sizes())))
 

@@ -1,17 +1,16 @@
 """Group presentations: the big generating presentation, the Coxeter target,
-and the word operations the reduction rewrites with (free reduction,
-substitution).
+and the int letter word operations that the producer, the checker and the
+coset oracle share (inverse, free reduction, substitution, relators and
+their keys).
 
 Generators of the big presentation are the transversal pairs themselves;
-abstract symbols appear only in the Coxeter target and after final
-renaming.  Relations are equations (pairs of words), not relators, and
-carry a provenance tag:
+abstract symbols appear only in the Coxeter target.  Relations are
+equations (pairs of words), not relators, and carry a provenance tag:
 
 ``top``     pairs of generators sharing a kernel whose canonical words
             differ by exactly the appended letter;
 ``middle``  the block-minima generator of each kernel is trivial;
 ``bottom``  one relation per ordered proper singular square;
-``derived`` produced by the reduction pipeline;
 ``coxeter`` the target relations.
 
 Words multiply left to right, like everything else in the package.
@@ -21,9 +20,9 @@ generator i is the letter ``2*i`` and its inverse ``2*i + 1``, the encoding
 the coset enumerator works in.  :func:`relation_families` writes the
 (n, r) relations that way off the SQ3 index, with no generator object;
 :class:`Relation` objects, with :class:`GeneratorId` letters, are made only
-when a :class:`GroupPresentation`'s ``relations`` is read (by ``igmax
-present``, the boundary checks and the tests).  The bottom family is lazy:
-it is counted off the SQ3 buckets and read off the index's rows only when a
+when a :class:`GroupPresentation`'s ``relations`` is read (by the boundary
+verdict's failure text and the tests).  The bottom family is lazy: it is
+counted off the SQ3 buckets and read off the index's rows only when a
 bottom relation is first asked for.  Whether it holds on labels is read off
 the buckets, one product per member
 (:meth:`RelationFamilies.label_equations`), so ``replay`` and ``verify``'s
@@ -39,7 +38,7 @@ import warnings
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .combinatorics import Partition, Subset, require_transversal
 from .errors import InvalidParameters, VerificationFailed
@@ -112,57 +111,6 @@ Gen = Union[GeneratorId, AbstractGenerator]
 GroupWord = tuple[tuple[Gen, int], ...]
 
 
-def free_reduce(word: GroupWord) -> GroupWord:
-    """Cancel adjacent inverse pairs until none remain.
-
-    >>> g, h = AbstractGenerator("g"), AbstractGenerator("h")
-    >>> free_reduce(((g, 1), (g, -1), (h, 1)))
-    ((AbstractGenerator(name='h'), 1),)
-    """
-    out: list[tuple[Gen, int]] = []
-    for letter in word:
-        gen, exp = letter
-        if exp not in (1, -1):
-            raise InvalidParameters(f"exponent must be +-1, got {exp}")
-        if out and out[-1][0] == gen and out[-1][1] == -exp:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
-
-
-def inverse_word(word: GroupWord) -> GroupWord:
-    return tuple((gen, -exp) for gen, exp in reversed(word))
-
-
-def concat(*words: GroupWord) -> GroupWord:
-    joined: list[tuple[Gen, int]] = []
-    for w in words:
-        joined.extend(w)
-    return free_reduce(tuple(joined))
-
-
-def substitute(word: GroupWord, gen: Gen, replacement: GroupWord, letters=None) -> GroupWord:
-    """Replace every occurrence of ``gen`` (either sign) and freely reduce.
-
-    The result reuses the letters of ``word`` and ``replacement``.  The
-    inverse's letters are new tuples, or ``letters[g, e]`` when a mapping
-    ``letters`` is given, so that a caller keeping one tuple per letter
-    gets its own.
-    """
-    if letters is None:
-        rep_inv = inverse_word(replacement)
-    else:
-        rep_inv = tuple(letters[g, -e] for g, e in reversed(replacement))
-    out: list[tuple[Gen, int]] = []
-    for letter in word:
-        if letter[0] == gen:
-            out.extend(replacement if letter[1] == 1 else rep_inv)
-        else:
-            out.append(letter)
-    return free_reduce(tuple(out))
-
-
 def word_str(word: GroupWord) -> str:
     if not word:
         return "1"
@@ -175,30 +123,81 @@ class Relation:
     rhs: GroupWord
     tag: str
 
-    def relator(self) -> GroupWord:
-        return concat(self.lhs, inverse_word(self.rhs))
-
     def __str__(self) -> str:
         return f"{word_str(self.lhs)} = {word_str(self.rhs)}"
 
 
-def canonical_relator_key(rel: Relation):
-    """Key identifying a relation up to rotation, inversion and side-swap."""
-    rho = rel.relator()
-    if not rho:
-        return ()
-    variants = []
-    for base in (rho, inverse_word(rho)):
-        for i in range(len(base)):
-            rotated = base[i:] + base[:i]
-            variants.append(tuple((_gen_key(g), e) for g, e in rotated))
-    return min(variants)
+# ---------------------------------------------------------------------------
+# int letter words
+# ---------------------------------------------------------------------------
+#
+# Generator g is the letter 2*g and its inverse 2*g + 1, so ``x ^ 1`` inverts
+# a letter and ``x >> 1`` names its generator.  A caller that keeps one int
+# object per letter, such as the index's ``letters``, passes that list as
+# ``letters``, and the letters made here are taken from it.
+
+Word = tuple[int, ...]
 
 
-def _gen_key(gen: Gen):
-    if isinstance(gen, AbstractGenerator):
-        return (0, gen.name)
-    return (1, gen.subset.elements, gen.partition.blocks)
+def inverse(word: Word, letters: Optional[list[int]] = None) -> Word:
+    """The inverse of ``word``.
+
+    >>> inverse((0, 3))
+    (2, 1)
+    """
+    if letters is None:
+        return tuple([x ^ 1 for x in reversed(word)])
+    return tuple([letters[x ^ 1] for x in reversed(word)])
+
+
+def free_reduce(word: Iterable[int]) -> Word:
+    """Cancel adjacent inverse letters until none remain.
+
+    >>> free_reduce((0, 1, 2))
+    (2,)
+    """
+    out: list[int] = []
+    for x in word:
+        if out and out[-1] == x ^ 1:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def substitute(word: Word, g: int, replacement: Word, letters: Optional[list[int]] = None) -> Word:
+    """Replace each letter of generator ``g`` by ``replacement``, or by its
+    inverse for the letter of g^-1, and freely reduce."""
+    rep_inv = inverse(replacement, letters)
+    out: list[int] = []
+    for x in word:
+        if x >> 1 == g:
+            out.extend(rep_inv if x & 1 else replacement)
+        else:
+            out.append(x)
+    return free_reduce(out)
+
+
+def relator(lhs: Word, rhs: Word) -> Word:
+    """The relator lhs * rhs^-1 of the relation lhs = rhs, freely reduced."""
+    return free_reduce(lhs + inverse(rhs))
+
+
+def relator_key(lhs: Word, rhs: Word = ()) -> Word:
+    """One key for the relation lhs = rhs up to rotation, inversion and side
+    swap: the least rotation of its relator and of the relator's inverse.
+
+    >>> relator_key((2, 0), (0, 2)) == relator_key((0, 2), (2, 0)) == relator_key((0, 2, 1, 3))
+    True
+    """
+    rho = relator(lhs, rhs)
+    return min([w[k:] + w[:k] for w in (rho, inverse(rho)) for k in range(len(w))], default=())
+
+
+def word_json(word: Word) -> list[list[int]]:
+    """The letters of ``word`` as ``[generator, exponent]`` pairs, as the log
+    and a presentation's JSON document write them."""
+    return [[x >> 1, -1 if x & 1 else 1] for x in word]
 
 
 class RelationFamilies:
@@ -389,8 +388,6 @@ class GroupPresentation:
         return self._relations
 
     def to_json(self) -> dict:
-        index = {g: i for i, g in enumerate(self.generators)}
-
         def gen_json(g: Gen) -> dict:
             if isinstance(g, AbstractGenerator):
                 return {"kind": "abstract", "name": g.name}
@@ -401,14 +398,11 @@ class GroupPresentation:
                 "label": g.label.cycle_form(),
             }
 
-        def word_json(w: GroupWord) -> list:
-            return [[index[g], e] for g, e in w]
-
         return {
             "generators": [gen_json(g) for g in self.generators],
             "relations": [
-                {"lhs": word_json(rel.lhs), "rhs": word_json(rel.rhs), "tag": rel.tag}
-                for rel in self.relations
+                {"lhs": word_json(lhs), "rhs": word_json(rhs), "tag": self.tag(i)}
+                for i, (lhs, rhs) in enumerate(map(self.letters, range(self.relation_count)))
             ],
             "meta": dict(self.meta),
         }
@@ -429,9 +423,11 @@ def presentations_match(a: GroupPresentation, b: GroupPresentation) -> bool:
     """Same generator sequence and same relations up to rotation/inversion."""
     if tuple(g.display() for g in a.generators) != tuple(g.display() for g in b.generators):
         return False
-    return sorted(map(canonical_relator_key, a.relations)) == sorted(
-        map(canonical_relator_key, b.relations)
-    )
+
+    def keys(pres: GroupPresentation) -> list[Word]:
+        return sorted(relator_key(*pres.letters(i)) for i in range(pres.relation_count))
+
+    return keys(a) == keys(b)
 
 
 @lru_cache(maxsize=1)
@@ -534,12 +530,9 @@ def build_presentation(n: int, r: int) -> GroupPresentation:
     return GroupPresentation._of_families(generators, relation_families(n, r), meta)
 
 
-def coxeter_generators(r: int) -> tuple[AbstractGenerator, ...]:
-    return tuple(AbstractGenerator(f"g{k}") for k in range(1, r))
-
-
 def coxeter_presentation(r: int) -> GroupPresentation:
-    """Adjacent-transposition presentation of the degree-r symmetric group.
+    """Adjacent-transposition presentation of the degree-r symmetric group,
+    on generators g1 ... g(r-1), g(k+1) the letter 2k.
 
     Relation order: involutions ascending, braid pairs ascending, then
     commuting pairs in lex order.
@@ -550,17 +543,11 @@ def coxeter_presentation(r: int) -> GroupPresentation:
     """
     if r < 1:
         raise InvalidParameters(f"degree must be >= 1, got {r}")
-    gens = coxeter_generators(r)
-    rels: list[Relation] = []
-    for k in range(r - 1):
-        rels.append(Relation(((gens[k], 1), (gens[k], 1)), (), "coxeter"))
-    for k in range(r - 2):
-        a, b = gens[k], gens[k + 1]
-        rels.append(
-            Relation(((a, 1), (b, 1), (a, 1)), ((b, 1), (a, 1), (b, 1)), "coxeter")
-        )
-    for k in range(r - 1):
-        for l in range(k + 2, r - 1):
-            a, b = gens[k], gens[l]
-            rels.append(Relation(((a, 1), (b, 1)), ((b, 1), (a, 1)), "coxeter"))
-    return GroupPresentation(gens, tuple(rels), meta={"r": r, "kind": "coxeter"})
+    words: list[tuple[Word, Word]] = [((2 * k, 2 * k), ()) for k in range(r - 1)]
+    words += [((2 * k, 2 * k + 2, 2 * k), (2 * k + 2, 2 * k, 2 * k + 2)) for k in range(r - 2)]
+    words += [((2 * k, 2 * l), (2 * l, 2 * k)) for k in range(r - 1) for l in range(k + 2, r - 1)]
+    return GroupPresentation._of_families(
+        tuple(AbstractGenerator(f"g{k}") for k in range(1, r)),
+        RelationFamilies(words, ["coxeter"] * len(words), generator_count=r - 1),
+        {"r": r, "kind": "coxeter"},
+    )

@@ -13,21 +13,21 @@ letters and, on a failing run only, one relation's letters.
 A step records its rule, its premises (indices of earlier steps) and, where
 relevant, its witness square, all as ids of the index, in the log as in
 memory: a generator is the number of its (kernel, image) pair in
-``index.pairs``; a conclusion is a word of ``[generator id, exponent]``
-letters (in memory one tuple per distinct letter, :class:`_Letters`); a
-witness square is ``[p, q, a, b]``, the ids of its kernels in
+``index.pairs``; a conclusion is an :class:`Equation` of two int letter
+words (letter 2g is generator g, 2g + 1 its inverse, the letters of
+``index.letters``), which the log writes as ``[generator id, exponent]``
+letters; a witness square is ``[p, q, a, b]``, the ids of its kernels in
 ``index.parts`` and of its images in ``index.subsets``; ``coxeter-match``
 lists the canonical generators' ids.  The parser range-checks these ints
-(an int that is not a bool, inside the index, a square's four corners
-generators) and parses no kernel or image text.  ``LOG_FORMAT.md`` states
-the numbering and every rule.  A discharge step is a
-:class:`DischargeStep`, an int holding a relation index; a
+(an int that is not a bool, inside the index, an exponent 1 or -1, a
+square's four corners generators) and parses no kernel or image text.
+``LOG_FORMAT.md`` states the numbering and every rule.  A discharge step is
+a :class:`DischargeStep`, an int holding a relation index; a
 :class:`StepList` holds each run of them as one ``range``, and
 :func:`read_log` reads a log a piece at a time, so a run is written, read
 and checked in constant memory.  Every rule reads a fact's shape (g = word,
-g = 1, g = h) with the same readers, exponents included, and compares
-conclusions whole.  The ``final`` snapshot must equal the Coxeter
-presentation's JSON document.
+g = 1, g = h) with the same readers and compares conclusions whole.  The
+``final`` snapshot must equal the Coxeter presentation's JSON document.
 
 Step rules
 ----------
@@ -58,20 +58,19 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
 
 from .combinatorics import Partition, Subset
 from .errors import InvalidParameters, VerificationFailed
-from .perms import contiguous_cycle, letter_images
+from .perms import contiguous_cycle
 from .presentation import (
-    GroupWord,
-    Relation,
-    canonical_relator_key,
-    coxeter_generators,
+    Word,
     coxeter_presentation,
     free_reduce,
     relation_families,
+    relator_key,
     substitute,
+    word_json,
 )
 from .schreier import IdempotentLetter, build_schreier
 from .squares import CORNERS, _singular_index, _SingularIndex, is_singular_ids
@@ -99,46 +98,43 @@ RULES = (
     "coxeter-match",
 )
 
-class _Letters(dict):
-    """``letters[g, e]``: the one tuple (g, e) kept for that letter, made on
-    first use, so that the words of a log share their letters.  Only for
-    int exponents: (g, True) is equal to (g, 1) and would be read as it."""
 
-    __slots__ = ()
+class Equation(NamedTuple):
+    """A conclusion lhs = rhs, each side a word of int letters."""
 
-    def __missing__(self, key: tuple) -> tuple:
-        self[key] = key
-        return key
+    lhs: Word
+    rhs: Word
 
 
-def _subject(rel: Relation) -> Optional[object]:
-    """g when ``rel`` reads g = word with g a bare generator (exponent 1)."""
-    if len(rel.lhs) == 1 and rel.lhs[0][1] == 1:
-        return rel.lhs[0][0]
+def _subject(fact: Equation) -> Optional[int]:
+    """g when ``fact`` reads g = word with g a bare generator (not inverted)."""
+    lhs = fact.lhs
+    if len(lhs) == 1 and not lhs[0] & 1:
+        return lhs[0] >> 1
     return None
 
 
-def _one_fact(rel: Relation) -> Optional[object]:
-    """g when ``rel`` reads g = 1."""
-    return _subject(rel) if rel.rhs == () else None
+def _one_fact(fact: Equation) -> Optional[int]:
+    """g when ``fact`` reads g = 1."""
+    return _subject(fact) if fact.rhs == () else None
 
 
-def _eq_fact(rel: Relation) -> Optional[tuple[object, object]]:
-    """(g, h) when ``rel`` reads g = h, both bare generators."""
-    g = _subject(rel)
-    if g is None or len(rel.rhs) != 1 or rel.rhs[0][1] != 1:
+def _eq_fact(fact: Equation) -> Optional[tuple[int, int]]:
+    """(g, h) when ``fact`` reads g = h, both bare generators."""
+    g, rhs = _subject(fact), fact.rhs
+    if g is None or len(rhs) != 1 or rhs[0] & 1:
         return None
-    return g, rel.rhs[0][0]
+    return g, rhs[0] >> 1
 
 
-def _one_relation(g: object, letters: _Letters) -> Relation:
-    """g = 1."""
-    return Relation((letters[g, 1],), (), "derived")
+def _one_relation(g: int, letters: list[int]) -> Equation:
+    """g = 1, its letters taken from ``letters`` (an index's ``letters``)."""
+    return Equation((letters[2 * g],), ())
 
 
-def _eq_relation(g: object, h: object, letters: _Letters) -> Relation:
+def _eq_relation(g: int, h: int, letters: list[int]) -> Equation:
     """g = h."""
-    return Relation((letters[g, 1],), (letters[h, 1],), "derived")
+    return Equation((letters[2 * g],), (letters[2 * h],))
 
 
 def _corners(index: _SingularIndex, sq: SquareIds) -> tuple[int, int, int, int]:
@@ -148,13 +144,13 @@ def _corners(index: _SingularIndex, sq: SquareIds) -> tuple[int, int, int, int]:
     return gen_p[a], gen_p[b], gen_q[a], gen_q[b]
 
 
-def _bottom_relation(corners: tuple, letters: _Letters) -> Relation:
+def _bottom_relation(corners: tuple, letters: list[int]) -> Equation:
     """The square relation PA^-1 PB = QA^-1 QB of the corner generators."""
     gpa, gpb, gqa, gqb = corners
-    return Relation((letters[gpa, -1], letters[gpb, 1]), (letters[gqa, -1], letters[gqb, 1]), "derived")
+    return Equation((letters[2 * gpa + 1], letters[2 * gpb]), (letters[2 * gqa + 1], letters[2 * gqb]))
 
 
-def _three_quarter_relation(corners: tuple, zero: str, letters: _Letters) -> Relation:
+def _three_quarter_relation(corners: tuple, zero: str, letters: list[int]) -> Equation:
     """The square relation of the corner generators with ``zero`` erased,
     solved for its diagonal."""
     gpa, gpb, gqa, gqb = corners
@@ -164,23 +160,22 @@ def _three_quarter_relation(corners: tuple, zero: str, letters: _Letters) -> Rel
         "QA": (gpb, (gpa, gqb)),
         "QB": (gpa, (gpb, gqa)),
     }[zero]
-    return Relation((letters[target, 1],), (letters[x, 1], letters[y, 1]), "derived")
+    return Equation((letters[2 * target],), (letters[2 * x], letters[2 * y]))
 
 
-def _coxeter_mismatch(relations: Iterable[Relation], canon: list[int], r: int) -> Optional[str]:
-    """Why ``relations`` over the canonical generators, renamed in order to
-    the Coxeter generators, are not the Coxeter relations up to rotation,
-    inversion and side swap; None when they are."""
-    rename = dict(zip(canon, coxeter_generators(r)))
+def _coxeter_mismatch(relations: Iterable[Equation], canon: list[int], r: int) -> Optional[str]:
+    """Why ``relations`` over the canonical generators, the k-th renamed to
+    the Coxeter generator g(k+1), letter 2k, are not the Coxeter relations up
+    to rotation, inversion and side swap; None when they are."""
+    rename = {2 * g + e: 2 * k + e for k, g in enumerate(canon) for e in (0, 1)}
     try:
-        renamed = [
-            Relation(*(tuple((rename[g], e) for g, e in word) for word in (rel.lhs, rel.rhs)), "derived")
+        keys = sorted(
+            relator_key(tuple(map(rename.__getitem__, rel.lhs)), tuple(map(rename.__getitem__, rel.rhs)))
             for rel in relations
-        ]
+        )
     except KeyError:
         return "final relations must mention only canonical generators"
-    target = coxeter_presentation(r).relations
-    if sorted(map(canonical_relator_key, renamed)) != sorted(map(canonical_relator_key, target)):
+    if keys != sorted(relator_key(lhs, rhs) for lhs, rhs in coxeter_presentation(r).families.words):
         return "derived relations do not match the Coxeter presentation"
     return None
 
@@ -194,13 +189,14 @@ class DerivationStep:
     ``{"pz": i, "rule": "discharge"}`` with an int ``i`` is held as one of
     these, with its index in ``data["pz"]``.
 
-    The conclusion's letters are (generator id, exponent) pairs and the
-    witness square is the ids of its kernels and images, both numbered by
-    ``squares._singular_index(n, r)``, and ``to_json`` writes them as they
-    are."""
+    The conclusion is an :class:`Equation` of int letters and the witness
+    square is the ids of its kernels and images, both numbered by
+    ``squares._singular_index(n, r)``; ``to_json`` writes a letter x as
+    ``[x >> 1, 1]``, or ``[x >> 1, -1]`` when x is odd, and a square as it
+    is."""
 
     rule: str
-    conclusion: Optional[Relation]
+    conclusion: Optional[Equation]
     premises: tuple[int, ...] = ()
     square: Optional[SquareIds] = None
     data: Optional[dict] = None
@@ -210,8 +206,7 @@ class DerivationStep:
             return {"rule": "discharge", "pz": self.data["pz"]}
         doc: dict = {"rule": self.rule, "premises": list(self.premises)}
         if self.conclusion is not None:
-            lhs, rhs = self.conclusion.lhs, self.conclusion.rhs
-            doc["conclusion"] = {"lhs": list(map(list, lhs)), "rhs": list(map(list, rhs))}
+            doc["conclusion"] = {"lhs": word_json(self.conclusion.lhs), "rhs": word_json(self.conclusion.rhs)}
         if self.square is not None:
             doc["square"] = list(self.square)
         if self.data:
@@ -383,21 +378,17 @@ class DerivationLog:
         fh.write("}\n")
 
     def _write_steps(self, fh: TextIO) -> None:
-        # each letter with an int exponent, each square's entry and each
-        # rule's text is encoded once
-        letters: dict[tuple, str] = {}
+        # each letter, each square's entry and each rule's text is encoded once
+        letters: dict[int, str] = {}
         squares: dict[SquareIds, str] = {}
         rules: dict[str, str] = {}
 
-        def word_text(word: GroupWord) -> str:
+        def word_text(word: Word) -> str:
             out = []
-            for letter in word:
-                if type(letter[1]) is int:
-                    text = letters.get(letter)
-                    if text is None:
-                        text = letters[letter] = _encode(letter)
-                else:  # (g, True) would find the text of (g, 1)
-                    text = _encode(letter)
+            for x in word:
+                text = letters.get(x)
+                if text is None:
+                    text = letters[x] = _encode([x >> 1, -1 if x & 1 else 1])
                 out.append(text)
             return "[" + ",".join(out) + "]"
 
@@ -467,10 +458,11 @@ class DerivationLog:
         The steps are ids of ``squares._singular_index(n, r)`` in the log as
         in memory, and each is range-checked: a letter's generator id and a
         square's kernel and image ids must be ints (not bools) inside the
-        index, and a square's four corners must be generators.  A
-        conclusion's letters are (generator id, exponent) pairs, one tuple
-        per distinct pair, and a witness square is one tuple per distinct
-        square.  The index is built only after :meth:`case_of` has passed.
+        index, an exponent must be the int 1 or -1, and a square's four
+        corners must be generators.  A letter [g, e] is read as the int
+        letter 2g, or 2g + 1 when e is -1, taken from ``index.letters``, and
+        a witness square is one tuple per distinct square.  The index is
+        built only after :meth:`case_of` has passed.
 
         Consumes the document's steps: a list is emptied as the log's steps
         are made, and read_log's iterator decodes each as it is taken, so
@@ -499,14 +491,17 @@ class DerivationLog:
         pairs, parts, subsets = len(index.pairs), len(index.parts), len(index.subsets)
         generator_of = index.generator_of
         squares: dict[SquareIds, SquareIds] = {}
-        letters = _Letters()
+        letters = index.letters
 
-        def word(side: list) -> GroupWord:
+        def word(side: list) -> Word:
             out = []
             for g, e in side:
                 if type(g) is not int or not 0 <= g < pairs:
                     raise InvalidParameters(f"{g!r} is not a generator id: the ids run from 0 to {pairs - 1}")
-                out.append(letters[g, e] if type(e) is int else (g, e))
+                # True and 1.0 would equal the exponent 1
+                if type(e) is not int or (e != 1 and e != -1):
+                    raise InvalidParameters(f"{e!r} is not an exponent: an exponent is the int 1 or -1")
+                out.append(letters[2 * g if e == 1 else 2 * g + 1])
             return tuple(out)
 
         def square(ids: list) -> SquareIds:
@@ -543,11 +538,7 @@ class DerivationLog:
                 continue
             conclusion = None
             if "conclusion" in sd:
-                conclusion = Relation(
-                    word(sd["conclusion"]["lhs"]),
-                    word(sd["conclusion"]["rhs"]),
-                    "derived",
-                )
+                conclusion = Equation(word(sd["conclusion"]["lhs"]), word(sd["conclusion"]["rhs"]))
             sq = square(sd["square"]) if "square" in sd else None
             steps.append(DerivationStep(rule, conclusion, tuple(sd.get("premises", ())), sq, sd.get("data")))
         return cls(n=index.n, r=index.r, steps=steps, final=doc.get("final"), meta=doc.get("meta", {}))
@@ -778,10 +769,11 @@ def replay_log(log: DerivationLog) -> ReplayReport:
     distinct witness square is tested once by
     :func:`~igmax.squares.is_singular_ids`, the transitive rule joins
     generator ids (-1 stands for the identity) in a union-find, the rewrite
-    rule substitutes id words, a generator's resolution is a byte of a
-    table indexed by generator id, words are evaluated on the index's
-    product table, and the Coxeter match renames the canonical ids.  A
-    failure names a generator by its kernel and image, ``f[P|A]``.
+    rule substitutes int letter words, a generator's resolution is a byte
+    of a table indexed by generator id, words are evaluated on the index's
+    product table, each letter read as its label's id, and the Coxeter
+    match renames the canonical ids.  A failure names a generator by its
+    kernel and image, ``f[P|A]``.
 
     A generator is resolved by its first verified fact g = word over the
     canonical generators, whose word must evaluate to g's label; evaluation
@@ -806,10 +798,10 @@ def replay_log(log: DerivationLog) -> ReplayReport:
     families = relation_families(n, r)
     relations = families.relation_count
     # one bottom relation per witness square
-    letters = _Letters()
-    bottoms: dict[SquareIds, Relation] = {}
+    letters = index.letters
+    bottoms: dict[SquareIds, Equation] = {}
 
-    def bottom_relation(sq: SquareIds) -> Relation:
+    def bottom_relation(sq: SquareIds) -> Equation:
         rel = bottoms.get(sq)
         if rel is None:
             rel = bottoms[sq] = _bottom_relation(_corners(index, sq), letters)
@@ -817,13 +809,11 @@ def replay_log(log: DerivationLog) -> ReplayReport:
 
     canon_list = [index.generator(*canonical_cycle_pair(k, 1, n, r)) for k in range(1, r)]
     canon_gens = set(canon_list)
-    # words are evaluated on the index's product table: a canonical letter
-    # and each int letter (2*i for generator i, 2*i+1 for its inverse) carry
-    # the id of their label; ``resolved[i]`` says whether generator i is
-    # resolved.  Generator i of the presentation is pair i of the index.
+    # words are evaluated on the index's product table, each int letter
+    # (2*i for generator i, 2*i+1 for its inverse) read as the id of its
+    # label; ``resolved[i]`` says whether generator i is resolved.
+    # Generator i of the presentation is pair i of the index.
     table, label_ids = index.product_table, index.letter_label_ids
-    images = letter_images({g: labels[g] for g in canon_gens})
-    canonical = {x: table.intern(image) for x, image in images.items()}
     resolved = bytearray(len(pairs))
     unresolved = len(pairs)  # generators not yet resolved
     holds: Optional[bytearray] = None  # holds[i]: relation i holds on labels
@@ -872,10 +862,6 @@ def replay_log(log: DerivationLog) -> ReplayReport:
         rule = st.rule
         if rule not in RULES:
             raise _ReplayFailure(f"unknown rule {rule!r}")
-        # every later check compares exponents with ==, which true and 1.0 pass
-        c = st.conclusion
-        if c is not None and any(type(e) is not int for _, e in c.lhs + c.rhs):
-            raise _ReplayFailure("conclusion exponents must be ints")
         if rule == "middle":
             g = _one_fact(st.conclusion)
             if g is None or subsets[pairs[g][1]].elements != parts[pairs[g][0]].minima:
@@ -913,9 +899,7 @@ def replay_log(log: DerivationLog) -> ReplayReport:
             want = bottom_relation(sq)
             if base.rule != "bottom" or base.conclusion != want:
                 raise _ReplayFailure("first premise must be the square's bottom relation")
-            (gpa, _), (gpb, _) = want.lhs
-            (gqa, _), (gqb, _) = want.rhs
-            corners = dict(zip(CORNERS, (gpa, gpb, gqa, gqb)))
+            corners = dict(zip(CORNERS, _corners(index, sq)))
             if rule == "corner":
                 target = st.data["target"]
                 ones = set()
@@ -960,10 +944,10 @@ def replay_log(log: DerivationLog) -> ReplayReport:
                     x = parent[x]
                 return x
 
-            def link(rel: Relation) -> Optional[tuple]:
+            def link(fact: Equation) -> Optional[tuple]:
                 """(g, -1) for g = 1, (g, h) for g = h, None for any other shape."""
-                g = _one_fact(rel)
-                return (g, -1) if g is not None else _eq_fact(rel)
+                g = _one_fact(fact)
+                return (g, -1) if g is not None else _eq_fact(fact)
 
             for i in st.premises:
                 pair = link(premise(idx, i).conclusion)
@@ -985,10 +969,10 @@ def replay_log(log: DerivationLog) -> ReplayReport:
                 g = _subject(fact)
                 if g is None:
                     raise _ReplayFailure("substitution premises need a bare generator on the left")
-                if any(h == g for h, _ in fact.rhs):
+                if any(x >> 1 == g for x in fact.rhs):
                     raise _ReplayFailure("substitution must eliminate its generator")
-                lhs = substitute(lhs, g, fact.rhs)
-                rhs = substitute(rhs, g, fact.rhs)
+                lhs = substitute(lhs, g, fact.rhs, letters)
+                rhs = substitute(rhs, g, fact.rhs, letters)
             if (free_reduce(lhs), free_reduce(rhs)) != (st.conclusion.lhs, st.conclusion.rhs):
                 raise _ReplayFailure("rewrite conclusion does not follow from the substitutions")
         elif rule == "combine":
@@ -1014,13 +998,13 @@ def replay_log(log: DerivationLog) -> ReplayReport:
                 raise _ReplayFailure(mismatch)
             match_seen = True
 
-    def note_resolution(rel: Optional[Relation]) -> None:
+    def note_resolution(fact: Optional[Equation]) -> None:
         """g is resolved by its first fact g = word over the canonical
         generators; a sound step's word evaluates to g's label."""
-        g = None if rel is None else _subject(rel)
-        if g is None or resolved[g] or not all(h in canon_gens for h, _ in rel.rhs):
+        g = None if fact is None else _subject(fact)
+        if g is None or resolved[g] or not all(x >> 1 in canon_gens for x in fact.rhs):
             return
-        if table.evaluate(rel.rhs, canonical) != label_ids[2 * g]:
+        if table.evaluate(fact.rhs, label_ids) != label_ids[2 * g]:
             g = name(g)
             raise _ReplayFailure(f"the word for {g} does not evaluate to its label")
         resolve(g)
@@ -1073,7 +1057,7 @@ def replay_log(log: DerivationLog) -> ReplayReport:
     )
 
 
-def _flush_source(rest: list[Relation], sides: dict) -> object:
+def _flush_source(rest: list[Equation], sides: dict) -> object:
     """Which kernel/image the flush premises certify; raises on mismatch."""
     if len(rest) == 1:
         pair = _eq_fact(rest[0])

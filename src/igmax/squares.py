@@ -248,6 +248,13 @@ class _SingularIndex:
         return ids
 
     @cached_property
+    def letters(self) -> list[int]:
+        """``letters[x]`` is the int letter x, 2*g for pair g and 2*g + 1 for
+        its inverse: words that take their letters from this list share one
+        int object per letter, where ints above 256 are each a new object."""
+        return list(range(2 * len(self.labels)))
+
+    @cached_property
     def block_of(self) -> list[bytes]:
         """``block_of[k][x]``: the 0-based block of kernel k holding x."""
         out = []

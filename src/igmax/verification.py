@@ -75,9 +75,13 @@ from .presentation import (
     RelationFamilies,
     build_presentation,
     coxeter_presentation,
+    free_reduce,
+    inverse,
     letter_label_ids,
     presentations_match,
     relation_families,
+    relator,
+    relator_key,
 )
 
 # the coset budget of coset_enumerate and of ``igmax verify --with-coset-oracle``
@@ -278,10 +282,6 @@ def _require_closed(table: ProductTable, ids: list[int], relators: list[tuple[in
             raise VerificationFailed("relator does not close on a live coset")
 
 
-def _inverse(word: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple([x ^ 1 for x in reversed(word)])
-
-
 def _relators(pres: GroupPresentation) -> list[tuple[int, ...]]:
     """Freely reduced int relators of every relation, one per class of a
     word and its inverse (see :func:`_reduced`).
@@ -311,16 +311,10 @@ def _reduced(relations) -> list[tuple[int, ...]]:
     relators = []
     seen = set()
     for lhs, rhs in relations:
-        word: list[int] = []
-        for letter in lhs + _inverse(rhs):
-            if word and word[-1] == letter ^ 1:
-                word.pop()
-            else:
-                word.append(letter)
-        key = tuple(word)
+        key = relator(lhs, rhs)
         if key and key not in seen:
             seen.add(key)
-            seen.add(_inverse(key))
+            seen.add(inverse(key))
             relators.append(key)
     return relators
 
@@ -342,12 +336,7 @@ def _rewrite(relators: list[tuple[int, ...]], image: list[tuple[int, ...]]) -> l
         if word in met:
             continue
         met.add(word)
-        reduced: list[int] = []
-        for y in word:
-            if reduced and reduced[-1] == y ^ 1:
-                reduced.pop()
-            else:
-                reduced.append(y)
+        reduced = free_reduce(word)
         i, j = 0, len(reduced) - 1
         while i < j and reduced[i] == reduced[j] ^ 1:
             i += 1
@@ -355,9 +344,7 @@ def _rewrite(relators: list[tuple[int, ...]], image: list[tuple[int, ...]]) -> l
         if i > j:
             continue
         # a relator stands for all rotations of it and of its inverse: keep the least
-        key = tuple(reduced[i : j + 1])
-        inverse = _inverse(key)
-        key = min([w[k:] + w[:k] for w in (key, inverse) for k in range(len(w))])
+        key = relator_key(reduced[i : j + 1])
         if key not in kept:
             kept.add(key)
             out.append(key)
@@ -442,7 +429,7 @@ def _tietze(
         word = () if root == one else (2 * root + f,)
         if root != g:
             eliminated.append((g, word))
-        image += [word, _inverse(word)]
+        image += [word, inverse(word)]
     relators = _rewrite(relators, image)
 
     while True:
@@ -466,13 +453,13 @@ def _tietze(
                 x = min(once, key=lambda y: rarity[y >> 1])
                 i = rel.index(x)
                 rest = rel[i + 1 :] + rel[:i]
-                solved[x >> 1] = rest if x & 1 else _inverse(rest)
+                solved[x >> 1] = rest if x & 1 else inverse(rest)
                 mentioned.update(gens)
         if not solved:
             break
         image = [(x,) for x in range(2 * n_gens)]
         for g, word in solved.items():
-            image[2 * g], image[2 * g + 1] = word, _inverse(word)
+            image[2 * g], image[2 * g + 1] = word, inverse(word)
             eliminated.append((g, word))
         relators = _rewrite(relators, image)
 
@@ -539,7 +526,7 @@ def _columns(
     for k, g in enumerate(survivors):
         ids[2 * g], ids[2 * g + 1] = reduced_ids[2 * k], reduced_ids[2 * k + 1]
     for g, word in reversed(eliminated):
-        ids[2 * g], ids[2 * g + 1] = table.evaluate(word, ids), table.evaluate(_inverse(word), ids)
+        ids[2 * g], ids[2 * g + 1] = table.evaluate(word, ids), table.evaluate(inverse(word), ids)
     return ids
 
 

@@ -9,6 +9,7 @@ from typing import Optional
 from igmax.errors import VerificationFailed
 from igmax.presentation import GroupPresentation, coxeter_presentation  # noqa: F401
 from igmax.verification import CosetResult
+from words_reference import relator
 
 
 class _BudgetHit(Exception):
@@ -160,7 +161,7 @@ def coset_enumerate(pres: GroupPresentation, max_cosets: int = 100_000) -> Coset
     relators = []
     for rel in pres.relations:
         word = tuple(
-            2 * index[g] + (0 if e > 0 else 1) for g, e in rel.relator()
+            2 * index[g] + (0 if e > 0 else 1) for g, e in relator(rel)
         )
         if word:
             relators.append(word)

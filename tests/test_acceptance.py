@@ -24,7 +24,7 @@ from igmax.pipeline import (
     coxeter_square_involution,
     descent_reduction,
 )
-from igmax.replay import _corners, _Letters, _three_quarter_relation, replay_log
+from igmax.replay import _corners, _three_quarter_relation, replay_log
 from igmax.schreier import build_schreier, predecessor
 from igmax.squares import Square, _singular_index, enumerate_squares, is_singular_sq2, is_singular_sq3, square_census
 from igmax.verification import verify_theorem
@@ -197,10 +197,10 @@ def test_criterion_10_descent_reduction_golden():
     assert label_by_subscripts(q, b).is_identity()
     # the square solved for f[P,A], its generators named through the index
     index = _singular_index(7, 4)
-    rel = _three_quarter_relation(_corners(index, index.square(p, q, a, b)), "QB", _Letters())
+    rel = _three_quarter_relation(_corners(index, index.square(p, q, a, b)), "QB", index.letters)
 
     def named(word):
-        return " * ".join(index.name(g) + ("^-1" if e < 0 else "") for g, e in word)
+        return " * ".join(index.name(x >> 1) + ("^-1" if x & 1 else "") for x in word)
 
     assert named(rel.lhs) == "f[{{1,7},{2,5},{3,6},{4}}|{4,5,6,7}]"
     assert named(rel.rhs) == (

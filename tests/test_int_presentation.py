@@ -11,9 +11,10 @@ from hypothesis import given, strategies as st
 import igmax.presentation as presentation
 from igmax.cli import main
 from igmax.errors import VerificationFailed
-from igmax.perms import Permutation, ProductTable, compose, letter_images
+from igmax.perms import Permutation, ProductTable, compose
 from igmax.pipeline import run_pipeline
 from igmax.presentation import GroupPresentation, Relation, build_presentation, letter_label_ids
+from words_reference import letter_images
 
 CASES = [(n, r) for n in range(3, 7) for r in range(1, n - 1)]
 
@@ -125,9 +126,9 @@ def test_the_trust_path_makes_no_relation_of_the_presentation(monkeypatch, tmp_p
     assert main(["replay", "--log", log]) == 0
     assert main(["verify", *size, "--with-coset-oracle"]) == 0
     capsys.readouterr()
-    assert made, "the recording constructor saw no relation at all"
-    assert not {"top", "middle", "bottom"} & set(made)
-    # reading the relations is what makes them
+    # the producer and the checker hold their conclusions as int letter words too
+    assert made == []
+    # reading the relations is what makes them, so the stand-in counts
     build_presentation(n, r).relations
     assert {"top", "middle", "bottom"} <= set(made)
 

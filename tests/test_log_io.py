@@ -388,6 +388,14 @@ def with_generator_id(g):
     return tamper
 
 
+def with_exponent(e):
+    def tamper(doc, index):
+        last_bottom(doc)["conclusion"]["lhs"][0][1] = e
+        return "err", f"{e!r} is not an exponent: an exponent is the int 1 or -1"
+
+    return tamper
+
+
 def with_square_entry(at, value, found):
     def tamper(doc, index):
         square = last_bottom(doc)["square"]
@@ -425,6 +433,7 @@ ID_TAMPERS = {
     "generator id negative": with_generator_id(lambda index: -1),
     "generator id a bool": with_generator_id(lambda index: True),
     "generator id a float": with_generator_id(lambda index: 1.0),
+    **{f"exponent {e!r}": with_exponent(e) for e in (0, 2, -2, True, 1.0)},
     "kernel id out of range": with_square_entry(
         0, lambda index, sq: len(index.parts), "needs kernel ids from 0 to 24 and image ids from 0 to 9"
     ),
@@ -448,8 +457,9 @@ ID_TAMPERS = {
 def test_replay_cli_rejects_a_tampered_id(five_three, tmp_path, capsys, tamper):
     # a letter's generator id and a square's kernel and image ids are ints
     # inside the (5,3) index (90 generators, 25 kernels, 10 images) whose
-    # corners are generators, else the log is malformed; a degenerate square
-    # or other canonical ids fail the replay
+    # corners are generators, and a letter's exponent is the int 1 or -1,
+    # else the log is malformed; a degenerate square or other canonical ids
+    # fail the replay
     doc = json.loads(written(five_three))
     stream, found = ID_TAMPERS[tamper](doc, squares_module._singular_index(5, 3))
     path = tmp_path / "log.json"

@@ -30,16 +30,16 @@ from igmax.presentation import RelationFamilies, build_presentation, relation_fa
 from igmax.replay import (
     DerivationLog,
     _corners,
-    _Letters,
     _three_quarter_relation,
     canonical_cycle_pair,
     replay_log,
 )
 from igmax.squares import Square, _singular_index, is_singular_sq2, is_singular_sq3
 from igmax.verification import presentations_match
-from igmax.presentation import GeneratorId, coxeter_presentation, substitute
-from igmax.perms import ProductTable, letter_images, rightmost_descent
+from igmax.presentation import GeneratorId, coxeter_presentation
+from igmax.perms import ProductTable, rightmost_descent
 from perms_reference import resolve_rightmost_descent
+from words_reference import letter_images, substitute
 
 
 def clean(report):
@@ -74,8 +74,8 @@ def test_canonical_cycle_pair_rejects():
 
 
 def named(index, word):
-    """A word of generator ids as text, each generator named through ``index``."""
-    return " * ".join(index.name(g) + ("^-1" if e < 0 else "") for g, e in word)
+    """A word of int letters as text, each generator named through ``index``."""
+    return " * ".join(index.name(x >> 1) + ("^-1" if x & 1 else "") for x in word)
 
 
 def test_cycle_split_structure():
@@ -85,13 +85,13 @@ def test_cycle_split_structure():
         assert is_singular_sq3(sq)
         # solved for the (Q,B) corner: lhs is that single generator
         index = _singular_index(n, r)
-        rel = _three_quarter_relation(_corners(index, index.square(p, q, a, b)), "PA", _Letters())
-        assert len(rel.lhs) == 1
-        g = rel.lhs[0][0]
+        rel = _three_quarter_relation(_corners(index, index.square(p, q, a, b)), "PA", index.letters)
+        assert len(rel.lhs) == 1 and rel.lhs[0] % 2 == 0
+        g = rel.lhs[0] >> 1
         assert index.pairs[g] == (index.kernel_ids[q.blocks], index.image_ids[b.elements])
         assert index.labels[g] == contiguous_cycle(k, l, r)
         # two factors: transposition at k, then the shorter cycle
-        (g1, _), (g2, _) = rel.rhs
+        g1, g2 = (x >> 1 for x in rel.rhs)
         assert index.labels[g1] == contiguous_cycle(k, 1, r)
         assert index.labels[g2] == contiguous_cycle(k + 1, l - 1, r)
 
@@ -113,7 +113,7 @@ def test_descent_reduction_golden():
     assert label_by_subscripts(Q, A).image_form() == "[4,2,1,3]"
     assert label_by_subscripts(Q, B).is_identity()
     index = _singular_index(7, 4)
-    rel = _three_quarter_relation(_corners(index, index.square(P, Q, A, B)), "QB", _Letters())
+    rel = _three_quarter_relation(_corners(index, index.square(P, Q, A, B)), "QB", index.letters)
     assert named(index, rel.lhs) == "f[{{1,7},{2,5},{3,6},{4}}|{4,5,6,7}]"
     assert named(index, rel.rhs) == (
         "f[{{1,7},{2,5},{3,6},{4}}|{1,2,4,6}] * f[{{1,3,7},{2,5},{4},{6}}|{4,5,6,7}]"
@@ -342,8 +342,10 @@ def test_discharge_factors_through_the_labels(n, r):
     eng = _resolved(n, r)
     pres = build_presentation(n, r)
     gens = pres.generators
-    # the derivation names generators by id: generator i is gens[i]
-    words = {g: tuple((gens[h], e) for h, e in eng.resolve(g.partition, g.subset)[1]) for g in gens}
+    # the derivation's letter 2i is generator i, gens[i], and 2i + 1 its inverse
+    words = {
+        g: tuple((gens[x >> 1], -1 if x & 1 else 1) for x in eng.resolve(g.partition, g.subset)[1]) for g in gens
+    }
     canon = [GeneratorId.of(*p) for p in eng.canonical_pairs()]
     table = ProductTable(r)
     canonical = {x: table.intern(p) for x, p in letter_images({g: g.label for g in canon}).items()}
@@ -367,7 +369,7 @@ def test_discharge_rejects_a_resolution_word_off_its_label():
     eng = _resolved(5, 3)
     g, (idx, word) = next((g, res) for g, res in eng._res_memo.items() if res[0] is not None)
     canonical = eng.canonical_generators()[0]
-    eng._res_memo[g] = (idx, word + ((canonical, 1),))
+    eng._res_memo[g] = (idx, word + (2 * canonical,))
     with pytest.raises(VerificationFailed, match="does not evaluate to its label"):
         eng.discharge_all()
 

@@ -13,11 +13,11 @@ from igmax.presentation import (
     GeneratorId,
     Relation,
     build_presentation,
-    canonical_relator_key,
-    concat,
     coxeter_presentation,
     free_reduce,
-    inverse_word,
+    inverse,
+    relator,
+    relator_key,
     substitute,
     word_str,
 )
@@ -25,37 +25,46 @@ from igmax.schreier import IdempotentLetter, build_schreier
 from igmax.squares import _singular_index, _sorted_partitions, enumerate_singular_squares
 
 G, H, K = (AbstractGenerator(x) for x in "ghk")
+# the int letters of G, H, K and of their inverses
+g, g_, h, h_, k, k_ = range(6)
 
 
 # ---------------------------------------------------------------------------
-# free-group word layer
+# int letter words
 # ---------------------------------------------------------------------------
 
 
 def test_free_reduce():
-    assert free_reduce(((G, 1), (G, -1), (H, 1))) == ((H, 1),)
-    assert free_reduce(((G, 1), (H, 1), (H, -1), (G, -1))) == ()
+    assert free_reduce((g, g_, h)) == (h,)
+    assert free_reduce((g, h, h_, g_)) == ()
     assert free_reduce(()) == ()
-    with pytest.raises(InvalidParameters):
-        free_reduce(((G, 2),))
 
 
 def test_inverse_word():
-    w = ((G, 1), (H, -1))
-    assert inverse_word(w) == ((H, 1), (G, -1))
-    assert concat(w, inverse_word(w)) == ()
+    w = (g, h_)
+    assert inverse(w) == (h, g_)
+    assert free_reduce(w + inverse(w)) == ()
+
+
+def test_inverse_takes_its_letters_from_the_list_given():
+    # ints above 256 are a new object each time they are made
+    letters = list(range(1000))
+    assert all(x is letters[x] for x in inverse((600, 701), letters))
+    assert inverse((600, 701), letters) == inverse((600, 701)) == (700, 601)
 
 
 def test_concat_reduces_across_boundaries():
-    assert concat(((G, 1), (H, 1)), ((H, -1), (K, 1))) == ((G, 1), (K, 1))
+    assert free_reduce((g, h) + (h_, k)) == (g, k)
+    # g h = k^-1 h: the relator g h h^-1 k reduces across its two sides
+    assert relator((g, h), (k_, h)) == (g, k)
 
 
 def test_substitute():
-    w = ((G, 1), (H, 1), (G, -1))
-    out = substitute(w, G, ((K, 1), (K, 1)))
-    assert out == ((K, 1), (K, 1), (H, 1), (K, -1), (K, -1))
+    w = (g, h, g_)
+    # generator g >> 1 is replaced, its inverse letter by the inverse word
+    assert substitute(w, g >> 1, (k, k)) == (k, k, h, k_, k_)
     # substituting a gen by itself is a no-op
-    assert substitute(w, H, ((H, 1),)) == w
+    assert substitute(w, h >> 1, (h,)) == w
 
 
 def test_word_str():
@@ -64,33 +73,25 @@ def test_word_str():
 
 
 def test_relation_relator_and_triviality():
-    rel = Relation(((G, 1), (H, 1)), ((H, 1), (G, 1)), "t")
-    assert rel.relator() == ((G, 1), (H, 1), (G, -1), (H, -1))
-    assert Relation(((G, 1),), ((G, 1),), "t").relator() == ()
+    assert relator((g, h), (h, g)) == (g, h, g_, h_)
+    assert relator((g,), (g,)) == ()
 
 
 @given(
-    st.lists(
-        st.tuples(st.sampled_from([G, H, K]), st.sampled_from([1, -1])),
-        max_size=8,
-    ),
+    st.lists(st.sampled_from([g, g_, h, h_, k, k_]), max_size=8).map(tuple),
     st.integers(min_value=0, max_value=7),
 )
 def test_canonical_relator_key_invariances(word, rot):
     """The key must not see rotation or inversion of the relator."""
-    rel = Relation(tuple(word), (), "t")
-    rho = rel.relator()
-    key = canonical_relator_key(rel)
-    cyclically_reduced = not rho or rho[0] != (rho[-1][0], -rho[-1][1])
+    rho = relator(word, ())
+    key = relator_key(word)
+    cyclically_reduced = not rho or rho[0] != rho[-1] ^ 1
     if rho and cyclically_reduced:
-        k = rot % len(rho)
-        rotated = Relation(rho[k:] + rho[:k], (), "t")
-        assert canonical_relator_key(rotated) == key
-    inverted = Relation(inverse_word(rho), (), "t")
-    assert canonical_relator_key(inverted) == key
+        n = rot % len(rho)
+        assert relator_key(rho[n:] + rho[:n]) == key
+    assert relator_key(inverse(rho)) == key
     # and swapping the sides of the equation
-    swapped = Relation((), inverse_word(rho), "t")
-    assert canonical_relator_key(swapped) == key
+    assert relator_key((), inverse(rho)) == key
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Each row of ``ROWS`` tampers one step of the (5,3) log (or, for a check no
 log edit can reach, the replay's inputs) and names the failure it expects.
 ``test_every_replay_failure_message_has_a_row`` reads replay.py and
 requires one row per message the replay can raise.  The forged (6,3) log
-and the ``_flush_source`` cases pin the reading of exponents in flush
+and the ``_flush_source`` cases pin the reading of inverse letters in flush
 premises.
 """
 
@@ -19,8 +19,8 @@ import igmax.replay as replay_module
 from igmax.combinatorics import Partition, Subset
 from igmax.errors import VerificationFailed
 from igmax.pipeline import Derivation, run_pipeline
+from igmax.perms import ProductTable
 from igmax.presentation import (
-    AbstractGenerator,
     GeneratorId,
     Relation,
     RelationFamilies,
@@ -29,6 +29,7 @@ from igmax.presentation import (
 )
 from igmax.replay import (
     DerivationLog,
+    Equation,
     _eq_relation,
     _flush_source,
     _ReplayFailure,
@@ -330,19 +331,13 @@ def coxeter_relations(doc, mp):
 
 def resolution_word(doc, mp):
     # no sound step concludes g = word with the word off g's label, so the
-    # canonical images are swapped instead: the first word over them fails
-    real = replay_module.letter_images
-    calls = []
-
-    def swapped(perms):
-        calls.append(perms)
-        if len(calls) == 1:  # the canonical generators' images
-            keys = list(perms)
-            perms = dict(zip(keys, reversed([perms[k] for k in keys])))
-        return real(perms)
-
-    mp.setattr(replay_module, "letter_images", swapped)
-    canon = {INDEX.generator(*canonical_cycle_pair(k, 1, 5, 3)) for k in (1, 2)}
+    # canonical generators' labels are swapped where words are evaluated
+    # instead: the first word over them fails
+    c1, c2 = (INDEX.generator(*canonical_cycle_pair(k, 1, 5, 3)) for k in (1, 2))
+    swap = {2 * c1: 2 * c2, 2 * c2: 2 * c1, 2 * c1 + 1: 2 * c2 + 1, 2 * c2 + 1: 2 * c1 + 1}
+    real = ProductTable.evaluate
+    mp.setattr(ProductTable, "evaluate", lambda table, word, ids: real(table, [swap.get(x, x) for x in word], ids))
+    canon = {c1, c2}
     for i, sd in enumerate(doc["steps"]):
         concl = sd.get("conclusion")
         if concl and len(concl["lhs"]) == 1 and concl["lhs"][0][1] == 1 and concl["rhs"]:
@@ -377,12 +372,6 @@ def flush_arity(doc, mp):
     i = first(doc, "flush-column", 3)
     doc["steps"][i]["premises"].append(first(doc, "middle"))
     return i, "flush steps take one equality or two identity premises"
-
-
-def exponent_true(doc, mp):
-    i = first(doc, "top")
-    doc["steps"][i]["conclusion"]["lhs"][0][1] = True
-    return i, "conclusion exponents must be ints"
 
 
 # message template, as written in replay.py -> row
@@ -428,7 +417,6 @@ ROWS = {
     "flush premises must be identity facts": flush_identity_shape,
     "flush identity premises do not cover one side": flush_identity_cover,
     "flush steps take one equality or two identity premises": flush_arity,
-    "conclusion exponents must be ints": exponent_true,
 }
 
 
@@ -473,21 +461,26 @@ def test_every_replay_failure_message_has_a_row():
 
 # ---------------------------------------------------------------------------
 # true and 1.0 equal 1 under ==, so a log that writes them where an int
-# belongs must fail, not replay as the log it imitates
+# belongs must fail, not replay as the log it imitates: an exponent makes
+# the log malformed, a premise fails its step
 # ---------------------------------------------------------------------------
 
 
-def exponent_float(doc, mp):
-    i = first(doc, "top")
-    doc["steps"][i]["conclusion"]["lhs"][0][1] = 1.0
-    return i, "conclusion exponents must be ints"
+def exponent_true(doc):
+    doc["steps"][first(doc, "top")]["conclusion"]["lhs"][0][1] = True
+    return "err", "error: malformed derivation log: InvalidParameters: True is not an exponent"
 
 
-def premise_true(doc, mp):
+def exponent_float(doc):
+    doc["steps"][first(doc, "top")]["conclusion"]["lhs"][0][1] = 1.0
+    return "err", "error: malformed derivation log: InvalidParameters: 1.0 is not an exponent"
+
+
+def premise_true(doc):
     i = first(doc, "transitive", 2)
     assert doc["steps"][i]["premises"][1] == 1
     doc["steps"][i]["premises"][1] = True
-    return i, "premise True out of range"
+    return "out", f"  step {i}: premise True out of range\n"
 
 
 @pytest.mark.parametrize(
@@ -499,14 +492,19 @@ def test_replay_cli_rejects_a_non_int_where_an_int_belongs(tamper, genuine, tmp_
     from igmax.cli import main
 
     doc = copy.deepcopy(genuine)
-    idx, message = tamper(doc, None)
+    stream, message = tamper(doc)
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(doc))
     assert main(["replay", "--log", str(path)]) == 4
-    out = capsys.readouterr().out
-    assert "failures: 0\n" not in out
-    assert f"  step {idx}: {message}\n" in out
-    assert out.endswith("replay: FAIL\n")
+    captured = capsys.readouterr()
+    if stream == "err":
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+    else:
+        assert captured.err == ""
+        assert "failures: 0\n" not in captured.out
+        assert message in captured.out
+        assert captured.out.endswith("replay: FAIL\n")
 
 
 # ---------------------------------------------------------------------------
@@ -535,11 +533,11 @@ def forged_six_three():
         (eng.cycle_eq(P, a456), eng.cycle_eq(K, a345)),
     )
     s3 = eng._rewrite(s1, (eng.one(P, a345), eng.one(Q, a456)))
-    s4 = eng._add("combine", Relation(log.steps[s2].conclusion.rhs, log.steps[s3].conclusion.rhs, "derived"), (s2, s3))
+    s4 = eng._add("combine", Equation(log.steps[s2].conclusion.rhs, log.steps[s3].conclusion.rhs), (s2, s3))
     sq, s5 = eng._square(K, Q, a345, a234)
     s6 = eng._add("flush-column", _eq_relation(eng._gen(K, a234), eng._gen(Q, a234), eng.letters), (s5, s4), square=sq)
     gens = build_presentation(6, 3).generators
-    named = [tuple((gens[g], e) for g, e in side) for side in (log.steps[s4].conclusion.lhs, log.steps[s4].conclusion.rhs)]
+    named = [tuple((gens[x >> 1], -1 if x & 1 else 1) for x in side) for side in log.steps[s4].conclusion]
     assert str(Relation(*named, "derived")) == (
         "f[{{1,2,5},{3},{4,6}}|{3,4,5}] = f[{{1,4},{2,5},{3,6}}|{3,4,5}]^-1"
     )
@@ -584,17 +582,18 @@ def test_replay_rejects_a_square_step_whose_first_premise_is_not_a_bottom_step()
     assert report.failures == ((forged, "first premise must be the square's bottom relation"),)
 
 
-G, H, X, Y = (AbstractGenerator(name) for name in "ghxy")
+# generator ids, and their letters 2g and inverse letters 2g + 1
+G, H, X, Y = range(4)
 SIDES = {"left": (G, H), "right": (X, Y)}
 
 
 def test_flush_source_accepts_an_equality_of_one_side():
-    assert _flush_source([Relation(((G, 1),), ((H, 1),), "derived")], SIDES) == "left"
+    assert _flush_source([Equation((2 * G,), (2 * H,))], SIDES) == "left"
 
 
 @pytest.mark.parametrize("lhs_exp,rhs_exp", [(1, -1), (-1, 1), (-1, -1)])
 def test_flush_source_rejects_inverted_letters(lhs_exp, rhs_exp):
-    premise = Relation(((G, lhs_exp),), ((H, rhs_exp),), "derived")
+    premise = Equation((2 * G + (lhs_exp < 0),), (2 * H + (rhs_exp < 0),))
     with pytest.raises(_ReplayFailure, match="^flush premise equality does not match either side$"):
         _flush_source([premise], SIDES)
 

@@ -56,6 +56,20 @@ def test_the_checker_imports_nothing_from_the_producer():
     assert _outside_the_checker(Path(replay.__file__).read_text()) == []
 
 
+# the names of words as (generator, exponent) pairs over generator objects
+PAIR_WORD_NAMES = {"Relation", "GroupWord", "GeneratorId", "letter_images"}
+
+
+def test_the_checker_reads_int_letter_words_only():
+    # the checker's words are int letters from one end to the other: it
+    # neither imports nor names the pair-word types
+    tree = ast.parse(Path(replay.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert PAIR_WORD_NAMES.isdisjoint(imported | named)
+
+
 def test_the_import_walk_sees_each_way_in():
     for source in (
         "from .pipeline import run_pipeline",

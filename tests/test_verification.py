@@ -16,10 +16,10 @@ from igmax.presentation import (
     Relation,
     build_presentation,
     coxeter_presentation,
-    inverse_word,
     relation_families,
 )
 from igmax.perms import Permutation
+from words_reference import inverse_word, relator
 from igmax.verification import (
     CosetResult,
     _BudgetHit,
@@ -278,7 +278,7 @@ def small_presentations(draw):
         if kind == "duplicate":
             relations.append(rel)
         elif kind == "inverse":
-            relations.append(Relation(inverse_word(rel.relator()), (), "t"))
+            relations.append(Relation(inverse_word(relator(rel)), (), "t"))
         else:
             relations.append(Relation(rel.rhs, rel.lhs, "t"))
     return GroupPresentation(gens, tuple(relations))
