@@ -171,7 +171,7 @@ def cmd_squares(args, out) -> int:
 def cmd_present(args, out) -> int:
     # imported here, as in cmd_reduce and cmd_verify: only these commands compile
     # the presentation layer (and the Schreier words it imports)
-    from .presentation import build_presentation, relator
+    from .presentation import GroupPresentation, build_presentation, relator, word_text
 
     cfg = RunConfig.from_args(args)
     cfg.validate()
@@ -181,7 +181,7 @@ def cmd_present(args, out) -> int:
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
     if args.family != "all":
-        pres = pres.family(args.family)
+        pres = GroupPresentation(pres.generators, pres.families.family(args.family), pres.meta)
     if cfg.format == "json":
         _emit_json(pres.to_json(), out)
         return EXIT_OK
@@ -189,11 +189,11 @@ def cmd_present(args, out) -> int:
     out.write(f"generators: {len(names)}\n")
     for name in names:
         out.write(name + "\n")
-    out.write(f"relations: {pres.relation_count}\n")
-    for i in range(pres.relation_count):
-        word = relator(*pres.letters(i))
-        text = " * ".join(names[x >> 1] + ("^-1" if x & 1 else "") for x in word) or "1"
-        out.write(f"{text} = 1  ## {pres.tag(i)}\n")
+    families = pres.families
+    out.write(f"relations: {families.relation_count}\n")
+    for i in range(families.relation_count):
+        text = word_text(relator(*families.letters(i)), names.__getitem__)
+        out.write(f"{text} = 1  ## {families.tag(i)}\n")
     return EXIT_OK
 
 
@@ -216,7 +216,7 @@ def cmd_reduce(args, out) -> int:
         "relations": log.meta["relations"],
         "survivors": log.meta["survivors"],
         "final_generators": len(final.generators),
-        "final_relations": final.relation_count,
+        "final_relations": final.families.relation_count,
         "log_written": args.log,
     }
     if cfg.format == "json":

@@ -18,10 +18,11 @@ Words multiply left to right, like everything else in the package.
 Relations are held as int letter words (:class:`RelationFamilies`):
 generator i is the letter ``2*i`` and its inverse ``2*i + 1``, the encoding
 the coset enumerator works in.  :func:`relation_families` writes the
-(n, r) relations that way off the SQ3 index, with no generator object;
-:class:`Relation` objects, with :class:`GeneratorId` letters, are made only
-when a :class:`GroupPresentation`'s ``relations`` is read (by the boundary
-verdict's failure text and the tests).  The bottom family is lazy: it is
+(n, r) relations that way off the SQ3 index, with no generator object.
+A :class:`GroupPresentation` puts generator objects beside them for
+``present`` to print; :class:`Relation` objects, with :class:`GeneratorId`
+letters, are made only when its ``relations`` is read (by the tests and the
+benchmark's baseline table).  The bottom family is lazy: it is
 counted off the SQ3 buckets and read off the index's rows only when a
 bottom relation is first asked for.  Whether it holds on labels is read off
 the buckets, one product per member
@@ -43,7 +44,7 @@ from typing import Callable, Iterable, Optional, Union
 from .combinatorics import Partition, Subset, require_transversal
 from .errors import InvalidParameters, VerificationFailed
 from .labels import label_by_subscripts
-from .perms import Permutation, ProductTable, invert
+from .perms import Permutation, ProductTable
 from .schreier import convex_partition_of, predecessor
 from .squares import _singular_index, _SingularIndex
 
@@ -111,20 +112,11 @@ Gen = Union[GeneratorId, AbstractGenerator]
 GroupWord = tuple[tuple[Gen, int], ...]
 
 
-def word_str(word: GroupWord) -> str:
-    if not word:
-        return "1"
-    return " * ".join(g.display() + ("^-1" if e < 0 else "") for g, e in word)
-
-
 @dataclass(frozen=True, slots=True)
 class Relation:
     lhs: GroupWord
     rhs: GroupWord
     tag: str
-
-    def __str__(self) -> str:
-        return f"{word_str(self.lhs)} = {word_str(self.rhs)}"
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +186,16 @@ def relator_key(lhs: Word, rhs: Word = ()) -> Word:
     return min([w[k:] + w[:k] for w in (rho, inverse(rho)) for k in range(len(w))], default=())
 
 
+def word_text(word: Word, names: Callable[[int], str]) -> str:
+    """``word`` as text, generator g named ``names(g)`` and an inverse letter
+    suffixed ``^-1``; the empty word is ``1``.
+
+    >>> word_text((0, 3), ["g", "h"].__getitem__)
+    'g * h^-1'
+    """
+    return " * ".join(names(x >> 1) + ("^-1" if x & 1 else "") for x in word) or "1"
+
+
 def word_json(word: Word) -> list[list[int]]:
     """The letters of ``word`` as ``[generator, exponent]`` pairs, as the log
     and a presentation's JSON document write them."""
@@ -250,9 +252,9 @@ class RelationFamilies:
 
     def label_equations(self, table: ProductTable, label_ids: list[int]) -> bytearray:
         """Byte i is 1 when relation i's two sides have equal labels in
-        ``table``, its letters read as ``label_ids`` (see
-        :func:`letter_label_ids`).  Each word is evaluated.  The bottom
-        family is checked per bucket: all its relations x_P = x_Q hold
+        ``table``, its letters read as ``label_ids`` (the index's
+        ``letter_label_ids``).  Each word is evaluated.  The bottom family
+        is checked per bucket: all its relations x_P = x_Q hold
         exactly when every member P of every bucket gives x_P the same
         label, one product per member, and then the family is not read.
         Otherwise each bottom relation p^-1 q = s^-1 t takes two products,
@@ -328,62 +330,24 @@ class RelationFamilies:
 
 class GroupPresentation:
     """Generators, their relations (a :class:`RelationFamilies`,
-    ``families``) and a ``meta`` dict.
+    ``families``) and a ``meta`` dict.  ``relations`` gives the relations
+    as :class:`Relation` objects, made on first read."""
 
-    :meth:`letters` gives one relation's two sides as int letters and
-    ``relation_count`` their number; ``relations`` gives them as
-    :class:`Relation` objects, made on first read.  A presentation made by
-    hand from Relation objects converts them to letters when it is made;
-    :func:`build_presentation` takes the letters of :func:`relation_families`.
-    """
-
-    def __init__(self, generators, relations, meta: Optional[dict] = None):
-        self.generators: tuple[Gen, ...] = tuple(generators)
-        self.meta: dict = {} if meta is None else meta
-        self._relations: Optional[tuple[Relation, ...]] = tuple(relations)
-        number = {g: i for i, g in enumerate(self.generators)}
-
-        def letters(word: GroupWord) -> tuple[int, ...]:
-            return tuple(2 * number[g] + (e < 0) for g, e in word)
-
-        self.families = RelationFamilies(
-            [(letters(rel.lhs), letters(rel.rhs)) for rel in self._relations],
-            [rel.tag for rel in self._relations],
-            generator_count=len(self.generators),
-        )
-
-    @classmethod
-    def _of_families(cls, generators: tuple[Gen, ...], families: RelationFamilies, meta: dict) -> "GroupPresentation":
-        pres = cls.__new__(cls)
-        pres.generators, pres.families, pres.meta, pres._relations = generators, families, meta, None
-        return pres
-
-    @property
-    def relation_count(self) -> int:
-        return self.families.relation_count
-
-    def letters(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return self.families.letters(i)
-
-    def tag(self, i: int) -> str:
-        return self.families.tag(i)
-
-    def family(self, tag: str) -> "GroupPresentation":
-        """The presentation over the same generators with only the relations
-        tagged ``tag`` (see :meth:`RelationFamilies.family`)."""
-        return GroupPresentation._of_families(self.generators, self.families.family(tag), self.meta)
+    def __init__(self, generators: tuple[Gen, ...], families: RelationFamilies, meta: dict):
+        self.generators, self.families, self.meta = generators, families, meta
+        self._relations: Optional[tuple[Relation, ...]] = None
 
     @property
     def relations(self) -> tuple[Relation, ...]:
         if self._relations is None:
-            gens = self.generators
+            gens, families = self.generators, self.families
 
             def word(letters: tuple[int, ...]) -> GroupWord:
                 return tuple((gens[x >> 1], -1 if x & 1 else 1) for x in letters)
 
             self._relations = tuple(
-                Relation(word(lhs), word(rhs), self.tag(i))
-                for i, (lhs, rhs) in enumerate(map(self.letters, range(self.relation_count)))
+                Relation(word(lhs), word(rhs), families.tag(i))
+                for i, (lhs, rhs) in enumerate(map(families.letters, range(families.relation_count)))
             )
         return self._relations
 
@@ -398,25 +362,15 @@ class GroupPresentation:
                 "label": g.label.cycle_form(),
             }
 
+        families = self.families
         return {
             "generators": [gen_json(g) for g in self.generators],
             "relations": [
-                {"lhs": word_json(lhs), "rhs": word_json(rhs), "tag": self.tag(i)}
-                for i, (lhs, rhs) in enumerate(map(self.letters, range(self.relation_count)))
+                {"lhs": word_json(lhs), "rhs": word_json(rhs), "tag": families.tag(i)}
+                for i, (lhs, rhs) in enumerate(map(families.letters, range(families.relation_count)))
             ],
             "meta": dict(self.meta),
         }
-
-
-def letter_label_ids(generators: tuple[GeneratorId, ...], table: ProductTable) -> list[int]:
-    """The id in ``table`` of each int letter's label: generator i's label at
-    ``2*i``, its inverse at ``2*i + 1``.  A relation then holds on the labels
-    when ``table.evaluate`` gives its two sides the same id."""
-    ids: list[int] = []
-    for g in generators:
-        ids.append(table.intern(g.label.images))
-        ids.append(table.intern(invert(g.label.images)))
-    return ids
 
 
 def presentations_match(a: GroupPresentation, b: GroupPresentation) -> bool:
@@ -425,7 +379,8 @@ def presentations_match(a: GroupPresentation, b: GroupPresentation) -> bool:
         return False
 
     def keys(pres: GroupPresentation) -> list[Word]:
-        return sorted(relator_key(*pres.letters(i)) for i in range(pres.relation_count))
+        families = pres.families
+        return sorted(relator_key(*families.letters(i)) for i in range(families.relation_count))
 
     return keys(a) == keys(b)
 
@@ -527,7 +482,7 @@ def build_presentation(n: int, r: int) -> GroupPresentation:
     )
     top, middle, bottom = index.family_sizes()
     meta = {"n": n, "r": r, "top_ordered": top, "top_distinct": top, "middle": middle, "bottom": bottom}
-    return GroupPresentation._of_families(generators, relation_families(n, r), meta)
+    return GroupPresentation(generators, relation_families(n, r), meta)
 
 
 def coxeter_presentation(r: int) -> GroupPresentation:
@@ -546,7 +501,7 @@ def coxeter_presentation(r: int) -> GroupPresentation:
     words: list[tuple[Word, Word]] = [((2 * k, 2 * k), ()) for k in range(r - 1)]
     words += [((2 * k, 2 * k + 2, 2 * k), (2 * k + 2, 2 * k, 2 * k + 2)) for k in range(r - 2)]
     words += [((2 * k, 2 * l), (2 * l, 2 * k)) for k in range(r - 1) for l in range(k + 2, r - 1)]
-    return GroupPresentation._of_families(
+    return GroupPresentation(
         tuple(AbstractGenerator(f"g{k}") for k in range(1, r)),
         RelationFamilies(words, ["coxeter"] * len(words), generator_count=r - 1),
         {"r": r, "kind": "coxeter"},

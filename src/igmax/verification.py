@@ -9,8 +9,10 @@ canonical labels are the adjacent transpositions).  Beside it stand
 Todd–Coxeter coset enumeration over the trivial subgroup, which gives the
 exact order when it closes and reaches every (8, r) under the default
 budget, and the label homomorphism check, used at the boundary r = n-1
-where no reduction runs.  The oracle reads only the relations: no labels
-and no derivation.
+where no reduction runs: it evaluates
+:func:`~igmax.presentation.relation_families` ``(n, n-1)`` on the labels of
+the SQ3 index, as the replay does below it.  The oracle reads only the
+relations: no labels and no derivation.
 
 :func:`coset_enumerate` runs in four steps.
 
@@ -32,7 +34,7 @@ and no derivation.
    Coincidences are merged through a union-find with a FIFO queue.  The
    reduction keeps one relator per class of rotations of a word and of its
    inverse, which all have the same normal closure.  The run is
-   deterministic.  On the unreduced relators of :func:`_relators`, which
+   deterministic.  On the unreduced relators of :func:`_reduced`, which
    drop only a relator whose inverse or itself came earlier, HLT defines
    exactly the cosets it defines when it scans every relator: once a scan
    of w at a coset returns, w closes there for good, and the table is
@@ -67,22 +69,20 @@ from typing import Optional
 from . import pipeline, replay
 from .errors import InvalidParameters, VerificationFailed
 from .perms import Permutation, ProductTable
-# presentations_match stays importable from here: the tests and
-# perfbench/trace_run.py use it under this module's name
 from .presentation import (
-    GeneratorId,
-    GroupPresentation,
     RelationFamilies,
-    build_presentation,
     coxeter_presentation,
     free_reduce,
     inverse,
-    letter_label_ids,
-    presentations_match,
     relation_families,
     relator,
     relator_key,
+    word_text,
 )
+from .squares import _SingularIndex, _singular_index
+
+# Not called here: perfbench/trace_run.py wraps these two names in this module.
+from .presentation import build_presentation, presentations_match  # noqa: F401
 
 # the coset budget of coset_enumerate and of ``igmax verify --with-coset-oracle``
 DEFAULT_MAX_COSETS = 50_000
@@ -282,19 +282,6 @@ def _require_closed(table: ProductTable, ids: list[int], relators: list[tuple[in
             raise VerificationFailed("relator does not close on a live coset")
 
 
-def _relators(pres: GroupPresentation) -> list[tuple[int, ...]]:
-    """Freely reduced int relators of every relation, one per class of a
-    word and its inverse (see :func:`_reduced`).
-
-    These are the presentation's own letters (see
-    :class:`~igmax.presentation.GroupPresentation`).
-
-    >>> _relators(coxeter_presentation(3))
-    [(0, 0), (2, 2), (0, 2, 0, 3, 1, 3)]
-    """
-    return _reduced(map(pres.letters, range(pres.relation_count)))
-
-
 def _reduced(relations) -> list[tuple[int, ...]]:
     """Freely reduced int relators of ``(lhs, rhs)`` letter pairs, one per
     class of a word and its inverse.
@@ -307,6 +294,9 @@ def _reduced(relations) -> list[tuple[int, ...]]:
     merges and definitions keep it closed, and the table after every drain
     is consistent on inverses (a·l = b gives b·l^-1 = a).  So a later scan
     of w, or of w^-1, at that coset defines nothing and queues nothing.
+
+    >>> _reduced(coxeter_presentation(3).families.words)
+    [(0, 0), (2, 2), (0, 2, 0, 3, 1, 3)]
     """
     relators = []
     seen = set()
@@ -476,25 +466,23 @@ def _require_budget(max_cosets: object) -> None:
         raise InvalidParameters(f"the coset budget must be an int of at least 1, got {max_cosets!r}")
 
 
-def coset_enumerate(
-    pres: GroupPresentation | RelationFamilies, max_cosets: int = DEFAULT_MAX_COSETS
-) -> CosetResult:
-    """Order of the presented group, or inconclusive under the bound.
+def coset_enumerate(families: RelationFamilies, max_cosets: int = DEFAULT_MAX_COSETS) -> CosetResult:
+    """Order of the group ``families`` presents, or inconclusive under the
+    bound.
 
-    ``pres`` is a presentation or its :class:`RelationFamilies`, such as
-    :func:`~igmax.presentation.relation_families` ``(n, r)``.  The
-    enumeration reads the top, middle and hand-made relations and a
-    spanning subfamily of the bottom family, and runs on the presentation
-    :func:`_tietze` reduces that to, so ``max_cosets`` counts cosets of
-    that.  A closed table passes the enumerator's audit, and then, with a
-    column made for each eliminated generator from its word, every relation
-    must close at every live coset, the whole bottom family included.
+    ``families`` is :func:`~igmax.presentation.relation_families` ``(n, r)``
+    or a presentation's ``families``.  The enumeration reads the top,
+    middle and hand-made relations and a spanning subfamily of the bottom
+    family, and runs on the presentation :func:`_tietze` reduces that to,
+    so ``max_cosets`` counts cosets of that.  A closed table passes the
+    enumerator's audit, and then, with a column made for each eliminated
+    generator from its word, every relation must close at every live coset,
+    the whole bottom family included.
 
-    >>> coset_enumerate(coxeter_presentation(4)).order
+    >>> coset_enumerate(coxeter_presentation(4).families).order
     24
     """
     _require_budget(max_cosets)
-    families = pres.families if isinstance(pres, GroupPresentation) else pres
     words = _reduced(families.words)
     relators = words + _reduced(families.spanning_bottom()) if families.bottom else words
     survivors, reduced, eliminated = _tietze(families.generator_count, relators)
@@ -574,27 +562,20 @@ def _generated_order(perms: set[Permutation], r: int) -> int:
     return len(seen)
 
 
-def label_homomorphism_check(pres: GroupPresentation) -> HomReport:
-    """Send each pair generator to its label; relations must hold and
-    the labels must generate the whole symmetric group."""
-    r = None
-    for g in pres.generators:
-        if not isinstance(g, GeneratorId):
-            raise InvalidParameters("homomorphism check needs pair generators with labels")
-        r = g.label.degree
-    if r is None:
-        raise InvalidParameters("presentation has no generators")
-
-    table = ProductTable(r)
-    first = pres.families.label_equations(table, letter_label_ids(pres.generators, table)).find(0)
-    failure = None if first < 0 else str(pres.relations[first])
-
-    image_order = _generated_order({g.label for g in pres.generators}, r)
+def label_homomorphism_check(families: RelationFamilies, index: _SingularIndex) -> HomReport:
+    """Send each generator, a pair of ``index``, to its label; the relations
+    must hold and the labels must generate the whole symmetric group.  The
+    first relation that fails is named in the index's ``f[P|A]`` text."""
+    first = families.label_equations(index.product_table, index.letter_label_ids).find(0)
+    failure = None
+    if first >= 0:
+        failure = " = ".join(word_text(side, index.name) for side in families.letters(first))
+    image_order = _generated_order(set(index.labels), index.r)
     return HomReport(
-        relations_checked=pres.relation_count,
+        relations_checked=families.relation_count,
         relations_satisfied=failure is None,
         image_order=image_order,
-        surjective=image_order == math.factorial(r),
+        surjective=image_order == math.factorial(index.r),
         first_failure=failure,
     )
 
@@ -642,28 +623,26 @@ def verify_theorem(n: int, r: int, budget: Optional[int] = None):
     relation families the replay read, which must then find r! elements if
     it closes; if it does not close, a passing replay's verdict is
     "inconclusive", not "confirmed".  A budget that is not an int of at least 1 raises
-    InvalidParameters before anything is built.  Below the boundary no
-    presentation is built.
+    InvalidParameters before anything is built.  No presentation is built,
+    below the boundary or at it.
 
     Returns (report, derivation_log); the log is None in the boundary
     regime r = n-1, where the reduction pipeline does not apply and the
-    report instead notes whether the presentation reduces to a free group.
-    There the bottom family is empty, so every relation should be a top
-    relation g = h or a middle relation g = 1, which the union-find round
-    of :func:`_tietze` solves: the group is free when no relator is left.
+    report instead notes whether the relation families present a free
+    group.  There the bottom family is empty, so every relation should be a
+    top relation g = h or a middle relation g = 1, which the union-find
+    round of :func:`_tietze` solves: the group is free when no relator is
+    left.
     """
-    import warnings
-
     if not (1 <= r <= n - 1):
         raise InvalidParameters(f"need 1 <= r <= n-1, got r={r}, n={n}")
     if budget is not None:
         _require_budget(budget)
     if r == n - 1:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            pres = build_presentation(n, r)
-            hom = label_homomorphism_check(pres)
-        survivors, left, _ = _tietze(len(pres.generators), _relators(pres))
+        families = relation_families(n, r)
+        hom = label_homomorphism_check(families, _singular_index(n, r))
+        relators = _reduced(map(families.letters, range(families.relation_count)))
+        survivors, left, _ = _tietze(families.generator_count, relators)
         free_ok = not left
         report = VerifyReport(
             n=n,

@@ -7,9 +7,9 @@ from collections import deque
 from typing import Optional
 
 from igmax.errors import VerificationFailed
-from igmax.presentation import GroupPresentation, coxeter_presentation  # noqa: F401
+from igmax.presentation import RelationFamilies, coxeter_presentation  # noqa: F401
 from igmax.verification import CosetResult
-from words_reference import relator
+from words_reference import pair_word, relator
 
 
 class _BudgetHit(Exception):
@@ -151,21 +151,21 @@ class _Enumerator:
                     raise VerificationFailed("relator does not close on a live coset")
 
 
-def coset_enumerate(pres: GroupPresentation, max_cosets: int = 100_000) -> CosetResult:
-    """Order of the presented group, or inconclusive under the bound.
+def coset_enumerate(families: RelationFamilies, max_cosets: int = 100_000) -> CosetResult:
+    """Order of the group ``families`` presents, or inconclusive under the
+    bound.  Each relation's letters become pair words, and its relator is
+    reduced on those.
 
-    >>> coset_enumerate(coxeter_presentation(4)).order
+    >>> coset_enumerate(coxeter_presentation(4).families).order
     24
     """
-    index = {g: i for i, g in enumerate(pres.generators)}
     relators = []
-    for rel in pres.relations:
-        word = tuple(
-            2 * index[g] + (0 if e > 0 else 1) for g, e in relator(rel)
-        )
+    for i in range(families.relation_count):
+        lhs, rhs = families.letters(i)
+        word = tuple(2 * g + (0 if e > 0 else 1) for g, e in relator(pair_word(lhs), pair_word(rhs)))
         if word:
             relators.append(word)
-    enum = _Enumerator(len(pres.generators), relators, max_cosets)
+    enum = _Enumerator(families.generator_count, relators, max_cosets)
     try:
         enum.run()
     except _BudgetHit:

@@ -13,32 +13,41 @@ from igmax.cli import main
 from igmax.errors import VerificationFailed
 from igmax.perms import Permutation, ProductTable, compose
 from igmax.pipeline import run_pipeline
-from igmax.presentation import GroupPresentation, Relation, build_presentation, letter_label_ids
+from igmax.presentation import (
+    GroupPresentation,
+    Relation,
+    RelationFamilies,
+    build_presentation,
+    relation_families,
+)
+from igmax.squares import _singular_index
 from words_reference import letter_images
 
 CASES = [(n, r) for n in range(3, 7) for r in range(1, n - 1)]
 
 
-def letters_of(pres):
-    return [pres.letters(i) for i in range(pres.relation_count)]
+def letters_of(families):
+    return [families.letters(i) for i in range(families.relation_count)]
 
 
 @pytest.mark.parametrize("n,r", CASES)
 def test_letters_are_the_relations(n, r):
     # generator i is letter 2*i, its inverse 2*i + 1
     pres = build_presentation(n, r)
+    families = pres.families
     index = {g: i for i, g in enumerate(pres.generators)}
     want = [
         tuple(tuple(2 * index[g] + (e < 0) for g, e in side) for side in (rel.lhs, rel.rhs))
         for rel in pres.relations
     ]
-    assert letters_of(pres) == want
-    assert pres.relation_count == len(pres.relations)
-    assert pres.meta["bottom"] == Counter(map(pres.tag, range(pres.relation_count)))["bottom"]
-    # a presentation made by hand from those relations derives the same letters
-    by_hand = GroupPresentation(pres.generators, pres.relations, pres.meta)
-    assert letters_of(by_hand) == want
-    assert [by_hand.tag(i) for i in range(len(want))] == [rel.tag for rel in pres.relations]
+    assert letters_of(families) == want
+    assert families.relation_count == len(pres.relations)
+    tags = [rel.tag for rel in pres.relations]
+    assert [families.tag(i) for i in range(len(want))] == tags
+    assert pres.meta["bottom"] == Counter(tags)["bottom"]
+    # a presentation made by hand from those letters gives the same relations
+    by_hand = GroupPresentation(pres.generators, RelationFamilies(want, tags, generator_count=len(index)), pres.meta)
+    assert by_hand.relations == pres.relations
 
 
 def _unread(index):
@@ -70,29 +79,30 @@ def test_replay_checks_the_bottom_family_without_reading_it(monkeypatch, tmp_pat
     assert "confirmed S_" in capsys.readouterr().out
 
 
-def _label_equations_per_relation(pres, table, label_ids):
+def _label_equations_per_relation(families, table, label_ids):
     out = bytearray()
-    for i in range(pres.relation_count):
-        lhs, rhs = pres.letters(i)
+    for i in range(families.relation_count):
+        lhs, rhs = families.letters(i)
         out.append(table.evaluate(lhs, label_ids) == table.evaluate(rhs, label_ids))
     return out
 
 
 @pytest.mark.parametrize("n,r", [(5, 3), (6, 4)])
 def test_a_disagreeing_bucket_names_the_relations_that_fail(n, r):
-    pres = build_presentation(n, r)
+    families = relation_families(n, r)
+    # a fresh table, and the labels' ids in it, which this test changes
     table = ProductTable(r)
-    label_ids = letter_label_ids(pres.generators, table)
-    assert pres.families.label_equations(table, label_ids) == bytearray([1]) * pres.relation_count
+    label_ids = [table.intern(p) for lam in _singular_index(n, r).labels for p in (lam.images, lam.inverse().images)]
+    assert families.label_equations(table, label_ids) == bytearray([1]) * families.relation_count
     # the letter p of the first bottom relation p^-1 q = s^-1 t is given
     # another label, so the buckets that hold that p disagree
-    first = pres.relation_count - pres.meta["bottom"]
-    (p, _), _ = pres.letters(first)
+    first = families.relation_count - families.bottom
+    (p, _), _ = families.letters(first)
     swap = table.intern((2, 1) + tuple(range(3, r + 1)))
     label_ids[p] = table.product(label_ids[p], swap)
-    want = _label_equations_per_relation(pres, table, label_ids)
+    want = _label_equations_per_relation(families, table, label_ids)
     assert want[first] == 0 and want.count(1) > first
-    assert pres.families.label_equations(table, label_ids) == want
+    assert families.label_equations(table, label_ids) == want
 
 
 def test_a_short_bottom_family_is_reported(monkeypatch):
@@ -102,12 +112,14 @@ def test_a_short_bottom_family_is_reported(monkeypatch):
         return real(index)[4:]
 
     monkeypatch.setattr(presentation, "read_bottom", one_short)
-    pres = build_presentation(5, 3)
+    # families that have not read their bottom relations yet
+    relation_families.cache_clear()
+    families = relation_families(5, 3)
     with pytest.raises(VerificationFailed, match="the bottom family holds 359 relations, not the 360 counted"):
-        pres.letters(pres.relation_count - 1)
+        families.letters(families.relation_count - 1)
     # and again on the next read: a short family is never served
     with pytest.raises(VerificationFailed, match="the bottom family holds 359 relations"):
-        pres.letters(pres.relation_count - 2)
+        families.letters(families.relation_count - 2)
 
 
 @pytest.mark.parametrize("n,r", [(5, 3), (6, 4)])

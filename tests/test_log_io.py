@@ -532,7 +532,7 @@ def test_discharge_steps_cost_under_64_bytes_a_relation():
     pres = build_presentation(6, 3)
     for g in pres.generators:
         eng.resolve(g.partition, g.subset)
-    relations = pres.relation_count
+    relations = pres.families.relation_count
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

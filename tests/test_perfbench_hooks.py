@@ -63,7 +63,7 @@ def test_the_bottom_family_is_read_without_the_enumerator(trace_run):
     undo = trace_run.install(tracer)
     try:
         pres = presentation.build_presentation(5, 3)
-        assert pres.letters(pres.relation_count - 1)
+        assert pres.families.letters(pres.families.relation_count - 1)
     finally:
         trace_run.uninstall(undo)
     assert "squares.enumerate_singular_squares" not in tracer.names
@@ -150,3 +150,12 @@ def test_no_module_level_container_escapes_clear_caches(trace_run, tmp_path):
     assert cli.main(["verify", "--n", "5", "--r", "3", "--with-coset-oracle"]) == 0
     trace_run.clear_caches()
     assert module_containers() == before
+
+
+def test_baseline_table_reads_the_presentation_it_counts(trace_run, monkeypatch, capsys):
+    # ``trace_run.py --baseline-table`` counts a presentation's Relation
+    # objects (``pres.relations``), reduces, and replays the written log
+    monkeypatch.setattr(trace_run, "BASELINE_CASES", ((5, 3),))
+    trace_run.baseline_table()
+    rows = [line.split("|")[1:-1] for line in capsys.readouterr().out.splitlines()[2:]]
+    assert [[cell.strip() for cell in row[:4]] for row in rows] == [["(5,3)", "90", "394", "597"]]

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from igmax.combinatorics import Partition, Subset
 from igmax.errors import InvalidParameters
 from igmax.presentation import (
-    AbstractGenerator,
     GeneratorId,
     Relation,
     build_presentation,
@@ -19,13 +18,12 @@ from igmax.presentation import (
     relator,
     relator_key,
     substitute,
-    word_str,
+    word_text,
 )
 from igmax.schreier import IdempotentLetter, build_schreier
 from igmax.squares import _singular_index, _sorted_partitions, enumerate_singular_squares
 
-G, H, K = (AbstractGenerator(x) for x in "ghk")
-# the int letters of G, H, K and of their inverses
+# the int letters of three generators g, h, k and of their inverses
 g, g_, h, h_, k, k_ = range(6)
 
 
@@ -67,9 +65,12 @@ def test_substitute():
     assert substitute(w, h >> 1, (h,)) == w
 
 
-def test_word_str():
-    assert word_str(()) == "1"
-    assert word_str(((G, 1), (H, -1))) == "g * h^-1"
+def test_word_text():
+    names = ["g", "h", "k"].__getitem__
+    assert word_text((), names) == "1"
+    assert word_text((g, h_), names) == "g * h^-1"
+    # the names are the ones given
+    assert word_text((k_, g), ["a", "b", "c"].__getitem__) == "c^-1 * a"
 
 
 def test_relation_relator_and_triviality():
@@ -131,7 +132,8 @@ def test_generator_id_equality_ignores_label_slot():
 def test_build_presentation_four_two():
     pres = build_presentation(4, 2)
     assert len(pres.generators) == 24
-    assert Counter(map(pres.tag, range(pres.relation_count))) == {"top": 5, "middle": 7, "bottom": 48}
+    families = pres.families
+    assert Counter(map(families.tag, range(families.relation_count))) == {"top": 5, "middle": 7, "bottom": 48}
     assert pres.meta["top_ordered"] == 5
 
 
@@ -153,7 +155,7 @@ def test_build_presentation_relation_shapes():
 def test_build_presentation_boundary_warns():
     with pytest.warns(UserWarning):
         pres = build_presentation(4, 3)
-    assert Counter(map(pres.tag, range(pres.relation_count)))["bottom"] == 0
+    assert Counter(map(pres.families.tag, range(pres.families.relation_count)))["bottom"] == 0
 
 
 @pytest.mark.parametrize("n,r", [(n, r) for n in range(2, 8) for r in range(1, n)])
@@ -164,7 +166,7 @@ def test_family_sizes_are_the_tag_counts(n, r):
         warnings.simplefilter("ignore")
         pres = build_presentation(n, r)
     top, middle, bottom = _singular_index(n, r).family_sizes()
-    tags = Counter(map(pres.tag, range(pres.relation_count)))
+    tags = Counter(map(pres.families.tag, range(pres.families.relation_count)))
     assert (tags["top"], tags["middle"], tags["bottom"]) == (top, middle, bottom)
     assert sum(1 for _ in enumerate_singular_squares(n, r)) == bottom
     assert (pres.meta["top_ordered"], pres.meta["middle"], pres.meta["bottom"]) == (top, middle, bottom)

@@ -26,6 +26,7 @@ from igmax.presentation import (
     RelationFamilies,
     build_presentation,
     relation_families,
+    word_text,
 )
 from igmax.replay import (
     DerivationLog,
@@ -537,8 +538,8 @@ def forged_six_three():
     sq, s5 = eng._square(K, Q, a345, a234)
     s6 = eng._add("flush-column", _eq_relation(eng._gen(K, a234), eng._gen(Q, a234), eng.letters), (s5, s4), square=sq)
     gens = build_presentation(6, 3).generators
-    named = [tuple((gens[x >> 1], -1 if x & 1 else 1) for x in side) for side in log.steps[s4].conclusion]
-    assert str(Relation(*named, "derived")) == (
+    names = [g.display() for g in gens].__getitem__
+    assert " = ".join(word_text(side, names) for side in log.steps[s4].conclusion) == (
         "f[{{1,2,5},{3},{4,6}}|{3,4,5}] = f[{{1,4},{2,5},{3,6}}|{3,4,5}]^-1"
     )
     assert (GeneratorId.of(K, a234).label.cycle_form(), GeneratorId.of(Q, a234).label.cycle_form()) == ("()", "(1 3 2)")

@@ -29,6 +29,7 @@ TRACE_ONLY = {
     ("pipeline", "replay_log"): "pipeline.replay_log",
     ("presentation", "build_schreier"): "schreier.build_schreier",
     ("presentation", "enumerate_singular_squares"): "squares.enumerate_singular_squares",
+    ("verification", "build_presentation"): "presentation.build_presentation[verification]",
     ("verification", "presentations_match"): "verification.presentations_match",
 }
 

@@ -11,21 +11,20 @@ from igmax.errors import InvalidParameters, VerificationFailed
 from igmax.labels import label_by_subscripts
 from igmax.replay import replay_log
 from igmax.presentation import (
-    AbstractGenerator,
     GroupPresentation,
-    Relation,
+    RelationFamilies,
     build_presentation,
     coxeter_presentation,
     relation_families,
 )
 from igmax.perms import Permutation
-from words_reference import inverse_word, relator
+from igmax.squares import _singular_index
 from igmax.verification import (
     CosetResult,
     _BudgetHit,
     _Enumerator,
     _generated_order,
-    _relators,
+    _reduced,
     _tietze,
     coset_enumerate,
     label_homomorphism_check,
@@ -41,7 +40,7 @@ from igmax.verification import (
 
 def test_coset_orders_of_symmetric_groups():
     for r in (2, 3, 4, 5):
-        res = coset_enumerate(coxeter_presentation(r))
+        res = coset_enumerate(coxeter_presentation(r).families)
         assert res.closed
         assert res.order == math.factorial(r)
         assert res.live_cosets == res.order
@@ -49,18 +48,18 @@ def test_coset_orders_of_symmetric_groups():
 
 
 def test_coset_trivial_group():
-    res = coset_enumerate(coxeter_presentation(1))
+    res = coset_enumerate(coxeter_presentation(1).families)
     assert res.closed and res.order == 1
 
 
 def test_coset_on_concrete_presentation():
     # the (4,2) pair presentation collapses to the 2-element group
-    res = coset_enumerate(build_presentation(4, 2))
+    res = coset_enumerate(relation_families(4, 2))
     assert res.closed and res.order == 2
 
 
 def test_coset_budget_exhaustion():
-    res = coset_enumerate(coxeter_presentation(4), max_cosets=5)
+    res = coset_enumerate(coxeter_presentation(4).families, max_cosets=5)
     assert not res.closed
     assert res.order is None
     assert res.cosets_defined == 5
@@ -92,25 +91,22 @@ def test_coset_audit_rejects_columns_that_are_not_inverse():
 
 
 def test_relators_keep_one_word_per_inverse_pair():
-    g, h = AbstractGenerator("g"), AbstractGenerator("h")
-    gh = ((g, 1), (h, 1))
-    pres = GroupPresentation(
-        (g, h),
-        (
-            Relation(gh, (), "t"),
-            Relation((), gh, "t"),  # the inverse relator
-            Relation(((g, 1),), ((h, -1),), "t"),  # the same relator again
-            Relation(((g, 1), (g, -1)), (), "t"),  # freely trivial
-            Relation(((h, 1), (g, 1)), (), "t"),  # a rotation, which is kept
-            Relation(((h, -1), (g, -1)), (), "t"),  # the inverse of the first
-        ),
-    )
-    assert _relators(pres) == [(0, 2), (2, 0)]
+    # the letters of g, g^-1, h, h^-1
+    g, g_, h, h_ = range(4)
+    relations = [
+        ((g, h), ()),
+        ((), (g, h)),  # the inverse relator
+        ((g,), (h_,)),  # the same relator again
+        ((g, g_), ()),  # freely trivial
+        ((h, g), ()),  # a rotation, which is kept
+        ((h_, g_), ()),  # the inverse of the first
+    ]
+    assert _reduced(relations) == [(0, 2), (2, 0)]
 
 
 def test_coset_determinism():
-    a = coset_enumerate(coxeter_presentation(4))
-    b = coset_enumerate(coxeter_presentation(4))
+    a = coset_enumerate(coxeter_presentation(4).families)
+    b = coset_enumerate(coxeter_presentation(4).families)
     assert a == b
 
 
@@ -124,9 +120,10 @@ def test_coset_determinism():
 # against the reference on the full presentation it must give the same order.
 
 
-def unreduced_enumerate(pres, budget):
-    """The HLT core on ``_relators(pres)``, with no Tietze pass."""
-    enum = _Enumerator(len(pres.generators), _relators(pres), budget)
+def unreduced_enumerate(families, budget):
+    """The HLT core on the reduced relators of every relation, with no Tietze pass."""
+    relators = _reduced(map(families.letters, range(families.relation_count)))
+    enum = _Enumerator(families.generator_count, relators, budget)
     try:
         enum.run()
     except _BudgetHit:
@@ -145,20 +142,20 @@ REFERENCE_CASES = [(build_presentation, (n, r)) for n in range(3, 7) for r in ra
     "build,args", REFERENCE_CASES, ids=[f"{build.__name__}{args}" for build, args in REFERENCE_CASES]
 )
 def test_coset_counts_match_the_reference(build, args):
-    pres = build(*args)
+    families = build(*args).families
     for budget in (5, 50, 500, 5_000, 50_000):
-        expected = coset_reference.coset_enumerate(pres, budget)
-        assert unreduced_enumerate(pres, budget) == expected
+        expected = coset_reference.coset_enumerate(families, budget)
+        assert unreduced_enumerate(families, budget) == expected
     # expected is now the reference under 50,000
-    res = coset_enumerate(pres.families, 50_000)
+    res = coset_enumerate(families, 50_000)
     assert res.closed and expected.closed
     assert res.order == res.live_cosets == expected.order
 
 
 def test_coset_counts_match_the_reference_at_seven_five():
-    pres = build_presentation(7, 5)
-    res = unreduced_enumerate(pres, 50_000)
-    assert res == coset_reference.coset_enumerate(pres, 50_000)
+    families = relation_families(7, 5)
+    res = unreduced_enumerate(families, 50_000)
+    assert res == coset_reference.coset_enumerate(families, 50_000)
     assert res == CosetResult(True, 120, 32040, 120)
     reduced = coset_enumerate(relation_families(7, 5), 50_000)
     assert reduced.closed and reduced.order == 120
@@ -168,7 +165,7 @@ def test_coset_oracle_reaches_seven_four():
     # and (8,6), which the enumeration of the unreduced presentation does not
     # close under the default budget
     for (n, r), order in (((7, 4), 24), ((8, 6), 720)):
-        res = coset_enumerate(build_presentation(n, r))
+        res = coset_enumerate(relation_families(n, r))
         assert res.closed, (n, r)
         assert res.order == res.live_cosets == order
 
@@ -230,7 +227,7 @@ def test_coset_audit_checks_the_whole_bottom_family(monkeypatch):
 @pytest.mark.parametrize("budget", [0, -3, True, 2.5, "5", None])
 def test_coset_budget_must_be_a_positive_int(budget):
     with pytest.raises(InvalidParameters):
-        coset_enumerate(coxeter_presentation(1), budget)
+        coset_enumerate(coxeter_presentation(1).families, budget)
 
 
 def test_coset_audit_catches_a_wrong_elimination(monkeypatch):
@@ -239,7 +236,7 @@ def test_coset_audit_catches_a_wrong_elimination(monkeypatch):
     # generators breaks an input relator, so no order may come out
     import igmax.verification as verification
 
-    pres = build_presentation(5, 3)
+    labels = _singular_index(5, 3).labels
     tietze = verification._tietze
 
     def wrong(n_gens, relators):
@@ -247,49 +244,52 @@ def test_coset_audit_catches_a_wrong_elimination(monkeypatch):
         i = next(
             i
             for i, (g, word) in enumerate(eliminated)
-            if len(word) == 1 and not pres.generators[g].label.is_identity()
+            if len(word) == 1 and not labels[g].is_identity()
         )
         eliminated[i] = (eliminated[i][0], ())
         return survivors, reduced, eliminated
 
     monkeypatch.setattr(verification, "_tietze", wrong)
     with pytest.raises(VerificationFailed, match="relator does not close on a live coset"):
-        coset_enumerate(pres)
+        coset_enumerate(relation_families(5, 3))
 
 
-GENS = tuple(AbstractGenerator(name) for name in "abc")
+def inverse_letters(word):
+    return tuple(x ^ 1 for x in reversed(word))
 
 
 @st.composite
 def small_presentations(draw):
-    """1-3 generators and short relations, with duplicates and inverses of
-    earlier relations mixed in, sometimes with the sides swapped."""
-    gens = GENS[: draw(st.integers(1, 3))]
-    letters = st.tuples(st.sampled_from(gens), st.sampled_from((1, -1)))
+    """1-3 generators and short relations of int letters, with duplicates
+    and inverses of earlier relations mixed in, sometimes with the sides
+    swapped."""
+    gens = draw(st.integers(1, 3))
+    letters = st.integers(0, 2 * gens - 1)
     words = st.lists(letters, max_size=5).map(tuple)
     relations = []
     for _ in range(draw(st.integers(0, 6))):
         earlier = draw(st.sampled_from(range(len(relations)))) if relations else None
         kind = draw(st.sampled_from(("new", "duplicate", "inverse", "swapped")))
         if earlier is None or kind == "new":
-            relations.append(Relation(draw(words), draw(st.lists(letters, max_size=2).map(tuple)), "t"))
+            relations.append((draw(words), draw(st.lists(letters, max_size=2).map(tuple))))
             continue
-        rel = relations[earlier]
+        lhs, rhs = relations[earlier]
         if kind == "duplicate":
-            relations.append(rel)
+            relations.append((lhs, rhs))
         elif kind == "inverse":
-            relations.append(Relation(inverse_word(relator(rel)), (), "t"))
+            # (lhs rhs^-1)^-1 = rhs lhs^-1
+            relations.append((rhs + inverse_letters(lhs), ()))
         else:
-            relations.append(Relation(rel.rhs, rel.lhs, "t"))
-    return GroupPresentation(gens, tuple(relations))
+            relations.append((rhs, lhs))
+    return RelationFamilies(relations, ["t"] * len(relations), generator_count=gens)
 
 
 @settings(max_examples=150, deadline=None)
 @given(small_presentations())
-def test_coset_counts_match_the_reference_on_random_presentations(pres):
-    expected = coset_reference.coset_enumerate(pres, 2_000)
-    assert unreduced_enumerate(pres, 2_000) == expected
-    res = coset_enumerate(pres, 2_000)
+def test_coset_counts_match_the_reference_on_random_presentations(families):
+    expected = coset_reference.coset_enumerate(families, 2_000)
+    assert unreduced_enumerate(families, 2_000) == expected
+    res = coset_enumerate(families, 2_000)
     if res.closed and expected.closed:
         assert res.order == expected.order
 
@@ -300,7 +300,7 @@ def test_coset_counts_match_the_reference_on_random_presentations(pres):
 
 
 def test_homomorphism_four_two():
-    rep = label_homomorphism_check(build_presentation(4, 2))
+    rep = label_homomorphism_check(relation_families(4, 2), _singular_index(4, 2))
     assert rep.ok
     assert rep.relations_checked == 60
     assert rep.relations_satisfied
@@ -310,26 +310,23 @@ def test_homomorphism_four_two():
 
 
 def test_homomorphism_five_three():
-    rep = label_homomorphism_check(build_presentation(5, 3))
+    rep = label_homomorphism_check(relation_families(5, 3), _singular_index(5, 3))
     assert rep.ok and rep.image_order == 6
 
 
-def test_homomorphism_needs_pair_generators():
-    with pytest.raises(InvalidParameters):
-        label_homomorphism_check(coxeter_presentation(3))
-
-
 def test_homomorphism_flags_bogus_relation():
-    pres = build_presentation(4, 2)
-    idents = [g for g in pres.generators if g.label.is_identity()]
-    others = [g for g in pres.generators if not g.label.is_identity()]
-    bad = Relation(((idents[0], 1),), ((others[0], 1),), "bottom")
-    broken = GroupPresentation(pres.generators, pres.relations + (bad,), dict(pres.meta))
-    rep = label_homomorphism_check(broken)
+    # the first generator of identity label set equal to the first of another label
+    families, index = relation_families(4, 2), _singular_index(4, 2)
+    ident = next(g for g, lam in enumerate(index.labels) if lam.is_identity())
+    other = next(g for g, lam in enumerate(index.labels) if not lam.is_identity())
+    words = [families.letters(i) for i in range(families.relation_count)]
+    tags = [families.tag(i) for i in range(families.relation_count)]
+    broken = RelationFamilies(words + [((2 * ident,), (2 * other,))], tags + ["bottom"], generator_count=24)
+    rep = label_homomorphism_check(broken, index)
     assert not rep.ok
     assert not rep.relations_satisfied
     assert rep.relations_checked == 61
-    assert rep.first_failure == str(bad)
+    assert rep.first_failure == "f[{{1},{2,3,4}}|{1,2}] = f[{{1,2,4},{3}}|{3,4}]"
     assert rep.surjective  # the image is unchanged
 
 
@@ -352,17 +349,18 @@ def test_presentations_match_positive():
 
 def test_presentations_match_ignores_relation_order():
     pres = coxeter_presentation(3)
-    flipped = GroupPresentation(pres.generators, tuple(reversed(pres.relations)), {})
-    assert presentations_match(pres, flipped)
+    families = pres.families
+    flipped = RelationFamilies(families.words[::-1], families.tags[::-1], generator_count=2)
+    assert presentations_match(pres, GroupPresentation(pres.generators, flipped, {}))
 
 
 def test_presentations_match_negative():
     assert not presentations_match(coxeter_presentation(2), coxeter_presentation(3))
     pres = coxeter_presentation(3)
-    g = pres.generators[0]
-    extra = Relation(((g, 1),) * 3, (), "derived")
-    bigger = GroupPresentation(pres.generators, pres.relations + (extra,), {})
-    assert not presentations_match(pres, bigger)
+    families = pres.families
+    # g1^3 = 1
+    bigger = RelationFamilies(families.words + [((0, 0, 0), ())], families.tags + ["derived"], generator_count=2)
+    assert not presentations_match(pres, GroupPresentation(pres.generators, bigger, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -418,17 +416,18 @@ def test_verify_boundary_case():
 
 
 def test_boundary_tietze_leaves_survivors_and_no_relator(monkeypatch):
-    with pytest.warns(UserWarning):
-        pres = build_presentation(4, 3)
-    survivors, left, _ = _tietze(len(pres.generators), _relators(pres))
+    families = relation_families(4, 3)
+    assert families.bottom == 0
+    survivors, left, _ = _tietze(families.generator_count, _reduced(families.words))
     assert len(survivors) == 3 and left == []
     # g g = 1 on a surviving generator is neither g = h nor g = 1, and no
     # Tietze move removes it
-    g = pres.generators[survivors[0]]
-    square = Relation(((g, 1), (g, 1)), (), "derived")
-    tampered = GroupPresentation(pres.generators, pres.relations + (square,))
-    assert _tietze(len(pres.generators), _relators(tampered))[1] != []
-    monkeypatch.setattr(verification, "build_presentation", lambda n, r: tampered)
+    g = survivors[0]
+    tampered = RelationFamilies(
+        families.words + [((2 * g, 2 * g), ())], families.tags + ["derived"], generator_count=families.generator_count
+    )
+    assert _tietze(tampered.generator_count, _reduced(tampered.words))[1] != []
+    monkeypatch.setattr(verification, "relation_families", lambda n, r: tampered)
     report, _ = verify_theorem(4, 3)
     assert report.verdict == "not confirmed: boundary r = n-1, simplification left relations"
     assert report.boundary_free_consistent is False
@@ -442,9 +441,10 @@ def test_verify_rejects_a_coset_budget_below_one():
 @pytest.mark.parametrize("budget", [0, -5, True, 2.5])
 def test_verify_rejects_a_bad_budget_before_it_builds(monkeypatch, budget):
     def unbuilt(n, r):
-        raise AssertionError("built a presentation for a budget that was never valid")
+        raise AssertionError("built relations for a budget that was never valid")
 
-    monkeypatch.setattr(verification, "build_presentation", unbuilt)
+    monkeypatch.setattr(verification, "relation_families", unbuilt)
+    monkeypatch.setattr(verification.pipeline, "run_pipeline", unbuilt)
     with pytest.raises(InvalidParameters, match="the coset budget must be an int of at least 1"):
         verify_theorem(7, 4, budget=budget)
 
@@ -456,11 +456,13 @@ def test_verify_rejects_bad_rank():
         verify_theorem(4, 0)
 
 
-def test_verify_builds_no_presentation_below_the_boundary(monkeypatch):
-    # the replay and the coset oracle both read the relation families off
-    # the index, so no presentation is built, with the oracle or without
+def test_verify_builds_no_presentation(monkeypatch, capsys):
+    # the replay, the coset oracle and the boundary's checks all read the
+    # relation families off the index, so no presentation is built, with
+    # the oracle or without, and at the boundary r = n-1 too
     import igmax.pipeline
-    import igmax.verification
+    import igmax.presentation
+    from igmax.cli import main
 
     builds = []
 
@@ -468,14 +470,16 @@ def test_verify_builds_no_presentation_below_the_boundary(monkeypatch):
         builds.append((n, r))
         return build_presentation(n, r)
 
-    monkeypatch.setattr(igmax.pipeline, "build_presentation", counting_build)
-    monkeypatch.setattr(igmax.verification, "build_presentation", counting_build)
+    for module in (igmax.pipeline, igmax.presentation, verification):
+        monkeypatch.setattr(module, "build_presentation", counting_build)
     for budget in (None, 1000):
         report, _ = verify_theorem(5, 3, budget=budget)
         assert report.verdict == "confirmed S_3"
-        assert builds == []
-    # the stand-in counts: the boundary builds one
-    verify_theorem(4, 3)
+    assert main(["verify", "--n", "4", "--r", "3", "--allow-boundary"]) == 4
+    assert builds == []
+    # the stand-in counts: present builds one
+    assert main(["present", "--n", "4", "--r", "3"]) == 0
+    capsys.readouterr()
     assert builds == [(4, 3)]
 
 
@@ -490,7 +494,7 @@ def test_verify_rests_on_one_replay(monkeypatch):
         replays.append((log.n, log.r))
         return replay(log)
 
-    def no_homomorphism_check(pres):
+    def no_homomorphism_check(families, index):
         pytest.fail("verify ran the label homomorphism check below the boundary")
 
     monkeypatch.setattr(igmax.replay, "replay_log", counting_replay)

@@ -2,9 +2,8 @@
 with their free reduction, inversion and substitution.
 
 The package holds every word as int letters (``igmax.presentation``).
-The references that read :class:`~igmax.presentation.Relation` objects
-work on pair words with these, so that they stay independent of the int
-path they check.
+The references turn those letters into pair words and work on them with
+these, so that they stay independent of the int path they check.
 """
 
 from igmax.perms import invert
@@ -38,9 +37,14 @@ def substitute(word, gen, replacement):
     return free_reduce(tuple(out))
 
 
-def relator(rel):
-    """The relator lhs * rhs^-1 of a Relation, freely reduced."""
-    return free_reduce(rel.lhs + inverse_word(rel.rhs))
+def pair_word(letters):
+    """The int letters 2g and 2g + 1 as the pairs (g, 1) and (g, -1)."""
+    return tuple((x >> 1, -1 if x & 1 else 1) for x in letters)
+
+
+def relator(lhs, rhs):
+    """The relator lhs * rhs^-1 of the relation lhs = rhs, freely reduced."""
+    return free_reduce(lhs + inverse_word(rhs))
 
 
 def letter_images(perms):
