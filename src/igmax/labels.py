@@ -21,6 +21,7 @@ i-th block, which holds in particular whenever the kernel is convex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .combinatorics import Partition, Subset, require_transversal
 from .perms import Permutation
@@ -84,9 +85,14 @@ def label(partition: Partition, subset: Subset) -> Permutation:
 def label_by_subscripts(partition: Partition, subset: Subset) -> Permutation:
     """Direct read-off: entry i is the image-position of the block-i element."""
     require_transversal(subset, partition)
-    images = [0] * len(partition)
-    for pos, x in enumerate(subset.elements, start=1):
-        images[partition.block_index(x) - 1] = pos
-    # a transversal puts exactly one position in each block
-    return Permutation._trusted(tuple(images))
+    # a transversal puts exactly one of its elements in each block
+    return Permutation._trusted(pick_label(sorted(subset.elements, key=partition.block_index), subset.elements))
+
+
+def pick_label(pick: Iterable[int], elements: tuple[int, ...]) -> tuple[int, ...]:
+    """The one-line label of a pair whose sorted image ``elements`` meets
+    block i of the kernel in ``pick[i]``: entry i is that element's position
+    in the image.  A transversal made as one pick per block is one, so
+    nothing is checked."""
+    return tuple([elements.index(x) + 1 for x in pick])
 

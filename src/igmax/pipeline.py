@@ -15,15 +15,19 @@ per relation index, counted off the SQ3 index: no presentation is built.
 The log's format and the checker a verdict rests on are :mod:`igmax.replay`,
 which imports nothing from here, so none of the producer's own checks is
 load-bearing: a construction that went wrong yields a step the replay
-rejects.  The constructions compute with the kernel and image objects of
-``squares._singular_index(n, r)``; :class:`Derivation` records their ids.
+rejects.  The constructions compute on the ids of
+``squares._singular_index(n, r)``: a kernel is its number in
+``index.parts``, its blocks read from ``index.block_of``; an image is its
+number in ``index.subsets``; a generator is its pair's number.  A kernel
+made by moving elements between blocks is looked up by its block-of-element
+string (:func:`_kernel_id`), an image by the bits of its elements, so no
+step builds a kernel or an image object.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .combinatorics import Partition, Subset
 from .errors import InvalidParameters, VerificationFailed
 from .perms import Permutation, classify_descent_one, descent_number, rightmost_descent
 from .presentation import GroupPresentation, Word, coxeter_presentation, free_reduce, substitute
@@ -31,7 +35,6 @@ from .replay import (
     DerivationLog,
     DerivationStep,
     Equation,
-    Pair,
     SquareIds,
     _bottom_relation,
     _corners,
@@ -39,9 +42,7 @@ from .replay import (
     _eq_relation,
     _one_relation,
     _three_quarter_relation,
-    canonical_cycle_pair,
 )
-from .schreier import convex_partition_of, predecessor
 from .squares import _singular_index, _SingularIndex, is_singular_ids
 
 # Not called here: perfbench/trace_run.py wraps these three names in this module.
@@ -49,8 +50,8 @@ from .presentation import build_presentation  # noqa: F401
 from .replay import replay_log  # noqa: F401
 from .schreier import build_schreier  # noqa: F401
 
-# a square as its kernels P, Q and images A, B, the index's own objects
-Corners = tuple[Partition, Partition, Subset, Subset]
+# the kind of an identity label; see Derivation.kinds
+IDENTITY = (0, 0)
 
 
 def _square_texts(index: _SingularIndex, sq: SquareIds) -> list[str]:
@@ -67,20 +68,78 @@ def _require_singular(index: _SingularIndex, sq: SquareIds) -> None:
         raise VerificationFailed(f"square fails the singularity tests: {_square_texts(index, sq)}")
 
 
+def _kernel_id(index: _SingularIndex, s: bytearray) -> int:
+    """The id of the kernel that puts each x of [1, n] in the block named
+    ``s[x]``, any name below 256; ``s`` may be overwritten.
+
+    A kernel's ``block_of`` string numbers its blocks in the order of their
+    minima, so ``s`` is looked up as it is first: a move that keeps that
+    order hits.  Otherwise the blocks are renumbered in the order their
+    names first appear, which is the order of their minima, and looked up
+    again; neither needs sorting.  InvalidParameters when ``s`` names no
+    kernel of the index.
+    """
+    k = index.kernel_of.get(bytes(s))
+    if k is None:
+        s[0] = s[1]  # block_of[k][0] is 0, the block of 1
+        order = bytes(dict.fromkeys(s))
+        key = bytes(s.translate(bytes.maketrans(order, bytes(range(len(order))))))
+        k = index.kernel_of.get(key)
+        if k is None:
+            raise InvalidParameters(f"{list(key[1:])} names none of the {len(index.parts)} kernels of this index")
+    return k
+
+
+def _kernel(index: _SingularIndex, blocks: Iterable[Iterable[int]]) -> int:
+    """The id of the kernel with these blocks, given in any order, and one
+    more block of every element they leave out, if any."""
+    s = bytearray(index.n + 1)
+    for i, block in enumerate(blocks, start=1):
+        for x in block:
+            s[x] = i
+    return _kernel_id(index, s)
+
+
+def _image(index: _SingularIndex, elements: Iterable[int]) -> int:
+    """The id of the image with these elements, given in any order."""
+    a = index.image_of.get(sum(1 << x for x in elements))
+    if a is None:
+        raise InvalidParameters(f"{sorted(elements)} is not one of the {len(index.subsets)} images of this index")
+    return a
+
+
 # ---------------------------------------------------------------------------
 # pure constructions
 # ---------------------------------------------------------------------------
 #
-# Each construction computes the blocks and elements it needs and takes the
-# kernels and images with them from ``squares._singular_index(n, r)``, so the
-# derivation's kernels and images are the index's own objects.  A lookup
-# miss raises InvalidParameters.  A square is returned as its corners
+# Each construction computes the blocks and elements it needs and returns
+# the ids of its kernels and images in ``squares._singular_index(n, r)``.
+# A lookup miss raises InvalidParameters.  A square is returned as its ids
 # (P, Q, A, B), unchecked: ``Derivation._square`` checks each witness once,
 # and the tests sweep every construction's squares.
 
 
-def cycle_split(k: int, l: int, n: int, r: int) -> Corners:
-    """The corners (P, Q, A, B) of a square splitting the (k,l)-cycle, l >= 2.
+def cycle_rep(k: int, l: int, n: int, r: int) -> tuple[int, int]:
+    """The ids of the pair :func:`~igmax.replay.canonical_cycle_pair` names
+    for the (k,l)-cycle, the class representative, with no object built."""
+    blocks: list[tuple[int, ...]] = []
+    if k == 1:
+        blocks.append(tuple([1, l + 2] + list(range(r + 2, n + 1))))
+    else:
+        blocks.append(tuple([1] + list(range(r + 2, n + 1))))
+        blocks.append((k, k + l + 1))
+    for i in range(2, k):
+        blocks.append((i,))
+    for i in range(k + 1, k + l + 1):
+        blocks.append((i,))
+    for i in range(k + l + 1, r + 1):
+        blocks.append((i + 1,))
+    index = _singular_index(n, r)
+    return _kernel(index, blocks), _image(index, [i for i in range(1, r + 2) if i != k])
+
+
+def cycle_split(k: int, l: int, n: int, r: int) -> SquareIds:
+    """The square (P, Q, A, B) splitting the (k,l)-cycle, l >= 2.
 
     PA's label is the identity, so the square solves QB, whose label is the
     (k,l)-cycle, as QA * PB: the adjacent transposition at k and the
@@ -113,15 +172,15 @@ def cycle_split(k: int, l: int, n: int, r: int) -> Corners:
         pblocks.append((i + 2,))
         qblocks.append((i + 2,))
     index = _singular_index(n, r)
-    p, q = index.kernel(pblocks), index.kernel(qblocks)
-    a = index.image([i for i in range(1, r + 3) if i not in (k, k + l + 2)])
-    b = index.image([i for i in range(1, r + 3) if i not in (k, k + 2)])
+    p, q = _kernel(index, pblocks), _kernel(index, qblocks)
+    a = _image(index, [i for i in range(1, r + 3) if i not in (k, k + l + 2)])
+    b = _image(index, [i for i in range(1, r + 3) if i not in (k, k + 2)])
     return p, q, a, b
 
 
-def descent_reduction(P: Partition, A: Subset, lam: Permutation) -> tuple[Partition, Subset]:
+def descent_reduction(index: _SingularIndex, p: int, a: int, lam: Permutation) -> tuple[int, int]:
     """The corners (Q, B) that split f[P,A], whose label ``lam`` has
-    descent >= 2, across the singular square (P, Q, A, B).
+    descent >= 2, across the singular square (P, Q, A, B) of ``index``.
 
     QB's label is the identity, so the square solves PA as PB * QA: PB's
     label is the contiguous cycle at ``lam``'s rightmost descent and QA's
@@ -130,42 +189,29 @@ def descent_reduction(P: Partition, A: Subset, lam: Permutation) -> tuple[Partit
     d = descent_number(lam)
     if d < 2:
         raise InvalidParameters(f"descent reduction needs descent >= 2, got {d}")
-    n, r = P.n, len(P)
-    index = _singular_index(n, r)
+    r, minima, block_of, elements = index.r, index.parts[p].minima, index.block_of[p], index.subsets[a].elements
     loc = rightmost_descent(lam)
     v, w = loc.v, loc.w
-    lv = lambda i: lam.images[i - 1]  # noqa: E731  - 1-based label entry
-    av = lambda i: A.element_at(i)  # noqa: E731
+    av = lambda i: elements[lam.images[i - 1] - 1]  # noqa: E731  - A's element in block i
     belems = (
-        [P.minima[i - 1] for i in range(1, v)]
-        + [av(lv(i)) for i in range(v + 1, v + w + 1)]
-        + [av(lv(v))]
-        + [av(lv(i)) for i in range(v + w + 1, r + 1)]
+        [minima[i - 1] for i in range(1, v)]
+        + [av(i) for i in range(v + 1, v + w + 1)]
+        + [av(v)]
+        + [av(i) for i in range(v + w + 1, r + 1)]
     )
-    B = index.image(belems)
-    blocks: list[tuple[int, ...]] = []
-    singles_from = 2 if v == 1 else v
-    for i in range(2, v):
-        blocks.append(P.block(i))
-    for i in range(singles_from, v + w):
-        blocks.append((av(lv(i + 1)),))
-    blocks.append((av(lv(v)),))
-    for i in range(v + w + 1, r + 1):
-        blocks.append((av(lv(i)),))
-    used = {x for blk in blocks for x in blk}
-    rest = [x for x in range(1, n + 1) if x not in used]
-    if v == 1:
-        first = sorted(set(rest) - set(A.elements) | {av(lv(2))})
-        blocks.append(tuple(first))
-    else:
-        blocks.append(tuple(rest))
-    return index.kernel(blocks), B
+    # P's blocks 2..v-1 keep their numbers, singletons take r, r + 1, ...,
+    # and the rest is block 0
+    s = bytearray(i if 0 < i < v - 1 else 0 for i in block_of)
+    singles = [av(i + 1) for i in range(2 if v == 1 else v, v + w)] + [av(v)] + [av(i) for i in range(v + w + 1, r + 1)]
+    for i, x in enumerate(singles, start=r):
+        s[x] = i
+    return _kernel_id(index, s), _image(index, belems)
 
 
-def coxeter_square_involution(k: int, n: int, r: int) -> Corners:
-    """The corners (P, Q, A, B) of the square forcing the square of the k-th
-    surviving class to be 1: PA and QB carry the adjacent transposition at
-    k, PB and QA the identity."""
+def coxeter_square_involution(k: int, n: int, r: int) -> SquareIds:
+    """The square (P, Q, A, B) forcing the square of the k-th surviving
+    class to be 1: PA and QB carry the adjacent transposition at k, PB and
+    QA the identity."""
     if not (1 <= k <= r - 1 and r <= n - 2):
         raise InvalidParameters(f"involution square needs 1 <= k <= r-1 <= n-3, got k={k}, n={n}, r={r}")
     junk = list(range(r + 3, n + 1))
@@ -188,15 +234,15 @@ def coxeter_square_involution(k: int, n: int, r: int) -> Corners:
         pblocks.append((i + 2,))
         qblocks.append((i + 2,))
     index = _singular_index(n, r)
-    p, q = index.kernel(pblocks), index.kernel(qblocks)
-    a = index.image([i for i in range(1, r + 3) if i not in (k, k + 3)])
-    b = index.image([i for i in range(1, r + 3) if i not in (k, k + 1)])
+    p, q = _kernel(index, pblocks), _kernel(index, qblocks)
+    a = _image(index, [i for i in range(1, r + 3) if i not in (k, k + 3)])
+    b = _image(index, [i for i in range(1, r + 3) if i not in (k, k + 1)])
     return p, q, a, b
 
 
-def coxeter_square_commute(k: int, l: int, n: int, r: int) -> tuple[Corners, Corners]:
-    """The corners (P, Q, A, B) and (Q, R, B, C) of two chained squares
-    forcing distant surviving classes to commute; they share the corner QB."""
+def coxeter_square_commute(k: int, l: int, n: int, r: int) -> tuple[SquareIds, SquareIds]:
+    """The squares (P, Q, A, B) and (Q, R, B, C), chained, forcing distant
+    surviving classes to commute; they share the corner QB."""
     if not (1 <= k and k + 1 < l and l + 1 <= r and r <= n - 2):
         raise InvalidParameters(f"commute squares need k+1 < l <= r-1 <= n-3, got k={k}, l={l}, n={n}, r={r}")
     junk = list(range(r + 3, n + 1))
@@ -234,16 +280,16 @@ def coxeter_square_commute(k: int, l: int, n: int, r: int) -> tuple[Corners, Cor
         qblocks.append((i + 2,))
         rblocks.append((i + 2,))
     index = _singular_index(n, r)
-    p, q, rr = index.kernel(pblocks), index.kernel(qblocks), index.kernel(rblocks)
-    a = index.image([i for i in range(1, r + 3) if i not in (k + 2, l + 1)])
-    b = index.image([i for i in range(1, r + 3) if i not in (k, l + 1)])
-    c = index.image([i for i in range(1, r + 3) if i not in (k, l + 3)])
+    p, q, rr = _kernel(index, pblocks), _kernel(index, qblocks), _kernel(index, rblocks)
+    a = _image(index, [i for i in range(1, r + 3) if i not in (k + 2, l + 1)])
+    b = _image(index, [i for i in range(1, r + 3) if i not in (k, l + 1)])
+    c = _image(index, [i for i in range(1, r + 3) if i not in (k, l + 3)])
     return (p, q, a, b), (q, rr, b, c)
 
 
-def coxeter_square_braid(k: int, n: int, r: int) -> Corners:
-    """The corners (P, Q, A, B) of the square behind the braid relation for
-    adjacent surviving classes."""
+def coxeter_square_braid(k: int, n: int, r: int) -> SquareIds:
+    """The square (P, Q, A, B) behind the braid relation for adjacent
+    surviving classes."""
     if not (1 <= k <= r - 2 and r <= n - 2):
         raise InvalidParameters(f"braid square needs 1 <= k <= r-2 <= n-4, got k={k}, n={n}, r={r}")
     junk = list(range(r + 3, n + 1))
@@ -268,14 +314,14 @@ def coxeter_square_braid(k: int, n: int, r: int) -> Corners:
         pblocks.append((i + 2,))
         qblocks.append((i + 2,))
     index = _singular_index(n, r)
-    p, q = index.kernel(pblocks), index.kernel(qblocks)
-    a = index.image([i for i in range(1, r + 3) if i not in (k + 1, k + 4)])
-    b = index.image([i for i in range(1, r + 3) if i not in (k, k + 1)])
+    p, q = _kernel(index, pblocks), _kernel(index, qblocks)
+    a = _image(index, [i for i in range(1, r + 3) if i not in (k + 1, k + 4)])
+    b = _image(index, [i for i in range(1, r + 3) if i not in (k, k + 1)])
     return p, q, a, b
 
 
-def _braid_mirror_square(k: int, n: int, r: int) -> Corners:
-    """The corners (W, Q, Z, B) of the companion square giving the second
+def _braid_mirror_square(k: int, n: int, r: int) -> SquareIds:
+    """The square (W, Q, Z, B), the companion giving the second
     factorisation used for the braid: W and Z are the involution square's Q
     and A, Q and B the braid square's.  Both label quotients equal the
     adjacent transposition at k.
@@ -293,19 +339,20 @@ def _braid_mirror_square(k: int, n: int, r: int) -> Corners:
 class Derivation:
     """Fact store and step emitter over one (n, r) ground case.
 
-    Its constructions compute with the kernel and image objects of
-    ``squares._singular_index(n, r)``, looked up by blocks and by elements,
-    and everything it records is held as the index's ids: a generator is
-    its pair's id (the presentation's generator of that number), a
+    It computes and records everything as ids of
+    ``squares._singular_index(n, r)``: a kernel is its number in
+    ``index.parts``, an image its number in ``index.subsets``, and a
+    generator its pair's number (the presentation's generator of that
+    number).  Its methods take a pair as its kernel and image ids.  A
     conclusion is an :class:`~igmax.replay.Equation` of int letters, each
-    taken from the index's one list ``letters``, and a witness square is
-    the ids of its two kernels and two images, checked singular on ids
+    taken from the index's one list ``letters``, and a witness square is the
+    ids of its two kernels and two images, checked singular on ids
     (:func:`~igmax.squares.is_singular_ids`) once, when it is first made.
-    Each fact is concluded once: one ``bottom`` step per witness square,
-    and one step per other conclusion.  The memos are keyed by generator
-    id.  Labels, and the relation count
-    (:meth:`~igmax.squares._SingularIndex.family_sizes`), are read off the
-    index: no presentation is built.
+    Each generator's label is classified once, into ``kinds``.  Each fact is
+    concluded once: one ``bottom`` step per witness square, and one step per
+    other conclusion.  The memos are keyed by generator id.  Labels, and the
+    relation count (:meth:`~igmax.squares._SingularIndex.family_sizes`), are
+    read off the index: no presentation is built.
     """
 
     def __init__(self, n: int, r: int):
@@ -314,15 +361,32 @@ class Derivation:
         self.n = n
         self.r = r
         self.log = DerivationLog(n=n, r=r)
-        self.index = _singular_index(n, r)
-        # _gen(P, A): the generator id of the pair (P, A)
-        self._gen = self.index.generator
-        self.labels = self.index.labels
-        self.letters = self.index.letters
+        index = self.index = _singular_index(n, r)
+        self.labels = index.labels
+        self.letters = index.letters
+        # _gen_of[p][a]: the generator id of the pair (p, a)
+        self._gen_of = index.generator_of
+        self._block_of = index.block_of
+        self._image_of, self._mask = index.image_of, index.image_mask
+        self._elements = [s.elements for s in index.subsets]
+        self._minima = [p.minima for p in index.parts]
+        self._base = tuple(range(1, r + 1))
+        self._convex = [p.is_convex() for p in index.parts]
+        self._min_image = [_image(index, m) for m in self._minima]
+        # the label of generator g is label id _label_id[g]; equal labels, equal ids
+        self._label_id = index.letter_label_ids[::2]
+        # kinds[g]: IDENTITY, (k, l) for the (k,l)-cycle, or None for descent
+        # >= 2, classified once per label id
+        kind_of: dict[int, Optional[tuple[int, int]]] = {}
+        for g, i in enumerate(self._label_id):
+            if i not in kind_of:
+                lam = self.labels[g]
+                kind_of[i] = IDENTITY if lam.is_identity() else classify_descent_one(lam)
+        self.kinds = [kind_of[i] for i in self._label_id]
         self._one_memo: dict[int, int] = {}
         self._eq_memo: dict[int, int] = {}
         self._res_memo: dict[int, tuple[Optional[int], Word]] = {}
-        self._rep_memo: dict[tuple[int, int], Pair] = {}
+        self._rep_memo: dict[tuple[int, int], tuple[int, int]] = {}
         # each fact once: the step of each conclusion but a square's bottom
         # relation (see _square), and of each row and column equation g = h
         self._facts: dict[Optional[Equation], int] = {}
@@ -330,17 +394,31 @@ class Derivation:
         self._squares: dict[SquareIds, tuple[SquareIds, int]] = {}
         self._final_steps: list[int] = []
 
-    def _swap(self, A: Subset, old: int, new: int) -> Subset:
-        """The image ``A`` with its element ``old`` swapped for ``new``."""
-        return self.index.image([new if x == old else x for x in A.elements])
+    def _swap(self, a: int, old: int, new: int) -> int:
+        """The image ``a`` with its element ``old`` swapped for ``new``."""
+        return self._image_of[self._mask[a] ^ (1 << old) ^ (1 << new)]
 
-    def _square(self, p: Partition, q: Partition, a: Subset, b: Subset) -> tuple[SquareIds, int]:
+    def _moved(self, p: int, x: int, block: int) -> int:
+        """The kernel ``p`` with element ``x`` moved into its 0-based block ``block``."""
+        s = bytearray(self._block_of[p])
+        s[x] = block
+        return _kernel_id(self.index, s)
+
+    def _convex_kernel(self, starts: tuple[int, ...]) -> int:
+        """The kernel whose blocks are the intervals starting at ``starts``."""
+        n = self.n
+        s = bytearray(n + 1)
+        for i in range(1, len(starts)):
+            s[starts[i]:] = bytes((i,)) * (n + 1 - starts[i])
+        return _kernel_id(self.index, s)
+
+    def _square(self, p: int, q: int, a: int, b: int) -> tuple[SquareIds, int]:
         """The ids of the square over (p, q, a, b), one tuple per distinct
         square, and the step of its bottom relation, which a square step
         cites first.  The producer checks each distinct witness square (SQ3
         and SQ2, on ids) here, once, and emits its one bottom step; the
         constructions that build squares do not check their own."""
-        key = self.index.square(p, q, a, b)
+        key = (p, q, a, b)
         out = self._squares.get(key)
         if out is None:
             _require_singular(self.index, key)
@@ -387,65 +465,66 @@ class Derivation:
 
     # -- identity-label facts ------------------------------------------------
 
-    def one(self, P: Partition, A: Subset) -> int:
+    def one(self, p: int, a: int) -> int:
         """A step concluding f[P,A] = 1; the label must be the identity."""
-        g = self._gen(P, A)
+        g = self._gen_of[p][a]
         idx = self._one_memo.get(g)
         if idx is not None:
             return idx
-        if not self.labels[g].is_identity():
+        if self.kinds[g] is not IDENTITY:
             raise InvalidParameters(
                 f"{self.index.name(g)} has label {self.labels[g].cycle_form()}, not the identity"
             )
-        idx = self._one_convex(P, A, g) if P.is_convex() else self._one_general(P, A, g)
+        idx = self._one_convex(p, a, g) if self._convex[p] else self._one_general(p, a, g)
         self._one_memo[g] = idx
         return idx
 
-    def _middle(self, P: Partition, AP: Subset) -> int:
-        return self._add("middle", _one_relation(self._gen(P, AP), self.letters))
+    def _middle(self, p: int, ap: int) -> int:
+        return self._add("middle", _one_relation(self._gen_of[p][ap], self.letters))
 
-    def _top(self, P: Partition, X: Subset, Y: Subset) -> int:
-        return self._add("top", _eq_relation(self._gen(P, X), self._gen(P, Y), self.letters))
+    def _top(self, p: int, x: int, y: int) -> int:
+        gen = self._gen_of[p]
+        return self._add("top", _eq_relation(gen[x], gen[y], self.letters))
 
-    def _one_convex(self, P: Partition, A: Subset, g: int) -> int:
-        AP = self.index.image(P.minima)
-        if A == AP:
-            return self._middle(P, AP)
-        r = self.r
-        if P.minima == tuple(range(1, r + 1)):
-            # Blocks {1},...,{r-1},[r,n]: walk the free element down to r.
-            B = self.index.image(predecessor(A).elements)
-            s_prev = self.one(P, B)
-            s_top = self._top(P, B, A)
+    def _one_convex(self, p: int, a: int, g: int) -> int:
+        ap = self._min_image[p]
+        if a == ap:
+            return self._middle(p, ap)
+        r, minima, elements = self.r, self._minima[p], self._elements[a]
+        if minima == self._base:
+            # Blocks {1},...,{r-1},[r,n]: walk the free element down to r,
+            # lowering the first element off [1, r] (A's Schreier predecessor).
+            x = next(x for i, x in enumerate(elements, start=1) if x != i)
+            b = self._swap(a, x, x - 1)
+            s_prev = self.one(p, b)
+            s_top = self._top(p, b, a)
             return self._add("transitive", _one_relation(g, self.letters), (s_prev, s_top))
-        m = next(i for i in range(1, r + 1) if P.block(i) != (i,))
-        t = next(i for i in range(1, r + 1) if A.element_at(i) != P.minima[i - 1])
+        # m: the first block that is not {m}
+        m = next(i for i in range(1, r) if minima[i] != i + 1)
+        t = next(i for i in range(1, r + 1) if elements[i - 1] != minima[i - 1])
         if t == m:
-            am = A.element_at(m)
-            B = self._swap(A, am, am - 1)
-            Q = self.index.kernel(convex_partition_of(A).blocks)
-            s_top = self._top(Q, B, A)
-            s_one_b = self.one(P, B)
-            if P == Q:
+            am = elements[m - 1]
+            b = self._swap(a, am, am - 1)
+            # A's convex partition: blocks cut just after each of its elements
+            q = self._convex_kernel((1, *(x + 1 for x in elements[:-1])))
+            s_top = self._top(q, b, a)
+            s_one_b = self.one(p, b)
+            if p == q:
                 return self._add("transitive", _one_relation(g, self.letters), (s_one_b, s_top))
-            sq, s_b = self._square(Q, P, B, A)
+            sq, s_b = self._square(q, p, b, a)
             s_fl = self._add(
                 "flush-row",
-                _eq_relation(self._gen(P, B), g, self.letters),
+                _eq_relation(self._gen_of[p][b], g, self.letters),
                 (s_b, s_top),
                 square=sq,
             )
             return self._add("transitive", _one_relation(g, self.letters), (s_one_b, s_fl))
         # t > m: shrink block m by one and recurse on the lex-smaller minima.
-        x = P.minima[m] - 1
-        blocks = [list(b) for b in P.blocks]
-        blocks[m - 1].remove(x)
-        blocks[m].insert(0, x)
-        Q = self.index.kernel(blocks)
-        sq, s_b = self._square(P, Q, A, AP)
-        s1 = self.one(Q, A)
-        s2 = self.one(Q, AP)
-        s3 = self.one(P, AP)
+        q = self._moved(p, minima[m] - 1, m)
+        sq, s_b = self._square(p, q, a, ap)
+        s1 = self.one(q, a)
+        s2 = self.one(q, ap)
+        s3 = self.one(p, ap)
         return self._add(
             "corner",
             _one_relation(g, self.letters),
@@ -454,21 +533,19 @@ class Derivation:
             data={"target": "PA"},
         )
 
-    def _one_general(self, P: Partition, A: Subset, g: int) -> int:
-        AP = self.index.image(P.minima)
-        if A == AP:
-            return self._middle(P, AP)
-        r = self.r
-        m = next(i for i in range(1, r + 1) if A.element_at(i) != P.minima[i - 1])
-        starts = list(P.minima[:m]) + [A.element_at(i) for i in range(m + 1, r + 1)]
-        B = self.index.image(starts)
-        blocks = [tuple(range(starts[i], starts[i + 1])) for i in range(r - 1)]
-        blocks.append(tuple(range(starts[-1], self.n + 1)))
-        Q = self.index.kernel(blocks)
-        sq, s_b = self._square(P, Q, A, B)
-        s1 = self.one(P, B)
-        s2 = self.one(Q, A)
-        s3 = self.one(Q, B)
+    def _one_general(self, p: int, a: int, g: int) -> int:
+        ap = self._min_image[p]
+        if a == ap:
+            return self._middle(p, ap)
+        minima, elements = self._minima[p], self._elements[a]
+        m = next(i for i in range(1, self.r + 1) if elements[i - 1] != minima[i - 1])
+        starts = minima[:m] + elements[m:]
+        b = _image(self.index, starts)
+        q = self._convex_kernel(starts)
+        sq, s_b = self._square(p, q, a, b)
+        s1 = self.one(p, b)
+        s2 = self.one(q, a)
+        s3 = self.one(q, b)
         return self._add(
             "corner",
             _one_relation(g, self.letters),
@@ -479,222 +556,201 @@ class Derivation:
 
     # -- row and column identifications --------------------------------------
 
-    def same_row(self, P: Partition, A: Subset, B: Subset) -> Optional[int]:
+    def same_row(self, p: int, a: int, b: int) -> Optional[int]:
         """A step concluding f[P,A] = f[P,B] for equal labels; None if A == B."""
-        if A == B:
+        if a == b:
             return None
-        ga, gb = self._gen(P, A), self._gen(P, B)
-        if (ga, gb) not in self._pair_memo:
-            self._pair_memo[ga, gb] = self._same_row(P, A, B, ga, gb)
-        return self._pair_memo[ga, gb]
+        gen = self._gen_of[p]
+        key = (gen[a], gen[b])
+        idx = self._pair_memo.get(key)
+        if idx is None:
+            idx = self._pair_memo[key] = self._same_row(p, a, b, *key)
+        return idx
 
-    def _same_row(self, P: Partition, A: Subset, B: Subset, ga: int, gb: int) -> int:
-        pi = self.labels[ga]
-        if pi != self.labels[gb]:
+    def _same_row(self, p: int, a: int, b: int, ga: int, gb: int) -> int:
+        if self._label_id[ga] != self._label_id[gb]:
             raise InvalidParameters("same-row identification needs equal labels")
-        if pi.is_identity():
-            s1 = self.one(P, A)
-            s2 = self.one(P, B)
+        if self.kinds[ga] is IDENTITY:
+            s1 = self.one(p, a)
+            s2 = self.one(p, b)
             return self._add("transitive", _eq_relation(ga, gb, self.letters), (s1, s2))
-        blocks: list[tuple[int, ...]] = []
-        used: set[int] = set()
-        for i in range(2, self.r + 1):
-            blk = {A.element_at(i), B.element_at(i)}
-            blocks.append(tuple(sorted(blk)))
-            used |= blk
-        blocks.append(tuple(x for x in range(1, self.n + 1) if x not in used))
-        Q = self.index.kernel(blocks)
-        sq, s_b = self._square(P, Q, A, B)
-        s1 = self.one(Q, A)
-        s2 = self.one(Q, B)
+        # blocks {A_i, B_i} for i >= 2, and the rest
+        ea, eb = self._elements[a], self._elements[b]
+        s = bytearray(self.n + 1)
+        for i in range(1, self.r):
+            s[ea[i]] = s[eb[i]] = i
+        q = _kernel_id(self.index, s)
+        sq, s_b = self._square(p, q, a, b)
+        s1 = self.one(q, a)
+        s2 = self.one(q, b)
         return self._add("flush-row", _eq_relation(ga, gb, self.letters), (s_b, s1, s2), square=sq)
 
-    def _shared_transversal_eq(self, P: Partition, Q: Partition, A: Subset, B: Subset) -> int:
+    def _shared_transversal_eq(self, p: int, q: int, a: int, b: int) -> int:
         """f[P,A] = f[Q,A] via the identity column B common to both kernels."""
-        key = (self._gen(P, A), self._gen(Q, A))
-        if key not in self._pair_memo:
-            self._pair_memo[key] = self._flush_column(P, Q, A, B)
-        return self._pair_memo[key]
+        key = (self._gen_of[p][a], self._gen_of[q][a])
+        idx = self._pair_memo.get(key)
+        if idx is None:
+            idx = self._pair_memo[key] = self._flush_column(p, q, a, b, *key)
+        return idx
 
-    def _flush_column(self, P: Partition, Q: Partition, A: Subset, B: Subset) -> int:
-        s1 = self.one(P, B)
-        s2 = self.one(Q, B)
-        sq, s_b = self._square(P, Q, B, A)
-        return self._add(
-            "flush-column",
-            _eq_relation(self._gen(P, A), self._gen(Q, A), self.letters),
-            (s_b, s1, s2),
-            square=sq,
-        )
+    def _flush_column(self, p: int, q: int, a: int, b: int, gpa: int, gqa: int) -> int:
+        s1 = self.one(p, b)
+        s2 = self.one(q, b)
+        sq, s_b = self._square(p, q, b, a)
+        return self._add("flush-column", _eq_relation(gpa, gqa, self.letters), (s_b, s1, s2), square=sq)
 
-    def same_column(self, P: Partition, Q: Partition, A: Subset) -> Optional[int]:
+    def same_column(self, p: int, q: int, a: int) -> Optional[int]:
         """A step concluding f[P,A] = f[Q,A] for equal labels; None if P == Q."""
-        if P == Q:
+        if p == q:
             return None
-        ga, gq = self._gen(P, A), self._gen(Q, A)
-        pi = self.labels[ga]
-        if pi != self.labels[gq]:
+        ga, gq = self._gen_of[p][a], self._gen_of[q][a]
+        if self._label_id[ga] != self._label_id[gq]:
             raise InvalidParameters("same-column identification needs equal labels")
-        if pi.is_identity():
-            s1 = self.one(P, A)
-            s2 = self.one(Q, A)
+        if self.kinds[ga] is IDENTITY:
+            s1 = self.one(p, a)
+            s2 = self.one(q, a)
             return self._add("transitive", _eq_relation(ga, gq, self.letters), (s1, s2))
-        if P.minima == Q.minima:
-            return self._shared_transversal_eq(P, Q, A, self.index.image(P.minima))
+        mp, mq = self._minima[p], self._minima[q]
+        if mp == mq:
+            return self._shared_transversal_eq(p, q, a, self._min_image[p])
         u = 0
-        while P.minima[u] == Q.minima[u]:
+        while mp[u] == mq[u]:
             u += 1
-        if P.minima[u] > Q.minima[u]:
+        if mp[u] > mq[u]:
             # f[Q,A] = f[P,A]: every consumer is a transitive step
-            return self.same_column(Q, P, A)
-        x = P.minima[u]
-        v = Q.block_index(x)
-        blocks = [list(b) for b in Q.blocks]
-        blocks[v - 1].remove(x)
-        blocks[u].append(x)
-        R = self.index.kernel(blocks)
-        s1 = self.same_column(P, R, A)
-        s2 = self._shared_transversal_eq(Q, R, A, self.index.image(Q.minima))
+            return self.same_column(q, p, a)
+        rr = self._moved(q, mp[u], u)
+        s1 = self.same_column(p, rr, a)
+        s2 = self._shared_transversal_eq(q, rr, a, self._min_image[q])
         if s1 is None:  # R is P: s2 is the fact, reversed
             return s2
         return self._add("transitive", _eq_relation(ga, gq, self.letters), (s1, s2))
 
     # -- contiguous-cycle classes --------------------------------------------
 
-    def rep_pair(self, k: int, l: int) -> Pair:
-        if (k, l) not in self._rep_memo:
-            self._rep_memo[(k, l)] = canonical_cycle_pair(k, l, self.n, self.r)
-        return self._rep_memo[(k, l)]
+    def rep_pair(self, k: int, l: int) -> tuple[int, int]:
+        """The (kernel, image) ids of the (k,l)-cycle's class representative."""
+        rep = self._rep_memo.get((k, l))
+        if rep is None:
+            rep = self._rep_memo[k, l] = cycle_rep(k, l, self.n, self.r)
+        return rep
 
-    def cycle_eq(self, P: Partition, A: Subset) -> Optional[int]:
+    def cycle_eq(self, p: int, a: int) -> Optional[int]:
         """Chain f[P,A] to its class representative; None when already there."""
-        ga = self._gen(P, A)
-        kl = classify_descent_one(self.labels[ga])
-        if kl is None:
-            raise InvalidParameters(f"label of ({P}, {A}) is not a contiguous cycle")
+        ga = self._gen_of[p][a]
+        kl = self.kinds[ga]
+        if kl is None or kl is IDENTITY:
+            raise InvalidParameters(
+                f"label of ({self.index.parts[p]}, {self.index.subsets[a]}) is not a contiguous cycle"
+            )
         k, l = kl
-        rep = self.rep_pair(k, l)
-        if (P, A) == rep:
+        rp, ra = self.rep_pair(k, l)
+        if p == rp and a == ra:
             return None
-        if ga in self._eq_memo:
-            return self._eq_memo[ga]
-        conclusion = _eq_relation(ga, self._gen(*rep), self.letters)
-        if A == rep[1]:
-            s = self.same_column(P, rep[0], A)
+        idx = self._eq_memo.get(ga)
+        if idx is not None:
+            return idx
+        conclusion = _eq_relation(ga, self._gen_of[rp][ra], self.letters)
+        if a == ra:
+            s = self.same_column(p, rp, a)
             self._eq_memo[ga] = idx = self._add("transitive", conclusion, (s,))
             return idx
-        case_i = next(
-            (i for i in range(1, k) if A.element_at(i) != P.minima[i - 1]), None
-        )
-        if case_i is not None:
-            A2 = self._swap(A, A.element_at(case_i), P.minima[case_i - 1])
-            s1 = self.same_row(P, A, A2)
-            s2 = self.cycle_eq(P, A2)
-            self._eq_memo[ga] = idx = self._add("transitive", conclusion, tuple(s for s in (s1, s2) if s is not None))
-            return idx
-        t = next((i for i in range(1, k) if A.element_at(i) > i), None)
-        if t is None:
-            t = next(i for i in range(k, self.r + 1) if A.element_at(i) > i + 1)
-        at = A.element_at(t)
+        elements, minima = self._elements[a], self._minima[p]
+        for i in range(k - 1):
+            if elements[i] != minima[i]:
+                # A leaves P's minima before position k: take P's minimum there
+                a2 = self._swap(a, elements[i], minima[i])
+                s1 = self.same_row(p, a, a2)
+                s2 = self.cycle_eq(p, a2)
+                self._eq_memo[ga] = idx = self._add("transitive", conclusion, tuple(s for s in (s1, s2) if s is not None))
+                return idx
+        # at: A's first element above position i before k, above i + 1 from k on
+        at = next(x for i, x in enumerate(elements, start=1) if x > (i if i < k else i + 1))
         d = at - 1
-        pk = P.minima[k - 1]
-        Q = self._cycle_scaffold(P, A, k, l)
+        pk = minima[k - 1]
+        q = self._cycle_scaffold(p, a, k, l)
+        block_of = self._block_of[q]
         if d != pk:
-            target = Q.block_index(at)
-            if Q.block_index(d) == target:
-                Qp = Q
-            else:
-                blocks = [list(b) for b in Q.blocks]
-                blocks[0].remove(d)
-                blocks[target - 1].append(d)
-                Qp = self.index.kernel(blocks)
+            # d leaves the first block for at's
+            qp = q if block_of[d] == block_of[at] else self._moved(q, d, block_of[at])
         else:
-            blocks = [list(b) for b in Q.blocks]
-            blocks[0].remove(k)
-            blocks[k - 1].remove(pk)
-            blocks[k - 1].append(k)
-            blocks[k].append(pk)
-            Qp = self.index.kernel(blocks)
-        A2 = self._swap(A, at, d)
-        s1 = self.same_column(P, Qp, A)
-        s2 = self.same_row(Qp, A, A2)
-        s3 = self.cycle_eq(Qp, A2)
+            # k joins block k, and P's k-th minimum moves on to block k + 1
+            s = bytearray(block_of)
+            s[k] = k - 1
+            s[pk] = k
+            qp = _kernel_id(self.index, s)
+        a2 = self._swap(a, at, d)
+        s1 = self.same_column(p, qp, a)
+        s2 = self.same_row(qp, a, a2)
+        s3 = self.cycle_eq(qp, a2)
         premises = tuple(s for s in (s1, s2, s3) if s is not None)
         self._eq_memo[ga] = idx = self._add("transitive", conclusion, premises)
         return idx
 
-    def _cycle_scaffold(self, P: Partition, A: Subset, k: int, l: int) -> Partition:
-        """The comparison kernel from the cycle-class chaining argument."""
-        blocks: list[tuple[int, ...]] = []
+    def _cycle_scaffold(self, p: int, a: int, k: int, l: int) -> int:
+        """The comparison kernel from the cycle-class chaining argument:
+        block i for i in 2..r, and the rest as block 0."""
+        elements, s = self._elements[a], bytearray(self.n + 1)
         for i in range(2, k):
-            blocks.append((A.element_at(i),))
+            s[elements[i - 1]] = i
         if k != 1:
-            blocks.append(tuple(sorted((P.minima[k - 1], A.element_at(k + l)))))
+            s[self._minima[p][k - 1]] = s[elements[k + l - 1]] = k
         for i in range(k + 1, k + l + 1):
-            blocks.append((A.element_at(i - 1),))
+            s[elements[i - 2]] = i
         for i in range(k + l + 1, self.r + 1):
-            blocks.append((A.element_at(i),))
-        used = {x for blk in blocks for x in blk}
-        rest = [x for x in range(1, self.n + 1) if x not in used]
-        if k == 1:
-            rest.append(A.element_at(l + 1))
-            blocks.append(tuple(sorted(set(rest))))
-        else:
-            blocks.append(tuple(rest))
-        return self.index.kernel(blocks)
+            s[elements[i - 1]] = i
+        return _kernel_id(self.index, s)
 
     # -- resolution to canonical classes -------------------------------------
 
-    def resolve(self, P: Partition, A: Subset) -> tuple[Optional[int], Word]:
+    def resolve(self, p: int, a: int) -> tuple[Optional[int], Word]:
         """Express f[P,A] as a word over the r-1 canonical class generators.
 
         Returns (step index, word); the index is None exactly for the
         canonical adjacent-transposition pairs themselves.
         """
-        g = self._gen(P, A)
+        g = self._gen_of[p][a]
         out = self._res_memo.get(g)
         if out is not None:
             return out
-        lam = self.labels[g]
-        if lam.is_identity():
-            out = (self.one(P, A), ())
+        kind = self.kinds[g]
+        if kind is IDENTITY:
+            out = (self.one(p, a), ())
+        elif kind is None:
+            out = self._resolve_descent(p, a, self.labels[g])
         else:
-            kl = classify_descent_one(lam)
-            if kl is not None:
-                out = self._resolve_cycle(P, A, *kl)
-            else:
-                out = self._resolve_descent(P, A, lam)
+            out = self._resolve_cycle(p, a, *kind)
         self._res_memo[g] = out
         return out
 
-    def _resolve_cycle(self, P: Partition, A: Subset, k: int, l: int) -> tuple[Optional[int], Word]:
+    def _resolve_cycle(self, p: int, a: int, k: int, l: int) -> tuple[Optional[int], Word]:
         rep = self.rep_pair(k, l)
-        if (P, A) == rep:
+        if (p, a) == rep:
             if l == 1:
-                return None, (self.letters[2 * self._gen(*rep)],)
-            p, q, a, b = cycle_split(k, l, self.n, self.r)
-            sq, s_b = self._square(p, q, a, b)
-            s_one = self.one(p, a)
+                return None, (self.letters[2 * self._gen_of[p][a]],)
+            cp, cq, ca, cb = cycle_split(k, l, self.n, self.r)
+            sq, s_b = self._square(cp, cq, ca, cb)
+            s_one = self.one(cp, ca)
             s_tq = self._three_quarter(sq, "PA", s_b, s_one)
-            s_eq = self.cycle_eq(q, b)
-            i1, w1 = self.resolve(q, a)
-            i2, w2 = self.resolve(p, b)
+            s_eq = self.cycle_eq(cq, cb)
+            i1, w1 = self.resolve(cq, ca)
+            i2, w2 = self.resolve(cp, cb)
             idx = self._rewrite(s_tq, (s_eq, i1, i2))
             return idx, free_reduce(w1 + w2)
-        s_eq = self.cycle_eq(P, A)
+        s_eq = self.cycle_eq(p, a)
         ri, rw = self.resolve(*rep)
         if ri is None:
             return s_eq, rw
         idx = self._rewrite(s_eq, (ri,))
         return idx, rw
 
-    def _resolve_descent(self, P: Partition, A: Subset, lam: Permutation) -> tuple[int, Word]:
-        Q, B = descent_reduction(P, A, lam)
-        sq, s_b = self._square(P, Q, A, B)
-        s_one = self.one(Q, B)
+    def _resolve_descent(self, p: int, a: int, lam: Permutation) -> tuple[int, Word]:
+        q, b = descent_reduction(self.index, p, a, lam)
+        sq, s_b = self._square(p, q, a, b)
+        s_one = self.one(q, b)
         s_tq = self._three_quarter(sq, "QB", s_b, s_one)
-        i1, w1 = self.resolve(P, B)
-        i2, w2 = self.resolve(Q, A)
+        i1, w1 = self.resolve(p, b)
+        i2, w2 = self.resolve(q, a)
         idx = self._rewrite(s_tq, (i1, i2))
         return idx, free_reduce(w1 + w2)
 
@@ -748,11 +804,9 @@ class Derivation:
 
     # -- closing out -----------------------------------------------------------
 
-    def canonical_pairs(self) -> list[Pair]:
-        return [self.rep_pair(k, 1) for k in range(1, self.r)]
-
     def canonical_generators(self) -> list[int]:
-        return [self._gen(*pair) for pair in self.canonical_pairs()]
+        """The ids of the r-1 canonical adjacent-transposition generators."""
+        return [self._gen_of[p][a] for p, a in (self.rep_pair(k, 1) for k in range(1, self.r))]
 
     def assert_survivors(self) -> None:
         canon = set(self.canonical_generators())
@@ -819,9 +873,8 @@ def run_pipeline(n: int, r: int) -> tuple[GroupPresentation, DerivationLog]:
     (1, 1)
     """
     eng = Derivation(n, r)
-    parts, subsets = eng.index.parts, eng.index.subsets
     for k, a in eng.index.pairs:
-        eng.resolve(parts[k], subsets[a])
+        eng.resolve(k, a)
     eng.assert_survivors()
     if r >= 2:
         for k in range(1, r):

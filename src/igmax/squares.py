@@ -33,6 +33,7 @@ the output rather than on the number of kernel pairs.
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ from typing import Iterator
 
 from .combinatorics import Partition, Subset, enumerate_partitions, enumerate_subsets
 from .errors import InvalidParameters, NotASquare, VerificationFailed
-from .labels import label_by_subscripts
+from .labels import label_by_subscripts, pick_label
 from .perms import Permutation, ProductTable, compose, invert
 
 CORNERS = ("PA", "PB", "QA", "QB")
@@ -187,15 +188,17 @@ class _SingularIndex:
     into ``parts`` of the kernels P with A, B among their transversals, where
     a and b index A and B in ``subsets``.  ``rows[i]`` lists, for kernel i,
     every (a, b, bucket) with a != b, so each bucket list is shared between
-    the rows of its kernels.
+    the rows of its kernels; it is built on first use, as only the bottom
+    family's read and the square enumerator need it.
 
     The (kernel, image) pairs are numbered kernel by kernel in ``parts``
     order, each kernel's transversals in ``transversal_ids`` order: the
     generator order of :func:`~igmax.presentation.build_presentation`.
     ``labels[g]`` is the label of pair g.  The trust path holds kernels,
-    images and generators as these ids; the tables that map between ids and
-    objects, and the ones the id singularity test reads, are built on first
-    use, so ``stats`` and ``squares`` never build them.
+    images and generators as these ids.  The tables that map between ids and
+    objects, the ones the id singularity test reads, and the keys the
+    producer's constructions compute ids from (``kernel_of``, ``image_of``)
+    are built on first use, so ``stats`` and ``squares`` never build them.
     """
 
     n: int
@@ -205,7 +208,15 @@ class _SingularIndex:
     transversal_ids: list[list[int]]
     labels: list[Permutation]
     buckets: dict[tuple[int, int, tuple[int, ...]], list[int]]
-    rows: list[list[tuple[int, int, list[int]]]]
+
+    @cached_property
+    def rows(self) -> list[list[tuple[int, int, list[int]]]]:
+        """``rows[i]``: every (a, b, bucket) of kernel i, in bucket order."""
+        rows: list[list[tuple[int, int, list[int]]]] = [[] for _ in self.parts]
+        for (a, b, _), bucket in self.buckets.items():
+            for i in bucket:
+                rows[i].append((a, b, bucket))
+        return rows
 
     @cached_property
     def kernel_ids(self) -> dict[tuple[tuple[int, ...], ...], int]:
@@ -266,6 +277,22 @@ class _SingularIndex:
             out.append(bytes(blocks))
         return out
 
+    @cached_property
+    def kernel_of(self) -> dict[bytes, int]:
+        """The id of each kernel, keyed by its ``block_of`` string: blocks
+        are numbered by their minima, so each kernel has one such string."""
+        return {key: k for k, key in enumerate(self.block_of)}
+
+    @cached_property
+    def image_mask(self) -> list[int]:
+        """``image_mask[a]``: the sum of the bits 1 << x over image a's elements x."""
+        return [sum(1 << x for x in s.elements) for s in self.subsets]
+
+    @cached_property
+    def image_of(self) -> dict[int, int]:
+        """The id of each image, keyed by its ``image_mask``."""
+        return {mask: a for a, mask in enumerate(self.image_mask)}
+
     def kernel(self, blocks) -> Partition:
         """The index's kernel with these blocks, given in any order.
 
@@ -320,32 +347,46 @@ def _singular_index(n: int, r: int) -> _SingularIndex:
     """Memoised: ``build_presentation``, ``enumerate_singular_squares`` and the
     reduction pipeline share one index, so they hand out the same kernel and
     image objects and number them alike, and it goes when another (n, r) is
-    indexed.  Callers only read it (its product table fills on demand)."""
+    indexed.  Callers only read it (its product table fills on demand).
+
+    Each kernel's transversals are made as picks of one element per block,
+    so each is a transversal and its label is read off the pick unchecked
+    (:func:`~igmax.labels.pick_label`); pairs with equal labels share one
+    label object, and each distinct quotient label^-1 label' is composed
+    once."""
     parts = _sorted_partitions(n, r)
     subsets = list(enumerate_subsets(n, r))
     subset_id = {s.elements: i for i, s in enumerate(subsets)}
     transversal_ids: list[list[int]] = []
     all_labels: list[Permutation] = []
     buckets: dict[tuple[int, int, tuple[int, ...]], list[int]] = {}
-    rows: list[list[tuple[int, int, list[int]]]] = []
+    # each distinct label once, with the quotients label^-1 label' met so far
+    label_id: dict[tuple[int, ...], int] = {}
+    distinct: list[Permutation] = []
+    quotients: list[dict[int, tuple[int, ...]]] = []
     for pi, p in enumerate(parts):
-        trans = p.transversals()
-        ids = [subset_id[a.elements] for a in trans]
-        perms = [label_by_subscripts(p, a) for a in trans]
-        all_labels += perms
-        labels = [lam.images for lam in perms]
-        row = []
-        for a, la in zip(ids, labels):
-            la_inv = invert(la)
-            for b, lb in zip(ids, labels):
-                if a == b:
-                    continue
-                bucket = buckets.setdefault((a, b, compose(la_inv, lb)), [])
-                bucket.append(pi)
-                row.append((a, b, bucket))
+        # p's transversals as (image id, pick), in image order
+        found = sorted((subset_id[tuple(sorted(pick))], pick) for pick in itertools.product(*p.blocks))
+        ids, lids = [a for a, _ in found], []
+        for a, pick in found:
+            lam = pick_label(pick, subsets[a].elements)
+            i = label_id.get(lam)
+            if i is None:
+                i = label_id[lam] = len(distinct)
+                distinct.append(Permutation._trusted(lam))
+                quotients.append({})
+            lids.append(i)
+            all_labels.append(distinct[i])
+        for a, i in zip(ids, lids):
+            quotient = quotients[i]
+            for b, j in zip(ids, lids):
+                if a != b:
+                    q = quotient.get(j)
+                    if q is None:
+                        q = quotient[j] = compose(invert(distinct[i].images), distinct[j].images)
+                    buckets.setdefault((a, b, q), []).append(pi)
         transversal_ids.append(ids)
-        rows.append(row)
-    return _SingularIndex(n, r, parts, subsets, transversal_ids, all_labels, buckets, rows)
+    return _SingularIndex(n, r, parts, subsets, transversal_ids, all_labels, buckets)
 
 
 def enumerate_singular_squares(n: int, r: int) -> Iterator[Square]:
@@ -463,19 +504,23 @@ def square_lines(n: int, r: int, only_singular: bool) -> Iterator[str]:
     separators=(",", ":"))`` and ended by a newline.  Each kernel's and
     image's JSON and each (kernel, transversal) label's cycle form are
     encoded once, not once per square, and a line fills the record's
-    template with them.  A proper square is singular exactly when the rows
-    of its two kernels share the bucket for (A, B), whose key is
+    template with them.  A proper square is singular exactly when its two
+    kernels share the bucket for (A, B), whose key is
     label(P,A)^-1 label(P,B): that is the SQ3 test.
     """
     _check(n, r)
     index = _singular_index(n, r)
     encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     subset_json = [encode(s.to_json()) for s in index.subsets]
+    # each kernel's bucket for each (a, b)
+    buckets: list[dict[tuple[int, int], list[int]]] = [{} for _ in index.parts]
+    for (a, b, _), bucket in index.buckets.items():
+        for i in bucket:
+            buckets[i][a, b] = bucket
     kernels, lams = [], iter(index.labels)  # the pairs' labels, in pair order
-    for p, ids, row in zip(index.parts, index.transversal_ids, index.rows):
+    for p, ids, p_buckets in zip(index.parts, index.transversal_ids, buckets):
         labels = {a: encode(next(lams).cycle_form()) for a in ids}
-        buckets = {(a, b): bucket for a, b, bucket in row}
-        kernels.append((encode(p.to_json()), ids, labels, buckets))
+        kernels.append((encode(p.to_json()), ids, labels, p_buckets))
     for pi, (p_json, p_ids, p_labels, p_buckets) in enumerate(kernels):
         for qi, (q_json, _, q_labels, q_buckets) in enumerate(kernels):
             common = p_ids if qi == pi else [a for a in p_ids if a in q_labels]

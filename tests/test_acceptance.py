@@ -188,7 +188,9 @@ def test_criterion_09_no_in_place_elimination():
 def test_criterion_10_descent_reduction_golden():
     p = Partition.parse("{{1,7},{2,5},{3,6},{4}}")
     a = Subset.parse("{4,5,6,7}", 7)
-    q, b = descent_reduction(p, a, label_by_subscripts(p, a))
+    index = _singular_index(7, 4)
+    qi, bi = descent_reduction(index, index.kernel_ids[p.blocks], index.image_ids[a.elements], label_by_subscripts(p, a))
+    q, b = index.parts[qi], index.subsets[bi]
     Square((p, q), (a, b))  # the corners make a square
     assert str(q) == "{{1,3,7},{2,5},{4},{6}}"
     assert str(b) == "{1,2,4,6}"
@@ -196,7 +198,6 @@ def test_criterion_10_descent_reduction_golden():
     assert label_by_subscripts(q, a).image_form() == "[4,2,1,3]"
     assert label_by_subscripts(q, b).is_identity()
     # the square solved for f[P,A], its generators named through the index
-    index = _singular_index(7, 4)
     rel = _three_quarter_relation(_corners(index, index.square(p, q, a, b)), "QB", index.letters)
 
     def named(word):
@@ -208,16 +209,21 @@ def test_criterion_10_descent_reduction_golden():
     )
 
 
+def as_square(corners):
+    """The square whose ids in the (7,4) index are ``corners``."""
+    index = _singular_index(7, 4)
+    p, q, a, b = corners
+    return Square((index.parts[p], index.parts[q]), (index.subsets[a], index.subsets[b]))
+
+
 def test_criterion_11_coxeter_squares():
-    p, q, a, b = coxeter_square_involution(2, 7, 4)
-    sq = Square((p, q), (a, b))
+    sq = as_square(coxeter_square_involution(2, 7, 4))
     assert [str(k) for k in sq.kernels] == ["{{1,7},{2,4},{3,5},{6}}", "{{1,2,7},{3,5},{4},{6}}"]
     assert [str(a) for a in sq.images] == ["{1,3,4,6}", "{1,4,5,6}"]
     assert is_singular_sq3(sq)
     assert [l.cycle_form() for l in sq.corner_labels] == ["(2 3)", "()", "()", "(2 3)"]
 
-    (p, q, a, b), (q2, rr, b2, c) = coxeter_square_commute(1, 3, 7, 4)
-    s1, s2 = Square((p, q), (a, b)), Square((q2, rr), (b2, c))
+    s1, s2 = map(as_square, coxeter_square_commute(1, 3, 7, 4))
     assert [str(k) for k in s1.kernels] == ["{{1,3,4,7},{2},{5},{6}}", "{{1,3,7},{2},{4,6},{5}}"]
     assert [str(a) for a in s1.images] == ["{1,2,5,6}", "{2,3,5,6}"]
     assert [str(k) for k in s2.kernels] == ["{{1,3,7},{2},{4,6},{5}}", "{{1,2,7},{3},{4,6},{5}}"]
@@ -226,8 +232,7 @@ def test_criterion_11_coxeter_squares():
     assert [l.cycle_form() for l in s1.corner_labels] == ["()", "(1 2)", "(3 4)", "(1 2)(3 4)"]
     assert [l.cycle_form() for l in s2.corner_labels] == ["(1 2)(3 4)", "(1 2)", "(3 4)", "()"]
 
-    p, q, a, b = coxeter_square_braid(2, 7, 4)
-    sq = Square((p, q), (a, b))
+    sq = as_square(coxeter_square_braid(2, 7, 4))
     assert [str(k) for k in sq.kernels] == ["{{1,7},{2,3,6},{4},{5}}", "{{1,7},{2,6},{3,5},{4}}"]
     assert [str(a) for a in sq.images] == ["{1,2,4,5}", "{1,4,5,6}"]
     assert is_singular_sq3(sq)

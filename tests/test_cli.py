@@ -18,7 +18,6 @@ import igmax
 import igmax.pipeline as pipeline
 import igmax.squares as squares_module
 from igmax.cli import main
-from igmax.labels import label_by_subscripts
 from igmax.squares import _singular_index, enumerate_squares, is_singular_sq3, square_census, square_record
 
 GOLDEN_P = "{{1},{2,3,5},{4,7},{6}}"
@@ -213,17 +212,12 @@ def test_squares_stream_is_the_record_of_every_square(capsys, n, r, only_singula
 def test_squares_computes_one_label_per_pair(capsys, monkeypatch):
     # (5,3) has 90 (kernel, transversal) pairs and 1,470 ordered squares;
     # the index and the stream may each label every pair once
-    calls = []
-
-    def counted(p, a):
-        calls.append((p, a))
-        return label_by_subscripts(p, a)
-
+    checked = counted_calls(monkeypatch, "label_by_subscripts", (squares_module,))
+    unchecked = counted_calls(monkeypatch, "pick_label", (squares_module,))
     squares_module._singular_index.cache_clear()
-    monkeypatch.setattr(squares_module, "label_by_subscripts", counted)
     code, out, _ = run(capsys, "squares", "--n", "5", "--r", "3")
     assert code == 0 and out.count("\n") == 1470
-    assert len(calls) <= 2 * 90
+    assert len(checked + unchecked) <= 2 * 90
 
 
 def counted_calls(monkeypatch, name, modules):
@@ -247,16 +241,21 @@ def counted_calls(monkeypatch, name, modules):
     ids=["stats", "squares"],
 )
 def test_stats_and_squares_label_each_pair_once(capsys, monkeypatch, argv, pairs):
-    # the index labels every pair; the spectrum and the stream read its labels
+    # the index labels every pair once, from its transversal's pick of one
+    # element per block, with no check; the spectrum and the stream read its
+    # labels (the labels themselves are held to label_by_subscripts in
+    # tests/test_squares.py)
     import igmax.labels as labels_module
     import igmax.presentation as presentation_module
 
     modules = (labels_module, squares_module, presentation_module)
-    calls = counted_calls(monkeypatch, "label_by_subscripts", modules)
+    checked = counted_calls(monkeypatch, "label_by_subscripts", modules)
+    unchecked = counted_calls(monkeypatch, "pick_label", (squares_module,))
     squares_module._singular_index.cache_clear()
     code, _, _ = run(capsys, *argv)
     assert code == 0
-    assert len(calls) == len(set(calls)) == pairs
+    assert checked == []
+    assert len(unchecked) == pairs
 
 
 def test_reduce_builds_no_presentation(capsys, monkeypatch):

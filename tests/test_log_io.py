@@ -530,8 +530,8 @@ def test_discharge_steps_cost_under_64_bytes_a_relation():
     # discharge_all adds one range for the run, under 1 KB in all
     eng = Derivation(6, 3)
     pres = build_presentation(6, 3)
-    for g in pres.generators:
-        eng.resolve(g.partition, g.subset)
+    for p, a in eng.index.pairs:
+        eng.resolve(p, a)
     relations = pres.families.relation_count
     tracemalloc.start()
     try:

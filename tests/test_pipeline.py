@@ -12,7 +12,7 @@ import pytest
 import igmax
 import igmax.pipeline as pipeline_module
 import igmax.replay as replay_module
-from igmax.combinatorics import Partition, Subset, enumerate_transversal_pairs
+from igmax.combinatorics import Partition, Subset
 from igmax.errors import InvalidParameters, VerificationFailed
 from igmax.labels import label_by_subscripts
 from igmax.perms import Permutation, contiguous_cycle, descent_number
@@ -22,6 +22,7 @@ from igmax.pipeline import (
     coxeter_square_braid,
     coxeter_square_commute,
     coxeter_square_involution,
+    cycle_rep,
     cycle_split,
     descent_reduction,
     run_pipeline,
@@ -36,15 +37,27 @@ from igmax.replay import (
 )
 from igmax.squares import Square, _singular_index, is_singular_sq2, is_singular_sq3
 from igmax.verification import presentations_match
-from igmax.presentation import GeneratorId, coxeter_presentation
+from igmax.presentation import coxeter_presentation
 from igmax.perms import ProductTable, rightmost_descent
 from perms_reference import resolve_rightmost_descent
+import pipeline_reference
 from words_reference import letter_images, substitute
 
 
 def clean(report):
     """Steps replayed without a single failure (full-run flags aside)."""
     return report.failures == ()
+
+
+def ids(index, kernel, image):
+    """The ids of a kernel and an image object in ``index``."""
+    return index.kernel_ids[kernel.blocks], index.image_ids[image.elements]
+
+
+def square_of(index, sq):
+    """The square whose ids in ``index`` are ``sq``, as objects."""
+    p, q, a, b = sq
+    return Square((index.parts[p], index.parts[q]), (index.subsets[a], index.subsets[b]))
 
 
 # ---------------------------------------------------------------------------
@@ -81,14 +94,13 @@ def named(index, word):
 def test_cycle_split_structure():
     for (k, l, n, r) in [(1, 2, 5, 3), (1, 2, 6, 4), (2, 2, 6, 4), (1, 3, 6, 4)]:
         p, q, a, b = cycle_split(k, l, n, r)
-        sq = Square((p, q), (a, b))
-        assert is_singular_sq3(sq)
-        # solved for the (Q,B) corner: lhs is that single generator
         index = _singular_index(n, r)
-        rel = _three_quarter_relation(_corners(index, index.square(p, q, a, b)), "PA", index.letters)
+        assert is_singular_sq3(square_of(index, (p, q, a, b)))
+        # solved for the (Q,B) corner: lhs is that single generator
+        rel = _three_quarter_relation(_corners(index, (p, q, a, b)), "PA", index.letters)
         assert len(rel.lhs) == 1 and rel.lhs[0] % 2 == 0
         g = rel.lhs[0] >> 1
-        assert index.pairs[g] == (index.kernel_ids[q.blocks], index.image_ids[b.elements])
+        assert index.pairs[g] == (q, b)
         assert index.labels[g] == contiguous_cycle(k, l, r)
         # two factors: transposition at k, then the shorter cycle
         g1, g2 = (x >> 1 for x in rel.rhs)
@@ -105,15 +117,17 @@ def test_descent_reduction_golden():
     P = Partition.parse("{{1,7},{2,5},{3,6},{4}}")
     A = Subset.parse("{4,5,6,7}", 7)
     assert label_by_subscripts(P, A).image_form() == "[4,2,3,1]"
-    Q, B = descent_reduction(P, A, label_by_subscripts(P, A))
+    index = _singular_index(7, 4)
+    p, a = ids(index, P, A)
+    q, b = descent_reduction(index, p, a, label_by_subscripts(P, A))
+    Q, B = index.parts[q], index.subsets[b]
     Square((P, Q), (A, B))  # the corners make a square
     assert str(Q) == "{{1,3,7},{2,5},{4},{6}}"
     assert str(B) == "{1,2,4,6}"
     assert label_by_subscripts(P, B).cycle_form() == "(3 4)"
     assert label_by_subscripts(Q, A).image_form() == "[4,2,1,3]"
     assert label_by_subscripts(Q, B).is_identity()
-    index = _singular_index(7, 4)
-    rel = _three_quarter_relation(_corners(index, index.square(P, Q, A, B)), "QB", index.letters)
+    rel = _three_quarter_relation(_corners(index, (p, q, a, b)), "QB", index.letters)
     assert named(index, rel.lhs) == "f[{{1,7},{2,5},{3,6},{4}}|{4,5,6,7}]"
     assert named(index, rel.rhs) == (
         "f[{{1,7},{2,5},{3,6},{4}}|{1,2,4,6}] * f[{{1,3,7},{2,5},{4},{6}}|{4,5,6,7}]"
@@ -125,44 +139,44 @@ def test_descent_reduction_strictly_decreases():
     # singular square whose corners carry the label, the contiguous cycle at
     # its rightmost descent, the label with that descent resolved, and the
     # identity
-    for p, a in [*enumerate_transversal_pairs(6, 3), *enumerate_transversal_pairs(7, 4)]:
-        lam = label_by_subscripts(p, a)
-        if descent_number(lam) < 2:
-            continue
-        r = len(p)
-        q, b = descent_reduction(p, a, lam)
-        sq = Square((p, q), (a, b))
-        lpa, lpb, lqa, lqb = sq.corner_labels
-        loc = rightmost_descent(lam)
-        assert lpa == lam
-        assert lpb == contiguous_cycle(loc.v, loc.w, r)
-        assert lqa == resolve_rightmost_descent(lam)
-        assert lqb.is_identity()
-        assert descent_number(lqa) == descent_number(lam) - 1
-        assert is_singular_sq3(sq) and is_singular_sq2(sq)
+    for n, r in [(6, 3), (7, 4)]:
+        index = _singular_index(n, r)
+        for (p, a), lam in zip(index.pairs, index.labels):
+            if descent_number(lam) < 2:
+                continue
+            q, b = descent_reduction(index, p, a, lam)
+            sq = square_of(index, (p, q, a, b))
+            lpa, lpb, lqa, lqb = sq.corner_labels
+            loc = rightmost_descent(lam)
+            assert lpa == lam
+            assert lpb == contiguous_cycle(loc.v, loc.w, r)
+            assert lqa == resolve_rightmost_descent(lam)
+            assert lqb.is_identity()
+            assert descent_number(lqa) == descent_number(lam) - 1
+            assert is_singular_sq3(sq) and is_singular_sq2(sq)
 
 
 def test_descent_reduction_rejects_low_descent():
     P = Partition.parse("{{1},{2},{3,4,5}}")
+    index = _singular_index(5, 3)
     with pytest.raises(InvalidParameters):
-        descent_reduction(P, P.min_transversal(), label_by_subscripts(P, P.min_transversal()))
+        descent_reduction(index, *ids(index, P, P.min_transversal()), label_by_subscripts(P, P.min_transversal()))
 
 
 def test_coxeter_square_constructions():
-    p, q, a, b = coxeter_square_involution(2, 7, 4)
-    sq = Square((p, q), (a, b))
+    index = _singular_index(7, 4)
+    sq = square_of(index, coxeter_square_involution(2, 7, 4))
     assert is_singular_sq3(sq)
     assert [l.cycle_form() for l in sq.corner_labels] == ["(2 3)", "()", "()", "(2 3)"]
 
-    (p, q, a, b), (q2, rr, b2, c) = coxeter_square_commute(1, 3, 7, 4)
-    sq1, sq2 = Square((p, q), (a, b)), Square((q2, rr), (b2, c))
+    first, second = coxeter_square_commute(1, 3, 7, 4)
+    sq1, sq2 = square_of(index, first), square_of(index, second)
     assert is_singular_sq3(sq1) and is_singular_sq3(sq2)
     # the shared corner pair carries the product label
     assert sq1.corner_labels[3].cycle_form() == "(1 2)(3 4)"
     assert (sq1.kernels[1], sq1.images[1]) == (sq2.kernels[0], sq2.images[0])
 
-    p, q, a, b = coxeter_square_braid(2, 7, 4)
-    sq = Square((p, q), (a, b))
+    sq = square_of(index, coxeter_square_braid(2, 7, 4))
     assert is_singular_sq3(sq)
     assert [l.cycle_form() for l in sq.corner_labels] == ["()", "(2 4 3)", "(3 4)", "(2 4)"]
 
@@ -188,13 +202,45 @@ def test_every_construction_gives_the_square_the_derivation_relies_on(n, r):
         for l in range(k + 2, r):
             for i, corners in enumerate(coxeter_square_commute(k, l, n, r)):
                 made.append((f"commute({k}, {l}) square {i + 1}", corners, None, None))
-    for what, (p, q, a, b), labels, quotient in made:
-        sq = Square((p, q), (a, b))
+    index = _singular_index(n, r)
+    for what, corners, labels, quotient in made:
+        sq = square_of(index, corners)
         assert not sq.is_degenerate() and is_singular_sq2(sq) and is_singular_sq3(sq), what
         if labels is not None:
             assert sq.corner_labels == labels, what
         if quotient is not None:
             assert sq.corner_labels[0].inverse() * sq.corner_labels[1] == quotient, what
+
+
+@pytest.mark.parametrize("n,r", SWEEP, ids=[f"{n}-{r}" for n, r in SWEEP])
+def test_the_id_constructions_make_the_object_constructions_squares(n, r):
+    # tests/pipeline_reference.py keeps the constructions on kernel and image
+    # objects; the producer's, on ids, must name the same squares
+    index = _singular_index(n, r)
+
+    def square_ids(corners):
+        p, q, a, b = corners
+        return index.square(p, q, a, b)
+
+    for k in range(1, r):
+        for l in range(1, r - k + 1):
+            assert cycle_rep(k, l, n, r) == ids(index, *canonical_cycle_pair(k, l, n, r)), (k, l)
+        for l in range(2, r - k + 1):
+            assert cycle_split(k, l, n, r) == square_ids(pipeline_reference.cycle_split(k, l, n, r)), (k, l)
+        assert coxeter_square_involution(k, n, r) == square_ids(pipeline_reference.coxeter_square_involution(k, n, r))
+        if k <= r - 2:
+            assert coxeter_square_braid(k, n, r) == square_ids(pipeline_reference.coxeter_square_braid(k, n, r))
+            assert _braid_mirror_square(k, n, r) == square_ids(pipeline_reference.braid_mirror_square(k, n, r))
+        for l in range(k + 2, r):
+            made = coxeter_square_commute(k, l, n, r)
+            assert made == tuple(map(square_ids, pipeline_reference.coxeter_square_commute(k, l, n, r))), (k, l)
+    reduced = 0
+    for (p, a), lam in zip(index.pairs, index.labels):
+        if descent_number(lam) >= 2:
+            want = pipeline_reference.descent_reduction(index.parts[p], index.subsets[a], lam)
+            assert descent_reduction(index, p, a, lam) == ids(index, *want), (p, a)
+            reduced += 1
+    assert (reduced > 0) == (r >= 3)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +253,7 @@ def test_derive_identity_one_chain():
     P = Partition.parse("{{1},{2},{3,4,5,6}}")
     for a in (4, 5, 6):
         eng = Derivation(6, 3)
-        eng.one(P, Subset.of(6, (1, 2, a)))
+        eng.one(*ids(eng.index, P, Subset.of(6, (1, 2, a))))
         assert clean(replay_log(eng.log))
 
 
@@ -215,14 +261,14 @@ def test_derive_identity_convex():
     P = Partition.parse("{{1,2},{3,4},{5,6}}")
     for A in P.transversals():
         eng = Derivation(6, 3)
-        eng.one(P, A)
+        eng.one(*ids(eng.index, P, A))
         assert clean(replay_log(eng.log))
 
 
 def test_derive_identity_general_all_identity_pairs():
     count = 0
-    for p, a in enumerate_transversal_pairs(5, 3):
-        if not label_by_subscripts(p, a).is_identity():
+    for (p, a), lam in zip(_singular_index(5, 3).pairs, _singular_index(5, 3).labels):
+        if not lam.is_identity():
             continue
         count += 1
         eng = Derivation(5, 3)
@@ -239,7 +285,7 @@ def test_derive_same_row():
     assert label_by_subscripts(P, A).cycle_form() == "(2 3)"
     assert label_by_subscripts(P, A) == label_by_subscripts(P, B)
     eng = Derivation(6, 3)
-    eng.same_row(P, A, B)
+    eng.same_row(*ids(eng.index, P, A), ids(eng.index, P, B)[1])
     assert clean(replay_log(eng.log))
 
 
@@ -252,7 +298,7 @@ def test_derive_same_column():
     assert label_by_subscripts(P, A).cycle_form() == "(1 2)"
     assert label_by_subscripts(P, A) == label_by_subscripts(Q, A)
     eng = Derivation(6, 3)
-    eng.same_column(P, Q, A)
+    eng.same_column(*ids(eng.index, P, A)[:1], *ids(eng.index, Q, A))
     assert clean(replay_log(eng.log))
 
 
@@ -261,8 +307,7 @@ def test_derive_cycle_equal_every_cycle_class():
     # class representative through logged singular squares
     eng = Derivation(6, 3)
     checked = 0
-    for p, a in enumerate_transversal_pairs(6, 3):
-        lam = label_by_subscripts(p, a)
+    for (p, a), lam in zip(eng.index.pairs, eng.labels):
         if descent_number(lam) != 1:
             continue
         eng.cycle_eq(p, a)
@@ -275,8 +320,9 @@ def test_derive_cycle_equal_rejects_other_labels():
     P = Partition.parse("{{1,2},{3,5},{4,6}}")
     A = Subset.parse("{2,3,4}", 6)
     assert label_by_subscripts(P, A).is_identity()
+    eng = Derivation(6, 3)
     with pytest.raises(InvalidParameters):
-        Derivation(6, 3).cycle_eq(P, A)
+        eng.cycle_eq(*ids(eng.index, P, A))
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +376,8 @@ def test_assert_survivors_needs_the_canonical_pairs():
 
 def _resolved(n, r):
     eng = Derivation(n, r)
-    for g in build_presentation(n, r).generators:
-        eng.resolve(g.partition, g.subset)
+    for p, a in eng.index.pairs:
+        eng.resolve(p, a)
     return eng
 
 
@@ -344,9 +390,10 @@ def test_discharge_factors_through_the_labels(n, r):
     gens = pres.generators
     # the derivation's letter 2i is generator i, gens[i], and 2i + 1 its inverse
     words = {
-        g: tuple((gens[x >> 1], -1 if x & 1 else 1) for x in eng.resolve(g.partition, g.subset)[1]) for g in gens
+        g: tuple((gens[x >> 1], -1 if x & 1 else 1) for x in eng.resolve(*pair)[1])
+        for g, pair in zip(gens, eng.index.pairs)
     }
-    canon = [GeneratorId.of(*p) for p in eng.canonical_pairs()]
+    canon = [gens[g] for g in eng.canonical_generators()]
     table = ProductTable(r)
     canonical = {x: table.intern(p) for x, p in letter_images({g: g.label for g in canon}).items()}
     labels = {x: table.intern(p) for x, p in letter_images({g: g.label for g in gens}).items()}
@@ -665,6 +712,32 @@ def test_producer_checks_each_distinct_square_once(monkeypatch):
     assert len(calls) == len(bottoms)
 
 
+def test_the_derivation_looks_no_object_up_and_classifies_each_label_once(monkeypatch):
+    # the constructions compute kernel, image and generator ids: at (7,4),
+    # which made 3,257 kernel, 3,993 image and 22,754 generator lookups and
+    # 3,443 classifications while it computed on objects, no lookup is made
+    # and no generator's label is classified twice
+    import igmax.squares as squares_module
+
+    calls = []
+
+    def counting(name, real):
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+
+        return counted
+
+    for name in ("kernel", "image", "generator"):
+        monkeypatch.setattr(squares_module._SingularIndex, name, counting(name, getattr(squares_module._SingularIndex, name)))
+    monkeypatch.setattr(pipeline_module, "classify_descent_one", counting("classify", pipeline_module.classify_descent_one))
+    squares_module._singular_index.cache_clear()
+    _, log = run_pipeline(7, 4)
+    assert log.meta["generators"] == 2240
+    assert [c for c in calls if c != "classify"] == []
+    assert 0 < calls.count("classify") <= 2240
+
+
 def test_reduce_and_replay_label_each_pair_once(monkeypatch, tmp_path, capsys):
     # the index labels each (kernel, image) pair once and everything else,
     # the square constructions included, reads its labels
@@ -673,13 +746,17 @@ def test_reduce_and_replay_label_each_pair_once(monkeypatch, tmp_path, capsys):
     from igmax.cli import main
 
     calls = []
+    for module, name in [
+        (squares_module, "label_by_subscripts"),
+        (squares_module, "pick_label"),
+        (presentation_module, "label_by_subscripts"),
+    ]:
 
-    def counted(p, a):
-        calls.append((p, a))
-        return label_by_subscripts(p, a)
+        def counted(p, a, real=getattr(module, name)):
+            calls.append((p, a))
+            return real(p, a)
 
-    for module in (squares_module, presentation_module):
-        monkeypatch.setattr(module, "label_by_subscripts", counted)
+        monkeypatch.setattr(module, name, counted)
     path = str(tmp_path / "log.json")
     squares_module._singular_index.cache_clear()
     assert main(["reduce", "--n", "6", "--r", "3", "--log", path]) == 0

@@ -21,7 +21,6 @@ from igmax.errors import VerificationFailed
 from igmax.pipeline import Derivation, run_pipeline
 from igmax.perms import ProductTable
 from igmax.presentation import (
-    GeneratorId,
     Relation,
     RelationFamilies,
     build_presentation,
@@ -523,26 +522,32 @@ def forged_six_three():
     _, log = run_pipeline(6, 3)
     eng = Derivation(6, 3)
     eng.log = log
-    P = Partition.parse("{{1,2,3,6},{4},{5}}", 6)
-    Q = Partition.parse("{{1,4},{2,5},{3,6}}", 6)
-    K = Partition.parse("{{1,2,5},{3},{4,6}}", 6)
-    a345, a456, a234 = (Subset.parse(t, 6) for t in ("{3,4,5}", "{4,5,6}", "{2,3,4}"))
+    index = eng.index
+    P, Q, K = (
+        index.kernel_ids[Partition.parse(t, 6).blocks]
+        for t in ("{{1,2,3,6},{4},{5}}", "{{1,4},{2,5},{3,6}}", "{{1,2,5},{3},{4,6}}")
+    )
+    a345, a456, a234 = (index.image_ids[Subset.parse(t, 6).elements] for t in ("{3,4,5}", "{4,5,6}", "{2,3,4}"))
+
+    def gen(p, a):
+        return index.generator_of[p][a]
+
     s1 = eng._square(P, Q, a345, a456)[1]
     s2 = eng._add(
         "transitive",
-        _eq_relation(eng._gen(P, a456), eng._gen(K, a345), eng.letters),
+        _eq_relation(gen(P, a456), gen(K, a345), eng.letters),
         (eng.cycle_eq(P, a456), eng.cycle_eq(K, a345)),
     )
     s3 = eng._rewrite(s1, (eng.one(P, a345), eng.one(Q, a456)))
     s4 = eng._add("combine", Equation(log.steps[s2].conclusion.rhs, log.steps[s3].conclusion.rhs), (s2, s3))
     sq, s5 = eng._square(K, Q, a345, a234)
-    s6 = eng._add("flush-column", _eq_relation(eng._gen(K, a234), eng._gen(Q, a234), eng.letters), (s5, s4), square=sq)
+    s6 = eng._add("flush-column", _eq_relation(gen(K, a234), gen(Q, a234), eng.letters), (s5, s4), square=sq)
     gens = build_presentation(6, 3).generators
     names = [g.display() for g in gens].__getitem__
     assert " = ".join(word_text(side, names) for side in log.steps[s4].conclusion) == (
         "f[{{1,2,5},{3},{4,6}}|{3,4,5}] = f[{{1,4},{2,5},{3,6}}|{3,4,5}]^-1"
     )
-    assert (GeneratorId.of(K, a234).label.cycle_form(), GeneratorId.of(Q, a234).label.cycle_form()) == ("()", "(1 3 2)")
+    assert (index.labels[gen(K, a234)].cycle_form(), index.labels[gen(Q, a234)].cycle_form()) == ("()", "(1 3 2)")
     return log, s6
 
 
@@ -610,7 +615,8 @@ def test_finish_rejects_a_final_relation_over_other_generators():
         eng.derive_involution(k)
     eng.derive_braid(1)
     P, _ = canonical_cycle_pair(1, 1, 5, 3)
-    eng._final_steps.append(eng.one(P, P.min_transversal()))  # f[P|minima(P)] = 1
+    p, a = eng.index.kernel_ids[P.blocks], eng.index.image_ids[P.minima]
+    eng._final_steps.append(eng.one(p, a))  # f[P|minima(P)] = 1
     with pytest.raises(VerificationFailed) as info:
         eng.finish()
     assert str(info.value) == "final relations must mention only canonical generators"
