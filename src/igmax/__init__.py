@@ -4,7 +4,7 @@ The package is layered bottom-up:
 
 ``combinatorics``  r-subsets and r-block partitions of the ground set
 ``perms``          permutations, descent statistics, contiguous cycles
-``schreier``       canonical idempotent words linking [1, r] to each subset
+``schreier``       canonical idempotent words, the reference the tests evaluate
 ``labels``         the permutation label of a (kernel, image) pair
 ``squares``        squares, the SQ2 and SQ3 singularity tests, the SQ3-keyed enumerator
 ``presentation``   group presentations: construction, word algebra, Coxeter target

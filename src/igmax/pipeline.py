@@ -4,7 +4,7 @@ one: the producer of the derivation log.
 The presentation has one generator per (kernel, image) pair.  This module
 eliminates all but r-1 of them through a logged sequence of derivation steps,
 each of which is locally checkable: identity-labeled generators are driven to
-1 through Schreier-word and base citations, equal-labeled generators are
+1 through top-relation and base citations, equal-labeled generators are
 identified along rows and columns of singular squares, contiguous-cycle
 classes are split into products of adjacent-transposition classes,
 higher-descent labels are reduced in place, and the three Coxeter relation
@@ -20,8 +20,8 @@ rejects.  The constructions compute on the ids of
 ``index.parts``, its blocks read from ``index.block_of``; an image is its
 number in ``index.subsets``; a generator is its pair's number.  A kernel
 made by moving elements between blocks is looked up by its block-of-element
-string (:func:`_kernel_id`), an image by the bits of its elements, so no
-step builds a kernel or an image object.
+string (:meth:`~igmax.squares._SingularIndex.kernel_id`), an image by the
+bits of its elements, so no step builds a kernel or an image object.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .replay import (
     _eq_relation,
     _one_relation,
     _three_quarter_relation,
+    cycle_rep,
 )
 from .squares import _singular_index, _SingularIndex, is_singular_ids
 
@@ -68,46 +69,6 @@ def _require_singular(index: _SingularIndex, sq: SquareIds) -> None:
         raise VerificationFailed(f"square fails the singularity tests: {_square_texts(index, sq)}")
 
 
-def _kernel_id(index: _SingularIndex, s: bytearray) -> int:
-    """The id of the kernel that puts each x of [1, n] in the block named
-    ``s[x]``, any name below 256; ``s`` may be overwritten.
-
-    A kernel's ``block_of`` string numbers its blocks in the order of their
-    minima, so ``s`` is looked up as it is first: a move that keeps that
-    order hits.  Otherwise the blocks are renumbered in the order their
-    names first appear, which is the order of their minima, and looked up
-    again; neither needs sorting.  InvalidParameters when ``s`` names no
-    kernel of the index.
-    """
-    k = index.kernel_of.get(bytes(s))
-    if k is None:
-        s[0] = s[1]  # block_of[k][0] is 0, the block of 1
-        order = bytes(dict.fromkeys(s))
-        key = bytes(s.translate(bytes.maketrans(order, bytes(range(len(order))))))
-        k = index.kernel_of.get(key)
-        if k is None:
-            raise InvalidParameters(f"{list(key[1:])} names none of the {len(index.parts)} kernels of this index")
-    return k
-
-
-def _kernel(index: _SingularIndex, blocks: Iterable[Iterable[int]]) -> int:
-    """The id of the kernel with these blocks, given in any order, and one
-    more block of every element they leave out, if any."""
-    s = bytearray(index.n + 1)
-    for i, block in enumerate(blocks, start=1):
-        for x in block:
-            s[x] = i
-    return _kernel_id(index, s)
-
-
-def _image(index: _SingularIndex, elements: Iterable[int]) -> int:
-    """The id of the image with these elements, given in any order."""
-    a = index.image_of.get(sum(1 << x for x in elements))
-    if a is None:
-        raise InvalidParameters(f"{sorted(elements)} is not one of the {len(index.subsets)} images of this index")
-    return a
-
-
 # ---------------------------------------------------------------------------
 # pure constructions
 # ---------------------------------------------------------------------------
@@ -117,25 +78,6 @@ def _image(index: _SingularIndex, elements: Iterable[int]) -> int:
 # A lookup miss raises InvalidParameters.  A square is returned as its ids
 # (P, Q, A, B), unchecked: ``Derivation._square`` checks each witness once,
 # and the tests sweep every construction's squares.
-
-
-def cycle_rep(k: int, l: int, n: int, r: int) -> tuple[int, int]:
-    """The ids of the pair :func:`~igmax.replay.canonical_cycle_pair` names
-    for the (k,l)-cycle, the class representative, with no object built."""
-    blocks: list[tuple[int, ...]] = []
-    if k == 1:
-        blocks.append(tuple([1, l + 2] + list(range(r + 2, n + 1))))
-    else:
-        blocks.append(tuple([1] + list(range(r + 2, n + 1))))
-        blocks.append((k, k + l + 1))
-    for i in range(2, k):
-        blocks.append((i,))
-    for i in range(k + 1, k + l + 1):
-        blocks.append((i,))
-    for i in range(k + l + 1, r + 1):
-        blocks.append((i + 1,))
-    index = _singular_index(n, r)
-    return _kernel(index, blocks), _image(index, [i for i in range(1, r + 2) if i != k])
 
 
 def cycle_split(k: int, l: int, n: int, r: int) -> SquareIds:
@@ -172,9 +114,9 @@ def cycle_split(k: int, l: int, n: int, r: int) -> SquareIds:
         pblocks.append((i + 2,))
         qblocks.append((i + 2,))
     index = _singular_index(n, r)
-    p, q = _kernel(index, pblocks), _kernel(index, qblocks)
-    a = _image(index, [i for i in range(1, r + 3) if i not in (k, k + l + 2)])
-    b = _image(index, [i for i in range(1, r + 3) if i not in (k, k + 2)])
+    p, q = index.kernel_with(pblocks), index.kernel_with(qblocks)
+    a = index.image_with([i for i in range(1, r + 3) if i not in (k, k + l + 2)])
+    b = index.image_with([i for i in range(1, r + 3) if i not in (k, k + 2)])
     return p, q, a, b
 
 
@@ -205,7 +147,7 @@ def descent_reduction(index: _SingularIndex, p: int, a: int, lam: Permutation) -
     singles = [av(i + 1) for i in range(2 if v == 1 else v, v + w)] + [av(v)] + [av(i) for i in range(v + w + 1, r + 1)]
     for i, x in enumerate(singles, start=r):
         s[x] = i
-    return _kernel_id(index, s), _image(index, belems)
+    return index.kernel_id(s), index.image_with(belems)
 
 
 def coxeter_square_involution(k: int, n: int, r: int) -> SquareIds:
@@ -234,9 +176,9 @@ def coxeter_square_involution(k: int, n: int, r: int) -> SquareIds:
         pblocks.append((i + 2,))
         qblocks.append((i + 2,))
     index = _singular_index(n, r)
-    p, q = _kernel(index, pblocks), _kernel(index, qblocks)
-    a = _image(index, [i for i in range(1, r + 3) if i not in (k, k + 3)])
-    b = _image(index, [i for i in range(1, r + 3) if i not in (k, k + 1)])
+    p, q = index.kernel_with(pblocks), index.kernel_with(qblocks)
+    a = index.image_with([i for i in range(1, r + 3) if i not in (k, k + 3)])
+    b = index.image_with([i for i in range(1, r + 3) if i not in (k, k + 1)])
     return p, q, a, b
 
 
@@ -280,10 +222,10 @@ def coxeter_square_commute(k: int, l: int, n: int, r: int) -> tuple[SquareIds, S
         qblocks.append((i + 2,))
         rblocks.append((i + 2,))
     index = _singular_index(n, r)
-    p, q, rr = _kernel(index, pblocks), _kernel(index, qblocks), _kernel(index, rblocks)
-    a = _image(index, [i for i in range(1, r + 3) if i not in (k + 2, l + 1)])
-    b = _image(index, [i for i in range(1, r + 3) if i not in (k, l + 1)])
-    c = _image(index, [i for i in range(1, r + 3) if i not in (k, l + 3)])
+    p, q, rr = index.kernel_with(pblocks), index.kernel_with(qblocks), index.kernel_with(rblocks)
+    a = index.image_with([i for i in range(1, r + 3) if i not in (k + 2, l + 1)])
+    b = index.image_with([i for i in range(1, r + 3) if i not in (k, l + 1)])
+    c = index.image_with([i for i in range(1, r + 3) if i not in (k, l + 3)])
     return (p, q, a, b), (q, rr, b, c)
 
 
@@ -314,9 +256,9 @@ def coxeter_square_braid(k: int, n: int, r: int) -> SquareIds:
         pblocks.append((i + 2,))
         qblocks.append((i + 2,))
     index = _singular_index(n, r)
-    p, q = _kernel(index, pblocks), _kernel(index, qblocks)
-    a = _image(index, [i for i in range(1, r + 3) if i not in (k + 1, k + 4)])
-    b = _image(index, [i for i in range(1, r + 3) if i not in (k, k + 1)])
+    p, q = index.kernel_with(pblocks), index.kernel_with(qblocks)
+    a = index.image_with([i for i in range(1, r + 3) if i not in (k + 1, k + 4)])
+    b = index.image_with([i for i in range(1, r + 3) if i not in (k, k + 1)])
     return p, q, a, b
 
 
@@ -372,7 +314,7 @@ class Derivation:
         self._minima = [p.minima for p in index.parts]
         self._base = tuple(range(1, r + 1))
         self._convex = [p.is_convex() for p in index.parts]
-        self._min_image = [_image(index, m) for m in self._minima]
+        self._min_image, self._top_of = index.min_image, index.top_of
         # the label of generator g is label id _label_id[g]; equal labels, equal ids
         self._label_id = index.letter_label_ids[::2]
         # kinds[g]: IDENTITY, (k, l) for the (k,l)-cycle, or None for descent
@@ -402,15 +344,7 @@ class Derivation:
         """The kernel ``p`` with element ``x`` moved into its 0-based block ``block``."""
         s = bytearray(self._block_of[p])
         s[x] = block
-        return _kernel_id(self.index, s)
-
-    def _convex_kernel(self, starts: tuple[int, ...]) -> int:
-        """The kernel whose blocks are the intervals starting at ``starts``."""
-        n = self.n
-        s = bytearray(n + 1)
-        for i in range(1, len(starts)):
-            s[starts[i]:] = bytes((i,)) * (n + 1 - starts[i])
-        return _kernel_id(self.index, s)
+        return self.index.kernel_id(s)
 
     def _square(self, p: int, q: int, a: int, b: int) -> tuple[SquareIds, int]:
         """The ids of the square over (p, q, a, b), one tuple per distinct
@@ -492,10 +426,9 @@ class Derivation:
             return self._middle(p, ap)
         r, minima, elements = self.r, self._minima[p], self._elements[a]
         if minima == self._base:
-            # Blocks {1},...,{r-1},[r,n]: walk the free element down to r,
-            # lowering the first element off [1, r] (A's Schreier predecessor).
-            x = next(x for i, x in enumerate(elements, start=1) if x != i)
-            b = self._swap(a, x, x - 1)
+            # Blocks {1},...,{r-1},[r,n]: walk the free element down to r
+            # through A's predecessor.
+            _, b = self._top_of[a]
             s_prev = self.one(p, b)
             s_top = self._top(p, b, a)
             return self._add("transitive", _one_relation(g, self.letters), (s_prev, s_top))
@@ -503,10 +436,8 @@ class Derivation:
         m = next(i for i in range(1, r) if minima[i] != i + 1)
         t = next(i for i in range(1, r + 1) if elements[i - 1] != minima[i - 1])
         if t == m:
-            am = elements[m - 1]
-            b = self._swap(a, am, am - 1)
-            # A's convex partition: blocks cut just after each of its elements
-            q = self._convex_kernel((1, *(x + 1 for x in elements[:-1])))
+            # B, A's predecessor, lowers its m-th element; Q is A's convex kernel
+            q, b = self._top_of[a]
             s_top = self._top(q, b, a)
             s_one_b = self.one(p, b)
             if p == q:
@@ -540,8 +471,12 @@ class Derivation:
         minima, elements = self._minima[p], self._elements[a]
         m = next(i for i in range(1, self.r + 1) if elements[i - 1] != minima[i - 1])
         starts = minima[:m] + elements[m:]
-        b = _image(self.index, starts)
-        q = self._convex_kernel(starts)
+        b = self.index.image_with(starts)
+        # Q: the intervals starting at B's elements
+        s = bytearray(self.n + 1)
+        for i in range(1, self.r):
+            s[starts[i]:] = bytes((i,)) * (self.n + 1 - starts[i])
+        q = self.index.kernel_id(s)
         sq, s_b = self._square(p, q, a, b)
         s1 = self.one(p, b)
         s2 = self.one(q, a)
@@ -579,7 +514,7 @@ class Derivation:
         s = bytearray(self.n + 1)
         for i in range(1, self.r):
             s[ea[i]] = s[eb[i]] = i
-        q = _kernel_id(self.index, s)
+        q = self.index.kernel_id(s)
         sq, s_b = self._square(p, q, a, b)
         s1 = self.one(q, a)
         s2 = self.one(q, b)
@@ -678,7 +613,7 @@ class Derivation:
             s = bytearray(block_of)
             s[k] = k - 1
             s[pk] = k
-            qp = _kernel_id(self.index, s)
+            qp = self.index.kernel_id(s)
         a2 = self._swap(a, at, d)
         s1 = self.same_column(p, qp, a)
         s2 = self.same_row(qp, a, a2)
@@ -699,7 +634,7 @@ class Derivation:
             s[elements[i - 2]] = i
         for i in range(k + l + 1, self.r + 1):
             s[elements[i - 1]] = i
-        return _kernel_id(self.index, s)
+        return self.index.kernel_id(s)
 
     # -- resolution to canonical classes -------------------------------------
 

@@ -7,9 +7,10 @@ Generators of the big presentation are the transversal pairs themselves;
 abstract symbols appear only in the Coxeter target.  Relations are
 equations (pairs of words), not relators, and carry a provenance tag:
 
-``top``     pairs of generators sharing a kernel whose canonical words
-            differ by exactly the appended letter;
-``middle``  the block-minima generator of each kernel is trivial;
+``top``     f[P,X] = f[P,Y] for each image Y but [1, r], with X its
+            predecessor and P its convex kernel (the index's ``top_of``);
+``middle``  the block-minima generator of each kernel is trivial (the
+            index's ``min_image``);
 ``bottom``  one relation per ordered proper singular square;
 ``coxeter`` the target relations.
 
@@ -18,7 +19,8 @@ Words multiply left to right, like everything else in the package.
 Relations are held as int letter words (:class:`RelationFamilies`):
 generator i is the letter ``2*i`` and its inverse ``2*i + 1``, the encoding
 the coset enumerator works in.  :func:`relation_families` writes the
-(n, r) relations that way off the SQ3 index, with no generator object.
+(n, r) relations that way off the SQ3 index's id tables, with no
+generator, kernel or image object and no Schreier word.
 A :class:`GroupPresentation` puts generator objects beside them for
 ``present`` to print; :class:`Relation` objects, with :class:`GeneratorId`
 letters, are made only when its ``relations`` is read (by the tests and the
@@ -45,7 +47,6 @@ from .combinatorics import Partition, Subset, require_transversal
 from .errors import InvalidParameters, VerificationFailed
 from .labels import label_by_subscripts
 from .perms import Permutation, ProductTable
-from .schreier import convex_partition_of, predecessor
 from .squares import _singular_index, _SingularIndex
 
 # Not called here: perfbench/trace_run.py wraps these two names in this module.
@@ -389,7 +390,8 @@ def presentations_match(a: GroupPresentation, b: GroupPresentation) -> bool:
 def relation_families(n: int, r: int) -> RelationFamilies:
     """The relations of the (n, r) presentation, their letters numbered by
     the pairs of ``squares._singular_index(n, r)``: the top and the middle
-    family, written here, then the bottom family, one relation per proper
+    family, one relation per entry of the index's ``top_of`` (but the base
+    image's) and ``min_image``, then the bottom family, one relation per proper
     singular square, counted off the SQ3 buckets and read by
     :func:`read_bottom` only when one of them is first asked for.  The
     buckets' letters, two per member, go along (see :class:`RelationFamilies`).
@@ -400,23 +402,14 @@ def relation_families(n: int, r: int) -> RelationFamilies:
     (n, r), and callers only read it.
     """
     index = _singular_index(n, r)
-    parts, subsets = index.parts, index.subsets
     # letter[i][a]: the letter of the generator of kernel i over image a
     letter = [{a: 2 * g for a, g in row.items()} for row in index.generator_of]
-
-    # word_to(X) extended by the letter (P, Y) is word_to(Y) exactly when X
-    # is Y's predecessor and P its convex partition (see igmax.schreier):
-    # one top relation per subset Y but the base, in generator order
-    words: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for b, y in enumerate(subsets):
-        x = predecessor(y)
-        if x is not None:
-            row = letter[index.kernel_ids[convex_partition_of(y).blocks]]
-            words.append(((row[index.image_ids[x.elements]],), (row[b],)))
-    words.sort()
+    # one top relation per image Y but the base, in generator order
+    tops = [(y, top) for y, top in enumerate(index.top_of) if top is not None]
+    words: list[tuple[Word, Word]] = sorted(((letter[p][x],), (letter[p][y],)) for y, (p, x) in tops)
     tags = ["top"] * len(words)
-    for i, p in enumerate(parts):
-        words.append(((letter[i][index.image_ids[p.minima]],), ()))
+    for i, a in enumerate(index.min_image):
+        words.append(((letter[i][a],), ()))
         tags.append("middle")
     # the bottom family is the square relations x_P = x_Q of every bucket of
     # at least two kernels, x_P = f[P,A]^-1 f[P,B]
@@ -441,16 +434,13 @@ def relation_families(n: int, r: int) -> RelationFamilies:
 
 def read_bottom(index: _SingularIndex) -> array:
     """The letters p^-1, q, s^-1, t of the bottom family, four per relation
-    p^-1 q = s^-1 t, read off the index's rows on ids: the squares
-    (P, Q, A, B) of :func:`~igmax.squares.enumerate_singular_squares`, in
-    its order, kernel P by kernel P, each kernel's (Q, A, B) sorted."""
+    p^-1 q = s^-1 t, one relation per square of
+    :meth:`~igmax.squares._SingularIndex.singular_squares`, in its order."""
     gen = index.generator_of
     corners = array("i")
-    for pi, row in enumerate(index.rows):
-        gp = gen[pi]
-        for qi, a, b in sorted([(qi, a, b) for a, b, bucket in row for qi in bucket if qi != pi]):
-            gq = gen[qi]
-            corners.extend((2 * gp[a] + 1, 2 * gp[b], 2 * gq[a] + 1, 2 * gq[b]))
+    for p, q, a, b in index.singular_squares():
+        gp, gq = gen[p], gen[q]
+        corners.extend((2 * gp[a] + 1, 2 * gp[b], 2 * gq[a] + 1, 2 * gq[b]))
     return corners
 
 

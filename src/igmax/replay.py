@@ -3,9 +3,11 @@ checker that a verdict rests on: the trusted base.
 
 :func:`replay_log` re-verifies a log from scratch and trusts nothing of the
 run that wrote it beyond the step records.  It imports nothing from the
-producer and builds no presentation.  Off ``squares._singular_index(n, r)``
-it reads the pair numbering, the labels and their ids in a product table,
-and the block arrays of :func:`~igmax.squares.is_singular_ids`; through
+producer, builds no presentation and no kernel or image.  Off
+``squares._singular_index(n, r)`` it reads the pair numbering, the labels
+and their ids in a product table, the top and middle relations as the id
+tables ``top_of`` and ``min_image``, and the block arrays of
+:func:`~igmax.squares.is_singular_ids`; through
 :func:`~igmax.presentation.relation_families`, made from the same index,
 the relation count, the top and middle words, the bottom family's bucket
 letters and, on a failing run only, one relation's letters.
@@ -33,8 +35,8 @@ Step rules
 ----------
 
 ``middle``        f[P, minima(P)] = 1, by the base family.
-``top``           f[P,X] = f[P,Y] when the Schreier word of Y extends the word
-                  of X by the letter (P, Y).
+``top``           f[P,X] = f[P,Y] when X is Y's predecessor and P its convex
+                  kernel: ``index.top_of[Y]`` is (P, X).
 ``bottom``        the square relation of a proper singular square.
 ``corner``        three corners of a singular square are 1, so the fourth is.
 ``flush-row``     both generators of one row agree (or are both 1), so the
@@ -60,7 +62,6 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
 
-from .combinatorics import Partition, Subset
 from .errors import InvalidParameters, VerificationFailed
 from .perms import contiguous_cycle
 from .presentation import (
@@ -72,11 +73,8 @@ from .presentation import (
     substitute,
     word_json,
 )
-from .schreier import IdempotentLetter, build_schreier
 from .squares import CORNERS, _singular_index, _SingularIndex, is_singular_ids
 
-# a (kernel, image) pair, the index's own objects
-Pair = tuple[Partition, Subset]
 # a witness square as the ids of its kernels P, Q and images A, B in the index
 SquareIds = tuple[int, int, int, int]
 
@@ -692,11 +690,13 @@ class _LogReader:
             self.peek()
 
 
-def canonical_cycle_pair(k: int, l: int, n: int, r: int) -> Pair:
-    """The lex-least (kernel, image) pair whose label is the (k,l)-cycle.
+def cycle_rep(k: int, l: int, n: int, r: int) -> tuple[int, int]:
+    """The ids of the lex-least (kernel, image) pair whose label is the
+    (k,l)-cycle, the class representative; at l = 1 it is canonical
+    generator k (``LOG_FORMAT.md``).
 
-    >>> p, a = canonical_cycle_pair(2, 1, 5, 3)
-    >>> str(p), str(a)
+    >>> p, a = cycle_rep(2, 1, 5, 3)
+    >>> str(_singular_index(5, 3).parts[p]), str(_singular_index(5, 3).subsets[a])
     ('{{1,5},{2,4},{3}}', '{1,3,4}')
     """
     if not (1 <= k and l >= 1 and k + l <= r):
@@ -716,7 +716,7 @@ def canonical_cycle_pair(k: int, l: int, n: int, r: int) -> Pair:
     for i in range(k + l + 1, r + 1):
         blocks.append((i + 1,))
     index = _singular_index(n, r)
-    return index.kernel(blocks), index.image([i for i in range(1, r + 2) if i != k])
+    return index.kernel_with(blocks), index.image_with([i for i in range(1, r + 2) if i != k])
 
 
 # ---------------------------------------------------------------------------
@@ -758,8 +758,9 @@ class _ReplayFailure(Exception):
 def replay_log(log: DerivationLog) -> ReplayReport:
     """Re-verify every step of a log from scratch.
 
-    Rebuilds the Schreier system, re-checks each witness square, re-derives
-    every conclusion from its premises, discharges each relation on its
+    Re-checks each top and middle step against the index's ``top_of`` and
+    ``min_image``, each witness square, re-derives every conclusion from
+    its premises, discharges each relation on its
     labels, checks that the canonical generators carry the adjacent
     transpositions, and finally compares the surviving presentation against
     the Coxeter target.  Nothing from the producing run is trusted beyond
@@ -792,9 +793,8 @@ def replay_log(log: DerivationLog) -> ReplayReport:
     other run is read as its indices, so a failure names its step.
     """
     n, r = log.n, log.r
-    sch = build_schreier(n, r)
     index = _singular_index(n, r)
-    parts, subsets, pairs, labels, name = index.parts, index.subsets, index.pairs, index.labels, index.name
+    pairs, labels, name = index.pairs, index.labels, index.name
     families = relation_families(n, r)
     relations = families.relation_count
     # one bottom relation per witness square
@@ -807,7 +807,7 @@ def replay_log(log: DerivationLog) -> ReplayReport:
             rel = bottoms[sq] = _bottom_relation(_corners(index, sq), letters)
         return rel
 
-    canon_list = [index.generator(*canonical_cycle_pair(k, 1, n, r)) for k in range(1, r)]
+    canon_list = [index.generator_of[p][a] for p, a in (cycle_rep(k, 1, n, r) for k in range(1, r))]
     canon_gens = set(canon_list)
     # words are evaluated on the index's product table, each int letter
     # (2*i for generator i, 2*i+1 for its inverse) read as the id of its
@@ -864,7 +864,7 @@ def replay_log(log: DerivationLog) -> ReplayReport:
             raise _ReplayFailure(f"unknown rule {rule!r}")
         if rule == "middle":
             g = _one_fact(st.conclusion)
-            if g is None or subsets[pairs[g][1]].elements != parts[pairs[g][0]].minima:
+            if g is None or index.min_image[pairs[g][0]] != pairs[g][1]:
                 raise _ReplayFailure("middle step must conclude f[P, minima(P)] = 1")
         elif rule == "top":
             pair = _eq_fact(st.conclusion)
@@ -873,9 +873,8 @@ def replay_log(log: DerivationLog) -> ReplayReport:
             (k1, a1), (k2, a2) = pairs[pair[0]], pairs[pair[1]]
             if k1 != k2:
                 raise _ReplayFailure("top step generators must share a kernel")
-            word = sch.word_to(subsets[a1]) + (IdempotentLetter(parts[k1], subsets[a2]),)
-            if word != sch.word_to(subsets[a2]):
-                raise _ReplayFailure("Schreier words do not certify the top citation")
+            if index.top_of[a2] != (k1, a1):
+                raise _ReplayFailure("top step must conclude the top relation f[P,X] = f[P,Y] of its Y")
         elif rule == "bottom":
             sq = st.square
             if sq is None:

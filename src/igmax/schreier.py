@@ -13,9 +13,9 @@ order-preserving bijection from [1, r] onto A, and the construction is
 prefix-closed: every intermediate subset on the path has its own word as a
 prefix.  So ``word_to(B)`` followed by the letter (P, A) is ``word_to(A)``
 exactly when B is the predecessor of A and P is A's convex partition; the
-top relations of :func:`igmax.presentation.build_presentation` are those
-pairs.  The tests evaluate the words, and the words back from A to [1, r],
-in ``tests/schreier_reference.py``.
+top relations are those pairs, which the SQ3 index names on ids (its
+``top_of``).  The tests evaluate the words, and the words back from A to
+[1, r], in ``tests/schreier_reference.py``; no other module reads them.
 """
 
 from __future__ import annotations

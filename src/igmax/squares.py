@@ -38,7 +38,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator
+from typing import Iterator, Optional, Sequence
 
 from .combinatorics import Partition, Subset, enumerate_partitions, enumerate_subsets
 from .errors import InvalidParameters, NotASquare, VerificationFailed
@@ -195,10 +195,12 @@ class _SingularIndex:
     order, each kernel's transversals in ``transversal_ids`` order: the
     generator order of :func:`~igmax.presentation.build_presentation`.
     ``labels[g]`` is the label of pair g.  The trust path holds kernels,
-    images and generators as these ids.  The tables that map between ids and
-    objects, the ones the id singularity test reads, and the keys the
-    producer's constructions compute ids from (``kernel_of``, ``image_of``)
-    are built on first use, so ``stats`` and ``squares`` never build them.
+    images and generators as these ids.  It finds a kernel's id by its
+    ``block_of`` string (``kernel_of``, :meth:`kernel_id`) and an image's by
+    its bit mask (``image_of``), the one lookup of each kind; the top and
+    middle relations are the id tables ``top_of`` and ``min_image``.  These
+    tables, and the ones the id singularity test reads, are built on first
+    use, so ``stats`` and ``squares`` never build them.
     """
 
     n: int
@@ -217,16 +219,6 @@ class _SingularIndex:
             for i in bucket:
                 rows[i].append((a, b, bucket))
         return rows
-
-    @cached_property
-    def kernel_ids(self) -> dict[tuple[tuple[int, ...], ...], int]:
-        """The id of each kernel, keyed by its blocks."""
-        return {p.blocks: i for i, p in enumerate(self.parts)}
-
-    @cached_property
-    def image_ids(self) -> dict[tuple[int, ...], int]:
-        """The id of each image, keyed by its elements."""
-        return {s.elements: i for i, s in enumerate(self.subsets)}
 
     @cached_property
     def generator_of(self) -> list[dict[int, int]]:
@@ -293,42 +285,74 @@ class _SingularIndex:
         """The id of each image, keyed by its ``image_mask``."""
         return {mask: a for a, mask in enumerate(self.image_mask)}
 
-    def kernel(self, blocks) -> Partition:
-        """The index's kernel with these blocks, given in any order.
+    def kernel_id(self, s: bytearray) -> int:
+        """The id of the kernel that puts each x of [1, n] in the block named
+        ``s[x]``, any name below 256; ``s`` may be overwritten.
 
-        A lookup, not a construction: the blocks name one of ``parts`` or
-        InvalidParameters is raised, which is what building the partition
-        and checking it against (n, r) would find.
+        A kernel's ``block_of`` string numbers its blocks in the order of their
+        minima, so ``s`` is looked up as it is first: a move that keeps that
+        order hits.  Otherwise the blocks are renumbered in the order their
+        names first appear, which is the order of their minima, and looked up
+        again; neither needs sorting.  InvalidParameters when ``s`` names no
+        kernel of the index.
         """
-        key = tuple(sorted(tuple(sorted(b)) for b in blocks))
-        k = self.kernel_ids.get(key)
+        k = self.kernel_of.get(bytes(s))
         if k is None:
-            raise InvalidParameters(f"{key} is not one of the {len(self.parts)} kernels of this index")
-        return self.parts[k]
+            s[0] = s[1]  # block_of[k][0] is 0, the block of 1
+            order = bytes(dict.fromkeys(s))
+            key = bytes(s.translate(bytes.maketrans(order, bytes(range(len(order))))))
+            k = self.kernel_of.get(key)
+            if k is None:
+                raise InvalidParameters(f"{list(key[1:])} names none of the {len(self.parts)} kernels of this index")
+        return k
 
-    def image(self, elements) -> Subset:
-        """The index's image with these elements, given in any order; a
-        lookup, as :meth:`kernel` is."""
-        key = tuple(sorted(elements))
-        a = self.image_ids.get(key)
+    def kernel_with(self, blocks: Sequence[Sequence[int]]) -> int:
+        """The id of the kernel with these blocks, given in any order;
+        InvalidParameters unless they split [1, n] into one of its kernels."""
+        if sorted(x for block in blocks for x in block) != list(range(1, self.n + 1)):
+            raise InvalidParameters(f"{blocks} does not split [1, {self.n}] into blocks")
+        s = bytearray(self.n + 1)
+        for i, block in enumerate(blocks, start=1):
+            for x in block:
+                s[x] = i
+        return self.kernel_id(s)
+
+    def image_with(self, elements: Sequence[int]) -> int:
+        """The id of the image with these elements, given in any order."""
+        a = self.image_of.get(sum(1 << x for x in elements))
         if a is None:
-            raise InvalidParameters(f"{key} is not one of the {len(self.subsets)} images of this index")
-        return self.subsets[a]
+            raise InvalidParameters(f"{sorted(elements)} is not one of the {len(self.subsets)} images of this index")
+        return a
 
-    def generator(self, p: Partition, a: Subset) -> int:
-        """The id of the pair (p, a); InvalidParameters when p and a are
-        not a kernel and a transversal image of this index."""
-        k, i = self.kernel_ids.get(p.blocks), self.image_ids.get(a.elements)
-        g = None if k is None or i is None else self.generator_of[k].get(i)
-        if g is None:
-            raise InvalidParameters(f"({p}, {a}) is not a generator of the presentation")
-        return g
+    @cached_property
+    def top_of(self) -> list[Optional[tuple[int, int]]]:
+        """``top_of[y]``: the ids (P, X) of image y's top relation
+        f[P,X] = f[P,Y], None for the base image [1, r].  X, the predecessor
+        of Y, lowers by one the element of Y at the least position where Y
+        differs from [1, r], and P, Y's convex kernel, cuts [1, n] just after
+        each element of Y but the last (``LOG_FORMAT.md``)."""
+        out = []
+        for s, mask in zip(self.subsets, self.image_mask):
+            x = next((x for i, x in enumerate(s.elements, start=1) if x != i), None)
+            # z's block in Y's convex kernel: the elements of Y but the last below z
+            cut = bytes(sum(y < z for y in s.elements[:-1]) for z in range(self.n + 1))
+            # x is in Y and x - 1 is not
+            out.append(None if x is None else (self.kernel_of[cut], self.image_of[mask ^ (3 << (x - 1))]))
+        return out
 
-    def square(self, p: Partition, q: Partition, a: Subset, b: Subset) -> tuple[int, int, int, int]:
-        """The ids of the square (p, q, a, b), each a kernel or an image of
-        this index; a kernel or image it lacks raises KeyError."""
-        kernel_ids, image_ids = self.kernel_ids, self.image_ids
-        return kernel_ids[p.blocks], kernel_ids[q.blocks], image_ids[a.elements], image_ids[b.elements]
+    @cached_property
+    def min_image(self) -> list[int]:
+        """``min_image[k]``: the image of kernel k's block minima, whose pair
+        with k is 1 by the middle relation."""
+        return [self.image_with(p.minima) for p in self.parts]
+
+    def singular_squares(self) -> Iterator[tuple[int, int, int, int]]:
+        """The proper singular squares as ids (p, q, a, b), read off
+        ``rows`` in (P, Q, A, B) order: kernel P by kernel P, each kernel's
+        (Q, A, B) sorted."""
+        for p, row in enumerate(self.rows):
+            for q, a, b in sorted([(q, a, b) for a, b, bucket in row for q in bucket if q != p]):
+                yield p, q, a, b
 
     def name(self, g: int) -> str:
         """The text ``f[P|A]`` of pair g, as GeneratorId displays it."""
@@ -344,10 +368,10 @@ class _SingularIndex:
 
 @lru_cache(maxsize=1)
 def _singular_index(n: int, r: int) -> _SingularIndex:
-    """Memoised: ``build_presentation``, ``enumerate_singular_squares`` and the
-    reduction pipeline share one index, so they hand out the same kernel and
-    image objects and number them alike, and it goes when another (n, r) is
-    indexed.  Callers only read it (its product table fills on demand).
+    """Memoised: the relation families, the producer, the checker and the
+    square enumerator share one index, so they number kernels, images and
+    pairs alike, and it goes when another (n, r) is indexed.  Callers only
+    read it (its id tables and product table fill on demand).
 
     Each kernel's transversals are made as picks of one element per block,
     so each is a transversal and its label is read off the pick unchecked
@@ -394,17 +418,14 @@ def enumerate_singular_squares(n: int, r: int) -> Iterator[Square]:
 
     Degenerate squares pass the singularity tests trivially and are
     excluded here; census counts report them separately.  The squares come
-    from the SQ3 buckets of the module docstring, one kernel P at a time.
+    from the SQ3 buckets of the module docstring, through
+    :meth:`_SingularIndex.singular_squares`.
     """
     _check(n, r)
     index = _singular_index(n, r)
     parts, subsets = index.parts, index.subsets
-    for pi, p in enumerate(parts):
-        found = sorted(
-            (qi, a, b) for a, b, bucket in index.rows[pi] for qi in bucket if qi != pi
-        )
-        for qi, a, b in found:
-            yield Square._trusted((p, parts[qi]), (subsets[a], subsets[b]))
+    for p, q, a, b in index.singular_squares():
+        yield Square._trusted((parts[p], parts[q]), (subsets[a], subsets[b]))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
-"""The square constructions on kernel and image objects, as the producer
-computed them before it worked on ids.
+"""The square constructions and the canonical pairs on kernel and image
+objects, as the producer and the checker computed them before they worked
+on ids, and :func:`ids`, the tests' one way from such objects to ids.
 
-:mod:`igmax.pipeline` builds the same squares on the ids of
-``squares._singular_index(n, r)``, with no object looked up per step;
-``tests/test_pipeline.py`` holds the two to the same square ids for every
-4 <= n <= 7 and r <= n - 2.  Each construction here takes its kernels and
-images from the index by blocks and by elements, ``index.kernel`` and
-``index.image``, and returns its squares' corners as those objects.
+:mod:`igmax.pipeline` builds the same squares, and :func:`igmax.replay.cycle_rep`
+the same pairs, on the ids of ``squares._singular_index(n, r)``, with no
+object looked up per step; ``tests/test_pipeline.py`` holds the two to the
+same ids for every 4 <= n <= 7 and r <= n - 2.  Each construction here
+looks its kernels and images up in the index by blocks and by elements
+(``_kernel``, ``_image``) and returns its squares' corners as the
+index's own objects.
 """
 
 from __future__ import annotations
@@ -18,6 +20,53 @@ from igmax.squares import _singular_index
 
 # a square as its kernels P, Q and images A, B, the index's own objects
 Corners = tuple[Partition, Partition, Subset, Subset]
+
+
+def ids(index, *objects) -> tuple[int, ...]:
+    """The ids in ``index`` of kernels (Partition) and images (Subset), in
+    order: a kernel looked up by its blocks, an image by its elements, each
+    through the index's one lookup of its kind.  InvalidParameters for an
+    object the index lacks."""
+    return tuple(
+        index.kernel_with(x.blocks) if isinstance(x, Partition) else index.image_with(x.elements) for x in objects
+    )
+
+
+def _kernel(index, blocks) -> Partition:
+    """The index's kernel with these blocks, given in any order."""
+    return index.parts[index.kernel_with(blocks)]
+
+
+def _image(index, elements) -> Subset:
+    """The index's image with these elements, given in any order."""
+    return index.subsets[index.image_with(elements)]
+
+
+def canonical_cycle_pair(k: int, l: int, n: int, r: int) -> tuple[Partition, Subset]:
+    """The lex-least (kernel, image) pair whose label is the (k,l)-cycle.
+
+    >>> p, a = canonical_cycle_pair(2, 1, 5, 3)
+    >>> str(p), str(a)
+    ('{{1,5},{2,4},{3}}', '{1,3,4}')
+    """
+    if not (1 <= k and l >= 1 and k + l <= r):
+        raise InvalidParameters(f"need 1 <= k, 1 <= l, k+l <= {r}, got k={k}, l={l}")
+    if not r <= n - 2:
+        raise InvalidParameters(f"need r <= n-2, got r={r}, n={n}")
+    blocks: list[tuple[int, ...]] = []
+    if k == 1:
+        blocks.append(tuple([1, l + 2] + list(range(r + 2, n + 1))))
+    else:
+        blocks.append(tuple([1] + list(range(r + 2, n + 1))))
+        blocks.append((k, k + l + 1))
+    for i in range(2, k):
+        blocks.append((i,))
+    for i in range(k + 1, k + l + 1):
+        blocks.append((i,))
+    for i in range(k + l + 1, r + 1):
+        blocks.append((i + 1,))
+    index = _singular_index(n, r)
+    return _kernel(index, blocks), _image(index, [i for i in range(1, r + 2) if i != k])
 
 
 def cycle_split(k: int, l: int, n: int, r: int) -> Corners:
@@ -54,9 +103,9 @@ def cycle_split(k: int, l: int, n: int, r: int) -> Corners:
         pblocks.append((i + 2,))
         qblocks.append((i + 2,))
     index = _singular_index(n, r)
-    p, q = index.kernel(pblocks), index.kernel(qblocks)
-    a = index.image([i for i in range(1, r + 3) if i not in (k, k + l + 2)])
-    b = index.image([i for i in range(1, r + 3) if i not in (k, k + 2)])
+    p, q = _kernel(index, pblocks), _kernel(index, qblocks)
+    a = _image(index, [i for i in range(1, r + 3) if i not in (k, k + l + 2)])
+    b = _image(index, [i for i in range(1, r + 3) if i not in (k, k + 2)])
     return p, q, a, b
 
 
@@ -83,7 +132,7 @@ def descent_reduction(P: Partition, A: Subset, lam: Permutation) -> tuple[Partit
         + [av(lv(v))]
         + [av(lv(i)) for i in range(v + w + 1, r + 1)]
     )
-    B = index.image(belems)
+    B = _image(index, belems)
     blocks: list[tuple[int, ...]] = []
     singles_from = 2 if v == 1 else v
     for i in range(2, v):
@@ -100,7 +149,7 @@ def descent_reduction(P: Partition, A: Subset, lam: Permutation) -> tuple[Partit
         blocks.append(tuple(first))
     else:
         blocks.append(tuple(rest))
-    return index.kernel(blocks), B
+    return _kernel(index, blocks), B
 
 
 def coxeter_square_involution(k: int, n: int, r: int) -> Corners:
@@ -129,9 +178,9 @@ def coxeter_square_involution(k: int, n: int, r: int) -> Corners:
         pblocks.append((i + 2,))
         qblocks.append((i + 2,))
     index = _singular_index(n, r)
-    p, q = index.kernel(pblocks), index.kernel(qblocks)
-    a = index.image([i for i in range(1, r + 3) if i not in (k, k + 3)])
-    b = index.image([i for i in range(1, r + 3) if i not in (k, k + 1)])
+    p, q = _kernel(index, pblocks), _kernel(index, qblocks)
+    a = _image(index, [i for i in range(1, r + 3) if i not in (k, k + 3)])
+    b = _image(index, [i for i in range(1, r + 3) if i not in (k, k + 1)])
     return p, q, a, b
 
 
@@ -175,10 +224,10 @@ def coxeter_square_commute(k: int, l: int, n: int, r: int) -> tuple[Corners, Cor
         qblocks.append((i + 2,))
         rblocks.append((i + 2,))
     index = _singular_index(n, r)
-    p, q, rr = index.kernel(pblocks), index.kernel(qblocks), index.kernel(rblocks)
-    a = index.image([i for i in range(1, r + 3) if i not in (k + 2, l + 1)])
-    b = index.image([i for i in range(1, r + 3) if i not in (k, l + 1)])
-    c = index.image([i for i in range(1, r + 3) if i not in (k, l + 3)])
+    p, q, rr = _kernel(index, pblocks), _kernel(index, qblocks), _kernel(index, rblocks)
+    a = _image(index, [i for i in range(1, r + 3) if i not in (k + 2, l + 1)])
+    b = _image(index, [i for i in range(1, r + 3) if i not in (k, l + 1)])
+    c = _image(index, [i for i in range(1, r + 3) if i not in (k, l + 3)])
     return (p, q, a, b), (q, rr, b, c)
 
 
@@ -209,9 +258,9 @@ def coxeter_square_braid(k: int, n: int, r: int) -> Corners:
         pblocks.append((i + 2,))
         qblocks.append((i + 2,))
     index = _singular_index(n, r)
-    p, q = index.kernel(pblocks), index.kernel(qblocks)
-    a = index.image([i for i in range(1, r + 3) if i not in (k + 1, k + 4)])
-    b = index.image([i for i in range(1, r + 3) if i not in (k, k + 1)])
+    p, q = _kernel(index, pblocks), _kernel(index, qblocks)
+    a = _image(index, [i for i in range(1, r + 3) if i not in (k + 1, k + 4)])
+    b = _image(index, [i for i in range(1, r + 3) if i not in (k, k + 1)])
     return p, q, a, b
 
 

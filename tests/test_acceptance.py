@@ -29,6 +29,7 @@ from igmax.schreier import build_schreier, predecessor
 from igmax.squares import Square, _singular_index, enumerate_squares, is_singular_sq2, is_singular_sq3, square_census
 from igmax.verification import verify_theorem
 
+from pipeline_reference import ids
 from schreier_reference import back_map, into_map
 from squares_reference import (
     find_singularizing_idempotent,
@@ -189,7 +190,7 @@ def test_criterion_10_descent_reduction_golden():
     p = Partition.parse("{{1,7},{2,5},{3,6},{4}}")
     a = Subset.parse("{4,5,6,7}", 7)
     index = _singular_index(7, 4)
-    qi, bi = descent_reduction(index, index.kernel_ids[p.blocks], index.image_ids[a.elements], label_by_subscripts(p, a))
+    qi, bi = descent_reduction(index, *ids(index, p, a), label_by_subscripts(p, a))
     q, b = index.parts[qi], index.subsets[bi]
     Square((p, q), (a, b))  # the corners make a square
     assert str(q) == "{{1,3,7},{2,5},{4},{6}}"
@@ -198,7 +199,7 @@ def test_criterion_10_descent_reduction_golden():
     assert label_by_subscripts(q, a).image_form() == "[4,2,1,3]"
     assert label_by_subscripts(q, b).is_identity()
     # the square solved for f[P,A], its generators named through the index
-    rel = _three_quarter_relation(_corners(index, index.square(p, q, a, b)), "QB", index.letters)
+    rel = _three_quarter_relation(_corners(index, ids(index, p, q, a, b)), "QB", index.letters)
 
     def named(word):
         return " * ".join(index.name(x >> 1) + ("^-1" if x & 1 else "") for x in word)

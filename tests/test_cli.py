@@ -277,7 +277,10 @@ def test_stats_and_squares_build_no_lookup_table(capsys, command):
     tables = {
         name for name, value in vars(squares_module._SingularIndex).items() if isinstance(value, cached_property)
     }
-    assert tables >= {"kernel_ids", "image_ids", "generator_of", "pairs", "product_table", "letter_label_ids", "block_of"}
+    assert tables >= {
+        "kernel_of", "image_of", "top_of", "min_image", "generator_of", "pairs", "product_table", "letter_label_ids",
+        "block_of",
+    }
     assert tables.isdisjoint(built)
 
 
@@ -870,7 +873,10 @@ def unsound(n, r):
     final, log = run(n, r)
     i = next(i for i, st in enumerate(log.steps) if st.rule == "bottom")
     # a step holds its witness square as the ids of its kernels and images
-    square = _singular_index(n, r).square(*bogus.kernels, *bogus.images)
+    index = _singular_index(n, r)
+    square = tuple(index.kernel_with(p.blocks) for p in bogus.kernels) + tuple(
+        index.image_with(a.elements) for a in bogus.images
+    )
     log.steps[i] = dataclasses.replace(log.steps[i], square=square)
     return final, log
 

@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from igmax.cli import main
 from igmax.pipeline import run_pipeline
 from igmax.squares import _singular_index, enumerate_squares, is_singular_sq3
+from pipeline_reference import ids
 
 SETTINGS = settings(
     max_examples=25,
@@ -141,11 +142,11 @@ def test_a_swapped_witness_square_fails(genuine, log_path, data):
     if data.draw(st.booleans()):
         bogus = [sq for sq in enumerate_squares(5, 3) if not sq.is_degenerate() and not is_singular_sq3(sq)]
         sq = data.draw(st.sampled_from(bogus))
-        doc["steps"][i]["square"] = list(index.square(*sq.kernels, *sq.images))
+        doc["steps"][i]["square"] = list(ids(index, *sq.kernels, *sq.images))
     else:  # another image, most often not a transversal of the kernels
         square = doc["steps"][i]["square"]
         image = data.draw(st.sampled_from([(1, 2, 3), (2, 3, 4)]))
-        square[data.draw(st.integers(2, 3))] = index.image_ids[image]
+        square[data.draw(st.integers(2, 3))] = index.image_with(image)
         if square == json.loads(genuine)["steps"][i]["square"]:
             square[3] = square[2]  # unchanged: make it degenerate instead
     rejects(json.dumps(doc), log_path)

@@ -32,7 +32,6 @@ from igmax.replay import (
     DerivationLog,
     _corners,
     _three_quarter_relation,
-    canonical_cycle_pair,
     replay_log,
 )
 from igmax.squares import Square, _singular_index, is_singular_sq2, is_singular_sq3
@@ -41,17 +40,13 @@ from igmax.presentation import coxeter_presentation
 from igmax.perms import ProductTable, rightmost_descent
 from perms_reference import resolve_rightmost_descent
 import pipeline_reference
+from pipeline_reference import canonical_cycle_pair, ids
 from words_reference import letter_images, substitute
 
 
 def clean(report):
     """Steps replayed without a single failure (full-run flags aside)."""
     return report.failures == ()
-
-
-def ids(index, kernel, image):
-    """The ids of a kernel and an image object in ``index``."""
-    return index.kernel_ids[kernel.blocks], index.image_ids[image.elements]
 
 
 def square_of(index, sq):
@@ -66,24 +61,29 @@ def square_of(index, sq):
 
 
 def test_canonical_cycle_pair_golden():
-    p, a = canonical_cycle_pair(2, 1, 5, 3)
-    assert (str(p), str(a)) == ("{{1,5},{2,4},{3}}", "{1,3,4}")
-    assert label_by_subscripts(p, a) == contiguous_cycle(2, 1, 3)
+    index = _singular_index(5, 3)
+    p, a = cycle_rep(2, 1, 5, 3)
+    assert (str(index.parts[p]), str(index.subsets[a])) == ("{{1,5},{2,4},{3}}", "{1,3,4}")
+    assert index.labels[index.generator_of[p][a]] == contiguous_cycle(2, 1, 3)
 
 
 def test_canonical_cycle_pair_all_params():
     for n, r in [(5, 3), (6, 4), (7, 5)]:
+        index = _singular_index(n, r)
         for k in range(1, r):
             for l in range(1, r - k + 1):
-                p, a = canonical_cycle_pair(k, l, n, r)
-                assert label_by_subscripts(p, a) == contiguous_cycle(k, l, r)
+                p, a = cycle_rep(k, l, n, r)
+                assert label_by_subscripts(index.parts[p], index.subsets[a]) == contiguous_cycle(k, l, r)
 
 
 def test_canonical_cycle_pair_rejects():
-    with pytest.raises(InvalidParameters):
-        canonical_cycle_pair(1, 1, 4, 3)  # r > n - 2
-    with pytest.raises(InvalidParameters):
-        canonical_cycle_pair(3, 1, 6, 3)  # k + l > r
+    for k, l, n, r in [
+        (1, 1, 4, 3),  # r > n - 2
+        (3, 1, 6, 3),  # k + l > r
+        (1, 0, 6, 3),  # l = 0
+    ]:
+        with pytest.raises(InvalidParameters):
+            cycle_rep(k, l, n, r)
 
 
 def named(index, word):
@@ -219,8 +219,7 @@ def test_the_id_constructions_make_the_object_constructions_squares(n, r):
     index = _singular_index(n, r)
 
     def square_ids(corners):
-        p, q, a, b = corners
-        return index.square(p, q, a, b)
+        return ids(index, *corners)
 
     for k in range(1, r):
         for l in range(1, r - k + 1):
@@ -486,7 +485,7 @@ def test_replay_catches_swapped_square(log_four_two):
     doc = copy.deepcopy(log_four_two.to_json())
     for sd in doc["steps"]:
         if sd["rule"] == "bottom":
-            sd["square"] = list(_singular_index(4, 2).square(*bogus.kernels, *bogus.images))
+            sd["square"] = list(ids(_singular_index(4, 2), *bogus.kernels, *bogus.images))
             break
     report = replay_log(DerivationLog.from_json(doc))
     assert not report.ok
@@ -577,7 +576,7 @@ def test_replay_reports_every_step_citing_a_bad_square():
     steps = [first, first + 1]  # one square, cited by two bottom steps
     bogus = next(sq for sq in enumerate_squares(6, 3) if not sq.is_degenerate() and not is_singular_sq3(sq))
     for i in steps:
-        doc["steps"][i]["square"] = list(_singular_index(6, 3).square(*bogus.kernels, *bogus.images))
+        doc["steps"][i]["square"] = list(ids(_singular_index(6, 3), *bogus.kernels, *bogus.images))
     report = replay_log(DerivationLog.from_json(json.loads(json.dumps(doc))))
     for i in steps:
         assert (i, "witness square is not singular") in report.failures
@@ -715,8 +714,9 @@ def test_producer_checks_each_distinct_square_once(monkeypatch):
 def test_the_derivation_looks_no_object_up_and_classifies_each_label_once(monkeypatch):
     # the constructions compute kernel, image and generator ids: at (7,4),
     # which made 3,257 kernel, 3,993 image and 22,754 generator lookups and
-    # 3,443 classifications while it computed on objects, no lookup is made
-    # and no generator's label is classified twice
+    # 3,443 classifications while it computed on objects, no kernel or image
+    # object is made once the index is, and no generator's label is
+    # classified twice
     import igmax.squares as squares_module
 
     calls = []
@@ -728,10 +728,11 @@ def test_the_derivation_looks_no_object_up_and_classifies_each_label_once(monkey
 
         return counted
 
-    for name in ("kernel", "image", "generator"):
-        monkeypatch.setattr(squares_module._SingularIndex, name, counting(name, getattr(squares_module._SingularIndex, name)))
-    monkeypatch.setattr(pipeline_module, "classify_descent_one", counting("classify", pipeline_module.classify_descent_one))
     squares_module._singular_index.cache_clear()
+    _singular_index(7, 4)
+    for cls in (Partition, Subset):
+        monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
+    monkeypatch.setattr(pipeline_module, "classify_descent_one", counting("classify", pipeline_module.classify_descent_one))
     _, log = run_pipeline(7, 4)
     assert log.meta["generators"] == 2240
     assert [c for c in calls if c != "classify"] == []
@@ -773,14 +774,13 @@ def test_reduce_and_replay_label_each_pair_once(monkeypatch, tmp_path, capsys):
 def test_require_singular_survives_optimize_flag():
     # a proper square that is not singular, checked with asserts stripped
     script = (
-        "from igmax.combinatorics import Partition, Subset\n"
         "from igmax.errors import VerificationFailed\n"
         "from igmax.pipeline import _require_singular\n"
         "from igmax.squares import _singular_index\n"
         "assert False, 'asserts must be off'\n"
         "index = _singular_index(7, 4)\n"
-        "sq = index.square(Partition.parse('{{1},{2,4},{3,6},{5,7}}'), Partition.parse('{{1},{2,6,7},{3,5},{4}}'),\n"
-        "                  Subset.parse('{1,3,4,7}', 7), Subset.parse('{1,4,5,6}', 7))\n"
+        "sq = (index.kernel_with([[1], [2, 4], [3, 6], [5, 7]]), index.kernel_with([[1], [2, 6, 7], [3, 5], [4]]),\n"
+        "      index.image_with([1, 3, 4, 7]), index.image_with([1, 4, 5, 6]))\n"
         "try:\n"
         "    _require_singular(index, sq)\n"
         "except VerificationFailed as exc:\n"
@@ -802,8 +802,8 @@ SWAPPED_CANONICAL = """
 import igmax.pipeline as pipeline
 import igmax.replay as replay
 _, log = pipeline.run_pipeline(5, 3)
-real = replay.canonical_cycle_pair
-replay.canonical_cycle_pair = lambda k, l, n, r: real(3 - k if l == 1 else k, l, n, r)
+real = replay.cycle_rep
+replay.cycle_rep = lambda k, l, n, r: real(3 - k if l == 1 else k, l, n, r)
 match = log.steps[-1]
 match.data["canonical"].reverse()
 report = replay.replay_log(log)

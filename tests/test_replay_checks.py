@@ -33,10 +33,11 @@ from igmax.replay import (
     _eq_relation,
     _flush_source,
     _ReplayFailure,
-    canonical_cycle_pair,
+    cycle_rep,
     replay_log,
 )
 from igmax.squares import _singular_index, enumerate_squares, is_singular_sq3
+from pipeline_reference import ids
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +64,7 @@ INDEX = _singular_index(5, 3)
 
 def square_ids(sq):
     """A square's ids in the (5,3) index, as a log cites it."""
-    return list(INDEX.square(*sq.kernels, *sq.images))
+    return list(ids(INDEX, *sq.kernels, *sq.images))
 
 
 # -- rows: tamper(doc, monkeypatch) -> (step index, message) --
@@ -151,11 +152,11 @@ def top_kernels(doc, mp):
     return i, "top step generators must share a kernel"
 
 
-def top_schreier(doc, mp):
+def top_relation(doc, mp):
     i = first(doc, "top")
     concl = doc["steps"][i]["conclusion"]
     concl["lhs"], concl["rhs"] = concl["rhs"], concl["lhs"]
-    return i, "Schreier words do not certify the top citation"
+    return i, "top step must conclude the top relation f[P,X] = f[P,Y] of its Y"
 
 
 def bottom_no_square(doc, mp):
@@ -312,8 +313,8 @@ def stated_canonical(doc, mp):
 def canonical_labels(doc, mp):
     # at r = 3 the Coxeter relations are symmetric under swapping the two
     # canonical pairs, so only the check of their labels sees the swap
-    real = replay_module.canonical_cycle_pair
-    mp.setattr(replay_module, "canonical_cycle_pair", lambda k, l, n, r: real(3 - k if l == 1 else k, l, n, r))
+    real = replay_module.cycle_rep
+    mp.setattr(replay_module, "cycle_rep", lambda k, l, n, r: real(3 - k if l == 1 else k, l, n, r))
     return stated_canonical(doc, mp)[0], "canonical pair 1 does not carry the adjacent transposition"
 
 
@@ -333,7 +334,7 @@ def resolution_word(doc, mp):
     # no sound step concludes g = word with the word off g's label, so the
     # canonical generators' labels are swapped where words are evaluated
     # instead: the first word over them fails
-    c1, c2 = (INDEX.generator(*canonical_cycle_pair(k, 1, 5, 3)) for k in (1, 2))
+    c1, c2 = (INDEX.generator_of[p][a] for p, a in (cycle_rep(k, 1, 5, 3) for k in (1, 2)))
     swap = {2 * c1: 2 * c2, 2 * c2: 2 * c1, 2 * c1 + 1: 2 * c2 + 1, 2 * c2 + 1: 2 * c1 + 1}
     real = ProductTable.evaluate
     mp.setattr(ProductTable, "evaluate", lambda table, word, ids: real(table, [swap.get(x, x) for x in word], ids))
@@ -385,7 +386,7 @@ ROWS = {
     "middle step must conclude f[P, minima(P)] = 1": middle_shape,
     "top step must conclude an equality of two generators": top_shape,
     "top step generators must share a kernel": top_kernels,
-    "Schreier words do not certify the top citation": top_schreier,
+    "top step must conclude the top relation f[P,X] = f[P,Y] of its Y": top_relation,
     "bottom step needs its witness square": bottom_no_square,
     "witness square is degenerate": bottom_degenerate,
     "witness square is not singular": bottom_not_singular,
@@ -523,11 +524,10 @@ def forged_six_three():
     eng = Derivation(6, 3)
     eng.log = log
     index = eng.index
-    P, Q, K = (
-        index.kernel_ids[Partition.parse(t, 6).blocks]
-        for t in ("{{1,2,3,6},{4},{5}}", "{{1,4},{2,5},{3,6}}", "{{1,2,5},{3},{4,6}}")
+    P, Q, K = ids(
+        index, *(Partition.parse(t, 6) for t in ("{{1,2,3,6},{4},{5}}", "{{1,4},{2,5},{3,6}}", "{{1,2,5},{3},{4,6}}"))
     )
-    a345, a456, a234 = (index.image_ids[Subset.parse(t, 6).elements] for t in ("{3,4,5}", "{4,5,6}", "{2,3,4}"))
+    a345, a456, a234 = ids(index, *(Subset.parse(t, 6) for t in ("{3,4,5}", "{4,5,6}", "{2,3,4}")))
 
     def gen(p, a):
         return index.generator_of[p][a]
@@ -614,8 +614,8 @@ def test_finish_rejects_a_final_relation_over_other_generators():
     for k in (1, 2):
         eng.derive_involution(k)
     eng.derive_braid(1)
-    P, _ = canonical_cycle_pair(1, 1, 5, 3)
-    p, a = eng.index.kernel_ids[P.blocks], eng.index.image_ids[P.minima]
+    p, _ = cycle_rep(1, 1, 5, 3)
+    a = eng.index.min_image[p]
     eng._final_steps.append(eng.one(p, a))  # f[P|minima(P)] = 1
     with pytest.raises(VerificationFailed) as info:
         eng.finish()

@@ -5,7 +5,9 @@ import pytest
 from igmax.combinatorics import Subset, enumerate_subsets
 from igmax.errors import InvalidParameters
 from igmax.schreier import IdempotentLetter, build_schreier, convex_partition_of, predecessor
+from igmax.squares import _singular_index
 
+from pipeline_reference import ids
 from schreier_reference import back_map, eval_word, into_map, letter_transformation, word_from
 from transform_reference import Transformation
 
@@ -33,6 +35,20 @@ def test_predecessor_chain():
 
 def test_predecessor_none_at_base():
     assert predecessor(Subset.parse("{1,2,3}", 7)) is None
+
+
+@pytest.mark.parametrize("n, r", [(n, r) for n in range(1, 8) for r in range(1, n + 1)])
+def test_the_index_names_the_schreier_steps(n, r):
+    # the checker and the relation families read the top and middle
+    # relations off the index's id tables; the words these tests evaluate
+    # are built from predecessor and convex_partition_of, so both name the
+    # same kernels and images
+    index = _singular_index(n, r)
+    for y, a in enumerate(index.subsets):
+        x = predecessor(a)
+        assert index.top_of[y] == (None if x is None else ids(index, convex_partition_of(a), x)), str(a)
+    for k, p in enumerate(index.parts):
+        assert index.min_image[k] == ids(index, Subset(n, p.minima))[0], str(p)
 
 
 def test_words_evaluate_to_recorded_maps():

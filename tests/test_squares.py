@@ -32,6 +32,7 @@ from squares_reference import (
     singular_vertex_labels,
     up_down_witness,
 )
+from pipeline_reference import ids
 from transform_reference import Transformation
 
 
@@ -240,16 +241,22 @@ def test_bucketed_enumeration_is_the_sq3_filter(n, r):
 
 def test_index_looks_up_its_own_kernels_and_images():
     index = _singular_index(5, 3)
-    p = index.kernel([[5, 2], [1], [4, 3]])
-    assert str(p) == "{{1},{2,5},{3,4}}" and any(p is q for q in index.parts)
-    a = index.image([4, 1, 2])
-    assert str(a) == "{1,2,4}" and any(a is b for b in index.subsets)
+    assert str(index.parts[index.kernel_with([[5, 2], [1], [4, 3]])]) == "{{1},{2,5},{3,4}}"
+    assert str(index.subsets[index.image_with([4, 1, 2])]) == "{1,2,4}"
+    # a block string with the blocks named in another order
+    assert index.kernel_id(bytearray([0, 7, 3, 9, 9, 3])) == index.kernel_with([[1], [2, 5], [3, 4]])
+    for k, p in enumerate(index.parts):
+        assert ids(index, p) == (k,) and index.kernel_id(bytearray(index.block_of[k])) == k
+    for a, s in enumerate(index.subsets):
+        assert ids(index, s) == (a,)
     for blocks in ([[1], [2, 3, 4, 5]], [[1, 2], [2, 3], [4, 5]], [[1], [2], [3, 4, 5, 6]], [[], [1, 2], [3, 4, 5]]):
         with pytest.raises(InvalidParameters):
-            index.kernel(blocks)
+            index.kernel_with(blocks)
+    with pytest.raises(InvalidParameters):
+        index.kernel_id(bytearray([0, 0, 1, 1, 1, 1]))
     for elements in ([1, 2], [1, 1, 2], [1, 2, 6], [0, 1, 2]):
         with pytest.raises(InvalidParameters):
-            index.image(elements)
+            index.image_with(elements)
 
 
 @pytest.mark.parametrize("n, r", [(4, 2), (5, 3), (6, 3)])
@@ -258,7 +265,7 @@ def test_id_singularity_test_agrees_with_sq2_and_sq3(n, r):
     index = _singular_index(n, r)
     verdicts = set()
     for sq in enumerate_squares(n, r):
-        got = is_singular_ids(index, *index.square(*sq.kernels, *sq.images))
+        got = is_singular_ids(index, *ids(index, *sq.kernels, *sq.images))
         assert got == is_singular_sq2(sq), sq.to_json()
         assert got == is_singular_sq3(sq), sq.to_json()
         verdicts.add(got)
@@ -270,11 +277,12 @@ def test_index_numbers_the_pairs_in_generator_order():
     pairs = [(p, a) for p in index.parts for a in p.transversals()]
     assert [(index.parts[k], index.subsets[a]) for k, a in index.pairs] == pairs
     for g, (p, a) in enumerate(pairs):
-        assert index.generator(p, a) == g
+        k, i = ids(index, p, a)
+        assert index.generator_of[k][i] == g
         assert index.labels[g] == label_by_subscripts(p, a)
         assert index.name(g) == f"f[{p}|{a}]"
-    with pytest.raises(InvalidParameters):
-        index.generator(Partition.parse("{{1,2},{3,4},{5}}", 5), Subset.parse("{1,2,5}", 5))
+    k, i = ids(index, Partition.parse("{{1,2},{3,4},{5}}", 5), Subset.parse("{1,2,5}", 5))
+    assert i not in index.generator_of[k]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

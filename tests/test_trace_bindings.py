@@ -1,10 +1,15 @@
-"""Imported names that a module of the package never uses.
+"""Imported names that a module of the package never uses, and top-level
+definitions that nothing in the package names.
 
 ``perfbench/trace_run.py`` times a call where its caller binds the name, so
 a few modules import a name only for the trace tool to wrap.  Each such
 binding is listed here with the span that wraps it; any other import that
 goes unused fails, so no binding is added or kept silently.  A name used
 in a doctest counts as used.
+
+A top-level function or class of the package must be named in its code
+outside its own definition (docstrings and imports do not count), or be
+listed in ``UNCALLED`` with the reason it stays.
 """
 
 import ast
@@ -31,6 +36,18 @@ TRACE_ONLY = {
     ("presentation", "enumerate_singular_squares"): "squares.enumerate_singular_squares",
     ("verification", "build_presentation"): "presentation.build_presentation[verification]",
     ("verification", "presentations_match"): "verification.presentations_match",
+}
+
+
+# top-level definitions no code of the package names -> why each stays
+UNCALLED = {
+    ("squares", "is_singular_sq2"): "the SQ2 test on objects, the reference is_singular_ids is tested against",
+    ("combinatorics", "enumerate_transversal_pairs"): "wrapped by the trace tool through its labels binding",
+    ("presentation", "presentations_match"): "wrapped by the trace tool through its verification binding",
+    ("squares", "enumerate_squares"): "wrapped by the trace tool through its cli binding",
+    ("squares", "enumerate_singular_squares"): "wrapped by the trace tool through its presentation binding",
+    ("squares", "square_record"): "wrapped by the trace tool through its cli binding",
+    ("schreier", "build_schreier"): "wrapped by the trace tool through its pipeline and presentation bindings",
 }
 
 
@@ -62,6 +79,49 @@ def test_unused_imports_are_exactly_the_trace_only_bindings():
         for name in unused_imports(path.read_text())
     }
     assert found == set(TRACE_ONLY)
+
+
+def named_outside(tree: ast.AST, skip: ast.AST) -> set[str]:
+    """The names and attribute names read in ``tree`` outside ``skip``."""
+    out, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is not skip:
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def uncalled_definitions(sources: dict[str, str]) -> set[tuple[str, str]]:
+    """The (module, name) of each top-level function or class in ``sources``,
+    a module name -> source map, that no code of the modules names outside
+    its own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    found = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not any(
+                node.name in named_outside(other, node) for other in trees.values()
+            ):
+                found.add((module, node.name))
+    return found
+
+
+def test_every_top_level_definition_is_named_or_listed():
+    package = Path(igmax.__file__).parent
+    assert uncalled_definitions({path.stem: path.read_text() for path in sorted(package.glob("*.py"))}) == set(UNCALLED)
+
+
+def test_uncalled_definitions_reads_code_only():
+    sources = {
+        # f names itself, h is only imported and in a docstring: neither counts
+        "a": 'from b import g, h\n\ndef f():\n    """h"""\n    return f() + g()\n\nclass C:\n    pass\n',
+        "b": "def g():\n    return C\n\ndef h():\n    return 1\n",
+    }
+    assert uncalled_definitions(sources) == {("a", "f"), ("b", "h")}
 
 
 def test_each_trace_only_binding_is_wrapped_by_the_trace_tool():

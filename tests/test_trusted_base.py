@@ -5,10 +5,14 @@ It imports nothing from the producer (``igmax.pipeline``) or from the
 verdict assembly, ``replay`` does not load the producer at all, and neither
 ``replay`` nor ``verify`` without the coset oracle builds a presentation or
 makes a generator or square object.  A log cites generators, kernels and
-images by id, so reading one parses no kernel or image text.
+images by id, so reading one parses no kernel or image text.  The checker
+reads the top and middle relations off the index's id tables, so it
+imports nothing from the Schreier words or the combinatorics, and neither
+it nor the relation families build a Schreier word, a kernel or an image.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -18,6 +22,8 @@ import igmax
 import igmax.pipeline as pipeline
 import igmax.presentation as presentation
 import igmax.replay as replay
+import igmax.schreier as schreier
+import igmax.squares as squares
 import igmax.verification as verification
 from igmax.cli import main
 from igmax.combinatorics import Partition, Subset
@@ -54,6 +60,50 @@ def _outside_the_checker(source: str) -> list[str]:
 
 def test_the_checker_imports_nothing_from_the_producer():
     assert _outside_the_checker(Path(replay.__file__).read_text()) == []
+
+
+def test_the_checker_imports_nothing_from_the_schreier_words_or_the_combinatorics():
+    tree = ast.parse(Path(replay.__file__).read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("igmax.")
+            modules |= {alias.name for alias in node.names} if module in ("", "igmax") else {module}
+        elif isinstance(node, ast.Import):
+            modules |= {alias.name.removeprefix("igmax.") for alias in node.names}
+    assert "squares" in modules and modules.isdisjoint({"schreier", "combinatorics"})
+
+
+def test_relation_families_and_the_replay_build_no_schreier_word_kernel_or_image(monkeypatch):
+    # the top and middle relations are the index's tables top_of and
+    # min_image: once the index is made, writing the (7,4) relation families
+    # and replaying the (7,4) log call no builder of the Schreier words and
+    # make no kernel or image object
+    doc = json.loads(json.dumps(pipeline.run_pipeline(7, 4)[1].to_json()))
+    presentation.relation_families.cache_clear()
+    squares._singular_index.cache_clear()
+    squares._singular_index(7, 4)
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("predecessor", "convex_partition_of", "build_schreier"):
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("igmax") and hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for cls in (Partition, Subset):
+        monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+    presentation.relation_families(7, 4)
+    assert replay.replay_log(replay.DerivationLog.from_json(doc)).ok
+    assert calls == []
+    # the stand-ins count
+    schreier.build_schreier(3, 2)
+    assert {"build_schreier", "predecessor", "convex_partition_of", "Subset", "Partition"} <= set(calls)
 
 
 # the names of words as (generator, exponent) pairs over generator objects

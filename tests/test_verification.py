@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import coset_reference
+from pipeline_reference import ids
 import igmax.verification as verification
 from igmax.errors import InvalidParameters, VerificationFailed
 from igmax.labels import label_by_subscripts
@@ -519,7 +520,7 @@ def test_verify_replays_the_log_it_produced(monkeypatch):
         final, log = run(n, r)
         i = next(i for i, st in enumerate(log.steps) if st.rule == "bottom")
         # a step holds its witness square as the ids of its kernels and images
-        square = _singular_index(n, r).square(*bogus.kernels, *bogus.images)
+        square = ids(_singular_index(n, r), *bogus.kernels, *bogus.images)
         log.steps[i] = dataclasses.replace(log.steps[i], square=square)
         return final, log
 
