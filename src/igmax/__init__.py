@@ -2,6 +2,7 @@
 
 The package is layered bottom-up:
 
+``frozen``         the base of the immutable classes
 ``combinatorics``  r-subsets and r-block partitions of the ground set
 ``perms``          permutations, descent statistics, contiguous cycles
 ``schreier``       canonical idempotent words, the reference the tests evaluate

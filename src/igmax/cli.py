@@ -13,9 +13,10 @@ Commands
 ``verify``   end-to-end theorem check, optionally with the coset oracle.
 
 Exit codes: 0 success, 2 usage (cap violations, ``reduce`` at r > n-2,
-``--with-coset-oracle`` at r = n-1, ``--max-cosets`` below 1 or without
-``--with-coset-oracle``, an unreadable or unwritable ``--log`` path),
-3 precondition failure, 4 verification failure, 5 coset budget exhausted.
+``present`` and ``verify`` at r = n, ``verify`` at r = n-1 without
+``--allow-boundary``, ``--with-coset-oracle`` at r = n-1, ``--max-cosets``
+below 1 or without ``--with-coset-oracle``, an unreadable or unwritable
+``--log`` path), 3 precondition failure, 4 verification failure, 5 coset budget exhausted.
 Output for a fixed command line is byte-identical across runs; streams are
 newline-delimited JSON with sorted keys.  Commands run with the cyclic
 garbage collector off (see ``main``).
@@ -28,7 +29,6 @@ import gc
 import json
 import sys
 import warnings
-from dataclasses import dataclass
 from typing import Optional
 
 from .combinatorics import Partition, Subset
@@ -38,6 +38,7 @@ from .errors import (
     TransversalityViolation,
     VerificationFailed,
 )
+from .frozen import Frozen
 from .labels import label_with_context
 from .squares import label_spectrum, square_census, square_lines
 
@@ -58,27 +59,27 @@ class UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Frozen):
     """Validated common settings for one command invocation."""
 
-    n: int
-    r: int
-    format: str = "text"
-    override_cap: bool = False
-    allow_boundary: bool = False
+    __slots__ = ("n", "r", "format", "override_cap")
 
-    def validate(self, theorem_command: bool = False) -> None:
-        if not (1 <= self.r <= self.n):
-            raise UsageError(f"need 1 <= r <= n, got r={self.r}, n={self.n}")
+    def __init__(self, n: int, r: int, format: str = "text", override_cap: bool = False):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "format", format)
+        object.__setattr__(self, "override_cap", override_cap)
+
+    def validate(self, presentation: bool = False) -> None:
+        """Raise UsageError unless 1 <= r <= n, with r <= n-1 for a command
+        that builds the presentation (there is none at r = n), and n is
+        within the cap."""
+        top = self.n - 1 if presentation else self.n
+        if not (1 <= self.r <= top):
+            raise UsageError(f"need 1 <= r <= {'n-1' if presentation else 'n'}, got r={self.r}, n={self.n}")
         if self.n > HARD_CAP and not self.override_cap:
             raise UsageError(
                 f"n={self.n} exceeds the cap n <= {HARD_CAP}; pass --override-cap to proceed"
-            )
-        if theorem_command and self.r > self.n - 2 and not self.allow_boundary:
-            raise UsageError(
-                f"theorem commands need r <= n-2 (got r={self.r}, n={self.n}); "
-                "pass --allow-boundary to run the boundary regime"
             )
 
     @classmethod
@@ -88,7 +89,6 @@ class RunConfig:
             r=getattr(args, "r", 1),
             format=getattr(args, "format", "text"),
             override_cap=getattr(args, "override_cap", False),
-            allow_boundary=getattr(args, "allow_boundary", False),
         )
 
 
@@ -169,12 +169,13 @@ def cmd_squares(args, out) -> int:
 
 
 def cmd_present(args, out) -> int:
-    # imported here, as in cmd_reduce and cmd_verify: only these commands compile
-    # the presentation layer (and the Schreier words it imports)
+    # imported here, as in cmd_reduce, cmd_replay and cmd_verify: only these
+    # commands compile the presentation layer and the Schreier words it
+    # imports (replay through igmax.replay); stats, squares and label do not
     from .presentation import GroupPresentation, build_presentation, relator, word_text
 
     cfg = RunConfig.from_args(args)
-    cfg.validate()
+    cfg.validate(presentation=True)
     with warnings.catch_warnings(record=True) as caught:  # it warns at r = n-1
         warnings.simplefilter("always", UserWarning)
         pres = build_presentation(cfg.n, cfg.r)
@@ -278,11 +279,17 @@ def cmd_verify(args, out) -> int:
     from .verification import DEFAULT_MAX_COSETS, verify_theorem
 
     cfg = RunConfig.from_args(args)
-    cfg.validate(theorem_command=True)
+    cfg.validate(presentation=True)
     if args.with_coset_oracle and cfg.r == cfg.n - 1:
         raise UsageError(
             "--with-coset-oracle needs r <= n-2: at the boundary r = n-1 the "
             "presentation is free and the enumeration cannot close"
+        )
+    # after the oracle's check, so that this advice is never followed by another refusal
+    if cfg.r == cfg.n - 1 and not args.allow_boundary:
+        raise UsageError(
+            f"theorem commands need r <= n-2 (got r={cfg.r}, n={cfg.n}); "
+            "pass --allow-boundary to run the boundary regime"
         )
     if args.max_cosets is not None and not args.with_coset_oracle:
         raise UsageError("--max-cosets needs --with-coset-oracle")

@@ -16,40 +16,40 @@ Text forms match the command-line conventions used throughout:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
 from .errors import InvalidParameters, TransversalityViolation
+from .frozen import Frozen
 
 
-@dataclass(frozen=True)
-class Subset:
+class Subset(Frozen):
     """A nonempty subset of {1, ..., n}, stored sorted ascending.
 
     Comparison between subsets of equal size is positional-lexicographic:
     the first place where the sorted element tuples differ decides.  That is
-    exactly the tuple order on ``elements``, so the dataclass order methods
-    would do, but we keep explicit helpers for clarity.
+    exactly the tuple order on ``elements``, which callers sort by.
     """
 
-    n: int
-    elements: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InvalidParameters(f"ground set size must be >= 1, got {self.n}")
-        if not self.elements:
+    def __init__(self, n: int, elements: tuple[int, ...]):
+        if n < 1:
+            raise InvalidParameters(f"ground set size must be >= 1, got {n}")
+        if not elements:
             raise InvalidParameters("empty subset not allowed")
         prev = 0
-        for x in self.elements:
+        for x in elements:
             if not isinstance(x, int) or x <= prev:
-                raise InvalidParameters(
-                    f"subset elements must be strictly increasing integers, got {self.elements}"
-                )
+                raise InvalidParameters(f"subset elements must be strictly increasing integers, got {elements}")
             prev = x
-        if prev > self.n:
-            raise InvalidParameters(f"element {prev} exceeds ground set [1,{self.n}]")
+        if prev > n:
+            raise InvalidParameters(f"element {prev} exceeds ground set [1,{n}]")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "elements", elements)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.elements == other.elements
 
     @classmethod
     def of(cls, n: int, elements) -> "Subset":
@@ -133,8 +133,7 @@ class Subset:
         return list(self.elements)
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Frozen):
     """A partition of {1, ..., n} into nonempty blocks, canonically ordered.
 
     Blocks are tuples sorted ascending; the block list is sorted by block
@@ -142,15 +141,12 @@ class Partition:
     first block always contains 1.
     """
 
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InvalidParameters(f"ground set size must be >= 1, got {self.n}")
+    def __init__(self, n: int, blocks: tuple[tuple[int, ...], ...]):
+        if n < 1:
+            raise InvalidParameters(f"ground set size must be >= 1, got {n}")
         seen: set[int] = set()
         prev_min = 0
-        for block in self.blocks:
+        for block in blocks:
             if not block:
                 raise InvalidParameters("empty block not allowed")
             if list(block) != sorted(block):
@@ -159,14 +155,21 @@ class Partition:
                 raise InvalidParameters("blocks must be ordered by strictly increasing minima")
             prev_min = block[0]
             for x in block:
-                if not isinstance(x, int) or not 1 <= x <= self.n:
-                    raise InvalidParameters(f"element {x} outside ground set [1,{self.n}]")
+                if not isinstance(x, int) or not 1 <= x <= n:
+                    raise InvalidParameters(f"element {x} outside ground set [1,{n}]")
                 if x in seen:
                     raise InvalidParameters(f"element {x} appears in two blocks")
                 seen.add(x)
-        if len(seen) != self.n:
-            missing = sorted(set(range(1, self.n + 1)) - seen)
+        if len(seen) != n:
+            missing = sorted(set(range(1, n + 1)) - seen)
             raise InvalidParameters(f"partition does not cover ground set; missing {missing}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "blocks", blocks)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.blocks == other.blocks
 
     @classmethod
     def of(cls, n: int, blocks) -> "Partition":

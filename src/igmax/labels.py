@@ -20,18 +20,17 @@ i-th block, which holds in particular whenever the kernel is convex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .combinatorics import Partition, Subset, require_transversal
+from .frozen import Frozen
 from .perms import Permutation
 
 # Not called here: perfbench/trace_run.py wraps this name in this module.
 from .combinatorics import enumerate_transversal_pairs  # noqa: F401
 
 
-@dataclass(frozen=True)
-class LabelContext:
+class LabelContext(Frozen):
     """The three composed maps, kept for audit output.
 
     ``into_minima`` lists the block minima in order (the image of the first
@@ -40,9 +39,12 @@ class LabelContext:
     third map.
     """
 
-    into_minima: tuple[int, ...]
-    across_blocks: tuple[tuple[int, int], ...]
-    image_sorted: tuple[int, ...]
+    __slots__ = ("into_minima", "across_blocks", "image_sorted")
+
+    def __init__(self, into_minima: tuple[int, ...], across_blocks: tuple, image_sorted: tuple[int, ...]):
+        object.__setattr__(self, "into_minima", into_minima)
+        object.__setattr__(self, "across_blocks", across_blocks)
+        object.__setattr__(self, "image_sorted", image_sorted)
 
     def to_json(self) -> dict:
         return {

@@ -10,23 +10,21 @@ identity prints as ``()``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Mapping
 
 from .errors import InvalidParameters
+from .frozen import Frozen
 
 
-@dataclass(frozen=True)
-class Permutation:
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        r = len(self.images)
+class Permutation(Frozen):
+    def __init__(self, images: tuple[int, ...]):
+        r = len(images)
         if r < 1:
             raise InvalidParameters("permutation degree must be >= 1")
-        if sorted(self.images) != list(range(1, r + 1)):
-            raise InvalidParameters(f"not a permutation of [1,{r}]: {self.images}")
+        if sorted(images) != list(range(1, r + 1)):
+            raise InvalidParameters(f"not a permutation of [1,{r}]: {images}")
+        object.__setattr__(self, "images", images)
 
     @classmethod
     def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
@@ -38,6 +36,14 @@ class Permutation:
         p = object.__new__(cls)
         object.__setattr__(p, "images", images)
         return p
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.images == other.images
+
+    def __hash__(self) -> int:
+        return hash((self.images,))
 
     @property
     def degree(self) -> int:
@@ -281,16 +287,26 @@ def classify_descent_one(p: Permutation) -> tuple[int, int] | None:
     return None
 
 
-@dataclass(frozen=True)
-class DescentLocator:
+class DescentLocator(Frozen):
     """Rightmost descent start ``v`` and reach ``w``.
 
     ``v`` is the largest position whose entry exceeds some later entry and
     ``w`` is the largest offset with ``p(v) > p(v+w)``.
     """
 
-    v: int
-    w: int
+    __slots__ = ("v", "w")
+
+    def __init__(self, v: int, w: int):
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "w", w)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.v == other.v and self.w == other.w
+
+    def __repr__(self) -> str:
+        return f"DescentLocator(v={self.v}, w={self.w})"
 
 
 def rightmost_descent(p: Permutation) -> DescentLocator | None:

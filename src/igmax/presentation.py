@@ -39,12 +39,12 @@ from __future__ import annotations
 
 import warnings
 from array import array
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Optional, Union
 
 from .combinatorics import Partition, Subset, require_transversal
 from .errors import InvalidParameters, VerificationFailed
+from .frozen import Frozen
 from .labels import label_by_subscripts
 from .perms import Permutation, ProductTable
 from .squares import _singular_index, _SingularIndex
@@ -54,21 +54,17 @@ from .schreier import build_schreier  # noqa: F401
 from .squares import enumerate_singular_squares  # noqa: F401
 
 
-@dataclass(frozen=True)
-class GeneratorId:
+class GeneratorId(Frozen):
     """A concrete generator named by its (kernel, image) pair.
 
     The label rides along for cheap access but is excluded from equality;
     two ids with the same pair are the same generator.
     """
 
-    partition: Partition
-    subset: Subset
-    label: Permutation = field(compare=False)
-
-    def __post_init__(self) -> None:
-        require_transversal(self.subset, self.partition)
-        if self.label != label_by_subscripts(self.partition, self.subset):
+    def __init__(self, partition: Partition, subset: Subset, label: Permutation):
+        require_transversal(subset, partition)
+        self.__dict__.update(partition=partition, subset=subset, label=label)
+        if label != label_by_subscripts(partition, subset):
             raise InvalidParameters(f"stored label does not match recomputation for {self}")
 
     @classmethod
@@ -84,6 +80,11 @@ class GeneratorId:
         )
         return g
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.partition == other.partition and self.subset == other.subset
+
     def __hash__(self) -> int:
         return self._hash
 
@@ -98,9 +99,19 @@ class GeneratorId:
         return self.display()
 
 
-@dataclass(frozen=True)
-class AbstractGenerator:
-    name: str
+class AbstractGenerator(Frozen):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
     def display(self) -> str:
         return self.name
@@ -113,11 +124,21 @@ Gen = Union[GeneratorId, AbstractGenerator]
 GroupWord = tuple[tuple[Gen, int], ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Relation:
-    lhs: GroupWord
-    rhs: GroupWord
-    tag: str
+class Relation(Frozen):
+    __slots__ = ("lhs", "rhs", "tag")
+
+    def __init__(self, lhs: GroupWord, rhs: GroupWord, tag: str):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "tag", tag)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.lhs == other.lhs and self.rhs == other.rhs and self.tag == other.tag
+
+    def __hash__(self) -> int:
+        return hash((self.lhs, self.rhs, self.tag))
 
 
 # ---------------------------------------------------------------------------

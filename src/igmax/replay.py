@@ -58,7 +58,6 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
 
@@ -178,12 +177,11 @@ def _coxeter_mismatch(relations: Iterable[Equation], canon: list[int], r: int) -
     return None
 
 
-@dataclass(slots=True)
 class DerivationStep:
     """One logged step of any rule but ``discharge`` (see
-    :class:`DischargeStep`).  Not frozen: a frozen dataclass's constructor,
-    which sets each field through ``object.__setattr__``, takes three times
-    as long.  A discharge step parsed from another object than
+    :class:`DischargeStep`).  Not frozen: a constructor that sets each field
+    through ``object.__setattr__``, as a frozen class's does, takes three
+    times as long.  A discharge step parsed from another object than
     ``{"pz": i, "rule": "discharge"}`` with an int ``i`` is held as one of
     these, with its index in ``data["pz"]``.
 
@@ -193,11 +191,20 @@ class DerivationStep:
     ``[x >> 1, 1]``, or ``[x >> 1, -1]`` when x is odd, and a square as it
     is."""
 
-    rule: str
-    conclusion: Optional[Equation]
-    premises: tuple[int, ...] = ()
-    square: Optional[SquareIds] = None
-    data: Optional[dict] = None
+    __slots__ = ("rule", "conclusion", "premises", "square", "data")
+
+    def __init__(self, rule: str, conclusion: Optional[Equation], premises: tuple[int, ...] = (),
+                 square: Optional[SquareIds] = None, data: Optional[dict] = None):
+        self.rule = rule
+        self.conclusion = conclusion
+        self.premises = premises
+        self.square = square
+        self.data = data
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def to_json(self) -> dict:
         if self.rule == "discharge":
@@ -321,21 +328,15 @@ class StepList:
         return chain.from_iterable(map(DischargeStep, p) if type(p) is range else p for p in self.parts)
 
 
-@dataclass(eq=False)
 class DerivationLog:
     """Ordered derivation steps (a :class:`StepList`, made of any sequence
-    given) plus the final presentation snapshot, kept as the JSON document
-    of the Coxeter presentation."""
+    given, a new one by default) plus the final presentation snapshot, kept
+    as the JSON document of the Coxeter presentation."""
 
-    n: int
-    r: int
-    steps: StepList = field(default_factory=StepList)
-    final: Optional[dict] = None
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if type(self.steps) is not StepList:
-            self.steps = StepList(self.steps)
+    def __init__(self, n: int, r: int, steps: Iterable = (), final: Optional[dict] = None, meta: Optional[dict] = None):
+        self.n, self.r, self.final = n, r, final
+        self.steps = steps if type(steps) is StepList else StepList(steps)
+        self.meta = {} if meta is None else meta
 
     def append(self, step: DerivationStep) -> int:
         return self.steps.append(step)
@@ -724,15 +725,18 @@ def cycle_rep(k: int, l: int, n: int, r: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ReplayReport:
-    n: int
-    r: int
-    steps_checked: int
-    failures: tuple[tuple[int, str], ...]
-    discharged: int
-    relations: int
-    final_matches: bool
+    __slots__ = ("n", "r", "steps_checked", "failures", "discharged", "relations", "final_matches")
+
+    def __init__(self, n: int, r: int, steps_checked: int, failures: tuple[tuple[int, str], ...],
+                 discharged: int, relations: int, final_matches: bool):
+        self.n, self.r, self.steps_checked, self.failures = n, r, steps_checked, failures
+        self.discharged, self.relations, self.final_matches = discharged, relations, final_matches
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     @property
     def ok(self) -> bool:

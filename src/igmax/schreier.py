@@ -20,18 +20,27 @@ top relations are those pairs, which the SQ3 index names on ids (its
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .combinatorics import Partition, Subset, enumerate_subsets
 from .errors import InvalidParameters
+from .frozen import Frozen
 
 
-@dataclass(frozen=True)
-class IdempotentLetter:
+class IdempotentLetter(Frozen):
     """One generator: the idempotent with the given kernel and image."""
 
-    partition: Partition
-    subset: Subset
+    __slots__ = ("partition", "subset")
+
+    def __init__(self, partition: Partition, subset: Subset):
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "subset", subset)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.partition == other.partition and self.subset == other.subset
+
+    def __hash__(self) -> int:
+        return hash((self.partition, self.subset))
 
     def __str__(self) -> str:
         return f"e[{self.partition}|{self.subset}]"

@@ -36,28 +36,24 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .combinatorics import Partition, Subset, enumerate_partitions, enumerate_subsets
 from .errors import InvalidParameters, NotASquare, VerificationFailed
+from .frozen import Frozen
 from .labels import label_by_subscripts, pick_label
 from .perms import Permutation, ProductTable, compose, invert
 
 CORNERS = ("PA", "PB", "QA", "QB")
 
 
-@dataclass(frozen=True)
-class Square:
+class Square(Frozen):
     """Ordered square: kernels (P, Q), images (A, B), all cross-transversal."""
 
-    kernels: tuple[Partition, Partition]
-    images: tuple[Subset, Subset]
-
-    def __post_init__(self) -> None:
-        p, q = self.kernels
-        a, b = self.images
+    def __init__(self, kernels: tuple[Partition, Partition], images: tuple[Subset, Subset]):
+        p, q = kernels
+        a, b = images
         if not (p.n == q.n == a.n == b.n):
             raise NotASquare("kernels and images live on different ground sets")
         if not (len(p) == len(q) == len(a) == len(b)):
@@ -66,6 +62,7 @@ class Square:
             for img in (a, b):
                 if not part.meets_once(img):
                     raise NotASquare(f"{img} is not a transversal of {part}")
+        self.__dict__.update(kernels=kernels, images=images)
 
     @classmethod
     def _trusted(cls, kernels: tuple[Partition, Partition], images: tuple[Subset, Subset]) -> "Square":
@@ -77,6 +74,14 @@ class Square:
         sq = object.__new__(cls)
         sq.__dict__.update(kernels=kernels, images=images)
         return sq
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kernels == other.kernels and self.images == other.images
+
+    def __hash__(self) -> int:
+        return hash((self.kernels, self.images))
 
     @property
     def n(self) -> int:
@@ -180,7 +185,6 @@ def enumerate_squares(n: int, r: int) -> Iterator[Square]:
     return _iter_squares(n, r)
 
 
-@dataclass
 class _SingularIndex:
     """Kernels bucketed by their SQ3 signature over each ordered image pair.
 
@@ -203,13 +207,10 @@ class _SingularIndex:
     use, so ``stats`` and ``squares`` never build them.
     """
 
-    n: int
-    r: int
-    parts: list[Partition]
-    subsets: list[Subset]
-    transversal_ids: list[list[int]]
-    labels: list[Permutation]
-    buckets: dict[tuple[int, int, tuple[int, ...]], list[int]]
+    def __init__(self, n: int, r: int, parts: list[Partition], subsets: list[Subset],
+                 transversal_ids: list[list[int]], labels: list[Permutation], buckets: dict):
+        self.n, self.r, self.parts, self.subsets = n, r, parts, subsets
+        self.transversal_ids, self.labels, self.buckets = transversal_ids, labels, buckets
 
     @cached_property
     def rows(self) -> list[list[tuple[int, int, list[int]]]]:
@@ -428,32 +429,22 @@ def enumerate_singular_squares(n: int, r: int) -> Iterator[Square]:
         yield Square._trusted((parts[p], parts[q]), (subsets[a], subsets[b]))
 
 
-@dataclass(frozen=True)
-class SquareCensus:
-    n: int
-    r: int
-    partitions: int
-    subsets: int
-    transversal_pairs: int
-    squares: int
-    proper_squares: int
-    singular_proper: int
-    singular_proper_unordered: int
-    singular_degenerate: int
+class SquareCensus(Frozen):
+    """The counts of :func:`square_census`, one field each, in ``to_json`` order."""
+
+    __slots__ = (
+        "n", "r", "partitions", "subsets", "transversal_pairs", "squares", "proper_squares",
+        "singular_proper", "singular_proper_unordered", "singular_degenerate",
+    )
+
+    def __init__(self, **counts: int):
+        if counts.keys() != set(self.__slots__):
+            raise TypeError(f"SquareCensus needs exactly the counts {', '.join(self.__slots__)}")
+        for name in self.__slots__:
+            object.__setattr__(self, name, counts[name])
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "partitions": self.partitions,
-            "subsets": self.subsets,
-            "transversal_pairs": self.transversal_pairs,
-            "squares": self.squares,
-            "proper_squares": self.proper_squares,
-            "singular_proper": self.singular_proper,
-            "singular_proper_unordered": self.singular_proper_unordered,
-            "singular_degenerate": self.singular_degenerate,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def square_census(n: int, r: int) -> SquareCensus:

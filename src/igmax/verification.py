@@ -62,12 +62,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
 
 from . import pipeline, replay
 from .errors import InvalidParameters, VerificationFailed
+from .frozen import Frozen
 from .perms import Permutation, ProductTable
 from .presentation import (
     RelationFamilies,
@@ -88,20 +88,22 @@ from .presentation import build_presentation, presentations_match  # noqa: F401
 DEFAULT_MAX_COSETS = 50_000
 
 
-@dataclass(frozen=True)
-class CosetResult:
-    closed: bool
-    order: Optional[int]
-    cosets_defined: int
-    live_cosets: int
+class CosetResult(Frozen):
+    __slots__ = ("closed", "order", "cosets_defined", "live_cosets")
+
+    def __init__(self, closed: bool, order: Optional[int], cosets_defined: int, live_cosets: int):
+        object.__setattr__(self, "closed", closed)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "cosets_defined", cosets_defined)
+        object.__setattr__(self, "live_cosets", live_cosets)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def to_json(self) -> dict:
-        return {
-            "closed": self.closed,
-            "order": self.order,
-            "cosets_defined": self.cosets_defined,
-            "live_cosets": self.live_cosets,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class _BudgetHit(Exception):
@@ -518,26 +520,23 @@ def _columns(
     return ids
 
 
-@dataclass(frozen=True)
-class HomReport:
-    relations_checked: int
-    relations_satisfied: bool
-    image_order: int
-    surjective: bool
-    first_failure: Optional[str]
+class HomReport(Frozen):
+    __slots__ = ("relations_checked", "relations_satisfied", "image_order", "surjective", "first_failure")
+
+    def __init__(self, relations_checked: int, relations_satisfied: bool, image_order: int, surjective: bool,
+                 first_failure: Optional[str]):
+        object.__setattr__(self, "relations_checked", relations_checked)
+        object.__setattr__(self, "relations_satisfied", relations_satisfied)
+        object.__setattr__(self, "image_order", image_order)
+        object.__setattr__(self, "surjective", surjective)
+        object.__setattr__(self, "first_failure", first_failure)
 
     @property
     def ok(self) -> bool:
         return self.relations_satisfied and self.surjective
 
     def to_json(self) -> dict:
-        return {
-            "relations_checked": self.relations_checked,
-            "relations_satisfied": self.relations_satisfied,
-            "image_order": self.image_order,
-            "surjective": self.surjective,
-            "first_failure": self.first_failure,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def _generated_order(perms: set[Permutation], r: int) -> int:
@@ -580,18 +579,19 @@ def label_homomorphism_check(families: RelationFamilies, index: _SingularIndex) 
     )
 
 
-@dataclass
 class VerifyReport:
-    n: int
-    r: int
-    pipeline: bool
-    homomorphism: bool
-    coset_order: Optional[int]
-    verdict: str
-    hom_report: Optional[HomReport] = None
-    replay_report: Optional[replay.ReplayReport] = None
-    coset_result: Optional[CosetResult] = None
-    boundary_free_consistent: Optional[bool] = None
+    __slots__ = (
+        "n", "r", "pipeline", "homomorphism", "coset_order", "verdict",
+        "hom_report", "replay_report", "coset_result", "boundary_free_consistent",
+    )
+
+    def __init__(self, n: int, r: int, pipeline: bool, homomorphism: bool, coset_order: Optional[int], verdict: str,
+                 hom_report: Optional[HomReport] = None, replay_report: Optional[replay.ReplayReport] = None,
+                 coset_result: Optional[CosetResult] = None, boundary_free_consistent: Optional[bool] = None):
+        self.n, self.r, self.pipeline, self.homomorphism = n, r, pipeline, homomorphism
+        self.coset_order, self.verdict, self.hom_report = coset_order, verdict, hom_report
+        self.replay_report, self.coset_result = replay_report, coset_result
+        self.boundary_free_consistent = boundary_free_consistent
 
     def to_json(self) -> dict:
         out = {

@@ -861,9 +861,10 @@ def test_verify_max_cosets_needs_the_oracle(capsys):
 # Swaps the witness square of the first bottom step for a proper square that is
 # not singular, then runs `igmax verify` on the given arguments.
 UNSOUND_VERIFY = """
-import dataclasses, sys
+import sys
 import igmax.pipeline as pipeline
 from igmax.cli import main
+from igmax.replay import DerivationStep
 from igmax.squares import _singular_index, enumerate_squares, is_singular_sq3
 
 bogus = next(sq for sq in enumerate_squares(4, 2) if not sq.is_degenerate() and not is_singular_sq3(sq))
@@ -877,7 +878,8 @@ def unsound(n, r):
     square = tuple(index.kernel_with(p.blocks) for p in bogus.kernels) + tuple(
         index.image_with(a.elements) for a in bogus.images
     )
-    log.steps[i] = dataclasses.replace(log.steps[i], square=square)
+    st = log.steps[i]
+    log.steps[i] = DerivationStep(st.rule, st.conclusion, st.premises, square, st.data)
     return final, log
 
 pipeline.run_pipeline = unsound
@@ -920,6 +922,26 @@ def test_verify_boundary(capsys):
     jsonschema.validate(doc, schema("verify-report.schema.json"))
     assert doc["boundary_free_consistent"] is True
     assert doc["verdict"].startswith("not confirmed: boundary")
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify"], ["verify", "--allow-boundary"], ["present"]], ids=["verify", "verify-boundary", "present"]
+)
+def test_the_presentation_commands_refuse_r_equal_to_n_as_usage(capsys, argv):
+    # r = n has no presentation: a usage error naming the range, with no
+    # advice to pass --allow-boundary, which would not help
+    code, out, err = run(capsys, *argv, "--n", "4", "--r", "4")
+    assert code == 2
+    assert out == ""
+    assert err == "error: need 1 <= r <= n-1, got r=4, n=4\n"
+
+
+def test_verify_refuses_the_oracle_at_the_boundary_before_advising_allow_boundary(capsys):
+    # passing --allow-boundary would only lead to the oracle's refusal
+    code, out, err = run(capsys, "verify", "--n", "5", "--r", "4", "--with-coset-oracle")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --with-coset-oracle needs r <= n-2")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -152,7 +152,15 @@ def test_classify_descent_one_is_contiguous_cycle_equality(r):
 def test_classify_descent_one_builds_no_permutation(monkeypatch):
     perms = all_perms(5)
     made = []
-    monkeypatch.setattr(Permutation, "__post_init__", made.append)
+    real = Permutation.__init__
+
+    def counted(self, images):
+        made.append(images)
+        real(self, images)
+
+    monkeypatch.setattr(Permutation, "__init__", counted)
     # the ten contiguous cycles of degree 5
     assert sum(classify_descent_one(p) is not None for p in perms) == 10
     assert made == []
+    # the stand-in counts
+    assert contiguous_cycle(2, 1, 5) and made == [(1, 3, 2, 4, 5)]

@@ -731,12 +731,14 @@ def test_the_derivation_looks_no_object_up_and_classifies_each_label_once(monkey
     squares_module._singular_index.cache_clear()
     _singular_index(7, 4)
     for cls in (Partition, Subset):
-        monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
+        monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
     monkeypatch.setattr(pipeline_module, "classify_descent_one", counting("classify", pipeline_module.classify_descent_one))
     _, log = run_pipeline(7, 4)
     assert log.meta["generators"] == 2240
     assert [c for c in calls if c != "classify"] == []
     assert 0 < calls.count("classify") <= 2240
+    # the stand-ins count
+    assert Partition.of(3, [[1], [2, 3]]).min_transversal() and calls[-2:] == ["Partition", "Subset"]
 
 
 def test_reduce_and_replay_label_each_pair_once(monkeypatch, tmp_path, capsys):

@@ -18,6 +18,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import igmax
 import igmax.pipeline as pipeline
 import igmax.presentation as presentation
@@ -97,7 +99,7 @@ def test_relation_families_and_the_replay_build_no_schreier_word_kernel_or_image
             if module.__name__.startswith("igmax") and hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     for cls in (Partition, Subset):
-        monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+        monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
     presentation.relation_families(7, 4)
     assert replay.replay_log(replay.DerivationLog.from_json(doc)).ok
     assert calls == []
@@ -135,21 +137,43 @@ def test_the_import_walk_sees_each_way_in():
     assert _outside_the_checker("from .presentation import relation_families\nDerivationLog(5, 3)") == []
 
 
-def test_replay_from_the_command_line_loads_no_producer(tmp_path):
+# the layers above the squares, which stats, squares and label do without
+UPPER_LAYERS = {"igmax.presentation", "igmax.replay", "igmax.pipeline", "igmax.verification", "igmax.schreier"}
+# each command at a small case, and the igmax modules it must not load
+IMPORT_CLOSURE = {
+    "stats": (["stats", "--n", "5", "--r", "3"], UPPER_LAYERS),
+    "squares": (["squares", "--n", "4", "--r", "2"], UPPER_LAYERS),
+    "label": (["label", "--P", "{{1},{2,3,5},{4,7},{6}}", "--A", "{1,4,5,6}"], UPPER_LAYERS),
+    "present": (["present", "--n", "4", "--r", "2"], {"igmax.replay", "igmax.pipeline", "igmax.verification"}),
+    "reduce": (["reduce", "--n", "5", "--r", "3"], {"igmax.verification"}),
+    "replay": (["replay", "--log", "LOG"], {"igmax.pipeline", "igmax.verification"}),
+    "verify": (["verify", "--n", "4", "--r", "2", "--with-coset-oracle"], set()),
+}
+
+
+@pytest.mark.parametrize("command", list(IMPORT_CLOSURE))
+def test_each_command_loads_only_the_layers_it_needs(tmp_path, command):
+    # every command is a short process that compiles the package first, so
+    # none loads dataclasses (and the inspect module under it), and the
+    # commands that stay below the presentation do not compile the layers
+    # above it; replay, the checker, loads no producer
+    argv, absent = IMPORT_CLOSURE[command]
     path = tmp_path / "log.json"
-    assert main(["reduce", "--n", "5", "--r", "3", "--log", str(path)]) == 0
+    if command == "replay":
+        assert main(["reduce", "--n", "5", "--r", "3", "--log", str(path)]) == 0
     src = str(Path(igmax.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     # -X importtime lists on stderr every module the process imports
     done = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "igmax.cli", "replay", "--log", str(path)],
+        [sys.executable, "-X", "importtime", "-m", "igmax.cli", *(str(path) if a == "LOG" else a for a in argv)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.endswith("replay: PASS\n")
     loaded = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines() if "|" in line}
-    assert "igmax.replay" in loaded
-    assert "igmax.pipeline" not in loaded
+    assert "igmax.squares" in loaded  # the listing is read
+    assert not loaded & ({"dataclasses", "inspect"} | absent), sorted(loaded & ({"dataclasses", "inspect"} | absent))
+    if command == "replay":
+        assert done.stdout.endswith("replay: PASS\n") and "igmax.replay" in loaded
 
 
 def test_replay_and_verify_build_no_presentation(monkeypatch, tmp_path, capsys):
@@ -168,9 +192,9 @@ def test_replay_and_verify_build_no_presentation(monkeypatch, tmp_path, capsys):
     for module in (presentation, pipeline, verification):
         monkeypatch.setattr(module, "build_presentation", build)
     monkeypatch.setattr(GeneratorId, "of", classmethod(counted("GeneratorId", GeneratorId.of.__func__)))
-    monkeypatch.setattr(GeneratorId, "__post_init__", counted("GeneratorId", GeneratorId.__post_init__))
+    monkeypatch.setattr(GeneratorId, "__init__", counted("GeneratorId", GeneratorId.__init__))
     monkeypatch.setattr(Square, "_trusted", classmethod(counted("Square", Square._trusted.__func__)))
-    monkeypatch.setattr(Square, "__post_init__", counted("Square", Square.__post_init__))
+    monkeypatch.setattr(Square, "__init__", counted("Square", Square.__init__))
     assert main(["replay", "--log", path]) == 0
     assert main(["verify", "--n", "5", "--r", "3"]) == 0
     # the coset oracle reads the relation families the replay read
