@@ -14,9 +14,10 @@ Commands
 
 Exit codes: 0 success, 2 usage (cap violations, ``reduce`` at r > n-2,
 ``present`` and ``verify`` at r = n, ``verify`` at r = n-1 without
-``--allow-boundary``, ``--with-coset-oracle`` at r = n-1, ``--max-cosets``
-below 1 or without ``--with-coset-oracle``, an unreadable or unwritable
-``--log`` path), 3 precondition failure, 4 verification failure, 5 coset budget exhausted.
+``--allow-boundary`` or at r <= n-2 with it, ``--with-coset-oracle`` at
+r = n-1, ``--max-cosets`` below 1 or without ``--with-coset-oracle``, an
+unreadable or unwritable ``--log`` path), 3 precondition failure,
+4 verification failure, 5 coset budget exhausted.
 Output for a fixed command line is byte-identical across runs; streams are
 newline-delimited JSON with sorted keys.  Commands run with the cyclic
 garbage collector off (see ``main``).
@@ -40,6 +41,7 @@ from .errors import (
 )
 from .frozen import Frozen
 from .labels import label_with_context
+from .perms import cycle_form
 from .squares import label_spectrum, square_census, square_lines
 
 # Not called here: perfbench/trace_run.py wraps these three names in this module.
@@ -111,12 +113,12 @@ def cmd_stats(args, out) -> int:
     cfg.validate()
     census = square_census(cfg.n, cfg.r)
     spectrum = label_spectrum(cfg.n, cfg.r)
-    ordered = sorted(spectrum.items(), key=lambda kv: kv[0].images)
+    ordered = [(cycle_form(lam), count) for lam, count in sorted(spectrum.items())]
     singular_total = census.singular_proper + census.singular_degenerate
     if cfg.format == "json":
         doc = census.to_json()
         doc["singular_total"] = singular_total
-        doc["label_spectrum"] = {p.cycle_form(): c for p, c in ordered}
+        doc["label_spectrum"] = dict(ordered)
         _emit_json(doc, out)
         return EXIT_OK
     out.write(f"n={cfg.n} r={cfg.r}\n")
@@ -131,8 +133,8 @@ def cmd_stats(args, out) -> int:
     )
     out.write(f"singular squares, unordered proper: {census.singular_proper_unordered}\n")
     out.write("label spectrum:\n")
-    for perm, count in ordered:
-        out.write(f"  {perm.cycle_form()}: {count}\n")
+    for text, count in ordered:
+        out.write(f"  {text}: {count}\n")
     return EXIT_OK
 
 
@@ -145,13 +147,13 @@ def cmd_label(args, out) -> int:
         doc = {
             "P": part.to_json(),
             "A": sub.to_json(),
-            "label": lam.cycle_form(),
-            "images": lam.to_json(),
+            "label": cycle_form(lam),
+            "images": list(lam),
             "context": ctx.to_json(),
         }
         _emit_json(doc, out)
         return EXIT_OK
-    out.write(lam.cycle_form() + "\n")
+    out.write(cycle_form(lam) + "\n")
     return EXIT_OK
 
 
@@ -280,6 +282,8 @@ def cmd_verify(args, out) -> int:
 
     cfg = RunConfig.from_args(args)
     cfg.validate(presentation=True)
+    if args.allow_boundary and cfg.r < cfg.n - 1:
+        raise UsageError(f"--allow-boundary applies only at r = n-1, got r={cfg.r}, n={cfg.n}")
     if args.with_coset_oracle and cfg.r == cfg.n - 1:
         raise UsageError(
             "--with-coset-oracle needs r <= n-2: at the boundary r = n-1 the "

@@ -115,12 +115,6 @@ class Subset(Frozen):
         except KeyError:
             raise InvalidParameters(f"{x} not in subset {self}") from None
 
-    def element_at(self, i: int) -> int:
-        """Element at 1-based position ``i``."""
-        if not 1 <= i <= len(self.elements):
-            raise InvalidParameters(f"position {i} out of range for {self}")
-        return self.elements[i - 1]
-
     def replace(self, old: int, new: int) -> "Subset":
         """Subset with ``old`` swapped for ``new`` (re-sorted)."""
         if old not in self._as_set:
@@ -263,11 +257,9 @@ class Partition(Frozen):
 
     @cached_property
     def minima(self) -> tuple[int, ...]:
+        """The block minima, in block order: the elements of the
+        lexicographically least transversal."""
         return tuple(b[0] for b in self.blocks)
-
-    def min_transversal(self) -> Subset:
-        """The block-minima subset; the lexicographically least transversal."""
-        return Subset(self.n, self.minima)
 
     def is_convex(self) -> bool:
         """True when every block is an interval of consecutive integers."""

@@ -11,8 +11,12 @@ composing, left to right:
 
 Equivalently (and this is the quick way to read it off): the i-th entry of
 the label in one-line form is the position within the sorted image of the
-image element lying in block i.  Both routes are implemented; tests hold
-them against each other.
+image element lying in block i.  Both routes are implemented, one public
+function each: :func:`label_with_context` composes the three maps and keeps
+them for audit output, and :func:`label` reads the label off the pair's
+pick of one image element per block (:func:`pick_label`, which the SQ3
+index calls on the picks it makes).  Tests hold the two against each other.
+A label is a one-line image tuple (:mod:`igmax.perms`).
 
 A label is the identity precisely when the i-th image element lies in the
 i-th block, which holds in particular whenever the kernel is convex.
@@ -24,7 +28,6 @@ from typing import Iterable
 
 from .combinatorics import Partition, Subset, require_transversal
 from .frozen import Frozen
-from .perms import Permutation
 
 # Not called here: perfbench/trace_run.py wraps this name in this module.
 from .combinatorics import enumerate_transversal_pairs  # noqa: F401
@@ -54,7 +57,7 @@ class LabelContext(Frozen):
         }
 
 
-def label_with_context(partition: Partition, subset: Subset) -> tuple[Permutation, LabelContext]:
+def label_with_context(partition: Partition, subset: Subset) -> tuple[tuple[int, ...], LabelContext]:
     require_transversal(subset, partition)
     minima = partition.minima
     transfer: dict[int, int] = {}
@@ -70,25 +73,19 @@ def label_with_context(partition: Partition, subset: Subset) -> tuple[Permutatio
         stop1 = minima[i - 1]
         stop2 = transfer[stop1]
         images.append(subset.position_of(stop2))
-    return Permutation(tuple(images)), ctx
+    return tuple(images), ctx
 
 
-def label(partition: Partition, subset: Subset) -> Permutation:
+def label(partition: Partition, subset: Subset) -> tuple[int, ...]:
     """Label of the pair; raises TransversalityViolation when undefined.
 
     >>> p = Partition.parse("{{1},{2,3,5},{4,7},{6}}")
-    >>> a = Subset.parse("{1,4,5,6}", 7)
-    >>> label(p, a).cycle_form()
-    '(2 3)'
+    >>> label(p, Subset.parse("{1,4,5,6}", 7))
+    (1, 3, 2, 4)
     """
-    return label_with_context(partition, subset)[0]
-
-
-def label_by_subscripts(partition: Partition, subset: Subset) -> Permutation:
-    """Direct read-off: entry i is the image-position of the block-i element."""
     require_transversal(subset, partition)
     # a transversal puts exactly one of its elements in each block
-    return Permutation._trusted(pick_label(sorted(subset.elements, key=partition.block_index), subset.elements))
+    return pick_label(sorted(subset.elements, key=partition.block_index), subset.elements)
 
 
 def pick_label(pick: Iterable[int], elements: tuple[int, ...]) -> tuple[int, ...]:

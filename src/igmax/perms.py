@@ -1,169 +1,39 @@
-"""Permutations of {1, ..., r} with descent bookkeeping.
+"""Permutations of {1, ..., r} as one-line image tuples, with descent
+bookkeeping.
 
-Composition is left-to-right, matching the transformation layer.  Two text
-forms are supported: one-line ("image") form ``[3,2,4,1]`` and cycle form
-``(1 3 4)``.  Cycle printing omits fixed points and starts every cycle at its
-smallest element, with cycles ordered by those smallest elements; the
-identity prints as ``()``.
+A permutation is the tuple ``(p(1), ..., p(r))`` of its images.
+Composition is left-to-right, matching the transformation layer.  Text
+appears only at the edges, in cycle form (:func:`cycle_form`): fixed points
+are omitted, every cycle starts at its smallest element, cycles are ordered
+by those smallest elements, and the identity prints as ``()``.
 """
 
 from __future__ import annotations
 
-import re
-from functools import cached_property
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, Optional
 
 from .errors import InvalidParameters
-from .frozen import Frozen
 
 
-class Permutation(Frozen):
-    def __init__(self, images: tuple[int, ...]):
-        r = len(images)
-        if r < 1:
-            raise InvalidParameters("permutation degree must be >= 1")
-        if sorted(images) != list(range(1, r + 1)):
-            raise InvalidParameters(f"not a permutation of [1,{r}]: {images}")
-        object.__setattr__(self, "images", images)
+def cycle_form(images: tuple[int, ...]) -> str:
+    """Cycle notation, ``()`` for the identity.
 
-    @classmethod
-    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
-        """Wrap images already known to form a permutation, without re-validation.
-
-        Only for internal results such as products and inverses of valid
-        permutations; text and outside input go through the constructor.
-        """
-        p = object.__new__(cls)
-        object.__setattr__(p, "images", images)
-        return p
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash((self.images,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    @classmethod
-    def identity(cls, r: int) -> "Permutation":
-        return cls(tuple(range(1, r + 1)))
-
-    def is_identity(self) -> bool:
-        return all(y == i for i, y in enumerate(self.images, start=1))
-
-    def __call__(self, x: int) -> int:
-        if not 1 <= x <= len(self.images):
-            raise InvalidParameters(f"point {x} outside [1,{len(self.images)}]")
-        return self.images[x - 1]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Left-to-right: ``(p * q)(x) == q(p(x))``.
-
-        >>> p = Permutation.parse("(2 3)", 4)
-        >>> q = Permutation.parse("(3 4)", 4)
-        >>> (p.inverse() * q).cycle_form()
-        '(2 4 3)'
-        """
-        if len(self.images) != len(other.images):
-            raise InvalidParameters("degree mismatch in permutation product")
-        return Permutation._trusted(compose(self.images, other.images))
-
-    def inverse(self) -> "Permutation":
-        return Permutation._trusted(invert(self.images))
-
-    @cached_property
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Nontrivial cycles, each starting at its least element, sorted."""
-        seen = [False] * len(self.images)
-        out: list[tuple[int, ...]] = []
-        for start in range(1, len(self.images) + 1):
-            if seen[start - 1]:
-                continue
-            cyc = [start]
-            seen[start - 1] = True
-            x = self.images[start - 1]
-            while x != start:
-                cyc.append(x)
-                seen[x - 1] = True
-                x = self.images[x - 1]
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
-        return tuple(out)
-
-    def cycle_form(self) -> str:
-        """Cycle notation, ``()`` for the identity.
-
-        >>> Permutation((3, 2, 4, 1)).cycle_form()
-        '(1 3 4)'
-        >>> Permutation.identity(3).cycle_form()
-        '()'
-        """
-        if not self.cycles:
-            return "()"
-        return "".join("(" + " ".join(str(x) for x in c) + ")" for c in self.cycles)
-
-    def image_form(self) -> str:
-        return "[" + ",".join(str(y) for y in self.images) + "]"
-
-    def __str__(self) -> str:
-        return self.cycle_form()
-
-    @classmethod
-    def from_cycles(cls, cycles, r: int) -> "Permutation":
-        images = list(range(1, r + 1))
-        for cyc in cycles:
-            cyc = list(cyc)
-            if len(set(cyc)) != len(cyc):
-                raise InvalidParameters(f"repeated point in cycle {cyc}")
-            for i, x in enumerate(cyc):
-                if not 1 <= x <= r:
-                    raise InvalidParameters(f"cycle point {x} outside [1,{r}]")
-                images[x - 1] = cyc[(i + 1) % len(cyc)]
-        if sorted(images) != list(range(1, r + 1)):
-            raise InvalidParameters(f"cycles {cycles} overlap")
-        return cls(tuple(images))
-
-    @classmethod
-    def parse(cls, text: str, r: int) -> "Permutation":
-        """Parse either text form at the given degree.
-
-        >>> Permutation.parse("(2 3)", 4).image_form()
-        '[1,3,2,4]'
-        >>> Permutation.parse("[1,3,2,4]", 4).cycle_form()
-        '(2 3)'
-        """
-        t = text.strip().replace(",", " ") if text.strip().startswith("(") else text.strip()
-        if t.startswith("["):
-            if not t.endswith("]"):
-                raise InvalidParameters(f"unterminated image form {text!r}")
-            body = t[1:-1].strip()
-            try:
-                images = tuple(int(p) for p in body.split(",")) if body else ()
-            except ValueError:
-                raise InvalidParameters(f"non-integer entry in {text!r}") from None
-            if len(images) != r:
-                raise InvalidParameters(f"expected degree {r}, got {len(images)} in {text!r}")
-            return cls(images)
-        if t == "()":
-            return cls.identity(r)
-        if t.startswith("("):
-            if not re.fullmatch(r"(\s*\([\d\s]*\)\s*)+", t):
-                raise InvalidParameters(f"malformed cycle form {text!r}")
-            chunks = re.findall(r"\(([^()]*)\)", t)
-            try:
-                cycles = [[int(p) for p in chunk.split()] for chunk in chunks]
-            except ValueError:
-                raise InvalidParameters(f"non-integer entry in {text!r}") from None
-            return cls.from_cycles([c for c in cycles if c], r)
-        raise InvalidParameters(f"unrecognised permutation text {text!r}")
-
-    def to_json(self) -> list[int]:
-        return list(self.images)
+    >>> cycle_form((3, 2, 4, 1)), cycle_form((1, 2, 3))
+    ('(1 3 4)', '()')
+    """
+    seen = [False] * len(images)
+    out = []
+    for start in range(1, len(images) + 1):
+        if seen[start - 1] or images[start - 1] == start:
+            continue
+        cyc = [start]
+        x = images[start - 1]
+        while x != start:
+            cyc.append(x)
+            seen[x - 1] = True
+            x = images[x - 1]
+        out.append("(" + " ".join(map(str, cyc)) + ")")
+    return "".join(out) or "()"
 
 
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -230,17 +100,17 @@ class ProductTable:
         return acc
 
 
-def descent_number(p: Permutation) -> int:
+def descent_number(p: tuple[int, ...]) -> int:
     """Number of positions k whose entry exceeds some later entry.
 
     Zero exactly for the identity.
 
-    >>> descent_number(Permutation((3, 2, 4, 1)))
+    >>> descent_number((3, 2, 4, 1))
     3
     """
     count = 0
-    suffix_min = p.degree + 1
-    for x in reversed(p.images):
+    suffix_min = len(p) + 1
+    for x in reversed(p):
         if x > suffix_min:
             count += 1
         else:
@@ -248,16 +118,14 @@ def descent_number(p: Permutation) -> int:
     return count
 
 
-def contiguous_cycle(k: int, l: int, r: int) -> Permutation:
+def contiguous_cycle(k: int, l: int, r: int) -> tuple[int, ...]:
     """The cycle (k+l, k+l-1, ..., k+1, k) as a degree-r permutation.
 
     In one-line form: position k holds k+l, positions k+1..k+l hold their
     predecessor, everything else is fixed.
 
-    >>> contiguous_cycle(1, 2, 3).image_form()
-    '[3,1,2]'
-    >>> contiguous_cycle(2, 1, 4).cycle_form()
-    '(2 3)'
+    >>> contiguous_cycle(1, 2, 3), cycle_form(contiguous_cycle(2, 1, 4))
+    ((3, 1, 2), '(2 3)')
     """
     if not (1 <= k and 1 <= l and k + l <= r):
         raise InvalidParameters(f"need 1 <= k, 1 <= l, k+l <= r; got k={k}, l={l}, r={r}")
@@ -265,64 +133,38 @@ def contiguous_cycle(k: int, l: int, r: int) -> Permutation:
     images[k - 1] = k + l
     for i in range(k + 1, k + l + 1):
         images[i - 1] = i - 1
-    return Permutation(tuple(images))
+    return tuple(images)
 
 
-def classify_descent_one(p: Permutation) -> tuple[int, int] | None:
+def classify_descent_one(p: tuple[int, ...]) -> Optional[tuple[int, int]]:
     """Return (k, l) when p is exactly the contiguous cycle at (k, l), else None.
 
     A permutation has descent count one iff it is such a cycle, so this also
     serves as the descent-one detector.
     """
-    images = p.images
-    k = next((i for i, y in enumerate(images, start=1) if y != i), None)
+    k = next((i for i, y in enumerate(p, start=1) if y != i), None)
     if k is None:
         return None
-    l = images[k - 1] - k
-    if l < 1 or k + l > len(images):
+    l = p[k - 1] - k
+    if l < 1 or k + l > len(p):
         return None
     # contiguous_cycle(k, l, r) read in place: k+1..k+l go one down, the rest stay
-    if all(images[i] == i for i in range(k, k + l)) and all(images[i] == i + 1 for i in range(k + l, len(images))):
+    if all(p[i] == i for i in range(k, k + l)) and all(p[i] == i + 1 for i in range(k + l, len(p))):
         return (k, l)
     return None
 
 
-class DescentLocator(Frozen):
-    """Rightmost descent start ``v`` and reach ``w``.
+def rightmost_descent(p: tuple[int, ...]) -> Optional[tuple[int, int]]:
+    """The rightmost descent start ``v`` and its reach ``w``, or None for the
+    identity: ``v`` is the largest position whose entry exceeds some later
+    entry and ``w`` the largest offset with ``p(v) > p(v+w)``.
 
-    ``v`` is the largest position whose entry exceeds some later entry and
-    ``w`` is the largest offset with ``p(v) > p(v+w)``.
+    >>> rightmost_descent((4, 2, 3, 1))
+    (3, 1)
     """
-
-    __slots__ = ("v", "w")
-
-    def __init__(self, v: int, w: int):
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "w", w)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.v == other.v and self.w == other.w
-
-    def __repr__(self) -> str:
-        return f"DescentLocator(v={self.v}, w={self.w})"
-
-
-def rightmost_descent(p: Permutation) -> DescentLocator | None:
-    """Locate the rightmost descent start, or None for the identity.
-
-    >>> rightmost_descent(Permutation((4, 2, 3, 1)))
-    DescentLocator(v=3, w=1)
-    """
-    v = None
-    suffix_min = p.degree + 1
-    for i in range(p.degree, 0, -1):
-        if p.images[i - 1] > suffix_min:
-            v = i
-            break
-        suffix_min = min(suffix_min, p.images[i - 1])
-    if v is None:
-        return None
-    w = max(d for d in range(1, p.degree - v + 1) if p.images[v - 1] > p.images[v + d - 1])
-    return DescentLocator(v=v, w=w)
+    suffix_min = len(p) + 1
+    for v in range(len(p), 0, -1):
+        if p[v - 1] > suffix_min:
+            return v, max(d for d in range(1, len(p) - v + 1) if p[v - 1] > p[v + d - 1])
+        suffix_min = min(suffix_min, p[v - 1])
+    return None

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .errors import InvalidParameters, VerificationFailed
-from .perms import Permutation, classify_descent_one, descent_number, rightmost_descent
+from .perms import classify_descent_one, cycle_form, descent_number, rightmost_descent
 from .presentation import GroupPresentation, Word, coxeter_presentation, free_reduce, substitute
 from .replay import (
     DerivationLog,
@@ -120,7 +120,7 @@ def cycle_split(k: int, l: int, n: int, r: int) -> SquareIds:
     return p, q, a, b
 
 
-def descent_reduction(index: _SingularIndex, p: int, a: int, lam: Permutation) -> tuple[int, int]:
+def descent_reduction(index: _SingularIndex, p: int, a: int, lam: tuple[int, ...]) -> tuple[int, int]:
     """The corners (Q, B) that split f[P,A], whose label ``lam`` has
     descent >= 2, across the singular square (P, Q, A, B) of ``index``.
 
@@ -132,9 +132,8 @@ def descent_reduction(index: _SingularIndex, p: int, a: int, lam: Permutation) -
     if d < 2:
         raise InvalidParameters(f"descent reduction needs descent >= 2, got {d}")
     r, minima, block_of, elements = index.r, index.parts[p].minima, index.block_of[p], index.subsets[a].elements
-    loc = rightmost_descent(lam)
-    v, w = loc.v, loc.w
-    av = lambda i: elements[lam.images[i - 1] - 1]  # noqa: E731  - A's element in block i
+    v, w = rightmost_descent(lam)
+    av = lambda i: elements[lam[i - 1] - 1]  # noqa: E731  - A's element in block i
     belems = (
         [minima[i - 1] for i in range(1, v)]
         + [av(i) for i in range(v + 1, v + w + 1)]
@@ -323,7 +322,7 @@ class Derivation:
         for g, i in enumerate(self._label_id):
             if i not in kind_of:
                 lam = self.labels[g]
-                kind_of[i] = IDENTITY if lam.is_identity() else classify_descent_one(lam)
+                kind_of[i] = IDENTITY if lam == self._base else classify_descent_one(lam)
         self.kinds = [kind_of[i] for i in self._label_id]
         self._one_memo: dict[int, int] = {}
         self._eq_memo: dict[int, int] = {}
@@ -407,7 +406,7 @@ class Derivation:
             return idx
         if self.kinds[g] is not IDENTITY:
             raise InvalidParameters(
-                f"{self.index.name(g)} has label {self.labels[g].cycle_form()}, not the identity"
+                f"{self.index.name(g)} has label {cycle_form(self.labels[g])}, not the identity"
             )
         idx = self._one_convex(p, a, g) if self._convex[p] else self._one_general(p, a, g)
         self._one_memo[g] = idx
@@ -679,7 +678,7 @@ class Derivation:
         idx = self._rewrite(s_eq, (ri,))
         return idx, rw
 
-    def _resolve_descent(self, p: int, a: int, lam: Permutation) -> tuple[int, Word]:
+    def _resolve_descent(self, p: int, a: int, lam: tuple[int, ...]) -> tuple[int, Word]:
         q, b = descent_reduction(self.index, p, a, lam)
         sq, s_b = self._square(p, q, a, b)
         s_one = self.one(q, b)

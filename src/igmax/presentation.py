@@ -45,8 +45,8 @@ from typing import Callable, Iterable, Optional, Union
 from .combinatorics import Partition, Subset, require_transversal
 from .errors import InvalidParameters, VerificationFailed
 from .frozen import Frozen
-from .labels import label_by_subscripts
-from .perms import Permutation, ProductTable
+from .labels import label
+from .perms import ProductTable, cycle_form
 from .squares import _singular_index, _SingularIndex
 
 # Not called here: perfbench/trace_run.py wraps these two names in this module.
@@ -61,22 +61,22 @@ class GeneratorId(Frozen):
     two ids with the same pair are the same generator.
     """
 
-    def __init__(self, partition: Partition, subset: Subset, label: Permutation):
+    def __init__(self, partition: Partition, subset: Subset, lam: tuple[int, ...]):
         require_transversal(subset, partition)
-        self.__dict__.update(partition=partition, subset=subset, label=label)
-        if label != label_by_subscripts(partition, subset):
+        self.__dict__.update(partition=partition, subset=subset, label=lam)
+        if lam != label(partition, subset):
             raise InvalidParameters(f"stored label does not match recomputation for {self}")
 
     @classmethod
-    def of(cls, partition: Partition, subset: Subset, label: Optional[Permutation] = None) -> "GeneratorId":
+    def of(cls, partition: Partition, subset: Subset, lam: Optional[tuple[int, ...]] = None) -> "GeneratorId":
         """The generator of a pair, its label computed (and the pair checked)
-        once; or, when ``label`` is given, taken as the label of a pair
+        once; or, when ``lam`` is given, taken as the label of a pair
         already known to be transversal."""
         g = object.__new__(cls)
         g.__dict__.update(
             partition=partition,
             subset=subset,
-            label=label_by_subscripts(partition, subset) if label is None else label,
+            label=label(partition, subset) if lam is None else lam,
         )
         return g
 
@@ -381,7 +381,7 @@ class GroupPresentation:
                 "kind": "pair",
                 "P": g.partition.to_json(),
                 "A": g.subset.to_json(),
-                "label": g.label.cycle_form(),
+                "label": cycle_form(g.label),
             }
 
         families = self.families

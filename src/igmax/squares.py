@@ -42,8 +42,8 @@ from typing import Iterator, Optional, Sequence
 from .combinatorics import Partition, Subset, enumerate_partitions, enumerate_subsets
 from .errors import InvalidParameters, NotASquare, VerificationFailed
 from .frozen import Frozen
-from .labels import label_by_subscripts, pick_label
-from .perms import Permutation, ProductTable, compose, invert
+from .labels import label, pick_label
+from .perms import ProductTable, compose, cycle_form, invert
 
 CORNERS = ("PA", "PB", "QA", "QB")
 
@@ -91,17 +91,15 @@ class Square(Frozen):
     def r(self) -> int:
         return len(self.kernels[0])
 
-    def is_degenerate(self) -> bool:
-        return self.kernels[0] == self.kernels[1] or self.images[0] == self.images[1]
-
     def corner_pairs(self) -> tuple[tuple[Partition, Subset], ...]:
         p, q = self.kernels
         a, b = self.images
         return ((p, a), (p, b), (q, a), (q, b))
 
     @cached_property
-    def corner_labels(self) -> tuple[Permutation, Permutation, Permutation, Permutation]:
-        return tuple(label_by_subscripts(k, i) for k, i in self.corner_pairs())
+    def corner_labels(self) -> tuple[tuple[int, ...], ...]:
+        """The labels of the corners PA, PB, QA and QB."""
+        return tuple(label(k, i) for k, i in self.corner_pairs())
 
     def to_json(self) -> dict:
         p, q = self.kernels
@@ -133,7 +131,7 @@ def is_singular_sq2(sq: Square) -> bool:
 def is_singular_sq3(sq: Square) -> bool:
     """Label quotient test; agrees with SQ2 (their equivalence is tested)."""
     la, lb, lc, ld = sq.corner_labels
-    return la.inverse() * lb == lc.inverse() * ld
+    return compose(invert(la), lb) == compose(invert(lc), ld)
 
 
 def is_singular_ids(index: _SingularIndex, p: int, q: int, a: int, b: int) -> bool:
@@ -208,7 +206,7 @@ class _SingularIndex:
     """
 
     def __init__(self, n: int, r: int, parts: list[Partition], subsets: list[Subset],
-                 transversal_ids: list[list[int]], labels: list[Permutation], buckets: dict):
+                 transversal_ids: list[list[int]], labels: list[tuple[int, ...]], buckets: dict):
         self.n, self.r, self.parts, self.subsets = n, r, parts, subsets
         self.transversal_ids, self.labels, self.buckets = transversal_ids, labels, buckets
 
@@ -247,8 +245,8 @@ class _SingularIndex:
         intern = self.product_table.intern
         ids: list[int] = []
         for lam in self.labels:
-            ids.append(intern(lam.images))
-            ids.append(intern(invert(lam.images)))
+            ids.append(intern(lam))
+            ids.append(intern(invert(lam)))
         return ids
 
     @cached_property
@@ -377,17 +375,17 @@ def _singular_index(n: int, r: int) -> _SingularIndex:
     Each kernel's transversals are made as picks of one element per block,
     so each is a transversal and its label is read off the pick unchecked
     (:func:`~igmax.labels.pick_label`); pairs with equal labels share one
-    label object, and each distinct quotient label^-1 label' is composed
+    label tuple, and each distinct quotient label^-1 label' is composed
     once."""
     parts = _sorted_partitions(n, r)
     subsets = list(enumerate_subsets(n, r))
     subset_id = {s.elements: i for i, s in enumerate(subsets)}
     transversal_ids: list[list[int]] = []
-    all_labels: list[Permutation] = []
+    all_labels: list[tuple[int, ...]] = []
     buckets: dict[tuple[int, int, tuple[int, ...]], list[int]] = {}
     # each distinct label once, with the quotients label^-1 label' met so far
     label_id: dict[tuple[int, ...], int] = {}
-    distinct: list[Permutation] = []
+    distinct: list[tuple[int, ...]] = []
     quotients: list[dict[int, tuple[int, ...]]] = []
     for pi, p in enumerate(parts):
         # p's transversals as (image id, pick), in image order
@@ -398,7 +396,7 @@ def _singular_index(n: int, r: int) -> _SingularIndex:
             i = label_id.get(lam)
             if i is None:
                 i = label_id[lam] = len(distinct)
-                distinct.append(Permutation._trusted(lam))
+                distinct.append(lam)
                 quotients.append({})
             lids.append(i)
             all_labels.append(distinct[i])
@@ -408,7 +406,7 @@ def _singular_index(n: int, r: int) -> _SingularIndex:
                 if a != b:
                     q = quotient.get(j)
                     if q is None:
-                        q = quotient[j] = compose(invert(distinct[i].images), distinct[j].images)
+                        q = quotient[j] = compose(invert(distinct[i]), distinct[j])
                     buckets.setdefault((a, b, q), []).append(pi)
         transversal_ids.append(ids)
     return _SingularIndex(n, r, parts, subsets, transversal_ids, all_labels, buckets)
@@ -483,7 +481,7 @@ def square_census(n: int, r: int) -> SquareCensus:
     )
 
 
-def label_spectrum(n: int, r: int) -> dict[Permutation, int]:
+def label_spectrum(n: int, r: int) -> dict[tuple[int, ...], int]:
     """How many (kernel, image) pairs carry each permutation as label."""
     _check(n, r)
     return Counter(_singular_index(n, r).labels)
@@ -493,7 +491,7 @@ def square_record(sq: Square) -> dict:
     """The JSON-able record streamed by the command-line ``squares`` command."""
     record = sq.to_json()
     record["labels"] = {
-        name: lam.cycle_form() for name, lam in zip(CORNERS, sq.corner_labels)
+        name: cycle_form(lam) for name, lam in zip(CORNERS, sq.corner_labels)
     }
     record["singular"] = is_singular_sq3(sq)
     record["evidence_kind"] = None
@@ -514,9 +512,9 @@ def square_lines(n: int, r: int, only_singular: bool) -> Iterator[str]:
     ``is_singular_sq3`` when ``only_singular``, in the same (P, Q, A, B)
     order, each encoded by ``json.dumps(record, sort_keys=True,
     separators=(",", ":"))`` and ended by a newline.  Each kernel's and
-    image's JSON and each (kernel, transversal) label's cycle form are
-    encoded once, not once per square, and a line fills the record's
-    template with them.  A proper square is singular exactly when its two
+    image's JSON and each distinct label's cycle form are encoded once, not
+    once per square or pair, and a line fills the record's template with
+    them.  A proper square is singular exactly when its two
     kernels share the bucket for (A, B), whose key is
     label(P,A)^-1 label(P,B): that is the SQ3 test.
     """
@@ -529,9 +527,10 @@ def square_lines(n: int, r: int, only_singular: bool) -> Iterator[str]:
     for (a, b, _), bucket in index.buckets.items():
         for i in bucket:
             buckets[i][a, b] = bucket
+    texts = {lam: encode(cycle_form(lam)) for lam in set(index.labels)}
     kernels, lams = [], iter(index.labels)  # the pairs' labels, in pair order
     for p, ids, p_buckets in zip(index.parts, index.transversal_ids, buckets):
-        labels = {a: encode(next(lams).cycle_form()) for a in ids}
+        labels = {a: texts[next(lams)] for a in ids}
         kernels.append((encode(p.to_json()), ids, labels, p_buckets))
     for pi, (p_json, p_ids, p_labels, p_buckets) in enumerate(kernels):
         for qi, (q_json, _, q_labels, q_buckets) in enumerate(kernels):

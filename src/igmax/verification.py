@@ -68,7 +68,7 @@ from typing import Optional
 from . import pipeline, replay
 from .errors import InvalidParameters, VerificationFailed
 from .frozen import Frozen
-from .perms import Permutation, ProductTable
+from .perms import ProductTable, compose
 from .presentation import (
     RelationFamilies,
     coxeter_presentation,
@@ -539,11 +539,11 @@ class HomReport(Frozen):
         return {name: getattr(self, name) for name in self.__slots__}
 
 
-def _generated_order(perms: set[Permutation], r: int) -> int:
+def _generated_order(perms: set[tuple[int, ...]], r: int) -> int:
     """Order of the subgroup of the degree-r symmetric group they generate;
     the search stops once it has seen all r! permutations."""
     full = math.factorial(r)
-    identity = Permutation.identity(r)
+    identity = tuple(range(1, r + 1))
     seen = {identity}
     frontier = [identity]
     gens = list(perms)
@@ -551,7 +551,7 @@ def _generated_order(perms: set[Permutation], r: int) -> int:
         nxt = []
         for p in frontier:
             for g in gens:
-                q = p * g
+                q = compose(p, g)
                 if q not in seen:
                     seen.add(q)
                     if len(seen) == full:

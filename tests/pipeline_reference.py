@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from igmax.combinatorics import Partition, Subset
 from igmax.errors import InvalidParameters
-from igmax.perms import Permutation, descent_number, rightmost_descent
+from igmax.perms import descent_number, rightmost_descent
 from igmax.squares import _singular_index
 
 # a square as its kernels P, Q and images A, B, the index's own objects
@@ -109,7 +109,7 @@ def cycle_split(k: int, l: int, n: int, r: int) -> Corners:
     return p, q, a, b
 
 
-def descent_reduction(P: Partition, A: Subset, lam: Permutation) -> tuple[Partition, Subset]:
+def descent_reduction(P: Partition, A: Subset, lam: tuple[int, ...]) -> tuple[Partition, Subset]:
     """The corners (Q, B) that split f[P,A], whose label ``lam`` has
     descent >= 2, across the singular square (P, Q, A, B).
 
@@ -122,10 +122,9 @@ def descent_reduction(P: Partition, A: Subset, lam: Permutation) -> tuple[Partit
         raise InvalidParameters(f"descent reduction needs descent >= 2, got {d}")
     n, r = P.n, len(P)
     index = _singular_index(n, r)
-    loc = rightmost_descent(lam)
-    v, w = loc.v, loc.w
-    lv = lambda i: lam.images[i - 1]  # noqa: E731  - 1-based label entry
-    av = lambda i: A.element_at(i)  # noqa: E731
+    v, w = rightmost_descent(lam)
+    lv = lambda i: lam[i - 1]  # noqa: E731  - 1-based label entry
+    av = lambda i: A.elements[i - 1]  # noqa: E731
     belems = (
         [P.minima[i - 1] for i in range(1, v)]
         + [av(lv(i)) for i in range(v + 1, v + w + 1)]

@@ -19,8 +19,7 @@ from functools import lru_cache
 
 from igmax.combinatorics import Partition, Subset, enumerate_transversal_pairs
 from igmax.errors import InvalidParameters
-from igmax.labels import label_by_subscripts
-from igmax.perms import Permutation
+from igmax.labels import label
 from igmax.squares import (
     Square,
     _check,
@@ -210,12 +209,17 @@ def find_singular_not_rectangular(n: int, r: int) -> Square | None:
     return None
 
 
-def singular_vertex_labels(n: int, r: int) -> list[Permutation]:
+def is_degenerate(sq: Square) -> bool:
+    """True when the square's two kernels or its two images are equal."""
+    return sq.kernels[0] == sq.kernels[1] or sq.images[0] == sq.images[1]
+
+
+def singular_vertex_labels(n: int, r: int) -> list[tuple[int, ...]]:
     """Distinct labels occurring on any corner of a proper singular square."""
-    seen: set[Permutation] = set()
+    seen: set[tuple[int, ...]] = set()
     for sq in enumerate_singular_squares(n, r):
         seen.update(sq.corner_labels)
-    return sorted(seen, key=lambda p: p.images)
+    return sorted(seen)
 
 
 @dataclass(frozen=True)
@@ -223,7 +227,7 @@ class LabelGraph:
     """Vertices are (kernel, image) pairs carrying a fixed label; edges join
     vertices sharing the kernel or sharing the image."""
 
-    label: Permutation
+    label: tuple[int, ...]
     vertices: tuple[tuple[Partition, Subset], ...]
     edges: tuple[tuple[int, int], ...]
 
@@ -246,14 +250,14 @@ class LabelGraph:
         return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
 
 
-def label_graph(pi: Permutation, n: int, r: int) -> LabelGraph:
+def label_graph(pi: tuple[int, ...], n: int, r: int) -> LabelGraph:
     _check(n, r)
-    if pi.degree != r:
-        raise InvalidParameters(f"label degree {pi.degree} does not match r={r}")
+    if len(pi) != r:
+        raise InvalidParameters(f"label degree {len(pi)} does not match r={r}")
     verts = [
         (p, a)
         for p, a in enumerate_transversal_pairs(n, r)
-        if label_by_subscripts(p, a) == pi
+        if label(p, a) == pi
     ]
     verts.sort(key=lambda v: (v[0].blocks, v[1].elements))
     edges = [

@@ -212,7 +212,7 @@ def test_squares_stream_is_the_record_of_every_square(capsys, n, r, only_singula
 def test_squares_computes_one_label_per_pair(capsys, monkeypatch):
     # (5,3) has 90 (kernel, transversal) pairs and 1,470 ordered squares;
     # the index and the stream may each label every pair once
-    checked = counted_calls(monkeypatch, "label_by_subscripts", (squares_module,))
+    checked = counted_calls(monkeypatch, "label", (squares_module,))
     unchecked = counted_calls(monkeypatch, "pick_label", (squares_module,))
     squares_module._singular_index.cache_clear()
     code, out, _ = run(capsys, "squares", "--n", "5", "--r", "3")
@@ -243,13 +243,13 @@ def counted_calls(monkeypatch, name, modules):
 def test_stats_and_squares_label_each_pair_once(capsys, monkeypatch, argv, pairs):
     # the index labels every pair once, from its transversal's pick of one
     # element per block, with no check; the spectrum and the stream read its
-    # labels (the labels themselves are held to label_by_subscripts in
+    # labels (the labels themselves are held to the pick route, label, in
     # tests/test_squares.py)
     import igmax.labels as labels_module
     import igmax.presentation as presentation_module
 
     modules = (labels_module, squares_module, presentation_module)
-    checked = counted_calls(monkeypatch, "label_by_subscripts", modules)
+    checked = counted_calls(monkeypatch, "label", modules)
     unchecked = counted_calls(monkeypatch, "pick_label", (squares_module,))
     squares_module._singular_index.cache_clear()
     code, _, _ = run(capsys, *argv)
@@ -867,7 +867,10 @@ from igmax.cli import main
 from igmax.replay import DerivationStep
 from igmax.squares import _singular_index, enumerate_squares, is_singular_sq3
 
-bogus = next(sq for sq in enumerate_squares(4, 2) if not sq.is_degenerate() and not is_singular_sq3(sq))
+bogus = next(
+    sq for sq in enumerate_squares(4, 2)
+    if sq.kernels[0] != sq.kernels[1] and sq.images[0] != sq.images[1] and not is_singular_sq3(sq)
+)
 run = pipeline.run_pipeline
 
 def unsound(n, r):
@@ -934,6 +937,15 @@ def test_the_presentation_commands_refuse_r_equal_to_n_as_usage(capsys, argv):
     assert code == 2
     assert out == ""
     assert err == "error: need 1 <= r <= n-1, got r=4, n=4\n"
+
+
+@pytest.mark.parametrize("oracle", [(), ("--with-coset-oracle",)], ids=["plain", "oracle"])
+def test_verify_refuses_allow_boundary_below_the_boundary(capsys, oracle):
+    # at r <= n-2 the flag would change nothing, so it is refused
+    code, out, err = run(capsys, "verify", "--n", "5", "--r", "3", "--allow-boundary", *oracle)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --allow-boundary applies only at r = n-1, got r=3, n=5\n"
 
 
 def test_verify_refuses_the_oracle_at_the_boundary_before_advising_allow_boundary(capsys):

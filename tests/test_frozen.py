@@ -12,7 +12,6 @@ import pytest
 from igmax.cli import RunConfig
 from igmax.combinatorics import Partition, Subset
 from igmax.labels import label_with_context
-from igmax.perms import DescentLocator, Permutation
 from igmax.presentation import AbstractGenerator, GeneratorId, Relation
 from igmax.schreier import IdempotentLetter
 from igmax.squares import Square, square_census
@@ -29,13 +28,11 @@ def made():
     return {
         "Subset": Subset(7, (1, 4, 5, 6)),
         "Partition": Partition(7, ((1,), (2, 3, 5), (4, 7), (6,))),
-        "Permutation": Permutation((3, 2, 4, 1)),
         "Square": Square((P, Q), (A, B)),
         "GeneratorId": GeneratorId.of(P, A),
         "AbstractGenerator": AbstractGenerator("g1"),
         "Relation": Relation(((AbstractGenerator("g1"), 1),), (), "coxeter"),
         "IdempotentLetter": IdempotentLetter(P, A),
-        "DescentLocator": DescentLocator(3, 1),
         "CosetResult": CosetResult(True, 2, 3, 2),
         "RunConfig": RunConfig(5, 3),
         "LabelContext": label_with_context(P, A)[1],
@@ -56,10 +53,10 @@ def test_no_attribute_can_be_assigned_or_deleted(name):
         obj.other = None
 
 
-VALUES = ["Subset", "Partition", "Permutation", "Square", "GeneratorId", "AbstractGenerator", "Relation", "IdempotentLetter"]
+VALUES = ["Subset", "Partition", "Square", "GeneratorId", "AbstractGenerator", "Relation", "IdempotentLetter"]
 
 
-@pytest.mark.parametrize("name", VALUES + ["DescentLocator", "CosetResult"])
+@pytest.mark.parametrize("name", VALUES + ["CosetResult"])
 def test_equal_fields_make_equal_objects(name):
     first, second = made()[name], made()[name]
     assert first is not second and first == second and not first != second
@@ -71,19 +68,12 @@ def test_equal_fields_make_equal_objects(name):
 def test_each_value_object_compares_its_fields():
     assert Subset(7, (1, 4, 5, 6)) != Subset(8, (1, 4, 5, 6))
     assert Partition.of(3, [[1], [2, 3]]) != Partition.of(3, [[1, 3], [2]])
-    assert Permutation((2, 1)) != Permutation((1, 2))
     assert Square((P, Q), (A, B)) != Square((Q, P), (A, B))
     assert IdempotentLetter(P, A) != IdempotentLetter(P, B)
     assert Relation((), (), "top") != Relation((), (), "middle")
-    assert DescentLocator(3, 1) != DescentLocator(3, 2)
     assert CosetResult(True, 2, 3, 2) != CosetResult(True, 2, 4, 2)
     # a generator is its pair: the label rides along
-    assert GeneratorId.of(P, A, Permutation((1, 2, 3, 4))) == GeneratorId.of(P, A)
+    assert GeneratorId.of(P, A, (1, 2, 3, 4)) == GeneratorId.of(P, A)
     # the hashes are the ones the fields give
-    assert hash(Permutation((2, 1))) == hash(((2, 1),))
     assert hash(Square((P, Q), (A, B))) == hash(((P, Q), (A, B)))
     assert hash(IdempotentLetter(P, A)) == hash((P, A))
-
-
-def test_the_doctest_repr_of_a_descent_locator():
-    assert repr(DescentLocator(v=3, w=1)) == "DescentLocator(v=3, w=1)"

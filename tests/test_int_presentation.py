@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 import igmax.presentation as presentation
 from igmax.cli import main
 from igmax.errors import VerificationFailed
-from igmax.perms import Permutation, ProductTable, compose
+from igmax.perms import ProductTable, compose, invert
 from igmax.pipeline import run_pipeline
 from igmax.presentation import (
     GroupPresentation,
@@ -92,7 +92,7 @@ def test_a_disagreeing_bucket_names_the_relations_that_fail(n, r):
     families = relation_families(n, r)
     # a fresh table, and the labels' ids in it, which this test changes
     table = ProductTable(r)
-    label_ids = [table.intern(p) for lam in _singular_index(n, r).labels for p in (lam.images, lam.inverse().images)]
+    label_ids = [table.intern(p) for lam in _singular_index(n, r).labels for p in (lam, invert(lam))]
     assert families.label_equations(table, label_ids) == bytearray([1]) * families.relation_count
     # the letter p of the first bottom relation p^-1 q = s^-1 t is given
     # another label, so the buckets that hold that p disagree
@@ -145,7 +145,7 @@ def test_the_trust_path_makes_no_relation_of_the_presentation(monkeypatch, tmp_p
     assert {"top", "middle", "bottom"} <= set(made)
 
 
-PERMS = [Permutation(p) for p in itertools.permutations(range(1, 5))]
+PERMS = list(itertools.permutations(range(1, 5)))
 
 
 LETTERS = st.tuples(st.integers(0, len(PERMS) - 1), st.sampled_from([1, -1]))

@@ -20,6 +20,7 @@ from igmax.cli import main
 from igmax.pipeline import run_pipeline
 from igmax.squares import _singular_index, enumerate_squares, is_singular_sq3
 from pipeline_reference import ids
+from squares_reference import is_degenerate
 
 SETTINGS = settings(
     max_examples=25,
@@ -140,7 +141,7 @@ def test_a_swapped_witness_square_fails(genuine, log_path, data):
     i = data.draw(st.sampled_from([i for i, sd in enumerate(doc["steps"]) if "square" in sd]))
     index = _singular_index(5, 3)
     if data.draw(st.booleans()):
-        bogus = [sq for sq in enumerate_squares(5, 3) if not sq.is_degenerate() and not is_singular_sq3(sq)]
+        bogus = [sq for sq in enumerate_squares(5, 3) if not is_degenerate(sq) and not is_singular_sq3(sq)]
         sq = data.draw(st.sampled_from(bogus))
         doc["steps"][i]["square"] = list(ids(index, *sq.kernels, *sq.images))
     else:  # another image, most often not a transversal of the kernels

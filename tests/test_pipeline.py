@@ -14,8 +14,8 @@ import igmax.pipeline as pipeline_module
 import igmax.replay as replay_module
 from igmax.combinatorics import Partition, Subset
 from igmax.errors import InvalidParameters, VerificationFailed
-from igmax.labels import label_by_subscripts
-from igmax.perms import Permutation, contiguous_cycle, descent_number
+from igmax.labels import label
+from igmax.perms import compose, contiguous_cycle, cycle_form, descent_number, invert
 from igmax.pipeline import (
     Derivation,
     _braid_mirror_square,
@@ -38,9 +38,10 @@ from igmax.squares import Square, _singular_index, is_singular_sq2, is_singular_
 from igmax.verification import presentations_match
 from igmax.presentation import coxeter_presentation
 from igmax.perms import ProductTable, rightmost_descent
-from perms_reference import resolve_rightmost_descent
+from perms_reference import identity, is_identity, resolve_rightmost_descent
 import pipeline_reference
 from pipeline_reference import canonical_cycle_pair, ids
+from squares_reference import is_degenerate
 from words_reference import letter_images, substitute
 
 
@@ -73,7 +74,7 @@ def test_canonical_cycle_pair_all_params():
         for k in range(1, r):
             for l in range(1, r - k + 1):
                 p, a = cycle_rep(k, l, n, r)
-                assert label_by_subscripts(index.parts[p], index.subsets[a]) == contiguous_cycle(k, l, r)
+                assert label(index.parts[p], index.subsets[a]) == contiguous_cycle(k, l, r)
 
 
 def test_canonical_cycle_pair_rejects():
@@ -116,17 +117,17 @@ def test_cycle_split_rejects_short_cycle():
 def test_descent_reduction_golden():
     P = Partition.parse("{{1,7},{2,5},{3,6},{4}}")
     A = Subset.parse("{4,5,6,7}", 7)
-    assert label_by_subscripts(P, A).image_form() == "[4,2,3,1]"
+    assert label(P, A) == (4, 2, 3, 1)
     index = _singular_index(7, 4)
     p, a = ids(index, P, A)
-    q, b = descent_reduction(index, p, a, label_by_subscripts(P, A))
+    q, b = descent_reduction(index, p, a, label(P, A))
     Q, B = index.parts[q], index.subsets[b]
     Square((P, Q), (A, B))  # the corners make a square
     assert str(Q) == "{{1,3,7},{2,5},{4},{6}}"
     assert str(B) == "{1,2,4,6}"
-    assert label_by_subscripts(P, B).cycle_form() == "(3 4)"
-    assert label_by_subscripts(Q, A).image_form() == "[4,2,1,3]"
-    assert label_by_subscripts(Q, B).is_identity()
+    assert cycle_form(label(P, B)) == "(3 4)"
+    assert label(Q, A) == (4, 2, 1, 3)
+    assert is_identity(label(Q, B))
     rel = _three_quarter_relation(_corners(index, (p, q, a, b)), "QB", index.letters)
     assert named(index, rel.lhs) == "f[{{1,7},{2,5},{3,6},{4}}|{4,5,6,7}]"
     assert named(index, rel.rhs) == (
@@ -147,11 +148,10 @@ def test_descent_reduction_strictly_decreases():
             q, b = descent_reduction(index, p, a, lam)
             sq = square_of(index, (p, q, a, b))
             lpa, lpb, lqa, lqb = sq.corner_labels
-            loc = rightmost_descent(lam)
             assert lpa == lam
-            assert lpb == contiguous_cycle(loc.v, loc.w, r)
+            assert lpb == contiguous_cycle(*rightmost_descent(lam), r)
             assert lqa == resolve_rightmost_descent(lam)
-            assert lqb.is_identity()
+            assert is_identity(lqb)
             assert descent_number(lqa) == descent_number(lam) - 1
             assert is_singular_sq3(sq) and is_singular_sq2(sq)
 
@@ -159,26 +159,27 @@ def test_descent_reduction_strictly_decreases():
 def test_descent_reduction_rejects_low_descent():
     P = Partition.parse("{{1},{2},{3,4,5}}")
     index = _singular_index(5, 3)
+    m = Subset(P.n, P.minima)
     with pytest.raises(InvalidParameters):
-        descent_reduction(index, *ids(index, P, P.min_transversal()), label_by_subscripts(P, P.min_transversal()))
+        descent_reduction(index, *ids(index, P, m), label(P, m))
 
 
 def test_coxeter_square_constructions():
     index = _singular_index(7, 4)
     sq = square_of(index, coxeter_square_involution(2, 7, 4))
     assert is_singular_sq3(sq)
-    assert [l.cycle_form() for l in sq.corner_labels] == ["(2 3)", "()", "()", "(2 3)"]
+    assert [cycle_form(l) for l in sq.corner_labels] == ["(2 3)", "()", "()", "(2 3)"]
 
     first, second = coxeter_square_commute(1, 3, 7, 4)
     sq1, sq2 = square_of(index, first), square_of(index, second)
     assert is_singular_sq3(sq1) and is_singular_sq3(sq2)
     # the shared corner pair carries the product label
-    assert sq1.corner_labels[3].cycle_form() == "(1 2)(3 4)"
+    assert cycle_form(sq1.corner_labels[3]) == "(1 2)(3 4)"
     assert (sq1.kernels[1], sq1.images[1]) == (sq2.kernels[0], sq2.images[0])
 
     sq = square_of(index, coxeter_square_braid(2, 7, 4))
     assert is_singular_sq3(sq)
-    assert [l.cycle_form() for l in sq.corner_labels] == ["()", "(2 4 3)", "(3 4)", "(2 4)"]
+    assert [cycle_form(l) for l in sq.corner_labels] == ["()", "(2 4 3)", "(3 4)", "(2 4)"]
 
 
 SWEEP = [(n, r) for n in range(4, 8) for r in range(1, n - 1)]
@@ -189,7 +190,7 @@ def test_every_construction_gives_the_square_the_derivation_relies_on(n, r):
     # the constructions check none of their squares; for every k (and l)
     # each one's corners make a proper singular square whose corner labels
     # (PA, PB, QA, QB) are the ones the derivation solves it with
-    e, t = Permutation.identity(r), lambda k: contiguous_cycle(k, 1, r)
+    e, t = identity(r), lambda k: contiguous_cycle(k, 1, r)
     made = []  # (construction, corners, corner labels or None, PA^-1 PB or None)
     for k in range(1, r):
         for l in range(2, r - k + 1):
@@ -205,11 +206,11 @@ def test_every_construction_gives_the_square_the_derivation_relies_on(n, r):
     index = _singular_index(n, r)
     for what, corners, labels, quotient in made:
         sq = square_of(index, corners)
-        assert not sq.is_degenerate() and is_singular_sq2(sq) and is_singular_sq3(sq), what
+        assert not is_degenerate(sq) and is_singular_sq2(sq) and is_singular_sq3(sq), what
         if labels is not None:
             assert sq.corner_labels == labels, what
         if quotient is not None:
-            assert sq.corner_labels[0].inverse() * sq.corner_labels[1] == quotient, what
+            assert compose(invert(sq.corner_labels[0]), sq.corner_labels[1]) == quotient, what
 
 
 @pytest.mark.parametrize("n,r", SWEEP, ids=[f"{n}-{r}" for n, r in SWEEP])
@@ -267,7 +268,7 @@ def test_derive_identity_convex():
 def test_derive_identity_general_all_identity_pairs():
     count = 0
     for (p, a), lam in zip(_singular_index(5, 3).pairs, _singular_index(5, 3).labels):
-        if not lam.is_identity():
+        if not is_identity(lam):
             continue
         count += 1
         eng = Derivation(5, 3)
@@ -281,8 +282,8 @@ def test_derive_same_row():
     P = Partition.parse("{{1,2,3},{4,6},{5}}")
     A = Subset.parse("{1,5,6}", 6)
     B = Subset.parse("{2,5,6}", 6)
-    assert label_by_subscripts(P, A).cycle_form() == "(2 3)"
-    assert label_by_subscripts(P, A) == label_by_subscripts(P, B)
+    assert cycle_form(label(P, A)) == "(2 3)"
+    assert label(P, A) == label(P, B)
     eng = Derivation(6, 3)
     eng.same_row(*ids(eng.index, P, A), ids(eng.index, P, B)[1])
     assert clean(replay_log(eng.log))
@@ -294,8 +295,8 @@ def test_derive_same_column():
     Q = Partition.parse("{{1,2,5},{3,4},{6}}")
     A = Subset.parse("{4,5,6}", 6)
     assert P.minima != Q.minima
-    assert label_by_subscripts(P, A).cycle_form() == "(1 2)"
-    assert label_by_subscripts(P, A) == label_by_subscripts(Q, A)
+    assert cycle_form(label(P, A)) == "(1 2)"
+    assert label(P, A) == label(Q, A)
     eng = Derivation(6, 3)
     eng.same_column(*ids(eng.index, P, A)[:1], *ids(eng.index, Q, A))
     assert clean(replay_log(eng.log))
@@ -318,7 +319,7 @@ def test_derive_cycle_equal_every_cycle_class():
 def test_derive_cycle_equal_rejects_other_labels():
     P = Partition.parse("{{1,2},{3,5},{4,6}}")
     A = Subset.parse("{2,3,4}", 6)
-    assert label_by_subscripts(P, A).is_identity()
+    assert is_identity(label(P, A))
     eng = Derivation(6, 3)
     with pytest.raises(InvalidParameters):
         eng.cycle_eq(*ids(eng.index, P, A))
@@ -480,7 +481,7 @@ def test_replay_catches_swapped_square(log_four_two):
     bogus = next(
         sq
         for sq in enumerate_squares(4, 2)
-        if not sq.is_degenerate() and not is_singular_sq3(sq)
+        if not is_degenerate(sq) and not is_singular_sq3(sq)
     )
     doc = copy.deepcopy(log_four_two.to_json())
     for sd in doc["steps"]:
@@ -574,7 +575,7 @@ def test_replay_reports_every_step_citing_a_bad_square():
     first = next(i for i, st in enumerate(log.steps) if st.rule == "bottom")
     doc = _with_copies(log.to_json(), {first})
     steps = [first, first + 1]  # one square, cited by two bottom steps
-    bogus = next(sq for sq in enumerate_squares(6, 3) if not sq.is_degenerate() and not is_singular_sq3(sq))
+    bogus = next(sq for sq in enumerate_squares(6, 3) if not is_degenerate(sq) and not is_singular_sq3(sq))
     for i in steps:
         doc["steps"][i]["square"] = list(ids(_singular_index(6, 3), *bogus.kernels, *bogus.images))
     report = replay_log(DerivationLog.from_json(json.loads(json.dumps(doc))))
@@ -686,7 +687,7 @@ def test_replay_checks_each_discharged_relation_on_its_labels(monkeypatch):
     words = [real.letters(i) for i in range(real.relation_count)]
     tags = [real.tag(i) for i in range(real.relation_count)]
     pz = tags.index("bottom")
-    extra = next(2 * g for g, lam in enumerate(_singular_index(5, 3).labels) if not lam.is_identity())
+    extra = next(2 * g for g, lam in enumerate(_singular_index(5, 3).labels) if not is_identity(lam))
     words[pz] = (words[pz][0], words[pz][1] + (extra,))
     monkeypatch.setattr(replay_module, "relation_families", lambda n, r: RelationFamilies(words, tags))
     idx = next(i for i, st in enumerate(log.steps) if st.rule == "discharge" and st.data["pz"] == pz)
@@ -738,7 +739,7 @@ def test_the_derivation_looks_no_object_up_and_classifies_each_label_once(monkey
     assert [c for c in calls if c != "classify"] == []
     assert 0 < calls.count("classify") <= 2240
     # the stand-ins count
-    assert Partition.of(3, [[1], [2, 3]]).min_transversal() and calls[-2:] == ["Partition", "Subset"]
+    assert Subset(3, Partition.of(3, [[1], [2, 3]]).minima) and calls[-2:] == ["Partition", "Subset"]
 
 
 def test_reduce_and_replay_label_each_pair_once(monkeypatch, tmp_path, capsys):
@@ -750,9 +751,9 @@ def test_reduce_and_replay_label_each_pair_once(monkeypatch, tmp_path, capsys):
 
     calls = []
     for module, name in [
-        (squares_module, "label_by_subscripts"),
+        (squares_module, "label"),
         (squares_module, "pick_label"),
-        (presentation_module, "label_by_subscripts"),
+        (presentation_module, "label"),
     ]:
 
         def counted(p, a, real=getattr(module, name)):

@@ -20,8 +20,10 @@ from igmax.presentation import (
     substitute,
     word_text,
 )
+from igmax.perms import cycle_form
 from igmax.schreier import IdempotentLetter, build_schreier
 from igmax.squares import _singular_index, _sorted_partitions, enumerate_singular_squares
+from perms_reference import identity, perm
 
 # the int letters of three generators g, h, k and of their inverses
 g, g_, h, h_, k, k_ = range(6)
@@ -104,17 +106,15 @@ def test_generator_id_of():
     p = Partition.parse("{{1},{2,3,5},{4,7},{6}}")
     a = Subset.parse("{1,4,5,6}", 7)
     g = GeneratorId.of(p, a)
-    assert g.label.cycle_form() == "(2 3)"
+    assert cycle_form(g.label) == "(2 3)"
     assert g.display() == "f[{{1},{2,3,5},{4,7},{6}}|{1,4,5,6}]"
 
 
 def test_generator_id_label_checked():
     p = Partition.parse("{{1},{2,3,4}}")
     a = Subset.parse("{1,3}", 4)
-    from igmax.perms import Permutation
-
     with pytest.raises(InvalidParameters):
-        GeneratorId(p, a, Permutation.parse("(1 2)", 2))
+        GeneratorId(p, a, perm("(1 2)", 2))
 
 
 def test_generator_id_equality_ignores_label_slot():
@@ -143,7 +143,7 @@ def test_build_presentation_relation_shapes():
         if rel.tag == "middle":
             assert len(rel.lhs) == 1 and rel.rhs == ()
             g = rel.lhs[0][0]
-            assert g.subset == g.partition.min_transversal()
+            assert g.subset == Subset(g.partition.n, g.partition.minima)
         elif rel.tag == "top":
             assert len(rel.lhs) == 1 and len(rel.rhs) == 1
             assert rel.lhs[0][0].partition == rel.rhs[0][0].partition
@@ -208,7 +208,7 @@ def _reference_presentation(n, r):
                             Relation(((gen_of[(p, a)], 1),), ((gen_of[(p, b)], 1),), "top")
                         )
     for p in parts:
-        relations.append(Relation(((gen_of[(p, p.min_transversal())], 1),), (), "middle"))
+        relations.append(Relation(((gen_of[(p, Subset(p.n, p.minima))], 1),), (), "middle"))
     bottom = 0
     for sq in enumerate_singular_squares(n, r):
         pk, qk = sq.kernels
@@ -267,16 +267,16 @@ def test_coxeter_presentation_counts(r, gens, rels):
 
 
 def test_coxeter_relations_hold_in_symmetric_group():
-    from igmax.perms import Permutation, contiguous_cycle
+    from igmax.perms import compose, contiguous_cycle, invert
 
     r = 5
     pres = coxeter_presentation(r)
     value = {g: contiguous_cycle(k + 1, 1, r) for k, g in enumerate(pres.generators)}
 
     def ev(word):
-        out = Permutation.identity(r)
+        out = identity(r)
         for g, e in word:
-            out = out * (value[g] if e == 1 else value[g].inverse())
+            out = compose(out, value[g] if e == 1 else invert(value[g]))
         return out
 
     for rel in pres.relations:

@@ -19,7 +19,7 @@ import igmax.replay as replay_module
 from igmax.combinatorics import Partition, Subset
 from igmax.errors import VerificationFailed
 from igmax.pipeline import Derivation, run_pipeline
-from igmax.perms import ProductTable
+from igmax.perms import ProductTable, cycle_form
 from igmax.presentation import (
     Relation,
     RelationFamilies,
@@ -37,7 +37,9 @@ from igmax.replay import (
     replay_log,
 )
 from igmax.squares import _singular_index, enumerate_squares, is_singular_sq3
+from perms_reference import is_identity
 from pipeline_reference import ids
+from squares_reference import is_degenerate
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +108,7 @@ def off_labels(mp):
     words = [real.letters(i) for i in range(real.relation_count)]
     tags = [real.tag(i) for i in range(real.relation_count)]
     pz = tags.index("bottom")
-    extra = next(2 * g for g, lam in enumerate(_singular_index(5, 3).labels) if not lam.is_identity())
+    extra = next(2 * g for g, lam in enumerate(_singular_index(5, 3).labels) if not is_identity(lam))
     lhs, rhs = words[pz]
     words[pz] = (lhs, rhs + (extra,))
     mp.setattr(replay_module, "relation_families", lambda n, r: RelationFamilies(words, tags))
@@ -173,7 +175,7 @@ def bottom_degenerate(doc, mp):
 
 
 def bottom_not_singular(doc, mp):
-    bogus = next(sq for sq in enumerate_squares(5, 3) if not sq.is_degenerate() and not is_singular_sq3(sq))
+    bogus = next(sq for sq in enumerate_squares(5, 3) if not is_degenerate(sq) and not is_singular_sq3(sq))
     i = first(doc, "bottom")
     doc["steps"][i]["square"] = square_ids(bogus)
     return i, "witness square is not singular"
@@ -547,7 +549,7 @@ def forged_six_three():
     assert " = ".join(word_text(side, names) for side in log.steps[s4].conclusion) == (
         "f[{{1,2,5},{3},{4,6}}|{3,4,5}] = f[{{1,4},{2,5},{3,6}}|{3,4,5}]^-1"
     )
-    assert (index.labels[gen(K, a234)].cycle_form(), index.labels[gen(Q, a234)].cycle_form()) == ("()", "(1 3 2)")
+    assert (cycle_form(index.labels[gen(K, a234)]), cycle_form(index.labels[gen(Q, a234)])) == ("()", "(1 3 2)")
     return log, s6
 
 

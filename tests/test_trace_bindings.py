@@ -7,13 +7,16 @@ binding is listed here with the span that wraps it; any other import that
 goes unused fails, so no binding is added or kept silently.  A name used
 in a doctest counts as used.
 
-A top-level function or class of the package must be named in its code
+A top-level function or class of the package, and each method or property
+of such a class but its dunders, must be named in the package's code
 outside its own definition (docstrings and imports do not count), or be
-listed in ``UNCALLED`` with the reason it stays.
+listed in ``UNCALLED`` with the reason it stays.  A name counts wherever it
+is read, so a method stays named while any attribute of that name is read.
 """
 
 import ast
 import doctest
+from collections import Counter
 import importlib
 import importlib.util
 import inspect
@@ -48,6 +51,7 @@ UNCALLED = {
     ("squares", "enumerate_singular_squares"): "wrapped by the trace tool through its presentation binding",
     ("squares", "square_record"): "wrapped by the trace tool through its cli binding",
     ("schreier", "build_schreier"): "wrapped by the trace tool through its pipeline and presentation bindings",
+    ("schreier", "SchreierSystem.word_to"): "the words the tests evaluate; schreier.py stays only for the trace tool",
 }
 
 
@@ -81,32 +85,42 @@ def test_unused_imports_are_exactly_the_trace_only_bindings():
     assert found == set(TRACE_ONLY)
 
 
-def named_outside(tree: ast.AST, skip: ast.AST) -> set[str]:
-    """The names and attribute names read in ``tree`` outside ``skip``."""
-    out, stack = set(), [tree]
-    while stack:
-        node = stack.pop()
-        if node is not skip:
-            if isinstance(node, ast.Name):
-                out.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                out.add(node.attr)
-            stack.extend(ast.iter_child_nodes(node))
-    return out
+def names_read(tree: ast.AST) -> Counter:
+    """How many times each name and attribute name is read in ``tree``."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
 
 def uncalled_definitions(sources: dict[str, str]) -> set[tuple[str, str]]:
     """The (module, name) of each top-level function or class in ``sources``,
-    a module name -> source map, that no code of the modules names outside
-    its own definition."""
+    a module name -> source map, and the (module, "Class.name") of each
+    method or property of a top-level class, dunders aside, that no code of
+    the modules names outside its own definition."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = sum(map(names_read, trees.values()), Counter())
     found = set()
     for module, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not any(
-                node.name in named_outside(other, node) for other in trees.values()
-            ):
-                found.add((module, node.name))
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            members = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                members += [
+                    (f"{node.name}.{m.name}", m)
+                    for m in node.body
+                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)) and not is_dunder(m.name)
+                ]
+            for name, member in members:
+                # the reads outside the definition: all of them but its own
+                if read[member.name] == names_read(member)[member.name]:
+                    found.add((module, name))
     return found
 
 
@@ -120,8 +134,13 @@ def test_uncalled_definitions_reads_code_only():
         # f names itself, h is only imported and in a docstring: neither counts
         "a": 'from b import g, h\n\ndef f():\n    """h"""\n    return f() + g()\n\nclass C:\n    pass\n',
         "b": "def g():\n    return C\n\ndef h():\n    return 1\n",
+        # D.m is read outside its own definition, D.p only inside it, D.q nowhere; dunders are aside
+        "c": (
+            "class D:\n    def __init__(self):\n        self.m()\n\n    def m(self):\n        pass\n\n"
+            "    @property\n    def p(self):\n        return self.p\n\n    def q(self):\n        pass\n\nD()\n"
+        ),
     }
-    assert uncalled_definitions(sources) == {("a", "f"), ("b", "h")}
+    assert uncalled_definitions(sources) == {("a", "f"), ("b", "h"), ("c", "D.p"), ("c", "D.q")}
 
 
 def test_each_trace_only_binding_is_wrapped_by_the_trace_tool():

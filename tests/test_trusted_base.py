@@ -9,6 +9,11 @@ images by id, so reading one parses no kernel or image text.  The checker
 reads the top and middle relations off the index's id tables, so it
 imports nothing from the Schreier words or the combinatorics, and neither
 it nor the relation families build a Schreier word, a kernel or an image.
+
+The checker has a line budget: the package modules that ``igmax.replay``
+loads, itself included, may hold at most ``CHECKER_LINE_BUDGET`` lines.
+A change may lower the budget; it raises it only with a line in CHANGES.md
+that says why.
 """
 
 import ast
@@ -31,6 +36,36 @@ from igmax.cli import main
 from igmax.combinatorics import Partition, Subset
 from igmax.presentation import GeneratorId
 from igmax.squares import Square
+
+PACKAGE = Path(igmax.__file__).resolve().parent
+CHECKER_LINE_BUDGET = 2962
+
+
+def import_closure(module: str) -> list[str]:
+    """The package modules that ``igmax.<module>`` loads through the
+    package's relative imports, anywhere in a module, itself included; read
+    by ``ast``, sorted."""
+    seen, todo = set(), [module]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text())):
+                if isinstance(node, ast.ImportFrom) and node.level:
+                    todo += [node.module] if node.module else [alias.name for alias in node.names]
+    return sorted(seen)
+
+
+def line_count(modules: list[str]) -> int:
+    return sum(len((PACKAGE / f"{name}.py").read_text().splitlines()) for name in modules)
+
+
+def test_the_checker_keeps_to_its_line_budget():
+    closure = import_closure("replay")
+    assert {"replay", "presentation", "squares", "perms", "errors"} <= set(closure)
+    assert not {"pipeline", "verification", "cli"} & set(closure)
+    assert line_count(closure) <= CHECKER_LINE_BUDGET, (closure, line_count(closure))
+
 
 FORBIDDEN_MODULES = {"pipeline", "verification"}
 FORBIDDEN_NAMES = {"build_presentation", "Derivation"}

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import coset_reference
+from perms_reference import is_identity
 from pipeline_reference import ids
+from squares_reference import is_degenerate
 import igmax.verification as verification
 from igmax.errors import InvalidParameters, VerificationFailed
-from igmax.labels import label_by_subscripts
 from igmax.replay import replay_log
 from igmax.presentation import (
     GroupPresentation,
@@ -18,7 +19,6 @@ from igmax.presentation import (
     coxeter_presentation,
     relation_families,
 )
-from igmax.perms import Permutation
 from igmax.squares import _singular_index
 from igmax.verification import (
     CosetResult,
@@ -245,7 +245,7 @@ def test_coset_audit_catches_a_wrong_elimination(monkeypatch):
         i = next(
             i
             for i, (g, word) in enumerate(eliminated)
-            if len(word) == 1 and not labels[g].is_identity()
+            if len(word) == 1 and not is_identity(labels[g])
         )
         eliminated[i] = (eliminated[i][0], ())
         return survivors, reduced, eliminated
@@ -318,8 +318,8 @@ def test_homomorphism_five_three():
 def test_homomorphism_flags_bogus_relation():
     # the first generator of identity label set equal to the first of another label
     families, index = relation_families(4, 2), _singular_index(4, 2)
-    ident = next(g for g, lam in enumerate(index.labels) if lam.is_identity())
-    other = next(g for g, lam in enumerate(index.labels) if not lam.is_identity())
+    ident = next(g for g, lam in enumerate(index.labels) if is_identity(lam))
+    other = next(g for g, lam in enumerate(index.labels) if not is_identity(lam))
     words = [families.letters(i) for i in range(families.relation_count)]
     tags = [families.tag(i) for i in range(families.relation_count)]
     broken = RelationFamilies(words + [((2 * ident,), (2 * other,))], tags + ["bottom"], generator_count=24)
@@ -332,10 +332,10 @@ def test_homomorphism_flags_bogus_relation():
 
 
 def test_generated_order_of_subgroups():
-    assert _generated_order({Permutation((2, 1, 3))}, 3) == 2
-    assert _generated_order({Permutation((2, 3, 1))}, 3) == 3
-    assert _generated_order({Permutation((2, 1, 3)), Permutation((1, 3, 2))}, 3) == 6
-    assert _generated_order({Permutation((2, 1, 4, 3))}, 4) == 2
+    assert _generated_order({(2, 1, 3)}, 3) == 2
+    assert _generated_order({(2, 3, 1)}, 3) == 3
+    assert _generated_order({(2, 1, 3), (1, 3, 2)}, 3) == 6
+    assert _generated_order({(2, 1, 4, 3)}, 4) == 2
     assert _generated_order(set(), 4) == 1
 
 
@@ -512,7 +512,7 @@ def test_verify_replays_the_log_it_produced(monkeypatch):
     from igmax.replay import DerivationStep
     from igmax.squares import _singular_index, enumerate_squares, is_singular_sq3
 
-    bogus = next(sq for sq in enumerate_squares(4, 2) if not sq.is_degenerate() and not is_singular_sq3(sq))
+    bogus = next(sq for sq in enumerate_squares(4, 2) if not is_degenerate(sq) and not is_singular_sq3(sq))
     run = igmax.pipeline.run_pipeline
 
     def unsound(n, r):

@@ -51,6 +51,6 @@ def letter_images(perms):
     """Image tuples of both letters ``(g, 1)`` and ``(g, -1)`` of each generator."""
     out = {}
     for g, p in perms.items():
-        out[(g, 1)] = p.images
-        out[(g, -1)] = invert(p.images)
+        out[(g, 1)] = p
+        out[(g, -1)] = invert(p)
     return out
