@@ -12,12 +12,16 @@ Commands
 ``replay``   re-check a derivation log with the independent verifier.
 ``verify``   end-to-end theorem check, optionally with the coset oracle.
 
+``verify --allow-boundary`` at r = n-1 checks that the group is free of
+rank (n-1)(n-2)/2; no reduction runs there.
+
 Exit codes: 0 success, 2 usage (cap violations, ``reduce`` at r > n-2,
 ``present`` and ``verify`` at r = n, ``verify`` at r = n-1 without
 ``--allow-boundary`` or at r <= n-2 with it, ``--with-coset-oracle`` at
 r = n-1, ``--max-cosets`` below 1 or without ``--with-coset-oracle``, an
-unreadable or unwritable ``--log`` path), 3 precondition failure,
-4 verification failure, 5 coset budget exhausted.
+unreadable or unwritable ``--log`` path), 3 precondition failure, 4 a
+failed check (a replay, a boundary check, a malformed log), 5 coset budget
+exhausted.
 Output for a fixed command line is byte-identical across runs; streams are
 newline-delimited JSON with sorted keys.  Commands run with the cyclic
 garbage collector off (see ``main``).
@@ -29,7 +33,6 @@ import argparse
 import gc
 import json
 import sys
-import warnings
 from typing import Optional
 
 from .combinatorics import Partition, Subset
@@ -178,11 +181,7 @@ def cmd_present(args, out) -> int:
 
     cfg = RunConfig.from_args(args)
     cfg.validate(presentation=True)
-    with warnings.catch_warnings(record=True) as caught:  # it warns at r = n-1
-        warnings.simplefilter("always", UserWarning)
-        pres = build_presentation(cfg.n, cfg.r)
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
+    pres = build_presentation(cfg.n, cfg.r)
     if args.family != "all":
         pres = GroupPresentation(pres.generators, pres.families.family(args.family), pres.meta)
     if cfg.format == "json":
@@ -287,13 +286,13 @@ def cmd_verify(args, out) -> int:
     if args.with_coset_oracle and cfg.r == cfg.n - 1:
         raise UsageError(
             "--with-coset-oracle needs r <= n-2: at the boundary r = n-1 the "
-            "presentation is free and the enumeration cannot close"
+            "group is free, and verify --allow-boundary checks its rank instead"
         )
     # after the oracle's check, so that this advice is never followed by another refusal
     if cfg.r == cfg.n - 1 and not args.allow_boundary:
         raise UsageError(
             f"theorem commands need r <= n-2 (got r={cfg.r}, n={cfg.n}); "
-            "pass --allow-boundary to run the boundary regime"
+            "pass --allow-boundary to check the boundary's free group"
         )
     if args.max_cosets is not None and not args.with_coset_oracle:
         raise UsageError("--max-cosets needs --with-coset-oracle")
@@ -305,9 +304,10 @@ def cmd_verify(args, out) -> int:
         _emit_json(report.to_json(), out)
     else:
         out.write(f"n={cfg.n} r={cfg.r}\n")
-        out.write(f"pipeline: {'ok' if report.pipeline else 'failed'}\n")
-        out.write(f"homomorphism: {'ok' if report.homomorphism else 'failed'}\n")
         replay = report.replay_report
+        if replay is not None:  # None at r = n-1, where no reduction runs
+            out.write(f"pipeline: {'ok' if report.pipeline else 'failed'}\n")
+        out.write(f"homomorphism: {'ok' if report.homomorphism else 'failed'}\n")
         if replay is not None and not replay.ok:
             out.write(f"replay failures: {len(replay.failures)}\n")
             for idx, msg in replay.failures[:20]:

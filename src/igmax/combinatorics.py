@@ -145,15 +145,16 @@ class Partition(Frozen):
                 raise InvalidParameters("empty block not allowed")
             if list(block) != sorted(block):
                 raise InvalidParameters(f"block {block} not sorted")
-            if block[0] <= prev_min:
-                raise InvalidParameters("blocks must be ordered by strictly increasing minima")
-            prev_min = block[0]
+            # the elements first: a repeated element also repeats a minimum
             for x in block:
                 if not isinstance(x, int) or not 1 <= x <= n:
                     raise InvalidParameters(f"element {x} outside ground set [1,{n}]")
                 if x in seen:
                     raise InvalidParameters(f"element {x} appears in two blocks")
                 seen.add(x)
+            if block[0] <= prev_min:
+                raise InvalidParameters("blocks must be ordered by strictly increasing minima")
+            prev_min = block[0]
         if len(seen) != n:
             missing = sorted(set(range(1, n + 1)) - seen)
             raise InvalidParameters(f"partition does not cover ground set; missing {missing}")
@@ -248,12 +249,6 @@ class Partition(Frozen):
             return self._block_index[x]
         except KeyError:
             raise InvalidParameters(f"{x} outside ground set of {self}") from None
-
-    def block(self, i: int) -> tuple[int, ...]:
-        """Block at 1-based index ``i``."""
-        if not 1 <= i <= len(self.blocks):
-            raise InvalidParameters(f"block index {i} out of range for {self}")
-        return self.blocks[i - 1]
 
     @cached_property
     def minima(self) -> tuple[int, ...]:

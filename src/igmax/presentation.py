@@ -37,12 +37,11 @@ its closed table per bucket.
 
 from __future__ import annotations
 
-import warnings
 from array import array
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Optional, Union
 
-from .combinatorics import Partition, Subset, require_transversal
+from .combinatorics import Partition, Subset
 from .errors import InvalidParameters, VerificationFailed
 from .frozen import Frozen
 from .labels import label
@@ -60,12 +59,6 @@ class GeneratorId(Frozen):
     The label rides along for cheap access but is excluded from equality;
     two ids with the same pair are the same generator.
     """
-
-    def __init__(self, partition: Partition, subset: Subset, lam: tuple[int, ...]):
-        require_transversal(subset, partition)
-        self.__dict__.update(partition=partition, subset=subset, label=lam)
-        if lam != label(partition, subset):
-            raise InvalidParameters(f"stored label does not match recomputation for {self}")
 
     @classmethod
     def of(cls, partition: Partition, subset: Subset, lam: Optional[tuple[int, ...]] = None) -> "GeneratorId":
@@ -475,16 +468,10 @@ def build_presentation(n: int, r: int) -> GroupPresentation:
     index's :meth:`~igmax.squares._SingularIndex.family_sizes`, which the
     reduction and :func:`~igmax.squares.square_census` read too.
 
-    Only r <= n-2 is in the theorem's scope; r = n-1 is allowed with a
-    warning (its bottom family is empty).
+    At r = n-1 the bottom family is empty.
     """
     if not (isinstance(n, int) and isinstance(r, int) and 1 <= r < n):
         raise InvalidParameters(f"need 1 <= r <= n-1, got r={r}, n={n}")
-    if r == n - 1:
-        warnings.warn(
-            f"r = n-1 = {r}: no proper singular squares exist, the bottom family is empty",
-            stacklevel=2,
-        )
     index = _singular_index(n, r)
     parts, subsets = index.parts, index.subsets
     # the index numbers the pairs in this order and holds their labels

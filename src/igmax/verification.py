@@ -5,14 +5,18 @@ the presentation and re-checks the log it produced with
 :func:`igmax.replay.replay_log`.  A log that replays shows |G| <= r! (every
 generator is a word over r-1 generators satisfying the Coxeter relations)
 and a homomorphism onto S_r (every relation holds on the labels, and the
-canonical labels are the adjacent transpositions).  Beside it stand
+canonical labels are the adjacent transpositions).  Beside it stands
 Todd–Coxeter coset enumeration over the trivial subgroup, which gives the
 exact order when it closes and reaches every (8, r) under the default
-budget, and the label homomorphism check, used at the boundary r = n-1
-where no reduction runs: it evaluates
-:func:`~igmax.presentation.relation_families` ``(n, n-1)`` on the labels of
-the SQ3 index, as the replay does below it.  The oracle reads only the
-relations: no labels and no derivation.
+budget.  The oracle reads only the relations: no labels and no derivation.
+
+At the boundary r = n-1 no reduction runs.  There the group is free of
+rank (n-1)(n-2)/2, and :func:`_boundary_verdict` checks that on
+:func:`~igmax.presentation.relation_families` ``(n, n-1)`` and the SQ3
+index: no bottom relation, no relator left by the Tietze pass of
+:func:`_tietze`, and as many survivors as the rank of the kernel–image
+graph.  :func:`label_homomorphism_check` evaluates the relations on the
+index's labels there, as the replay does below it.
 
 :func:`coset_enumerate` runs in four steps.
 
@@ -68,7 +72,7 @@ from typing import Optional
 from . import pipeline, replay
 from .errors import InvalidParameters, VerificationFailed
 from .frozen import Frozen
-from .perms import ProductTable, compose
+from .perms import ProductTable
 from .presentation import (
     RelationFamilies,
     coxeter_presentation,
@@ -520,78 +524,24 @@ def _columns(
     return ids
 
 
-class HomReport(Frozen):
-    __slots__ = ("relations_checked", "relations_satisfied", "image_order", "surjective", "first_failure")
-
-    def __init__(self, relations_checked: int, relations_satisfied: bool, image_order: int, surjective: bool,
-                 first_failure: Optional[str]):
-        object.__setattr__(self, "relations_checked", relations_checked)
-        object.__setattr__(self, "relations_satisfied", relations_satisfied)
-        object.__setattr__(self, "image_order", image_order)
-        object.__setattr__(self, "surjective", surjective)
-        object.__setattr__(self, "first_failure", first_failure)
-
-    @property
-    def ok(self) -> bool:
-        return self.relations_satisfied and self.surjective
-
-    def to_json(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-
-def _generated_order(perms: set[tuple[int, ...]], r: int) -> int:
-    """Order of the subgroup of the degree-r symmetric group they generate;
-    the search stops once it has seen all r! permutations."""
-    full = math.factorial(r)
-    identity = tuple(range(1, r + 1))
-    seen = {identity}
-    frontier = [identity]
-    gens = list(perms)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = compose(p, g)
-                if q not in seen:
-                    seen.add(q)
-                    if len(seen) == full:
-                        return full
-                    nxt.append(q)
-        frontier = nxt
-    return len(seen)
-
-
-def label_homomorphism_check(families: RelationFamilies, index: _SingularIndex) -> HomReport:
-    """Send each generator, a pair of ``index``, to its label; the relations
-    must hold and the labels must generate the whole symmetric group.  The
-    first relation that fails is named in the index's ``f[P|A]`` text."""
+def label_homomorphism_check(families: RelationFamilies, index: _SingularIndex) -> Optional[str]:
+    """The first relation of ``families`` that fails when each generator, a
+    pair of ``index``, is sent to its label, in the index's ``f[P|A]``
+    text; None when every relation holds on the labels."""
     first = families.label_equations(index.product_table, index.letter_label_ids).find(0)
-    failure = None
-    if first >= 0:
-        failure = " = ".join(word_text(side, index.name) for side in families.letters(first))
-    image_order = _generated_order(set(index.labels), index.r)
-    return HomReport(
-        relations_checked=families.relation_count,
-        relations_satisfied=failure is None,
-        image_order=image_order,
-        surjective=image_order == math.factorial(index.r),
-        first_failure=failure,
-    )
+    if first < 0:
+        return None
+    return " = ".join(word_text(side, index.name) for side in families.letters(first))
 
 
 class VerifyReport:
-    __slots__ = (
-        "n", "r", "pipeline", "homomorphism", "coset_order", "verdict",
-        "hom_report", "replay_report", "coset_result", "boundary_free_consistent",
-    )
+    __slots__ = ("n", "r", "pipeline", "homomorphism", "coset_order", "verdict", "replay_report", "coset_result")
 
     def __init__(self, n: int, r: int, pipeline: bool, homomorphism: bool, coset_order: Optional[int], verdict: str,
-                 hom_report: Optional[HomReport] = None, replay_report: Optional[replay.ReplayReport] = None,
-                 coset_result: Optional[CosetResult] = None, boundary_free_consistent: Optional[bool] = None):
+                 replay_report: Optional[replay.ReplayReport] = None, coset_result: Optional[CosetResult] = None):
         self.n, self.r, self.pipeline, self.homomorphism = n, r, pipeline, homomorphism
-        self.coset_order, self.verdict, self.hom_report = coset_order, verdict, hom_report
+        self.coset_order, self.verdict = coset_order, verdict
         self.replay_report, self.coset_result = replay_report, coset_result
-        self.boundary_free_consistent = boundary_free_consistent
 
     def to_json(self) -> dict:
         out = {
@@ -602,15 +552,48 @@ class VerifyReport:
             "coset_order": self.coset_order,
             "verdict": self.verdict,
         }
-        if self.hom_report is not None:
-            out["homomorphism_detail"] = self.hom_report.to_json()
         if self.replay_report is not None:
             out["replay_detail"] = self.replay_report.to_json()
         if self.coset_result is not None:
             out["coset_detail"] = self.coset_result.to_json()
-        if self.boundary_free_consistent is not None:
-            out["boundary_free_consistent"] = self.boundary_free_consistent
         return out
+
+
+def _boundary_verdict(n: int) -> VerifyReport:
+    """The verdict at r = n-1: the group is free of rank (n-1)(n-2)/2.
+
+    No proper square is singular there, so every relation is a top relation
+    g = h or a middle relation g = 1, and the presentation presents the
+    fundamental group of the kernel–image graph (Gray–Ruškuc): a vertex
+    per kernel and per image, an edge per transversal pair.  At r = n-1 that
+    graph is the subdivision of K_n, and the group is free of rank
+    E - V + 1 = C(n-1, 2).  Four checks, each of which can fail: the
+    bottom family is empty; the Tietze pass of :func:`_tietze`, whose
+    union-find round solves relations of those two shapes, leaves no
+    relator, so the group is free on its survivors; the survivors number
+    E - V + 1 of the graph the index holds, which is C(n-1, 2); and every
+    relation holds on the index's labels (``homomorphism``).
+    """
+    r = n - 1
+    families = relation_families(n, r)
+    index = _singular_index(n, r)
+    survivors, left, _ = _tietze(families.generator_count, _reduced(families.words))
+    rank = len(survivors)
+    graph_rank = len(index.pairs) - len(index.parts) - len(index.subsets) + 1
+    failure = label_homomorphism_check(families, index)
+    if families.bottom:
+        verdict = "not confirmed: the bottom family is not empty"
+    elif left:
+        verdict = "not confirmed: Tietze moves leave a relator"
+    elif rank != graph_rank:
+        verdict = f"not confirmed: {rank} generators survive, the kernel-image graph has rank {graph_rank}"
+    elif rank != math.comb(n - 1, 2):
+        verdict = f"not confirmed: {rank} generators survive, not (n-1)(n-2)/2 = {math.comb(n - 1, 2)}"
+    elif failure is not None:
+        verdict = f"not confirmed: {failure} fails on the labels"
+    else:
+        verdict = f"confirmed free of rank {rank}"
+    return VerifyReport(n, r, pipeline=False, homomorphism=failure is None, coset_order=None, verdict=verdict)
 
 
 def verify_theorem(n: int, r: int, budget: Optional[int] = None):
@@ -623,41 +606,21 @@ def verify_theorem(n: int, r: int, budget: Optional[int] = None):
     relation families the replay read, which must then find r! elements if
     it closes; if it does not close, a passing replay's verdict is
     "inconclusive", not "confirmed".  A budget that is not an int of at least 1 raises
-    InvalidParameters before anything is built.  No presentation is built,
-    below the boundary or at it.
+    InvalidParameters before anything is built, and so does any budget at
+    r = n-1.  No presentation is built, below the boundary or at it.
 
-    Returns (report, derivation_log); the log is None in the boundary
-    regime r = n-1, where the reduction pipeline does not apply and the
-    report instead notes whether the relation families present a free
-    group.  There the bottom family is empty, so every relation should be a
-    top relation g = h or a middle relation g = 1, which the union-find
-    round of :func:`_tietze` solves: the group is free when no relator is
-    left.
+    Returns (report, derivation_log); the log is None at the boundary
+    r = n-1, where no reduction runs and the verdict is
+    :func:`_boundary_verdict`'s, "confirmed free of rank (n-1)(n-2)/2".
     """
     if not (1 <= r <= n - 1):
         raise InvalidParameters(f"need 1 <= r <= n-1, got r={r}, n={n}")
     if budget is not None:
         _require_budget(budget)
+        if r == n - 1:
+            raise InvalidParameters(f"the coset oracle needs r <= n-2, got r={r}, n={n}")
     if r == n - 1:
-        families = relation_families(n, r)
-        hom = label_homomorphism_check(families, _singular_index(n, r))
-        relators = _reduced(map(families.letters, range(families.relation_count)))
-        survivors, left, _ = _tietze(families.generator_count, relators)
-        free_ok = not left
-        report = VerifyReport(
-            n=n,
-            r=r,
-            pipeline=False,
-            homomorphism=hom.ok,
-            coset_order=None,
-            verdict=f"not confirmed: boundary r = n-1, free-type regime "
-            f"({len(survivors)} generators, no relations survive)"
-            if free_ok
-            else "not confirmed: boundary r = n-1, simplification left relations",
-            hom_report=hom,
-            boundary_free_consistent=free_ok,
-        )
-        return report, None
+        return _boundary_verdict(n), None
 
     _, log = pipeline.run_pipeline(n, r)
     replayed = replay.replay_log(log)

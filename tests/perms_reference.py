@@ -2,10 +2,11 @@
 tests still state their lemmas with, on one-line image tuples, and
 :func:`perm`, which reads the cycle text the tests write permutations in."""
 
+import math
 import re
 
 from igmax.errors import InvalidParameters
-from igmax.perms import rightmost_descent
+from igmax.perms import compose, rightmost_descent
 
 
 def perm(text: str, r: int) -> tuple[int, ...]:
@@ -35,6 +36,26 @@ def identity(r: int) -> tuple[int, ...]:
 
 def is_identity(p: tuple[int, ...]) -> bool:
     return p == identity(len(p))
+
+
+def generated_order(perms: set[tuple[int, ...]], r: int) -> int:
+    """Order of the subgroup of the degree-r symmetric group they generate;
+    the search stops once it has seen all r! permutations."""
+    full = math.factorial(r)
+    seen = {identity(r)}
+    frontier = [identity(r)]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in perms:
+                q = compose(p, g)
+                if q not in seen:
+                    seen.add(q)
+                    if len(seen) == full:
+                        return full
+                    nxt.append(q)
+        frontier = nxt
+    return len(seen)
 
 
 def resolve_rightmost_descent(p: tuple[int, ...]) -> tuple[int, ...]:

@@ -135,7 +135,7 @@ def descent_reduction(P: Partition, A: Subset, lam: tuple[int, ...]) -> tuple[Pa
     blocks: list[tuple[int, ...]] = []
     singles_from = 2 if v == 1 else v
     for i in range(2, v):
-        blocks.append(P.block(i))
+        blocks.append(P.blocks[i - 1])
     for i in range(singles_from, v + w):
         blocks.append((av(lv(i + 1)),))
     blocks.append((av(lv(v)),))

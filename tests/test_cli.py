@@ -2,6 +2,7 @@
 
 import ast
 import gc
+import hashlib
 import importlib.resources
 import io
 import json
@@ -129,6 +130,20 @@ def test_label_non_transversal(capsys):
     code, _, err = run(capsys, "label", "--P", "{{1,2},{3,4}}", "--A", "{1,2}")
     assert code == 3
     assert "error:" in err
+
+
+def test_label_names_an_element_in_two_blocks(capsys):
+    # not the order of the minima, which the repeated 1 also breaks
+    code, out, err = run(capsys, "label", "--P", "{{1},{1,2}}", "--A", "{1,2}")
+    assert (code, out, err) == (3, "", "error: element 1 appears in two blocks\n")
+
+
+def test_label_reads_blocks_in_any_order(capsys):
+    # the text's blocks are put in order of their minima; only a Partition
+    # built out of that order is refused for it (tests/test_combinatorics.py)
+    code, out, err = run(capsys, "label", "--P", "{{2,3},{1}}", "--A", "{1,2}")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "label", "--P", "{{1},{2,3}}", "--A", "{1,2}")[1]
 
 
 def test_label_override_cap(capsys):
@@ -381,12 +396,11 @@ def test_present_json_schema(capsys):
     assert len(doc["relations"]) == 60
 
 
-def test_present_at_the_boundary_prints_one_warning_line(capsys):
-    # each run says it once, in the CLI's own format, with no source location
-    for _ in range(2):
-        code, out, err = run(capsys, "present", "--n", "4", "--r", "3")
-        assert code == 0 and out.startswith("generators: 12\n")
-        assert err == "warning: r = n-1 = 3: no proper singular squares exist, the bottom family is empty\n"
+def test_present_at_the_boundary_prints_no_warning(capsys):
+    # the presentation at r = n-1 is as valid as below it: only its bottom family is empty
+    code, out, err = run(capsys, "present", "--n", "5", "--r", "4")
+    assert code == 0 and out.startswith("generators: 20\n") and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == "1b87edc016eb2a806edef27104cab6433a8cd0aaf34bfc5275cf31bfc3938881"
 
 
 # ---------------------------------------------------------------------------
@@ -774,6 +788,25 @@ def test_verify_json_schema(capsys):
     assert doc["coset_detail"]["order"] == 2
 
 
+def test_verify_json_schema_ties_the_details_to_the_verdict(capsys):
+    # a verdict below the boundary rests on a replay; a boundary verdict has
+    # neither a replay nor the oracle
+    below = json.loads(run(capsys, "verify", "--n", "4", "--r", "2", "--with-coset-oracle", "--format", "json")[1])
+    boundary = json.loads(run(capsys, "verify", "--n", "4", "--r", "3", "--allow-boundary", "--format", "json")[1])
+    verify_schema = schema("verify-report.schema.json")
+    for doc in (below, boundary):
+        jsonschema.validate(doc, verify_schema)
+    wrong = [
+        {key: value for key, value in below.items() if key != "replay_detail"},
+        {**boundary, "replay_detail": below["replay_detail"]},
+        {**boundary, "coset_detail": below["coset_detail"]},
+        {**boundary, "verdict": "not confirmed: pipeline failed"},
+    ]
+    for doc in wrong:
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, verify_schema)
+
+
 def test_verify_budget_exhaustion(capsys):
     code, out, _ = run(
         capsys,
@@ -913,18 +946,20 @@ def test_verify_rejects_an_unsound_step(flags, fmt):
 
 
 def test_verify_boundary(capsys):
-    code, _, err = run(capsys, "verify", "--n", "4", "--r", "3")
-    assert code == 2
-    assert "--allow-boundary" in err
+    code, out, err = run(capsys, "verify", "--n", "4", "--r", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: theorem commands need r <= n-2 (got r=3, n=4); pass --allow-boundary to check the boundary's free group\n"
 
-    code, out, _ = run(
-        capsys, "verify", "--n", "4", "--r", "3", "--allow-boundary", "--format", "json"
-    )
-    assert code == 4  # boundary runs report an unconfirmed verdict
-    doc = json.loads(out)
-    jsonschema.validate(doc, schema("verify-report.schema.json"))
-    assert doc["boundary_free_consistent"] is True
-    assert doc["verdict"].startswith("not confirmed: boundary")
+    # at r = n-1 the group is free of rank (n-1)(n-2)/2, and no reduction runs
+    code, out, err = run(capsys, "verify", "--n", "4", "--r", "3", "--allow-boundary")
+    assert (code, out, err) == (0, "n=4 r=3\nhomomorphism: ok\nverdict: confirmed free of rank 3\n", "")
+    for n in range(2, 13):
+        code, out, err = run(capsys, "verify", "--n", str(n), "--r", str(n - 1), "--allow-boundary", "--format", "json")
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        jsonschema.validate(doc, schema("verify-report.schema.json"))
+        assert doc["verdict"] == f"confirmed free of rank {(n - 1) * (n - 2) // 2}"
+        assert doc["homomorphism"] and not doc["pipeline"]
 
 
 @pytest.mark.parametrize(

@@ -88,7 +88,7 @@ def test_partition_parse_infers_ground_set():
     p = Partition.parse("{{1},{2,3,5},{4,7},{6}}")
     assert p.n == 7
     assert p.block_index(7) == 3
-    assert p.block(p.block_index(3)) == (2, 3, 5)
+    assert p.blocks[p.block_index(3) - 1] == (2, 3, 5)
     assert p.block_index(2) == p.block_index(5) and p.block_index(1) != p.block_index(2)
 
 
@@ -105,6 +105,13 @@ def test_partition_parse_infers_ground_set():
 def test_partition_parse_rejects(bad):
     with pytest.raises(InvalidParameters):
         Partition.parse(bad, 3)
+
+
+def test_partition_checks_elements_before_the_order_of_minima():
+    with pytest.raises(InvalidParameters, match="element 1 appears in two blocks"):
+        Partition(3, ((1,), (1, 2)))
+    with pytest.raises(InvalidParameters, match="blocks must be ordered by strictly increasing minima"):
+        Partition(3, ((2, 3), (1,)))
 
 
 def test_partition_convexity():

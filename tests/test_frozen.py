@@ -15,7 +15,7 @@ from igmax.labels import label_with_context
 from igmax.presentation import AbstractGenerator, GeneratorId, Relation
 from igmax.schreier import IdempotentLetter
 from igmax.squares import Square, square_census
-from igmax.verification import CosetResult, HomReport
+from igmax.verification import CosetResult
 
 P = Partition.parse("{{1},{2,3,5},{4,7},{6}}")
 Q = Partition.parse("{{1},{2,5},{3,4,7},{6}}")
@@ -37,7 +37,6 @@ def made():
         "RunConfig": RunConfig(5, 3),
         "LabelContext": label_with_context(P, A)[1],
         "SquareCensus": square_census(4, 2),
-        "HomReport": HomReport(1, True, 2, True, None),
     }
 
 

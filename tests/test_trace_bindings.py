@@ -10,8 +10,9 @@ in a doctest counts as used.
 A top-level function or class of the package, and each method or property
 of such a class but its dunders, must be named in the package's code
 outside its own definition (docstrings and imports do not count), or be
-listed in ``UNCALLED`` with the reason it stays.  A name counts wherever it
-is read, so a method stays named while any attribute of that name is read.
+listed in ``UNCALLED`` with the reason it stays.  A function or class
+counts as named wherever its name is read; a method or property only where
+an attribute of its name is read (``x.block``), not a bare variable of it.
 """
 
 import ast
@@ -85,12 +86,13 @@ def test_unused_imports_are_exactly_the_trace_only_bindings():
     assert found == set(TRACE_ONLY)
 
 
-def names_read(tree: ast.AST) -> Counter:
-    """How many times each name and attribute name is read in ``tree``."""
+def names_read(tree: ast.AST, kinds: tuple = (ast.Name, ast.Attribute)) -> Counter:
+    """How many times each name and attribute name is read in ``tree``,
+    of the node ``kinds`` given."""
     return Counter(
         node.id if isinstance(node, ast.Name) else node.attr
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
+        if isinstance(node, kinds)
     )
 
 
@@ -102,25 +104,26 @@ def uncalled_definitions(sources: dict[str, str]) -> set[tuple[str, str]]:
     """The (module, name) of each top-level function or class in ``sources``,
     a module name -> source map, and the (module, "Class.name") of each
     method or property of a top-level class, dunders aside, that no code of
-    the modules names outside its own definition."""
+    the modules names outside its own definition: a method only as an
+    attribute."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = sum(map(names_read, trees.values()), Counter())
+    attributes = (ast.Attribute,)
+    read_as_attribute = sum((names_read(tree, attributes) for tree in trees.values()), Counter())
     found = set()
     for module, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
-            members = [(node.name, node)]
+            # the reads outside the definition: all of them but its own
+            if read[node.name] == names_read(node)[node.name]:
+                found.add((module, node.name))
             if isinstance(node, ast.ClassDef):
-                members += [
-                    (f"{node.name}.{m.name}", m)
-                    for m in node.body
-                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)) and not is_dunder(m.name)
-                ]
-            for name, member in members:
-                # the reads outside the definition: all of them but its own
-                if read[member.name] == names_read(member)[member.name]:
-                    found.add((module, name))
+                for m in node.body:
+                    if not isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)) or is_dunder(m.name):
+                        continue
+                    if read_as_attribute[m.name] == names_read(m, attributes)[m.name]:
+                        found.add((module, f"{node.name}.{m.name}"))
     return found
 
 
@@ -134,13 +137,17 @@ def test_uncalled_definitions_reads_code_only():
         # f names itself, h is only imported and in a docstring: neither counts
         "a": 'from b import g, h\n\ndef f():\n    """h"""\n    return f() + g()\n\nclass C:\n    pass\n',
         "b": "def g():\n    return C\n\ndef h():\n    return 1\n",
-        # D.m is read outside its own definition, D.p only inside it, D.q nowhere; dunders are aside
+        # D.m is read outside its own definition, D.p only inside it, D.q nowhere, and
+        # D.v only as a bare variable, which names no method; dunders are aside
         "c": (
             "class D:\n    def __init__(self):\n        self.m()\n\n    def m(self):\n        pass\n\n"
-            "    @property\n    def p(self):\n        return self.p\n\n    def q(self):\n        pass\n\nD()\n"
+            "    @property\n    def p(self):\n        return self.p\n\n    def q(self):\n        pass\n\n"
+            "    def v(self):\n        pass\n\nv = 1\nD(v)\n"
         ),
     }
-    assert uncalled_definitions(sources) == {("a", "f"), ("b", "h"), ("c", "D.p"), ("c", "D.q")}
+    assert uncalled_definitions(sources) == {
+        ("a", "f"), ("b", "h"), ("c", "D.p"), ("c", "D.q"), ("c", "D.v")
+    }
 
 
 def test_each_trace_only_binding_is_wrapped_by_the_trace_tool():

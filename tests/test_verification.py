@@ -1,12 +1,13 @@
 """Independent oracles: coset enumeration, label homomorphism, verdicts."""
 
 import math
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import coset_reference
-from perms_reference import is_identity
+from perms_reference import generated_order, is_identity
 from pipeline_reference import ids
 from squares_reference import is_degenerate
 import igmax.verification as verification
@@ -19,12 +20,11 @@ from igmax.presentation import (
     coxeter_presentation,
     relation_families,
 )
-from igmax.squares import _singular_index
+from igmax.squares import _SingularIndex, _singular_index
 from igmax.verification import (
     CosetResult,
     _BudgetHit,
     _Enumerator,
-    _generated_order,
     _reduced,
     _tietze,
     coset_enumerate,
@@ -301,18 +301,17 @@ def test_coset_counts_match_the_reference_on_random_presentations(families):
 
 
 def test_homomorphism_four_two():
-    rep = label_homomorphism_check(relation_families(4, 2), _singular_index(4, 2))
-    assert rep.ok
-    assert rep.relations_checked == 60
-    assert rep.relations_satisfied
-    assert rep.image_order == 2
-    assert rep.surjective
-    assert rep.first_failure is None
+    families, index = relation_families(4, 2), _singular_index(4, 2)
+    assert families.relation_count == 60
+    assert label_homomorphism_check(families, index) is None
+    # and the labels generate the whole of S_2
+    assert generated_order(set(index.labels), 2) == 2
 
 
 def test_homomorphism_five_three():
-    rep = label_homomorphism_check(relation_families(5, 3), _singular_index(5, 3))
-    assert rep.ok and rep.image_order == 6
+    index = _singular_index(5, 3)
+    assert label_homomorphism_check(relation_families(5, 3), index) is None
+    assert generated_order(set(index.labels), 3) == 6
 
 
 def test_homomorphism_flags_bogus_relation():
@@ -323,20 +322,17 @@ def test_homomorphism_flags_bogus_relation():
     words = [families.letters(i) for i in range(families.relation_count)]
     tags = [families.tag(i) for i in range(families.relation_count)]
     broken = RelationFamilies(words + [((2 * ident,), (2 * other,))], tags + ["bottom"], generator_count=24)
-    rep = label_homomorphism_check(broken, index)
-    assert not rep.ok
-    assert not rep.relations_satisfied
-    assert rep.relations_checked == 61
-    assert rep.first_failure == "f[{{1},{2,3,4}}|{1,2}] = f[{{1,2,4},{3}}|{3,4}]"
-    assert rep.surjective  # the image is unchanged
+    assert broken.relation_count == 61
+    assert label_homomorphism_check(broken, index) == "f[{{1},{2,3,4}}|{1,2}] = f[{{1,2,4},{3}}|{3,4}]"
 
 
 def test_generated_order_of_subgroups():
-    assert _generated_order({(2, 1, 3)}, 3) == 2
-    assert _generated_order({(2, 3, 1)}, 3) == 3
-    assert _generated_order({(2, 1, 3), (1, 3, 2)}, 3) == 6
-    assert _generated_order({(2, 1, 4, 3)}, 4) == 2
-    assert _generated_order(set(), 4) == 1
+    # the tests' oracle that the labels generate S_r
+    assert generated_order({(2, 1, 3)}, 3) == 2
+    assert generated_order({(2, 3, 1)}, 3) == 3
+    assert generated_order({(2, 1, 3), (1, 3, 2)}, 3) == 6
+    assert generated_order({(2, 1, 4, 3)}, 4) == 2
+    assert generated_order(set(), 4) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +374,7 @@ def test_verify_four_two():
     assert log is not None and replay_log(log).ok
     doc = report.to_json()
     assert doc["verdict"] == "confirmed S_2"
-    assert "coset_detail" not in doc
-    assert "homomorphism_detail" not in doc
+    assert set(doc) == {"n", "r", "pipeline", "homomorphism", "coset_order", "verdict", "replay_detail"}
     assert doc["replay_detail"]["discharged"] == doc["replay_detail"]["relations"] == 60
 
 
@@ -402,21 +397,46 @@ def test_verify_exhausted_budget_stays_one_sided():
 
 
 def test_verify_boundary_case():
-    # C(n-1, 2) generators stay free at r = n-1, as greedy Tietze elimination found
-    for n in range(3, 9):
+    # at r = n-1 the group is free of rank (n-1)(n-2)/2, the rank of the
+    # kernel-image graph, the subdivision of K_n
+    for n in range(2, 13):
         report, log = verify_theorem(n, n - 1)
         assert log is None
         assert not report.pipeline
+        assert report.homomorphism
         assert report.coset_order is None
-        assert report.boundary_free_consistent
-        assert report.verdict == (
-            "not confirmed: boundary r = n-1, free-type regime "
-            f"({math.comb(n - 1, 2)} generators, no relations survive)"
-        )
-        assert report.to_json()["boundary_free_consistent"] is True
+        assert report.verdict == f"confirmed free of rank {(n - 1) * (n - 2) // 2}"
+        assert report.to_json() == {
+            "n": n, "r": n - 1, "pipeline": False, "homomorphism": True, "coset_order": None,
+            "verdict": report.verdict,
+        }
 
 
-def test_boundary_tietze_leaves_survivors_and_no_relator(monkeypatch):
+def boundary_families_with(words=(), drop=None, bottom=None):
+    """The (4, 3) relation families with ``words`` added, relation ``drop``
+    left out, or one bottom relation, four letters, added."""
+    families = relation_families(4, 3)
+    keep = [i for i in range(len(families.words)) if i != drop]
+    return RelationFamilies(
+        [families.words[i] for i in keep] + list(words),
+        [families.tags[i] for i in keep] + ["derived"] * len(words),
+        bottom=0 if bottom is None else 1,
+        read_bottom=lambda: array("i", bottom),
+        generator_count=families.generator_count,
+    )
+
+
+def tampered_boundary_verdict(capsys) -> str:
+    """The (4, 3) verdict, which ``verify`` must print and exit 4 on."""
+    from igmax.cli import main
+
+    report, _ = verify_theorem(4, 3)
+    assert main(["verify", "--n", "4", "--r", "3", "--allow-boundary"]) == 4
+    assert capsys.readouterr().out.endswith(f"verdict: {report.verdict}\n")
+    return report.verdict
+
+
+def test_boundary_tietze_leaves_survivors_and_no_relator(monkeypatch, capsys):
     families = relation_families(4, 3)
     assert families.bottom == 0
     survivors, left, _ = _tietze(families.generator_count, _reduced(families.words))
@@ -424,14 +444,49 @@ def test_boundary_tietze_leaves_survivors_and_no_relator(monkeypatch):
     # g g = 1 on a surviving generator is neither g = h nor g = 1, and no
     # Tietze move removes it
     g = survivors[0]
-    tampered = RelationFamilies(
-        families.words + [((2 * g, 2 * g), ())], families.tags + ["derived"], generator_count=families.generator_count
-    )
+    tampered = boundary_families_with(words=[((2 * g, 2 * g), ())])
     assert _tietze(tampered.generator_count, _reduced(tampered.words))[1] != []
     monkeypatch.setattr(verification, "relation_families", lambda n, r: tampered)
-    report, _ = verify_theorem(4, 3)
-    assert report.verdict == "not confirmed: boundary r = n-1, simplification left relations"
-    assert report.boundary_free_consistent is False
+    assert tampered_boundary_verdict(capsys) == "not confirmed: Tietze moves leave a relator"
+
+
+def test_boundary_verdict_fails_without_a_top_relation(monkeypatch, capsys):
+    # one generator fewer is joined to another, so one more survives
+    top = relation_families(4, 3).tags.index("top")
+    tampered = boundary_families_with(drop=top)
+    monkeypatch.setattr(verification, "relation_families", lambda n, r: tampered)
+    verdict = tampered_boundary_verdict(capsys)
+    assert verdict == "not confirmed: 4 generators survive, the kernel-image graph has rank 3"
+    assert verify_theorem(4, 3)[0].homomorphism  # the relations left still hold on the labels
+
+
+def test_boundary_verdict_fails_with_a_bottom_relation(monkeypatch, capsys):
+    tampered = boundary_families_with(bottom=[1, 2, 3, 4])
+    monkeypatch.setattr(verification, "relation_families", lambda n, r: tampered)
+    assert tampered_boundary_verdict(capsys) == "not confirmed: the bottom family is not empty"
+
+
+def test_boundary_verdict_fails_when_a_relation_fails_on_the_labels(monkeypatch, capsys):
+    # the first top relation g = h, with g given another label: the group
+    # and the graph are unchanged, but the relation no longer holds on the labels
+    real = _singular_index(4, 3)
+    (g,), (h,) = relation_families(4, 3).words[relation_families(4, 3).tags.index("top")]
+    labels = list(real.labels)
+    labels[g // 2] = next(lam for lam in real.labels if lam != labels[h // 2])
+    tampered = _SingularIndex(4, 3, real.parts, real.subsets, real.transversal_ids, labels, real.buckets)
+    monkeypatch.setattr(verification, "_singular_index", lambda n, r: tampered)
+    failure = label_homomorphism_check(relation_families(4, 3), tampered)
+    assert tampered_boundary_verdict(capsys) == f"not confirmed: {failure} fails on the labels"
+    assert not verify_theorem(4, 3)[0].homomorphism
+
+
+def test_verify_refuses_a_budget_at_the_boundary(monkeypatch):
+    def unbuilt(n, r):
+        raise AssertionError("built relations for a budget that was never valid")
+
+    monkeypatch.setattr(verification, "relation_families", unbuilt)
+    with pytest.raises(InvalidParameters, match="the coset oracle needs r <= n-2"):
+        verify_theorem(4, 3, budget=1000)
 
 
 def test_verify_rejects_a_coset_budget_below_one():
@@ -476,7 +531,7 @@ def test_verify_builds_no_presentation(monkeypatch, capsys):
     for budget in (None, 1000):
         report, _ = verify_theorem(5, 3, budget=budget)
         assert report.verdict == "confirmed S_3"
-    assert main(["verify", "--n", "4", "--r", "3", "--allow-boundary"]) == 4
+    assert main(["verify", "--n", "4", "--r", "3", "--allow-boundary"]) == 0
     assert builds == []
     # the stand-in counts: present builds one
     assert main(["present", "--n", "4", "--r", "3"]) == 0
