@@ -6,7 +6,8 @@ Commands
 ``stats``    counts for one (n, r): partitions, subsets, transversal pairs,
              square census, and the full label spectrum.
 ``label``    the permutation label of one (kernel, image) pair.
-``squares``  stream every ordered square as newline-delimited JSON.
+``squares``  stream every ordered square as newline-delimited JSON, one
+             record of ``schemas/square-record.schema.json`` per line.
 ``present``  print the generating presentation (optionally one family).
 ``reduce``   run the reduction pipeline; optionally write the derivation log.
 ``replay``   re-check a derivation log with the independent verifier.
@@ -23,8 +24,10 @@ unreadable or unwritable ``--log`` path), 3 precondition failure, 4 a
 failed check (a replay, a boundary check, a malformed log), 5 coset budget
 exhausted.
 Output for a fixed command line is byte-identical across runs; streams are
-newline-delimited JSON with sorted keys.  Commands run with the cyclic
-garbage collector off (see ``main``).
+newline-delimited JSON with sorted keys.  Line-per-item output (the
+``squares`` stream and ``present`` as text) is written ``BLOCK_LINES``
+lines to a write.  A closed stdout pipe ends a command quietly with exit
+0.  Commands run with the cyclic garbage collector off (see ``main``).
 """
 
 from __future__ import annotations
@@ -32,8 +35,10 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
-from typing import Optional
+from itertools import islice
+from typing import Iterable, Optional
 
 from .combinatorics import Partition, Subset
 from .errors import (
@@ -58,6 +63,11 @@ EXIT_BUDGET = 5
 
 HARD_CAP = 12
 SQUARES_WARN_ABOVE = 8
+# Where stdout is unbuffered (PYTHONUNBUFFERED=1) each write is a system
+# call, and a stream writes tens of thousands of lines.  Blocks of 4,096
+# lines were no faster than 256 and raised the peak RSS of a squares or
+# present process by 2.3 MB (BENCH_squares_record.json).
+BLOCK_LINES = 256
 
 
 class UsageError(Exception):
@@ -99,6 +109,18 @@ class RunConfig(Frozen):
 
 def _emit_json(doc: dict, out) -> None:
     out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _write_lines(lines: Iterable[str], out) -> None:
+    """Write ``lines``, each ended by a newline, joined ``BLOCK_LINES`` to
+    one ``out.write``: the same bytes as one write per line.  Nothing is
+    written after a write that raises, such as ``BrokenPipeError``."""
+    lines = iter(lines)
+    while True:
+        block = "".join(islice(lines, BLOCK_LINES))
+        if not block:
+            return
+        out.write(block)
 
 
 def _parse_pair(p_text: str, a_text: str, n: Optional[int]) -> tuple[Partition, Subset]:
@@ -161,6 +183,9 @@ def cmd_label(args, out) -> int:
 
 
 def cmd_squares(args, out) -> int:
+    """Stream ``squares.square_lines``, one record of
+    ``schemas/square-record.schema.json`` per square, ``BLOCK_LINES`` lines
+    to a write."""
     cfg = RunConfig.from_args(args)
     cfg.validate()
     if cfg.n > SQUARES_WARN_ABOVE:
@@ -168,8 +193,7 @@ def cmd_squares(args, out) -> int:
             f"warning: square enumeration at n={cfg.n} is large; this may take a while",
             file=sys.stderr,
         )
-    for line in square_lines(cfg.n, cfg.r, args.only_singular):
-        out.write(line)
+    _write_lines(square_lines(cfg.n, cfg.r, args.only_singular), out)
     return EXIT_OK
 
 
@@ -188,14 +212,18 @@ def cmd_present(args, out) -> int:
         _emit_json(pres.to_json(), out)
         return EXIT_OK
     names = [g.display() for g in pres.generators]
-    out.write(f"generators: {len(names)}\n")
-    for name in names:
-        out.write(name + "\n")
     families = pres.families
-    out.write(f"relations: {families.relation_count}\n")
-    for i in range(families.relation_count):
-        text = word_text(relator(*families.letters(i)), names.__getitem__)
-        out.write(f"{text} = 1  ## {families.tag(i)}\n")
+
+    def lines():
+        yield f"generators: {len(names)}\n"
+        for name in names:
+            yield name + "\n"
+        yield f"relations: {families.relation_count}\n"
+        for i in range(families.relation_count):
+            text = word_text(relator(*families.letters(i)), names.__getitem__)
+            yield f"{text} = 1  ## {families.tag(i)}\n"
+
+    _write_lines(lines(), out)
     return EXIT_OK
 
 
@@ -206,10 +234,22 @@ def cmd_reduce(args, out) -> int:
     cfg.validate()
     if cfg.r > cfg.n - 2:
         raise UsageError(f"the reduction pipeline needs r <= n-2, got r={cfg.r}, n={cfg.n}")
-    final, log = run_pipeline(cfg.n, cfg.r)
+    # the log is opened, without truncating it, before the work, so that an
+    # unwritable path fails at once; a failed run removes the file if this
+    # command created it, and a failed reduction leaves an earlier file as
+    # it was
+    created = bool(args.log) and not os.path.lexists(args.log)
     if args.log:
-        with open(args.log, "w") as fh:
-            log.write(fh)
+        open(args.log, "a").close()
+    try:
+        final, log = run_pipeline(cfg.n, cfg.r)
+        if args.log:
+            with open(args.log, "w") as fh:
+                log.write(fh)
+    except BaseException:
+        if created and os.path.lexists(args.log):
+            os.remove(args.log)
+        raise
     summary = {
         "n": cfg.n,
         "r": cfg.r,
@@ -378,6 +418,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at the null device, so that the flush
+    at exit does not meet the closed pipe again with bytes still buffered."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # not a file: nothing to do
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     # A command's objects (squares, relations, log steps) form no reference
     # cycles, so reference counting frees them.  With the cyclic collector
@@ -394,7 +446,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             args = _build_parser().parse_args(argv)
         except SystemExit as exc:
             return int(exc.code) if exc.code is not None else EXIT_OK
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        # a write still buffered meets a closed pipe here, not at exit
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -405,6 +460,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except BrokenPipeError:
+        _discard_stdout()
         return EXIT_OK
     except OSError as exc:  # an unreadable or unwritable --log path
         print(f"error: {exc}", file=sys.stderr)

@@ -488,19 +488,18 @@ def label_spectrum(n: int, r: int) -> dict[tuple[int, ...], int]:
 
 
 def square_record(sq: Square) -> dict:
-    """The JSON-able record streamed by the command-line ``squares`` command."""
+    """The record of ``schemas/square-record.schema.json`` for ``sq``."""
     record = sq.to_json()
     record["labels"] = {
         name: cycle_form(lam) for name, lam in zip(CORNERS, sq.corner_labels)
     }
     record["singular"] = is_singular_sq3(sq)
-    record["evidence_kind"] = None
     return record
 
 
 # ``square_record`` encoded with sorted keys and no spaces, its values filled in
 _LINE = (
-    '{"A":%s,"B":%s,"P":%s,"Q":%s,"evidence_kind":null,'
+    '{"A":%s,"B":%s,"P":%s,"Q":%s,'
     '"labels":{"PA":%s,"PB":%s,"QA":%s,"QB":%s},"singular":%s}\n'
 )
 
@@ -511,7 +510,8 @@ def square_lines(n: int, r: int, only_singular: bool) -> Iterator[str]:
     Equal to ``square_record`` over ``enumerate_squares``, filtered by
     ``is_singular_sq3`` when ``only_singular``, in the same (P, Q, A, B)
     order, each encoded by ``json.dumps(record, sort_keys=True,
-    separators=(",", ":"))`` and ended by a newline.  Each kernel's and
+    separators=(",", ":"))`` and ended by a newline, so each line is one
+    record of ``schemas/square-record.schema.json``.  Each kernel's and
     image's JSON and each distinct label's cycle form are encoded once, not
     once per square or pair, and a line fills the record's template with
     them.  A proper square is singular exactly when its two

@@ -16,9 +16,11 @@ import jsonschema
 import pytest
 
 import igmax
+import igmax.cli as cli
 import igmax.pipeline as pipeline
 import igmax.squares as squares_module
 from igmax.cli import main
+from igmax.errors import InvalidParameters
 from igmax.squares import _singular_index, enumerate_squares, is_singular_sq3, square_census, square_record
 
 GOLDEN_P = "{{1},{2,3,5},{4,7},{6}}"
@@ -34,6 +36,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def igmax_env(**changes) -> dict:
+    """The environment with this checkout's package first on PYTHONPATH;
+    a change to None removes that variable."""
+    src = str(Path(igmax.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for name, value in changes.items():
+        env.pop(name, None)
+        if value is not None:
+            env[name] = value
+    return env
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +223,7 @@ def test_squares_deterministic(capsys):
     + [pytest.param(7, 5, True, id="7-5-only-singular")],
 )
 def test_squares_stream_is_the_record_of_every_square(capsys, n, r, only_singular):
-    # the reference: one square_record per enumerated square, filtered by SQ3
-    expected = "".join(
-        json.dumps(square_record(sq), sort_keys=True, separators=(",", ":")) + "\n"
-        for sq in enumerate_squares(n, r)
-        if not only_singular or is_singular_sq3(sq)
-    )
+    expected = record_stream(n, r, only_singular)
     flags = ["--only-singular"] if only_singular else []
     code, out, err = run(capsys, "squares", "--n", str(n), "--r", str(r), *flags)
     assert code == 0 and err == ""
@@ -222,6 +231,28 @@ def test_squares_stream_is_the_record_of_every_square(capsys, n, r, only_singula
     census = square_census(n, r)
     singular = census.singular_proper + census.singular_degenerate
     assert out.count("\n") == (singular if only_singular else census.squares)
+
+
+def record_stream(n: int, r: int, only_singular: bool) -> str:
+    """The reference stream: one square_record per enumerated square, filtered by SQ3."""
+    return "".join(
+        json.dumps(square_record(sq), sort_keys=True, separators=(",", ":")) + "\n"
+        for sq in enumerate_squares(n, r)
+        if not only_singular or is_singular_sq3(sq)
+    )
+
+
+def test_square_record_schema_refuses_evidence_kind(capsys):
+    # a record of an older stream, with its always-null evidence_kind, fails:
+    # the schema admits no key it does not name
+    code, out, _ = run(capsys, "squares", "--n", "3", "--r", "2")
+    assert code == 0 and "evidence_kind" not in out
+    sq_schema = schema("square-record.schema.json")
+    record = json.loads(out.splitlines()[0])
+    jsonschema.validate(record, sq_schema)
+    for value in (None, "both"):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(dict(record, evidence_kind=value), sq_schema)
 
 
 def test_squares_computes_one_label_per_pair(capsys, monkeypatch):
@@ -333,6 +364,97 @@ def test_squares_broken_pipe_and_size_warning(capsys, monkeypatch):
     assert code == 0
     assert "may take a while" in err
     assert breaker.writes == 4
+
+
+class _Recorder:
+    """A stdout that keeps each write."""
+
+    def __init__(self):
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def recorded_writes(monkeypatch, argv) -> list[str]:
+    recorder = _Recorder()
+    monkeypatch.setattr(sys, "stdout", recorder)
+    code = main(argv)
+    monkeypatch.undo()
+    assert code == 0
+    return recorder.writes
+
+
+@pytest.mark.parametrize("block", [cli.BLOCK_LINES, 100, 1])
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        # the digests of the goldens squares-5-3 and present-5-3 in tests/test_golden.py
+        (["squares", "--n", "5", "--r", "3"], "56aa48b95c9a5f7c72c7cf4120cfc59ca4fc78983846b700fcddea2a59890ff2"),
+        (["present", "--n", "5", "--r", "3"], "05ee58fb9e313c3f872503888817c7992a74b240f55e0470a489f7833fbf5f0b"),
+    ],
+    ids=["squares", "present"],
+)
+def test_line_output_goes_out_in_blocks(monkeypatch, argv, digest, block):
+    # every write but the last holds exactly BLOCK_LINES lines, and the
+    # bytes are those of one write per line
+    monkeypatch.setattr(cli, "BLOCK_LINES", block)
+    writes = recorded_writes(monkeypatch, argv)
+    text = "".join(writes)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    if argv[0] == "squares":
+        assert text == record_stream(5, 3, False)
+    full, rest = divmod(text.count("\n"), block)
+    assert [w.count("\n") for w in writes] == [block] * full + ([rest] if rest else [])
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [("squares", "--n", "7", "--r", "5", "--only-singular"), ("present", "--n", "6", "--r", "3")],
+    ids=["squares", "present"],
+)
+def test_a_closed_pipe_ends_the_command_quietly(argv, unbuffered):
+    # the reader takes one line and goes away; the pipe's buffer holds far
+    # less than the output, so a later write meets the closed pipe
+    child = subprocess.Popen(
+        [sys.executable, "-m", "igmax.cli", *argv],
+        env=igmax_env(PYTHONUNBUFFERED=unbuffered),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=120) == 0
+    assert err == b"" and first.endswith(b"\n")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [("stats", "--n", "5", "--r", "3"), ("squares", "--n", "3", "--r", "2")],
+    ids=["stats", "squares"],
+)
+def test_a_pipe_closed_before_any_write_ends_the_command_quietly(argv, unbuffered):
+    # output far below the 8 KiB of a buffered stdout stays in its buffer
+    # until the end; that flush meets the closed pipe too
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "igmax.cli", *argv],
+            env=igmax_env(PYTHONUNBUFFERED=unbuffered),
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, b"")
 
 
 # ---------------------------------------------------------------------------
@@ -693,8 +815,7 @@ def test_replay_rejects_a_rank_outside_the_reduction(capsys, tmp_path, n, r):
 
 
 def test_checks_survive_optimize_flag(tmp_path, log_path):
-    src = str(Path(igmax.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = igmax_env()
 
     def igmax_o(*argv):
         return subprocess.run(
@@ -732,15 +853,53 @@ def test_no_assert_statement_in_the_package():
     ids=["replay-missing-file", "replay-directory", "reduce-missing-directory"],
 )
 def test_unusable_log_path_is_usage(tmp_path, argv):
-    src = str(Path(igmax.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
         [sys.executable, "-m", "igmax.cli", *argv],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        cwd=tmp_path, env=igmax_env(), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 2
     assert done.stderr.startswith("error:")
     assert "Traceback" not in done.stderr
+
+
+def test_reduce_checks_the_log_path_before_the_work(capsys, monkeypatch, tmp_path):
+    def no_work(n, r):
+        raise AssertionError("run_pipeline was called")
+
+    monkeypatch.setattr(pipeline, "run_pipeline", no_work)
+    code, out, err = run(capsys, "reduce", "--n", "8", "--r", "4", "--log", str(tmp_path / "nodir" / "x.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "No such file or directory" in err
+
+
+@pytest.mark.parametrize("error", [InvalidParameters, RuntimeError])
+def test_a_failed_reduce_leaves_no_log(capsys, monkeypatch, tmp_path, error):
+    path = tmp_path / "log.json"
+
+    def failing(n, r):
+        assert path.is_file()  # the log was opened before the work
+        raise error("the reduction failed")
+
+    monkeypatch.setattr(pipeline, "run_pipeline", failing)
+    argv = ["reduce", "--n", "4", "--r", "2", "--log", str(path)]
+    if error is InvalidParameters:  # a precondition failure, exit 3
+        assert run(capsys, *argv)[0] == 3
+    else:  # an unexpected error reaches the caller
+        with pytest.raises(RuntimeError):
+            main(argv)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_reduce_keeps_a_file_it_did_not_create(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "log.json"
+    path.write_text("an earlier file\n")
+
+    def failing(n, r):
+        raise InvalidParameters("the reduction failed")
+
+    monkeypatch.setattr(pipeline, "run_pipeline", failing)
+    assert run(capsys, "reduce", "--n", "4", "--r", "2", "--log", str(path))[0] == 3
+    assert path.read_text() == "an earlier file\n"
 
 
 # ---------------------------------------------------------------------------
@@ -927,11 +1086,9 @@ sys.exit(main(sys.argv[1:]))
     "flags,fmt", [((), "text"), (("-O",), "text"), ((), "json")], ids=["text", "text-O", "json"]
 )
 def test_verify_rejects_an_unsound_step(flags, fmt):
-    src = str(Path(igmax.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
         [sys.executable, *flags, "-c", UNSOUND_VERIFY, "verify", "--n", "4", "--r", "2", "--format", fmt],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=igmax_env(), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 4, done.stderr
     if fmt == "json":

@@ -35,9 +35,9 @@ COMMANDS = [
     ("label-json", ["label", "--P", P, "--A", A, "--format", "json"], 0,
      "f7ea5e9b6c4be4612a5f8e30c2263569e27ded3a8cc24757838134d46f1714b2"),
     ("squares-5-3", ["squares", "--n", "5", "--r", "3"], 0,
-     "73e79ba0cb2140407974558ec2fbc936a9e4b4c1ade5f0648cc3eb3bf6125622"),
+     "56aa48b95c9a5f7c72c7cf4120cfc59ca4fc78983846b700fcddea2a59890ff2"),
     ("squares-5-3-singular", ["squares", "--n", "5", "--r", "3", "--only-singular"], 0,
-     "42a6992e0cb0c6e9eb148319aea5716739506a721e28b2f7330d533dca7d863b"),
+     "a2157f55a743ab773897227251c7beef9f1f4de76f8de6194d834c94fcf2aeb4"),
     ("present-5-3", ["present", "--n", "5", "--r", "3"], 0,
      "05ee58fb9e313c3f872503888817c7992a74b240f55e0470a489f7833fbf5f0b"),
     ("present-5-3-json", ["present", "--n", "5", "--r", "3", "--format", "json"], 0,

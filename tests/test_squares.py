@@ -341,7 +341,7 @@ def test_square_record_shape():
     assert rec["P"] == [[1], [2, 3, 5], [4, 7], [6]]
     assert rec["labels"] == {"PA": "(2 3)", "PB": "(3 4)", "QA": "(2 4 3)", "QB": "(2 3 4)"}
     assert rec["singular"] is True
-    assert rec["evidence_kind"] is None
+    assert set(rec) == {"P", "Q", "A", "B", "labels", "singular"}
 
     ev = find_singularizing_idempotent(SINGULAR)
     assert ev.to_json()["kind"] == "both"
