@@ -16,10 +16,10 @@ Commands
 ``verify --allow-boundary`` at r = n-1 checks that the group is free of
 rank (n-1)(n-2)/2; no reduction runs there.
 
-Exit codes: 0 success, 2 usage (cap violations, ``reduce`` at r > n-2,
-``present`` and ``verify`` at r = n, ``verify`` at r = n-1 without
-``--allow-boundary`` or at r <= n-2 with it, ``--with-coset-oracle`` at
-r = n-1, ``--max-cosets`` below 1 or without ``--with-coset-oracle``, an
+Exit codes: 0 success, 1 out of memory, 2 usage (cap violations, ``reduce``
+at r > n-2, ``present`` and ``verify`` at r = n, ``verify`` at r = n-1
+without ``--allow-boundary`` or at r <= n-2 with it, ``--with-coset-oracle``
+at r = n-1, ``--max-cosets`` below 1 or without ``--with-coset-oracle``, an
 unreadable or unwritable ``--log`` path), 3 precondition failure, 4 a
 failed check (a replay, a boundary check, a malformed log), 5 coset budget
 exhausted.
@@ -56,6 +56,7 @@ from .squares import label_spectrum, square_census, square_lines
 from .squares import enumerate_squares, is_singular_sq3, square_record  # noqa: F401
 
 EXIT_OK = 0
+EXIT_MEMORY = 1
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_VERIFY = 4
@@ -465,6 +466,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:  # an unreadable or unwritable --log path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        case = f" at n={args.n}, r={args.r}" if hasattr(args, "r") else ""
+        print(f"error: out of memory in {args.command}{case}", file=sys.stderr)
+        return EXIT_MEMORY
     finally:
         if gc_was_enabled:
             gc.enable()

@@ -28,7 +28,7 @@ benchmark's baseline table).  The bottom family is lazy: it is
 counted off the SQ3 buckets and read off the index's rows only when a
 bottom relation is first asked for.  Whether it holds on labels is read off
 the buckets, one product per member
-(:meth:`RelationFamilies.label_equations`), so ``replay`` and ``verify``'s
+(:meth:`RelationFamilies.label_failures`), so ``replay`` and ``verify``'s
 replay never read it on a passing run.  The coset oracle reads none of it:
 it enumerates on a spanning subfamily made off the buckets
 (:meth:`RelationFamilies.spanning_bottom`) and checks the whole family on
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from array import array
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .combinatorics import Partition, Subset
 from .errors import InvalidParameters, VerificationFailed
@@ -265,29 +265,28 @@ class RelationFamilies:
             self._corners = c
         return c
 
-    def label_equations(self, table: ProductTable, label_ids: list[int]) -> bytearray:
-        """Byte i is 1 when relation i's two sides have equal labels in
-        ``table``, its letters read as ``label_ids`` (the index's
-        ``letter_label_ids``).  Each word is evaluated.  The bottom family
-        is checked per bucket: all its relations x_P = x_Q hold
-        exactly when every member P of every bucket gives x_P the same
-        label, one product per member, and then the family is not read.
-        Otherwise each bottom relation p^-1 q = s^-1 t takes two products,
-        so the bytes that are 0 name the relations that fail."""
-        evaluate, product = table.evaluate, table.product
-        out = bytearray(self.relation_count)
-        words = len(self.words)
-        for i, (lhs, rhs) in enumerate(self.words):
-            out[i] = evaluate(lhs, label_ids) == evaluate(rhs, label_ids)
-        if not self.bottom:
-            return out
-        if self.buckets_agree(product, label_ids):
-            out[words:] = b"\x01" * self.bottom
-            return out
-        c = iter(self._bottom_letters())
-        for i, (p, q, s, t) in enumerate(zip(c, c, c, c), start=words):
-            out[i] = product(label_ids[p], label_ids[q]) == product(label_ids[s], label_ids[t])
-        return out
+    def label_failures(self, table: ProductTable, label_ids: list[int]) -> Callable[[range], Iterator[int]]:
+        """``failing(run)``: the relations of ``run``, a range of step 1, whose
+        sides have other labels in ``table``, letters read as ``label_ids``.
+        A top or middle relation is evaluated.  The bottom family holds when
+        the buckets agree (:meth:`buckets_agree`, asked once) and is then not
+        read; else each of its relations in ``run`` is evaluated by itself."""
+        evaluate, words = table.evaluate, len(self.words)
+        agree: Optional[bool] = None
+
+        def failing(run: range) -> Iterator[int]:
+            nonlocal agree
+            for i in run:
+                if i >= words:
+                    if agree is None:
+                        agree = self.buckets_agree(table.product, label_ids)
+                    if agree:
+                        return
+                lhs, rhs = self.letters(i)
+                if evaluate(lhs, label_ids) != evaluate(rhs, label_ids):
+                    yield i
+
+        return failing
 
     def buckets_agree(self, product: Callable[[int, int], int], ids: list[int]) -> bool:
         """Whether each bucket's members give x_P one value, the letters read

@@ -787,14 +787,15 @@ def replay_log(log: DerivationLog) -> ReplayReport:
     a :class:`DischargeStep` or a DerivationStep of rule ``discharge``, is
     checked before any other rule: its index must name a relation; while
     some generator is unresolved, each of the relation's generators must be
-    resolved; and its two sides must have equal labels, a bit of the bitmap
-    that :meth:`~igmax.presentation.RelationFamilies.label_equations` fills
-    on the first discharge, per SQ3 bucket, so a passing replay never reads
-    the bottom family.
+    resolved; and its two sides must have equal labels
+    (:meth:`~igmax.presentation.RelationFamilies.label_failures`, which
+    checks the bottom family per SQ3 bucket, so a passing replay never
+    reads it).
     The steps are read in order, premises by index, from any sequence.  A
     run of a :class:`StepList` reached once every generator is resolved is
-    checked as one, by a search for a 0 in its slice of the bitmap; any
-    other run is read as its indices, so a failure names its step.
+    checked as one; any other run is read as its indices, so a failure
+    names its step.  Only the failures are kept, by step, and the discharged
+    relations as runs, so memory does not grow with the log.
     """
     n, r = log.n, log.r
     index = _singular_index(n, r)
@@ -820,11 +821,10 @@ def replay_log(log: DerivationLog) -> ReplayReport:
     table, label_ids = index.product_table, index.letter_label_ids
     resolved = bytearray(len(pairs))
     unresolved = len(pairs)  # generators not yet resolved
-    holds: Optional[bytearray] = None  # holds[i]: relation i holds on labels
-    discharged = bytearray(relations)
+    failing = families.label_failures(table, label_ids)
+    discharged: list[range] = []  # runs of discharged relations, in order discharged
     singular: dict[SquareIds, bool] = {}
-    failures: list[tuple[int, str]] = []
-    verified = bytearray(len(log.steps))
+    failures: dict[int, str] = {}  # by step: every other step read is verified
     match_seen = False
 
     def resolve(g: int) -> None:
@@ -840,14 +840,20 @@ def replay_log(log: DerivationLog) -> ReplayReport:
         # bool and float indices compare equal to ints: hold them to int
         if type(i) is not int or not 0 <= i < idx:
             raise _ReplayFailure(f"premise {i} out of range")
-        if not verified[i]:
+        if i in failures:
             raise _ReplayFailure(f"premise {i} was not verified")
         return log.steps[i]
+
+    def mark(run: range) -> None:
+        """Record the relations of ``run`` as discharged."""
+        if discharged and discharged[-1].stop == run.start:
+            discharged[-1] = range(discharged[-1].start, run.stop)
+        else:
+            discharged.append(run)
 
     def discharge(pz: object) -> None:
         """Discharge relation ``pz``: a DischargeStep, or the ``pz`` of a
         discharge step read as a DerivationStep."""
-        nonlocal holds
         if type(pz) not in (int, DischargeStep) or not 0 <= pz < relations:
             raise _ReplayFailure(f"relation index {pz} out of range")
         if unresolved:
@@ -856,11 +862,9 @@ def replay_log(log: DerivationLog) -> ReplayReport:
                 if not resolved[letter >> 1]:
                     g = name(letter >> 1)
                     raise _ReplayFailure(f"no resolution for {g}")
-        if holds is None:
-            holds = families.label_equations(table, label_ids)
-        if not holds[pz]:
+        if next(failing(range(pz, pz + 1)), None) is not None:
             raise _ReplayFailure(f"relation {pz} does not hold under the resolution map")
-        discharged[pz] = 1
+        mark(range(pz, pz + 1))
 
     def check(idx: int, st: DerivationStep) -> None:
         rule = st.rule
@@ -1012,23 +1016,14 @@ def replay_log(log: DerivationLog) -> ReplayReport:
             raise _ReplayFailure(f"the word for {g} does not evaluate to its label")
         resolve(g)
 
-    def run_holds(run: range) -> bool:
-        """Whether a run of discharge steps passes as one: every generator
-        is resolved and each of its relations holds on labels."""
-        nonlocal holds
-        if unresolved or not 0 <= run.start <= run.stop <= relations:
-            return False
-        if holds is None:
-            holds = families.label_equations(table, label_ids)
-        return holds.find(0, run.start, run.stop) < 0
-
-    # discharge steps are nearly all of a log: a StepList's run of them that
-    # passes as one is marked by slice; any other run is read as its ints,
-    # step by step, so that discharge() names each failing step
+    # discharge steps are nearly all of a log: a StepList's run of them passes
+    # as one once every generator is resolved, if each of its relations holds
+    # on labels; else it is read step by step, so discharge() names each failure
     start = 0
     for part in log.steps.parts if type(log.steps) is StepList else [log.steps]:
-        if type(part) is range and run_holds(part):
-            discharged[part.start : part.stop] = verified[start : start + len(part)] = b"\x01" * len(part)
+        if type(part) is range and not unresolved and 0 <= part.start and part.stop <= relations \
+                and next(failing(part), None) is None:
+            mark(part)
         else:
             for idx, st in enumerate(part, start):
                 try:
@@ -1040,21 +1035,22 @@ def replay_log(log: DerivationLog) -> ReplayReport:
                         check(idx, st)
                         note_resolution(st.conclusion)
                 except _ReplayFailure as exc:
-                    failures.append((idx, str(exc)))
-                    continue
+                    failures[idx] = str(exc)
                 except Exception as exc:  # malformed step data
-                    failures.append((idx, f"{type(exc).__name__}: {exc}"))
-                    continue
-                verified[idx] = 1
+                    failures[idx] = f"{type(exc).__name__}: {exc}"
         start += len(part)
 
+    # the relations discharged, one discharged twice counted once
+    count = reach = 0
+    for run in sorted(discharged, key=lambda run: run.start):
+        count, reach = count + max(0, run.stop - max(run.start, reach)), max(reach, run.stop)
     final_matches = match_seen and log.final == coxeter_presentation(r).to_json()
     return ReplayReport(
         n=n,
         r=r,
         steps_checked=len(log.steps),
-        failures=tuple(failures),
-        discharged=discharged.count(1),
+        failures=tuple(failures.items()),
+        discharged=count,
         relations=relations,
         final_matches=final_matches,
     )

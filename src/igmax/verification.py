@@ -16,7 +16,7 @@ rank (n-1)(n-2)/2, and :func:`_boundary_verdict` checks that on
 index: no bottom relation, no relator left by the Tietze pass of
 :func:`_tietze`, and as many survivors as the rank of the kernel–image
 graph.  :func:`label_homomorphism_check` evaluates the relations on the
-index's labels there, as the replay does below it.
+index's labels there, as the replay does below it (``label_failures``).
 
 :func:`coset_enumerate` runs in four steps.
 
@@ -528,10 +528,10 @@ def label_homomorphism_check(families: RelationFamilies, index: _SingularIndex) 
     """The first relation of ``families`` that fails when each generator, a
     pair of ``index``, is sent to its label, in the index's ``f[P|A]``
     text; None when every relation holds on the labels."""
-    first = families.label_equations(index.product_table, index.letter_label_ids).find(0)
-    if first < 0:
-        return None
-    return " = ".join(word_text(side, index.name) for side in families.letters(first))
+    failing = families.label_failures(index.product_table, index.letter_label_ids)
+    for first in failing(range(families.relation_count)):
+        return " = ".join(word_text(side, index.name) for side in families.letters(first))
+    return None
 
 
 class VerifyReport:

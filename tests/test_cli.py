@@ -862,6 +862,28 @@ def test_unusable_log_path_is_usage(tmp_path, argv):
     assert "Traceback" not in done.stderr
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize(
+    "module,name,argv,line",
+    [
+        ("verification", "verify_theorem", ("verify", "--n", "10", "--r", "5"), "in verify at n=10, r=5"),
+        ("replay", "replay_log", ("replay", "--log", "log.json"), "in replay"),
+    ],
+    ids=["verify", "replay"],
+)
+def test_running_out_of_memory_is_one_line_and_exit_1(capsys, monkeypatch, tmp_path, module, name, argv, line):
+    # a command whose data outgrows the memory says so on one line of
+    # stderr, without a traceback
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "reduce", "--n", "4", "--r", "2", "--log", "log.json")[0] == 0
+    monkeypatch.setattr(f"igmax.{module}.{name}", _out_of_memory)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: out of memory {line}\n")
+
+
 def test_reduce_checks_the_log_path_before_the_work(capsys, monkeypatch, tmp_path):
     def no_work(n, r):
         raise AssertionError("run_pipeline was called")

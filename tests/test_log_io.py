@@ -627,3 +627,35 @@ def test_run_pipeline_peaks_under_1_11_mb(tmp_path):
     (cold,), (warm,) = fresh_peaks(PIPELINE, tmp_path)
     assert cold < 1.46 * 2**20
     assert warm < 1.11 * 2**20
+
+
+REPLAY = """
+import tracemalloc
+from igmax.pipeline import run_pipeline
+from igmax.replay import replay_log
+
+_, log = run_pipeline(6, 3)
+_, longer = run_pipeline(6, 3)
+for _ in range(10):
+    longer.steps.add_run(range(log.meta["relations"]))
+replay_log(log)
+for replayed in (log, longer):
+    tracemalloc.start()
+    report = replay_log(replayed)
+    print(tracemalloc.get_traced_memory()[1], int(report.ok), report.discharged, report.steps_checked)
+    tracemalloc.stop()
+"""
+
+
+def test_the_replay_memory_does_not_grow_with_the_discharge_count(tmp_path):
+    # LOG_FORMAT.md lets a relation be discharged more than once: the same
+    # log with ten more runs of every relation passes as well, and the
+    # replay, which keeps its failures and its discharged runs only, peaks
+    # alike on both (72.5 KB each, against 147 KB and 300 KB while it held
+    # a byte per step and per relation)
+    (peak, ok, discharged, steps), (longer_peak, longer_ok, longer_discharged, longer_steps) = fresh_peaks(
+        REPLAY, tmp_path
+    )
+    assert ok and longer_ok and discharged == longer_discharged
+    assert longer_steps == steps + 10 * discharged
+    assert abs(longer_peak - peak) < 4096

@@ -624,17 +624,20 @@ def _step_by_step(log):
 
 @pytest.mark.parametrize("where", [0, 1, 2], ids=["first", "middle", "last"])
 def test_a_discharge_run_with_a_failing_relation_names_its_step(monkeypatch, where):
+    # relation pz gets a right side of other labels, and the buckets are
+    # said to disagree, so that each bottom relation is evaluated by itself
     _, log = run_pipeline(5, 3)
     pz = (log.meta["relations"] - 1) * where // 2
     idx = next(i for i, st in enumerate(log.steps) if st.rule == "discharge" and st.data["pz"] == pz)
-    real = RelationFamilies.label_equations
+    extra = next(2 * g for g, lam in enumerate(_singular_index(5, 3).labels) if not is_identity(lam))
+    real = RelationFamilies.letters
 
-    def cleared(self, *args):
-        holds = real(self, *args)
-        holds[pz] = 0
-        return holds
+    def changed(self, i):
+        lhs, rhs = real(self, i)
+        return (lhs, rhs + (extra,)) if i == pz else (lhs, rhs)
 
-    monkeypatch.setattr(RelationFamilies, "label_equations", cleared)
+    monkeypatch.setattr(RelationFamilies, "letters", changed)
+    monkeypatch.setattr(RelationFamilies, "buckets_agree", lambda self, product, ids: False)
     want = ((idx, f"relation {pz} does not hold under the resolution map"),)
     for replayed in (log, _step_by_step(log)):
         report = replay_log(replayed)
