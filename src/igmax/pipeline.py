@@ -13,8 +13,9 @@ is discharged through the accumulated resolution map, one discharge step
 per relation index, counted off the SQ3 index: no presentation is built.
 
 The log's format and the checker a verdict rests on are :mod:`igmax.replay`,
-which imports nothing from here, so none of the producer's own checks is
-load-bearing: a construction that went wrong yields a step the replay
+which imports nothing from here.  The producer repeats none of the replay's
+checks: it tests no witness square, label, resolution word or Coxeter
+relation, and a construction that went wrong yields a step the replay
 rejects.  The constructions compute on the ids of
 ``squares._singular_index(n, r)``: a kernel is its number in
 ``index.parts``, its blocks read from ``index.block_of``; an image is its
@@ -29,7 +30,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .errors import InvalidParameters, VerificationFailed
-from .perms import classify_descent_one, cycle_form, descent_number, rightmost_descent
+from .perms import classify_descent_one, descent_number, rightmost_descent
 from .presentation import GroupPresentation, Word, coxeter_presentation, free_reduce, substitute
 from .replay import (
     DerivationLog,
@@ -38,13 +39,12 @@ from .replay import (
     SquareIds,
     _bottom_relation,
     _corners,
-    _coxeter_mismatch,
     _eq_relation,
     _one_relation,
     _three_quarter_relation,
     cycle_rep,
 )
-from .squares import _singular_index, _SingularIndex, is_singular_ids
+from .squares import _singular_index, _SingularIndex
 
 # Not called here: perfbench/trace_run.py wraps these three names in this module.
 from .presentation import build_presentation  # noqa: F401
@@ -55,20 +55,6 @@ from .schreier import build_schreier  # noqa: F401
 IDENTITY = (0, 0)
 
 
-def _square_texts(index: _SingularIndex, sq: SquareIds) -> list[str]:
-    """The texts of a square's kernels and images, for a message."""
-    p, q, a, b = sq
-    return [str(index.parts[p]), str(index.parts[q]), str(index.subsets[a]), str(index.subsets[b])]
-
-
-def _require_singular(index: _SingularIndex, sq: SquareIds) -> None:
-    p, q, a, b = sq
-    if p == q or a == b:
-        raise InvalidParameters(f"square {_square_texts(index, sq)} is degenerate")
-    if not is_singular_ids(index, p, q, a, b):
-        raise VerificationFailed(f"square fails the singularity tests: {_square_texts(index, sq)}")
-
-
 # ---------------------------------------------------------------------------
 # pure constructions
 # ---------------------------------------------------------------------------
@@ -76,8 +62,8 @@ def _require_singular(index: _SingularIndex, sq: SquareIds) -> None:
 # Each construction computes the blocks and elements it needs and returns
 # the ids of its kernels and images in ``squares._singular_index(n, r)``.
 # A lookup miss raises InvalidParameters.  A square is returned as its ids
-# (P, Q, A, B), unchecked: ``Derivation._square`` checks each witness once,
-# and the tests sweep every construction's squares.
+# (P, Q, A, B), unchecked: the replay checks each witness once, and the
+# tests sweep every construction's squares.
 
 
 def cycle_split(k: int, l: int, n: int, r: int) -> SquareIds:
@@ -287,13 +273,13 @@ class Derivation:
     number).  Its methods take a pair as its kernel and image ids.  A
     conclusion is an :class:`~igmax.replay.Equation` of int letters, each
     taken from the index's one list ``letters``, and a witness square is the
-    ids of its two kernels and two images, checked singular on ids
-    (:func:`~igmax.squares.is_singular_ids`) once, when it is first made.
+    ids of its two kernels and two images, unchecked: the replay tests it.
     Each generator's label is classified once, into ``kinds``.  Each fact is
     concluded once: one ``bottom`` step per witness square, and one step per
-    other conclusion.  The memos are keyed by generator id.  Labels, and the
-    relation count (:meth:`~igmax.squares._SingularIndex.family_sizes`), are
-    read off the index: no presentation is built.
+    other conclusion, looked up by that conclusion in ``_facts`` before it
+    is derived.  Labels, and the relation count
+    (:meth:`~igmax.squares._SingularIndex.family_sizes`), are read off the
+    index: no presentation is built.
     """
 
     def __init__(self, n: int, r: int):
@@ -314,24 +300,21 @@ class Derivation:
         self._base = tuple(range(1, r + 1))
         self._convex = [p.is_convex() for p in index.parts]
         self._min_image, self._top_of = index.min_image, index.top_of
-        # the label of generator g is label id _label_id[g]; equal labels, equal ids
-        self._label_id = index.letter_label_ids[::2]
+        # the label of generator g is label id label_id[g]; equal labels, equal ids
+        label_id = index.letter_label_ids[::2]
         # kinds[g]: IDENTITY, (k, l) for the (k,l)-cycle, or None for descent
         # >= 2, classified once per label id
         kind_of: dict[int, Optional[tuple[int, int]]] = {}
-        for g, i in enumerate(self._label_id):
+        for g, i in enumerate(label_id):
             if i not in kind_of:
                 lam = self.labels[g]
                 kind_of[i] = IDENTITY if lam == self._base else classify_descent_one(lam)
-        self.kinds = [kind_of[i] for i in self._label_id]
-        self._one_memo: dict[int, int] = {}
-        self._eq_memo: dict[int, int] = {}
+        self.kinds = [kind_of[i] for i in label_id]
         self._res_memo: dict[int, tuple[Optional[int], Word]] = {}
         self._rep_memo: dict[tuple[int, int], tuple[int, int]] = {}
         # each fact once: the step of each conclusion but a square's bottom
-        # relation (see _square), and of each row and column equation g = h
+        # relation (see _square)
         self._facts: dict[Optional[Equation], int] = {}
-        self._pair_memo: dict[tuple[int, int], int] = {}
         self._squares: dict[SquareIds, tuple[SquareIds, int]] = {}
         self._final_steps: list[int] = []
 
@@ -348,13 +331,12 @@ class Derivation:
     def _square(self, p: int, q: int, a: int, b: int) -> tuple[SquareIds, int]:
         """The ids of the square over (p, q, a, b), one tuple per distinct
         square, and the step of its bottom relation, which a square step
-        cites first.  The producer checks each distinct witness square (SQ3
-        and SQ2, on ids) here, once, and emits its one bottom step; the
-        constructions that build squares do not check their own."""
+        cites first.  Each distinct witness square gets its one bottom step
+        here, unchecked: the replay tests it singular (SQ3 and SQ2, on ids)
+        once."""
         key = (p, q, a, b)
         out = self._squares.get(key)
         if out is None:
-            _require_singular(self.index, key)
             rel = _bottom_relation(_corners(self.index, key), self.letters)
             out = self._squares[key] = (key, self.log.append(DerivationStep("bottom", rel, (), key)))
         return out
@@ -399,17 +381,11 @@ class Derivation:
     # -- identity-label facts ------------------------------------------------
 
     def one(self, p: int, a: int) -> int:
-        """A step concluding f[P,A] = 1; the label must be the identity."""
+        """A step concluding f[P,A] = 1, for a pair of identity label."""
         g = self._gen_of[p][a]
-        idx = self._one_memo.get(g)
-        if idx is not None:
-            return idx
-        if self.kinds[g] is not IDENTITY:
-            raise InvalidParameters(
-                f"{self.index.name(g)} has label {cycle_form(self.labels[g])}, not the identity"
-            )
-        idx = self._one_convex(p, a, g) if self._convex[p] else self._one_general(p, a, g)
-        self._one_memo[g] = idx
+        idx = self._facts.get(_one_relation(g, self.letters))
+        if idx is None:
+            idx = self._one_convex(p, a, g) if self._convex[p] else self._one_general(p, a, g)
         return idx
 
     def _middle(self, p: int, ap: int) -> int:
@@ -495,15 +471,13 @@ class Derivation:
         if a == b:
             return None
         gen = self._gen_of[p]
-        key = (gen[a], gen[b])
-        idx = self._pair_memo.get(key)
+        ga, gb = gen[a], gen[b]
+        idx = self._facts.get(_eq_relation(ga, gb, self.letters))
         if idx is None:
-            idx = self._pair_memo[key] = self._same_row(p, a, b, *key)
+            idx = self._same_row(p, a, b, ga, gb)
         return idx
 
     def _same_row(self, p: int, a: int, b: int, ga: int, gb: int) -> int:
-        if self._label_id[ga] != self._label_id[gb]:
-            raise InvalidParameters("same-row identification needs equal labels")
         if self.kinds[ga] is IDENTITY:
             s1 = self.one(p, a)
             s2 = self.one(p, b)
@@ -521,10 +495,10 @@ class Derivation:
 
     def _shared_transversal_eq(self, p: int, q: int, a: int, b: int) -> int:
         """f[P,A] = f[Q,A] via the identity column B common to both kernels."""
-        key = (self._gen_of[p][a], self._gen_of[q][a])
-        idx = self._pair_memo.get(key)
+        gpa, gqa = self._gen_of[p][a], self._gen_of[q][a]
+        idx = self._facts.get(_eq_relation(gpa, gqa, self.letters))
         if idx is None:
-            idx = self._pair_memo[key] = self._flush_column(p, q, a, b, *key)
+            idx = self._flush_column(p, q, a, b, gpa, gqa)
         return idx
 
     def _flush_column(self, p: int, q: int, a: int, b: int, gpa: int, gqa: int) -> int:
@@ -538,8 +512,6 @@ class Derivation:
         if p == q:
             return None
         ga, gq = self._gen_of[p][a], self._gen_of[q][a]
-        if self._label_id[ga] != self._label_id[gq]:
-            raise InvalidParameters("same-column identification needs equal labels")
         if self.kinds[ga] is IDENTITY:
             s1 = self.one(p, a)
             s2 = self.one(q, a)
@@ -572,23 +544,16 @@ class Derivation:
     def cycle_eq(self, p: int, a: int) -> Optional[int]:
         """Chain f[P,A] to its class representative; None when already there."""
         ga = self._gen_of[p][a]
-        kl = self.kinds[ga]
-        if kl is None or kl is IDENTITY:
-            raise InvalidParameters(
-                f"label of ({self.index.parts[p]}, {self.index.subsets[a]}) is not a contiguous cycle"
-            )
-        k, l = kl
+        k, l = self.kinds[ga]
         rp, ra = self.rep_pair(k, l)
         if p == rp and a == ra:
             return None
-        idx = self._eq_memo.get(ga)
+        conclusion = _eq_relation(ga, self._gen_of[rp][ra], self.letters)
+        idx = self._facts.get(conclusion)
         if idx is not None:
             return idx
-        conclusion = _eq_relation(ga, self._gen_of[rp][ra], self.letters)
         if a == ra:
-            s = self.same_column(p, rp, a)
-            self._eq_memo[ga] = idx = self._add("transitive", conclusion, (s,))
-            return idx
+            return self._add("transitive", conclusion, (self.same_column(p, rp, a),))
         elements, minima = self._elements[a], self._minima[p]
         for i in range(k - 1):
             if elements[i] != minima[i]:
@@ -596,8 +561,7 @@ class Derivation:
                 a2 = self._swap(a, elements[i], minima[i])
                 s1 = self.same_row(p, a, a2)
                 s2 = self.cycle_eq(p, a2)
-                self._eq_memo[ga] = idx = self._add("transitive", conclusion, tuple(s for s in (s1, s2) if s is not None))
-                return idx
+                return self._add("transitive", conclusion, tuple(s for s in (s1, s2) if s is not None))
         # at: A's first element above position i before k, above i + 1 from k on
         at = next(x for i, x in enumerate(elements, start=1) if x > (i if i < k else i + 1))
         d = at - 1
@@ -617,9 +581,7 @@ class Derivation:
         s1 = self.same_column(p, qp, a)
         s2 = self.same_row(qp, a, a2)
         s3 = self.cycle_eq(qp, a2)
-        premises = tuple(s for s in (s1, s2, s3) if s is not None)
-        self._eq_memo[ga] = idx = self._add("transitive", conclusion, premises)
-        return idx
+        return self._add("transitive", conclusion, tuple(s for s in (s1, s2, s3) if s is not None))
 
     def _cycle_scaffold(self, p: int, a: int, k: int, l: int) -> int:
         """The comparison kernel from the cycle-class chaining argument:
@@ -756,27 +718,16 @@ class Derivation:
                     raise VerificationFailed(f"resolution of {name(g)} mentions non-canonical {name(x >> 1)}")
 
     def discharge_all(self) -> None:
-        """Check that the resolution map ρ sends every generator g to a word
-        with eval(ρ(g)) = label(g), then emit one discharge step per original
-        relation.  Evaluation in S_r and the label map are homomorphisms, so a
-        relation u = v then holds under ρ exactly when label(u) = label(v);
-        :func:`igmax.replay.replay_log` checks that equation for each
-        discharge step.  The steps need only the relation count, so no
-        relation is read here, and are one run, held as one range."""
-        table, label_ids, name = self.index.product_table, self.index.letter_label_ids, self.index.name
-        for g in range(len(self.index.pairs)):
-            res = self._res_memo.get(g)
-            if res is None:
-                raise VerificationFailed(f"no resolution for {name(g)}")
-            if table.evaluate(res[1], label_ids) != label_ids[2 * g]:
-                raise VerificationFailed(f"resolution of {name(g)} does not evaluate to its label")
+        """Emit one discharge step per original relation, as one run held as
+        one range: the steps need only the relation count, so no relation
+        is read here.  :func:`igmax.replay.replay_log` checks that every
+        generator g is resolved to a word with eval(ρ(g)) = label(g), and
+        then, since evaluation in S_r and the label map are homomorphisms,
+        that each relation u = v holds under ρ by label(u) = label(v)."""
         self.log.steps.add_run(range(sum(self.index.family_sizes())))
 
     def finish(self) -> GroupPresentation:
         canon = self.canonical_generators()
-        mismatch = _coxeter_mismatch((self.log.steps[i].conclusion for i in self._final_steps), canon, self.r)
-        if mismatch is not None:
-            raise VerificationFailed(mismatch)
         self._add("coxeter-match", None, tuple(self._final_steps), data={"canonical": canon})
         target = coxeter_presentation(self.r)
         self.log.final = target.to_json()

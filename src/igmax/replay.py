@@ -577,8 +577,8 @@ def read_log(fh: TextIO) -> object:
     step when it is reached and then reads the rest of the document into
     it, so ``fh`` stays open until then; a run of the writer's discharge
     texts is one regex match, given as the range of its indices when they
-    are consecutive.  A repeated key is malformed; for any other malformed
-    text, ``fh`` is read again with json.load to raise json's error."""
+    are consecutive.  A repeated key is malformed; other malformed text is
+    read again by json.load, each object as None, to raise json's error."""
     return _LogReader(fh).document()
 
 
@@ -598,7 +598,7 @@ class _LogReader:
     def fail(self) -> None:
         self.fh.seek(0)
         try:
-            json.load(self.fh)
+            json.load(self.fh, object_pairs_hook=lambda pairs: None)
         except ValueError as exc:  # json's message, or an int of too many digits
             raise VerificationFailed(f"malformed derivation log: {exc}") from None
         raise VerificationFailed("malformed derivation log")

@@ -17,7 +17,6 @@ import pytest
 
 import igmax.replay as replay_module
 from igmax.combinatorics import Partition, Subset
-from igmax.errors import VerificationFailed
 from igmax.pipeline import Derivation, run_pipeline
 from igmax.perms import ProductTable, cycle_form
 from igmax.presentation import (
@@ -604,21 +603,3 @@ def test_flush_source_rejects_inverted_letters(lhs_exp, rhs_exp):
     premise = Equation((2 * G + (lhs_exp < 0),), (2 * H + (rhs_exp < 0),))
     with pytest.raises(_ReplayFailure, match="^flush premise equality does not match either side$"):
         _flush_source([premise], SIDES)
-
-
-# ---------------------------------------------------------------------------
-# the Coxeter match shared by the producer and the replay
-# ---------------------------------------------------------------------------
-
-
-def test_finish_rejects_a_final_relation_over_other_generators():
-    eng = Derivation(5, 3)
-    for k in (1, 2):
-        eng.derive_involution(k)
-    eng.derive_braid(1)
-    p, _ = cycle_rep(1, 1, 5, 3)
-    a = eng.index.min_image[p]
-    eng._final_steps.append(eng.one(p, a))  # f[P|minima(P)] = 1
-    with pytest.raises(VerificationFailed) as info:
-        eng.finish()
-    assert str(info.value) == "final relations must mention only canonical generators"
