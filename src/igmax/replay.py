@@ -181,9 +181,7 @@ class DerivationStep:
     """One logged step of any rule but ``discharge`` (see
     :class:`DischargeStep`).  Not frozen: a constructor that sets each field
     through ``object.__setattr__``, as a frozen class's does, takes three
-    times as long.  A discharge step parsed from another object than
-    ``{"pz": i, "rule": "discharge"}`` with an int ``i`` is held as one of
-    these, with its index in ``data["pz"]``.
+    times as long.
 
     The conclusion is an :class:`Equation` of int letters and the witness
     square is the ids of its kernels and images, both numbered by
@@ -207,8 +205,6 @@ class DerivationStep:
         return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def to_json(self) -> dict:
-        if self.rule == "discharge":
-            return {"rule": "discharge", "pz": self.data["pz"]}
         doc: dict = {"rule": self.rule, "premises": list(self.premises)}
         if self.conclusion is not None:
             doc["conclusion"] = {"lhs": word_json(self.conclusion.lhs), "rhs": word_json(self.conclusion.rhs)}
@@ -224,15 +220,14 @@ class DischargeStep(int):
 
     A log holds one per relation, nearly all of its steps, in runs of
     consecutive indices that its :class:`StepList` holds as ranges; a
-    DischargeStep is made when a step of a run is read, and is an int, not a
-    :class:`DerivationStep` with a ``data`` dict.  It answers
-    ``rule``, ``conclusion``, ``premises``, ``square``, ``data`` and
-    ``to_json()`` as ``DerivationStep("discharge", None, (), None,
-    {"pz": i})`` does, and prints as its index.
+    DischargeStep is made when a step of a run is read.  It is the one form
+    of a discharge step: it answers ``rule``, ``conclusion``, ``premises``
+    and ``square`` as a :class:`DerivationStep` does, ``to_json()`` gives
+    its log record, and it prints as its index.
 
     >>> st = DischargeStep(7)
-    >>> st.rule, st.data, st.to_json(), f"{st}", st
-    ('discharge', {'pz': 7}, {'rule': 'discharge', 'pz': 7}, '7', DischargeStep(7))
+    >>> st.rule, st.premises, st.to_json(), f"{st}", st
+    ('discharge', (), {'rule': 'discharge', 'pz': 7}, '7', DischargeStep(7))
     """
 
     __slots__ = ()
@@ -240,10 +235,6 @@ class DischargeStep(int):
     conclusion = None
     premises = ()
     square = None
-
-    @property
-    def data(self) -> dict:
-        return {"pz": int(self)}
 
     def to_json(self) -> dict:
         return {"rule": "discharge", "pz": int(self)}
@@ -319,11 +310,6 @@ class StepList:
         st = self.parts[k][i - self._starts[k]]
         return DischargeStep(st) if type(self.parts[k]) is range else st
 
-    def __setitem__(self, i: int, step: object) -> None:
-        steps = list(self)
-        steps[i] = step
-        StepList.__init__(self, steps)
-
     def __iter__(self) -> Iterator:
         return chain.from_iterable(map(DischargeStep, p) if type(p) is range else p for p in self.parts)
 
@@ -392,8 +378,6 @@ class DerivationLog:
             return "[" + ",".join(out) + "]"
 
         def step_text(st: DerivationStep) -> str:
-            if st.rule == "discharge":
-                return _encode(st.to_json())
             c, sq, premises = st.conclusion, st.square, st.premises
             head = "" if c is None else '"conclusion":{"lhs":%s,"rhs":%s},' % (word_text(c.lhs), word_text(c.rhs))
             if st.data:
@@ -467,8 +451,10 @@ class DerivationLog:
         are made, and read_log's iterator decodes each as it is taken, so
         the two are not held in full together.  A caller that reads ``doc``
         again passes a copy.  A ``range`` (read_log's run of discharge
-        steps) and a discharge object of two keys with an int index are
-        read as DischargeSteps.  Keys after the steps are checked last; when
+        steps) is read as its DischargeSteps, and a discharge record must be
+        ``{"pz": i, "rule": "discharge"}`` with an int ``i`` (not a bool),
+        else the log is malformed; an ``i`` outside the relations fails its
+        step in the replay.  Keys after the steps are checked last; when
         a step is malformed, read_log's iterator is read to its end first,
         so that a log of another version says so, whatever its steps."""
         n, r = cls.case_of(doc)
@@ -531,9 +517,11 @@ class DerivationLog:
                 continue
             rule = sd["rule"]
             if rule == "discharge":
-                pz = sd["pz"]
-                exact = len(sd) == 2 and type(pz) is int
-                steps.append(DischargeStep(pz) if exact else DerivationStep("discharge", None, (), None, {"pz": pz}))
+                pz = sd.get("pz")
+                # True and 1.0 would discharge relation 1
+                if len(sd) != 2 or type(pz) is not int:
+                    raise InvalidParameters(f'discharge step {sd!r} is not {{"pz": <int>, "rule": "discharge"}}')
+                steps.append(DischargeStep(pz))
                 continue
             conclusion = None
             if "conclusion" in sd:
@@ -784,13 +772,14 @@ def replay_log(log: DerivationLog) -> ReplayReport:
     canonical generators, whose word must evaluate to g's label; evaluation
     and the label map being homomorphisms, a relation u = v then holds under
     the resolution map exactly when label(u) = label(v).  A discharge step,
-    a :class:`DischargeStep` or a DerivationStep of rule ``discharge``, is
-    checked before any other rule: its index must name a relation; while
-    some generator is unresolved, each of the relation's generators must be
-    resolved; and its two sides must have equal labels
+    a :class:`DischargeStep` or an int of a run, is checked before any other
+    rule: its index must name a relation; while some generator is
+    unresolved, each of the relation's generators must be resolved; and its
+    two sides must have equal labels
     (:meth:`~igmax.presentation.RelationFamilies.label_failures`, which
     checks the bottom family per SQ3 bucket, so a passing replay never
-    reads it).
+    reads it).  A DerivationStep of rule ``discharge`` fails, and so does a
+    premise that cites a discharge step: it concludes nothing.
     The steps are read in order, premises by index, from any sequence.  A
     run of a :class:`StepList` reached once every generator is resolved is
     checked as one; any other run is read as its indices, so a failure
@@ -842,7 +831,10 @@ def replay_log(log: DerivationLog) -> ReplayReport:
             raise _ReplayFailure(f"premise {i} out of range")
         if i in failures:
             raise _ReplayFailure(f"premise {i} was not verified")
-        return log.steps[i]
+        st = log.steps[i]
+        if isinstance(st, int):
+            raise _ReplayFailure(f"premise {i} is a discharge step")
+        return st
 
     def mark(run: range) -> None:
         """Record the relations of ``run`` as discharged."""
@@ -851,10 +843,9 @@ def replay_log(log: DerivationLog) -> ReplayReport:
         else:
             discharged.append(run)
 
-    def discharge(pz: object) -> None:
-        """Discharge relation ``pz``: a DischargeStep, or the ``pz`` of a
-        discharge step read as a DerivationStep."""
-        if type(pz) not in (int, DischargeStep) or not 0 <= pz < relations:
+    def discharge(pz: int) -> None:
+        """Discharge relation ``pz``."""
+        if not 0 <= pz < relations:
             raise _ReplayFailure(f"relation index {pz} out of range")
         if unresolved:
             lhs, rhs = families.letters(pz)
@@ -870,6 +861,8 @@ def replay_log(log: DerivationLog) -> ReplayReport:
         rule = st.rule
         if rule not in RULES:
             raise _ReplayFailure(f"unknown rule {rule!r}")
+        if rule == "discharge":
+            raise _ReplayFailure("a discharge step must be a DischargeStep")
         if rule == "middle":
             g = _one_fact(st.conclusion)
             if g is None or index.min_image[pairs[g][0]] != pairs[g][1]:
@@ -1029,8 +1022,6 @@ def replay_log(log: DerivationLog) -> ReplayReport:
                 try:
                     if type(st) is int or type(st) is DischargeStep:
                         discharge(st)
-                    elif st.rule == "discharge":
-                        discharge(st.data["pz"])
                     else:
                         check(idx, st)
                         note_resolution(st.conclusion)

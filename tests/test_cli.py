@@ -1065,7 +1065,7 @@ UNSOUND_VERIFY = """
 import sys
 import igmax.pipeline as pipeline
 from igmax.cli import main
-from igmax.replay import DerivationStep
+from igmax.replay import DerivationLog, DerivationStep
 from igmax.squares import _singular_index, enumerate_squares, is_singular_sq3
 
 bogus = next(
@@ -1082,9 +1082,10 @@ def unsound(n, r):
     square = tuple(index.kernel_with(p.blocks) for p in bogus.kernels) + tuple(
         index.image_with(a.elements) for a in bogus.images
     )
-    st = log.steps[i]
-    log.steps[i] = DerivationStep(st.rule, st.conclusion, st.premises, square, st.data)
-    return final, log
+    steps = list(log.steps)
+    st = steps[i]
+    steps[i] = DerivationStep(st.rule, st.conclusion, st.premises, square, st.data)
+    return final, DerivationLog(log.n, log.r, steps, log.final, log.meta)
 
 pipeline.run_pipeline = unsound
 sys.exit(main(sys.argv[1:]))

@@ -28,7 +28,6 @@ from igmax.pipeline import Derivation, run_pipeline
 from igmax.replay import (
     RULES,
     DerivationLog,
-    DerivationStep,
     DischargeStep,
     read_log,
     replay_log,
@@ -80,9 +79,7 @@ def hand_made_logs(log):
         "no discharge step": like(others),
         "only discharge steps": like(discharges),
         "discharge steps between other steps": like(interleaved),
-        "a discharge step as a DerivationStep": like(
-            others[:5] + [DerivationStep("discharge", None, (), None, {"pz": 4})] + discharges[:9] + others[5:]
-        ),
+        "a discharge step out of order": like(others[:5] + [DischargeStep(4)] + discharges[:9] + others[5:]),
         "no step": like([]),
         "empty meta and final": DerivationLog(n=log.n, r=log.r, steps=list(log.steps)),
     }
@@ -504,6 +501,48 @@ def test_replay_cli_reads_a_log_of_rule_first_discharge_steps(five_three, tmp_pa
     assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        '{"extra":1,"pz":0,"rule":"discharge"}',  # the writer's key order
+        '{"pz":0,"rule":"discharge","zz":1}',  # the writer's key order, the key last
+        '{"rule":"discharge","pz":0,"extra":1}',  # rule first
+    ],
+)
+def test_replay_cli_rejects_a_discharge_record_with_an_extra_key(five_three, tmp_path, capsys, record):
+    # a discharge step is exactly {"pz": i, "rule": "discharge"}: any other
+    # key makes the log malformed, and the message names the record
+    text = written(five_three)
+    assert text.count('{"pz":0,"rule":"discharge"}') == 1
+    path = tmp_path / "log.json"
+    path.write_text(text.replace('{"pz":0,"rule":"discharge"}', record))
+    assert main(["replay", "--log", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed derivation log: InvalidParameters: discharge step {")
+    assert repr(json.loads(record)) in captured.err
+
+
+# the keys of a step of each rule, as LOG_FORMAT.md's "Steps" table gives them
+PLAIN = {"rule", "premises", "conclusion"}
+STEP_KEYS = {
+    **{rule: PLAIN for rule in ("middle", "top", "transitive", "rewrite", "combine")},
+    **{rule: PLAIN | {"square"} for rule in ("bottom", "flush-row", "flush-column")},
+    **{rule: PLAIN | {"square", "data"} for rule in ("corner", "three-quarter")},
+    "coxeter-match": {"rule", "premises", "data"},
+    "discharge": {"pz", "rule"},
+}
+
+
+@pytest.mark.parametrize("n,r", [(5, 3), (6, 3)])
+def test_every_written_step_has_the_keys_of_its_rule(n, r):
+    assert STEP_KEYS.keys() == set(RULES)
+    steps = json.loads(written(run_pipeline(n, r)[1]))["steps"]
+    for i, sd in enumerate(steps):
+        assert sd.keys() == STEP_KEYS[sd["rule"]], (i, sd)
+    assert {sd["rule"] for sd in steps} == set(RULES)
+
+
 # ---------------------------------------------------------------------------
 # what the trace tool reads off a step
 # ---------------------------------------------------------------------------
@@ -518,7 +557,6 @@ def test_every_step_answers_the_trace_tool(five_three):
             assert st.rule in RULES
             if st.rule == "discharge":
                 assert st.conclusion is None and st.premises == () and st.square is None
-                assert st.data == {"pz": discharges}
                 assert st.to_json() == {"rule": "discharge", "pz": discharges}
                 discharges += 1
             else:

@@ -389,7 +389,7 @@ def test_discharge_factors_through_the_labels(n, r):
         rhs = table.evaluate(rewrite(rel.rhs), canonical)
         assert lhs == rhs == table.evaluate(rel.lhs, labels) == table.evaluate(rel.rhs, labels)
     eng.discharge_all()
-    pzs = [st.data["pz"] for st in eng.log.steps if st.rule == "discharge"]
+    pzs = [int(st) for st in eng.log.steps if st.rule == "discharge"]
     assert pzs == list(range(len(pres.relations)))
 
 
@@ -481,14 +481,19 @@ def test_replay_discharge_index_out_of_range(log_four_two):
 
 @pytest.mark.parametrize("pz", [True, False, 1.0, "1", None])
 def test_replay_discharge_index_must_be_an_int(log_four_two, pz):
-    # True == 1 and False == 0 as Python ints: a bool must not discharge them
+    # True == 1 and False == 0 as Python ints: a discharge record whose pz
+    # is not an int makes the log malformed, and the message names it
     doc = copy.deepcopy(log_four_two.to_json())
-    idx, first = next((i, sd) for i, sd in enumerate(doc["steps"]) if sd["rule"] == "discharge")
+    first = next(sd for sd in doc["steps"] if sd["rule"] == "discharge")
     first["pz"] = pz
-    report = replay_log(DerivationLog.from_json(json.loads(json.dumps(doc))))
-    assert report.failures == ((idx, f"relation index {pz} out of range"),)
-    assert report.discharged == report.relations - 1
-    assert not report.ok
+    doc = json.loads(json.dumps(doc))
+    with pytest.raises(VerificationFailed) as caught:
+        DerivationLog.from_json(doc)
+    record = {"rule": "discharge", "pz": pz}
+    assert str(caught.value) == (
+        f"malformed derivation log: InvalidParameters: discharge step {record!r}"
+        ' is not {"pz": <int>, "rule": "discharge"}'
+    )
 
 
 def test_log_parser_shares_one_square_per_witness_text():
@@ -593,7 +598,7 @@ def test_a_discharge_run_with_a_failing_relation_names_its_step(monkeypatch, whe
     # said to disagree, so that each bottom relation is evaluated by itself
     _, log = run_pipeline(5, 3)
     pz = (log.meta["relations"] - 1) * where // 2
-    idx = next(i for i, st in enumerate(log.steps) if st.rule == "discharge" and st.data["pz"] == pz)
+    idx = next(i for i, st in enumerate(log.steps) if st.rule == "discharge" and int(st) == pz)
     extra = next(2 * g for g, lam in enumerate(_singular_index(5, 3).labels) if not is_identity(lam))
     real = RelationFamilies.letters
 
@@ -658,7 +663,7 @@ def test_replay_checks_each_discharged_relation_on_its_labels(monkeypatch):
     extra = next(2 * g for g, lam in enumerate(_singular_index(5, 3).labels) if not is_identity(lam))
     words[pz] = (words[pz][0], words[pz][1] + (extra,))
     monkeypatch.setattr(replay_module, "relation_families", lambda n, r: RelationFamilies(words, tags))
-    idx = next(i for i, st in enumerate(log.steps) if st.rule == "discharge" and st.data["pz"] == pz)
+    idx = next(i for i, st in enumerate(log.steps) if st.rule == "discharge" and int(st) == pz)
     report = replay_log(log)
     assert report.failures == ((idx, f"relation {pz} does not hold under the resolution map"),)
     assert report.discharged == report.relations - 1

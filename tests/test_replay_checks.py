@@ -28,6 +28,7 @@ from igmax.presentation import (
 )
 from igmax.replay import (
     DerivationLog,
+    DerivationStep,
     Equation,
     _eq_relation,
     _flush_source,
@@ -82,6 +83,30 @@ def premise_not_verified(doc, mp):
     doc["steps"][i]["rule"] = "nonsense"
     j = next(j for j, sd in enumerate(doc["steps"]) if i in sd.get("premises", ()))
     return j, f"premise {i} was not verified"
+
+
+def premise_discharge(doc, mp):
+    # the coxeter-match step comes after the discharge steps
+    i = first(doc, "coxeter-match")
+    j = first(doc, "discharge")
+    doc["steps"][i]["premises"][0] = j
+    return i, f"premise {j} is a discharge step"
+
+
+def discharge_derivation_step(doc, mp):
+    # no log parses to a DerivationStep of rule discharge: the replay is
+    # handed the parsed log with one discharge step held as one
+    i = first(doc, "discharge")
+    from_json = DerivationLog.from_json
+
+    def with_stand_in(d):
+        log = from_json(d)
+        steps = list(log.steps)
+        steps[i] = DerivationStep("discharge", None)
+        return DerivationLog(log.n, log.r, steps, log.final, log.meta)
+
+    mp.setattr(DerivationLog, "from_json", with_stand_in)
+    return i, "a discharge step must be a DischargeStep"
 
 
 def discharge_out_of_range(doc, mp):
@@ -380,6 +405,8 @@ def flush_arity(doc, mp):
 ROWS = {
     "premise {i} out of range": premise_out_of_range,
     "premise {i} was not verified": premise_not_verified,
+    "premise {i} is a discharge step": premise_discharge,
+    "a discharge step must be a DischargeStep": discharge_derivation_step,
     "relation index {pz} out of range": discharge_out_of_range,
     "no resolution for {g}": discharge_unresolved,
     "relation {pz} does not hold under the resolution map": discharge_off_labels,

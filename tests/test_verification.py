@@ -564,7 +564,7 @@ def test_verify_rests_on_one_replay(monkeypatch):
 def test_verify_replays_the_log_it_produced(monkeypatch):
     # one unsound step: the first bottom step cites a proper square that is not singular
     import igmax.pipeline
-    from igmax.replay import DerivationStep
+    from igmax.replay import DerivationLog, DerivationStep
     from igmax.squares import _singular_index, enumerate_squares, is_singular_sq3
 
     bogus = next(sq for sq in enumerate_squares(4, 2) if not is_degenerate(sq) and not is_singular_sq3(sq))
@@ -575,9 +575,10 @@ def test_verify_replays_the_log_it_produced(monkeypatch):
         i = next(i for i, st in enumerate(log.steps) if st.rule == "bottom")
         # a step holds its witness square as the ids of its kernels and images
         square = ids(_singular_index(n, r), *bogus.kernels, *bogus.images)
-        st = log.steps[i]
-        log.steps[i] = DerivationStep(st.rule, st.conclusion, st.premises, square, st.data)
-        return final, log
+        steps = list(log.steps)
+        st = steps[i]
+        steps[i] = DerivationStep(st.rule, st.conclusion, st.premises, square, st.data)
+        return final, DerivationLog(log.n, log.r, steps, log.final, log.meta)
 
     monkeypatch.setattr(igmax.pipeline, "run_pipeline", unsound)
     report, _ = verify_theorem(4, 2, budget=1000)
